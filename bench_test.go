@@ -643,126 +643,6 @@ func plantedBenchGraph(k, m, c int, dense, noise float64, seed int64) (*graph.Bi
 	return b, truth
 }
 
-// ---- PR7: delta snapshots ----
-
-var (
-	deltaBenchOnce sync.Once
-	deltaBenchPipe *Pipeline
-	deltaBenchErr  error
-)
-
-// deltaFixture builds a dedicated two-round pipeline (the shared fixture
-// must stay at round 0 for the other benchmarks), leaving frozen/snap-0,
-// frozen/delta-000001 and frozen/snap-1 in its store.
-func deltaFixture(b *testing.B) *Pipeline {
-	b.Helper()
-	deltaBenchOnce.Do(func() {
-		p, err := NewPipeline(PipelineConfig{Seed: 42, Scale: benchScale()})
-		if err != nil {
-			deltaBenchErr = err
-			return
-		}
-		if _, err := p.Crawl(context.Background(), 0); err != nil {
-			deltaBenchErr = err
-			return
-		}
-		p.AdvanceDays(30)
-		if _, err := p.Crawl(context.Background(), 1); err != nil {
-			deltaBenchErr = err
-			return
-		}
-		deltaBenchPipe = p
-	})
-	if deltaBenchErr != nil {
-		b.Fatal(deltaBenchErr)
-	}
-	return deltaBenchPipe
-}
-
-// BenchmarkDeltaCommit compares the two ways a crawl round can produce
-// its frozen artifact: the full refreeze (re-read every JSON record,
-// merge joins, graph rebuild, encode) against the incremental delta
-// apply (merge the delta onto the in-memory previous snapshot, rebuild
-// the CSR, encode). Both paths produce bit-identical bytes (see the
-// delta==refreeze equivalence suite), so the x_speedup metric on the
-// speedup sub-benchmark is a pure-performance ratio. Store writes are
-// excluded from both sides — they are identical.
-func BenchmarkDeltaCommit(b *testing.B) {
-	p := deltaFixture(b)
-	prev, err := core.LoadFrozen(p.Store, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sd, err := core.LoadDelta(p.Store, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	encode := func(fs *core.FrozenSnapshot) {
-		if _, err := core.EncodeFrozen(fs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.EncodeIndexes(fs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	fullRefreeze := func() *core.FrozenSnapshot {
-		companies, err := core.LoadCompanies(context.Background(), p.Store, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		investors, err := core.LoadInvestors(context.Background(), p.Store, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fs := &core.FrozenSnapshot{
-			Snapshot:  1,
-			Companies: companies,
-			Investors: investors,
-			Graph:     graph.FreezeBipartite(core.BuildInvestorGraph(investors)),
-		}
-		encode(fs)
-		return fs
-	}
-	deltaApply := func() *core.FrozenSnapshot {
-		fs, err := core.ApplyDelta(prev, sd)
-		if err != nil {
-			b.Fatal(err)
-		}
-		encode(fs)
-		return fs
-	}
-	b.Run("full-refreeze", func(b *testing.B) {
-		var fs *core.FrozenSnapshot
-		for i := 0; i < b.N; i++ {
-			fs = fullRefreeze()
-		}
-		b.ReportMetric(float64(len(fs.Companies)), "companies")
-		b.ReportMetric(float64(len(fs.Investors)), "investors")
-	})
-	b.Run("delta-apply", func(b *testing.B) {
-		var fs *core.FrozenSnapshot
-		for i := 0; i < b.N; i++ {
-			fs = deltaApply()
-		}
-		b.ReportMetric(float64(len(sd.CompanyUpserts)+len(sd.InvestorUpserts)), "upserts")
-		b.ReportMetric(float64(len(fs.Companies)), "companies")
-	})
-	b.Run("speedup", func(b *testing.B) {
-		var fullNs, deltaNs time.Duration
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			fullRefreeze()
-			fullNs += time.Since(t0)
-			t1 := time.Now()
-			deltaApply()
-			deltaNs += time.Since(t1)
-		}
-		if deltaNs > 0 {
-			b.ReportMetric(float64(fullNs)/float64(deltaNs), "x_speedup")
-		}
-	})
-}
-
 // ---- E11: success prediction (§7) ----
 
 // BenchmarkE11Prediction measures the feature build + train + evaluate
@@ -827,67 +707,4 @@ func BenchmarkE12E13Longitudinal(b *testing.B) {
 		}
 		p.Close()
 	}
-}
-
-// ---- PR3: frozen snapshot load ----
-
-// BenchmarkSnapshotLoad compares snapshot cold-start paths: decoding the
-// frozen columnar artifact (one sequential read per column, CSR arrays
-// used as stored) against the raw-JSON rebuild (per-record decoding,
-// dataflow merge joins, adjacency build + sort). The x_speedup metric on
-// the speedup sub-benchmark is the rebuild/frozen time ratio.
-func BenchmarkSnapshotLoad(b *testing.B) {
-	p, _, _ := fixture(b)
-	if !core.HasFrozen(p.Store, 0) {
-		b.Fatal("fixture crawl did not emit a frozen snapshot")
-	}
-	jsonRebuild := func() *graph.Bipartite {
-		companies, err := core.LoadCompanies(context.Background(), p.Store, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		investors, err := core.LoadInvestors(context.Background(), p.Store, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = companies
-		return core.BuildInvestorGraph(investors)
-	}
-	b.Run("frozen", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fs, err := core.LoadFrozen(p.Store, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == b.N-1 {
-				b.ReportMetric(float64(len(fs.Companies)), "companies")
-				b.ReportMetric(float64(len(fs.Investors)), "investors")
-				b.ReportMetric(float64(fs.Graph.NumEdges()), "edges")
-			}
-		}
-	})
-	b.Run("json-rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := jsonRebuild()
-			if i == b.N-1 {
-				b.ReportMetric(float64(g.NumEdges()), "edges")
-			}
-		}
-	})
-	b.Run("speedup", func(b *testing.B) {
-		var frozenNs, rebuildNs time.Duration
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			if _, err := core.LoadFrozen(p.Store, 0); err != nil {
-				b.Fatal(err)
-			}
-			frozenNs += time.Since(t0)
-			t1 := time.Now()
-			jsonRebuild()
-			rebuildNs += time.Since(t1)
-		}
-		if frozenNs > 0 {
-			b.ReportMetric(float64(rebuildNs)/float64(frozenNs), "x_speedup")
-		}
-	})
 }

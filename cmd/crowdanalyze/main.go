@@ -39,12 +39,10 @@ func main() {
 	csvDir := flag.String("csv", "", "optional directory for CSV figure series")
 	pairs := flag.Int("pairs", 100000, "global pair-sample size for fig4 (paper: 800000)")
 	workers := flag.Int("workers", 0, "worker pool size for all parallel kernels (<=0: GOMAXPROCS); results are identical for any value")
-	rebuild := flag.Bool("rebuild-snapshot", false, "regenerate the frozen snapshot from the raw JSON namespaces and analyze via the rebuild path")
-	fullRefreeze := flag.Bool("full-refreeze", false, "rebuild every crawl round's frozen artifact from raw JSON instead of committing frozen/delta-N artifacts (bit-identical either way)")
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
 
-	p, err := crowdscope.NewPipeline(crowdscope.PipelineConfig{Seed: *seed, Scale: *scale, Workers: *workers, FullRefreeze: *fullRefreeze})
+	p, err := crowdscope.NewPipeline(crowdscope.PipelineConfig{Seed: *seed, Scale: *scale, Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,17 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var a *crowdscope.Analysis
-	if *rebuild {
-		if s, err := p.RebuildSnapshot(context.Background(), -1); err != nil {
-			log.Fatal(err)
-		} else {
-			fmt.Printf("rebuilt frozen snapshot %d from raw JSON\n", s)
-		}
-		a, err = p.AnalyzeRebuild(context.Background(), -1)
-	} else {
-		a, err = p.Analyze(context.Background(), -1)
-	}
+	a, err := p.Analyze(context.Background(), -1)
 	if err != nil {
 		log.Fatal(err)
 	}

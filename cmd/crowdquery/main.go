@@ -11,8 +11,8 @@
 // twitter/profiles. When the store holds a frozen snapshot its merged
 // columns are queryable as virtual namespaces without any JSON rebuild:
 // frozen/snap-N/companies and frozen/snap-N/investors.
-// -rebuild-snapshot regenerates the latest frozen artifact from the raw
-// JSON namespaces first.
+// -rebuild-snapshot re-freezes the latest crawled snapshot from the
+// store's records first (the same core.BuildFrozen every crawl runs).
 package main
 
 import (
@@ -35,7 +35,7 @@ func main() {
 	log.SetPrefix("crowdquery: ")
 	storeDir := flag.String("store", "crawl-data", "store directory (see crowdcrawl)")
 	workers := flag.Int("workers", 0, "worker pool size for query execution (<=0: GOMAXPROCS)")
-	rebuild := flag.Bool("rebuild-snapshot", false, "regenerate the latest frozen snapshot from the raw JSON namespaces before querying")
+	rebuild := flag.Bool("rebuild-snapshot", false, "re-freeze the latest crawled snapshot from the store's records before querying")
 	explain := flag.Bool("explain", false, "print the chosen query plan (scan vs. secondary index) before each result")
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)

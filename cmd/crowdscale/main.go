@@ -2,8 +2,8 @@
 // scale: stream-generate the world into a sharded store, ingest it as a
 // crawl snapshot, freeze it shard-at-a-time into the columnar artifact,
 // and run the budgeted analysis suite. It reports wall-clock and peak
-// RSS (VmHWM) per stage as JSON, which scripts/bench.sh parses into
-// BENCH_PR8.json.
+// RSS (VmHWM) per stage as JSON; the repository benchmark's
+// batch_pipeline workload (benchmark/README.md) measures the same path.
 //
 // At -scale 1 this is the paper's dataset: 744,036 companies and
 // 1,109,441 users. The HTTP crawler is infeasible at that size (it

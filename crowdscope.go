@@ -3,16 +3,20 @@
 // (Cheng et al., ExploreDB'16): an extensible exploratory platform that
 // collects crowdfunding social-network data from simulated AngelList,
 // CrunchBase, Facebook and Twitter APIs, stores it in an append-only JSON
-// store, analyzes it with a Spark-like dataflow engine, detects investor
-// communities with CoDA, and quantifies herd behaviour with the paper's
-// shared-investment metrics.
+// store, merges it by company into a frozen columnar snapshot, detects
+// investor communities with CoDA, and quantifies herd behaviour with the
+// paper's shared-investment metrics.
 //
 // The root package offers the end-to-end Pipeline used by the examples
 // and benchmarks: generate a calibrated synthetic world, serve it through
 // the simulated web APIs, crawl it honestly over HTTP, persist the crawl,
-// and run every analysis of the paper's evaluation. Each stage is also
-// available separately through the internal packages for callers inside
-// this module.
+// freeze it, and run every analysis of the paper's evaluation over the
+// frozen snapshot. There is one route from crawled records to that
+// snapshot (DESIGN.md §8); the only choice on it — commit a round as a
+// delta onto the previous snapshot or freeze it from the store — is made
+// by Crawl from what it can observe. Each stage is also available
+// separately through the internal packages for callers inside this
+// module.
 package crowdscope
 
 import (
@@ -25,7 +29,6 @@ import (
 	"crowdscope/internal/core"
 	"crowdscope/internal/crawler"
 	"crowdscope/internal/ecosystem"
-	"crowdscope/internal/graph"
 	"crowdscope/internal/store"
 )
 
@@ -65,13 +68,6 @@ type PipelineConfig struct {
 	// simulated time; the token-rotation ablation reinstates the real
 	// 180-calls/15-minute window against a fake clock.
 	TwitterLimit int
-	// FullRefreeze disables the incremental delta path: every crawl
-	// round rebuilds its frozen artifact from the persisted JSON instead
-	// of applying a frozen/delta-N onto the previous snapshot. The two
-	// paths produce bit-identical artifacts (the delta==refreeze
-	// equivalence suite gates this); the flag exists as an escape hatch
-	// and for that suite.
-	FullRefreeze bool
 }
 
 // Pipeline owns one generated world, its simulated API server, and the
@@ -93,8 +89,8 @@ type Pipeline struct {
 	lastCrawlSnap int
 
 	// DeltaFallbacks counts rounds whose delta commit failed and was
-	// recovered by a full refreeze (e.g. a re-crawled store whose
-	// duplicated records the delta apply kernel rejects).
+	// recovered by freezing the round from the store (e.g. a base
+	// snapshot the delta does not apply to).
 	DeltaFallbacks int
 }
 
@@ -170,11 +166,13 @@ func (p *Pipeline) BaseURL() string { return p.ts.URL }
 // Resume) configured, progress is checkpointed into a per-snapshot
 // namespace and a resumed crawl continues where the last one stopped.
 //
-// Round 0 freezes the full world; later rounds commit a frozen/delta-N
-// artifact onto the previous frozen snapshot (bit-identical to a full
-// refreeze) unless FullRefreeze is set or the previous round's artifact
-// is missing. Interrupted delta commits left by a crash are completed
-// first via core.RecoverChain.
+// Every round ends with its frozen/snap-N artifact committed. Round 0,
+// and any round whose previous artifact is missing, freezes from the
+// persisted records (core.BuildFrozen); later rounds commit a
+// frozen/delta-N artifact onto the previous frozen snapshot — the same
+// bytes, without re-reading the store — and fall back to the freeze,
+// counted in DeltaFallbacks, if that commit fails. Interrupted delta
+// commits left by a crash are completed first via core.RecoverChain.
 func (p *Pipeline) Crawl(ctx context.Context, snapshot int) (*crawler.Snapshot, error) {
 	if _, err := core.RecoverChain(ctx, p.Store); err != nil {
 		return nil, fmt.Errorf("crowdscope: recover snapshot chain: %w", err)
@@ -207,10 +205,8 @@ func (p *Pipeline) Crawl(ctx context.Context, snapshot int) (*crawler.Snapshot, 
 	if err := crawler.Persist(ctx, p.Store, snap, snapshot); err != nil {
 		return nil, err
 	}
-	// Snapshot-builder stage: emit the frozen columnar artifact so later
-	// Analyze calls skip the JSON merge entirely. Incremental rounds go
-	// through the delta path: diff this round against the previous frozen
-	// snapshot and commit a delta artifact plus the applied result.
+	// Snapshot-builder stage: emit the frozen columnar artifact every
+	// analysis, query and replica reads.
 	if err := p.freeze(ctx, snap, snapshot); err != nil {
 		return nil, err
 	}
@@ -228,27 +224,20 @@ func (p *Pipeline) Crawl(ctx context.Context, snapshot int) (*crawler.Snapshot, 
 	return snap, nil
 }
 
-// freeze emits the round's frozen artifact: a full rebuild from the
-// persisted JSON for round 0 (or when configured/forced), otherwise a
-// delta commit onto the previous frozen snapshot. Any delta-path
-// failure falls back to the full rebuild: the delta path is an
-// optimization, never a reason to abort a crawl. The fallback matters
-// in practice when a store is re-crawled — appended duplicate records
-// freeze silently on the full path but are rejected loudly by the
-// delta apply kernel.
+// freeze emits the round's frozen artifact: a freeze from the persisted
+// records for round 0 or when the previous round has no artifact to
+// apply a delta onto, otherwise a delta commit onto the previous frozen
+// snapshot. Any delta failure falls back to the freeze from the store:
+// the delta is an optimization, never a reason to abort a crawl.
 func (p *Pipeline) freeze(ctx context.Context, snap *crawler.Snapshot, snapshot int) error {
-	if snapshot <= 0 || p.Config.FullRefreeze || !core.HasFrozen(p.Store, snapshot-1) {
-		return p.fullFreeze(ctx, snapshot)
-	}
-	if err := p.deltaFreeze(ctx, snap, snapshot); err != nil {
+	if snapshot > 0 && core.HasFrozen(p.Store, snapshot-1) {
+		err := p.deltaFreeze(ctx, snap, snapshot)
+		if err == nil {
+			return nil
+		}
 		p.DeltaFallbacks++
-		fmt.Fprintf(os.Stderr, "crowdscope: freeze snapshot %d: delta path failed (%v); falling back to full refreeze\n", snapshot, err)
-		return p.fullFreeze(ctx, snapshot)
+		fmt.Fprintf(os.Stderr, "crowdscope: freeze snapshot %d: delta commit failed (%v); freezing from the store\n", snapshot, err)
 	}
-	return nil
-}
-
-func (p *Pipeline) fullFreeze(ctx context.Context, snapshot int) error {
 	if _, err := core.BuildFrozen(ctx, p.Store, snapshot); err != nil {
 		return fmt.Errorf("crowdscope: freeze snapshot %d: %w", snapshot, err)
 	}
@@ -287,72 +276,27 @@ func (p *Pipeline) AdvanceDays(days int) {
 	p.Server.Reload()
 }
 
-// Analyze loads the given snapshot (-1 = latest) and runs the full
-// analysis suite. When the snapshot has a frozen artifact, entities and
-// the bipartite graph come straight from its columns (no JSON decoding,
-// no joins, no adjacency rebuild); otherwise it falls back to the JSON
-// path. Both paths produce bit-identical analyses. The context bounds
-// the store reads; the analysis kernels themselves are pure CPU.
+// Analyze loads the given snapshot's frozen artifact (-1 = latest) and
+// runs the full analysis suite, exactly (no sampling budget), over its
+// columns and CSR graph. The context bounds the store read and is
+// checked between the analysis kernels, which are pure CPU.
 func (p *Pipeline) Analyze(ctx context.Context, snapshot int) (*Analysis, error) {
-	snap := snapshot
-	if snap < 0 {
-		if s, err := core.LatestSnapshot(ctx, p.Store); err == nil {
-			snap = s
-		}
-	}
-	if snap >= 0 && core.HasFrozen(p.Store, snap) {
-		fs, err := core.LoadFrozenContext(ctx, p.Store, snap)
-		if err != nil {
-			return nil, err
-		}
-		return p.analyze(fs.Companies, fs.Investors, fs.Graph)
-	}
-	return p.AnalyzeRebuild(ctx, snapshot)
-}
-
-// AnalyzeRebuild is Analyze forced down the raw-JSON path: merge joins
-// over the crawled namespaces and a fresh graph build, ignoring any
-// frozen artifact. It backs the -rebuild-snapshot escape hatch and the
-// frozen-equivalence tests.
-func (p *Pipeline) AnalyzeRebuild(ctx context.Context, snapshot int) (*Analysis, error) {
-	companies, err := core.LoadCompanies(ctx, p.Store, snapshot)
+	fs, err := core.LoadFrozenContext(ctx, p.Store, snapshot)
 	if err != nil {
 		return nil, err
 	}
-	investors, err := core.LoadInvestors(ctx, p.Store, snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return p.analyze(companies, investors, core.BuildInvestorGraph(investors))
-}
-
-// RebuildSnapshot regenerates the snapshot's frozen artifact from the
-// raw JSON namespaces (-1 = latest crawled), replacing any existing
-// artifact. It returns the snapshot tag that was frozen.
-func (p *Pipeline) RebuildSnapshot(ctx context.Context, snapshot int) (int, error) {
-	return core.BuildFrozen(ctx, p.Store, snapshot)
-}
-
-// analyze runs the analysis suite over already-loaded entities and the
-// investment graph view.
-func (p *Pipeline) analyze(companies []core.Company, investors []core.Investor, b graph.BipartiteView) (*Analysis, error) {
-	rows, thresholds, err := core.EngagementTable(companies)
-	if err != nil {
-		return nil, err
-	}
-	k := p.World.Cfg.NumCommunities()
-	comm, err := core.RunCommunitiesWorkers(b, 4, k, p.Config.Seed, p.Config.Workers)
+	res, err := core.Analyze(ctx, fs, 4, p.World.Cfg.NumCommunities(), p.Config.Workers, core.Budget{Seed: p.Config.Seed})
 	if err != nil {
 		return nil, err
 	}
 	return &Analysis{
-		Companies:   companies,
-		Investors:   investors,
-		Engagement:  rows,
-		Thresholds:  thresholds,
-		Graph:       core.InvestorGraphStats(b),
-		Communities: comm,
-		Fig3:        core.RunFig3(investors),
+		Companies:   fs.Companies,
+		Investors:   fs.Investors,
+		Engagement:  res.Engagement,
+		Thresholds:  res.Thresholds,
+		Graph:       res.Graph,
+		Communities: res.Communities,
+		Fig3:        res.Fig3,
 	}, nil
 }
 

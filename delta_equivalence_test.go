@@ -1,46 +1,68 @@
 package crowdscope
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
 
 	"crowdscope/internal/core"
+	"crowdscope/internal/crawler"
+	"crowdscope/internal/store"
 )
 
-// TestRecrawlFallsBackToFullRefreeze re-crawls an existing store with a
-// second pipeline. The crawler appends its records to the same record
-// namespaces, so the re-crawled rounds carry duplicate entities — the
-// full-rebuild path freezes those silently, but the delta apply kernel
-// rejects the duplicated left nodes loudly. The pipeline must absorb
-// that rejection by falling back to a full refreeze instead of aborting
-// the crawl mid-run.
-func TestRecrawlFallsBackToFullRefreeze(t *testing.T) {
+// roundBlobs returns the round's committed snapshot and index blobs.
+func roundBlobs(t *testing.T, st *store.Store, round int) [2][]byte {
+	t.Helper()
+	var out [2][]byte
+	for i, ns := range []string{core.FrozenNamespace(round), core.IndexNamespace(round)} {
+		data, _, err := st.GetBlob(ns)
+		if err != nil {
+			t.Fatalf("round %d: %s: %v", round, ns, err)
+		}
+		out[i] = data
+	}
+	return out
+}
+
+func sameBlobs(a, b [2][]byte) bool {
+	return bytes.Equal(a[0], b[0]) && bytes.Equal(a[1], b[1])
+}
+
+// crawlRounds runs a fresh pipeline over cfg for the given number of
+// rounds, 15 simulated days apart, returning it and each round's blobs.
+func crawlRounds(t *testing.T, cfg PipelineConfig, rounds int) (*Pipeline, [][2][]byte) {
+	t.Helper()
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	var blobs [][2][]byte
+	for r := 0; r < rounds; r++ {
+		if r > 0 {
+			p.AdvanceDays(15)
+		}
+		if _, err := p.Crawl(context.Background(), r); err != nil {
+			t.Fatalf("crawl round %d: %v", r, err)
+		}
+		blobs = append(blobs, roundBlobs(t, p.Store, r))
+	}
+	return p, blobs
+}
+
+// TestRecrawlIsIdempotent re-crawls an existing store with a second
+// pipeline over the same world. The crawler appends its records to the
+// same namespaces, so every round is then persisted twice; the loader
+// keeps the last record per entity, so the second run commits the same
+// bytes as the first, through the same delta route, with no fallback.
+func TestRecrawlIsIdempotent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	ctx := context.Background()
-	dir := t.TempDir()
-	cfg := PipelineConfig{Seed: 7, Scale: 0.002, StoreDir: dir, Workers: 4}
+	cfg := PipelineConfig{Seed: 7, Scale: 0.002, StoreDir: t.TempDir(), Workers: 4}
 
-	run := func() *Pipeline {
-		p, err := NewPipeline(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		for r := 0; r < 2; r++ {
-			if r > 0 {
-				p.AdvanceDays(15)
-			}
-			if _, err := p.Crawl(ctx, r); err != nil {
-				t.Fatalf("crawl round %d: %v", r, err)
-			}
-		}
-		return p
-	}
-
-	first := run()
+	first, want := crawlRounds(t, cfg, 2)
 	if first.DeltaFallbacks != 0 {
 		t.Fatalf("fresh store took %d delta fallbacks", first.DeltaFallbacks)
 	}
@@ -48,26 +70,63 @@ func TestRecrawlFallsBackToFullRefreeze(t *testing.T) {
 		t.Fatal("fresh store round 1 emitted no delta artifact")
 	}
 
-	second := run()
-	if second.DeltaFallbacks != 1 {
-		t.Fatalf("re-crawl took %d delta fallbacks, want 1", second.DeltaFallbacks)
+	second, got := crawlRounds(t, cfg, 2)
+	if second.DeltaFallbacks != 0 {
+		t.Fatalf("re-crawl took %d delta fallbacks, want 0", second.DeltaFallbacks)
 	}
-	if !core.HasFrozen(second.Store, 1) {
-		t.Fatal("re-crawl round 1 left no frozen snapshot")
+	for r := range want {
+		if !sameBlobs(got[r], want[r]) {
+			t.Fatalf("round %d: re-crawl committed different bytes (%d vs %d snapshot bytes)",
+				r, len(got[r][0]), len(want[r][0]))
+		}
+	}
+}
+
+// TestDeltaFallbackFreezesFromStore keeps the fallback covered: on a
+// re-crawl, the base snapshot is replaced by one carrying a duplicated
+// investor row, which the CSR kernel rejects when the next round's delta
+// is applied. The round must still freeze — from the store, counted as
+// a fallback — to the bytes the undisturbed first run committed.
+func TestDeltaFallbackFreezesFromStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end pipeline in -short mode")
+	}
+	ctx := context.Background()
+	cfg := PipelineConfig{Seed: 7, Scale: 0.002, StoreDir: t.TempDir(), Workers: 4}
+	_, want := crawlRounds(t, cfg, 2)
+
+	p, _ := crawlRounds(t, cfg, 1)
+	base, err := core.LoadFrozen(p.Store, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Investors = append(base.Investors[:1:1], base.Investors...)
+	if err := core.CommitFrozen(ctx, p.Store, base); err != nil {
+		t.Fatal(err)
+	}
+	p.AdvanceDays(15)
+	if _, err := p.Crawl(ctx, 1); err != nil {
+		t.Fatalf("crawl onto a bad base must fall back, not fail: %v", err)
+	}
+	if p.DeltaFallbacks != 1 {
+		t.Fatalf("DeltaFallbacks = %d, want 1", p.DeltaFallbacks)
+	}
+	if !sameBlobs(roundBlobs(t, p.Store, 1), want[1]) {
+		t.Fatal("fallback freeze differs from the undisturbed run's round 1")
 	}
 
-	// The stale delta-1 from the first run must not poison the chain
-	// reader: snapshot 1 has a committed frozen artifact, so the chain
-	// materializes it directly and never applies the stale delta.
-	chain, err := core.LoadChain(second.Store)
+	// The first run's delta-1 now sits beside a base it does not apply
+	// to. It must not poison the chain reader: snapshot 1 has a committed
+	// artifact, so the chain materializes it directly.
+	chain, err := core.LoadChain(p.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs, err := chain.Snapshot(1)
 	if err != nil {
-		t.Fatalf("chain snapshot 1 after re-crawl: %v", err)
+		t.Fatalf("chain snapshot 1 after fallback: %v", err)
 	}
-	loaded, err := core.LoadFrozen(second.Store, 1)
+	loaded, err := core.LoadFrozen(p.Store, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,84 +136,105 @@ func TestRecrawlFallsBackToFullRefreeze(t *testing.T) {
 	}
 }
 
+// TestResumeAfterPersistBeforeMarker kills a checkpointed crawl in the
+// window between Persist and the PhasePersisted marker: the round's
+// records are in the store, nothing says so. The resumed crawl persists
+// the round again and must commit the bytes of a fault-free run.
+func TestResumeAfterPersistBeforeMarker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end pipeline in -short mode")
+	}
+	ctx := context.Background()
+	cfg := PipelineConfig{Seed: 7, Scale: 0.002, Workers: 4}
+	cfg.StoreDir = t.TempDir()
+	_, want := crawlRounds(t, cfg, 1)
+
+	cfg.StoreDir = t.TempDir()
+	cfg.Checkpoint = true
+	killed, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer killed.Close()
+	// Crawl's steps up to the kill point, on the pipeline's own client,
+	// store and checkpoint namespace.
+	cr := &crawler.Crawler{Client: killed.client, Workers: cfg.Workers, Checkpoint: &crawler.CheckpointConfig{
+		Store:     killed.Store,
+		Namespace: "checkpoint/snap-000",
+	}}
+	snap, err := cr.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crawler.Persist(ctx, killed.Store, snap, 0); err != nil {
+		t.Fatal(err)
+	}
+	if core.HasFrozen(killed.Store, 0) {
+		t.Fatal("kill point is after the freeze; test is vacuous")
+	}
+
+	cfg.Resume = true
+	resumed, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if _, err := resumed.Crawl(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	var persisted int
+	err = store.ScanAsContext(ctx, resumed.Store, crawler.NSStartups, func(crawler.StartupRecord) error {
+		persisted++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if persisted != 2*len(snap.Startups) {
+		t.Fatalf("store holds %d startup records for %d startups; the resume did not re-persist and the test is vacuous",
+			persisted, len(snap.Startups))
+	}
+	if !sameBlobs(roundBlobs(t, resumed.Store, 0), want[0]) {
+		t.Fatal("resumed crawl committed different bytes than a fault-free run")
+	}
+}
+
 // TestDeltaRefreezeEquivalenceEndToEnd is the pipeline-level half of the
-// delta==refreeze gate: two pipelines crawl the same evolving world, one
-// committing frozen/delta-N artifacts (the default), the other forcing a
-// full refreeze every round. Every frozen snapshot and index blob must
-// come out bit-identical. The two pipelines deliberately run with
-// different worker counts — artifact bytes must not depend on crawl
-// scheduling.
+// delta==refreeze gate: a pipeline crawls an evolving world, committing
+// rounds > 0 as frozen/delta-N artifacts; each committed round is then
+// re-frozen from the same store's persisted records with
+// core.BuildFrozen, and the snapshot and index blobs must not move.
 func TestDeltaRefreezeEquivalenceEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	seeds := []int64{5, 11}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
+	for _, seed := range []int64{5, 11} {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			ctx := context.Background()
 			const rounds = 3
-
-			delta, err := NewPipeline(PipelineConfig{
+			p, committed := crawlRounds(t, PipelineConfig{
 				Seed: seed, Scale: 0.004, StoreDir: t.TempDir(), Workers: 2,
-			})
-			if err != nil {
-				t.Fatal(err)
+			}, rounds)
+			if p.DeltaFallbacks != 0 {
+				t.Fatalf("%d delta fallbacks; the delta route was not exercised", p.DeltaFallbacks)
 			}
-			defer delta.Close()
-			full, err := NewPipeline(PipelineConfig{
-				Seed: seed, Scale: 0.004, StoreDir: t.TempDir(), Workers: 8,
-				FullRefreeze: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer full.Close()
-
 			for r := 0; r < rounds; r++ {
-				if r > 0 {
-					delta.AdvanceDays(15)
-					full.AdvanceDays(15)
+				// The pipeline must actually have taken the delta route.
+				if r > 0 && !core.HasDelta(p.Store, r) {
+					t.Fatalf("round %d: no %s", r, core.DeltaNamespace(r))
 				}
-				if _, err := delta.Crawl(ctx, r); err != nil {
+				if _, err := core.BuildFrozen(ctx, p.Store, r); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := full.Crawl(ctx, r); err != nil {
-					t.Fatal(err)
-				}
-
-				for _, ns := range []string{core.FrozenNamespace(r), core.IndexNamespace(r)} {
-					dBytes, dFmt, err := delta.Store.GetBlob(ns)
-					if err != nil {
-						t.Fatalf("round %d: delta store %s: %v", r, ns, err)
-					}
-					fBytes, fFmt, err := full.Store.GetBlob(ns)
-					if err != nil {
-						t.Fatalf("round %d: refreeze store %s: %v", r, ns, err)
-					}
-					if dFmt != fFmt || string(dBytes) != string(fBytes) {
-						t.Fatalf("round %d: %s diverges between delta and refreeze stores (%d vs %d bytes)",
-							r, ns, len(dBytes), len(fBytes))
-					}
-				}
-
-				// The incremental pipeline must actually have taken the
-				// delta path (and the refreeze pipeline must not have).
-				if r > 0 {
-					if !core.HasDelta(delta.Store, r) {
-						t.Fatalf("round %d: delta pipeline emitted no %s", r, core.DeltaNamespace(r))
-					}
-					if core.HasDelta(full.Store, r) {
-						t.Fatalf("round %d: FullRefreeze pipeline emitted a delta artifact", r)
-					}
+				if refrozen := roundBlobs(t, p.Store, r); !sameBlobs(refrozen, committed[r]) {
+					t.Fatalf("round %d: delta-committed artifact differs from a freeze of the same store (%d vs %d snapshot bytes)",
+						r, len(committed[r][0]), len(refrozen[0]))
 				}
 			}
 
-			// The chain reader materializes every round of the delta store
-			// to the same entities the analysis sees.
-			chain, err := core.LoadChain(delta.Store)
+			// The chain reader materializes every round of the store to
+			// the same entities the analysis sees.
+			chain, err := core.LoadChain(p.Store)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +245,7 @@ func TestDeltaRefreezeEquivalenceEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := core.LoadFrozen(delta.Store, rounds-1)
+			loaded, err := core.LoadFrozen(p.Store, rounds-1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,10 +8,12 @@ import (
 	"crowdscope/internal/core"
 )
 
-// TestFrozenAnalysisEquivalence is the PR's end-to-end contract: the
-// analysis suite run off the frozen columnar snapshot must serialize
-// byte-identically to the same suite run off the raw JSON namespaces.
+// TestFrozenAnalysisEquivalence pins the facade to the library: what
+// Pipeline.Analyze reports for a crawled snapshot serializes
+// byte-identically to core.Analyze run, unbudgeted, over the frozen
+// artifact the crawl committed.
 func TestFrozenAnalysisEquivalence(t *testing.T) {
+	ctx := context.Background()
 	p, err := NewPipeline(PipelineConfig{
 		Seed:     7,
 		Scale:    0.005,
@@ -22,7 +24,7 @@ func TestFrozenAnalysisEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.Crawl(context.Background(), 0); err != nil {
+	if _, err := p.Crawl(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	// The crawl's snapshot-builder stage must have emitted the artifact.
@@ -30,41 +32,43 @@ func TestFrozenAnalysisEquivalence(t *testing.T) {
 		t.Fatal("crawl did not emit a frozen snapshot")
 	}
 
-	frozen, err := p.Analyze(context.Background(), -1)
+	got, err := p.Analyze(ctx, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := p.AnalyzeRebuild(context.Background(), -1)
+	fs, err := core.LoadFrozen(p.Store, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	jf, err := json.Marshal(frozen)
+	want, err := core.Analyze(ctx, fs, 4, p.World.Cfg.NumCommunities(), 1, core.Budget{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := json.Marshal(rebuilt)
-	if err != nil {
-		t.Fatal(err)
+	if want.CommunitiesSampled {
+		t.Fatal("unbudgeted analysis reported a sampled run")
 	}
-	if string(jf) != string(jr) {
-		t.Fatalf("frozen and rebuilt analyses differ (%d vs %d bytes)", len(jf), len(jr))
+	if got.Communities.Assignment.NumCommunities() == 0 {
+		t.Fatal("equivalence vacuous: no communities detected")
 	}
-
-	// The escape hatch regenerates the artifact in place; analyses still
-	// match afterwards.
-	if snap, err := p.RebuildSnapshot(context.Background(), -1); err != nil || snap != 0 {
-		t.Fatalf("RebuildSnapshot = %d, %v", snap, err)
-	}
-	again, err := p.Analyze(context.Background(), -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ja, err := json.Marshal(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ja) != string(jf) {
-		t.Fatal("analysis changed after snapshot rebuild")
+	for name, pair := range map[string][2]any{
+		"companies":   {got.Companies, fs.Companies},
+		"investors":   {got.Investors, fs.Investors},
+		"engagement":  {got.Engagement, want.Engagement},
+		"thresholds":  {got.Thresholds, want.Thresholds},
+		"graph":       {got.Graph, want.Graph},
+		"fig3":        {got.Fig3, want.Fig3},
+		"communities": {got.Communities.Assignment, want.Communities.Assignment},
+	} {
+		a, err := json.Marshal(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("%s: Pipeline.Analyze and core.Analyze differ (%d vs %d bytes)", name, len(a), len(b))
+		}
 	}
 }

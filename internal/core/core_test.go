@@ -19,6 +19,8 @@ import (
 var (
 	fixWorld *ecosystem.World
 	fixStore *store.Store
+	// fixCrawl is the in-memory crawl persisted into fixStore as round 0.
+	fixCrawl *crawler.Snapshot
 )
 
 func TestMain(m *testing.M) {
@@ -46,6 +48,7 @@ func TestMain(m *testing.M) {
 	if err != nil {
 		panic(err)
 	}
+	fixCrawl = snap
 	fixStore, err = store.Open(dir)
 	if err != nil {
 		panic(err)

@@ -5,69 +5,49 @@ import (
 	"sort"
 
 	"crowdscope/internal/crawler"
-	"crowdscope/internal/ecosystem"
 )
 
-// Round diffing: instead of re-reading and re-joining every persisted
-// record (BuildFrozen's path), an incremental crawl round merges the
-// in-memory crawl snapshot entity by entity and diffs the result
-// against the previous frozen snapshot. The per-entity merges below
-// replicate the dataflow joins in merge.go exactly — they are pure
-// functions of the raw records, so a raw-unchanged entity always merges
-// to an identical row, which is what makes the crawler's conservative
-// RoundDiff a sound pre-filter.
+// Round diffing: instead of re-reading every persisted record
+// (BuildFrozen's feeder), an incremental crawl round merges the in-memory
+// crawl snapshot entity by entity and diffs the result against the
+// previous frozen snapshot. Both feeders go through merge.go's row
+// functions — pure functions of the raw records, so a raw-unchanged
+// entity always merges to an identical row, which is what makes the
+// crawler's conservative RoundDiff a sound pre-filter.
 
-// mergeCompany builds the merged company row for one startup, mirroring
-// LoadCompanies' left-outer joins (absent augment profiles leave their
-// fields zero).
-func mergeCompany(s *ecosystem.Startup, cb *ecosystem.CrunchBaseProfile, fb *ecosystem.FacebookProfile, tw *ecosystem.TwitterProfile) Company {
-	c := Company{
-		ID:          s.ID,
-		Name:        s.Name,
-		Raising:     s.Raising,
-		HasVideo:    s.HasDemoVideo,
-		HasFacebook: s.FacebookURL != "",
-		HasTwitter:  s.TwitterURL != "",
-	}
-	if cb != nil {
-		c.RoundCount = len(cb.Rounds)
-		c.Funded = len(cb.Rounds) > 0
-		for _, r := range cb.Rounds {
-			c.TotalRaisedUSD += r.AmountUSD
+// crawlCompany narrows one crawled startup's profiles to companyRow's
+// projections and builds its row.
+func crawlCompany(cur *crawler.Snapshot, id string) Company {
+	var cb *cbProfile
+	if p := cur.CrunchBase[id]; p != nil {
+		cb = &cbProfile{Rounds: make([]cbRound, len(p.Rounds))}
+		for i, r := range p.Rounds {
+			cb.Rounds[i].AmountUSD = r.AmountUSD
 		}
 	}
-	if fb != nil {
-		c.Likes = fb.Likes
+	var fb *fbProfile
+	if p := cur.Facebook[id]; p != nil {
+		fb = &fbProfile{Likes: p.Likes}
 	}
-	if tw != nil {
-		c.Tweets = tw.StatusesCount
-		c.Followers = tw.FollowersCount
+	var tw *twProfile
+	if p := cur.Twitter[id]; p != nil {
+		tw = &twProfile{StatusesCount: p.StatusesCount, FollowersCount: p.FollowersCount}
 	}
-	return c
-}
-
-// mergeInvestor builds the merged investor row for one user, mirroring
-// LoadInvestors; ok is false for users with no investments (the paper's
-// bipartite graph omits them).
-func mergeInvestor(u *ecosystem.User) (Investor, bool) {
-	if len(u.Investments) == 0 {
-		return Investor{}, false
-	}
-	return Investor{ID: u.ID, Investments: u.Investments, Follows: len(u.FollowsStartups)}, true
+	return companyRow(cur.Startups[id], cb, fb, tw)
 }
 
 // mergeCrawl merges the whole crawl snapshot in memory, producing the
-// same sorted entity lists BuildFrozen derives from the persisted
+// same sorted entity lists the store loader derives from the persisted
 // records (graph not built — callers diff entities).
 func mergeCrawl(cur *crawler.Snapshot, snap int) *FrozenSnapshot {
 	fs := &FrozenSnapshot{Snapshot: snap}
 	fs.Companies = make([]Company, 0, len(cur.Startups))
-	for id, s := range cur.Startups {
-		fs.Companies = append(fs.Companies, mergeCompany(s, cur.CrunchBase[id], cur.Facebook[id], cur.Twitter[id]))
+	for id := range cur.Startups {
+		fs.Companies = append(fs.Companies, crawlCompany(cur, id))
 	}
 	sort.Slice(fs.Companies, func(i, j int) bool { return fs.Companies[i].ID < fs.Companies[j].ID })
 	for _, u := range cur.Users {
-		if inv, ok := mergeInvestor(u); ok {
+		if inv, ok := investorRow(u); ok {
 			fs.Investors = append(fs.Investors, inv)
 		}
 	}
@@ -108,14 +88,14 @@ func DiffCrawl(prev *FrozenSnapshot, prevRaw, cur *crawler.Snapshot, target int)
 	}
 	rd := crawler.DiffRounds(prevRaw, cur)
 	for _, id := range rd.StartupsUpserted {
-		c := mergeCompany(cur.Startups[id], cur.CrunchBase[id], cur.Facebook[id], cur.Twitter[id])
+		c := crawlCompany(cur, id)
 		if old, ok := findCompany(prev, id); !ok || old != c {
 			sd.CompanyUpserts = append(sd.CompanyUpserts, c)
 		}
 	}
 	sd.CompanyDrops = append(sd.CompanyDrops, rd.StartupsRemoved...)
 	for _, id := range rd.UsersUpserted {
-		inv, ok := mergeInvestor(cur.Users[id])
+		inv, ok := investorRow(cur.Users[id])
 		if !ok {
 			// Still a user, no longer an investor.
 			if _, had := findInvestor(prev, id); had {

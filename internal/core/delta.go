@@ -17,14 +17,14 @@ import (
 // entities that changed since round N-1 (full rows, same column scheme
 // as the snapshot artifact) plus tombstones for the ones that
 // disappeared. Applying the delta onto the previous frozen snapshot
-// produces the next one without the raw-JSON merge — and the result is
-// bit-identical to a full refreeze, which is what the delta==refreeze
-// equivalence suite gates.
+// produces the next one without re-reading the store — and the result
+// is bit-identical to BuildFrozen over the round's persisted records,
+// which is what the delta==refreeze equivalence suite gates.
 
 // ErrDeltaConflict reports a delta that does not fit the snapshot it is
 // being applied to: wrong base version, or a tombstone referencing an
 // entity the base never had. Conflicts are loud — silently dropping a
-// tombstone would fork the chain from the refreeze path.
+// tombstone would fork the chain from what BuildFrozen produces.
 var ErrDeltaConflict = errors.New("core: delta conflicts with its base snapshot")
 
 // SnapshotDelta is the decoded delta between two consecutive frozen
@@ -291,11 +291,10 @@ func graphNeutral(prev *FrozenSnapshot, sd *SnapshotDelta) bool {
 }
 
 // ApplyDelta applies a delta onto its base snapshot, producing the
-// target snapshot in memory: entity lists via a sorted merge, the
-// bipartite graph via the snapshot package's CSR apply kernel over the
-// retained rows (which alias the base artifact's columns) plus the
-// upserted ones. The result is bit-identical to a full refreeze of the
-// target round.
+// target snapshot in memory: entity lists via a sorted merge, then the
+// same constructor a freeze ends in (newFrozen) over the retained rows
+// (which alias the base artifact's columns) plus the upserted ones. The
+// result is bit-identical to BuildFrozen of the target round.
 //
 // When the delta is graph-neutral — counter churn only, no investment
 // row touched — the base snapshot's graph is reused as-is instead of
@@ -318,23 +317,14 @@ func ApplyDelta(prev *FrozenSnapshot, sd *SnapshotDelta) (*FrozenSnapshot, error
 	if err != nil {
 		return nil, err
 	}
-	g := prev.Graph
-	if !neutral {
-		rows := make([]snapshot.AdjacencyRow, len(investors))
-		for i, inv := range investors {
-			rows[i] = snapshot.AdjacencyRow{Left: inv.ID, Rights: inv.Investments}
-		}
-		g, err = snapshot.ApplyBipartite(rows)
-		if err != nil {
-			return nil, fmt.Errorf("core: apply delta %d->%d: %w", sd.Base, sd.Target, err)
-		}
+	if neutral {
+		return &FrozenSnapshot{Snapshot: sd.Target, Companies: companies, Investors: investors, Graph: prev.Graph}, nil
 	}
-	return &FrozenSnapshot{
-		Snapshot:  sd.Target,
-		Companies: companies,
-		Investors: investors,
-		Graph:     g,
-	}, nil
+	next, err := newFrozen(sd.Target, companies, investors)
+	if err != nil {
+		return nil, fmt.Errorf("core: apply delta %d->%d: %w", sd.Base, sd.Target, err)
+	}
+	return next, nil
 }
 
 // CommitDelta durably commits one incremental round: the delta artifact

@@ -9,7 +9,6 @@ import (
 	"crowdscope/internal/crawler"
 	"crowdscope/internal/dataflow"
 	"crowdscope/internal/dynamics"
-	"crowdscope/internal/graph"
 	"crowdscope/internal/predict"
 	"crowdscope/internal/stats"
 	"crowdscope/internal/store"
@@ -27,16 +26,24 @@ import (
 // snapshot (the "node degree in the AngelList network" feature of §7).
 // The context bounds the user scan.
 func LoadCompanyFollowerCounts(ctx context.Context, st *store.Store, snapshot int) (map[string]int, error) {
-	if snapshot < 0 {
-		var err error
-		snapshot, err = LatestSnapshot(ctx, st)
-		if err != nil {
-			return nil, err
-		}
-	}
-	users, err := readSnapshot[crawler.UserRecord](ctx, st, crawler.NSUsers, snapshot, func(r crawler.UserRecord) int { return r.Snapshot })
+	snapshot, err := crawledSnapshot(ctx, st, snapshot)
 	if err != nil {
 		return nil, err
+	}
+	// As in the snapshot loader, the last record per user wins.
+	latest := map[string]crawler.UserRecord{}
+	err = store.ScanAsContext(ctx, st, crawler.NSUsers, func(r crawler.UserRecord) error {
+		if r.Snapshot == snapshot {
+			latest[r.ID] = r
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	users := make([]crawler.UserRecord, 0, len(latest))
+	for _, r := range latest {
+		users = append(users, r)
 	}
 	ds := dataflow.FromSlice(users, partitionsFor(len(users)))
 	follows := dataflow.FlatMap(ds, func(r crawler.UserRecord) []dataflow.Pair[string, int] {
@@ -158,23 +165,24 @@ type CausalityResult struct {
 // RunCausality builds the two-snapshot panel and tests whether engagement
 // growth between the snapshots is associated with converting to funded —
 // the study the paper's §7 proposes (observational, so "causality" in the
-// paper's Granger-style sense of temporal precedence).
+// paper's Granger-style sense of temporal precedence). Both snapshots
+// are read from their frozen artifacts.
 func RunCausality(ctx context.Context, st *store.Store, snapA, snapB int) (*CausalityResult, error) {
-	before, err := snapshotCompanies(ctx, st, snapA)
+	before, err := LoadFrozenContext(ctx, st, snapA)
 	if err != nil {
 		return nil, err
 	}
-	after, err := snapshotCompanies(ctx, st, snapB)
+	after, err := LoadFrozenContext(ctx, st, snapB)
 	if err != nil {
 		return nil, err
 	}
-	afterByID := make(map[string]Company, len(after))
-	for _, c := range after {
+	afterByID := make(map[string]Company, len(after.Companies))
+	for _, c := range after.Companies {
 		afterByID[c.ID] = c
 	}
 	var deltas []float64
 	var converted []bool
-	for _, c := range before {
+	for _, c := range before.Companies {
 		if c.Funded {
 			continue // panel = at risk of converting
 		}
@@ -232,14 +240,15 @@ type DynamicsResult struct {
 }
 
 // RunDynamics detects communities in both snapshots (membership expressed
-// as stable user IDs) and tracks formation/disbanding between them.
+// as stable user IDs) and tracks formation/disbanding between them. The
+// investment graphs come from the snapshots' frozen artifacts.
 func RunDynamics(ctx context.Context, st *store.Store, snapA, snapB, minDeg, k int, seed int64) (*DynamicsResult, error) {
 	labeled := func(snap int) ([][]string, error) {
-		b, err := snapshotInvestorGraph(ctx, st, snap)
+		fs, err := LoadFrozenContext(ctx, st, snap)
 		if err != nil {
 			return nil, err
 		}
-		cr, err := RunCommunities(b, minDeg, k, seed)
+		cr, err := RunCommunities(fs.Graph, minDeg, k, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -268,35 +277,4 @@ func RunDynamics(ctx context.Context, st *store.Store, snapA, snapB, minDeg, k i
 		Transition:      tr,
 		Counts:          tr.Counts(),
 	}, nil
-}
-
-// snapshotCompanies loads the snapshot's merged companies, from the
-// frozen artifact when one exists (identical result, no JSON merge).
-func snapshotCompanies(ctx context.Context, st *store.Store, snap int) ([]Company, error) {
-	if snap >= 0 && HasFrozen(st, snap) {
-		fs, err := LoadFrozenContext(ctx, st, snap)
-		if err != nil {
-			return nil, err
-		}
-		return fs.Companies, nil
-	}
-	return LoadCompanies(ctx, st, snap)
-}
-
-// snapshotInvestorGraph returns the snapshot's investment bipartite
-// graph as a read-only view, loaded from the frozen artifact's CSR
-// columns when one exists and rebuilt from JSON otherwise.
-func snapshotInvestorGraph(ctx context.Context, st *store.Store, snap int) (graph.BipartiteView, error) {
-	if snap >= 0 && HasFrozen(st, snap) {
-		fs, err := LoadFrozenContext(ctx, st, snap)
-		if err != nil {
-			return nil, err
-		}
-		return fs.Graph, nil
-	}
-	investors, err := LoadInvestors(ctx, st, snap)
-	if err != nil {
-		return nil, err
-	}
-	return BuildInvestorGraph(investors), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"crowdscope/internal/apiserver"
@@ -87,8 +88,8 @@ func TestBuildFeaturesAndPrediction(t *testing.T) {
 }
 
 // longitudinalStore crawls a dedicated world twice with evolution in
-// between, into a fresh store. It owns its world so evolving it cannot
-// disturb the shared fixture.
+// between, into a fresh store, and freezes both rounds. It owns its
+// world so evolving it cannot disturb the shared fixture.
 func longitudinalStore(t *testing.T) (*store.Store, *ecosystem.World) {
 	t.Helper()
 	w, err := ecosystem.Generate(ecosystem.NewConfig(77, 0.015))
@@ -124,6 +125,11 @@ func longitudinalStore(t *testing.T) (*store.Store, *ecosystem.World) {
 	}
 	if err := crawler.Persist(context.Background(), st, snap, 1); err != nil {
 		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		if _, err := BuildFrozen(context.Background(), st, round); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return st, w
 }
@@ -173,12 +179,20 @@ func TestCausalityAndDynamics(t *testing.T) {
 }
 
 func TestRunCausalityPanelTooSmall(t *testing.T) {
-	st, _ := store.Open(t.TempDir())
-	w, _ := st.Writer(crawler.NSStartups)
-	_ = w.Append(crawler.StartupRecord{})
-	_ = w.Close()
-	if _, err := RunCausality(context.Background(), st, 0, 0); err == nil {
-		t.Fatal("expected panel-too-small error")
+	ctx := context.Background()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := newFrozen(0, []Company{{ID: "s-1"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CommitFrozen(ctx, st, fs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCausality(ctx, st, 0, 0); err == nil || !strings.Contains(err.Error(), "panel too small") {
+		t.Fatalf("RunCausality = %v, want a panel-too-small error", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"crowdscope/internal/crawler"
 	"crowdscope/internal/graph"
 	"crowdscope/internal/snapshot"
 	"crowdscope/internal/store"
@@ -14,9 +13,8 @@ import (
 // emits after a crawl persists: the merged companies, the merged
 // investors, and the bipartite investment graph's CSR arrays, all in one
 // checksummed blob. Loading one is a single sequential read per column —
-// no per-record JSON decoding, no dataflow joins, no CSR rebuild — and
-// the loaded entities and adjacency are bit-identical to what the JSON
-// path produces, so every analysis runs unchanged on either.
+// no per-record JSON decoding, no joins, no CSR rebuild. It is what
+// every analysis, query and serving replica reads.
 
 // Company flag bits in the co.flags column.
 const (
@@ -64,27 +62,35 @@ func LatestFrozen(st *store.Store) (int, error) {
 	return latest, nil
 }
 
-// BuildFrozen runs the snapshot-builder stage: load the snapshot through
-// the JSON path (merge joins + graph build), encode everything into the
-// columnar artifact, and commit it as the snapshot's frozen blob. Pass
-// snap -1 to freeze the latest crawled snapshot. Returns the snapshot
-// tag that was frozen. The context bounds the durable blob write: a
-// canceled ctx abandons the build before commit, so a partial artifact
-// is never visible.
-//
-// When the startups namespace is hash-sharded (more than one shard), the
-// build routes to the shard-at-a-time path, which produces a
-// byte-identical artifact with O(world/K + artifact) peak memory.
-func BuildFrozen(ctx context.Context, st *store.Store, snap int) (int, error) {
-	if snap < 0 {
-		var err error
-		snap, err = LatestSnapshot(ctx, st)
-		if err != nil {
-			return 0, err
-		}
+// newFrozen is the one constructor of a FrozenSnapshot: ID-sorted
+// company and investor rows in, the investment CSR built over the
+// investor rows by the snapshot package's apply kernel. A full freeze
+// is a delta from empty, so BuildFrozen and ApplyDelta both end here.
+// Duplicate investor IDs are rejected by the kernel.
+func newFrozen(snap int, companies []Company, investors []Investor) (*FrozenSnapshot, error) {
+	rows := make([]snapshot.AdjacencyRow, len(investors))
+	for i, inv := range investors {
+		rows[i] = snapshot.AdjacencyRow{Left: inv.ID, Rights: inv.Investments}
 	}
-	if k, err := st.ShardCount(crawler.NSStartups); err == nil && k > 1 {
-		return BuildFrozenSharded(ctx, st, snap)
+	g, err := snapshot.ApplyBipartite(rows)
+	if err != nil {
+		return nil, err
+	}
+	return &FrozenSnapshot{Snapshot: snap, Companies: companies, Investors: investors, Graph: g}, nil
+}
+
+// BuildFrozen runs the snapshot-builder stage: load the snapshot's rows
+// from the crawl namespaces one shard at a time (an unsharded store is
+// one shard), build the CSR, encode everything into the columnar
+// artifact, and commit it as the snapshot's frozen blob, replacing any
+// existing one. Pass snap -1 to freeze the latest crawled snapshot.
+// Returns the snapshot tag that was frozen. The context bounds the
+// scans and the durable blob write: a canceled ctx abandons the build
+// before commit, so a partial artifact is never visible.
+func BuildFrozen(ctx context.Context, st *store.Store, snap int) (int, error) {
+	snap, err := crawledSnapshot(ctx, st, snap)
+	if err != nil {
+		return 0, err
 	}
 	companies, err := LoadCompanies(ctx, st, snap)
 	if err != nil {
@@ -94,13 +100,11 @@ func BuildFrozen(ctx context.Context, st *store.Store, snap int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	err = CommitFrozen(ctx, st, &FrozenSnapshot{
-		Snapshot:  snap,
-		Companies: companies,
-		Investors: investors,
-		Graph:     graph.FreezeBipartite(BuildInvestorGraph(investors)),
-	})
+	fs, err := newFrozen(snap, companies, investors)
 	if err != nil {
+		return 0, fmt.Errorf("core: freeze snapshot %d: %w", snap, err)
+	}
+	if err := CommitFrozen(ctx, st, fs); err != nil {
 		return 0, err
 	}
 	return snap, nil

@@ -49,7 +49,7 @@ func TestFrozenRoundTripMatchesJSONPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fs.Companies, companies) {
-		t.Fatal("frozen companies differ from the JSON merge")
+		t.Fatal("frozen companies differ from the loader's rows")
 	}
 	if len(fs.Investors) != len(investors) {
 		t.Fatalf("investor counts differ: %d vs %d", len(fs.Investors), len(investors))
@@ -150,7 +150,7 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 
 func TestFrozenRebuildReplacesArtifact(t *testing.T) {
 	buildFixtureFrozen(t)
-	// The escape hatch must be able to regenerate over an existing blob.
+	// crowdquery -rebuild-snapshot re-runs the freeze over an existing blob.
 	if _, err := BuildFrozen(context.Background(), fixStore, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -207,39 +207,5 @@ func TestQuerySourceFrozenNamespaces(t *testing.T) {
 	}
 	if err := src.ScanContext(context.Background(), "frozen/oops", func([]byte) error { return nil }); err == nil {
 		t.Fatal("malformed frozen namespace must error")
-	}
-}
-
-func TestLongitudinalPreferFrozen(t *testing.T) {
-	st, w := longitudinalStore(t)
-	k := w.Cfg.NumCommunities()
-
-	causJSON, err := RunCausality(context.Background(), st, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dynJSON, err := RunDynamics(context.Background(), st, 0, 1, 2, k, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, snap := range []int{0, 1} {
-		if _, err := BuildFrozen(context.Background(), st, snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	causFrozen, err := RunCausality(context.Background(), st, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dynFrozen, err := RunDynamics(context.Background(), st, 0, 1, 2, k, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(causJSON, causFrozen) {
-		t.Fatalf("causality differs: %+v vs %+v", causJSON, causFrozen)
-	}
-	if !reflect.DeepEqual(dynJSON, dynFrozen) {
-		t.Fatalf("dynamics differs: %+v vs %+v", dynJSON, dynFrozen)
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"crowdscope/internal/graph"
 )
 
-// BuildInvestorGraph builds the Section 5.1 bipartite graph: an edge per
-// (investor, company) investment, restricted to investors with at least
-// one investment (LoadInvestors already filters). Adjacency is sorted so
-// the shared-investment metrics can intersect in linear time.
+// BuildInvestorGraph builds the Section 5.1 bipartite graph as a mutable
+// graph: an edge per (investor, company) investment, restricted to
+// investors with at least one investment (LoadInvestors already
+// filters). Adjacency is sorted so the shared-investment metrics can
+// intersect in linear time. Frozen snapshots do not go through it — their
+// CSR comes from snapshot.ApplyBipartite, which is tested against this
+// builder — it serves callers that filter or extend the graph.
 func BuildInvestorGraph(investors []Investor) *graph.Bipartite {
 	b := graph.NewBipartite(len(investors), len(investors)*3)
 	for _, inv := range investors {

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"crowdscope/internal/crawler"
-	"crowdscope/internal/dataflow"
+	"crowdscope/internal/ecosystem"
 	"crowdscope/internal/store"
 )
 
@@ -39,7 +41,8 @@ type Investor struct {
 	Follows     int
 }
 
-// partitionsFor picks a partition count proportional to data size.
+// partitionsFor picks a dataflow partition count proportional to data
+// size (the aggregations in engagement.go and extensions.go).
 func partitionsFor(n int) int {
 	p := n / 4096
 	if p < 4 {
@@ -71,121 +74,29 @@ func LatestSnapshot(ctx context.Context, st *store.Store) (int, error) {
 	return latest, nil
 }
 
-// LoadCompanies merges the given snapshot's startups with their
-// CrunchBase, Facebook and Twitter augmentations using dataflow joins
-// (the paper's Spark merge). Pass snapshot -1 to use the latest. The
-// context bounds the namespace scans; the joins themselves are in-memory.
-func LoadCompanies(ctx context.Context, st *store.Store, snapshot int) ([]Company, error) {
-	if snapshot < 0 {
-		var err error
-		snapshot, err = LatestSnapshot(ctx, st)
-		if err != nil {
-			return nil, err
-		}
+// crawledSnapshot resolves the loaders' "-1 means latest" convention.
+func crawledSnapshot(ctx context.Context, st *store.Store, snapshot int) (int, error) {
+	if snapshot >= 0 {
+		return snapshot, nil
 	}
-	startups, err := readSnapshot[crawler.StartupRecord](ctx, st, crawler.NSStartups, snapshot, func(r crawler.StartupRecord) int { return r.Snapshot })
-	if err != nil {
-		return nil, err
-	}
-	// Augmentation namespaces may be absent when the crawl skipped them.
-	cbs, err := readSnapshotOptional[crawler.AugmentRecord[cbProfile]](ctx, st, crawler.NSCrunchBase, snapshot, func(r crawler.AugmentRecord[cbProfile]) int { return r.Snapshot })
-	if err != nil {
-		return nil, err
-	}
-	fbs, err := readSnapshotOptional[crawler.AugmentRecord[fbProfile]](ctx, st, crawler.NSFacebook, snapshot, func(r crawler.AugmentRecord[fbProfile]) int { return r.Snapshot })
-	if err != nil {
-		return nil, err
-	}
-	tws, err := readSnapshotOptional[crawler.AugmentRecord[twProfile]](ctx, st, crawler.NSTwitter, snapshot, func(r crawler.AugmentRecord[twProfile]) int { return r.Snapshot })
-	if err != nil {
-		return nil, err
-	}
-
-	parts := partitionsFor(len(startups))
-	base := dataflow.KeyBy(dataflow.FromSlice(startups, parts), func(r crawler.StartupRecord) string { return r.ID })
-	cbKeyed := dataflow.KeyBy(dataflow.FromSlice(cbs, parts), func(r crawler.AugmentRecord[cbProfile]) string { return r.StartupID })
-	fbKeyed := dataflow.KeyBy(dataflow.FromSlice(fbs, parts), func(r crawler.AugmentRecord[fbProfile]) string { return r.StartupID })
-	twKeyed := dataflow.KeyBy(dataflow.FromSlice(tws, parts), func(r crawler.AugmentRecord[twProfile]) string { return r.StartupID })
-
-	withCB := dataflow.LeftOuterJoin(base, cbKeyed)
-	merged := dataflow.Map(withCB, func(kv dataflow.Pair[string, dataflow.JoinPair[crawler.StartupRecord, dataflow.OuterMatch[crawler.AugmentRecord[cbProfile]]]]) Company {
-		s := kv.Value.Left
-		c := Company{
-			ID:          s.ID,
-			Name:        s.Name,
-			Raising:     s.Raising,
-			HasVideo:    s.HasDemoVideo,
-			HasFacebook: s.FacebookURL != "",
-			HasTwitter:  s.TwitterURL != "",
-		}
-		if kv.Value.Right.Matched {
-			p := kv.Value.Right.Right.Profile
-			c.RoundCount = len(p.Rounds)
-			c.Funded = len(p.Rounds) > 0
-			for _, r := range p.Rounds {
-				c.TotalRaisedUSD += r.AmountUSD
-			}
-		}
-		return c
-	})
-	mergedKeyed := dataflow.KeyBy(merged, func(c Company) string { return c.ID })
-	withFB := dataflow.Map(
-		dataflow.LeftOuterJoin(mergedKeyed, fbKeyed),
-		func(kv dataflow.Pair[string, dataflow.JoinPair[Company, dataflow.OuterMatch[crawler.AugmentRecord[fbProfile]]]]) Company {
-			c := kv.Value.Left
-			if kv.Value.Right.Matched {
-				c.Likes = kv.Value.Right.Right.Profile.Likes
-			}
-			return c
-		})
-	withFBKeyed := dataflow.KeyBy(withFB, func(c Company) string { return c.ID })
-	final := dataflow.Map(
-		dataflow.LeftOuterJoin(withFBKeyed, twKeyed),
-		func(kv dataflow.Pair[string, dataflow.JoinPair[Company, dataflow.OuterMatch[crawler.AugmentRecord[twProfile]]]]) Company {
-			c := kv.Value.Left
-			if kv.Value.Right.Matched {
-				c.Tweets = kv.Value.Right.Right.Profile.StatusesCount
-				c.Followers = kv.Value.Right.Right.Profile.FollowersCount
-			}
-			return c
-		})
-	return dataflow.SortBy(final, func(a, b Company) bool { return a.ID < b.ID })
+	return LatestSnapshot(ctx, st)
 }
 
-// LoadInvestors returns the snapshot's users that identify as having made
-// at least one investment (the paper's bipartite graph omits investors
-// with none). Pass snapshot -1 for the latest. The context bounds the
-// namespace scan.
-func LoadInvestors(ctx context.Context, st *store.Store, snapshot int) ([]Investor, error) {
-	if snapshot < 0 {
-		var err error
-		snapshot, err = LatestSnapshot(ctx, st)
-		if err != nil {
-			return nil, err
-		}
-	}
-	users, err := readSnapshot[crawler.UserRecord](ctx, st, crawler.NSUsers, snapshot, func(r crawler.UserRecord) int { return r.Snapshot })
-	if err != nil {
-		return nil, err
-	}
-	ds := dataflow.FromSlice(users, partitionsFor(len(users)))
-	investing := dataflow.Filter(ds, func(r crawler.UserRecord) bool { return len(r.Investments) > 0 })
-	mapped := dataflow.Map(investing, func(r crawler.UserRecord) Investor {
-		return Investor{ID: r.ID, Investments: r.Investments, Follows: len(r.FollowsStartups)}
-	})
-	return dataflow.SortBy(mapped, func(a, b Investor) bool { return a.ID < b.ID })
-}
+// The row functions below are the only statement of the paper's merge:
+// every feeder — the store loader in this file, the in-memory crawl
+// merge in crawldiff.go — reduces its records to their arguments, so a
+// raw-unchanged entity always merges to an identical row.
 
-// cbProfile, fbProfile, twProfile alias the ecosystem profile schemas via
-// their JSON forms; defined locally to keep the loader independent of the
-// generator's package (the crawler persists plain JSON).
+// cbProfile, fbProfile and twProfile are the narrow projections of the
+// persisted CrunchBase, Facebook and Twitter profiles: exactly the
+// fields companyRow reads. Decoding into them skips the rest of the
+// ecosystem schemas, the time.Time fields above all.
 type cbProfile struct {
-	URL    string `json:"url"`
-	Name   string `json:"name"`
-	Rounds []struct {
-		AmountUSD    int64 `json:"amount_usd"`
-		NumInvestors int   `json:"num_investors"`
-	} `json:"rounds"`
+	Rounds []cbRound `json:"rounds"`
+}
+
+type cbRound struct {
+	AmountUSD int64 `json:"amount_usd"`
 }
 
 type fbProfile struct {
@@ -197,27 +108,182 @@ type twProfile struct {
 	FollowersCount int `json:"followers_count"`
 }
 
-func readSnapshot[T any](ctx context.Context, st *store.Store, ns string, snapshot int, tag func(T) int) ([]T, error) {
-	var out []T
-	err := store.ScanAsContext(ctx, st, ns, func(r T) error {
-		if tag(r) == snapshot {
-			out = append(out, r)
+// companyRow is the company join: the AngelList profile left-outer
+// joined with its CrunchBase, Facebook and Twitter profiles. A nil
+// profile (the source had none, or the crawl skipped it) leaves its
+// fields zero.
+func companyRow(s *ecosystem.Startup, cb *cbProfile, fb *fbProfile, tw *twProfile) Company {
+	c := Company{
+		ID:          s.ID,
+		Name:        s.Name,
+		Raising:     s.Raising,
+		HasVideo:    s.HasDemoVideo,
+		HasFacebook: s.FacebookURL != "",
+		HasTwitter:  s.TwitterURL != "",
+	}
+	if cb != nil {
+		c.RoundCount = len(cb.Rounds)
+		c.Funded = len(cb.Rounds) > 0
+		for _, r := range cb.Rounds {
+			c.TotalRaisedUSD += r.AmountUSD
+		}
+	}
+	if fb != nil {
+		c.Likes = fb.Likes
+	}
+	if tw != nil {
+		c.Tweets = tw.StatusesCount
+		c.Followers = tw.FollowersCount
+	}
+	return c
+}
+
+// investorRow is the investor projection; ok is false for users with no
+// investments (the paper's bipartite graph omits them).
+func investorRow(u *ecosystem.User) (Investor, bool) {
+	if len(u.Investments) == 0 {
+		return Investor{}, false
+	}
+	return Investor{ID: u.ID, Investments: u.Investments, Follows: len(u.FollowsStartups)}, true
+}
+
+// The store loader walks the crawl namespaces one shard at a time. The
+// namespaces are co-sharded by startup ID, so a shard is join-closed:
+// gather the shard's augmentation profiles by startup ID, stream its
+// startups through companyRow, release the profiles; after the last
+// shard, sort the rows by ID. Peak memory is one shard's profiles plus
+// the merged rows; an unsharded store is the K=1 case of the same walk.
+// Within a shard records arrive in append order and later ones replace
+// earlier ones, so a round persisted twice (a re-crawl, a resume after a
+// crash) loads exactly as if persisted once.
+
+// shardProfiles returns, by startup ID, the snapshot's profiles in one
+// shard of an augmentation namespace — nil for a namespace the crawl
+// never wrote.
+func shardProfiles[T any](ctx context.Context, st *store.Store, ns string, shard, snap int) (map[string]*T, error) {
+	if !hasNamespace(st, ns) {
+		return nil, nil
+	}
+	profiles := map[string]*T{}
+	err := store.ScanShardAsContext(ctx, st, ns, shard, func(r crawler.AugmentRecord[T]) error {
+		if r.Snapshot == snap {
+			profiles[r.StartupID] = &r.Profile
 		}
 		return nil
 	})
+	return profiles, err
+}
+
+// LoadCompanies merges the given snapshot's startups with their
+// CrunchBase, Facebook and Twitter augmentations (the paper's Spark
+// merge) into the ID-sorted company rows; augmentations without a
+// matching startup are dropped. Pass snapshot -1 to use the latest. The
+// context bounds the namespace scans.
+func LoadCompanies(ctx context.Context, st *store.Store, snapshot int) ([]Company, error) {
+	snap, err := crawledSnapshot(ctx, st, snapshot)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// readSnapshotOptional tolerates a missing namespace (no augmentation
-// collected), returning an empty slice.
-func readSnapshotOptional[T any](ctx context.Context, st *store.Store, ns string, snapshot int, tag func(T) int) ([]T, error) {
-	for _, known := range st.Namespaces() {
-		if known == ns {
-			return readSnapshot(ctx, st, ns, snapshot, tag)
+	k, err := st.ShardCount(crawler.NSStartups)
+	if err != nil {
+		return nil, err
+	}
+	// Augmentations are keyed by startup ID; they join shard-locally only
+	// when persisted with the startups' shard count.
+	for _, ns := range []string{crawler.NSCrunchBase, crawler.NSFacebook, crawler.NSTwitter} {
+		if !hasNamespace(st, ns) {
+			continue
+		}
+		ak, err := st.ShardCount(ns)
+		if err != nil {
+			return nil, err
+		}
+		if ak != k {
+			return nil, fmt.Errorf("core: %s has %d shards, %s has %d: not co-sharded", ns, ak, crawler.NSStartups, k)
 		}
 	}
-	return nil, nil
+	var rows []Company
+	at := map[string]int{} // startup ID → its row, for a later record to replace
+	for shard := 0; shard < k; shard++ {
+		cb, err := shardProfiles[cbProfile](ctx, st, crawler.NSCrunchBase, shard, snap)
+		if err != nil {
+			return nil, err
+		}
+		fb, err := shardProfiles[fbProfile](ctx, st, crawler.NSFacebook, shard, snap)
+		if err != nil {
+			return nil, err
+		}
+		tw, err := shardProfiles[twProfile](ctx, st, crawler.NSTwitter, shard, snap)
+		if err != nil {
+			return nil, err
+		}
+		clear(at)
+		err = store.ScanShardAsContext(ctx, st, crawler.NSStartups, shard, func(r crawler.StartupRecord) error {
+			if r.Snapshot != snap {
+				return nil
+			}
+			row := companyRow(&r.Startup, cb[r.ID], fb[r.ID], tw[r.ID])
+			if i, seen := at[r.ID]; seen {
+				rows[i] = row
+			} else {
+				at[r.ID] = len(rows)
+				rows = append(rows, row)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	slices.SortFunc(rows, func(a, b Company) int { return strings.Compare(a.ID, b.ID) })
+	return rows, nil
+}
+
+// LoadInvestors returns the snapshot's investor rows sorted by ID: the
+// users with at least one investment, reduced to ID, investment list
+// and follow count. The raw follow lists — the bulk of a user record —
+// are released record by record. Pass snapshot -1 for the latest. The
+// context bounds the namespace scan.
+func LoadInvestors(ctx context.Context, st *store.Store, snapshot int) ([]Investor, error) {
+	snap, err := crawledSnapshot(ctx, st, snapshot)
+	if err != nil {
+		return nil, err
+	}
+	k, err := st.ShardCount(crawler.NSUsers)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Investor
+	byID := map[string]Investor{}
+	for shard := 0; shard < k; shard++ {
+		clear(byID)
+		err := store.ScanShardAsContext(ctx, st, crawler.NSUsers, shard, func(r crawler.UserRecord) error {
+			if r.Snapshot != snap {
+				return nil
+			}
+			if inv, ok := investorRow(&r.User); ok {
+				byID[r.ID] = inv
+			} else {
+				delete(byID, r.ID)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for _, inv := range byID {
+			rows = append(rows, inv)
+		}
+	}
+	slices.SortFunc(rows, func(a, b Investor) int { return strings.Compare(a.ID, b.ID) })
+	return rows, nil
+}
+
+func hasNamespace(st *store.Store, ns string) bool {
+	for _, known := range st.Namespaces() {
+		if known == ns {
+			return true
+		}
+	}
+	return false
 }

@@ -134,6 +134,10 @@ func TestCrawlCrunchBaseAugmentation(t *testing.T) {
 
 func TestCrawlSurvivesFailureInjection(t *testing.T) {
 	w, _, client := harness(t, apiserver.Options{FailureRate: 0.2, Seed: 7})
+	// Which request draws which failure depends on goroutine scheduling.
+	// At the default 5 retries a request fails outright with probability
+	// 0.2^6 — about one crawl in ten over these few thousand requests.
+	client.MaxRetries = 12
 	cr := &Crawler{Client: client, Workers: 4}
 	snap, err := cr.Run(context.Background())
 	if err != nil {

@@ -37,7 +37,7 @@ type allowEntry struct {
 // the -fix-allow rewrite.
 type allowlist struct {
 	path    string
-	header  []string // leading comment block, kept verbatim on rewrite
+	header  []string // leading comment block (to the first blank line), kept verbatim on rewrite
 	entries []*allowEntry
 	used    map[string]bool // "analyzer:key" entries that matched
 	diags   []Diagnostic    // malformed-line findings
@@ -46,7 +46,7 @@ type allowlist struct {
 // allowAnalyzers names every analyzer that may own allowlist entries; a
 // prefix outside this set is a malformed line, so typos cannot silently
 // allow nothing.
-var allowAnalyzers = map[string]bool{"viewonly": true, "goleak": true}
+var allowAnalyzers = map[string]bool{"viewonly": true, "goleak": true, "errwrap": true}
 
 // loadAllow parses the module's allowlist. A missing file is an empty
 // list. The result is cached on the Module so the analyzers and the
@@ -70,9 +70,17 @@ func parseAllowlist(path string) *allowlist {
 	for i, raw := range strings.Split(string(data), "\n") {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
-			if inHeader {
+			// The header is the leading comment block up to the first
+			// blank line; later comments document the entry below them.
+			// Blank separators are not kept: the rewrite puts one before
+			// every commented entry, so keeping them would grow the file
+			// on each -fix-allow.
+			switch {
+			case line == "":
+				inHeader = false
+			case inHeader:
 				al.header = append(al.header, raw)
-			} else {
+			default:
 				pending = append(pending, raw)
 			}
 			continue
@@ -98,7 +106,7 @@ func parseAllowlist(path string) *allowlist {
 		}
 		if !allowAnalyzers[analyzer] {
 			al.diags = append(al.diags, Diagnostic{Pos: pos, Analyzer: "lint",
-				Message: fmt.Sprintf("allowlist entry names unknown analyzer %q (known: goleak, viewonly)", analyzer)})
+				Message: fmt.Sprintf("allowlist entry names unknown analyzer %q (known: errwrap, goleak, viewonly)", analyzer)})
 			pending = nil
 			continue
 		}

@@ -77,11 +77,29 @@ goleak:internal/core.Gone
 }
 
 func TestRewriteAllowlistIsIdempotentAndDeterministic(t *testing.T) {
-	m := viewonlyFixture(t, "viewonly:internal/core.Build\n")
+	m := writeModule(t, map[string]string{
+		"crowdlint.allow": `# header
+
+# why the builder is exempt
+viewonly:internal/core.Build
+
+# why the status error is not wrapped
+errwrap:internal/core.Status
+`,
+		"internal/graph/g.go": "package graph\n\ntype Directed struct{ N int }\n",
+		"internal/core/c.go": "package core\n\nimport (\n\t\"fmt\"\n\n\t\"fixture.test/m/internal/graph\"\n)\n\n" +
+			"func Build() *graph.Directed { return &graph.Directed{} }\n\n" +
+			"func Status(code int, err error) error { return fmt.Errorf(\"status %d: %v\", code, err) }\n",
+	})
 	if _, _, err := RewriteAllowlist(m); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(filepath.Join(m.Root, AllowlistFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second run in a fresh process re-parses what the first wrote.
+	m, err = Load(m.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +109,9 @@ func TestRewriteAllowlistIsIdempotentAndDeterministic(t *testing.T) {
 	second, err := os.ReadFile(filepath.Join(m.Root, AllowlistFile))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(string(first), "# why the status error is not wrapped\nerrwrap:internal/core.Status\n\n# why the builder is exempt\nviewonly:internal/core.Build\n") {
+		t.Fatalf("entries not sorted with their comments, one blank line apart:\n%s", first)
 	}
 	if string(first) != string(second) {
 		t.Fatalf("rewrite not idempotent:\n--- first ---\n%s\n--- second ---\n%s", first, second)

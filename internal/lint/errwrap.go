@@ -15,6 +15,10 @@ import (
 //     the crawler's ErrNotFound handling depend on it).
 //   - `_ = f()` discards of calls that return an error hide failures;
 //     handle the error or suppress with a reason.
+//
+// Where the source cannot carry a //lint:ignore directive (the
+// benchmark harness is frozen between baselines), an
+// errwrap:<pkg>.<Func> allowlist entry exempts one function.
 var AnalyzerErrWrap = &Analyzer{
 	Name: "errwrap",
 	Doc:  "wrap error operands with %w; don't discard error returns with _ =",
@@ -23,20 +27,37 @@ var AnalyzerErrWrap = &Analyzer{
 
 func runErrWrap(m *Module) []Diagnostic {
 	var out []Diagnostic
+	al := m.loadAllow()
+	allow, _ := al.forAnalyzer("errwrap")
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
+			var funcs []ast.Node
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					funcs = append(funcs, fd)
+				}
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
+				var found []Diagnostic
 				switch node := n.(type) {
 				case *ast.CallExpr:
-					out = append(out, checkErrorf(m, pkg, node)...)
+					found = checkErrorf(m, pkg, node)
 				case *ast.AssignStmt:
-					out = append(out, checkDiscard(m, pkg, node)...)
+					found = checkDiscard(m, pkg, node)
 				}
+				if len(found) == 0 {
+					return true
+				}
+				if key := enclosingAllowKey(pkg, funcs, n.Pos()); allow[key] {
+					al.markUsed("errwrap", key)
+					return true
+				}
+				out = append(out, found...)
 				return true
 			})
 		}
 	}
-	return out
+	return append(out, al.stale("errwrap")...)
 }
 
 // checkErrorf flags error-typed operands of fmt.Errorf bound to a verb

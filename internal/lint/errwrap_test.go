@@ -81,3 +81,31 @@ func Launch() {
 	})
 	wantFindings(t, findings(t, m, AnalyzerErrWrap))
 }
+
+// TestErrWrapAllowlistExemptsOneFunction: an errwrap allowlist entry
+// silences the named function only, and goes stale with its finding.
+func TestErrWrapAllowlistExemptsOneFunction(t *testing.T) {
+	src := `package metrics
+
+import "fmt"
+
+func Status(code int, err error) error {
+	return fmt.Errorf("status %d: %v", code, err)
+}
+
+func Other(err error) error {
+	return fmt.Errorf("other: %v", err)
+}
+`
+	m := writeModule(t, map[string]string{
+		"crowdlint.allow":       "errwrap:internal/metrics.Status\n",
+		"internal/metrics/m.go": src,
+	})
+	wantFindings(t, findings(t, m, AnalyzerErrWrap), "internal/metrics/m.go:10:[errwrap]")
+
+	m = writeModule(t, map[string]string{
+		"crowdlint.allow":       "errwrap:internal/metrics.Gone\n",
+		"internal/metrics/m.go": "package metrics\n",
+	})
+	wantFindings(t, findings(t, m, AnalyzerErrWrap), "crowdlint.allow:1:[errwrap]")
+}

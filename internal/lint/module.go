@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -89,6 +90,9 @@ type Analyzer struct {
 // containing go.mod). Test files (_test.go) and testdata/vendor/hidden
 // directories are skipped: the invariants guard production code, and the
 // deterministic packages' tests are explicitly free to use wall clocks.
+// Files excluded by build constraints (//go:build lines, _GOOS/_GOARCH
+// name suffixes) for the host platform are skipped as the compiler
+// skips them, so per-platform variants of one function type-check.
 func Load(dir string) (*Module, error) {
 	root, err := filepath.Abs(dir)
 	if err != nil {
@@ -132,6 +136,11 @@ func Load(dir string) (*Module, error) {
 		for _, e := range entries {
 			fn := e.Name()
 			if e.IsDir() || !strings.HasSuffix(fn, ".go") || strings.HasSuffix(fn, "_test.go") {
+				continue
+			}
+			if match, err := build.Default.MatchFile(path, fn); err != nil {
+				return fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(path, fn), err)
+			} else if !match {
 				continue
 			}
 			f, err := parser.ParseFile(m.Fset, filepath.Join(path, fn), nil, parser.ParseComments)

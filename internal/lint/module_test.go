@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -63,4 +64,23 @@ func loadRaw(t *testing.T, files map[string]string) (*Module, error) {
 		}
 	}
 	return Load(dir)
+}
+
+// TestLoadHonorsBuildConstraints: per-platform variants of one function
+// (a //go:build line, a _GOOS file-name suffix) must not collide — the
+// loader keeps exactly the files the compiler would.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	m := writeModule(t, map[string]string{
+		"p/sleep.go":       "//go:build !" + runtime.GOOS + "\n\npackage p\n\nfunc Sleep() int { return 0 }\n",
+		"p/sleep_host.go":  "//go:build " + runtime.GOOS + "\n\npackage p\n\nfunc Sleep() int { return 1 }\n",
+		"p/cpu_plan9.go":   "package p\n\nfunc CPU() int { return 0 }\n",
+		"p/cpu_windows.go": "package p\n\nfunc CPU() int { return 1 }\n",
+		"p/cpu_other.go":   "//go:build !plan9 && !windows\n\npackage p\n\nfunc CPU() int { return 2 }\n",
+	})
+	if len(m.Packages) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(m.Packages))
+	}
+	if got := len(m.Packages[0].Files); got != 2 {
+		t.Fatalf("package kept %d files, want 2 (one Sleep, one CPU)", got)
+	}
 }

@@ -71,16 +71,16 @@ type AdjacencyRow struct {
 	Rights []string
 }
 
-// ApplyBipartite is the delta apply kernel for the bipartite graph: it
-// builds the next snapshot's frozen CSR directly from the merged rows —
-// the previous snapshot's retained edge lists (which alias the old
-// artifact's columns, so nothing is re-read) plus the delta's upserted
-// ones — without the intermediate builder graph or its per-edge hash
-// set.
+// ApplyBipartite is the CSR kernel every frozen snapshot's graph is
+// built by: it turns ID-sorted adjacency rows — a freeze's freshly
+// loaded rows, or a previous snapshot's retained edge lists (which alias
+// the old artifact's columns, so nothing is re-read) plus a delta's
+// upserted ones — into the frozen CSR, without the intermediate builder
+// graph or its per-edge hash set.
 //
-// Its contract, gated by the delta==refreeze equivalence suite, is byte
-// identity with the full-rebuild path
-// graph.FreezeBipartite(BuildInvestorGraph(investors)):
+// Its contract (TestApplyBipartiteMatchesBuilder) is byte identity with
+// the reference builder, graph.FreezeBipartite over a graph built edge
+// by edge the way core.BuildInvestorGraph does:
 //
 //   - a left node exists only if its row has at least one edge, in row
 //     order (the builder creates left nodes lazily on the first AddEdge);

@@ -13,6 +13,16 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 
+# Build and vet again from what git would commit (HEAD plus the index),
+# not from the working tree: an ignored-but-required package — as
+# internal/viz once was under an unanchored viz/ pattern — builds here
+# and nowhere else.
+export_dir=$(mktemp -d)
+trap 'rm -rf "$export_dir"' EXIT
+git archive "$(git write-tree)" | tar -x -C "$export_dir"
+(cd "$export_dir" && go build ./... && go vet ./...)
+echo "module builds from the git export"
+
 # Invariant analyzers run before the tests: a determinism/viewonly/
 # ctxthread/errwrap/binlayout/planfirst violation, a concurrency-safety
 # finding from goleak/lockdisc/chandisc, or a stale crowdlint.allow
@@ -31,10 +41,14 @@ go run ./cmd/crowdlint ./...
 #                      degradation — and drained goroutine counts
 #   index-scan         planner index routes stay byte-identical to the
 #                      scan route; corrupt index blobs fail loudly
-#   delta-refreeze     delta-applied snapshots match a full refreeze;
-#                      crash-interrupted chains recover byte-identically
-#   sharded-freeze     streaming generation and shard-at-a-time freezes
-#                      match the in-memory single-pass paths
+#   delta-refreeze     delta-applied snapshots match a freeze of the same
+#                      round from the store; crash-interrupted chains
+#                      recover byte-identically; the in-memory crawl
+#                      merge and the store loader build the same rows
+#   sharded-freeze     streaming generation matches in-memory generation;
+#                      the freeze is shard-count invariant, pinned to the
+#                      golden digests, and a re-persisted round freezes
+#                      as its last persist
 #   fleet-chaos        workers SIGKILLed mid-round still merge to an
 #                      artifact bit-identical to a fault-free single-
 #                      worker crawl; the front serves zero 5xx while at
@@ -52,8 +66,8 @@ run_suite() {
 run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
 run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestIndexedRouteBodiesMatchScanRoute' ./internal/core ./internal/serve
-run_suite delta-refreeze 'TestDeltaRefreezeEquivalenceProperty|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree' ./internal/core
-run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestShardedFreeze' ./internal/ecosystem ./internal/core
+run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
+run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestShardedFreeze|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/core
 run_suite fleet-chaos    'TestFleetChaosKillWorkersMergeBitIdentical|TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/fleet ./internal/fleet/front
 
 # Per-package coverage floors (percent).
@@ -107,3 +121,9 @@ check_coverage ./internal/ecosystem 70
 # the ones that corrupt a merge when a worker dies at the wrong moment.
 check_coverage ./internal/fleet 70
 check_coverage ./internal/fleet/front 70
+
+# The repository benchmark compiles against the pinned core/crawler/
+# serve/pipeline API and checks every workload's answers against its
+# oracle: a smoke pass is the end-to-end compile-and-correctness check
+# of that API (timings at smoke sizes mean nothing and are not compared).
+go run ./benchmark -workload all -smoke
