@@ -9,8 +9,9 @@
 // Namespaces are the store's crawl namespaces: angellist/startups,
 // angellist/users, crunchbase/profiles, facebook/profiles,
 // twitter/profiles. When the store holds a frozen snapshot its merged
-// columns are queryable as virtual namespaces without any JSON rebuild:
-// frozen/snap-N/companies and frozen/snap-N/investors.
+// columns are queryable in place as virtual namespaces:
+// frozen/snap-N/companies and frozen/snap-N/investors, and the changes
+// between two snapshots as frozen/chain/A-B/{companies,investors}.
 // -rebuild-snapshot re-freezes the latest crawled snapshot from the
 // store's records first (the same core.BuildFrozen every crawl runs).
 package main
@@ -25,7 +26,6 @@ import (
 	"strings"
 
 	"crowdscope/internal/core"
-	"crowdscope/internal/parallel"
 	"crowdscope/internal/query"
 	"crowdscope/internal/store"
 )
@@ -34,11 +34,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("crowdquery: ")
 	storeDir := flag.String("store", "crawl-data", "store directory (see crowdcrawl)")
-	workers := flag.Int("workers", 0, "worker pool size for query execution (<=0: GOMAXPROCS)")
 	rebuild := flag.Bool("rebuild-snapshot", false, "re-freeze the latest crawled snapshot from the store's records before querying")
 	explain := flag.Bool("explain", false, "print the chosen query plan (scan vs. secondary index) before each result")
 	flag.Parse()
-	parallel.SetDefaultWorkers(*workers)
 
 	// Queries never write unless -rebuild-snapshot asks for one; the
 	// read-only open skips the crash-debris sweep, so querying a store

@@ -22,8 +22,8 @@ import (
 // byte-identical to this.
 type scanOnly struct{ src *QuerySource }
 
-func (s scanOnly) ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error {
-	return s.src.ScanContext(ctx, ns, fn)
+func (s scanOnly) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
+	return s.src.ReadRecords(ctx, ns, fields, fn)
 }
 
 // randomWorld builds a deterministic pseudo-random snapshot with n
@@ -162,6 +162,9 @@ func TestIndexRouteMatchesScanRouteProperty(t *testing.T) {
 			}
 			src := &QuerySource{Store: st}
 			oracle := scanOnly{src: &QuerySource{Store: st}}
+			// A second oracle shares no row representation with either:
+			// the JSON export of the same columns, decoded per record.
+			decoded := query.JSONSource{Scanner: &QuerySource{Store: st}}
 
 			routes := map[string]int{}
 			for i := 0; i < world.stmts; i++ {
@@ -189,6 +192,13 @@ func TestIndexRouteMatchesScanRouteProperty(t *testing.T) {
 				if !bytes.Equal(gotJSON, wantJSON) {
 					t.Fatalf("route %s diverged from scan for %q\nplan:  %s\nindex: %s\nscan:  %s",
 						plan.Route, stmt, plan.Explain(), gotJSON, wantJSON)
+				}
+				viaJSON, err := q.Execute(context.Background(), decoded)
+				if err != nil {
+					t.Fatalf("decoded run %q: %v", stmt, err)
+				}
+				if decodedJSON, _ := json.Marshal(viaJSON); !bytes.Equal(decodedJSON, wantJSON) {
+					t.Fatalf("typed scan diverged from decoded JSON for %q\ntyped:   %s\ndecoded: %s", stmt, wantJSON, decodedJSON)
 				}
 				routes[plan.Route]++
 			}

@@ -4,19 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
+	"reflect"
 	"strings"
 	"sync"
 
 	"crowdscope/internal/index"
+	"crowdscope/internal/query"
 	"crowdscope/internal/store"
 )
 
-// QuerySource adapts a store for the query layer (it satisfies
-// query.IndexedSource) and projects every frozen snapshot's decoded
-// columns as virtual JSON namespaces, so the interactive query language
-// reaches the frozen artifacts without a JSON rebuild:
+// QuerySource adapts a store for the query layer (it is a
+// query.IndexedSource) and serves every frozen snapshot's decoded
+// columns as virtual namespaces, so the interactive query language reads
+// the frozen artifacts in place — no JSON rebuild, no per-row decode:
 //
 //	frozen/snap-NNNNNN/companies   one record per merged Company
 //	frozen/snap-NNNNNN/investors   one record per merged Investor
@@ -29,24 +29,25 @@ import (
 //	frozen/chain/A-B/companies     company changes between snapshots A and B
 //	frozen/chain/A-B/investors     investor changes between snapshots A and B
 //
-// Any other namespace scans the underlying store unchanged.
+// Any other namespace reads the underlying store's JSON records through
+// query.JSONSource.
 //
-// Decoded snapshots, their marshalled row payloads, and their secondary
-// indexes are cached (the artifacts are immutable, so entries never go
-// stale), bounded to the few most recent snapshots. The zero-value
-// struct literal &QuerySource{Store: st} is ready to use.
+// Decoded snapshots, chain diffs and secondary indexes are cached (the
+// artifacts are immutable, so entries never go stale), bounded to the
+// few most recent. The zero-value struct literal &QuerySource{Store: st}
+// is ready to use.
 type QuerySource struct {
 	Store *store.Store
 
 	mu      sync.Mutex
 	entries map[int]*frozenEntry
 
-	// Marshalled chain-diff tables keyed "A-B", FIFO-bounded like the
-	// snapshot cache (diffs are derived from immutable artifacts, so
-	// entries never go stale either).
-	chains     map[string]map[string][][]byte
+	// Chain diffs keyed "A-B", FIFO-bounded like the snapshot cache.
+	chains     map[string]*ChainDiff
 	chainOrder []string
 }
+
+var _ query.IndexedSource = (*QuerySource)(nil)
 
 // maxCachedChainDiffs bounds the chain-diff cache: longitudinal
 // exploration typically narrows on one version pair at a time.
@@ -58,62 +59,159 @@ const maxCachedChainDiffs = 2
 const maxCachedSnapshots = 2
 
 // frozenEntry caches one snapshot's query-facing state. The snapshot
-// and its payloads load together; the index loads independently (a
-// COUNT(*) answered from cardinalities never touches the records). An
-// index load error is sticky — the blob is immutable, so retrying
-// cannot help, and the planner's scan fallback must stay cheap.
+// and the index load independently (a COUNT(*) answered from
+// cardinalities never touches the records). An index load error is
+// sticky — the blob is immutable, so retrying cannot help, and the
+// planner's scan fallback must stay cheap.
 type frozenEntry struct {
 	// mu guards this entry's fields. Blob loads happen OUTSIDE both mu
 	// and q.mu (lockdisc: a multi-second whole-artifact read must not
 	// convoy queries against other snapshots); racing loaders decode the
 	// same immutable artifact and the first install wins.
-	mu     sync.Mutex
-	fs     *FrozenSnapshot
-	tables map[string][][]byte // "companies"/"investors" -> per-row JSON payloads
+	mu sync.Mutex
+	fs *FrozenSnapshot
 
 	idx       map[string]*index.TableIndex
 	idxErr    error
 	idxLoaded bool
 }
 
+// ---- the row contract: decoded rows as query.Records ----
+
+// getter reads one resolved field path off a row.
+type getter func(row reflect.Value) any
+
+// fieldGetter resolves a field path into values of type t — structs,
+// whose fields go by their Go names as they do in the rows' JSON, and
+// pointers to them — to a getter yielding exactly what json.Unmarshal
+// into any would from the value's JSON. It is derived from the same
+// struct definitions json.Marshal reads, so a column added to a row type
+// is queryable without an accessor to forget (one renamed by a json tag
+// fails TestTypedRecordsMatchDecodedJSON). A path t does not have reads
+// as nil.
+func fieldGetter(t reflect.Type, path []string) getter {
+	switch {
+	case len(path) == 0:
+		return decoded
+	case t.Kind() == reflect.Pointer: // a chain row's Before or After
+		inner := fieldGetter(t.Elem(), path)
+		return func(v reflect.Value) any {
+			if v.IsNil() {
+				return nil
+			}
+			return inner(v.Elem())
+		}
+	case t.Kind() == reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).Name == path[0] {
+				inner := fieldGetter(t.Field(i).Type, path[1:])
+				return func(v reflect.Value) any { return inner(v.Field(i)) }
+			}
+		}
+	}
+	return func(reflect.Value) any { return nil }
+}
+
+// decoded is v as it would come back from json.Unmarshal into any after
+// a json.Marshal: float64 for every number, nil for a nil pointer or
+// slice, []any for a list, map[string]any for a struct.
+func decoded(v reflect.Value) any {
+	switch {
+	case v.Kind() == reflect.String:
+		return v.String()
+	case v.Kind() == reflect.Bool:
+		return v.Bool()
+	case v.CanInt():
+		return float64(v.Int())
+	case v.Kind() == reflect.Pointer && !v.IsNil():
+		return decoded(v.Elem())
+	case v.Kind() == reflect.Slice && !v.IsNil():
+		out := make([]any, v.Len())
+		for i := range out {
+			out[i] = decoded(v.Index(i))
+		}
+		return out
+	case v.Kind() == reflect.Struct:
+		m := make(map[string]any, v.NumField())
+		for i := 0; i < v.NumField(); i++ {
+			m[v.Type().Field(i).Name] = decoded(v.Field(i))
+		}
+		return m
+	}
+	return nil
+}
+
+// readReq is one pass over a namespace: the statement's field paths and
+// record callback, optionally narrowed to ascending row ids — or, for
+// the JSON export, a payload callback instead.
+type readReq struct {
+	rows   []int32 // nil: every row
+	fields [][]string
+	fn     func(query.Record) error
+	export func(payload []byte) error
+}
+
+// typedRecord is the query.Record over one decoded row: the field paths
+// resolved to getters once per read, not once per row.
+type typedRecord struct {
+	row  reflect.Value
+	cols []getter
+}
+
+func (r *typedRecord) Value(i int) any { return r.cols[i](r.row) }
+
+// readTable serves a read from a decoded table (a slice of row
+// structs), checking the caller's context between rows.
+func readTable(ctx context.Context, ns string, table reflect.Value, r readReq) error {
+	rec := &typedRecord{cols: make([]getter, len(r.fields))}
+	for i, path := range r.fields {
+		rec.cols[i] = fieldGetter(table.Type().Elem(), path)
+	}
+	visit := func() error { return r.fn(rec) }
+	if r.export != nil {
+		visit = func() error {
+			payload, err := json.Marshal(rec.row.Addr().Interface())
+			if err != nil {
+				return fmt.Errorf("core: scan %s: %w", ns, err)
+			}
+			return r.export(payload)
+		}
+	}
+	n := table.Len()
+	if r.rows != nil {
+		n = len(r.rows)
+	}
+	for k, last := 0, -1; k < n; k++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: scan %s: %w", ns, err)
+		}
+		i := k
+		if r.rows != nil {
+			i = int(r.rows[k])
+		}
+		if i <= last || i >= table.Len() {
+			return fmt.Errorf("core: scan %s: row %d is not ascending within %d rows", ns, i, table.Len())
+		}
+		last, rec.row = i, table.Index(i)
+		if err := visit(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // parseFrozenNS splits a virtual frozen namespace into its snapshot tag
 // and table name.
 func parseFrozenNS(ns string) (snap int, table string, ok bool) {
-	rest, found := strings.CutPrefix(ns, "frozen/")
-	if !found {
-		return 0, "", false
-	}
-	parts := strings.SplitN(rest, "/", 2)
-	if len(parts) != 2 {
-		return 0, "", false
-	}
-	if _, err := fmt.Sscanf(parts[0], "snap-%d", &snap); err != nil {
-		return 0, "", false
-	}
-	return snap, parts[1], true
+	n, _ := fmt.Sscanf(ns, "frozen/snap-%d/%s", &snap, &table)
+	return snap, table, n == 2
 }
 
 // parseChainNS splits a longitudinal chain namespace into its version
 // endpoints and table name.
 func parseChainNS(ns string) (from, to int, table string, ok bool) {
-	rest, found := strings.CutPrefix(ns, "frozen/chain/")
-	if !found {
-		return 0, 0, "", false
-	}
-	parts := strings.SplitN(rest, "/", 2)
-	if len(parts) != 2 {
-		return 0, 0, "", false
-	}
-	a, b, found := strings.Cut(parts[0], "-")
-	if !found {
-		return 0, 0, "", false
-	}
-	from, errA := strconv.Atoi(a)
-	to, errB := strconv.Atoi(b)
-	if errA != nil || errB != nil || from < 0 || to < 0 {
-		return 0, 0, "", false
-	}
-	return from, to, parts[1], true
+	n, _ := fmt.Sscanf(ns, "frozen/chain/%d-%d/%s", &from, &to, &table)
+	return from, to, table, n == 3 && from >= 0 && to >= 0
 }
 
 // entry returns the cache slot for a snapshot, evicting the oldest
@@ -139,53 +237,34 @@ func (q *QuerySource) entry(snap int) *frozenEntry {
 	return ent
 }
 
-// frozenFor returns the decoded snapshot and its payload tables,
-// loading and caching them on first use. Load errors are not cached:
-// they are rare and retrying costs one blob read. The load itself runs
-// with no lock held — concurrent first touches of the same snapshot may
-// decode the artifact twice, but a slow disk read never blocks queries
-// against an already-cached snapshot.
-func (q *QuerySource) frozenFor(snap int) (*frozenEntry, error) {
+// frozenFor returns the decoded snapshot, loading and caching it on
+// first use. Load errors are not cached: they are rare and retrying
+// costs one blob read. The load itself runs with no lock held —
+// concurrent first touches of the same snapshot may decode the artifact
+// twice, but a slow disk read never blocks queries against an
+// already-cached snapshot.
+func (q *QuerySource) frozenFor(snap int) (*FrozenSnapshot, error) {
 	q.mu.Lock()
 	ent := q.entry(snap)
 	q.mu.Unlock()
 
 	ent.mu.Lock()
-	if ent.fs != nil {
-		ent.mu.Unlock()
-		return ent, nil
-	}
+	fs := ent.fs
 	ent.mu.Unlock()
+	if fs != nil {
+		return fs, nil
+	}
 
 	fs, err := LoadFrozen(q.Store, snap)
 	if err != nil {
 		return nil, err
 	}
-	tables := map[string][][]byte{
-		"companies": make([][]byte, len(fs.Companies)),
-		"investors": make([][]byte, len(fs.Investors)),
-	}
-	for i := range fs.Companies {
-		payload, err := json.Marshal(&fs.Companies[i])
-		if err != nil {
-			return nil, err
-		}
-		tables["companies"][i] = payload
-	}
-	for i := range fs.Investors {
-		payload, err := json.Marshal(&fs.Investors[i])
-		if err != nil {
-			return nil, err
-		}
-		tables["investors"][i] = payload
-	}
-
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.fs == nil { // first install wins; a racing loader's work is discarded
-		ent.fs, ent.tables = fs, tables
+		ent.fs = fs
 	}
-	return ent, nil
+	return ent.fs, nil
 }
 
 // TableIndex returns the snapshot table's secondary indexes, (nil, nil)
@@ -220,117 +299,95 @@ func (q *QuerySource) TableIndex(ns string) (*index.TableIndex, error) {
 	return idx[table], nil
 }
 
-// ScanContext streams the namespace's records as JSON payloads under the
-// caller's context: cancellation is checked between records, so a route
-// deadline from the serving layer stops a scan mid-stream.
-func (q *QuerySource) ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error {
+// read serves one pass over a namespace: the decoded rows of a virtual
+// one (loaded on first use), the store's JSON records for any other.
+func (q *QuerySource) read(ctx context.Context, ns string, r readReq) error {
+	if !strings.HasPrefix(ns, "frozen/") {
+		switch {
+		case r.export != nil:
+			return q.Store.ScanContext(ctx, ns, r.export)
+		case r.rows != nil:
+			return fmt.Errorf("core: namespace %q has no row-addressed table", ns)
+		}
+		return query.JSONSource{Scanner: q.Store}.ReadRecords(ctx, ns, r.fields, r.fn)
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: scan %s: %w", ns, err)
+	}
+	var table string
+	var companies, investors any
 	if strings.HasPrefix(ns, "frozen/chain/") {
-		from, to, table, ok := parseChainNS(ns)
+		from, to, name, ok := parseChainNS(ns)
 		if !ok {
 			return fmt.Errorf("core: malformed chain namespace %q (want frozen/chain/A-B/{companies,investors})", ns)
 		}
-		return q.scanChain(ctx, from, to, table, fn)
-	}
-	if strings.HasPrefix(ns, "frozen/") {
-		snap, table, ok := parseFrozenNS(ns)
+		cd, err := q.chainFor(from, to)
+		if err != nil {
+			return err
+		}
+		table, companies, investors = name, cd.Companies, cd.Investors
+	} else {
+		snap, name, ok := parseFrozenNS(ns)
 		if !ok {
 			return fmt.Errorf("core: malformed frozen namespace %q (want frozen/snap-N/{companies,investors})", ns)
 		}
-		return q.scanFrozen(ctx, snap, table, nil, fn)
-	}
-	return q.Store.ScanContext(ctx, ns, fn)
-}
-
-// ScanRows streams exactly the given rows of a frozen table, ascending,
-// reusing the payload bytes ScanContext would emit — the contract that
-// keeps the index route byte-identical to the scan route.
-func (q *QuerySource) ScanRows(ctx context.Context, ns string, rows []int32, fn func(payload []byte) error) error {
-	snap, table, ok := parseFrozenNS(ns)
-	if !ok {
-		return fmt.Errorf("core: namespace %q has no row-addressed table", ns)
-	}
-	return q.scanFrozen(ctx, snap, table, rows, fn)
-}
-
-// scanFrozen emits a frozen table's payloads — all of them when rows is
-// nil, else the selected ascending row ids.
-func (q *QuerySource) scanFrozen(ctx context.Context, snap int, table string, rows []int32, fn func(payload []byte) error) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: scan frozen snapshot %d: %w", snap, err)
-	}
-	ent, err := q.frozenFor(snap)
-	if err != nil {
-		return err
-	}
-	payloads, ok := ent.tables[table]
-	if !ok {
-		return fmt.Errorf("core: unknown frozen table %q (want companies or investors)", table)
-	}
-	emit := func(payload []byte) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: scan frozen snapshot %d: %w", snap, err)
-		}
-		return fn(payload)
-	}
-	if rows == nil {
-		for _, payload := range payloads {
-			if err := emit(payload); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if !sort.SliceIsSorted(rows, func(a, b int) bool { return rows[a] < rows[b] }) {
-		return fmt.Errorf("core: scan frozen snapshot %d: rows not ascending", snap)
-	}
-	for _, r := range rows {
-		if int(r) < 0 || int(r) >= len(payloads) {
-			return fmt.Errorf("core: scan frozen snapshot %d: row %d out of %d", snap, r, len(payloads))
-		}
-		if err := emit(payloads[r]); err != nil {
+		fs, err := q.frozenFor(snap)
+		if err != nil {
 			return err
 		}
+		table, companies, investors = name, fs.Companies, fs.Investors
 	}
-	return nil
+	switch table {
+	case "companies":
+		return readTable(ctx, ns, reflect.ValueOf(companies), r)
+	case "investors":
+		return readTable(ctx, ns, reflect.ValueOf(investors), r)
+	}
+	return fmt.Errorf("core: unknown table %q in %s (want companies or investors)", table, ns)
 }
 
-// chainFor returns the marshalled diff tables for a version pair,
-// materializing both endpoints through the snapshot chain on first use.
-// Like frozenFor, materialization runs unlocked: racing builders derive
-// identical tables from immutable artifacts and the first install wins.
-func (q *QuerySource) chainFor(from, to int) (map[string][][]byte, error) {
+// ReadRecords streams the namespace's records under the caller's
+// context: cancellation is checked between records, so a route deadline
+// from the serving layer stops a scan mid-stream.
+func (q *QuerySource) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
+	return q.read(ctx, ns, readReq{fields: fields, fn: fn})
+}
+
+// ReadRows streams exactly the given rows of a virtual table, ascending
+// — the same records ReadRecords serves for them, which keeps the index
+// routes byte-identical to the scan route.
+func (q *QuerySource) ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(query.Record) error) error {
+	if rows == nil {
+		rows = []int32{} // no rows selected, not "every row"
+	}
+	return q.read(ctx, ns, readReq{rows: rows, fields: fields, fn: fn})
+}
+
+// ScanContext is the JSON export of a namespace: one payload per record,
+// marshalled on demand from the decoded columns for the virtual
+// namespaces and forwarded from the store for the rest.
+func (q *QuerySource) ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error {
+	return q.read(ctx, ns, readReq{export: fn})
+}
+
+// chainFor returns the diff for a version pair, materializing both
+// endpoints through the snapshot chain on first use. Like frozenFor,
+// materialization runs unlocked: racing builders derive identical diffs
+// from immutable artifacts and the first install wins.
+func (q *QuerySource) chainFor(from, to int) (*ChainDiff, error) {
 	key := fmt.Sprintf("%d-%d", from, to)
 	q.mu.Lock()
-	tables, ok := q.chains[key]
+	cd, ok := q.chains[key]
 	q.mu.Unlock()
 	if ok {
-		return tables, nil
+		return cd, nil
 	}
 	c, err := LoadChain(q.Store)
 	if err != nil {
 		return nil, err
 	}
-	cd, err := c.Diff(from, to)
-	if err != nil {
+	if cd, err = c.Diff(from, to); err != nil {
 		return nil, err
-	}
-	tables = map[string][][]byte{
-		"companies": make([][]byte, len(cd.Companies)),
-		"investors": make([][]byte, len(cd.Investors)),
-	}
-	for i := range cd.Companies {
-		payload, err := json.Marshal(&cd.Companies[i])
-		if err != nil {
-			return nil, err
-		}
-		tables["companies"][i] = payload
-	}
-	for i := range cd.Investors {
-		payload, err := json.Marshal(&cd.Investors[i])
-		if err != nil {
-			return nil, err
-		}
-		tables["investors"][i] = payload
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -338,38 +395,13 @@ func (q *QuerySource) chainFor(from, to int) (map[string][][]byte, error) {
 		return cached, nil
 	}
 	if q.chains == nil {
-		q.chains = make(map[string]map[string][][]byte)
+		q.chains = make(map[string]*ChainDiff)
 	}
 	for len(q.chainOrder) >= maxCachedChainDiffs {
 		delete(q.chains, q.chainOrder[0])
 		q.chainOrder = q.chainOrder[1:]
 	}
-	q.chains[key] = tables
+	q.chains[key] = cd
 	q.chainOrder = append(q.chainOrder, key)
-	return tables, nil
-}
-
-// scanChain emits a chain-diff table's payloads under the caller's
-// context.
-func (q *QuerySource) scanChain(ctx context.Context, from, to int, table string, fn func(payload []byte) error) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: scan chain %d-%d: %w", from, to, err)
-	}
-	tables, err := q.chainFor(from, to)
-	if err != nil {
-		return err
-	}
-	payloads, ok := tables[table]
-	if !ok {
-		return fmt.Errorf("core: unknown chain table %q (want companies or investors)", table)
-	}
-	for _, payload := range payloads {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: scan chain %d-%d: %w", from, to, err)
-		}
-		if err := fn(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cd, nil
 }

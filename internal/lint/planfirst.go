@@ -7,35 +7,34 @@ import (
 
 // planfirstPackages must route every record read through the query
 // planner: predicates get pushed into index probes first, and only the
-// surviving rows are materialized. A stray ScanContext call anywhere
-// else in the executor silently turns an index route back into a full
-// scan — correct results, defeated optimization, invisible in tests.
+// surviving rows are read. A stray ReadRecords call anywhere else in the
+// executor silently turns an index route back into a full scan —
+// correct results, defeated optimization, invisible in tests.
 var planfirstPackages = map[string]bool{
 	"internal/query": true,
 }
 
-// recordReadMethods are the source methods that materialize records.
+// recordReadMethods are the source methods that stream records.
 var recordReadMethods = map[string]bool{
-	"ScanContext": true,
-	"ScanRows":    true,
+	"ReadRecords": true,
+	"ReadRows":    true,
 }
 
-// planfirstAllowedCallers are the two blessed materialization sites,
-// both reached only after planFor has classified the WHERE conjuncts:
-// runScan streams the whole namespace for the scan route, and
-// materializeRows loads exactly the planner-selected rows.
+// planfirstAllowedCallers is the one blessed read site, reached only
+// after planFor has classified the WHERE conjuncts: stream reads the
+// whole namespace on the scan route and exactly the planner-selected
+// rows on the index routes, into the same sink.
 var planfirstAllowedCallers = map[string]bool{
-	"runScan":         true,
-	"materializeRows": true,
+	"stream": true,
 }
 
 // AnalyzerPlanFirst enforces the planner-before-records discipline in
-// the query packages: methods named ScanContext or ScanRows may only be
-// invoked from inside the designated materialization functions, so no
-// code path can read records before predicates are pushed down.
+// the query packages: methods named ReadRecords or ReadRows may only be
+// invoked from inside the designated read site, so no code path can
+// read records before predicates are pushed down.
 var AnalyzerPlanFirst = &Analyzer{
 	Name: "planfirst",
-	Doc:  "query packages: record reads only inside the planner's materialization sites",
+	Doc:  "query packages: record reads only inside the planner's read site",
 	Run:  runPlanFirst,
 }
 
@@ -65,7 +64,7 @@ func runPlanFirst(m *Module) []Diagnostic {
 						return true // unrelated package-level function sharing the name
 					}
 					out = append(out, m.diag("planfirst", sel.Sel.Pos(),
-						"%s reads records inside %s before predicates are pushed down; materialize through runScan or materializeRows instead",
+						"%s reads records inside %s before predicates are pushed down; read through stream instead",
 						sel.Sel.Name, fd.Name.Name))
 					return true
 				})

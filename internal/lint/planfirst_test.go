@@ -6,9 +6,11 @@ const planfirstFixtureSource = `package query
 
 import "context"
 
+type Record interface{ Value(i int) any }
+
 type Source interface {
-	ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error
-	ScanRows(ctx context.Context, ns string, rows []int32, fn func(payload []byte) error) error
+	ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(Record) error) error
+	ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(Record) error) error
 }
 `
 
@@ -17,30 +19,29 @@ func TestPlanFirstFlagsRecordReadsOutsideMaterializers(t *testing.T) {
 		"internal/query/q.go": planfirstFixtureSource + `
 func sneakyCount(ctx context.Context, src Source, ns string) (int, error) {
 	n := 0
-	err := src.ScanContext(ctx, ns, func([]byte) error { n++; return nil })
+	err := src.ReadRecords(ctx, ns, nil, func(Record) error { n++; return nil })
 	return n, err
 }
 
 func sneakyRows(ctx context.Context, src Source, ns string) error {
-	return src.ScanRows(ctx, ns, nil, func([]byte) error { return nil })
+	return src.ReadRows(ctx, ns, nil, nil, func(Record) error { return nil })
 }
 `,
 	})
 	got := findings(t, m, AnalyzerPlanFirst)
 	wantFindings(t, got,
-		"internal/query/q.go:12:[planfirst]",
-		"internal/query/q.go:17:[planfirst]")
+		"internal/query/q.go:14:[planfirst]",
+		"internal/query/q.go:19:[planfirst]")
 }
 
-func TestPlanFirstAllowsTheMaterializationSites(t *testing.T) {
+func TestPlanFirstAllowsTheReadSite(t *testing.T) {
 	m := writeModule(t, map[string]string{
 		"internal/query/q.go": planfirstFixtureSource + `
-func runScan(ctx context.Context, src Source, ns string) error {
-	return src.ScanContext(ctx, ns, func([]byte) error { return nil })
-}
-
-func materializeRows(ctx context.Context, src Source, ns string, rows []int32) error {
-	return src.ScanRows(ctx, ns, rows, func([]byte) error { return nil })
+func stream(ctx context.Context, src Source, ns string, rows []int32) error {
+	if rows == nil {
+		return src.ReadRecords(ctx, ns, nil, func(Record) error { return nil })
+	}
+	return src.ReadRows(ctx, ns, rows, nil, func(Record) error { return nil })
 }
 `,
 	})
@@ -54,12 +55,12 @@ func TestPlanFirstIgnoresOtherPackagesAndUnrelatedNames(t *testing.T) {
 
 import "context"
 
-type scanner interface {
-	ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error
+type reader interface {
+	ReadRecords(ctx context.Context, ns string, fn func() error) error
 }
 
-func drain(ctx context.Context, s scanner) error {
-	return s.ScanContext(ctx, "x", func([]byte) error { return nil })
+func drain(ctx context.Context, r reader) error {
+	return r.ReadRecords(ctx, "x", func() error { return nil })
 }
 `,
 		// A package-level function that merely shares the name is fine.
@@ -67,9 +68,9 @@ func drain(ctx context.Context, s scanner) error {
 
 import "context"
 
-func helper(ctx context.Context) error { return ScanContext(ctx) }
+func helper(ctx context.Context) error { return ReadRecords(ctx) }
 
-func ScanContext(ctx context.Context) error { return nil }
+func ReadRecords(ctx context.Context) error { return nil }
 `,
 	})
 	wantFindings(t, findings(t, m, AnalyzerPlanFirst))
@@ -79,8 +80,8 @@ func TestPlanFirstSuppressionWithReason(t *testing.T) {
 	m := writeModule(t, map[string]string{
 		"internal/query/q.go": planfirstFixtureSource + `
 func probe(ctx context.Context, src Source) error {
-	//lint:ignore planfirst namespace existence probe; reads no record payloads
-	return src.ScanContext(ctx, "x", func([]byte) error { return nil })
+	//lint:ignore planfirst namespace existence probe; looks at no record
+	return src.ReadRecords(ctx, "x", nil, func(Record) error { return nil })
 }
 `,
 	})

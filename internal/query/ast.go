@@ -9,7 +9,13 @@ import (
 // expr is the expression AST.
 type expr interface{ String() string }
 
-type identExpr struct{ path []string } // dotted JSON path
+// identExpr is a dotted field path. The parser numbers the statement's
+// paths (Query.fields); slot is this one's number, which is how a Record
+// is asked for the value.
+type identExpr struct {
+	path []string
+	slot int
+}
 
 type literalExpr struct{ value any } // float64, string, bool, nil
 
@@ -27,6 +33,7 @@ type callExpr struct {
 	fn   string // COUNT SUM AVG MIN MAX LEN
 	arg  expr   // nil for COUNT(*)
 	star bool
+	slot int // aggregates folded per group: index into Query.aggs
 }
 
 func (e identExpr) String() string   { return strings.Join(e.path, ".") }
@@ -62,12 +69,37 @@ type Query struct {
 	groupBy   []expr
 	orderBy   []orderItem
 	limit     int // -1 = none
+
+	fields [][]string // every field path named, indexed by identExpr.slot
+	aggs   []callExpr // the select items' aggregates, indexed by callExpr.slot
 }
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks []token
-	pos  int
+	toks   []token
+	pos    int
+	fields [][]string
+}
+
+// bindAggs numbers the aggregate calls a select item folds per group:
+// those reached through arithmetic and negation only. An aggregate
+// inside another call's argument is evaluated per record instead.
+func (q *Query) bindAggs(e expr) expr {
+	switch t := e.(type) {
+	case callExpr:
+		if t.fn != "LEN" {
+			t.slot = len(q.aggs)
+			q.aggs = append(q.aggs, t)
+		}
+		return t
+	case unaryExpr:
+		t.sub = q.bindAggs(t.sub)
+		return t
+	case binaryExpr:
+		t.l, t.r = q.bindAggs(t.l), q.bindAggs(t.r)
+		return t
+	}
+	return e
 }
 
 // Parse parses one SELECT statement.
@@ -200,6 +232,10 @@ func (p *parser) parseQuery() (*Query, error) {
 		}
 		q.limit = n
 		p.advance()
+	}
+	q.fields = p.fields
+	for i := range q.items {
+		q.items[i].expr = q.bindAggs(q.items[i].expr)
 	}
 	return q, nil
 }
@@ -393,7 +429,8 @@ func (p *parser) parsePrimary() (expr, error) {
 			}
 			return callExpr{fn: upper, arg: arg}, nil
 		}
-		return identExpr{path: strings.Split(name, ".")}, nil
+		p.fields = append(p.fields, strings.Split(name, "."))
+		return identExpr{p.fields[len(p.fields)-1], len(p.fields) - 1}, nil
 	case tokSymbol:
 		if t.text == "(" {
 			p.advance()

@@ -41,7 +41,7 @@ func ExampleRun() {
 		log.Fatal(err)
 	}
 
-	res, err := query.Run(context.Background(), st, `
+	res, err := query.Run(context.Background(), query.JSONSource{Scanner: st}, `
 		SELECT role, COUNT(*) AS n, AVG(follows) AS avg_follows
 		FROM users GROUP BY role ORDER BY n DESC`)
 	if err != nil {

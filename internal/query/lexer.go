@@ -1,6 +1,8 @@
 // Package query implements the paper's "translation layer" (§3): a small
 // SQL-like language that social scientists can use against the crawled
-// store, compiled onto the dataflow engine for parallel execution.
+// store and its frozen snapshots: parsed, planned onto secondary indexes
+// or a scan, and executed as one streaming pass over the source's
+// records.
 //
 // Supported form:
 //
@@ -16,9 +18,9 @@
 // (+ - * /), AND/OR/NOT, and the aggregates COUNT(*), COUNT(x), SUM(x),
 // AVG(x), MIN(x), MAX(x) plus LEN(x) for array fields.
 //
-// Records are JSON documents from a store namespace; missing fields
-// evaluate to NULL, which fails comparisons (three-valued logic
-// simplified to false).
+// Records read as JSON documents do, whatever holds them (see Record);
+// missing fields evaluate to NULL, which fails comparisons (three-valued
+// logic simplified to false).
 package query
 
 import (

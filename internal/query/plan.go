@@ -11,8 +11,8 @@ import (
 
 // Plan routes. A query executes over exactly one of these.
 const (
-	// RouteScan streams every record of the namespace and filters after
-	// JSON decoding — the always-correct baseline.
+	// RouteScan streams every record of the namespace through the filter
+	// — the always-correct baseline.
 	RouteScan = "scan"
 	// RouteIndex probes secondary indexes for the WHERE conjuncts,
 	// intersects the postings, and materializes only the matching rows.
@@ -27,9 +27,9 @@ const (
 
 // IndexedSource is a Source whose namespaces may carry persisted
 // secondary indexes. The contract that makes pushdown sound: indexes
-// must be built from exactly the same columns the ScanContext payloads
-// project, and ScanRows must stream the same payload bytes ScanContext
-// would produce for those rows, in ascending row order.
+// must be built from exactly the columns ReadRecords serves, and
+// ReadRows must stream the same records ReadRecords would for those
+// rows, in ascending row order.
 //
 // TableIndex returns (nil, nil) for a namespace without indexes, and an
 // error when an index exists but fails to load or validate — the
@@ -37,7 +37,7 @@ const (
 type IndexedSource interface {
 	Source
 	TableIndex(ns string) (*index.TableIndex, error)
-	ScanRows(ctx context.Context, ns string, rows []int32, fn func(payload []byte) error) error
+	ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(Record) error) error
 }
 
 // Plan records how a query was (or would be) executed: the chosen
@@ -274,17 +274,7 @@ func (q *Query) countOnly() bool {
 
 // aggregated reports whether the query folds groups rather than
 // emitting one output row per record.
-func (q *Query) aggregated() bool {
-	if len(q.groupBy) > 0 {
-		return true
-	}
-	for _, item := range q.items {
-		if containsAggregate(item.expr) {
-			return true
-		}
-	}
-	return false
-}
+func (q *Query) aggregated() bool { return len(q.groupBy) > 0 || len(q.aggs) > 0 }
 
 // classifyConjunct decides whether one WHERE conjunct can be answered
 // by an index probe with semantics identical to per-record evaluation:
@@ -414,8 +404,10 @@ func andAll(es []expr) expr {
 
 // Canonical renders the query in a normalized textual form suitable as
 // a cache key: equal canonical strings imply equal results against the
-// same snapshot. Unlike expr.String, string literals are quoted so
-// `name = "abc"` and `name = abc` cannot collide.
+// same snapshot, and the text parses back to the same query. Unlike
+// expr.String, string literals are quoted (the way the lexer reads them
+// back) so `name = "abc"` and `name = abc` cannot collide, numbers are
+// written without an exponent, and every operator is parenthesized.
 func (q *Query) Canonical() string {
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
@@ -460,12 +452,15 @@ func (q *Query) Canonical() string {
 	return sb.String()
 }
 
+// quoteEscaper escapes a string literal the way the lexer unescapes it.
+var quoteEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
 func canonExpr(e expr) string {
 	switch t := e.(type) {
 	case literalExpr:
 		switch v := t.value.(type) {
 		case string:
-			return strconv.Quote(v)
+			return `"` + quoteEscaper.Replace(v) + `"`
 		case nil:
 			return "NULL"
 		case bool:
@@ -474,13 +469,13 @@ func canonExpr(e expr) string {
 			}
 			return "FALSE"
 		case float64:
-			return strconv.FormatFloat(v, 'g', -1, 64)
+			return strconv.FormatFloat(v, 'f', -1, 64)
 		}
 		return fmt.Sprint(t.value)
 	case identExpr:
 		return t.String()
 	case unaryExpr:
-		return t.op + " " + canonExpr(t.sub)
+		return "(" + t.op + " " + canonExpr(t.sub) + ")"
 	case binaryExpr:
 		return "(" + canonExpr(t.l) + " " + t.op + " " + canonExpr(t.r) + ")"
 	case callExpr:

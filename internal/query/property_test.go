@@ -44,7 +44,7 @@ func TestQueryMatchesReferenceProperty(t *testing.T) {
 			return false
 		}
 
-		res, err := Run(context.Background(), st, `
+		res, err := Run(context.Background(), JSONSource{st}, `
 			SELECT grp, COUNT(*) AS n, SUM(value) AS total, MAX(value) AS top
 			FROM recs WHERE flag = TRUE GROUP BY grp ORDER BY grp`)
 		if err != nil {
@@ -109,12 +109,12 @@ func TestLimitPrefixProperty(t *testing.T) {
 		_ = w.Append(map[string]any{"id": fmt.Sprintf("x%03d", i)})
 	}
 	_ = w.Close()
-	full, err := Run(context.Background(), st, "SELECT id FROM xs ORDER BY id")
+	full, err := Run(context.Background(), JSONSource{st}, "SELECT id FROM xs ORDER BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, lim := range []int{0, 1, 7, 59, 60, 100} {
-		res, err := Run(context.Background(), st, fmt.Sprintf("SELECT id FROM xs ORDER BY id LIMIT %d", lim))
+		res, err := Run(context.Background(), JSONSource{st}, fmt.Sprintf("SELECT id FROM xs ORDER BY id LIMIT %d", lim))
 		if err != nil {
 			t.Fatal(err)
 		}

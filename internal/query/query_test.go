@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ type nested struct {
 	Likes int `json:"likes"`
 }
 
-func testStore(t *testing.T) *store.Store {
+func testStore(t *testing.T) Source {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -45,7 +46,7 @@ func testStore(t *testing.T) *store.Store {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return JSONSource{st}
 }
 
 func TestSelectFields(t *testing.T) {
@@ -232,7 +233,7 @@ func TestBoolLiteralsAndComparison(t *testing.T) {
 	_ = w.Append(map[string]any{"id": "a", "active": true})
 	_ = w.Append(map[string]any{"id": "b", "active": false})
 	_ = w.Close()
-	res, err := Run(context.Background(), st, "SELECT id FROM things WHERE active = TRUE")
+	res, err := Run(context.Background(), JSONSource{st}, "SELECT id FROM things WHERE active = TRUE")
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "a" {
 		t.Fatalf("bool query: %v %v", res, err)
 	}
@@ -248,5 +249,39 @@ func TestQueryStringRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(q.where.String(), "AND") {
 		t.Fatalf("where = %s", q.where.String())
+	}
+}
+
+// deafSource streams n records and never looks at the context.
+type deafSource struct{ n, served int }
+
+func (d *deafSource) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(Record) error) error {
+	for ; d.served < d.n; d.served++ {
+		if err := fn(values{"u1"}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// The engine checks the context between records itself: a deadline cuts
+// a scan off mid-stream even over a source that does not.
+func TestExecuteStopsWhenContextEnds(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	src := &deafSource{n: 1000}
+	q, err := Parse("SELECT COUNT(*) AS n FROM anything WHERE id = 'u1'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := q.Execute(ctx, src); err != nil || res.Rows[0][0] != float64(1000) {
+		t.Fatalf("live context: %v %v", res, err)
+	}
+	cancel()
+	src.served = 0
+	if _, err := q.Execute(ctx, src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if src.served != 0 {
+		t.Fatalf("%d records got through a cancelled context", src.served)
 	}
 }

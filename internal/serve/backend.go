@@ -8,11 +8,12 @@ import (
 
 	"crowdscope/internal/core"
 	"crowdscope/internal/index"
+	"crowdscope/internal/query"
 	"crowdscope/internal/store"
 )
 
 // Backend is the serving layer's view of persistent data: discover the
-// newest frozen snapshot, load one, and stream a namespace for queries.
+// newest frozen snapshot, load one, and read a namespace for queries.
 // *StoreBackend implements it over a real store; the chaos suite wraps
 // it with a deterministic fault injector.
 type Backend interface {
@@ -21,15 +22,11 @@ type Backend interface {
 	LatestFrozen(ctx context.Context) (int, error)
 	// LoadFrozen decodes the snapshot's frozen artifact (-1 = latest).
 	LoadFrozen(ctx context.Context, snap int) (*core.FrozenSnapshot, error)
-	// ScanContext streams a namespace's records as JSON payloads under
-	// the caller's context (the query.Source contract).
-	ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error
-	// TableIndex returns a namespace's secondary indexes, (nil, nil)
-	// when it has none (the query planner then scans).
-	TableIndex(ns string) (*index.TableIndex, error)
-	// ScanRows streams the selected rows of an indexed namespace (the
-	// query.IndexedSource contract).
-	ScanRows(ctx context.Context, ns string, rows []int32, fn func(payload []byte) error) error
+	// What queries read: ReadRecords streams a namespace's records under
+	// the caller's context, ReadRows the planner-selected rows of an
+	// indexed one, and TableIndex returns a namespace's secondary
+	// indexes — (nil, nil) when it has none (the planner then scans).
+	query.IndexedSource
 }
 
 // DeltaBackend is the optional capability a Backend may add for
@@ -45,8 +42,8 @@ type DeltaBackend interface {
 
 // StoreBackend serves directly from a crawled store, projecting frozen
 // snapshots through core.QuerySource's virtual namespaces. The source
-// is built once and reused, so its snapshot/payload/index caches
-// actually carry across requests.
+// is built once and reused, so its snapshot/index caches actually carry
+// across requests.
 type StoreBackend struct {
 	Store *store.Store
 
@@ -92,9 +89,9 @@ func (b *StoreBackend) LoadDelta(ctx context.Context, snap int) (*core.SnapshotD
 	return core.LoadDelta(b.Store, snap)
 }
 
-// ScanContext implements Backend (and query.Source).
-func (b *StoreBackend) ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error {
-	return b.source().ScanContext(ctx, ns, fn)
+// ReadRecords implements Backend.
+func (b *StoreBackend) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
+	return b.source().ReadRecords(ctx, ns, fields, fn)
 }
 
 // TableIndex implements Backend.
@@ -102,9 +99,9 @@ func (b *StoreBackend) TableIndex(ns string) (*index.TableIndex, error) {
 	return b.source().TableIndex(ns)
 }
 
-// ScanRows implements Backend.
-func (b *StoreBackend) ScanRows(ctx context.Context, ns string, rows []int32, fn func(payload []byte) error) error {
-	return b.source().ScanRows(ctx, ns, rows, fn)
+// ReadRows implements Backend.
+func (b *StoreBackend) ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(query.Record) error) error {
+	return b.source().ReadRows(ctx, ns, rows, fields, fn)
 }
 
 // snapCache holds the last-good frozen snapshot behind a pointer swap.

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"crowdscope/internal/core"
 	"crowdscope/internal/query"
 	"crowdscope/internal/store"
 )
@@ -120,16 +121,34 @@ func TestQueryResultCacheHitAndHotSwapInvalidation(t *testing.T) {
 	}
 }
 
-func TestQueryPlanRouteTalliesOnStatusz(t *testing.T) {
-	var mu sync.Mutex
-	var logs []string
-	srv, _ := indexedServer(t, func(o *Options) {
-		o.Logf = func(format string, args ...any) {
-			mu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			mu.Unlock()
+// logCapture is an Options.Logf that keeps every line.
+type logCapture struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logCapture) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// count reports how many captured lines contain substr.
+func (l *logCapture) count(substr string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, line := range l.lines {
+		if strings.Contains(line, substr) {
+			n++
 		}
-	})
+	}
+	return n
+}
+
+func TestQueryPlanRouteTalliesOnStatusz(t *testing.T) {
+	var logs logCapture
+	srv, _ := indexedServer(t, func(o *Options) { o.Logf = logs.logf })
 	h := srv.Handler()
 
 	for _, stmt := range []string{
@@ -159,16 +178,75 @@ func TestQueryPlanRouteTalliesOnStatusz(t *testing.T) {
 		t.Fatal("last_plan_fallback empty after a scan fallback")
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, line := range logs {
-		if strings.Contains(line, "fell back to scan") {
-			found = true
+	if logs.count("fell back to scan") == 0 {
+		t.Fatalf("no scan-fallback log line; logs: %q", logs.lines)
+	}
+}
+
+// TestScanFallbackLoggedOncePerGeneration: an ad-hoc session is one
+// routine scan fallback per request, and must not be one log line per
+// request — each kind of reason is logged once per snapshot generation,
+// while a broken index is logged every time. /statusz still counts all.
+func TestScanFallbackLoggedOncePerGeneration(t *testing.T) {
+	var logs logCapture
+	srv, st := indexedServer(t, func(o *Options) { o.Logf = logs.logf })
+	h := srv.Handler()
+	unpushable := func(snap, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			stmt := fmt.Sprintf("SELECT ID FROM frozen/snap-%d/companies WHERE Name = \"n%d\"", snap, i)
+			if rec := get(t, h, queryURL(stmt)); rec.Code != http.StatusOK {
+				t.Fatalf("%s = %d: %s", stmt, rec.Code, rec.Body)
+			}
 		}
 	}
-	if !found {
-		t.Fatalf("no scan-fallback log line; logs: %q", logs)
+	unpushable(0, 100)
+	if got := logs.count("no indexable predicates"); got != 1 {
+		t.Fatalf("100 unpushable statements logged %d lines, want 1: %q", got, logs.lines)
+	}
+	if got := statuszOf(t, h).PlanRoutes[query.RouteScan]; got != 100 {
+		t.Fatalf("plan_routes[scan] = %d, want 100 (tallies must not be deduplicated)", got)
+	}
+
+	putIndexedFrozen(t, st, 1)
+	if err := srv.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	unpushable(1, 10)
+	if got := logs.count("no indexable predicates"); got != 2 {
+		t.Fatalf("after a hot-swap the reason was logged %d times in all, want 2: %q", got, logs.lines)
+	}
+
+	// A corrupt index blob is never routine: every statement that hits
+	// it says so.
+	data, version, err := st.GetBlob(core.IndexNamespace(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	bad, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	putFrozen(t, bad, 0)
+	if err := bad.PutBlob(core.IndexNamespace(0), version, data); err != nil {
+		t.Fatal(err)
+	}
+	var badLogs logCapture
+	opts := testOptions(newFakeClock())
+	opts.Logf = badLogs.logf
+	srvBad := New(&StoreBackend{Store: bad}, opts)
+	if err := srvBad.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		stmt := fmt.Sprintf("SELECT ID FROM frozen/snap-0/companies WHERE Raising AND Likes >= %d", i)
+		if rec := get(t, srvBad.Handler(), queryURL(stmt)); rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", stmt, rec.Code, rec.Body)
+		}
+	}
+	if got := badLogs.count("index unavailable"); got != 3 {
+		t.Fatalf("3 statements over a corrupt index logged %d lines, want 3: %q", got, badLogs.lines)
 	}
 }
 

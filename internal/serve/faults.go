@@ -9,6 +9,7 @@ import (
 
 	"crowdscope/internal/core"
 	"crowdscope/internal/index"
+	"crowdscope/internal/query"
 )
 
 // ErrInjected marks a deterministic backend fault from FaultyBackend.
@@ -106,12 +107,14 @@ func (f *FaultyBackend) LoadFrozen(ctx context.Context, snap int) (*core.FrozenS
 	return f.Inner.LoadFrozen(ctx, snap)
 }
 
-// ScanContext implements Backend.
-func (f *FaultyBackend) ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error {
+// ReadRecords implements Backend. The schedule keys stay "Scan" and
+// "ScanRows" — they name the operation, and renaming them would reseed
+// every pinned chaos schedule.
+func (f *FaultyBackend) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
 	if f.decide("Scan") {
 		return fmt.Errorf("%w: Scan(%q)", ErrInjected, ns)
 	}
-	return f.Inner.ScanContext(ctx, ns, fn)
+	return f.Inner.ReadRecords(ctx, ns, fields, fn)
 }
 
 // TableIndex implements Backend. Faults here are absorbed by the query
@@ -140,12 +143,12 @@ func (f *FaultyBackend) LoadDelta(ctx context.Context, snap int) (*core.Snapshot
 	return db.LoadDelta(ctx, snap)
 }
 
-// ScanRows implements Backend.
-func (f *FaultyBackend) ScanRows(ctx context.Context, ns string, rows []int32, fn func(payload []byte) error) error {
+// ReadRows implements Backend.
+func (f *FaultyBackend) ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(query.Record) error) error {
 	if f.decide("ScanRows") {
 		return fmt.Errorf("%w: ScanRows(%q)", ErrInjected, ns)
 	}
-	return f.Inner.ScanRows(ctx, ns, rows, fn)
+	return f.Inner.ReadRows(ctx, ns, rows, fields, fn)
 }
 
 // splitmix64 is the SplitMix64 output function (the same mixer the

@@ -17,7 +17,7 @@ func TestFaultScheduleMatchesUniformDraws(t *testing.T) {
 	)
 	f := NewFaultyBackend(&stubBackend{}, FaultConfig{Seed: seed, Rate: rate})
 	for i := 0; i < n; i++ {
-		err := f.ScanContext(context.Background(), "users", nil)
+		err := f.ReadRecords(context.Background(), "users", nil, nil)
 		want := faultUniform(seed, "Scan", uint64(i)) < rate
 		if got := errors.Is(err, ErrInjected); got != want {
 			t.Fatalf("call %d: injected = %v, want %v", i, got, want)
@@ -50,12 +50,12 @@ func TestFaultToggleKeepsCounters(t *testing.T) {
 	f := NewFaultyBackend(&stubBackend{}, FaultConfig{Seed: seed, Rate: rate})
 	f.SetEnabled(false)
 	for i := 0; i < 10; i++ {
-		if err := f.ScanContext(context.Background(), "users", nil); err != nil {
+		if err := f.ReadRecords(context.Background(), "users", nil, nil); err != nil {
 			t.Fatalf("disabled injector failed call %d: %v", i, err)
 		}
 	}
 	f.SetEnabled(true)
-	err := f.ScanContext(context.Background(), "users", nil)
+	err := f.ReadRecords(context.Background(), "users", nil, nil)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("re-enabled injector at rate 1.0 did not inject: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestFaultPerOpOverride(t *testing.T) {
 	if _, err := f.LatestFrozen(context.Background()); err != nil {
 		t.Fatalf("overridden op injected: %v", err)
 	}
-	if err := f.ScanContext(context.Background(), "users", nil); !errors.Is(err, ErrInjected) {
+	if err := f.ReadRecords(context.Background(), "users", nil, nil); !errors.Is(err, ErrInjected) {
 		t.Fatalf("default-rate op did not inject: %v", err)
 	}
 }

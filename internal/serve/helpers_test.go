@@ -13,6 +13,7 @@ import (
 	"crowdscope/internal/core"
 	"crowdscope/internal/graph"
 	"crowdscope/internal/index"
+	"crowdscope/internal/query"
 	"crowdscope/internal/snapshot"
 	"crowdscope/internal/store"
 )
@@ -161,12 +162,12 @@ func (s *stubBackend) LoadFrozen(ctx context.Context, snap int) (*core.FrozenSna
 	return s.fs, nil
 }
 
-func (s *stubBackend) ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error {
+func (s *stubBackend) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
 	return s.scanErr
 }
 
 func (s *stubBackend) TableIndex(ns string) (*index.TableIndex, error) { return nil, nil }
 
-func (s *stubBackend) ScanRows(ctx context.Context, ns string, rows []int32, fn func(payload []byte) error) error {
+func (s *stubBackend) ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(query.Record) error) error {
 	return s.scanErr
 }

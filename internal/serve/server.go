@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,9 +134,10 @@ type Server struct {
 	results *resultCache
 	stmts   *stmtCache
 
-	planMu       sync.Mutex
-	planRoutes   map[string]int64 // executed-plan tallies since last hot-swap
-	lastFallback string           // most recent planner scan-fallback reason
+	planMu          sync.Mutex
+	planRoutes      map[string]int64 // executed-plan tallies since last hot-swap
+	lastFallback    string           // most recent planner scan-fallback reason
+	loggedFallbacks map[string]bool  // fallback kinds already logged since last hot-swap
 }
 
 // New builds a server over the backend. Call Refresh to load the first
@@ -150,6 +152,8 @@ func New(backend Backend, opts Options) *Server {
 		results:    newResultCache(opts.ResultCacheSize),
 		stmts:      newStmtCache(),
 		planRoutes: map[string]int64{},
+
+		loggedFallbacks: map[string]bool{},
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -320,27 +324,36 @@ func (s *Server) refreshViaDeltas(ctx context.Context, cur *core.FrozenSnapshot,
 }
 
 // hotSwapReset drops per-snapshot derived state after a snapshot swap:
-// cached query results (computed against the old snapshot) and the
-// plan-choice tallies (which describe the old generation's traffic).
+// cached query results (computed against the old snapshot), the
+// plan-choice tallies (which describe the old generation's traffic) and
+// which fallbacks that generation already logged.
 func (s *Server) hotSwapReset(snap int) {
 	s.results.invalidate(snap)
 	s.planMu.Lock()
 	s.planRoutes = map[string]int64{}
 	s.lastFallback = ""
+	s.loggedFallbacks = map[string]bool{}
 	s.planMu.Unlock()
 }
 
-// tallyPlan records one executed query plan for /statusz, logging scan
-// fallbacks that carry a reason (an unindexed namespace is routine; a
-// corrupt index blob very much is not).
+// tallyPlan records one executed query plan for /statusz and logs scan
+// fallbacks. An unindexed or unpushable statement is routine — an ad-hoc
+// session is nothing else — so each kind of reason (its text up to the
+// per-statement numbers) is logged once per snapshot generation; a
+// broken index is not routine and is logged every time.
 func (s *Server) tallyPlan(p *query.Plan) {
+	kind, _, _ := strings.Cut(p.Fallback, " (")
 	s.planMu.Lock()
 	s.planRoutes[p.Route]++
 	if p.Fallback != "" {
 		s.lastFallback = p.Fallback
 	}
+	log := p.Fallback != "" && (strings.HasPrefix(kind, "index unavailable") || !s.loggedFallbacks[kind])
+	if log {
+		s.loggedFallbacks[kind] = true
+	}
 	s.planMu.Unlock()
-	if p.Fallback != "" && s.opts.Logf != nil {
+	if log && s.opts.Logf != nil {
 		s.opts.Logf("serve: query plan fell back to scan: %s", p.Explain())
 	}
 }
@@ -482,9 +495,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 // to a scan inside the planner.
 type breakerSource struct{ s *Server }
 
-func (bs breakerSource) ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error {
+func (bs breakerSource) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
 	return bs.s.breaker.Do(ctx, func(ctx context.Context) error {
-		return bs.s.backend.ScanContext(ctx, ns, fn)
+		return bs.s.backend.ReadRecords(ctx, ns, fields, fn)
 	})
 }
 
@@ -492,9 +505,9 @@ func (bs breakerSource) TableIndex(ns string) (*index.TableIndex, error) {
 	return bs.s.backend.TableIndex(ns)
 }
 
-func (bs breakerSource) ScanRows(ctx context.Context, ns string, rows []int32, fn func(payload []byte) error) error {
+func (bs breakerSource) ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(query.Record) error) error {
 	return bs.s.breaker.Do(ctx, func(ctx context.Context) error {
-		return bs.s.backend.ScanRows(ctx, ns, rows, fn)
+		return bs.s.backend.ReadRows(ctx, ns, rows, fields, fn)
 	})
 }
 

@@ -187,7 +187,7 @@ func (b *blockingBackend) LoadFrozen(ctx context.Context, snap int) (*core.Froze
 	return nil, errors.New("no snapshot")
 }
 
-func (b *blockingBackend) ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error {
+func (b *blockingBackend) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
 	b.entered <- struct{}{}
 	select {
 	case <-b.release:
@@ -199,8 +199,8 @@ func (b *blockingBackend) ScanContext(ctx context.Context, ns string, fn func(pa
 
 func (b *blockingBackend) TableIndex(ns string) (*index.TableIndex, error) { return nil, nil }
 
-func (b *blockingBackend) ScanRows(ctx context.Context, ns string, rows []int32, fn func(payload []byte) error) error {
-	return b.ScanContext(ctx, ns, fn)
+func (b *blockingBackend) ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(query.Record) error) error {
+	return b.ReadRecords(ctx, ns, fields, fn)
 }
 
 func TestServerShedsWithRetryAfter(t *testing.T) {
@@ -247,7 +247,7 @@ type gaugeBackend struct {
 	cur, max int
 }
 
-func (g *gaugeBackend) ScanContext(ctx context.Context, ns string, fn func(payload []byte) error) error {
+func (g *gaugeBackend) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
 	g.mu.Lock()
 	g.cur++
 	if g.cur > g.max {
@@ -260,7 +260,7 @@ func (g *gaugeBackend) ScanContext(ctx context.Context, ns string, fn func(paylo
 		g.mu.Unlock()
 	}()
 	time.Sleep(2 * time.Millisecond) // hold the slot long enough to overlap
-	return g.Backend.ScanContext(ctx, ns, fn)
+	return g.Backend.ReadRecords(ctx, ns, fields, fn)
 }
 
 func (g *gaugeBackend) peak() int {

@@ -70,6 +70,14 @@ run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCras
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestShardedFreeze|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/core
 run_suite fleet-chaos    'TestFleetChaosKillWorkersMergeBitIdentical|TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/fleet ./internal/fleet/front
 
+# Hostile and random statements: ten seconds of native fuzzing each on
+# the parser (a query error, or a statement whose canonical text parses
+# back to itself; never a panic) and on the row contract (core's typed
+# records and the same rows decoded from JSON give the same bytes).
+for target in FuzzParse FuzzTypedVsDecoded; do
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s ./internal/query
+done
+
 # Per-package coverage floors (percent).
 check_coverage() {
   local pkg="$1" floor="$2" out pct
@@ -126,4 +134,8 @@ check_coverage ./internal/fleet/front 70
 # serve/pipeline API and checks every workload's answers against its
 # oracle: a smoke pass is the end-to-end compile-and-correctness check
 # of that API (timings at smoke sizes mean nothing and are not compared).
-go run ./benchmark -workload all -smoke
+# 1.5 s a run, as the package's own TestSmokeAllWorkloads uses: the
+# ad-hoc workload never repeats a statement, and at smoke size its
+# generator has about 5,700 to give — ten seconds of millisecond-or-
+# faster scans ask for more and the run aborts "statement space exhausted".
+go run ./benchmark -workload all -smoke -seconds 1.5
