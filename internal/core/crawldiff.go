@@ -33,7 +33,9 @@ func crawlCompany(cur *crawler.Snapshot, id string) Company {
 	if p := cur.Twitter[id]; p != nil {
 		tw = &twProfile{StatusesCount: p.StatusesCount, FollowersCount: p.FollowersCount}
 	}
-	return companyRow(cur.Startups[id], cb, fb, tw)
+	s := cur.Startups[id]
+	return companyRow(&startupRecord{ID: s.ID, Name: s.Name, Raising: s.Raising, HasDemoVideo: s.HasDemoVideo,
+		FacebookURL: s.FacebookURL, TwitterURL: s.TwitterURL}, cb, fb, tw)
 }
 
 // mergeCrawl merges the whole crawl snapshot in memory, producing the
@@ -47,7 +49,7 @@ func mergeCrawl(cur *crawler.Snapshot, snap int) *FrozenSnapshot {
 	}
 	sort.Slice(fs.Companies, func(i, j int) bool { return fs.Companies[i].ID < fs.Companies[j].ID })
 	for _, u := range cur.Users {
-		if inv, ok := investorRow(u); ok {
+		if inv, ok := investorRow(u.ID, u.Investments, len(u.FollowsStartups)); ok {
 			fs.Investors = append(fs.Investors, inv)
 		}
 	}
@@ -95,7 +97,8 @@ func DiffCrawl(prev *FrozenSnapshot, prevRaw, cur *crawler.Snapshot, target int)
 	}
 	sd.CompanyDrops = append(sd.CompanyDrops, rd.StartupsRemoved...)
 	for _, id := range rd.UsersUpserted {
-		inv, ok := investorRow(cur.Users[id])
+		u := cur.Users[id]
+		inv, ok := investorRow(u.ID, u.Investments, len(u.FollowsStartups))
 		if !ok {
 			// Still a user, no longer an investor.
 			if _, had := findInvestor(prev, id); had {

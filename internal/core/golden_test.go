@@ -53,7 +53,7 @@ var shardedFixtures = []struct {
 
 // generatedStore streams the seed-99 world at the given scale into a
 // fresh K-sharded store and ingests it as crawl snapshot 0.
-func generatedStore(t *testing.T, scale float64, shards int) *store.Store {
+func generatedStore(t testing.TB, scale float64, shards int) *store.Store {
 	t.Helper()
 	ctx := context.Background()
 	st, err := store.Open(t.TempDir())

@@ -7,7 +7,7 @@ import (
 	"strings"
 
 	"crowdscope/internal/crawler"
-	"crowdscope/internal/ecosystem"
+	"crowdscope/internal/parallel"
 	"crowdscope/internal/store"
 )
 
@@ -56,10 +56,10 @@ func partitionsFor(n int) int {
 
 // LatestSnapshot returns the largest snapshot tag in the startups
 // namespace, or an error when nothing was crawled. The context bounds
-// the namespace scan.
+// the namespace scan, which decodes the tag and nothing else.
 func LatestSnapshot(ctx context.Context, st *store.Store) (int, error) {
 	latest := -1
-	err := store.ScanAsContext(ctx, st, crawler.NSStartups, func(r crawler.StartupRecord) error {
+	err := store.ScanAsContext(ctx, st, crawler.NSStartups, func(r struct{ Snapshot int }) error {
 		if r.Snapshot > latest {
 			latest = r.Snapshot
 		}
@@ -87,10 +87,63 @@ func crawledSnapshot(ctx context.Context, st *store.Store, snapshot int) (int, e
 // merge in crawldiff.go — reduces its records to their arguments, so a
 // raw-unchanged entity always merges to an identical row.
 
-// cbProfile, fbProfile and twProfile are the narrow projections of the
-// persisted CrunchBase, Facebook and Twitter profiles: exactly the
-// fields companyRow reads. Decoding into them skips the rest of the
-// ecosystem schemas, the time.Time fields above all.
+// startupRecord, userRecord, cbProfile, fbProfile and twProfile are the
+// narrow projections of the persisted AngelList, CrunchBase, Facebook
+// and Twitter records: the snapshot tag that selects a record and
+// exactly the fields the row functions read. Decoding into them skips
+// the rest of the ecosystem schemas — a user's follow lists, the bulk
+// of the store, and the time.Time fields above all.
+type startupRecord struct {
+	ID           string `json:"id"`
+	Name         string `json:"name"`
+	Raising      bool   `json:"raising"`
+	HasDemoVideo bool   `json:"has_demo_video"`
+	FacebookURL  string `json:"facebook_url"`
+	TwitterURL   string `json:"twitter_url"`
+	Snapshot     int    `json:"snapshot"`
+}
+
+type userRecord struct {
+	ID          string   `json:"id"`
+	Investments []string `json:"investments"`
+	Follows     arrayLen `json:"follows_startups"`
+	Snapshot    int      `json:"snapshot"`
+}
+
+// arrayLen decodes a JSON array of strings to the len() of the
+// []string it stands in for, allocating nothing: null elements count
+// (they decode to ""), a null array is 0, any other element or value is
+// an error. It only has to find the elements: encoding/json validates
+// the whole payload before it calls an Unmarshaler.
+type arrayLen int
+
+func (n *arrayLen) UnmarshalJSON(b []byte) error {
+	isArray := len(b) > 0 && b[0] == '['
+	count, ok := 0, isArray || string(b) == "null"
+	for i := 1; isArray && ok && i < len(b); i++ {
+		switch b[i] {
+		case '"': // skip to the closing quote, over escaped ones
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+			count++
+		case 'n': // null
+			i += 3
+			count++
+		case ',', ']', ' ', '\t', '\n', '\r':
+		default:
+			ok = false
+		}
+	}
+	if !ok {
+		return fmt.Errorf("core: want a JSON array of strings, got %.40q", b)
+	}
+	*n = arrayLen(count)
+	return nil
+}
+
 type cbProfile struct {
 	Rounds []cbRound `json:"rounds"`
 }
@@ -112,7 +165,7 @@ type twProfile struct {
 // joined with its CrunchBase, Facebook and Twitter profiles. A nil
 // profile (the source had none, or the crawl skipped it) leaves its
 // fields zero.
-func companyRow(s *ecosystem.Startup, cb *cbProfile, fb *fbProfile, tw *twProfile) Company {
+func companyRow(s *startupRecord, cb *cbProfile, fb *fbProfile, tw *twProfile) Company {
 	c := Company{
 		ID:          s.ID,
 		Name:        s.Name,
@@ -140,22 +193,38 @@ func companyRow(s *ecosystem.Startup, cb *cbProfile, fb *fbProfile, tw *twProfil
 
 // investorRow is the investor projection; ok is false for users with no
 // investments (the paper's bipartite graph omits them).
-func investorRow(u *ecosystem.User) (Investor, bool) {
-	if len(u.Investments) == 0 {
+func investorRow(id string, investments []string, follows int) (Investor, bool) {
+	if len(investments) == 0 {
 		return Investor{}, false
 	}
-	return Investor{ID: u.ID, Investments: u.Investments, Follows: len(u.FollowsStartups)}, true
+	return Investor{ID: id, Investments: investments, Follows: follows}, true
 }
 
-// The store loader walks the crawl namespaces one shard at a time. The
+// The store loader walks the crawl namespaces shard by shard. The
 // namespaces are co-sharded by startup ID, so a shard is join-closed:
 // gather the shard's augmentation profiles by startup ID, stream its
-// startups through companyRow, release the profiles; after the last
-// shard, sort the rows by ID. Peak memory is one shard's profiles plus
-// the merged rows; an unsharded store is the K=1 case of the same walk.
-// Within a shard records arrive in append order and later ones replace
-// earlier ones, so a round persisted twice (a re-crawl, a resume after a
-// crash) loads exactly as if persisted once.
+// startups through companyRow, release the profiles. An unsharded store
+// is the K=1 case of the same walk. Within a shard records arrive in
+// append order and later ones replace earlier ones, so a round persisted
+// twice (a re-crawl, a resume after a crash) loads as if persisted once.
+
+// walkShards runs walk over the k shards on parallel.Default() and
+// returns their rows concatenated in shard order, then sorted by ID (IDs
+// are unique), so the rows are the same at every K and worker count.
+// Peak memory is workers × one shard's profiles plus the merged rows.
+func walkShards[T any](k int, id func(T) string, walk func(shard int) ([]T, error)) ([]T, error) {
+	parts := make([][]T, k)
+	err := parallel.Default().EachErr(k, func(shard int) (err error) {
+		parts[shard], err = walk(shard)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := slices.Concat(parts...)
+	slices.SortFunc(rows, func(a, b T) int { return strings.Compare(id(a), id(b)) })
+	return rows, nil
+}
 
 // shardProfiles returns, by startup ID, the snapshot's profiles in one
 // shard of an augmentation namespace — nil for a namespace the crawl
@@ -202,9 +271,7 @@ func LoadCompanies(ctx context.Context, st *store.Store, snapshot int) ([]Compan
 			return nil, fmt.Errorf("core: %s has %d shards, %s has %d: not co-sharded", ns, ak, crawler.NSStartups, k)
 		}
 	}
-	var rows []Company
-	at := map[string]int{} // startup ID → its row, for a later record to replace
-	for shard := 0; shard < k; shard++ {
+	return walkShards(k, func(c Company) string { return c.ID }, func(shard int) ([]Company, error) {
 		cb, err := shardProfiles[cbProfile](ctx, st, crawler.NSCrunchBase, shard, snap)
 		if err != nil {
 			return nil, err
@@ -217,12 +284,13 @@ func LoadCompanies(ctx context.Context, st *store.Store, snapshot int) ([]Compan
 		if err != nil {
 			return nil, err
 		}
-		clear(at)
-		err = store.ScanShardAsContext(ctx, st, crawler.NSStartups, shard, func(r crawler.StartupRecord) error {
+		var rows []Company
+		at := map[string]int{} // startup ID → its row, for a later record to replace
+		err = store.ScanShardAsContext(ctx, st, crawler.NSStartups, shard, func(r startupRecord) error {
 			if r.Snapshot != snap {
 				return nil
 			}
-			row := companyRow(&r.Startup, cb[r.ID], fb[r.ID], tw[r.ID])
+			row := companyRow(&r, cb[r.ID], fb[r.ID], tw[r.ID])
 			if i, seen := at[r.ID]; seen {
 				rows[i] = row
 			} else {
@@ -231,18 +299,14 @@ func LoadCompanies(ctx context.Context, st *store.Store, snapshot int) ([]Compan
 			}
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	slices.SortFunc(rows, func(a, b Company) int { return strings.Compare(a.ID, b.ID) })
-	return rows, nil
+		return rows, err
+	})
 }
 
 // LoadInvestors returns the snapshot's investor rows sorted by ID: the
 // users with at least one investment, reduced to ID, investment list
 // and follow count. The raw follow lists — the bulk of a user record —
-// are released record by record. Pass snapshot -1 for the latest. The
+// are counted, never decoded. Pass snapshot -1 for the latest. The
 // context bounds the namespace scan.
 func LoadInvestors(ctx context.Context, st *store.Store, snapshot int) ([]Investor, error) {
 	snap, err := crawledSnapshot(ctx, st, snapshot)
@@ -253,30 +317,25 @@ func LoadInvestors(ctx context.Context, st *store.Store, snapshot int) ([]Invest
 	if err != nil {
 		return nil, err
 	}
-	var rows []Investor
-	byID := map[string]Investor{}
-	for shard := 0; shard < k; shard++ {
-		clear(byID)
-		err := store.ScanShardAsContext(ctx, st, crawler.NSUsers, shard, func(r crawler.UserRecord) error {
+	return walkShards(k, func(inv Investor) string { return inv.ID }, func(shard int) ([]Investor, error) {
+		byID := map[string]Investor{}
+		err := store.ScanShardAsContext(ctx, st, crawler.NSUsers, shard, func(r userRecord) error {
 			if r.Snapshot != snap {
 				return nil
 			}
-			if inv, ok := investorRow(&r.User); ok {
+			if inv, ok := investorRow(r.ID, r.Investments, int(r.Follows)); ok {
 				byID[r.ID] = inv
 			} else {
 				delete(byID, r.ID)
 			}
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
+		rows := make([]Investor, 0, len(byID))
 		for _, inv := range byID {
 			rows = append(rows, inv)
 		}
-	}
-	slices.SortFunc(rows, func(a, b Investor) int { return strings.Compare(a.ID, b.ID) })
-	return rows, nil
+		return rows, err
+	})
 }
 
 func hasNamespace(st *store.Store, ns string) bool {

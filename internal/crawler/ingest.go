@@ -1,12 +1,23 @@
 package crawler
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
 	"crowdscope/internal/ecosystem"
 	"crowdscope/internal/store"
 )
+
+// ingestPairs maps each generated namespace to its crawl counterpart,
+// in the order IngestGenerated commits them.
+var ingestPairs = [][2]string{
+	{ecosystem.NSGenStartups, NSStartups},
+	{ecosystem.NSGenUsers, NSUsers},
+	{ecosystem.NSGenCrunchBase, NSCrunchBase},
+	{ecosystem.NSGenFacebook, NSFacebook},
+	{ecosystem.NSGenTwitter, NSTwitter},
+}
 
 // IngestGenerated promotes a streamed generated world — the gen/*
 // namespaces ecosystem.GenerateTo commits — into the standard crawl
@@ -16,86 +27,63 @@ import (
 // exactly what Persist writes after a real crawl, so every downstream
 // stage is oblivious to which path produced the data.
 //
-// Each crawl namespace inherits its source namespace's shard count and
-// key (startups and users shard by their own ID, augmentation profiles
-// by the owning startup ID), so the crawl namespaces stay co-sharded
-// with each other and a shard-at-a-time freeze never needs records from
-// two shards at once. The transform streams record by record: peak
-// memory is O(1) in world size.
+// A crawl record is its generated record plus a trailing snapshot field
+// (StartupRecord and UserRecord embed the entity, AugmentRecord is
+// GenAugment and the tag), so the copy is a byte splice: each payload's
+// closing brace becomes `,"snapshot":N}` and nothing is decoded. A
+// payload that is not a non-empty JSON object fails the ingest; any
+// other malformation is left to the freeze, whose decode rejects it.
+//
+// Each record goes to the shard it was read from, so a crawl namespace
+// inherits its source's shard count and key (startups and users shard
+// by their own ID, augmentation profiles by the owning startup ID) and a
+// shard-at-a-time freeze never needs records from two shards at once.
+// Peak memory is O(1) in world size.
 //
 // Returns the total number of records ingested. The context bounds the
-// durable writes; segment commits are atomic so cancellation never
-// leaves a torn namespace.
+// durable writes; a namespace commits whole or, on any error, not at all.
 func IngestGenerated(ctx context.Context, s *store.Store, snapshotNum int) (int64, error) {
+	tag := fmt.Appendf(nil, `,"snapshot":%d}`, snapshotNum)
 	var total int64
-	n, err := ingestNS(ctx, s, ecosystem.NSGenStartups, NSStartups,
-		func(r ecosystem.Startup) (string, any) {
-			return r.ID, StartupRecord{Startup: r, Snapshot: snapshotNum}
-		})
-	total += n
-	if err != nil {
-		return total, err
+	for _, p := range ingestPairs {
+		n, err := ingestNS(ctx, s, p[0], p[1], tag)
+		if err != nil {
+			return total, fmt.Errorf("crawler: ingest %s into %s: %w", p[0], p[1], err)
+		}
+		total += n
 	}
-	n, err = ingestNS(ctx, s, ecosystem.NSGenUsers, NSUsers,
-		func(r ecosystem.User) (string, any) {
-			return r.ID, UserRecord{User: r, Snapshot: snapshotNum}
-		})
-	total += n
-	if err != nil {
-		return total, err
-	}
-	n, err = ingestNS(ctx, s, ecosystem.NSGenCrunchBase, NSCrunchBase,
-		func(r ecosystem.GenAugment[ecosystem.CrunchBaseProfile]) (string, any) {
-			return r.StartupID, AugmentRecord[ecosystem.CrunchBaseProfile]{StartupID: r.StartupID, Profile: r.Profile, Snapshot: snapshotNum}
-		})
-	total += n
-	if err != nil {
-		return total, err
-	}
-	n, err = ingestNS(ctx, s, ecosystem.NSGenFacebook, NSFacebook,
-		func(r ecosystem.GenAugment[ecosystem.FacebookProfile]) (string, any) {
-			return r.StartupID, AugmentRecord[ecosystem.FacebookProfile]{StartupID: r.StartupID, Profile: r.Profile, Snapshot: snapshotNum}
-		})
-	total += n
-	if err != nil {
-		return total, err
-	}
-	n, err = ingestNS(ctx, s, ecosystem.NSGenTwitter, NSTwitter,
-		func(r ecosystem.GenAugment[ecosystem.TwitterProfile]) (string, any) {
-			return r.StartupID, AugmentRecord[ecosystem.TwitterProfile]{StartupID: r.StartupID, Profile: r.Profile, Snapshot: snapshotNum}
-		})
-	total += n
-	return total, err
+	return total, nil
 }
 
 // ingestNS streams one generated namespace into its crawl counterpart,
 // preserving the shard count and per-shard record order.
-func ingestNS[In any](ctx context.Context, s *store.Store, from, to string, wrap func(In) (string, any)) (int64, error) {
+func ingestNS(ctx context.Context, s *store.Store, from, to string, tag []byte) (int64, error) {
 	k, err := s.ShardCount(from)
 	if err != nil {
-		return 0, fmt.Errorf("crawler: ingest %s: %w", from, err)
+		return 0, err
 	}
 	w, err := s.ShardedWriter(to, k)
 	if err != nil {
-		return 0, fmt.Errorf("crawler: ingest %s: %w", to, err)
+		return 0, err
 	}
+	defer w.Abort() // a no-op once Close has committed
 	var n int64
+	var buf []byte
 	for shard := 0; shard < k; shard++ {
-		err := store.ScanShardAsContext(ctx, s, from, shard, func(r In) error {
-			key, rec := wrap(r)
-			if err := w.Append(key, rec); err != nil {
-				return err
+		err := s.ScanShardContext(ctx, from, shard, func(payload []byte) error {
+			// Only braces around at least one member take the tag.
+			end := len(payload) - 1
+			if end < 1 || payload[0] != '{' || payload[end] != '}' ||
+				!bytes.HasPrefix(bytes.TrimLeft(payload[1:end], " \t\r\n"), []byte(`"`)) {
+				return fmt.Errorf("shard %d, after %d records: payload is not a non-empty JSON object: %.40q", shard, n, payload)
 			}
+			buf = append(append(buf[:0], payload[:end]...), tag...)
 			n++
-			return nil
+			return w.AppendRawTo(shard, buf)
 		})
 		if err != nil {
-			w.Close()
-			return n, fmt.Errorf("crawler: ingest %s: %w", from, err)
+			return 0, err
 		}
 	}
-	if err := w.Close(); err != nil {
-		return n, fmt.Errorf("crawler: ingest %s: %w", to, err)
-	}
-	return n, nil
+	return n, w.Close()
 }

@@ -3,6 +3,7 @@ package ecosystem
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"crowdscope/internal/stats"
@@ -204,12 +205,6 @@ func plantCommunitiesAndInvestments(w *World, rng *rand.Rand) error {
 	}
 	var balls []int32 // one entry per investment edge, for preferential picks
 	invested := make(map[int32]struct{}, 8)
-	// Startup ID -> dense index for mirror lookups (the world-level index
-	// is only built after generation completes).
-	idIdx := make(map[string]int32, len(w.Startups))
-	for i, st := range w.Startups {
-		idIdx[st.ID] = int32(i)
-	}
 	// Pass 1 routes non-backers (including syndicate leads); pass 2
 	// routes backers, who can then mirror their lead's realized picks.
 	ordered := make([]int32, 0, len(investors))
@@ -250,10 +245,9 @@ func plantCommunitiesAndInvestments(w *World, rng *rand.Rand) error {
 			for attempt := 0; attempt < 8; attempt++ {
 				var target int32 = -1
 				if len(leadPicks) > 0 && attempt < 2 && rng.Float64() < cfg.SyndicateMirror {
-					if idx, ok := idIdx[leadPicks[rng.Intn(len(leadPicks))]]; ok {
-						if _, dup := invested[idx]; !dup {
-							target = idx
-						}
+					idx := startupIndex(leadPicks[rng.Intn(len(leadPicks))])
+					if _, dup := invested[idx]; !dup {
+						target = idx
 					}
 				}
 				if target < 0 && len(comms) > 0 && attempt < 2 {
@@ -350,8 +344,13 @@ func genFollows(w *World, rng *rand.Rand, em emitter) error {
 		u := w.Users[rng.Intn(len(w.Users))]
 		u.FollowsStartups = append(u.FollowsStartups, s.ID)
 	}
-	// Pass 3: volume. Lognormal counts with the configured means.
+	// Pass 3: volume. Lognormal counts with the configured means. The
+	// dedupe sets are keyed by the drawn index (IDs are unique per index):
+	// an entry of ui+1 means user ui follows it, so nothing is cleared.
+	seen := make([]int32, len(w.Startups))
+	seenU := make([]int32, len(w.Users))
 	for ui, u := range w.Users {
+		mark := int32(ui + 1)
 		mean := cfg.FollowsPerNonInvestor
 		if u.Role == RoleInvestor {
 			mean = cfg.FollowsPerInvestor
@@ -362,38 +361,38 @@ func genFollows(w *World, rng *rand.Rand, em emitter) error {
 		if n > len(w.Startups)/2 {
 			n = len(w.Startups) / 2
 		}
-		seen := map[string]struct{}{}
 		for _, id := range u.FollowsStartups {
-			seen[id] = struct{}{}
+			seen[startupIndex(id)] = mark
 		}
 		// Investors preferentially follow what they invested in.
 		for _, id := range u.Investments {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
+			if si := startupIndex(id); seen[si] != mark {
+				seen[si] = mark
 				u.FollowsStartups = append(u.FollowsStartups, id)
 			}
 		}
+		u.FollowsStartups = slices.Grow(u.FollowsStartups, max(0, n-len(u.FollowsStartups)))
 		for k := len(u.FollowsStartups); k < n; k++ {
-			s := w.Startups[rng.Intn(len(w.Startups))]
-			if _, dup := seen[s.ID]; dup {
+			si := rng.Intn(len(w.Startups))
+			if seen[si] == mark {
 				continue
 			}
-			seen[s.ID] = struct{}{}
-			u.FollowsStartups = append(u.FollowsStartups, s.ID)
+			seen[si] = mark
+			u.FollowsStartups = append(u.FollowsStartups, w.Startups[si].ID)
 		}
 		// User-to-user follows.
 		m := int(stats.LogNormal(rng, math.Log(cfg.FollowsUsersMean)-0.5, 1.0))
 		if m > len(w.Users)/2 {
 			m = len(w.Users) / 2
 		}
-		seenU := map[string]struct{}{u.ID: {}}
+		seenU[ui] = mark
 		for k := 0; k < m; k++ {
-			v := w.Users[rng.Intn(len(w.Users))]
-			if _, dup := seenU[v.ID]; dup {
+			vi := rng.Intn(len(w.Users))
+			if seenU[vi] == mark {
 				continue
 			}
-			seenU[v.ID] = struct{}{}
-			u.FollowsUsers = append(u.FollowsUsers, v.ID)
+			seenU[vi] = mark
+			u.FollowsUsers = append(u.FollowsUsers, w.Users[vi].ID)
 		}
 		if err := em.user(u); err != nil {
 			return err

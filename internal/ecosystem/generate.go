@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"crowdscope/internal/stats"
@@ -88,6 +90,17 @@ func emitStartups(w *World, em emitter) error {
 	return nil
 }
 
+// startupID names the startup generated at index i of World.Startups;
+// startupIndex inverts it, so a generation phase holding an ID can key
+// per-startup state by index without an ID map. Generation only holds
+// IDs it minted: any other string is a bug, and its -1 panics on use.
+func startupID(i int) string { return "s" + strconv.Itoa(i+1) }
+
+func startupIndex(id string) int32 {
+	n, _ := strconv.Atoi(strings.TrimPrefix(id, "s")) // 0 on error: index -1
+	return int32(n - 1)
+}
+
 // genStartups creates companies with raising flags, social links and demo
 // videos, following the Figure 6 category masses.
 func genStartups(w *World, rng *rand.Rand) {
@@ -121,7 +134,7 @@ func genStartups(w *World, rng *rand.Rand) {
 		used[normalizeName(name)] = struct{}{}
 		lastName = name
 		s := &Startup{
-			ID:   fmt.Sprintf("s%d", i+1),
+			ID:   startupID(i),
 			Name: name,
 		}
 		// Social category draw.

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"crowdscope/internal/parallel"
 )
 
 // Sharded namespaces partition records by entity key into K independent
 // segment groups, so readers can process one shard's records at a time
-// (bounding peak memory at O(namespace/K)) or scan shards in parallel.
+// (bounding peak memory at O(namespace/K)) or walk shards concurrently.
 // The shard of a record is a pure function of its key — ShardFor — which
 // lets independent namespaces that share keys (a startup and its
 // augmentation profiles) co-shard, so a per-shard join never needs
@@ -135,12 +133,22 @@ func (w *ShardedWriter) Append(key string, v any) error {
 
 // AppendRaw appends a pre-marshaled JSON payload to the key's shard.
 func (w *ShardedWriter) AppendRaw(key string, payload []byte) error {
+	return w.AppendRawTo(ShardFor(key, len(w.shards)), payload)
+}
+
+// AppendRawTo appends a pre-marshaled JSON payload to the given shard,
+// for a caller copying records out of a namespace sharded by the same
+// key and count, where the source shard is the key's shard.
+func (w *ShardedWriter) AppendRawTo(shard int, payload []byte) error {
 	if w.closed {
 		return errors.New("store: append to closed writer")
 	}
-	sa := w.shards[ShardFor(key, len(w.shards))]
+	if shard < 0 || shard >= len(w.shards) {
+		return fmt.Errorf("store: namespace %q has %d shards, append to shard %d", w.ns, len(w.shards), shard)
+	}
+	sa := w.shards[shard]
 	if sa.seg == nil {
-		seg, err := newSegmentWriter(filepath.Join(w.s.dir, w.segmentFile(sa)))
+		seg, err := newSegmentWriter(filepath.Join(w.s.dir, shardDir(w.ns, shard), fmt.Sprintf("seg-%06d.csg", sa.seq)))
 		if err != nil {
 			return err
 		}
@@ -154,15 +162,6 @@ func (w *ShardedWriter) AppendRaw(key string, payload []byte) error {
 		return w.rotate(sa)
 	}
 	return nil
-}
-
-func (w *ShardedWriter) segmentFile(sa *shardAppender) string {
-	for i, s := range w.shards {
-		if s == sa {
-			return filepath.Join(shardDir(w.ns, i), fmt.Sprintf("seg-%06d.csg", sa.seq))
-		}
-	}
-	panic("store: shard appender not owned by writer")
 }
 
 func (w *ShardedWriter) rotate(sa *shardAppender) error {
@@ -257,11 +256,33 @@ func (w *ShardedWriter) Close() error {
 		return nil
 	}
 	err := w.Flush()
+	w.release()
+	return err
+}
+
+// Abort releases the writer slot without committing: every record
+// appended since the last Flush is discarded and its segment files are
+// removed. A no-op on a closed writer.
+func (w *ShardedWriter) Abort() {
+	if w.closed {
+		return
+	}
+	for _, sa := range w.shards {
+		if sa.seg != nil {
+			sa.seg.abort()
+		}
+		for _, seg := range sa.sealed {
+			os.Remove(filepath.Join(w.s.dir, seg.File))
+		}
+	}
+	w.release()
+}
+
+func (w *ShardedWriter) release() {
 	w.closed = true
 	w.s.mu.Lock()
 	delete(w.s.writers, w.ns)
 	w.s.mu.Unlock()
-	return err
 }
 
 // snapshotShard returns the committed segment list of one shard. Legacy
@@ -313,29 +334,6 @@ func (s *Store) ScanShardContext(ctx context.Context, ns string, shard int, fn f
 			return fmt.Errorf("store: scan %q shard %d: %w", ns, shard, err)
 		}
 		return fn(payload)
-	})
-}
-
-// ScanShardsParallel scans every shard of the namespace concurrently on
-// the work-stealing pool (workers <= 0 selects the process default).
-// Within one shard records arrive in append order, but fn is called
-// from multiple goroutines for different shards, so it must be safe for
-// concurrent use and must not assume cross-shard ordering. The payload
-// slice is reused per shard; fn must copy it if retained. The first
-// error cancels the remaining work.
-func (s *Store) ScanShardsParallel(ctx context.Context, ns string, workers int, fn func(shard int, payload []byte) error) error {
-	k, err := s.ShardCount(ns)
-	if err != nil {
-		return err
-	}
-	pool := parallel.Default()
-	if workers > 0 {
-		pool = parallel.New(workers)
-	}
-	return pool.EachErr(k, func(shard int) error {
-		return s.ScanShardContext(ctx, ns, shard, func(payload []byte) error {
-			return fn(shard, payload)
-		})
 	})
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -197,25 +196,65 @@ func TestLegacyNamespaceReadsAsSingleShard(t *testing.T) {
 	}
 }
 
-func TestScanShardsParallelCoversEverything(t *testing.T) {
+// A shard-to-shard copy appends by shard index; an aborted one commits
+// nothing, leaves no segment file behind and frees the writer slot.
+func TestAppendRawToCopiesShardsAndAbortCommitsNothing(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := writeSharded(t, s, "gen/items", 8, 500)
-	var mu sync.Mutex
-	seen := map[string]bool{}
-	err = s.ScanShardsParallel(context.Background(), "gen/items", 4, func(shard int, payload []byte) error {
-		mu.Lock()
-		defer mu.Unlock()
-		seen[string(payload)] = true
-		return nil
-	})
-	if err != nil {
+	s.SegmentBytes = 256 // several sealed-but-uncommitted segments per shard
+	const k = 4
+	want := writeSharded(t, s, "gen/items", k, 200)
+	copyTo := func(ns string) *ShardedWriter {
+		w, err := s.ShardedWriter(ns, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for shard := 0; shard < k; shard++ {
+			err := s.ScanShard("gen/items", shard, func(p []byte) error { return w.AppendRawTo(shard, p) })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+	w := copyTo("copy/items")
+	if err := w.AppendRawTo(k, []byte(`{}`)); err == nil {
+		t.Fatal("append to shard k of k must fail")
+	}
+	w.Abort()
+	w.Abort() // idempotent
+	if err := w.AppendRawTo(0, []byte(`{}`)); err == nil {
+		t.Fatal("append after abort must fail")
+	}
+	for _, ns := range s.Namespaces() {
+		if ns == "copy/items" {
+			t.Fatal("aborted writer committed its namespace")
+		}
+	}
+	left, _ := filepath.Glob(filepath.Join(s.Dir(), shardDir("copy/items", 0), "*"))
+	if len(left) != 0 {
+		t.Fatalf("aborted writer left segment files: %v", left)
+	}
+	if err := copyTo("copy/items").Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != len(want) {
-		t.Fatalf("parallel scan saw %d distinct records, want %d", len(seen), len(want))
+	n := 0
+	for shard := 0; shard < k; shard++ {
+		err := ScanShardAsContext(context.Background(), s, "copy/items", shard, func(r shardRec) error {
+			if ShardFor(r.ID, k) != shard {
+				t.Errorf("record %s copied to shard %d, key routes to %d", r.ID, shard, ShardFor(r.ID, k))
+			}
+			n++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n != len(want) {
+		t.Fatalf("copy holds %d records, want %d", n, len(want))
 	}
 }
 

@@ -46,9 +46,11 @@ go run ./cmd/crowdlint ./...
 #                      recover byte-identically; the in-memory crawl
 #                      merge and the store loader build the same rows
 #   sharded-freeze     streaming generation matches in-memory generation;
-#                      the freeze is shard-count invariant, pinned to the
-#                      golden digests, and a re-persisted round freezes
-#                      as its last persist
+#                      the spliced ingest is the typed ingest byte for
+#                      byte; the freeze is shard-count and worker-count
+#                      invariant (its shard walk is concurrent), pinned
+#                      to the golden digests, and a re-persisted round
+#                      freezes as its last persist
 #   fleet-chaos        workers SIGKILLed mid-round still merge to an
 #                      artifact bit-identical to a fault-free single-
 #                      worker crawl; the front serves zero 5xx while at
@@ -67,15 +69,21 @@ run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
 run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestIndexedRouteBodiesMatchScanRoute' ./internal/core ./internal/serve
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
-run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestShardedFreeze|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/core
+run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite fleet-chaos    'TestFleetChaosKillWorkersMergeBitIdentical|TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/fleet ./internal/fleet/front
 
-# Hostile and random statements: ten seconds of native fuzzing each on
-# the parser (a query error, or a statement whose canonical text parses
-# back to itself; never a panic) and on the row contract (core's typed
-# records and the same rows decoded from JSON give the same bytes).
-for target in FuzzParse FuzzTypedVsDecoded; do
-  go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s ./internal/query
+# Hostile and random bytes: ten seconds or so of native fuzzing each on the
+# parser (a query error, or a statement whose canonical text parses
+# back to itself; never a panic), on the row contract (core's typed
+# records and the same rows decoded from JSON give the same bytes) and
+# on the freeze's user projection (it decodes whatever the typed user
+# record decodes, to the same fields; its array-length decoder accepts
+# exactly what a []string decode accepts). internal/core gets 20 s: its
+# TestMain crawls the package fixture in the coordinator and in every
+# fuzz worker before the first input runs, which takes about half of it.
+for entry in FuzzParse:./internal/query:10s FuzzTypedVsDecoded:./internal/query:10s FuzzUserProjection:./internal/core:20s; do
+  IFS=: read -r target pkg budget <<<"$entry"
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime="$budget" "$pkg"
 done
 
 # Per-package coverage floors (percent).
