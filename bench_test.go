@@ -20,7 +20,6 @@ import (
 	"crowdscope/internal/community"
 	"crowdscope/internal/core"
 	"crowdscope/internal/crawler"
-	"crowdscope/internal/dataflow"
 	"crowdscope/internal/ecosystem"
 	"crowdscope/internal/graph"
 	"crowdscope/internal/metrics"
@@ -456,33 +455,6 @@ func BenchmarkA3SampledMetric(b *testing.B) {
 	})
 }
 
-// ---- A4: dataflow scaling ablation ----
-
-// BenchmarkA4DataflowScaling measures the Spark-substitute's ReduceByKey
-// throughput as partitions grow.
-func BenchmarkA4DataflowScaling(b *testing.B) {
-	const n = 200000
-	pairs := make([]dataflow.Pair[int, int], n)
-	for i := range pairs {
-		pairs[i] = dataflow.KV(i%1000, 1)
-	}
-	for _, parts := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d := dataflow.FromSlice(pairs, parts)
-				out, err := dataflow.ReduceByKey(d, func(a, c int) int { return a + c }).Collect()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(out) != 1000 {
-					b.Fatalf("keys = %d", len(out))
-				}
-			}
-			b.SetBytes(int64(n * 16))
-		})
-	}
-}
-
 // ---- A5: store scan ablation ----
 
 // BenchmarkA5StoreScan measures namespace scan throughput across segment
@@ -499,14 +471,14 @@ func BenchmarkA5StoreScan(b *testing.B) {
 				b.Fatal(err)
 			}
 			st.SegmentBytes = segBytes
-			w, err := st.Writer("bench")
+			w, err := st.Writer("bench", 1)
 			if err != nil {
 				b.Fatal(err)
 			}
 			const n = 20000
 			var total int64
 			for i := 0; i < n; i++ {
-				if err := w.Append(rec{ID: i, Body: "crowdfunding social network record payload"}); err != nil {
+				if err := w.Append("", rec{ID: i, Body: "crowdfunding social network record payload"}); err != nil {
 					b.Fatal(err)
 				}
 			}

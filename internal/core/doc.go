@@ -4,7 +4,8 @@
 //
 //   - Merging the AngelList snapshot with the CrunchBase, Facebook and
 //     Twitter augmentations into one company dataset (Section 3), via the
-//     dataflow engine's joins.
+//     shard-at-a-time store loader (a shard holds a startup and all its
+//     profiles, so the join is a per-shard lookup).
 //   - The social-engagement success table of Figure 6 (Section 4).
 //   - The investor→company bipartite graph extraction and degree-share
 //     statistics of Section 5.1.

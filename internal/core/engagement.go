@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"crowdscope/internal/dataflow"
 	"crowdscope/internal/stats"
 )
 
@@ -47,14 +46,13 @@ func Thresholds(companies []Company) EngagementThresholds {
 }
 
 // EngagementTable reproduces the Figure 6 summary table over the merged
-// companies, running each category count as a parallel dataflow query
+// companies: one count of matches and of funded matches per category
 // (the paper's Spark aggregation). The categories follow the paper's
 // semantics: "Facebook" and "Twitter" rows mean a valid link is present
 // (possibly along with the other network); success means at least one
-// CrunchBase funding round.
+// CrunchBase funding round. The error is always nil.
 func EngagementTable(companies []Company) ([]EngagementRow, EngagementThresholds, error) {
 	th := Thresholds(companies)
-	ds := dataflow.FromSlice(companies, partitionsFor(len(companies))).Cache()
 	total := len(companies)
 
 	categories := []struct {
@@ -82,14 +80,14 @@ func EngagementTable(companies []Company) ([]EngagementRow, EngagementThresholds
 
 	rows := make([]EngagementRow, 0, len(categories))
 	for _, cat := range categories {
-		matched := dataflow.Filter(ds, cat.pred)
-		n, err := matched.Count()
-		if err != nil {
-			return nil, th, err
-		}
-		funded, err := dataflow.Filter(matched, func(c Company) bool { return c.Funded }).Count()
-		if err != nil {
-			return nil, th, err
+		n, funded := 0, 0
+		for _, c := range companies {
+			if cat.pred(c) {
+				n++
+				if c.Funded {
+					funded++
+				}
+			}
 		}
 		row := EngagementRow{Label: cat.label, Count: n}
 		if total > 0 {

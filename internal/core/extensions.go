@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"crowdscope/internal/crawler"
-	"crowdscope/internal/dataflow"
 	"crowdscope/internal/dynamics"
 	"crowdscope/internal/predict"
 	"crowdscope/internal/stats"
@@ -22,8 +21,9 @@ import (
 // ---- E11: success prediction ----
 
 // LoadCompanyFollowerCounts aggregates, per startup, how many AngelList
-// users follow it — a dataflow flatMap + countByKey over the whole user
-// snapshot (the "node degree in the AngelList network" feature of §7).
+// users follow it — a count by key over the follow lists of the whole
+// user snapshot (the "node degree in the AngelList network" feature of
+// §7).
 // The context bounds the user scan.
 func LoadCompanyFollowerCounts(ctx context.Context, st *store.Store, snapshot int) (map[string]int, error) {
 	snapshot, err := crawledSnapshot(ctx, st, snapshot)
@@ -41,19 +41,13 @@ func LoadCompanyFollowerCounts(ctx context.Context, st *store.Store, snapshot in
 	if err != nil {
 		return nil, err
 	}
-	users := make([]crawler.UserRecord, 0, len(latest))
+	counts := map[string]int{}
 	for _, r := range latest {
-		users = append(users, r)
-	}
-	ds := dataflow.FromSlice(users, partitionsFor(len(users)))
-	follows := dataflow.FlatMap(ds, func(r crawler.UserRecord) []dataflow.Pair[string, int] {
-		out := make([]dataflow.Pair[string, int], len(r.FollowsStartups))
-		for i, sid := range r.FollowsStartups {
-			out[i] = dataflow.KV(sid, 1)
+		for _, sid := range r.FollowsStartups {
+			counts[sid]++
 		}
-		return out
-	})
-	return dataflow.CountByKey(follows)
+	}
+	return counts, nil
 }
 
 // BuildFeatures assembles the §7 prediction dataset: social presence and

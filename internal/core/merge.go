@@ -41,19 +41,6 @@ type Investor struct {
 	Follows     int
 }
 
-// partitionsFor picks a dataflow partition count proportional to data
-// size (the aggregations in engagement.go and extensions.go).
-func partitionsFor(n int) int {
-	p := n / 4096
-	if p < 4 {
-		p = 4
-	}
-	if p > 64 {
-		p = 64
-	}
-	return p
-}
-
 // LatestSnapshot returns the largest snapshot tag in the startups
 // namespace, or an error when nothing was crawled. The context bounds
 // the namespace scan, which decodes the tag and nothing else.

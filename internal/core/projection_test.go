@@ -194,7 +194,7 @@ func TestFreezeRejectsMalformedRecord(t *testing.T) {
 		ecosystem.NSGenTwitter:  crawler.NSTwitter,
 	} {
 		st := generatedStore(t, 0.0001, 2)
-		w, err := st.ShardedWriter(ns, 2)
+		w, err := st.Writer(ns, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

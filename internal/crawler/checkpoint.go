@@ -97,12 +97,12 @@ func SaveCheckpoint(ctx context.Context, s *store.Store, ns string, cp *Checkpoi
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("crawler: checkpoint: %w", err)
 	}
-	w, err := s.Writer(ns)
+	w, err := s.Writer(ns, 1)
 	if err != nil {
 		return fmt.Errorf("crawler: checkpoint: %w", err)
 	}
-	if err := w.Append(cp); err != nil {
-		w.Close()
+	if err := w.Append("", cp); err != nil {
+		w.Abort()
 		return fmt.Errorf("crawler: checkpoint: %w", err)
 	}
 	if err := w.Close(); err != nil {

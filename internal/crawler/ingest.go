@@ -62,7 +62,7 @@ func ingestNS(ctx context.Context, s *store.Store, from, to string, tag []byte) 
 	if err != nil {
 		return 0, err
 	}
-	w, err := s.ShardedWriter(to, k)
+	w, err := s.Writer(to, k)
 	if err != nil {
 		return 0, err
 	}

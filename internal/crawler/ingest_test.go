@@ -123,7 +123,7 @@ func TestIngestGeneratedRejectsNonObjects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := st.ShardedWriter(ecosystem.NSGenStartups, 1)
+			w, err := st.Writer(ecosystem.NSGenStartups, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestIngestGeneratedRejectsNonObjects(t *testing.T) {
 			if n != 0 || slices.Contains(st.Namespaces(), NSStartups) {
 				t.Fatalf("failed ingest counted %d records, namespaces %v", n, st.Namespaces())
 			}
-			if w, err := st.ShardedWriter(NSStartups, 1); err != nil {
+			if w, err := st.Writer(NSStartups, 1); err != nil {
 				t.Fatalf("writer slot still held after a failed ingest: %v", err)
 			} else {
 				w.Abort()

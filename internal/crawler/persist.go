@@ -57,7 +57,7 @@ func Persist(ctx context.Context, s *store.Store, snap *Snapshot, snapshotNum in
 
 // PersistSharded is Persist with an explicit shard count for namespaces
 // that do not exist yet: new namespaces are created with `shards`
-// shards (<=1 means unsharded), existing ones keep their committed
+// shards (K=1 when shards <= 1), existing ones keep their committed
 // count (the store enforces equal K on reopen). It is how a crawl
 // bootstraps a store at paper scale, where every downstream stage wants
 // the K-way layout.
@@ -98,38 +98,20 @@ func persistMap[T any](ctx context.Context, s *store.Store, ns string, m map[str
 	sort.Strings(ids)
 	// An existing namespace dictates its own layout; the caller's shard
 	// count only shapes namespaces being created now.
-	k := shards
+	k := max(shards, 1)
 	if existing, err := s.ShardCount(ns); err == nil {
 		k = existing
 	}
-	if k > 1 {
-		w, err := s.ShardedWriter(ns, k)
-		if err != nil {
-			return err
-		}
-		for _, id := range ids {
-			if err := ctx.Err(); err != nil {
-				w.Close()
-				return fmt.Errorf("crawler: persist %s: %w", ns, err)
-			}
-			if err := w.Append(id, wrap(id, m[id])); err != nil {
-				w.Close()
-				return fmt.Errorf("crawler: persist %s: %w", ns, err)
-			}
-		}
-		return w.Close()
-	}
-	w, err := s.Writer(ns)
+	w, err := s.Writer(ns, k)
 	if err != nil {
 		return err
 	}
+	defer w.Abort() // a no-op once Close has committed
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
-			w.Close()
 			return fmt.Errorf("crawler: persist %s: %w", ns, err)
 		}
-		if err := w.Append(wrap(id, m[id])); err != nil {
-			w.Close()
+		if err := w.Append(id, wrap(id, m[id])); err != nil {
 			return fmt.Errorf("crawler: persist %s: %w", ns, err)
 		}
 	}

@@ -24,7 +24,7 @@ func TestSchedulerPersistFailurePropagates(t *testing.T) {
 		Store:   st,
 	}
 
-	w, err := st.Writer(NSStartups)
+	w, err := st.Writer(NSStartups, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

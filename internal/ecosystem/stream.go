@@ -88,17 +88,17 @@ func (m *memEmitter) retain() bool { return true }
 // storeEmitter streams entities into sharded store namespaces.
 type storeEmitter struct {
 	ctx     context.Context
-	writers map[string]*store.ShardedWriter
+	writers map[string]*store.Writer
 	stats   GenStats
 }
 
 func newStoreEmitter(ctx context.Context, st *store.Store, shards int) (*storeEmitter, error) {
-	em := &storeEmitter{ctx: ctx, writers: map[string]*store.ShardedWriter{}}
+	em := &storeEmitter{ctx: ctx, writers: map[string]*store.Writer{}}
 	em.stats.Shards = shards
 	for _, ns := range []string{NSGenStartups, NSGenUsers, NSGenFacebook, NSGenTwitter, NSGenCrunchBase} {
-		w, err := st.ShardedWriter(ns, shards)
+		w, err := st.Writer(ns, shards)
 		if err != nil {
-			em.closeAll()
+			em.abortAll()
 			return nil, err
 		}
 		em.writers[ns] = w
@@ -134,9 +134,15 @@ func (se *storeEmitter) crunchbase(startupID string, p *CrunchBaseProfile) error
 }
 func (se *storeEmitter) retain() bool { return false }
 
-// closeAll closes every writer, keeping the first error. On the failure
-// path unflushed records simply never commit (segment commits are
-// atomic), so a failed run leaves no torn namespaces behind.
+// abortAll discards every writer's uncommitted records, so a failed run
+// leaves no torn namespaces behind.
+func (se *storeEmitter) abortAll() {
+	for _, w := range se.writers {
+		w.Abort()
+	}
+}
+
+// closeAll commits every writer, keeping the first error.
 func (se *storeEmitter) closeAll() error {
 	var first error
 	for _, w := range se.writers {
@@ -169,7 +175,7 @@ func GenerateTo(ctx context.Context, st *store.Store, cfg Config) (*GenStats, er
 	}
 	w := newWorld(cfg)
 	if err := runGeneration(w, em); err != nil {
-		em.closeAll()
+		em.abortAll()
 		return nil, err
 	}
 	if err := em.closeAll(); err != nil {

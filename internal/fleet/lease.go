@@ -135,12 +135,12 @@ func (l *Leases) append(ctx context.Context, rec LeaseRecord) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("fleet: lease append: %w", err)
 	}
-	w, err := l.Store.Writer(l.ns())
+	w, err := l.Store.Writer(l.ns(), 1)
 	if err != nil {
 		return fmt.Errorf("fleet: lease append: %w", err)
 	}
-	if err := w.Append(rec); err != nil {
-		w.Close()
+	if err := w.Append(rec.Key, rec); err != nil {
+		w.Abort()
 		return fmt.Errorf("fleet: lease append: %w", err)
 	}
 	if err := w.Close(); err != nil {

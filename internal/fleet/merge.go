@@ -82,13 +82,13 @@ func MergePartitions(ctx context.Context, st *store.Store, parts []Partition) (*
 	return merged, nil
 }
 
-// CommitMerged persists the merged snapshot through the standard
-// pipeline (sorted-ID record order, the partition count as the shard
-// hint is NOT applied — callers wanting a sharded store persist via
-// crawler.PersistSharded themselves) and freezes it, returning the
-// frozen artifact's snapshot tag. Because persist and freeze are the
-// same code paths a single-worker crawl uses, the frozen snap and index
-// blobs come out byte-identical to that crawl's.
+// CommitMerged persists the merged snapshot through crawler.Persist
+// (sorted-ID record order; new namespaces are K=1 — the fleet's
+// partition count is not a shard count — and existing ones keep their
+// K) and freezes it, returning the frozen artifact's snapshot tag.
+// Because persist and freeze are the same code paths a single-worker
+// crawl uses, the frozen snap and index blobs come out byte-identical to
+// that crawl's.
 func CommitMerged(ctx context.Context, st *store.Store, snap *crawler.Snapshot, snapshotNum int) (int, error) {
 	if err := crawler.Persist(ctx, st, snap, snapshotNum); err != nil {
 		return 0, fmt.Errorf("fleet: commit merged: %w", err)

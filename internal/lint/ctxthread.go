@@ -8,12 +8,13 @@ import (
 // AnalyzerCtxThread enforces cancellation discipline on blocking work:
 //
 //   - A function whose body sleeps, dials the network, issues HTTP
-//     requests, performs durable store writes ((*store.Store).Writer,
-//     PutBlob, Compact), or triggers serving-layer backend reads
-//     ((*serve.Server).Refresh) must receive a context.Context as its
-//     first parameter — or carry an *http.Request parameter, whose
-//     Context() serves the same role in handlers. Package main and
-//     internal/store itself (the layer being wrapped) are exempt.
+//     requests, performs durable store writes ((*store.Store).Writer at
+//     any shard count, PutBlob, Compact), or triggers serving-layer
+//     backend reads ((*serve.Server).Refresh) must receive a
+//     context.Context as its first parameter — or carry an
+//     *http.Request parameter, whose Context() serves the same role in
+//     handlers. Package main and internal/store itself (the layer being
+//     wrapped) are exempt.
 //   - context.Background() and context.TODO() are confined to package
 //     main and tests: library code must thread the caller's context, not
 //     mint a fresh root that silently detaches cancellation.

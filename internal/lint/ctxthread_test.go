@@ -6,7 +6,7 @@ const ctxStoreFixture = `package store
 
 type Store struct{}
 
-func (s *Store) Writer(ns string) error { return nil }
+func (s *Store) Writer(ns string, shards int) error { return nil }
 `
 
 func TestCtxThreadCatchesBlockingWithoutContext(t *testing.T) {
@@ -25,7 +25,7 @@ func Wait() {
 import "fixture.test/m/internal/store"
 
 func Persist(s *store.Store) error {
-	return s.Writer("events")
+	return s.Writer("events", 1)
 }
 `,
 	})
@@ -139,10 +139,10 @@ func TestCtxThreadStoreExemptionAndSuppression(t *testing.T) {
 
 type Store struct{}
 
-func (s *Store) Writer(ns string) error { return nil }
+func (s *Store) Writer(ns string, shards int) error { return nil }
 
 func (s *Store) Flush() error {
-	return s.Writer("flush")
+	return s.Writer("flush", 1)
 }
 `,
 		"internal/core/c.go": `package core
@@ -151,7 +151,7 @@ import "fixture.test/m/internal/store"
 
 func Persist(s *store.Store) error {
 	//lint:ignore ctxthread one-shot migration helper; cancellation adds nothing
-	return s.Writer("events")
+	return s.Writer("events", 1)
 }
 `,
 	})

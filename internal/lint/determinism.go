@@ -19,7 +19,6 @@ var deterministicPackages = map[string]bool{
 	"internal/community": true,
 	"internal/metrics":   true,
 	"internal/stats":     true,
-	"internal/dataflow":  true,
 	"internal/snapshot":  true,
 	"internal/dynamics":  true,
 	"internal/predict":   true,

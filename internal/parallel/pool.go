@@ -1,8 +1,7 @@
-// Package parallel provides the bounded worker pool shared by the
-// dataflow executor and the graph-analytics kernels. It generalizes the
-// work-stealing loop that used to live inside dataflow.Executor so that
-// every parallel code path in the system — dataset partitions, per-source
-// BFS kernels, CoDA's block-coordinate row sweeps, pair-sampled metrics —
+// Package parallel provides the bounded worker pool shared by the store
+// loaders and the graph-analytics kernels, so that every parallel code
+// path in the system — the shard walk of the freeze, per-source BFS
+// kernels, CoDA's block-coordinate row sweeps, pair-sampled metrics —
 // honors one concurrency knob.
 //
 // Determinism contract: Each/EachWorker/EachErr make no ordering promises

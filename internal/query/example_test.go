@@ -22,7 +22,7 @@ func ExampleRun() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w, err := st.Writer("users")
+	w, err := st.Writer("users", 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func ExampleRun() {
 	for _, u := range []user{
 		{"investor", 300}, {"investor", 100}, {"founder", 10},
 	} {
-		if err := w.Append(u); err != nil {
+		if err := w.Append("", u); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ func TestQueryMatchesReferenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w, err := st.Writer("recs")
+		w, err := st.Writer("recs", 1)
 		if err != nil {
 			return false
 		}
@@ -36,7 +36,7 @@ func TestQueryMatchesReferenceProperty(t *testing.T) {
 				Value: float64(rng.Intn(100)),
 				Flag:  rng.Intn(2) == 0,
 			}
-			if err := w.Append(recs[i]); err != nil {
+			if err := w.Append("", recs[i]); err != nil {
 				return false
 			}
 		}
@@ -104,9 +104,9 @@ func TestLimitPrefixProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _ := st.Writer("xs")
+	w, _ := st.Writer("xs", 1)
 	for i := 0; i < 60; i++ {
-		_ = w.Append(map[string]any{"id": fmt.Sprintf("x%03d", i)})
+		_ = w.Append("", map[string]any{"id": fmt.Sprintf("x%03d", i)})
 	}
 	_ = w.Close()
 	full, err := Run(context.Background(), JSONSource{st}, "SELECT id FROM xs ORDER BY id")

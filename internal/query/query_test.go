@@ -27,7 +27,7 @@ func testStore(t *testing.T) Source {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := st.Writer("users")
+	w, err := st.Writer("users", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func testStore(t *testing.T) Source {
 		{ID: "u5", Role: "investor", Follows: 200},
 	}
 	for _, r := range rows {
-		if err := w.Append(r); err != nil {
+		if err := w.Append("", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,9 +229,9 @@ func TestDivisionByZeroIsNull(t *testing.T) {
 
 func TestBoolLiteralsAndComparison(t *testing.T) {
 	st, _ := store.Open(t.TempDir())
-	w, _ := st.Writer("things")
-	_ = w.Append(map[string]any{"id": "a", "active": true})
-	_ = w.Append(map[string]any{"id": "b", "active": false})
+	w, _ := st.Writer("things", 1)
+	_ = w.Append("", map[string]any{"id": "a", "active": true})
+	_ = w.Append("", map[string]any{"id": "b", "active": false})
 	_ = w.Close()
 	res, err := Run(context.Background(), JSONSource{st}, "SELECT id FROM things WHERE active = TRUE")
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "a" {

@@ -38,12 +38,12 @@ func indexedServer(t *testing.T, mutate func(*Options)) (*Server, *store.Store) 
 		t.Fatal(err)
 	}
 	putIndexedFrozen(t, st, 0)
-	w, err := st.Writer("users")
+	w, err := st.Writer("users", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := w.Append(map[string]any{"id": fmt.Sprintf("u%02d", i), "follows": i * 3}); err != nil {
+		if err := w.Append("", map[string]any{"id": fmt.Sprintf("u%02d", i), "follows": i * 3}); err != nil {
 			t.Fatal(err)
 		}
 	}

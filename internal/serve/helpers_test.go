@@ -97,12 +97,12 @@ func testStore(t testing.TB, snaps int) *store.Store {
 	for i := 0; i < snaps; i++ {
 		putFrozen(t, st, i)
 	}
-	w, err := st.Writer("users")
+	w, err := st.Writer("users", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := w.Append(map[string]any{"id": fmt.Sprintf("u%02d", i), "follows": i * 3}); err != nil {
+		if err := w.Append("", map[string]any{"id": fmt.Sprintf("u%02d", i), "follows": i * 3}); err != nil {
 			t.Fatal(err)
 		}
 	}

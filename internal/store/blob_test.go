@@ -35,11 +35,11 @@ func TestNsDirInjective(t *testing.T) {
 func TestNsDirAliasNamespacesCoexist(t *testing.T) {
 	s := openTemp(t)
 	write := func(ns string, id int) {
-		w, err := s.Writer(ns)
+		w, err := s.Writer(ns, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Append(rec{ID: id, Name: ns}); err != nil {
+		if err := w.Append("", rec{ID: id, Name: ns}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -108,18 +108,18 @@ func TestBlobKindExclusive(t *testing.T) {
 	if err := s.PutBlob("frozen/snap-000001", 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Writer("frozen/snap-000001"); err == nil {
+	if _, err := s.Writer("frozen/snap-000001", 1); err == nil {
 		t.Fatal("Writer on a blob namespace must fail")
 	}
 	if err := s.Scan("frozen/snap-000001", func([]byte) error { return nil }); err == nil {
 		t.Fatal("Scan on a blob namespace must fail")
 	}
 
-	w, err := s.Writer("angellist/startups")
+	w, err := s.Writer("angellist/startups", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(rec{ID: 1}); err != nil {
+	if err := w.Append("", rec{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -51,31 +51,23 @@ type ShardInfo struct {
 	NextSeq int64 `json:"next_seq"`
 }
 
-// NamespaceInfo lists the sealed segments of one namespace in append order.
+// NamespaceInfo describes one namespace: the shards of a JSON namespace,
+// or the artifact of a blob namespace.
 type NamespaceInfo struct {
+	// Segments is the layout manifests used for unsharded namespaces
+	// before every JSON namespace had shards. Only loadManifest reads it,
+	// folding it into Shards; it is nil in every loaded manifest.
 	Segments []SegmentInfo `json:"segments"`
-	// NextSeq numbers the next segment (or blob) file for the namespace.
+	// NextSeq numbers the next blob file of a blob namespace.
 	NextSeq int64 `json:"next_seq"`
 	// Kind distinguishes JSON segment namespaces ("") from binary blob
 	// namespaces ("blob").
 	Kind string `json:"kind,omitempty"`
 	// Blob is the committed artifact of a blob namespace.
 	Blob *BlobInfo `json:"blob,omitempty"`
-	// Shards, when present, marks a hash-partitioned namespace written by
-	// ShardedWriter: records live in len(Shards) independent segment
-	// groups and Segments/NextSeq above are unused. Manifests written
-	// before sharding existed simply lack the field, so legacy
-	// namespaces load unchanged and read as a single shard.
+	// Shards holds a JSON namespace's records in len(Shards) independent
+	// segment groups; an unsharded namespace is K=1.
 	Shards []*ShardInfo `json:"shards,omitempty"`
-}
-
-// shardCount returns how many shards the namespace holds (1 for legacy
-// unsharded namespaces).
-func (info *NamespaceInfo) shardCount() int {
-	if info.Shards == nil {
-		return 1
-	}
-	return len(info.Shards)
 }
 
 // manifest is the on-disk catalog of every namespace.
@@ -106,7 +98,29 @@ func loadManifest(dir string) (*manifest, error) {
 	if m.Namespaces == nil {
 		m.Namespaces = map[string]*NamespaceInfo{}
 	}
+	for _, info := range m.Namespaces {
+		if info.Kind == KindJSON && info.Shards == nil {
+			// Written before every JSON namespace had shards: the segments
+			// become shard 0 where they lie, and the next commit stores
+			// the folded form.
+			info.Shards = []*ShardInfo{{Segments: info.Segments, NextSeq: info.NextSeq}}
+			info.Segments, info.NextSeq = nil, 0
+		}
+	}
 	return &m, nil
+}
+
+// jsonNamespace returns the committed entry of a JSON namespace. The
+// caller holds the store's lock.
+func (m *manifest) jsonNamespace(ns string) (*NamespaceInfo, error) {
+	info := m.Namespaces[ns]
+	if info == nil {
+		return nil, fmt.Errorf("store: unknown namespace %q", ns)
+	}
+	if info.Kind == KindBlob {
+		return nil, fmt.Errorf("store: namespace %q holds a binary blob, not JSON segments", ns)
+	}
+	return info, nil
 }
 
 // commit atomically replaces the manifest on disk.

@@ -25,7 +25,7 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		st.SegmentBytes = int64(segKB)%8*512 + 128 // 128..3712 bytes
-		w, err := st.Writer("p/docs")
+		w, err := st.Writer("p/docs", 1)
 		if err != nil {
 			return false
 		}
@@ -41,7 +41,7 @@ func TestRoundTripProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if err := w.AppendRaw(raw); err != nil {
+			if err := w.AppendRaw("", raw); err != nil {
 				return false
 			}
 			want = append(want, raw)
@@ -115,7 +115,7 @@ func TestCompactPreservesContentProperty(t *testing.T) {
 			return false
 		}
 		st.SegmentBytes = 256
-		w, err := st.Writer("c/docs")
+		w, err := st.Writer("c/docs", 1)
 		if err != nil {
 			return false
 		}
@@ -124,7 +124,7 @@ func TestCompactPreservesContentProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s := randString(rng, rng.Intn(50))
 			raw, _ := json.Marshal(s)
-			if err := w.AppendRaw(raw); err != nil {
+			if err := w.AppendRaw("", raw); err != nil {
 				return false
 			}
 			want = append(want, s)

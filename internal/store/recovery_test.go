@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -74,12 +76,12 @@ func TestOpenSweepsCrashedCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Writer("ns")
+	w, err := s.Writer("ns", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := w.Append(rec{ID: i}); err != nil {
+		if err := w.Append("", rec{ID: i}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
@@ -94,9 +96,9 @@ func TestOpenSweepsCrashedCompact(t *testing.T) {
 	// crash right after that write strands the file at the path the next
 	// Compact (or Writer) will reserve with O_EXCL.
 	s.mu.Lock()
-	seq := s.manifest.Namespaces["ns"].NextSeq
+	seq := s.manifest.Namespaces["ns"].Shards[0].NextSeq
 	s.mu.Unlock()
-	orphan := filepath.Join(dir, nsDir("ns"), fmt.Sprintf("seg-%06d.csg", seq))
+	orphan := filepath.Join(dir, shardDir("ns", 0), segmentName(seq))
 	crashFile(t, orphan, []byte(segmentMagic))
 
 	s, err = Open(dir)
@@ -121,11 +123,11 @@ func TestOpenSweepKeepsCommittedAndForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Writer("ns")
+	w, err := s.Writer("ns", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(rec{ID: 1}); err != nil {
+	if err := w.Append("", rec{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -152,18 +154,18 @@ func TestScanMissingSegmentTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Writer("ns")
+	w, err := s.Writer("ns", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(rec{ID: 1}); err != nil {
+	if err := w.Append("", rec{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	segFile := s.manifest.Namespaces["ns"].Segments[0].File
+	segFile := s.manifest.Namespaces["ns"].Shards[0].Segments[0].File
 	s.mu.Unlock()
 	if err := os.Remove(filepath.Join(dir, segFile)); err != nil {
 		t.Fatal(err)
@@ -177,14 +179,139 @@ func TestScanMissingSegmentTypedError(t *testing.T) {
 	}
 }
 
+// TestFailedCommitLeavesNoPhantomNamespace: a directory planted at the
+// manifest's temp path fails every commit. A failed first commit must
+// not leave the namespace it would have created behind — not in
+// Namespaces, not as a shard count a later writer must match, not as an
+// empty entry the next good commit writes to disk — and a failed commit
+// of an existing namespace restores its NextSeq.
+func TestFailedCommitLeavesNoPhantomNamespace(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, manifestName+".tmp")
+	appendN := func(w *Writer, from, n int) {
+		for i := from; i < from+n; i++ {
+			if err := w.Append(fmt.Sprint("k", i), rec{ID: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	absent := func(ns string) {
+		t.Helper()
+		if slices.Contains(s.Namespaces(), ns) {
+			t.Fatalf("failed commit left %q in Namespaces()", ns)
+		}
+		if k, err := s.ShardCount(ns); err == nil {
+			t.Fatalf("failed commit left %q with %d shards", ns, k)
+		}
+	}
+
+	// A failed Flush keeps the writer and its sealed segments: once the
+	// fault clears, the retry commits exactly the appended records.
+	w, err := s.Writer("a/b", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(w, 0, 40)
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err == nil {
+		t.Fatal("Flush succeeded with the manifest temp path blocked")
+	}
+	absent("a/b")
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("retried commit: %v", err)
+	}
+	got, err := ReadAll[rec](s, "a/b")
+	if err != nil || len(got) != 40 {
+		t.Fatalf("retry committed %d records (%v), want 40", len(got), err)
+	}
+
+	// A failed Close commits nothing and removes its segments, so another
+	// writer may create the namespace at a different K.
+	w, err = s.Writer("c/d", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(w, 0, 40)
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close succeeded with the manifest temp path blocked")
+	}
+	absent("c/d")
+	if left, _ := filepath.Glob(filepath.Join(dir, nsDir("c/d"), "*", "seg-*.csg")); len(left) != 0 {
+		t.Fatalf("failed Close left segment files: %v", left)
+	}
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	w, err = s.Writer("c/d", 2)
+	if err != nil {
+		t.Fatalf("a writer at another K after the failed first commit: %v", err)
+	}
+	appendN(w, 100, 5)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A failed commit of an existing namespace restores its NextSeq.
+	s.mu.Lock()
+	before := *s.manifest.Namespaces["c/d"].Shards[0]
+	s.mu.Unlock()
+	w, err = s.Writer("c/d", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(w, 200, 20)
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close succeeded with the manifest temp path blocked")
+	}
+	s.mu.Lock()
+	after := *s.manifest.Namespaces["c/d"].Shards[0]
+	s.mu.Unlock()
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed commit changed shard 0 from %+v to %+v", before, after)
+	}
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+
+	// What is on disk is exactly what committed.
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Namespaces(); !slices.Equal(got, []string{"a/b", "c/d"}) {
+		t.Fatalf("namespaces on disk = %v", got)
+	}
+	for ns, want := range map[string]NamespaceStats{"a/b": {Records: 40, Shards: 4}, "c/d": {Records: 5, Shards: 2}} {
+		st, err := s.Stats(ns)
+		if err != nil || st.Records != want.Records || st.Shards != want.Shards {
+			t.Fatalf("%s: Stats = %+v, %v; want %d records over %d shards", ns, st, err, want.Records, want.Shards)
+		}
+	}
+}
+
 func TestScanContextHonoursCancellation(t *testing.T) {
 	s := openTemp(t)
-	w, err := s.Writer("ns")
+	w, err := s.Writer("ns", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := w.Append(rec{ID: i}); err != nil {
+		if err := w.Append("", rec{ID: i}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,11 +28,11 @@ func TestReloadSeesExternalCommits(t *testing.T) {
 	if err := writer.PutBlob("frozen/snap-000000", 1, []byte("artifact")); err != nil {
 		t.Fatal(err)
 	}
-	w, err := writer.Writer("angellist/users")
+	w, err := writer.Writer("angellist/users", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(map[string]string{"id": "u1"}); err != nil {
+	if err := w.Append("", map[string]string{"id": "u1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -107,7 +107,7 @@ func TestOpenReadOnly(t *testing.T) {
 		t.Fatal("read-only handle cannot read committed data")
 	}
 
-	if _, err := ro.Writer("angellist/users"); err == nil || !strings.Contains(err.Error(), "read-only") {
+	if _, err := ro.Writer("angellist/users", 1); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("Writer on read-only handle: %v", err)
 	}
 	if err := ro.PutBlob("frozen/snap-000002", 1, []byte("x")); err == nil || !strings.Contains(err.Error(), "read-only") {
@@ -141,7 +141,7 @@ func TestReloadRefusedWithOpenWriters(t *testing.T) {
 	if err := s.PutBlob("frozen/snap-000000", 1, []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Writer("angellist/users")
+	w, err := s.Writer("angellist/users", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

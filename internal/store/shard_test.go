@@ -2,9 +2,13 @@ package store
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -16,9 +20,9 @@ type shardRec struct {
 
 func writeSharded(t *testing.T, s *Store, ns string, k, n int) []shardRec {
 	t.Helper()
-	w, err := s.ShardedWriter(ns, k)
+	w, err := s.Writer(ns, k)
 	if err != nil {
-		t.Fatalf("ShardedWriter: %v", err)
+		t.Fatalf("Writer: %v", err)
 	}
 	var recs []shardRec
 	for i := 0; i < n; i++ {
@@ -125,27 +129,11 @@ func TestShardedReopenAppendsAndGuards(t *testing.T) {
 	}
 	writeSharded(t, s, "gen/items", 3, 50)
 
-	// Wrong shard count on reopen is rejected.
-	if _, err := s.ShardedWriter("gen/items", 5); err == nil {
-		t.Fatal("reopening with a different shard count must fail")
-	}
-	// A legacy Writer cannot append to a sharded namespace.
-	if _, err := s.Writer("gen/items"); err == nil {
-		t.Fatal("Writer on a sharded namespace must fail")
-	}
-	// A ShardedWriter cannot take over a legacy namespace.
-	w, err := s.Writer("legacy/items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(shardRec{ID: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ShardedWriter("legacy/items", 2); err == nil {
-		t.Fatal("ShardedWriter on a legacy namespace must fail")
+	// Wrong shard count on reopen is rejected, K=1 included.
+	for _, k := range []int{1, 5} {
+		if _, err := s.Writer("gen/items", k); err == nil {
+			t.Fatalf("reopening 3 shards with %d must fail", k)
+		}
 	}
 
 	// Same count appends more records, visible after a fresh open.
@@ -163,36 +151,196 @@ func TestShardedReopenAppendsAndGuards(t *testing.T) {
 	}
 }
 
-func TestLegacyNamespaceReadsAsSingleShard(t *testing.T) {
-	s, err := Open(t.TempDir())
+// shardPayloads returns every shard's committed payloads, in scan order.
+func shardPayloads(t *testing.T, s *Store, ns string) [][]string {
+	t.Helper()
+	k, err := s.ShardCount(ns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Writer("old/ns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := w.Append(shardRec{ID: fmt.Sprintf("s%d", i), N: i}); err != nil {
+	out := make([][]string, k)
+	for shard := range out {
+		if err := s.ScanShard(ns, shard, func(p []byte) error {
+			out[shard] = append(out[shard], string(p))
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return out
+}
+
+// TestStoreShapeInvariance: at every K, ScanShard(i) yields exactly the
+// records whose key routes to i, in append order; Scan yields the shards
+// concatenated; reopen + append and Compact keep both.
+func TestStoreShapeInvariance(t *testing.T) {
+	for _, k := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SegmentBytes = 256 // several segments per shard
+			want := make([][]string, k)
+			write := func(s *Store, from, to int) {
+				w, err := s.Writer("gen/items", k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := from; i < to; i++ {
+					key := fmt.Sprintf("s%d", i)
+					payload := fmt.Sprintf(`{"id":%q,"n":%d}`, key, i)
+					if err := w.AppendRaw(key, []byte(payload)); err != nil {
+						t.Fatal(err)
+					}
+					want[ShardFor(key, k)] = append(want[ShardFor(key, k)], payload)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(s *Store, stage string) {
+				t.Helper()
+				if got := shardPayloads(t, s, "gen/items"); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: per-shard records differ from ShardFor routing in append order", stage)
+				}
+				var all []string
+				if err := s.Scan("gen/items", func(p []byte) error {
+					all = append(all, string(p))
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(all, slices.Concat(want...)) {
+					t.Fatalf("%s: Scan is not the shards concatenated", stage)
+				}
+				for shard, recs := range want {
+					if len(recs) == 0 {
+						t.Fatalf("%s: shard %d empty; the check is vacuous", stage, shard)
+					}
+				}
+			}
+			write(s, 0, 150)
+			check(s, "first write")
+			s, err = Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SegmentBytes = 256
+			write(s, 150, 300)
+			check(s, "reopen + append")
+			if err := s.Compact("gen/items"); err != nil {
+				t.Fatal(err)
+			}
+			check(s, "compact")
+			if st, _ := s.Stats("gen/items"); st.Shards != k || st.Segments != k || st.Records != 300 {
+				t.Fatalf("after compaction Stats = %+v, want %d shards of one segment, 300 records", st, k)
+			}
+		})
+	}
+}
+
+// TestLegacyNamespaceReadsAsSingleShard: a manifest written before every
+// namespace had shards lists its segments at the namespace level, with
+// the files directly in the namespace directory. It folds into one shard
+// at load: it reads as K=1, appends land in shard-000/ after the legacy
+// segment, a K=2 writer is refused, Compact moves everything into
+// shard-000/, and Open's sweep keeps the legacy file while it is listed.
+func TestLegacyNamespaceReadsAsSingleShard(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, nsDir("old/ns")), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(nsDir("old/ns"), "seg-000000.csg")
+	sw, err := newSegmentWriter(filepath.Join(dir, legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < 10; i++ {
+		p := fmt.Sprintf(`{"id":"s%d","n":%d}`, i, i)
+		if err := sw.append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+	}
+	records, size, err := sw.seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := fmt.Sprintf(`{"version":1,"namespaces":{"old/ns":{"segments":[{"file":%q,"records":%d,"bytes":%d}],"next_seq":1}}}`,
+		legacy, records, size)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(pre), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, legacy)); err != nil {
+		t.Fatalf("Open's sweep removed the listed legacy segment: %v", err)
+	}
+	if st, err := s.Stats("old/ns"); err != nil || st.Shards != 1 || st.Records != 10 {
+		t.Fatalf("legacy Stats = %+v, %v; want 1 shard, 10 records", st, err)
+	}
+	if got := shardPayloads(t, s, "old/ns"); !reflect.DeepEqual(got, [][]string{want}) {
+		t.Fatalf("legacy namespace reads as %v", got)
+	}
+	if _, err := s.Writer("old/ns", 2); err == nil {
+		t.Fatal("a K=2 writer on a K=1 legacy namespace must be refused")
+	}
+	w, err := s.Writer("old/ns", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 15; i++ {
+		p := fmt.Sprintf(`{"id":"s%d","n":%d}`, i, i)
+		if err := w.AppendRaw(p, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	k, err := s.ShardCount("old/ns")
-	if err != nil || k != 1 {
-		t.Fatalf("legacy ShardCount = %d, %v; want 1", k, err)
+	if _, err := os.Stat(filepath.Join(dir, shardDir("old/ns", 0), "seg-000001.csg")); err != nil {
+		t.Fatalf("the K=1 append did not land in shard-000/ at the legacy NextSeq: %v", err)
 	}
-	n := 0
-	if err := s.ScanShard("old/ns", 0, func([]byte) error { n++; return nil }); err != nil {
+	// The commit stored the folded form, and a fresh open still reads both
+	// segments in order without sweeping the legacy one.
+	s, err = Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 {
-		t.Fatalf("legacy shard 0 scan saw %d records, want 10", n)
+	if got := shardPayloads(t, s, "old/ns"); !reflect.DeepEqual(got, [][]string{want}) {
+		t.Fatalf("after append + reopen the namespace reads as %v", got)
 	}
-	if err := s.ScanShard("old/ns", 1, func([]byte) error { return nil }); err == nil {
-		t.Fatal("scanning shard 1 of a legacy namespace must fail")
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var disk manifest
+	if err := json.Unmarshal(raw, &disk); err != nil {
+		t.Fatal(err)
+	}
+	if info := disk.Namespaces["old/ns"]; info.Segments != nil || info.NextSeq != 0 || len(info.Shards) != 1 {
+		t.Fatalf("committed manifest still carries the legacy layout: %s", raw)
+	}
+
+	if err := s.Compact("old/ns"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, legacy)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("compaction left the legacy segment behind: %v", err)
+	}
+	entries, _ := os.ReadDir(filepath.Join(dir, nsDir("old/ns")))
+	if len(entries) != 1 || entries[0].Name() != "shard-000" {
+		t.Fatalf("after compaction the namespace directory holds %v, want only shard-000/", entries)
+	}
+	if got := shardPayloads(t, s, "old/ns"); !reflect.DeepEqual(got, [][]string{want}) {
+		t.Fatalf("after compaction the namespace reads as %v", got)
 	}
 }
 
@@ -206,8 +354,8 @@ func TestAppendRawToCopiesShardsAndAbortCommitsNothing(t *testing.T) {
 	s.SegmentBytes = 256 // several sealed-but-uncommitted segments per shard
 	const k = 4
 	want := writeSharded(t, s, "gen/items", k, 200)
-	copyTo := func(ns string) *ShardedWriter {
-		w, err := s.ShardedWriter(ns, k)
+	copyTo := func(ns string) *Writer {
+		w, err := s.Writer(ns, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -109,9 +110,6 @@ func (s *Store) Reload() error {
 func sweepOrphans(dir string, m *manifest) error {
 	committed := map[string]bool{}
 	for _, info := range m.Namespaces {
-		for _, seg := range info.Segments {
-			committed[filepath.Join(dir, seg.File)] = true
-		}
 		for _, sh := range info.Shards {
 			for _, seg := range sh.Segments {
 				committed[filepath.Join(dir, seg.File)] = true
@@ -175,166 +173,236 @@ func nsDir(ns string) string {
 	return strings.Join(parts, "__")
 }
 
-// Writer appends JSON records to one namespace. Writers are not safe for
-// concurrent use; parallel producers should marshal through a channel or
-// open distinct namespaces.
+// segmentName is the file name of a namespace shard's seq'th segment.
+func segmentName(seq int64) string { return fmt.Sprintf("seg-%06d.csg", seq) }
+
+// shardAppender buffers one shard's active segment and its sealed-but-
+// uncommitted segment list.
+type shardAppender struct {
+	dir    string // the shard directory, relative to the store root
+	seg    *segmentWriter
+	sealed []SegmentInfo
+	seq    int64
+}
+
+// Writer appends JSON records to a namespace of K shards, routing each
+// record by its key (at K=1 every key routes to shard 0). Writers are
+// not safe for concurrent use; parallel producers should marshal
+// through a channel or open distinct namespaces. Records become visible
+// only when Flush (or Close) commits the manifest — all shards commit
+// atomically in one manifest write, so readers never observe a
+// namespace with some shards ahead of others.
 type Writer struct {
 	s       *Store
 	ns      string
-	seg     *segmentWriter
-	sealed  []SegmentInfo
-	seq     int64
+	shards  []*shardAppender
 	closed  bool
 	maxSize int64
 }
 
-// Writer opens an appender for the namespace. It returns an error if a
-// writer is already open for it.
-func (s *Store) Writer(ns string) (*Writer, error) {
+// Writer opens an appender that partitions the namespace into `shards`
+// segment groups. It returns an error if a writer is already open for
+// the namespace, and reopening an existing namespace requires its
+// committed shard count.
+func (s *Store) Writer(ns string, shards int) (*Writer, error) {
 	if s.readOnly {
 		return nil, fmt.Errorf("store: namespace %q: handle is read-only", ns)
 	}
 	if err := validNamespace(ns); err != nil {
 		return nil, err
 	}
+	if shards < 1 {
+		return nil, fmt.Errorf("store: namespace %q: shard count %d must be >= 1", ns, shards)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.writers[ns] {
 		return nil, fmt.Errorf("store: namespace %q already has an open writer", ns)
 	}
-	if info := s.manifest.Namespaces[ns]; info != nil {
+	info := s.manifest.Namespaces[ns]
+	if info != nil {
 		if info.Kind == KindBlob {
 			return nil, fmt.Errorf("store: namespace %q holds a binary blob, not JSON segments", ns)
 		}
-		if info.Shards != nil {
-			return nil, fmt.Errorf("store: namespace %q is sharded; use ShardedWriter", ns)
+		if len(info.Shards) != shards {
+			return nil, fmt.Errorf("store: namespace %q has %d shards, writer requested %d",
+				ns, len(info.Shards), shards)
 		}
 	}
-	if err := os.MkdirAll(filepath.Join(s.dir, nsDir(ns)), 0o755); err != nil {
-		return nil, err
-	}
-	info := s.manifest.Namespaces[ns]
-	var seq int64
-	if info != nil {
-		seq = info.NextSeq
+	w := &Writer{s: s, ns: ns, maxSize: s.SegmentBytes, shards: make([]*shardAppender, shards)}
+	for i := range w.shards {
+		w.shards[i] = &shardAppender{dir: shardDir(ns, i)}
+		if info != nil {
+			w.shards[i].seq = info.Shards[i].NextSeq
+		}
+		if err := os.MkdirAll(filepath.Join(s.dir, w.shards[i].dir), 0o755); err != nil {
+			return nil, err
+		}
 	}
 	s.writers[ns] = true
-	return &Writer{s: s, ns: ns, seq: seq, maxSize: s.SegmentBytes}, nil
+	return w, nil
 }
 
-func (w *Writer) segmentPath(seq int64) string {
-	return filepath.Join(w.s.dir, nsDir(w.ns), fmt.Sprintf("seg-%06d.csg", seq))
-}
-
-// Append marshals v as JSON and appends it. Records become visible to
-// readers only after Close (or Flush) commits the manifest.
-func (w *Writer) Append(v any) error {
+// Append marshals v as JSON and appends it to the key's shard.
+func (w *Writer) Append(key string, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("store: marshal record: %w", err)
 	}
-	return w.AppendRaw(payload)
+	return w.AppendRaw(key, payload)
 }
 
-// AppendRaw appends a pre-marshaled JSON payload.
-func (w *Writer) AppendRaw(payload []byte) error {
+// AppendRaw appends a pre-marshaled JSON payload to the key's shard.
+func (w *Writer) AppendRaw(key string, payload []byte) error {
+	return w.AppendRawTo(ShardFor(key, len(w.shards)), payload)
+}
+
+// AppendRawTo appends a pre-marshaled JSON payload to the given shard,
+// for a caller copying records out of a namespace sharded by the same
+// key and count, where the source shard is the key's shard.
+func (w *Writer) AppendRawTo(shard int, payload []byte) error {
 	if w.closed {
 		return errors.New("store: append to closed writer")
 	}
-	if w.seg == nil {
-		seg, err := newSegmentWriter(w.segmentPath(w.seq))
+	if shard < 0 || shard >= len(w.shards) {
+		return fmt.Errorf("store: namespace %q has %d shards, append to shard %d", w.ns, len(w.shards), shard)
+	}
+	sa := w.shards[shard]
+	if sa.seg == nil {
+		seg, err := newSegmentWriter(filepath.Join(w.s.dir, sa.dir, segmentName(sa.seq)))
 		if err != nil {
 			return err
 		}
-		w.seq++
-		w.seg = seg
+		sa.seq++
+		sa.seg = seg
 	}
-	if err := w.seg.append(payload); err != nil {
+	if err := sa.seg.append(payload); err != nil {
 		return err
 	}
-	if w.seg.bytes >= w.maxSize {
-		return w.rotate()
+	if sa.seg.bytes >= w.maxSize {
+		return sa.rotate()
 	}
 	return nil
 }
 
-func (w *Writer) rotate() error {
-	records, size, err := w.seg.seal()
+func (sa *shardAppender) rotate() error {
+	records, size, err := sa.seg.seal()
 	if err != nil {
 		return err
 	}
-	w.sealed = append(w.sealed, SegmentInfo{
-		File:    filepath.Join(nsDir(w.ns), filepath.Base(w.seg.path)),
+	sa.sealed = append(sa.sealed, SegmentInfo{
+		File:    filepath.Join(sa.dir, filepath.Base(sa.seg.path)),
 		Records: records,
 		Bytes:   size,
 	})
-	w.seg = nil
+	sa.seg = nil
 	return nil
 }
 
-// Flush seals the active segment (if any) and commits all sealed segments
-// to the manifest, making everything appended so far durable and visible.
+// Flush seals every shard's active segment and commits all sealed
+// segments in one atomic manifest write. A failed commit leaves the
+// in-memory manifest as it was — a namespace the flush would have
+// created does not exist — and keeps the sealed segments for a retry.
 func (w *Writer) Flush() error {
 	if w.closed {
 		return errors.New("store: flush of closed writer")
 	}
-	if w.seg != nil && w.seg.records > 0 {
-		if err := w.rotate(); err != nil {
-			return err
+	pending := 0
+	for _, sa := range w.shards {
+		if sa.seg != nil && sa.seg.records > 0 {
+			if err := sa.rotate(); err != nil {
+				return err
+			}
+		} else if sa.seg != nil {
+			sa.seg.abort()
+			sa.seg = nil
+			sa.seq--
 		}
-	} else if w.seg != nil {
-		w.seg.abort()
-		w.seg = nil
-		w.seq--
+		pending += len(sa.sealed)
 	}
-	if len(w.sealed) == 0 {
+	if pending == 0 {
 		return nil
 	}
 	w.s.mu.Lock()
 	defer w.s.mu.Unlock()
-	info := w.s.manifest.Namespaces[w.ns]
-	if info == nil {
-		info = &NamespaceInfo{}
-		w.s.manifest.Namespaces[w.ns] = info
+	m := w.s.manifest
+	info := m.Namespaces[w.ns]
+	created := info == nil
+	if created {
+		info = &NamespaceInfo{Shards: make([]*ShardInfo, len(w.shards))}
+		for i := range info.Shards {
+			info.Shards[i] = &ShardInfo{}
+		}
+		m.Namespaces[w.ns] = info
 	}
-	info.Segments = append(info.Segments, w.sealed...)
-	info.NextSeq = w.seq
-	if err := w.s.manifest.commit(w.s.dir); err != nil {
-		// Roll the in-memory manifest back so a retry does not double-add.
-		info.Segments = info.Segments[:len(info.Segments)-len(w.sealed)]
+	old := make([]ShardInfo, len(info.Shards))
+	for i, sh := range info.Shards {
+		old[i] = *sh
+		sh.Segments = append(sh.Segments, w.shards[i].sealed...)
+		sh.NextSeq = w.shards[i].seq
+	}
+	if err := m.commit(w.s.dir); err != nil {
+		if created {
+			delete(m.Namespaces, w.ns)
+		}
+		for i, sh := range info.Shards {
+			*sh = old[i]
+		}
 		return err
 	}
-	w.sealed = w.sealed[:0]
+	for _, sa := range w.shards {
+		sa.sealed = sa.sealed[:0]
+	}
 	return nil
 }
 
-// Close flushes and releases the namespace writer slot. Close is
+// Close flushes and releases the namespace writer slot: the namespace
+// commits everything appended, or — when the flush fails — nothing
+// more, with the uncommitted segment files removed. Close is
 // idempotent.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	err := w.Flush()
+	w.Abort() // after a successful flush there is nothing left to discard
+	return err
+}
+
+// Abort releases the writer slot without committing: every record
+// appended since the last Flush is discarded and its segment files are
+// removed. A no-op on a closed writer.
+func (w *Writer) Abort() {
+	if w.closed {
+		return
+	}
+	for _, sa := range w.shards {
+		if sa.seg != nil {
+			sa.seg.abort()
+		}
+		for _, seg := range sa.sealed {
+			os.Remove(filepath.Join(w.s.dir, seg.File))
+		}
+	}
 	w.closed = true
 	w.s.mu.Lock()
 	delete(w.s.writers, w.ns)
 	w.s.mu.Unlock()
-	return err
 }
 
-// Scan streams every committed record of the namespace, in append order,
-// to fn. The payload slice is reused; fn must copy it if retained. Scan
-// verifies record CRCs and per-segment record counts, returning an error
-// wrapping ErrCorrupt on integrity failure (or ErrSegmentMissing when a
-// manifest-listed segment file is absent). Scanning an unknown namespace
-// is an error.
+// Scan streams every committed record of the namespace, in append order
+// per shard with shards concatenated, to fn. The payload slice is
+// reused; fn must copy it if retained. Scan verifies record CRCs and
+// per-segment record counts, returning an error wrapping ErrCorrupt on
+// integrity failure (or ErrSegmentMissing when a manifest-listed segment
+// file is absent). Scanning an unknown namespace is an error.
 func (s *Store) Scan(ns string, fn func(payload []byte) error) error {
-	segs, err := s.snapshot(ns)
+	shards, err := s.snapshot(ns)
 	if err != nil {
 		return err
 	}
-	for _, seg := range segs {
-		if err := scanSegment(filepath.Join(s.dir, seg.File), seg.Records, fn); err != nil {
+	for _, segs := range shards {
+		if err := s.scanSegments(segs, fn); err != nil {
 			return err
 		}
 	}
@@ -354,30 +422,29 @@ func (s *Store) ScanContext(ctx context.Context, ns string, fn func(payload []by
 	})
 }
 
-// snapshot returns the committed segment list for a namespace. A
-// sharded namespace's segments are listed shard 0 first, so a plain
-// Scan still sees every record (per-shard append order, shards
-// concatenated).
-func (s *Store) snapshot(ns string) ([]SegmentInfo, error) {
+// snapshot returns a copy of the namespace's committed segment lists,
+// one per shard, all taken at the same commit.
+func (s *Store) snapshot(ns string) ([][]SegmentInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info := s.manifest.Namespaces[ns]
-	if info == nil {
-		return nil, fmt.Errorf("store: unknown namespace %q", ns)
+	info, err := s.manifest.jsonNamespace(ns)
+	if err != nil {
+		return nil, err
 	}
-	if info.Kind == KindBlob {
-		return nil, fmt.Errorf("store: namespace %q holds a binary blob, not JSON segments", ns)
+	shards := make([][]SegmentInfo, len(info.Shards))
+	for i, sh := range info.Shards {
+		shards[i] = slices.Clone(sh.Segments)
 	}
-	if info.Shards != nil {
-		var segs []SegmentInfo
-		for _, sh := range info.Shards {
-			segs = append(segs, sh.Segments...)
+	return shards, nil
+}
+
+func (s *Store) scanSegments(segs []SegmentInfo, fn func(payload []byte) error) error {
+	for _, seg := range segs {
+		if err := scanSegment(filepath.Join(s.dir, seg.File), seg.Records, fn); err != nil {
+			return err
 		}
-		return segs, nil
 	}
-	segs := make([]SegmentInfo, len(info.Segments))
-	copy(segs, info.Segments)
-	return segs, nil
+	return nil
 }
 
 // ScanAs streams every committed record of the namespace unmarshaled into
@@ -430,72 +497,63 @@ type NamespaceStats struct {
 	Bytes    int64
 	// Kind mirrors the manifest's namespace kind ("" JSON, "blob").
 	Kind string
-	// Shards is the namespace's shard count (1 for legacy unsharded
-	// namespaces, 0 for blobs).
+	// Shards is the namespace's shard count (0 for blobs).
 	Shards int
 }
 
 // Stats returns committed accounting for the namespace, summed across
-// shards for sharded namespaces.
+// its shards.
 func (s *Store) Stats(ns string) (NamespaceStats, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if info := s.manifest.Namespaces[ns]; info != nil && info.Kind == KindBlob {
 		st := NamespaceStats{Kind: KindBlob}
 		if info.Blob != nil {
 			st.Bytes = info.Blob.Bytes
 			st.Records = 1
 		}
-		s.mu.Unlock()
 		return st, nil
 	}
-	s.mu.Unlock()
-	segs, err := s.snapshot(ns)
+	info, err := s.manifest.jsonNamespace(ns)
 	if err != nil {
 		return NamespaceStats{}, err
 	}
-	var st NamespaceStats
-	st.Shards, _ = s.ShardCount(ns)
-	st.Segments = len(segs)
-	for _, seg := range segs {
-		st.Records += seg.Records
-		st.Bytes += seg.Bytes
+	st := NamespaceStats{Shards: len(info.Shards)}
+	for _, sh := range info.Shards {
+		st.Segments += len(sh.Segments)
+		for _, seg := range sh.Segments {
+			st.Records += seg.Records
+			st.Bytes += seg.Bytes
+		}
 	}
 	return st, nil
 }
 
-// Compact rewrites all of a namespace's segments into a single new segment
-// per shard and commits a manifest pointing only at them, reclaiming
-// per-segment overhead after many small flushes. Concurrent readers
-// holding the old snapshot keep working because old files are removed
-// only after commit.
+// Compact rewrites each shard's segments into a single new segment and
+// commits the replacement for every shard in one manifest write,
+// reclaiming per-segment overhead after many small flushes. Concurrent
+// readers holding the old snapshot keep working because old files are
+// removed only after commit.
 func (s *Store) Compact(ns string) error {
 	if s.readOnly {
 		return fmt.Errorf("store: namespace %q: handle is read-only", ns)
 	}
-	segs, err := s.snapshot(ns)
+	s.mu.Lock()
+	info, err := s.manifest.jsonNamespace(ns)
 	if err != nil {
+		s.mu.Unlock()
 		return err
 	}
-	s.mu.Lock()
 	if s.writers[ns] {
 		s.mu.Unlock()
 		return fmt.Errorf("store: cannot compact %q while a writer is open", ns)
 	}
-	if s.manifest.Namespaces[ns].Shards != nil {
-		// Reserve the writer slot for the whole sharded compaction.
-		s.writers[ns] = true
-		s.mu.Unlock()
-		defer func() {
-			s.mu.Lock()
-			delete(s.writers, ns)
-			s.mu.Unlock()
-		}()
-		return s.compactShards(ns)
-	}
 	// Reserve the writer slot so appends cannot interleave with compaction.
 	s.writers[ns] = true
-	info := s.manifest.Namespaces[ns]
-	seq := info.NextSeq
+	old := make([]ShardInfo, len(info.Shards))
+	for i, sh := range info.Shards {
+		old[i] = *sh
+	}
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
@@ -503,44 +561,62 @@ func (s *Store) Compact(ns string) error {
 		s.mu.Unlock()
 	}()
 
-	path := filepath.Join(s.dir, nsDir(ns), fmt.Sprintf("seg-%06d.csg", seq))
-	sw, err := newSegmentWriter(path)
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		err := scanSegment(filepath.Join(s.dir, seg.File), seg.Records, func(payload []byte) error {
-			return sw.append(payload)
-		})
-		if err != nil {
-			sw.abort()
-			return err
+	fresh := make([]SegmentInfo, 0, len(old))
+	cleanup := func() {
+		for _, seg := range fresh {
+			os.Remove(filepath.Join(s.dir, seg.File))
 		}
 	}
-	records, size, err := sw.seal()
-	if err != nil {
-		return err
+	for i, sh := range old {
+		seg, err := s.compactShard(shardDir(ns, i), sh)
+		if err != nil {
+			cleanup()
+			return err
+		}
+		fresh = append(fresh, seg)
 	}
 
 	s.mu.Lock()
-	info = s.manifest.Namespaces[ns]
-	old := info.Segments
-	info.Segments = []SegmentInfo{{
-		File:    filepath.Join(nsDir(ns), filepath.Base(path)),
-		Records: records,
-		Bytes:   size,
-	}}
-	info.NextSeq = seq + 1
+	for i, sh := range info.Shards {
+		*sh = ShardInfo{Segments: []SegmentInfo{fresh[i]}, NextSeq: old[i].NextSeq + 1}
+	}
 	if err := s.manifest.commit(s.dir); err != nil {
-		info.Segments = old
-		info.NextSeq = seq
+		for i, sh := range info.Shards {
+			*sh = old[i]
+		}
 		s.mu.Unlock()
-		os.Remove(path)
+		cleanup()
 		return err
 	}
 	s.mu.Unlock()
-	for _, seg := range old {
-		os.Remove(filepath.Join(s.dir, seg.File))
+	for _, sh := range old {
+		for _, seg := range sh.Segments {
+			os.Remove(filepath.Join(s.dir, seg.File))
+		}
 	}
 	return nil
+}
+
+// compactShard copies one shard's segments, in order, into one new
+// segment at the shard's next sequence number under dir.
+func (s *Store) compactShard(dir string, sh ShardInfo) (SegmentInfo, error) {
+	// A folded pre-shard namespace has no shard directory yet.
+	if err := os.MkdirAll(filepath.Join(s.dir, dir), 0o755); err != nil {
+		return SegmentInfo{}, err
+	}
+	rel := filepath.Join(dir, segmentName(sh.NextSeq))
+	sw, err := newSegmentWriter(filepath.Join(s.dir, rel))
+	if err != nil {
+		return SegmentInfo{}, err
+	}
+	if err := s.scanSegments(sh.Segments, sw.append); err != nil {
+		sw.abort()
+		return SegmentInfo{}, err
+	}
+	records, size, err := sw.seal()
+	if err != nil {
+		os.Remove(sw.path)
+		return SegmentInfo{}, err
+	}
+	return SegmentInfo{File: rel, Records: records, Bytes: size}, nil
 }

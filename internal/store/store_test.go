@@ -27,12 +27,12 @@ func openTemp(t *testing.T) *Store {
 func TestWriteReadRoundTrip(t *testing.T) {
 	leakcheck.Check(t)
 	s := openTemp(t)
-	w, err := s.Writer("angellist/startups")
+	w, err := s.Writer("angellist/startups", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := w.Append(rec{ID: i, Name: fmt.Sprint("co-", i)}); err != nil {
+		if err := w.Append("", rec{ID: i, Name: fmt.Sprint("co-", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,8 +55,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestVisibilityRequiresFlush(t *testing.T) {
 	s := openTemp(t)
-	w, _ := s.Writer("ns")
-	_ = w.Append(rec{ID: 1})
+	w, _ := s.Writer("ns", 1)
+	_ = w.Append("", rec{ID: 1})
 	// Not yet committed: namespace should be unknown to readers.
 	if err := s.Scan("ns", func([]byte) error { return nil }); err == nil {
 		t.Fatal("expected unknown namespace before flush")
@@ -72,7 +72,7 @@ func TestVisibilityRequiresFlush(t *testing.T) {
 		t.Fatalf("visible records = %d", n)
 	}
 	// Append more, flush again: both batches visible, in order.
-	_ = w.Append(rec{ID: 2})
+	_ = w.Append("", rec{ID: 2})
 	_ = w.Close()
 	all, _ := ReadAll[rec](s, "ns")
 	if len(all) != 2 || all[0].ID != 1 || all[1].ID != 2 {
@@ -82,12 +82,12 @@ func TestVisibilityRequiresFlush(t *testing.T) {
 
 func TestWriterExclusive(t *testing.T) {
 	s := openTemp(t)
-	w, _ := s.Writer("ns")
-	if _, err := s.Writer("ns"); err == nil {
+	w, _ := s.Writer("ns", 1)
+	if _, err := s.Writer("ns", 1); err == nil {
 		t.Fatal("second writer should fail")
 	}
 	_ = w.Close()
-	w2, err := s.Writer("ns")
+	w2, err := s.Writer("ns", 1)
 	if err != nil {
 		t.Fatal("writer slot should free after close:", err)
 	}
@@ -96,15 +96,15 @@ func TestWriterExclusive(t *testing.T) {
 
 func TestWriterCloseIdempotent(t *testing.T) {
 	s := openTemp(t)
-	w, _ := s.Writer("ns")
-	_ = w.Append(rec{ID: 1})
+	w, _ := s.Writer("ns", 1)
+	_ = w.Append("", rec{ID: 1})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal("second close should be nil:", err)
 	}
-	if err := w.Append(rec{ID: 2}); err == nil {
+	if err := w.Append("", rec{ID: 2}); err == nil {
 		t.Fatal("append after close should fail")
 	}
 	if err := w.Flush(); err == nil {
@@ -115,12 +115,12 @@ func TestWriterCloseIdempotent(t *testing.T) {
 func TestInvalidNamespaces(t *testing.T) {
 	s := openTemp(t)
 	for _, ns := range []string{"", "a//b", "../etc", "sp ace", "semi;colon", "a/./b"} {
-		if _, err := s.Writer(ns); err == nil {
+		if _, err := s.Writer(ns, 1); err == nil {
 			t.Errorf("namespace %q accepted", ns)
 		}
 	}
 	for _, ns := range []string{"ok", "angellist/startups", "a-b_c.d/e2"} {
-		w, err := s.Writer(ns)
+		w, err := s.Writer(ns, 1)
 		if err != nil {
 			t.Errorf("namespace %q rejected: %v", ns, err)
 			continue
@@ -132,9 +132,9 @@ func TestInvalidNamespaces(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	s := openTemp(t)
 	s.SegmentBytes = 256 // force frequent rotation
-	w, _ := s.Writer("ns")
+	w, _ := s.Writer("ns", 1)
 	for i := 0; i < 200; i++ {
-		if err := w.Append(rec{ID: i, Name: "padding-padding-padding"}); err != nil {
+		if err := w.Append("", rec{ID: i, Name: "padding-padding-padding"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,9 +160,9 @@ func TestSegmentRotation(t *testing.T) {
 func TestReopenPersists(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	w, _ := s.Writer("ns")
+	w, _ := s.Writer("ns", 1)
 	for i := 0; i < 10; i++ {
-		_ = w.Append(rec{ID: i})
+		_ = w.Append("", rec{ID: i})
 	}
 	_ = w.Close()
 
@@ -178,11 +178,11 @@ func TestReopenPersists(t *testing.T) {
 		t.Fatalf("reopened records = %d", len(all))
 	}
 	// New writer continues the sequence without clobbering old segments.
-	w2, err := s2.Writer("ns")
+	w2, err := s2.Writer("ns", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w2.Append(rec{ID: 10})
+	_ = w2.Append("", rec{ID: 10})
 	_ = w2.Close()
 	all, _ = ReadAll[rec](s2, "ns")
 	if len(all) != 11 || all[10].ID != 10 {
@@ -193,15 +193,15 @@ func TestReopenPersists(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	w, _ := s.Writer("ns")
+	w, _ := s.Writer("ns", 1)
 	for i := 0; i < 50; i++ {
-		_ = w.Append(rec{ID: i, Name: "hello world"})
+		_ = w.Append("", rec{ID: i, Name: "hello world"})
 	}
 	_ = w.Close()
 
 	// Flip one payload byte in the middle of the segment.
 	segs, _ := s.snapshot("ns")
-	path := filepath.Join(dir, segs[0].File)
+	path := filepath.Join(dir, segs[0][0].File)
 	raw, _ := os.ReadFile(path)
 	raw[len(raw)/2] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -216,13 +216,13 @@ func TestCorruptionDetected(t *testing.T) {
 func TestTruncationDetected(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	w, _ := s.Writer("ns")
+	w, _ := s.Writer("ns", 1)
 	for i := 0; i < 50; i++ {
-		_ = w.Append(rec{ID: i})
+		_ = w.Append("", rec{ID: i})
 	}
 	_ = w.Close()
 	segs, _ := s.snapshot("ns")
-	path := filepath.Join(dir, segs[0].File)
+	path := filepath.Join(dir, segs[0][0].File)
 	raw, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, raw[:len(raw)-5], 0o644); err != nil {
 		t.Fatal(err)
@@ -236,12 +236,12 @@ func TestTruncationDetected(t *testing.T) {
 func TestRecordCountMismatchDetected(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	w, _ := s.Writer("ns")
-	_ = w.Append(rec{ID: 1})
+	w, _ := s.Writer("ns", 1)
+	_ = w.Append("", rec{ID: 1})
 	_ = w.Close()
 	// Tamper with the manifest's record count.
 	s.mu.Lock()
-	s.manifest.Namespaces["ns"].Segments[0].Records = 99
+	s.manifest.Namespaces["ns"].Shards[0].Segments[0].Records = 99
 	s.mu.Unlock()
 	err := s.Scan("ns", func([]byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
@@ -252,9 +252,9 @@ func TestRecordCountMismatchDetected(t *testing.T) {
 func TestCompact(t *testing.T) {
 	s := openTemp(t)
 	s.SegmentBytes = 128
-	w, _ := s.Writer("ns")
+	w, _ := s.Writer("ns", 1)
 	for i := 0; i < 100; i++ {
-		_ = w.Append(rec{ID: i, Name: "some-name-padding"})
+		_ = w.Append("", rec{ID: i, Name: "some-name-padding"})
 	}
 	_ = w.Close()
 	before, _ := s.Stats("ns")
@@ -281,16 +281,16 @@ func TestCompact(t *testing.T) {
 		}
 	}
 	// Old segment files should be gone: only the compacted one remains.
-	entries, _ := os.ReadDir(filepath.Join(s.Dir(), nsDir("ns")))
+	entries, _ := os.ReadDir(filepath.Join(s.Dir(), shardDir("ns", 0)))
 	if len(entries) != 1 {
 		t.Fatalf("expected 1 segment file, found %d", len(entries))
 	}
 	// Appending after compaction continues cleanly.
-	w2, err := s.Writer("ns")
+	w2, err := s.Writer("ns", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w2.Append(rec{ID: 100})
+	_ = w2.Append("", rec{ID: 100})
 	_ = w2.Close()
 	all, _ = ReadAll[rec](s, "ns")
 	if len(all) != 101 {
@@ -300,8 +300,8 @@ func TestCompact(t *testing.T) {
 
 func TestCompactWhileWriterOpenFails(t *testing.T) {
 	s := openTemp(t)
-	w, _ := s.Writer("ns")
-	_ = w.Append(rec{ID: 1})
+	w, _ := s.Writer("ns", 1)
+	_ = w.Append("", rec{ID: 1})
 	_ = w.Flush()
 	if err := s.Compact("ns"); err == nil {
 		t.Fatal("compact should fail with open writer")
@@ -315,8 +315,8 @@ func TestCompactWhileWriterOpenFails(t *testing.T) {
 func TestNamespacesListing(t *testing.T) {
 	s := openTemp(t)
 	for _, ns := range []string{"b/two", "a/one", "c"} {
-		w, _ := s.Writer(ns)
-		_ = w.Append(rec{ID: 1})
+		w, _ := s.Writer(ns, 1)
+		_ = w.Append("", rec{ID: 1})
 		_ = w.Close()
 	}
 	got := s.Namespaces()
@@ -340,7 +340,7 @@ func TestStatsUnknownNamespace(t *testing.T) {
 
 func TestEmptyFlushIsNoop(t *testing.T) {
 	s := openTemp(t)
-	w, _ := s.Writer("ns")
+	w, _ := s.Writer("ns", 1)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +360,13 @@ func TestConcurrentWritersDistinctNamespaces(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func(g int) {
 			ns := fmt.Sprint("ns", g)
-			w, err := s.Writer(ns)
+			w, err := s.Writer(ns, 1)
 			if err != nil {
 				done <- err
 				return
 			}
 			for i := 0; i < 500; i++ {
-				if err := w.Append(rec{ID: i}); err != nil {
+				if err := w.Append("", rec{ID: i}); err != nil {
 					done <- err
 					return
 				}
@@ -392,9 +392,9 @@ func TestConcurrentWritersDistinctNamespaces(t *testing.T) {
 
 func TestScanCallbackErrorPropagates(t *testing.T) {
 	s := openTemp(t)
-	w, _ := s.Writer("ns")
+	w, _ := s.Writer("ns", 1)
 	for i := 0; i < 10; i++ {
-		_ = w.Append(rec{ID: i})
+		_ = w.Append("", rec{ID: i})
 	}
 	_ = w.Close()
 	sentinel := errors.New("stop")

@@ -55,6 +55,11 @@ go run ./cmd/crowdlint ./...
 #                      artifact bit-identical to a fault-free single-
 #                      worker crawl; the front serves zero 5xx while at
 #                      least one replica survives mid-request kills
+#   store-shape        every K (1 included) is the same store: per-shard
+#                      routing and order survive reopen + append and
+#                      Compact; a pre-shard manifest folds into one shard;
+#                      a failed commit leaves no phantom namespace; a
+#                      cancelled Persist commits nothing
 export GORACE="halt_on_error=1"
 
 go test -race ./...
@@ -71,6 +76,7 @@ run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptInde
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite fleet-chaos    'TestFleetChaosKillWorkersMergeBitIdentical|TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/fleet ./internal/fleet/front
+run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects' ./internal/store ./internal/crawler
 
 # Hostile and random bytes: ten seconds or so of native fuzzing each on the
 # parser (a query error, or a statement whose canonical text parses
@@ -105,9 +111,9 @@ check_coverage() {
 
 check_coverage ./internal/crawler 70
 check_coverage ./internal/apiserver 70
-# The persistence layer (blob namespaces, frozen artifacts) and the graph
-# layer (View interface, frozen CSR implementations) gate the snapshot
-# format's integrity guarantees.
+# The persistence layer (the one K-shard writer, blob namespaces, frozen
+# artifacts) and the graph layer (View interface, frozen CSR
+# implementations) gate the snapshot format's integrity guarantees.
 check_coverage ./internal/store 70
 check_coverage ./internal/graph 70
 # The lint framework gates every other invariant, so it carries its own
