@@ -505,42 +505,9 @@ func BenchmarkA5StoreScan(b *testing.B) {
 
 // ---- Parallel kernel scaling ----
 
-// BenchmarkCentralityParallel measures the shared-pool centrality kernels
-// across worker counts, reporting speedup over the single-worker run. The
-// outputs are bit-identical at every width (see the equivalence tests in
-// internal/graph), so the speedup is free of accuracy trade-offs. On a
-// single-CPU host every width collapses to the serial fast path.
-func BenchmarkCentralityParallel(b *testing.B) {
-	bp, _ := plantedBenchGraph(8, 40, 25, 0.6, 0.1, 7)
-	g := bp.ToDirected()
-	kernels := []struct {
-		name string
-		run  func(workers int)
-	}{
-		{"betweenness", func(w int) { g.BetweennessCentralityWorkers(w) }},
-		{"closeness", func(w int) { g.ClosenessCentralityWorkers(w) }},
-		{"pagerank", func(w int) { g.PageRankWorkers(0.85, 50, 1e-10, w) }},
-	}
-	for _, k := range kernels {
-		var baseline float64 // ns/op at workers=1
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", k.name, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					k.run(workers)
-				}
-				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if workers == 1 {
-					baseline = perOp
-				} else if baseline > 0 {
-					b.ReportMetric(baseline/perOp, "speedup")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkCoDAParallel measures the parallel block-coordinate CoDA fit
-// across worker counts; the fit is bit-identical at every width.
+// across worker counts, reporting speedup over the single-worker run; the
+// fit is bit-identical at every width.
 func BenchmarkCoDAParallel(b *testing.B) {
 	bp, _ := plantedBenchGraph(8, 40, 25, 0.6, 0.1, 7)
 	var baseline float64

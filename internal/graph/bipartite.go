@@ -143,20 +143,6 @@ func (b *Bipartite) SortAdjacency() {
 	}
 }
 
-// FilterLeftMinDegree returns a new bipartite graph containing only left
-// nodes with out-degree >= min (and the right nodes they reach). The paper
-// applies this with min = 4 before community detection to make clusters
-// statistically meaningful.
-func (b *Bipartite) FilterLeftMinDegree(min int) *Bipartite {
-	return FilterLeftMinDegree(b, min)
-}
-
-// ToDirected converts the bipartite graph into a Directed graph; see the
-// package-level ToDirected.
-func (b *Bipartite) ToDirected() *Directed {
-	return ToDirected(b)
-}
-
 // Validate checks the fwd/rev mirror invariant and edge accounting.
 func (b *Bipartite) Validate() error {
 	var fwdSum, revSum int

@@ -78,7 +78,7 @@ func TestSharedRightCountPaperToyExamples(t *testing.T) {
 
 func TestFilterLeftMinDegree(t *testing.T) {
 	b := paperExampleStrong()
-	f := b.FilterLeftMinDegree(3)
+	f := FilterLeftMinDegree(b, 3)
 	if f.NumLeft() != 1 {
 		t.Fatalf("filtered left = %d, want 1 (only i1 has degree 3)", f.NumLeft())
 	}
@@ -91,26 +91,9 @@ func TestFilterLeftMinDegree(t *testing.T) {
 	// min < 1 keeps everything, including degree-0 nodes? Degree-0 left
 	// nodes have no edges so they are dropped by construction; assert the
 	// edge set is preserved.
-	all := b.FilterLeftMinDegree(0)
+	all := FilterLeftMinDegree(b, 0)
 	if all.NumEdges() != b.NumEdges() {
 		t.Fatalf("filter(0) lost edges: %d vs %d", all.NumEdges(), b.NumEdges())
-	}
-}
-
-func TestToDirected(t *testing.T) {
-	b := paperExampleStrong()
-	g := b.ToDirected()
-	if g.NumNodes() != 6 || g.NumEdges() != 7 {
-		t.Fatalf("nodes=%d edges=%d", g.NumNodes(), g.NumEdges())
-	}
-	if !g.HasEdge("L:i1", "R:c1") {
-		t.Fatal("edge missing in directed view")
-	}
-	if g.HasEdge("R:c1", "L:i1") {
-		t.Fatal("directed view should not have reverse edges")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

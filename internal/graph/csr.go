@@ -5,8 +5,8 @@ package graph
 // the graph's adjacency-list order, so algorithms that switch from
 // [][]int32 traversal to CSR traversal visit neighbors in exactly the
 // same sequence — only the memory layout changes (one contiguous array
-// instead of n separately allocated slices), which keeps the parallel
-// BFS kernels cache-local.
+// instead of n separately allocated slices), which is also the layout a
+// snapshot persists and loads without a rebuild.
 type CSR struct {
 	Offsets []int64
 	Targets []int32
@@ -33,28 +33,4 @@ func buildCSR(adj [][]int32, edges int) *CSR {
 	}
 	c.Offsets[len(adj)] = int64(len(c.Targets))
 	return c
-}
-
-// OutCSR returns a cached CSR view of the out-adjacency. The view is
-// rebuilt lazily after mutations; like the rest of Directed, building it
-// concurrently with mutation is not safe, but once obtained the view is
-// read-only and safe to share across goroutines.
-func (g *Directed) OutCSR() *CSR {
-	if g.csrOut == nil {
-		g.csrOut = buildCSR(g.out, g.edges)
-	}
-	return g.csrOut
-}
-
-// InCSR returns the cached CSR view of the in-adjacency.
-func (g *Directed) InCSR() *CSR {
-	if g.csrIn == nil {
-		g.csrIn = buildCSR(g.in, g.edges)
-	}
-	return g.csrIn
-}
-
-func (g *Directed) invalidateCSR() {
-	g.csrOut = nil
-	g.csrIn = nil
 }

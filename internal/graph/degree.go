@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // DegreeShare is one row of a degree-concentration table: the fraction of
 // left nodes whose out-degree is at least MinDegree, and the fraction of
 // all edges those nodes account for. Section 5.1 of the paper reports
@@ -38,43 +36,4 @@ func LeftDegreeShares(b BipartiteView, thresholds []int) []DegreeShare {
 		out = append(out, share)
 	}
 	return out
-}
-
-// LeftOutDegrees returns every left node's out-degree, for CDF estimation
-// (Figure 3 plots this distribution for investors).
-func LeftOutDegrees(b BipartiteView) []int {
-	out := make([]int, b.NumLeft())
-	for u := range out {
-		out[u] = b.OutDegree(int32(u))
-	}
-	return out
-}
-
-// RightInDegrees returns every right node's in-degree (investors per
-// company; the paper reports an average of 2.6).
-func RightInDegrees(b BipartiteView) []int {
-	out := make([]int, b.NumRight())
-	for v := range out {
-		out[v] = b.InDegree(int32(v))
-	}
-	return out
-}
-
-// DegreeHistogram counts how many nodes have each exact degree, returned as
-// sorted (degree, count) pairs.
-func DegreeHistogram(degrees []int) (ds []int, counts []int) {
-	m := make(map[int]int)
-	for _, d := range degrees {
-		m[d]++
-	}
-	ds = make([]int, 0, len(m))
-	for d := range m {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
-	counts = make([]int, len(ds))
-	for i, d := range ds {
-		counts[i] = m[d]
-	}
-	return ds, counts
 }

@@ -44,33 +44,6 @@ func TestLeftDegreeSharesEmpty(t *testing.T) {
 	}
 }
 
-func TestLeftOutDegreesAndRightInDegrees(t *testing.T) {
-	b := paperExampleStrong()
-	out := LeftOutDegrees(b)
-	if len(out) != 3 || out[0] != 3 || out[1] != 2 || out[2] != 2 {
-		t.Errorf("out degrees = %v", out)
-	}
-	in := RightInDegrees(b)
-	// c1: i1,i2 = 2; c2: i1,i2,i3 = 3; c3: i1,i3 = 2.
-	if len(in) != 3 || in[0] != 2 || in[1] != 3 || in[2] != 2 {
-		t.Errorf("in degrees = %v", in)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	ds, counts := DegreeHistogram([]int{1, 1, 2, 5, 5, 5})
-	wantD := []int{1, 2, 5}
-	wantC := []int{2, 1, 3}
-	if len(ds) != 3 {
-		t.Fatalf("ds = %v", ds)
-	}
-	for i := range ds {
-		if ds[i] != wantD[i] || counts[i] != wantC[i] {
-			t.Errorf("histogram row %d = (%d,%d), want (%d,%d)", i, ds[i], counts[i], wantD[i], wantC[i])
-		}
-	}
-}
-
 func TestProjectLeft(t *testing.T) {
 	b := paperExampleStrong()
 	edges := ProjectLeft(b, 1)

@@ -1,9 +1,10 @@
 // Package graph provides the graph substrate for the crowdscope analyses:
-// a label-indexed directed graph, the bipartite investor→company graph of
-// Section 5.1 of the paper, traversals, degree-distribution and
-// degree-concentration statistics, centrality measures (degree, closeness,
-// betweenness, PageRank — the predictors proposed in the paper's Section 7),
-// and one-mode projections of bipartite graphs.
+// the bipartite investor→company graph of Section 5.1 of the paper, as a
+// mutable builder (Bipartite) and as the immutable CSR form a frozen
+// snapshot loads (FrozenBipartite), both read through BipartiteView; the
+// degree filter and per-investor degree cap applied before community
+// detection; degree-concentration statistics; and the one-mode investor
+// projection.
 //
 // Nodes are referenced externally by string labels (AngelList IDs in the
 // analyses) and internally by dense integer indices so adjacency is stored

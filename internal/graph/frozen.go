@@ -6,102 +6,11 @@ import (
 	"sync"
 )
 
-// Frozen is an immutable directed graph backed directly by flat arrays —
-// the in-memory shape of a loaded snapshot. Construction is O(1) in graph
-// size when the CSR arrays already exist (nothing is copied or rebuilt);
-// the label→index map is built lazily on the first Index call. A Frozen
-// is safe for concurrent use.
-type Frozen struct {
-	labels []string
-	out    *CSR
-	in     *CSR
-
-	indexOnce sync.Once
-	index     map[string]int32
-}
-
-// NewFrozen wraps node labels and out/in CSR adjacency into a read-only
-// graph. The arrays are adopted, not copied; callers must not mutate them
-// afterwards. Offsets and labels must agree on the node count, and the
-// two CSRs must carry the same number of edges.
-func NewFrozen(labels []string, out, in *CSR) (*Frozen, error) {
-	if out.NumNodes() != len(labels) || in.NumNodes() != len(labels) {
-		return nil, fmt.Errorf("graph: frozen node counts disagree (labels=%d out=%d in=%d)",
-			len(labels), out.NumNodes(), in.NumNodes())
-	}
-	if len(out.Targets) != len(in.Targets) {
-		return nil, fmt.Errorf("graph: frozen edge counts disagree (out=%d in=%d)",
-			len(out.Targets), len(in.Targets))
-	}
-	return &Frozen{labels: labels, out: out, in: in}, nil
-}
-
-// Freeze snapshots a Directed graph into its immutable flat-array form.
-// Adjacency order is preserved exactly, so every View algorithm produces
-// bit-identical results on the frozen copy.
-func Freeze(g *Directed) *Frozen {
-	labels := make([]string, g.NumNodes())
-	copy(labels, g.labels)
-	f, err := NewFrozen(labels, buildCSR(g.out, g.edges), buildCSR(g.in, g.edges))
-	if err != nil {
-		// Unreachable: Directed maintains the mirror invariant.
-		panic(err)
-	}
-	return f
-}
-
-// NumNodes returns the node count.
-func (f *Frozen) NumNodes() int { return len(f.labels) }
-
-// NumEdges returns the edge count.
-func (f *Frozen) NumEdges() int { return len(f.out.Targets) }
-
-// Label returns the label of node idx.
-func (f *Frozen) Label(idx int32) string { return f.labels[idx] }
-
-// Index returns the dense index for a label, if present. The lookup map
-// is built once, on first use.
-func (f *Frozen) Index(label string) (int32, bool) {
-	f.indexOnce.Do(func() {
-		f.index = make(map[string]int32, len(f.labels))
-		for i, l := range f.labels {
-			f.index[l] = int32(i)
-		}
-	})
-	idx, ok := f.index[label]
-	return idx, ok
-}
-
-// Out returns the out-neighbors of node idx. The slice aliases the frozen
-// arrays and must not be modified.
-func (f *Frozen) Out(idx int32) []int32 { return f.out.Row(idx) }
-
-// In returns the in-neighbors of node idx. The slice aliases the frozen
-// arrays and must not be modified.
-func (f *Frozen) In(idx int32) []int32 { return f.in.Row(idx) }
-
-// OutDegree returns the out-degree of node idx.
-func (f *Frozen) OutDegree(idx int32) int { return f.out.Degree(idx) }
-
-// InDegree returns the in-degree of node idx.
-func (f *Frozen) InDegree(idx int32) int { return f.in.Degree(idx) }
-
-// OutCSR returns the out-adjacency arrays themselves — no rebuild.
-func (f *Frozen) OutCSR() *CSR { return f.out }
-
-// InCSR returns the in-adjacency arrays themselves — no rebuild.
-func (f *Frozen) InCSR() *CSR { return f.in }
-
-// Labels returns a copy of all node labels in index order.
-func (f *Frozen) Labels() []string {
-	out := make([]string, len(f.labels))
-	copy(out, f.labels)
-	return out
-}
-
-// FrozenBipartite is the immutable two-mode counterpart of Frozen: left
-// and right label tables plus fwd (left→right) and rev (right→left) CSR
-// adjacency, exactly as loaded from a snapshot. Safe for concurrent use.
+// FrozenBipartite is the immutable form of a Bipartite, backed directly
+// by flat arrays: left and right label tables plus fwd (left→right) and
+// rev (right→left) CSR adjacency, exactly as loaded from a snapshot.
+// Wrapping loaded arrays copies and rebuilds nothing; the label→index
+// maps are built lazily on first lookup. Safe for concurrent use.
 type FrozenBipartite struct {
 	leftLabels  []string
 	rightLabels []string
@@ -204,12 +113,6 @@ func (f *FrozenBipartite) OutDegree(idx int32) int { return f.fwd.Degree(idx) }
 
 // InDegree returns the in-degree of a right node.
 func (f *FrozenBipartite) InDegree(idx int32) int { return f.rev.Degree(idx) }
-
-// FwdCSR returns the left→right adjacency arrays themselves.
-func (f *FrozenBipartite) FwdCSR() *CSR { return f.fwd }
-
-// RevCSR returns the right→left adjacency arrays themselves.
-func (f *FrozenBipartite) RevCSR() *CSR { return f.rev }
 
 // HasEdge reports whether the labeled edge exists. Sorted rows (the
 // normal case — snapshots are written after SortAdjacency) are binary-

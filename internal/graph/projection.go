@@ -48,10 +48,10 @@ func ProjectLeft(b BipartiteView, minShared int) []WeightedEdge {
 	return edges
 }
 
-// SharedRightCount returns |Fwd(a) ∩ Fwd(b)| — the paper's "shared
-// investment size" between two investors — assuming SortAdjacency has been
-// called (it falls back to a map otherwise via sortedIntersect semantics
-// only if sorted; callers in this repo always sort first).
+// SharedRightCount returns |Fwd(a) ∩ Fwd(c)| — the paper's "shared
+// investment size" between two investors. It requires ascending rows, as
+// SortAdjacency leaves them and every frozen snapshot stores them; there
+// is no fallback, so on unsorted rows the count is wrong.
 func SharedRightCount(b BipartiteView, a, c int32) int {
 	return sortedIntersectLen(b.Fwd(a), b.Fwd(c))
 }

@@ -1,34 +1,11 @@
 package graph
 
-// View is the read-only directed-graph interface every analysis kernel
-// consumes: node identity, adjacency rows in both directions, and the
-// flattened CSR views the parallel kernels traverse. Two implementations
-// exist — the mutable *Directed used while building a graph, and the
-// immutable *Frozen backed directly by arrays loaded from a persisted
-// snapshot. Algorithms written against View produce bit-identical results
-// on either, because both present adjacency rows in the same order.
-type View interface {
-	NumNodes() int
-	NumEdges() int
-	Label(idx int32) string
-	Index(label string) (int32, bool)
-	// Out and In return adjacency rows owned by the graph; callers must
-	// not modify them.
-	Out(idx int32) []int32
-	In(idx int32) []int32
-	OutDegree(idx int32) int
-	InDegree(idx int32) int
-	// OutCSR and InCSR return flattened adjacency. For Frozen these are
-	// the loaded arrays themselves (no rebuild); for Directed they are
-	// built lazily and cached.
-	OutCSR() *CSR
-	InCSR() *CSR
-}
-
-// BipartiteView is the read-only two-mode counterpart of View, consumed
-// by the community detectors, the co-investment metrics, the projections
-// and the visualizations. Implemented by the mutable *Bipartite (builder
-// path) and the snapshot-backed *FrozenBipartite.
+// BipartiteView is the read-only two-mode graph interface consumed by the
+// community detectors, the co-investment metrics, the projections and the
+// visualizations. Implemented by the mutable *Bipartite (builder path)
+// and the snapshot-backed *FrozenBipartite; both present adjacency rows in
+// the same order, so every algorithm written against the view produces
+// bit-identical results on either.
 type BipartiteView interface {
 	NumLeft() int
 	NumRight() int
@@ -47,17 +24,15 @@ type BipartiteView interface {
 }
 
 var (
-	_ View          = (*Directed)(nil)
-	_ View          = (*Frozen)(nil)
 	_ BipartiteView = (*Bipartite)(nil)
 	_ BipartiteView = (*FrozenBipartite)(nil)
 )
 
 // FilterLeftMinDegree returns a new bipartite graph containing only left
 // nodes of v with out-degree >= min (and the right nodes they reach). The
-// paper applies this with min = 4 before community detection. Iteration
-// is in left-index then row order, so the result is identical for every
-// implementation of the view.
+// paper applies this with min = 4 before community detection to make
+// clusters statistically meaningful. Iteration is in left-index then row
+// order, so the result is identical for every implementation of the view.
 func FilterLeftMinDegree(v BipartiteView, min int) *Bipartite {
 	nb := NewBipartite(v.NumLeft(), v.NumRight())
 	for u := int32(0); int(u) < v.NumLeft(); u++ {
@@ -69,23 +44,4 @@ func FilterLeftMinDegree(v BipartiteView, min int) *Bipartite {
 		}
 	}
 	return nb
-}
-
-// ToDirected converts any bipartite view into a Directed graph whose node
-// label space is the union of left and right labels, prefixed to avoid
-// collisions ("L:" and "R:"). CoDA and SBM operate on this representation.
-func ToDirected(v BipartiteView) *Directed {
-	g := NewDirected(v.NumLeft() + v.NumRight())
-	for u := int32(0); int(u) < v.NumLeft(); u++ {
-		g.AddNode("L:" + v.LeftLabel(u))
-	}
-	for r := int32(0); int(r) < v.NumRight(); r++ {
-		g.AddNode("R:" + v.RightLabel(r))
-	}
-	for u := int32(0); int(u) < v.NumLeft(); u++ {
-		for _, r := range v.Fwd(u) {
-			g.AddEdge("L:"+v.LeftLabel(u), "R:"+v.RightLabel(r))
-		}
-	}
-	return g
 }

@@ -13,9 +13,9 @@ func viewonlyFixture(t *testing.T, allow string) *Module {
 	t.Helper()
 	return writeModule(t, map[string]string{
 		"crowdlint.allow":     allow,
-		"internal/graph/g.go": "package graph\n\ntype Directed struct{ N int }\n",
+		"internal/graph/g.go": "package graph\n\ntype Bipartite struct{ N int }\n",
 		"internal/core/c.go": "package core\n\nimport \"fixture.test/m/internal/graph\"\n\n" +
-			"func Build() *graph.Directed { return &graph.Directed{} }\n",
+			"func Build() *graph.Bipartite { return &graph.Bipartite{} }\n",
 	})
 }
 
@@ -86,9 +86,9 @@ viewonly:internal/core.Build
 # why the status error is not wrapped
 errwrap:internal/core.Status
 `,
-		"internal/graph/g.go": "package graph\n\ntype Directed struct{ N int }\n",
+		"internal/graph/g.go": "package graph\n\ntype Bipartite struct{ N int }\n",
 		"internal/core/c.go": "package core\n\nimport (\n\t\"fmt\"\n\n\t\"fixture.test/m/internal/graph\"\n)\n\n" +
-			"func Build() *graph.Directed { return &graph.Directed{} }\n\n" +
+			"func Build() *graph.Bipartite { return &graph.Bipartite{} }\n\n" +
 			"func Status(code int, err error) error { return fmt.Errorf(\"status %d: %v\", code, err) }\n",
 	})
 	if _, _, err := RewriteAllowlist(m); err != nil {

@@ -16,8 +16,8 @@
 //     environment variables or the global math/rand stream (PR 1-2's
 //     bit-identical reruns).
 //   - viewonly: exported APIs outside internal/graph consume the
-//     read-only graph.View/graph.BipartiteView, never the mutable
-//     builders (PR 3's frozen-snapshot refactor).
+//     read-only graph.BipartiteView, never the mutable *graph.Bipartite
+//     builder (PR 3's frozen-snapshot refactor).
 //   - ctxthread: blocking work (sleeps, network, durable store writes)
 //     is cancelable: a context arrives as the first parameter, and
 //     context.Background() stays in main packages.

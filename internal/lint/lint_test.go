@@ -62,9 +62,9 @@ func wantFindings(t *testing.T, got []string, want ...string) {
 
 func TestLoadTypeChecksAcrossPackages(t *testing.T) {
 	m := writeModule(t, map[string]string{
-		"internal/graph/g.go": "package graph\n\ntype Directed struct{ N int }\n",
+		"internal/graph/g.go": "package graph\n\ntype Bipartite struct{ N int }\n",
 		"internal/core/c.go": "package core\n\nimport \"fixture.test/m/internal/graph\"\n\n" +
-			"func Nodes(g *graph.Directed) int { return g.N }\n",
+			"func Nodes(g *graph.Bipartite) int { return g.N }\n",
 	})
 	if len(m.Packages) != 2 {
 		t.Fatalf("loaded %d packages, want 2", len(m.Packages))

@@ -7,9 +7,9 @@ import (
 
 // AnalyzerViewOnly enforces PR 3's read-only-view discipline: outside
 // internal/graph, exported functions and methods must traffic in
-// graph.View / graph.BipartiteView, never the mutable *graph.Directed /
-// *graph.Bipartite builders. The known façade constructors live in
-// crowdlint.allow with a justifying comment.
+// graph.BipartiteView, never the mutable *graph.Bipartite builder. The
+// known façade constructors live in crowdlint.allow with a justifying
+// comment.
 var AnalyzerViewOnly = &Analyzer{
 	Name: "viewonly",
 	Doc:  "exported APIs outside internal/graph must use graph views, not builder types",
@@ -40,8 +40,7 @@ func runViewOnly(m *Module) []Diagnostic {
 				if recv := sig.Recv(); recv != nil && !receiverExported(recv.Type()) {
 					continue // methods on unexported types are not API
 				}
-				bad := bannedInSignature(sig, graphPath)
-				if bad == "" {
+				if !bannedInSignature(sig, graphPath) {
 					continue
 				}
 				key := allowKey(pkg, fd, sig)
@@ -50,8 +49,8 @@ func runViewOnly(m *Module) []Diagnostic {
 					continue
 				}
 				diags = append(diags, m.diag("viewonly", fd.Name.Pos(),
-					"exported %s exposes *graph.%s; accept or return graph.%s instead, or add %q to %s with a justification",
-					key, bad, viewFor(bad), "viewonly:"+key, AllowlistFile))
+					"exported %s exposes *graph.Bipartite; accept or return graph.BipartiteView instead, or add %q to %s with a justification",
+					key, "viewonly:"+key, AllowlistFile))
 			}
 		}
 	}
@@ -74,25 +73,21 @@ func allowKey(pkg *Package, fd *ast.FuncDecl, sig *types.Signature) string {
 	return prefix + "." + fd.Name.Name
 }
 
-// bannedInSignature reports the first builder type ("Directed" or
-// "Bipartite") reachable from the signature's parameters or results, or
-// "" when the signature is clean.
-func bannedInSignature(sig *types.Signature, graphPath string) string {
+// bannedInSignature reports whether the builder type graph.Bipartite is
+// reachable from the signature's parameters or results.
+func bannedInSignature(sig *types.Signature, graphPath string) bool {
 	seen := map[types.Type]bool{}
-	var walk func(t types.Type) string
-	walk = func(t types.Type) string {
+	var walk func(t types.Type) bool
+	walk = func(t types.Type) bool {
 		if t == nil || seen[t] {
-			return ""
+			return false
 		}
 		seen[t] = true
 		switch tt := t.(type) {
 		case *types.Named:
+			// Other named types are opaque: identity, not structure.
 			obj := tt.Obj()
-			if obj.Pkg() != nil && obj.Pkg().Path() == graphPath &&
-				(obj.Name() == "Directed" || obj.Name() == "Bipartite") {
-				return obj.Name()
-			}
-			return "" // other named types are opaque: identity, not structure
+			return obj.Pkg() != nil && obj.Pkg().Path() == graphPath && obj.Name() == "Bipartite"
 		case *types.Pointer:
 			return walk(tt.Elem())
 		case *types.Slice:
@@ -100,40 +95,24 @@ func bannedInSignature(sig *types.Signature, graphPath string) string {
 		case *types.Array:
 			return walk(tt.Elem())
 		case *types.Map:
-			if bad := walk(tt.Key()); bad != "" {
-				return bad
-			}
-			return walk(tt.Elem())
+			return walk(tt.Key()) || walk(tt.Elem())
 		case *types.Chan:
 			return walk(tt.Elem())
 		case *types.Signature:
-			if bad := walkTuple(tt.Params(), walk); bad != "" {
-				return bad
-			}
-			return walkTuple(tt.Results(), walk)
+			return walkTuple(tt.Params(), walk) || walkTuple(tt.Results(), walk)
 		}
-		return ""
+		return false
 	}
-	if bad := walkTuple(sig.Params(), walk); bad != "" {
-		return bad
-	}
-	return walkTuple(sig.Results(), walk)
+	return walkTuple(sig.Params(), walk) || walkTuple(sig.Results(), walk)
 }
 
-func walkTuple(t *types.Tuple, walk func(types.Type) string) string {
+func walkTuple(t *types.Tuple, walk func(types.Type) bool) bool {
 	for i := 0; i < t.Len(); i++ {
-		if bad := walk(t.At(i).Type()); bad != "" {
-			return bad
+		if walk(t.At(i).Type()) {
+			return true
 		}
 	}
-	return ""
-}
-
-func viewFor(builder string) string {
-	if builder == "Bipartite" {
-		return "BipartiteView"
-	}
-	return "View"
+	return false
 }
 
 // namedOf unwraps pointers to reach a named receiver type.

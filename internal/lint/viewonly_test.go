@@ -7,8 +7,6 @@ import (
 
 const viewonlyGraphFixture = `package graph
 
-type Directed struct{ n int }
-
 type Bipartite struct{ n int }
 
 type BipartiteView interface{ NumLeft() int }
@@ -31,9 +29,9 @@ func filter(b *graph.Bipartite) {}
 
 type Runner struct{}
 
-func (Runner) Use(g *graph.Directed) {}
+func (Runner) Use(g *graph.Bipartite) {}
 
-func Batch(gs []*graph.Directed) {}
+func Batch(gs map[string][]*graph.Bipartite) {}
 `,
 	})
 	got := findings(t, m, AnalyzerViewOnly)

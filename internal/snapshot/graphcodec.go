@@ -12,8 +12,7 @@ import (
 //	p.fwd.offsets, p.fwd.targets   left→right CSR
 //	p.rev.offsets, p.rev.targets   right→left CSR
 //
-// and a directed view as p.labels / p.out.* / p.in.*. Decoding hands the
-// loaded arrays straight to graph.NewFrozenBipartite / graph.NewFrozen —
+// Decoding hands the loaded arrays straight to graph.NewFrozenBipartite —
 // no adjacency rebuild, no sorting, no hashing.
 
 // EncodeBipartite adds the view's label tables and CSR adjacency under
@@ -56,40 +55,11 @@ func DecodeBipartite(d *Decoder, prefix string) (*graph.FrozenBipartite, error) 
 	if err != nil {
 		return nil, err
 	}
-	return graph.NewFrozenBipartite(left, right, fwd, rev)
-}
-
-// EncodeDirected adds the directed view's labels and out/in CSR under the
-// given section prefix.
-func EncodeDirected(e *Encoder, prefix string, v graph.View) {
-	labels := make([]string, v.NumNodes())
-	for i := range labels {
-		labels[i] = v.Label(int32(i))
-	}
-	e.Strings(prefix+".labels", labels)
-	outOff, outTgt := flattenRows(v.NumNodes(), v.Out)
-	inOff, inTgt := flattenRows(v.NumNodes(), v.In)
-	e.Int64s(prefix+".out.offsets", outOff)
-	e.Int32s(prefix+".out.targets", outTgt)
-	e.Int64s(prefix+".in.offsets", inOff)
-	e.Int32s(prefix+".in.targets", inTgt)
-}
-
-// DecodeDirected loads the prefix's sections into a graph.Frozen.
-func DecodeDirected(d *Decoder, prefix string) (*graph.Frozen, error) {
-	labels, err := d.Strings(prefix + ".labels")
+	fb, err := graph.NewFrozenBipartite(left, right, fwd, rev)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, prefix, err)
 	}
-	out, err := decodeCSR(d, prefix+".out", len(labels), len(labels))
-	if err != nil {
-		return nil, err
-	}
-	in, err := decodeCSR(d, prefix+".in", len(labels), len(labels))
-	if err != nil {
-		return nil, err
-	}
-	return graph.NewFrozen(labels, out, in)
+	return fb, nil
 }
 
 // flattenRows packs n adjacency rows into CSR offset/target arrays.

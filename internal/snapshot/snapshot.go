@@ -22,9 +22,15 @@ const (
 	kindStrings = 4
 )
 
+// minSectionHeader is the smallest possible section frame: name length,
+// kind, count, payload length and CRC around an empty name and payload.
+const minSectionHeader = 2 + 1 + 8 + 8 + 4
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports a failed integrity or framing check while decoding.
+// ErrCorrupt reports an artifact that fails an integrity, framing or
+// schema check while decoding (a missing or mistyped section included).
+// The one other refusal is a format version the reader does not know.
 var ErrCorrupt = errors.New("snapshot: corrupt artifact")
 
 // Encoder accumulates named typed columns and serializes them into one
@@ -170,7 +176,9 @@ func NewDecoder(data []byte) (*Decoder, error) {
 	}
 	nSec := binary.LittleEndian.Uint32(data[pos+4:])
 	pos += 8
-	d := &Decoder{sections: make(map[string]section, nSec)}
+	// The section count is untrusted until the frames are walked: size
+	// the map by what the remaining bytes could hold, not by the claim.
+	d := &Decoder{sections: make(map[string]section, min(int(nSec), (len(data)-pos)/minSectionHeader))}
 	for i := uint32(0); i < nSec; i++ {
 		if pos+2 > len(data) {
 			return nil, fmt.Errorf("%w: truncated section header at byte %d", ErrCorrupt, pos)
@@ -212,10 +220,10 @@ func NewDecoder(data []byte) (*Decoder, error) {
 func (d *Decoder) section(name string, kind uint8) (section, error) {
 	s, ok := d.sections[name]
 	if !ok {
-		return section{}, fmt.Errorf("snapshot: missing section %q", name)
+		return section{}, fmt.Errorf("%w: missing section %q", ErrCorrupt, name)
 	}
 	if s.kind != kind {
-		return section{}, fmt.Errorf("snapshot: section %q has kind %d, want %d", name, s.kind, kind)
+		return section{}, fmt.Errorf("%w: section %q has kind %d, want %d", ErrCorrupt, name, s.kind, kind)
 	}
 	return s, nil
 }
@@ -226,7 +234,7 @@ func (d *Decoder) Int64s(name string) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(s.payload)) != 8*s.count {
+	if len(s.payload)%8 != 0 || uint64(len(s.payload)/8) != s.count {
 		return nil, fmt.Errorf("%w: section %q: %d payload bytes for %d int64s", ErrCorrupt, name, len(s.payload), s.count)
 	}
 	out := make([]int64, s.count)
@@ -242,7 +250,7 @@ func (d *Decoder) Int32s(name string) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(s.payload)) != 4*s.count {
+	if len(s.payload)%4 != 0 || uint64(len(s.payload)/4) != s.count {
 		return nil, fmt.Errorf("%w: section %q: %d payload bytes for %d int32s", ErrCorrupt, name, len(s.payload), s.count)
 	}
 	out := make([]int32, s.count)
@@ -271,10 +279,11 @@ func (d *Decoder) Strings(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	header := 8 * (s.count + 1)
-	if uint64(len(s.payload)) < header {
-		return nil, fmt.Errorf("%w: section %q: %d payload bytes cannot hold %d offsets", ErrCorrupt, name, len(s.payload), s.count+1)
+	// Compare by division: 8*(count+1) wraps for a hostile count.
+	if s.count >= uint64(len(s.payload)/8) {
+		return nil, fmt.Errorf("%w: section %q: %d payload bytes cannot hold the offsets of %d strings", ErrCorrupt, name, len(s.payload), s.count)
 	}
+	header := 8 * (s.count + 1)
 	blob := s.payload[header:]
 	out := make([]string, s.count)
 	prev := int64(0)

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -57,11 +58,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(labels, []string{"", "alpha", "β-utf8", "alpha"}) {
 		t.Fatalf("Strings = %v", labels)
 	}
-	if _, err := d.Int64s("missing"); err == nil {
-		t.Fatal("missing section must error")
+	if _, err := d.Int64s("missing"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("missing section: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := d.Int32s("nums64"); err == nil {
-		t.Fatal("kind mismatch must error")
+	if _, err := d.Int32s("nums64"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("kind mismatch: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -126,6 +127,48 @@ func TestBadMagicAndVersionRejected(t *testing.T) {
 	}
 }
 
+// TestDecoderRejectsOverflowingCounts: a CRC-valid section whose element
+// count overflows its byte size fails with ErrCorrupt instead of panicking
+// in makeslice, and a header claiming more sections than its bytes can
+// frame sizes nothing by that claim.
+func TestDecoderRejectsOverflowingCounts(t *testing.T) {
+	cases := []struct {
+		name  string
+		kind  uint8
+		count uint64
+		read  func(*Decoder) error
+	}{
+		{"int64s", kindInt64, 1 << 61, func(d *Decoder) error { _, err := d.Int64s("col"); return err }},
+		{"int32s", kindInt32, 1 << 62, func(d *Decoder) error { _, err := d.Int32s("col"); return err }},
+		{"strings", kindStrings, math.MaxUint64, func(d *Decoder) error { _, err := d.Strings("col"); return err }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEncoder()
+			e.add("col", c.kind, c.count, nil)
+			data, err := e.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := NewDecoder(data)
+			if err != nil {
+				t.Fatalf("framing and CRC are valid, yet NewDecoder failed: %v", err)
+			}
+			if err := c.read(d); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("count %d over an empty payload: err = %v, want ErrCorrupt", c.count, err)
+			}
+		})
+	}
+	t.Run("section count", func(t *testing.T) {
+		data := binary.LittleEndian.AppendUint32([]byte(magic), FormatVersion)
+		data = binary.LittleEndian.AppendUint32(data, 0x0FFFFFFF)
+		data = append(data, 0, 0, 0, 0)
+		if _, err := NewDecoder(data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
+}
+
 func TestBipartiteCodecRoundTrip(t *testing.T) {
 	b := graph.NewBipartite(4, 8)
 	for _, e := range [][2]string{
@@ -173,53 +216,6 @@ func TestBipartiteCodecRoundTrip(t *testing.T) {
 	if !fb.HasEdge("inv-b", "co-3") || fb.HasEdge("inv-c", "co-1") {
 		t.Fatal("HasEdge disagrees with builder graph")
 	}
-}
-
-func TestDirectedCodecRoundTrip(t *testing.T) {
-	g := graph.NewDirected(4)
-	for _, e := range [][2]string{
-		{"a", "b"}, {"a", "c"}, {"b", "c"}, {"c", "a"}, {"d", "a"},
-	} {
-		g.AddEdge(e[0], e[1])
-	}
-	enc := NewEncoder()
-	EncodeDirected(enc, "net", g)
-	data, err := enc.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fg, err := DecodeDirected(dec, "net")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fg.NumNodes() != g.NumNodes() || fg.NumEdges() != g.NumEdges() {
-		t.Fatalf("sizes differ: %d/%d vs %d/%d", fg.NumNodes(), fg.NumEdges(), g.NumNodes(), g.NumEdges())
-	}
-	for u := int32(0); int(u) < g.NumNodes(); u++ {
-		if fg.Label(u) != g.Label(u) {
-			t.Fatalf("label %d differs", u)
-		}
-		if !rowsEqual(fg.Out(u), g.Out(u)) || !rowsEqual(fg.In(u), g.In(u)) {
-			t.Fatalf("adjacency %d differs", u)
-		}
-	}
-}
-
-// rowsEqual compares adjacency rows, treating nil and empty as equal.
-func rowsEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestDecodeCSRRejectsInconsistency(t *testing.T) {

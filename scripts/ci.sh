@@ -34,8 +34,9 @@ go run ./cmd/crowdlint ./...
 # fail the run immediately instead of racing on and burying the report
 # mid-log. Each named suite pins one equivalence or resilience claim:
 #
-#   frozen-view        builder and frozen-CSR analyses are bit-identical
-#                      on every parallel kernel
+#   frozen-view        the builder graph and the frozen CSR graph give
+#                      bit-identical analyses (filter, projection, CoDA,
+#                      metrics), and a frozen artifact round-trips
 #   serve-chaos        seeded backend faults yield bounded error rates,
 #                      deterministic breaker transitions, stale-marked
 #                      degradation — and drained goroutine counts
@@ -64,9 +65,19 @@ export GORACE="halt_on_error=1"
 
 go test -race ./...
 
+# A suite must select at least one test in every package it names: a
+# renamed or deleted test would otherwise empty it without a failure.
 run_suite() {
   local name="$1" pattern="$2"; shift 2
   echo "=== race suite: $name ==="
+  local pkg list
+  for pkg in "$@"; do
+    list=$(go test -list "$pattern" "$pkg")
+    if ! grep -q '^Test' <<<"$list"; then
+      echo "ci: race suite $name selects no test in $pkg" >&2
+      exit 1
+    fi
+  done
   go test -race -run "$pattern" "$@"
 }
 
@@ -81,13 +92,15 @@ run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSin
 # Hostile and random bytes: ten seconds or so of native fuzzing each on the
 # parser (a query error, or a statement whose canonical text parses
 # back to itself; never a panic), on the row contract (core's typed
-# records and the same rows decoded from JSON give the same bytes) and
-# on the freeze's user projection (it decodes whatever the typed user
+# records and the same rows decoded from JSON give the same bytes), on
+# the freeze's user projection (it decodes whatever the typed user
 # record decodes, to the same fields; its array-length decoder accepts
-# exactly what a []string decode accepts). internal/core gets 20 s: its
+# exactly what a []string decode accepts) and on the graph codec (any
+# bytes decode to an ErrCorrupt error or to a frozen graph whose every
+# row, label and index stays in range). internal/core gets 20 s: its
 # TestMain crawls the package fixture in the coordinator and in every
 # fuzz worker before the first input runs, which takes about half of it.
-for entry in FuzzParse:./internal/query:10s FuzzTypedVsDecoded:./internal/query:10s FuzzUserProjection:./internal/core:20s; do
+for entry in FuzzParse:./internal/query:10s FuzzTypedVsDecoded:./internal/query:10s FuzzUserProjection:./internal/core:20s FuzzDecodeBipartite:./internal/snapshot:10s; do
   IFS=: read -r target pkg budget <<<"$entry"
   go test -run '^$' -fuzz "^${target}\$" -fuzztime="$budget" "$pkg"
 done
@@ -112,8 +125,8 @@ check_coverage() {
 check_coverage ./internal/crawler 70
 check_coverage ./internal/apiserver 70
 # The persistence layer (the one K-shard writer, blob namespaces, frozen
-# artifacts) and the graph layer (View interface, frozen CSR
-# implementations) gate the snapshot format's integrity guarantees.
+# artifacts) and the graph layer (the builder and the frozen CSR graph
+# behind BipartiteView) gate the snapshot format's integrity guarantees.
 check_coverage ./internal/store 70
 check_coverage ./internal/graph 70
 # The lint framework gates every other invariant, so it carries its own
