@@ -111,7 +111,7 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 			for j := 0; j < K; j++ {
 				SF[j] -= F[u][j]
 			}
-			total += updateRow(F[u], adj[u], F, SF, scratch)
+			total += updateRow(F[u], adj[u], F, SF, scratch, scratch.diff[:K])
 			for j := 0; j < K; j++ {
 				SF[j] += F[u][j]
 			}

@@ -39,9 +39,10 @@ type CoDA struct {
 	MinMembers int
 	// Workers bounds the parallelism of the block-coordinate sweeps;
 	// <= 0 selects the process-default pool. Rows within a sweep are
-	// independent given the opposite matrix and the column-sum caches,
-	// and cache updates merge in row order, so the fit is bit-identical
-	// for every worker count.
+	// independent given the opposite matrix and the column-sum caches;
+	// a worker updates 64 consecutive rows at a time, and cache updates
+	// merge in row order, so the fit is bit-identical for every worker
+	// count. A side with at most 64 rows runs on one worker.
 	Workers int
 }
 
@@ -78,49 +79,17 @@ func (c *CoDA) fit(b graph.BipartiteView) (F, H [][]float64, err error) {
 	SF := colSums(F, K)
 	SH := colSums(H, K)
 
-	// Per-worker scratch for the parallel sweeps. Within a sweep every
-	// row update reads only its own row, the (frozen) opposite matrix and
-	// the opposite column-sum cache; the row's own cache is written but
-	// never read, so deferring those writes to the ordered merge phase
-	// reproduces the serial accumulation order exactly.
 	pool := parallel.New(c.Workers)
-	rows := nL
-	if nR > rows {
-		rows = nR
-	}
-	scratch := make([]*rowScratch, pool.WorkersFor(rows))
+	scratch := make([]*rowScratch, pool.WorkersFor(numBlocks(max(nL, nR))))
 	for i := range scratch {
 		scratch[i] = newRowScratch(K)
 	}
 
 	prevL := math.Inf(-1)
 	for iter := 0; iter < maxIter; iter++ {
-		var total float64
-		// Sweep investors.
-		pool.Ordered(nL,
-			func(w, u int) {
-				sc := scratch[w]
-				sc.lik = updateRow(F[u], b.Fwd(int32(u)), H, SH, sc)
-			},
-			func(w, u int) {
-				sc := scratch[w]
-				total += sc.lik
-				for k := 0; k < K; k++ {
-					SF[k] += sc.diff[k]
-				}
-			})
-		// Sweep companies (their neighbors are investors, roles swapped).
-		pool.Ordered(nR,
-			func(w, v int) {
-				sc := scratch[w]
-				sc.lik = updateRow(H[v], b.Rev(int32(v)), F, SF, sc)
-			},
-			func(w, v int) {
-				sc := scratch[w]
-				for k := 0; k < K; k++ {
-					SH[k] += sc.diff[k]
-				}
-			})
+		total := sweep(pool, scratch, F, b.Fwd, H, SH, SF)
+		// Companies: their neighbours are investors, roles swapped.
+		sweep(pool, scratch, H, b.Rev, F, SF, SH)
 		if prevL != math.Inf(-1) {
 			denom := math.Abs(prevL)
 			if denom < 1e-12 {
@@ -256,23 +225,67 @@ func (c *CoDA) seed(b graph.BipartiteView, F, H [][]float64, rng *rand.Rand) {
 	}
 }
 
+// sweepBlock is the number of consecutive rows one sweep task updates.
+// Pool.Ordered hands off once per task, and a row is a few µs of work:
+// with a task per row the fit ran slower at two workers than at one.
+const sweepBlock = 64
+
+func numBlocks(rows int) int { return (rows + sweepBlock - 1) / sweepBlock }
+
+// sweep runs one half of a block-coordinate sweep: every row X[i] takes a
+// projected-gradient step against the opposite matrix other, whose
+// column sums are sumOther, with neighbours adj(i). Within a sweep a row
+// update reads only its own row, other and sumOther; the row's own cache
+// sumX is written but never read. So workers update blocks of sweepBlock
+// rows concurrently, and the blocks merge in block order, adding each
+// row's cache delta into sumX and its likelihood into the returned total
+// in row order — the serial loop's additions, bit for bit.
+func sweep(pool *parallel.Pool, scratch []*rowScratch, X [][]float64, adj func(int32) []int32, other [][]float64, sumOther, sumX []float64) float64 {
+	n, K := len(X), len(sumX)
+	var total float64
+	pool.Ordered(numBlocks(n),
+		func(w, blk int) {
+			sc := scratch[w]
+			lo, hi := blk*sweepBlock, min((blk+1)*sweepBlock, n)
+			for i := lo; i < hi; i++ {
+				j := i - lo
+				sc.lik[j] = updateRow(X[i], adj(int32(i)), other, sumOther, sc, sc.diff[j*K:(j+1)*K])
+			}
+		},
+		func(w, blk int) {
+			sc := scratch[w]
+			rows := min(sweepBlock, n-blk*sweepBlock)
+			for j := 0; j < rows; j++ {
+				total += sc.lik[j]
+				for k, d := range sc.diff[j*K : (j+1)*K] {
+					sumX[k] += d
+				}
+			}
+		})
+	return total
+}
+
 // rowScratch holds one worker's reusable buffers for updateRow plus the
-// per-row outputs (cache diff, likelihood) consumed by the ordered merge.
+// per-row outputs of the block it is updating, consumed by the ordered
+// merge.
 type rowScratch struct {
-	grad, nbrSum, newX, nbr []float64
-	// diff is the row's column-sum cache delta (newX − X, or zeros when
-	// the line search rejects); lik the row's post-update likelihood.
+	grad, rest, newX []float64
+	act              []int
+	// diff[j*K:(j+1)*K] is the block's j-th row's column-sum cache delta
+	// (newX − X, or zeros when the line search rejects); lik[j] that
+	// row's post-update likelihood.
 	diff []float64
-	lik  float64
+	lik  []float64
 }
 
 func newRowScratch(k int) *rowScratch {
 	return &rowScratch{
-		grad:   make([]float64, k),
-		nbrSum: make([]float64, k),
-		newX:   make([]float64, k),
-		nbr:    make([]float64, k),
-		diff:   make([]float64, k),
+		grad: make([]float64, k),
+		rest: make([]float64, k),
+		newX: make([]float64, k),
+		act:  make([]int, 0, k),
+		diff: make([]float64, sweepBlock*k),
+		lik:  make([]float64, sweepBlock),
 	}
 }
 
@@ -280,37 +293,61 @@ func newRowScratch(k int) *rowScratch {
 // single row X (either an F_u against H, or an H_v against F), returning
 // the row's post-update local likelihood. neighbors are the row's linked
 // opposite-side nodes; sumOther is the column-sum cache of the opposite
-// matrix. X is updated in place; the caller applies sc.diff to the row's
-// own column-sum cache (in row order, to keep the fit deterministic).
-func updateRow(X []float64, neighbors []int32, other [][]float64, sumOther []float64, sc *rowScratch) float64 {
+// matrix. X is updated in place, and its change written to diff for the
+// caller to apply to the row's own column-sum cache (in row order, to
+// keep the fit deterministic).
+func updateRow(X []float64, neighbors []int32, other [][]float64, sumOther []float64, sc *rowScratch, diff []float64) float64 {
 	K := len(X)
-	grad := sc.grad
-	nbrSum := sc.nbrSum
+	grad, rest := sc.grad, sc.rest
 	for k := 0; k < K; k++ {
 		grad[k] = 0
-		nbrSum[k] = 0
-		sc.diff[k] = 0
+		rest[k] = 0
+		diff[k] = 0
 	}
-	// Gradient: Σ_{v∈N} other_v * e^{-x}/(1-e^{-x}) − (sumOther − Σ_{v∈N} other_v).
+	// One pass over the neighbours gives the gradient
+	// Σ_{v∈N} other_v * e^{-x}/(1-e^{-x}) − (sumOther − Σ_{v∈N} other_v)
+	// and, from the same e, the edge half of the row's current likelihood.
+	var base float64
 	for _, v := range neighbors {
-		row := other[v]
-		dot := dotClamped(X, row)
-		e := math.Exp(-dot)
+		row := other[v][:K]
+		e := math.Exp(-dotClamped(X, row))
 		coef := e / (1 - e)
+		base += math.Log(1 - e)
 		for k := 0; k < K; k++ {
 			grad[k] += row[k] * coef
-			nbrSum[k] += row[k]
+			rest[k] += row[k]
 		}
 	}
+	// rest becomes the non-neighbour column mass sumOther − Σ_{v∈N} other_v,
+	// which no line-search step changes. An entry at 0 whose gradient
+	// does not point up is clamped back to 0 by every step; act lists the
+	// others, the only entries the line search has to walk.
+	act := sc.act[:0]
 	for k := 0; k < K; k++ {
-		grad[k] -= sumOther[k] - nbrSum[k]
+		rest[k] = sumOther[k] - rest[k]
+		grad[k] -= rest[k]
+		base -= X[k] * rest[k]
+		if !(X[k] == 0 && grad[k] <= 0) {
+			act = append(act, k)
+		}
 	}
-	// Backtracking line search on the row likelihood.
-	base := rowLikelihood(X, neighbors, other, sumOther, sc.nbr)
+	// Backtracking line search on the row likelihood. Two tests reject a
+	// step exactly as evaluating it would, without the exp/log:
+	//   - rowLikelihood's edge sum is ≤ 0 (each term is the log of a value
+	//     in (0, 1]) and rounding is monotone, so bound — the same
+	//     subtractions applied to 0 instead — is never below what
+	//     rowLikelihood returns: a step whose bound does not beat base
+	//     fails. The entries act leaves out subtract 0·rest[k] = 0, so
+	//     bound skips them without changing its value;
+	//   - a step whose newX is bit for bit the previous (rejected) step's,
+	//     or X itself, would return that step's likelihood or base again.
 	eta := 0.05
 	newX := sc.newX
+	copy(newX, X)
 	for step := 0; step < 10; step++ {
-		for k := 0; k < K; k++ {
+		var bound float64
+		moved := false
+		for _, k := range act {
 			v := X[k] + eta*grad[k]
 			if v < 0 {
 				v = 0
@@ -318,43 +355,42 @@ func updateRow(X []float64, neighbors []int32, other [][]float64, sumOther []flo
 			if v > 1000 {
 				v = 1000
 			}
-			newX[k] = v
-		}
-		if l := rowLikelihood(newX, neighbors, other, sumOther, sc.nbr); l > base {
-			for k := 0; k < K; k++ {
-				sc.diff[k] = newX[k] - X[k]
-				X[k] = newX[k]
+			if math.Float64bits(v) != math.Float64bits(newX[k]) {
+				moved = true
 			}
-			return l
+			newX[k] = v
+			bound -= v * rest[k]
+		}
+		if moved && bound > base {
+			if l := rowLikelihood(newX, neighbors, other, rest); l > base {
+				for k := 0; k < K; k++ {
+					diff[k] = newX[k] - X[k]
+					X[k] = newX[k]
+				}
+				return l
+			}
 		}
 		eta /= 2
 	}
 	return base
 }
 
-// rowLikelihood computes Σ_{v∈N} log(1−e^{−X·other_v}) − X·(sumOther − Σ_{v∈N} other_v).
-// nbr is a caller-provided scratch buffer of length len(X).
-func rowLikelihood(X []float64, neighbors []int32, other [][]float64, sumOther, nbr []float64) float64 {
+// rowLikelihood computes Σ_{v∈N} log(1−e^{−X·other_v}) − X·rest, where
+// rest = sumOther − Σ_{v∈N} other_v is the row's non-neighbour column mass.
+func rowLikelihood(X []float64, neighbors []int32, other [][]float64, rest []float64) float64 {
 	var l float64
-	for k := range nbr {
-		nbr[k] = 0
-	}
 	for _, v := range neighbors {
-		row := other[v]
-		dot := dotClamped(X, row)
-		l += math.Log(1 - math.Exp(-dot))
-		for k := range nbr {
-			nbr[k] += row[k]
-		}
+		l += math.Log(1 - math.Exp(-dotClamped(X, other[v])))
 	}
 	for k := range X {
-		l -= X[k] * (sumOther[k] - nbr[k])
+		l -= X[k] * rest[k]
 	}
 	return l
 }
 
 // dotClamped returns max(X·Y, 1e-10) so log(1−e^{−dot}) stays finite.
 func dotClamped(x, y []float64) float64 {
+	y = y[:len(x)]
 	var d float64
 	for k := range x {
 		d += x[k] * y[k]

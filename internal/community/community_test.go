@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"crowdscope/internal/graph"
 )
@@ -314,5 +315,36 @@ func TestSelectKDegenerate(t *testing.T) {
 	k, _, err := SelectK(b, []int{3, 5}, 1)
 	if err != nil || k != 3 {
 		t.Fatalf("fallback k = %d, err %v", k, err)
+	}
+}
+
+// TestSelectKCompleteGraphReturns: a complete bipartite graph has no
+// non-edge to sample as a negative, so SelectK must fall back to the
+// first candidate instead of drawing pairs forever.
+func TestSelectKCompleteGraphReturns(t *testing.T) {
+	b := graph.NewBipartite(2, 5)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 5; j++ {
+			b.AddEdge(fmt.Sprint("i", i), fmt.Sprint("c", j))
+		}
+	}
+	b.SortAdjacency()
+	type result struct {
+		k    int
+		aucs []float64
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		k, aucs, err := SelectK(b, []int{1, 2}, 1)
+		done <- result{k, aucs, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil || r.k != 1 || len(r.aucs) != 2 || r.aucs[0] != 0 || r.aucs[1] != 0 {
+			t.Fatalf("SelectK on a complete graph = %d, %v, %v; want 1, [0 0], nil", r.k, r.aucs, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SelectK did not return on a graph with no non-edges")
 	}
 }

@@ -17,6 +17,8 @@ import (
 // held-out edges from random non-edges (ROC AUC) wins.
 //
 // It returns the chosen K and the per-candidate AUCs in candidate order.
+// A graph too small to split, or with fewer non-edges than held-out
+// edges, gets the first candidate and zero AUCs.
 func SelectK(b graph.BipartiteView, candidates []int, seed int64) (int, []float64, error) {
 	if len(candidates) == 0 {
 		return 0, nil, fmt.Errorf("community: SelectK needs candidates")
@@ -35,7 +37,6 @@ func SelectK(b graph.BipartiteView, candidates []int, seed int64) (int, []float6
 			edges = append(edges, edge{u, v})
 		}
 	}
-	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	nHold := len(edges) / 10
 	if nHold < 5 {
 		nHold = 5
@@ -43,6 +44,12 @@ func SelectK(b graph.BipartiteView, candidates []int, seed int64) (int, []float6
 	if nHold > len(edges)/2 {
 		nHold = len(edges) / 2
 	}
+	// Too few non-edges to draw nHold negatives from: the rejection
+	// sampler below would never finish.
+	if nL*nR-len(edges) < nHold {
+		return candidates[0], make([]float64, len(candidates)), nil
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	held := edges[:nHold]
 	train := edges[nHold:]
 

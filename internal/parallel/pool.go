@@ -174,6 +174,12 @@ func (p *Pool) EachErr(n int, f func(i int) error) error {
 // a floating-point reduction performed in merge produces bit-identical
 // results for every worker count — the property the analytics kernels
 // rely on for their determinism guarantee.
+//
+// Every task costs one hand-off (a mutex, a cond.Wait and a Broadcast),
+// so tasks must be coarse. With one few-µs CoDA row per task, the fit of
+// a scale-0.1 filtered graph (5.9K rows per sweep) ran slower at two
+// workers than at one: 1.10–1.39 s against 0.96–1.09 s on a 2-vCPU Xeon.
+// CoDA therefore hands out blocks of 64 rows.
 func (p *Pool) Ordered(n int, compute func(w, i int), merge func(w, i int)) {
 	if n == 0 {
 		return

@@ -37,6 +37,10 @@ go run ./cmd/crowdlint ./...
 #   frozen-view        the builder graph and the frozen CSR graph give
 #                      bit-identical analyses (filter, projection, CoDA,
 #                      metrics), and a frozen artifact round-trips
+#   coda-sweep         CoDA's block-ordered sweeps give the same F/H at
+#                      every worker count, pinned to golden digests; the
+#                      fused row kernel matches the unfused reference bit
+#                      for bit; BigCLAM, which shares it, stays pinned
 #   serve-chaos        seeded backend faults yield bounded error rates,
 #                      deterministic breaker transitions, stale-marked
 #                      degradation — and drained goroutine counts
@@ -82,6 +86,7 @@ run_suite() {
 }
 
 run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
+run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/community
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
 run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestIndexedRouteBodiesMatchScanRoute' ./internal/core ./internal/serve
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
