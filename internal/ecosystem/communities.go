@@ -321,13 +321,18 @@ func zipfForMean(mean float64, max int) (*stats.BoundedZipf, error) {
 // with volumes matching the paper (investors follow ≈247 companies on
 // average).
 //
+// Every edge is an index until the emitter needs it: the passes draw
+// into int32 slices, and each user's follows are collected in two
+// reused scratch lists that the emitter turns into IDs (the in-memory
+// world) or straight into bytes (the store).
+//
 // The volume pass is the last user-mutating phase, so each user is final
-// — and emitted — the moment its iteration completes. A non-retaining
-// emitter then has the user replaced by an ID+role skeleton, which is
-// what keeps streamed generation from holding all ~33M follow edges at
-// once: later iterations only read other users' IDs.
+// — and emitted — the moment its iteration completes. Nothing reads an
+// emitted user again, so a non-retaining emitter has it dropped, which
+// is what keeps streamed generation from holding all ~33M follow edges.
 func genFollows(w *World, rng *rand.Rand, em emitter) error {
 	cfg := w.Cfg
+	nS, nU := len(w.Startups), len(w.Users)
 	var raising []int32
 	for i, s := range w.Startups {
 		if s.Raising {
@@ -335,20 +340,35 @@ func genFollows(w *World, rng *rand.Rand, em emitter) error {
 		}
 	}
 	// Pass 1: every user follows one raising startup.
-	for _, u := range w.Users {
-		r := raising[rng.Intn(len(raising))]
-		u.FollowsStartups = append(u.FollowsStartups, w.Startups[r].ID)
+	first := make([]int32, nU)
+	for ui := range first {
+		first[ui] = raising[rng.Intn(len(raising))]
 	}
-	// Pass 2: every startup gains one follower.
-	for _, s := range w.Startups {
-		u := w.Users[rng.Intn(len(w.Users))]
-		u.FollowsStartups = append(u.FollowsStartups, s.ID)
+	// Pass 2: every startup gains one follower. A stable counting sort
+	// by follower lists user ui's gains, in startup order, as
+	// gained[start[ui]:start[ui+1]].
+	follower := make([]int32, nS)
+	start := make([]int32, nU+1)
+	for si := range follower {
+		ui := int32(rng.Intn(nU))
+		follower[si] = ui
+		start[ui+1]++
+	}
+	for ui := 0; ui < nU; ui++ {
+		start[ui+1] += start[ui]
+	}
+	gained := make([]int32, nS)
+	next := slices.Clone(start[:nU])
+	for si, ui := range follower {
+		gained[next[ui]] = int32(si)
+		next[ui]++
 	}
 	// Pass 3: volume. Lognormal counts with the configured means. The
-	// dedupe sets are keyed by the drawn index (IDs are unique per index):
-	// an entry of ui+1 means user ui follows it, so nothing is cleared.
-	seen := make([]int32, len(w.Startups))
-	seenU := make([]int32, len(w.Users))
+	// dedupe sets are keyed by the drawn index: an entry of ui+1 means
+	// user ui follows it, so nothing is cleared.
+	seen := make([]int32, nS)
+	seenU := make([]int32, nU)
+	var follows, followsUsers []int32
 	for ui, u := range w.Users {
 		mark := int32(ui + 1)
 		mean := cfg.FollowsPerNonInvestor
@@ -358,47 +378,49 @@ func genFollows(w *World, rng *rand.Rand, em emitter) error {
 		// Lognormal with sigma 1.0 has mean exp(mu+0.5); solve mu.
 		mu := math.Log(mean) - 0.5
 		n := int(stats.LogNormal(rng, mu, 1.0))
-		if n > len(w.Startups)/2 {
-			n = len(w.Startups) / 2
+		if n > nS/2 {
+			n = nS / 2
 		}
-		for _, id := range u.FollowsStartups {
-			seen[startupIndex(id)] = mark
+		follows = append(follows[:0], first[ui])
+		follows = append(follows, gained[start[ui]:start[ui+1]]...)
+		for _, si := range follows {
+			seen[si] = mark
 		}
 		// Investors preferentially follow what they invested in.
 		for _, id := range u.Investments {
 			if si := startupIndex(id); seen[si] != mark {
 				seen[si] = mark
-				u.FollowsStartups = append(u.FollowsStartups, id)
+				follows = append(follows, si)
 			}
 		}
-		u.FollowsStartups = slices.Grow(u.FollowsStartups, max(0, n-len(u.FollowsStartups)))
-		for k := len(u.FollowsStartups); k < n; k++ {
-			si := rng.Intn(len(w.Startups))
+		for k := len(follows); k < n; k++ {
+			si := rng.Intn(nS)
 			if seen[si] == mark {
 				continue
 			}
 			seen[si] = mark
-			u.FollowsStartups = append(u.FollowsStartups, w.Startups[si].ID)
+			follows = append(follows, int32(si))
 		}
 		// User-to-user follows.
 		m := int(stats.LogNormal(rng, math.Log(cfg.FollowsUsersMean)-0.5, 1.0))
-		if m > len(w.Users)/2 {
-			m = len(w.Users) / 2
+		if m > nU/2 {
+			m = nU / 2
 		}
 		seenU[ui] = mark
+		followsUsers = followsUsers[:0]
 		for k := 0; k < m; k++ {
-			vi := rng.Intn(len(w.Users))
+			vi := rng.Intn(nU)
 			if seenU[vi] == mark {
 				continue
 			}
 			seenU[vi] = mark
-			u.FollowsUsers = append(u.FollowsUsers, w.Users[vi].ID)
+			followsUsers = append(followsUsers, int32(vi))
 		}
-		if err := em.user(u); err != nil {
+		if err := em.user(u, follows, followsUsers); err != nil {
 			return err
 		}
 		if !em.retain() {
-			w.Users[ui] = &User{ID: u.ID, Role: u.Role}
+			w.Users[ui] = nil
 		}
 	}
 	return nil

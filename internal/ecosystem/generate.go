@@ -50,8 +50,9 @@ func newWorld(cfg Config) *World {
 // social profiles as they are created, CrunchBase profiles as they are
 // created, startups after genCrunchBase assigns CrunchBase links, users
 // as each finishes its follow-volume pass. A non-retaining emitter then
-// has each entity replaced by a skeleton carrying only the fields later
-// phases still read, which is what bounds streamed memory.
+// has each startup replaced by a skeleton carrying only the fields later
+// phases still read, and each user dropped, which is what bounds
+// streamed memory.
 func runGeneration(w *World, em emitter) error {
 	rng := rand.New(rand.NewSource(w.Cfg.Seed))
 	genStartups(w, rng)
@@ -90,11 +91,15 @@ func emitStartups(w *World, em emitter) error {
 	return nil
 }
 
-// startupID names the startup generated at index i of World.Startups;
-// startupIndex inverts it, so a generation phase holding an ID can key
-// per-startup state by index without an ID map. Generation only holds
-// IDs it minted: any other string is a bug, and its -1 panics on use.
+// startupID names the startup generated at index i of World.Startups,
+// userID the user at index i of World.Users; appendIDs writes the same
+// names from indices. startupIndex inverts startupID, so a generation
+// phase holding an ID can key per-startup state by index without an ID
+// map. Generation only holds IDs it minted: any other string is a bug,
+// and its -1 panics on use.
 func startupID(i int) string { return "s" + strconv.Itoa(i+1) }
+
+func userID(i int) string { return "u" + strconv.Itoa(i+1) }
 
 func startupIndex(id string) int32 {
 	n, _ := strconv.Atoi(strings.TrimPrefix(id, "s")) // 0 on error: index -1
@@ -170,7 +175,7 @@ func genUsers(w *World, rng *rand.Rand) {
 	w.Users = make([]*User, n)
 	for i := 0; i < n; i++ {
 		u := &User{
-			ID:   fmt.Sprintf("u%d", i+1),
+			ID:   userID(i),
 			Name: personName(rng),
 		}
 		r := rng.Float64()

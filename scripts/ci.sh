@@ -50,8 +50,12 @@ go run ./cmd/crowdlint ./...
 #                      round from the store; crash-interrupted chains
 #                      recover byte-identically; the in-memory crawl
 #                      merge and the store loader build the same rows
-#   sharded-freeze     streaming generation matches in-memory generation;
-#                      the spliced ingest is the typed ingest byte for
+#   sharded-freeze     streaming generation matches in-memory generation,
+#                      payload for payload, its hand-written encoders
+#                      match json.Marshal and its bytes are pinned to
+#                      golden digests; a cancelled or failed-commit run
+#                      commits nothing; the spliced ingest is the typed
+#                      ingest byte for
 #                      byte; the freeze is shard-count and worker-count
 #                      invariant (its shard walk is concurrent), pinned
 #                      to the golden digests, and a re-persisted round
@@ -90,13 +94,15 @@ run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/communi
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
 run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestIndexedRouteBodiesMatchScanRoute' ./internal/core ./internal/serve
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
-run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
+run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite fleet-chaos    'TestFleetChaosKillWorkersMergeBitIdentical|TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/fleet ./internal/fleet/front
 run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects' ./internal/store ./internal/crawler
 
 # Hostile and random bytes: ten seconds or so of native fuzzing each on the
 # parser (a query error, or a statement whose canonical text parses
-# back to itself; never a panic), on the row contract (core's typed
+# back to itself; never a panic), on the generator's record encoders
+# (json.Marshal's bytes for any field values, or its failure), on the
+# row contract (core's typed
 # records and the same rows decoded from JSON give the same bytes), on
 # the freeze's user projection (it decodes whatever the typed user
 # record decodes, to the same fields; its array-length decoder accepts
@@ -105,7 +111,7 @@ run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSin
 # row, label and index stays in range). internal/core gets 20 s: its
 # TestMain crawls the package fixture in the coordinator and in every
 # fuzz worker before the first input runs, which takes about half of it.
-for entry in FuzzParse:./internal/query:10s FuzzTypedVsDecoded:./internal/query:10s FuzzUserProjection:./internal/core:20s FuzzDecodeBipartite:./internal/snapshot:10s; do
+for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzUserProjection:./internal/core:20s FuzzDecodeBipartite:./internal/snapshot:10s; do
   IFS=: read -r target pkg budget <<<"$entry"
   go test -run '^$' -fuzz "^${target}\$" -fuzztime="$budget" "$pkg"
 done
