@@ -7,11 +7,11 @@
 // investor communities with CoDA, and quantifies herd behaviour with the
 // paper's shared-investment metrics.
 //
-// The root package offers the end-to-end Pipeline used by the examples
-// and benchmarks: generate a calibrated synthetic world, serve it through
-// the simulated web APIs, crawl it honestly over HTTP, persist the crawl,
-// freeze it, and run every analysis of the paper's evaluation over the
-// frozen snapshot. There is one route from crawled records to that
+// The root package offers the end-to-end Pipeline used by
+// cmd/crowdscope, the package examples and the benchmarks: generate a
+// calibrated synthetic world, serve it through the simulated web APIs,
+// crawl it honestly over HTTP, persist the crawl, freeze it, and run
+// every analysis of the paper's evaluation over the frozen snapshot. There is one route from crawled records to that
 // snapshot (DESIGN.md §8); the only choice on it — commit a round as a
 // delta onto the previous snapshot or freeze it from the store — is made
 // by Crawl from what it can observe. Each stage is also available
@@ -51,8 +51,6 @@ type PipelineConfig struct {
 	// on the process-default pool. Analysis results are bit-identical
 	// for every worker count.
 	Workers int
-	// FailureRate injects transient API errors, exercising retries.
-	FailureRate float64
 	// Faults configures the deterministic fault injector (5xx, 429
 	// bursts, slow responses, truncated bodies, connection resets); a
 	// given FaultConfig seed replays the exact same fault schedule.
@@ -123,9 +121,7 @@ func NewPipelineFromWorld(world *ecosystem.World, cfg PipelineConfig) (*Pipeline
 	}
 	srv := apiserver.New(world, apiserver.Options{
 		Tokens:       cfg.Tokens,
-		FailureRate:  cfg.FailureRate,
 		Faults:       cfg.Faults,
-		Seed:         cfg.Seed,
 		TwitterLimit: cfg.TwitterLimit,
 	})
 	ts := httptest.NewServer(srv.Handler())

@@ -14,8 +14,9 @@
 //   - CrunchBase supports lookup by URL and search by name; name search
 //     can return multiple results, and the crawler may only use unique
 //     matches.
-//   - Endpoints are paginated, and a configurable failure rate injects
-//     HTTP 500s to exercise crawler retries.
+//   - Endpoints are paginated, and a seeded fault schedule (FaultConfig)
+//     injects 5xx errors, 429 bursts, slow responses, truncated bodies
+//     and connection resets to exercise crawler retries.
 //
 // The handlers never expose the *World to callers; crawlers learn about
 // the world exclusively through JSON responses, exactly like the real

@@ -3,11 +3,11 @@ package apiserver
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crowdscope/internal/ecosystem"
@@ -24,10 +24,6 @@ type Options struct {
 	// every 15 minutes" constraint. Defaults: 180, 15m.
 	TwitterLimit  int
 	TwitterWindow time.Duration
-	// FailureRate in [0,1) injects random HTTP 500s on all endpoints to
-	// exercise crawler retries. Default 0. For reproducible schedules use
-	// Faults instead.
-	FailureRate float64
 	// Faults enables the deterministic fault injector (5xx, 429 bursts,
 	// slow responses, truncated bodies, connection resets), replayable
 	// from its seed. Nil disables injection.
@@ -41,8 +37,6 @@ type Options struct {
 	FBAppID       string
 	FBAppSecret   string
 	FBShortTokens []string
-	// Seed drives failure injection.
-	Seed int64
 	// Clock for rate limiting; defaults to time.Now. Injecting a fixed
 	// clock makes rate-limit behaviour fully deterministic — this is the
 	// escape hatch the crowdlint determinism analyzer expects (see the
@@ -103,12 +97,8 @@ type Server struct {
 	followers  map[string][]string // startup ID -> follower user IDs
 	twByName   map[string]*ecosystem.TwitterProfile
 
-	failMu  sync.Mutex
-	failRng *rand.Rand
-
-	// Calls counts total successfully authorized requests, for throughput
-	// ablations.
-	calls int64
+	// calls counts authorized requests, for throughput ablations.
+	calls atomic.Int64
 }
 
 // New builds a server over the world.
@@ -119,7 +109,6 @@ func New(w *ecosystem.World, opts Options) *Server {
 		opts:      opts,
 		tokens:    map[string]bool{},
 		twLimiter: newFixedWindow(opts.TwitterLimit, opts.TwitterWindow, opts.Clock),
-		failRng:   rand.New(rand.NewSource(opts.Seed)),
 	}
 	for _, t := range opts.Tokens {
 		s.tokens[t] = true
@@ -181,11 +170,7 @@ func (s *Server) FaultStats() FaultStats {
 }
 
 // Calls reports how many authorized requests the server has handled.
-func (s *Server) Calls() int64 {
-	s.failMu.Lock()
-	defer s.failMu.Unlock()
-	return s.calls
-}
+func (s *Server) Calls() int64 { return s.calls.Load() }
 
 // ---- Shared plumbing ----
 
@@ -200,8 +185,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// authorize validates the bearer token and applies failure injection. It
-// returns the token and false if the request was already answered.
+// authorize validates the bearer token and counts the call. It returns
+// the token and false if the request was already answered.
 func (s *Server) authorize(w http.ResponseWriter, r *http.Request) (string, bool) {
 	token := ""
 	if h := r.Header.Get("Authorization"); strings.HasPrefix(h, "Bearer ") {
@@ -216,16 +201,7 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request) (string, bool
 		writeJSON(w, http.StatusUnauthorized, apiError{Error: "invalid access token"})
 		return "", false
 	}
-	s.failMu.Lock()
-	fail := s.opts.FailureRate > 0 && s.failRng.Float64() < s.opts.FailureRate
-	if !fail {
-		s.calls++
-	}
-	s.failMu.Unlock()
-	if fail {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: "transient backend error"})
-		return "", false
-	}
+	s.calls.Add(1)
 	return token, true
 }
 

@@ -357,13 +357,13 @@ func TestTwitterRateLimitStatus(t *testing.T) {
 }
 
 func TestFailureInjection(t *testing.T) {
-	_, ts := newServer(t, Options{Tokens: []string{"tk"}, FailureRate: 0.5, Seed: 1})
+	_, ts := newServer(t, Options{Tokens: []string{"tk"}, Faults: &FaultConfig{Seed: 1, Default: FaultProfile{ServerError: 0.5}}})
 	var fails, oks int
 	for i := 0; i < 200; i++ {
 		switch code := get(t, ts.URL+"/angellist/startups/raising", "tk", nil); code {
 		case http.StatusOK:
 			oks++
-		case http.StatusInternalServerError:
+		case http.StatusServiceUnavailable:
 			fails++
 		default:
 			t.Fatalf("unexpected code %d", code)

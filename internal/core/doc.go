@@ -15,6 +15,6 @@
 //     Figure 7 (community visualizations), plus the dataset summary,
 //     detector comparison and longitudinal extensions.
 //
-// Each experiment returns a typed result that cmd/crowdanalyze formats
+// Each experiment returns a typed result that crowdscope analyze formats
 // and the benchmark suite regenerates.
 package core

@@ -150,7 +150,7 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 
 func TestFrozenRebuildReplacesArtifact(t *testing.T) {
 	buildFixtureFrozen(t)
-	// crowdquery -rebuild-snapshot re-runs the freeze over an existing blob.
+	// crowdscope query -rebuild-snapshot re-runs the freeze over an existing blob.
 	if _, err := BuildFrozen(context.Background(), fixStore, 0); err != nil {
 		t.Fatal(err)
 	}

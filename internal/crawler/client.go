@@ -71,7 +71,7 @@ type Client struct {
 	// legitimately sleeps out whole Twitter rate windows, which is the
 	// paper's documented crawl reality. Fleet workers set it to their
 	// lease TTL so a hostile or skewed Retry-After header cannot park
-	// them past expiry (crowdfleet wires this up).
+	// them past expiry (crowdscope fleet wires this up).
 	MaxSleepPerCall time.Duration
 
 	tokenCursor atomic.Uint64

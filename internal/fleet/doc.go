@@ -26,5 +26,5 @@
 //     single-worker crawl of the same seed.
 //
 // The read side lives in the front subpackage: a round-robin,
-// health-checked front over M replicated crowdserve processes.
+// health-checked front over M read-only internal/serve replicas.
 package fleet

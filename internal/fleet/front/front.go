@@ -1,5 +1,5 @@
 // Package front is the fleet's read-side entry point: a round-robin
-// front over M replicated crowdserve instances. It health-checks each
+// front over M replicated serve instances. It health-checks each
 // replica's /readyz, ejects dead ones from rotation, and — because
 // every served route is an idempotent GET — retries a failed read on
 // the next replica instead of surfacing the failure. The contract the

@@ -59,7 +59,7 @@ type Lease struct {
 // methods take the coordinator's view: they rescan the namespace, so a
 // record appended by any worker sharing the store is visible to all.
 // The in-process mutex serializes claim decisions between goroutines
-// sharing this manager (the crowdfleet process tree); workers in
+// sharing this manager (the crowdscope fleet process tree); workers in
 // separate processes are still safe because every write under a lease is
 // fenced — a doomed double-claim loses at merge time, not silently.
 type Leases struct {

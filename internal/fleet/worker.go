@@ -96,7 +96,7 @@ type Worker struct {
 // Run sweeps parts until every partition is done or none is claimable
 // by this worker. It returns nil when a full sweep found only finished
 // or foreign-held partitions — the caller decides whether to re-sweep
-// later (the crowdfleet driver loops until AllDone), which keeps retry
+// later (the crowdscope fleet driver loops until AllDone), which keeps retry
 // pacing out of this package and under test control. The first crawl or
 // lease error aborts the sweep; a killed worker simply never returns and
 // its leases expire.

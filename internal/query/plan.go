@@ -57,7 +57,7 @@ type Plan struct {
 }
 
 // Explain renders the plan as one human-readable line, the format
-// surfaced by crowdquery -explain and the serving layer's logs.
+// surfaced by crowdscope query -explain and the serving layer's logs.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "route=%s namespace=%s", p.Route, p.Namespace)

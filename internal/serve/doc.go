@@ -38,6 +38,6 @@
 //
 // The package is registered in crowdlint's deterministic set: it never
 // reads the wall clock, the environment, or the global random stream.
-// Package main (cmd/crowdserve) wires in time.Now, signal-driven drain
+// Package main (crowdscope serve) wires in time.Now, signal-driven drain
 // and the listen socket.
 package serve

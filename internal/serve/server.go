@@ -32,7 +32,7 @@ const HeaderReplica = "X-CrowdScope-Replica"
 const DefaultRouteTimeout = 5 * time.Second
 
 // Options configures the serving layer. Clock is mandatory — the
-// package is in crowdlint's deterministic set, so cmd/crowdserve wires
+// package is in crowdlint's deterministic set, so crowdscope serve wires
 // time.Now and tests inject fakes.
 type Options struct {
 	// MaxConcurrent bounds requests executing at once; default
@@ -209,7 +209,7 @@ func (s *Server) Degraded() int64 { return s.degraded.Load() }
 
 // BeginDrain flips the server into drain mode: readyz reports 503 so
 // load balancers stop routing here, and new /api requests are refused
-// while in-flight ones finish. cmd/crowdserve calls it on SIGTERM
+// while in-flight ones finish. crowdscope serve calls it on SIGTERM
 // before http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 

@@ -47,7 +47,7 @@ func Open(dir string) (*Store, error) {
 // OpenReadOnly opens a store for reading only: Writer, PutBlob and
 // Compact are rejected, and the crash-debris sweep is skipped. The
 // sweep makes read-only opens safe to run concurrently with a live
-// writer process (e.g. crowdserve polling a store a crawler is still
+// writer process (e.g. crowdscope serve polling a store a crawler is still
 // appending to): a writing handle's Open would delete the other
 // process's in-flight *.tmp manifest commit and uncommitted segment
 // files as crash leftovers, corrupting the writer mid-commit.

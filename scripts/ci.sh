@@ -69,6 +69,11 @@ go run ./cmd/crowdlint ./...
 #                      Compact; a pre-shard manifest folds into one shard;
 #                      a failed commit leaves no phantom namespace; a
 #                      cancelled Persist commits nothing
+#   binaries           crowdscope serve and fleet come up on an ephemeral
+#                      port, answer /readyz, and on cancellation return
+#                      only after the drain, leaking no goroutine; the
+#                      shared drain helper never returns with a request
+#                      in flight
 export GORACE="halt_on_error=1"
 
 go test -race ./...
@@ -97,6 +102,7 @@ run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCras
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite fleet-chaos    'TestFleetChaosKillWorkersMergeBitIdentical|TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/fleet ./internal/fleet/front
 run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects' ./internal/store ./internal/crawler
+run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsForInFlight' ./cmd/crowdscope
 
 # Hostile and random bytes: ten seconds or so of native fuzzing each on the
 # parser (a query error, or a statement whose canonical text parses
@@ -167,6 +173,10 @@ check_coverage ./internal/ecosystem 70
 # the ones that corrupt a merge when a worker dies at the wrong moment.
 check_coverage ./internal/fleet 70
 check_coverage ./internal/fleet/front 70
+# The one command: every subcommand runs in-process against the golden
+# stdout of the binaries it replaced, so an untested flag or branch is
+# one the goldens no longer vouch for.
+check_coverage ./cmd/crowdscope 70
 
 # The repository benchmark compiles against the pinned core/crawler/
 # serve/pipeline API and checks every workload's answers against its
