@@ -2,8 +2,9 @@ package crowdscope
 
 // The benchmark harness regenerates every table and figure in the paper's
 // evaluation (see DESIGN.md §3 for the experiment index) plus the ablations
-// A1-A5. Each benchmark reports the figure's headline quantities as custom
-// metrics so `go test -bench` output doubles as the reproduction record.
+// A1, A2 and A5. Each benchmark reports the figure's headline quantities
+// as custom metrics so `go test -bench` output doubles as the
+// reproduction record.
 
 import (
 	"context"
@@ -22,7 +23,6 @@ import (
 	"crowdscope/internal/crawler"
 	"crowdscope/internal/ecosystem"
 	"crowdscope/internal/graph"
-	"crowdscope/internal/metrics"
 	"crowdscope/internal/store"
 	"crowdscope/internal/viz"
 )
@@ -420,39 +420,6 @@ func BenchmarkA2PlantedRecovery(b *testing.B) {
 			b.ReportMetric(f1, "recovery_f1")
 		})
 	}
-}
-
-// ---- A3: sampled metric ablation ----
-
-// BenchmarkA3SampledMetric compares the exact pairwise shared-investment
-// metric against pair sampling on the largest detected community.
-func BenchmarkA3SampledMetric(b *testing.B) {
-	_, _, a := fixture(b)
-	var largest []int32
-	for _, m := range a.Communities.Assignment.Investors {
-		if len(m) > len(largest) {
-			largest = m
-		}
-	}
-	if len(largest) < 4 {
-		b.Skip("no sizeable community")
-	}
-	g := a.Communities.Filtered
-	b.Run("exact", func(b *testing.B) {
-		var v float64
-		for i := 0; i < b.N; i++ {
-			v = metrics.AvgSharedSize(g, largest)
-		}
-		b.ReportMetric(v, "avg_shared")
-	})
-	b.Run("sampled", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(4))
-		var v float64
-		for i := 0; i < b.N; i++ {
-			v = metrics.SampledAvgSharedSize(g, largest, len(largest), rng)
-		}
-		b.ReportMetric(v, "avg_shared")
-	})
 }
 
 // ---- A5: store scan ablation ----

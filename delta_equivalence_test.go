@@ -66,7 +66,7 @@ func TestRecrawlIsIdempotent(t *testing.T) {
 	if first.DeltaFallbacks != 0 {
 		t.Fatalf("fresh store took %d delta fallbacks", first.DeltaFallbacks)
 	}
-	if !core.HasDelta(first.Store, 1) {
+	if !first.Store.HasBlob(core.DeltaNamespace(1)) {
 		t.Fatal("fresh store round 1 emitted no delta artifact")
 	}
 
@@ -220,7 +220,7 @@ func TestDeltaRefreezeEquivalenceEndToEnd(t *testing.T) {
 			}
 			for r := 0; r < rounds; r++ {
 				// The pipeline must actually have taken the delta route.
-				if r > 0 && !core.HasDelta(p.Store, r) {
+				if r > 0 && !p.Store.HasBlob(core.DeltaNamespace(r)) {
 					t.Fatalf("round %d: no %s", r, core.DeltaNamespace(r))
 				}
 				if _, err := core.BuildFrozen(ctx, p.Store, r); err != nil {
@@ -238,8 +238,8 @@ func TestDeltaRefreezeEquivalenceEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if chain.Latest() != rounds-1 {
-				t.Fatalf("chain latest = %d, want %d", chain.Latest(), rounds-1)
+			if latest, err := core.LatestFrozen(p.Store); err != nil || latest != rounds-1 {
+				t.Fatalf("latest frozen = %d (%v), want %d", latest, err, rounds-1)
 			}
 			fs, err := chain.Snapshot(rounds - 1)
 			if err != nil {

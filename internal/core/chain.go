@@ -17,7 +17,6 @@ type Chain struct {
 	st     *store.Store
 	frozen map[int]bool
 	deltas map[int]bool // keyed by the snapshot the delta produces
-	latest int
 
 	// Tiny materialization cache: longitudinal diffs hit the same two
 	// endpoints repeatedly, and chains are short.
@@ -36,45 +35,22 @@ func LoadChain(st *store.Store) (*Chain, error) {
 		st:     st,
 		frozen: make(map[int]bool),
 		deltas: make(map[int]bool),
-		latest: -1,
 		cache:  make(map[int]*FrozenSnapshot),
 	}
 	for _, ns := range st.Namespaces() {
 		var snap int
 		if _, err := fmt.Sscanf(ns, "frozen/snap-%d", &snap); err == nil && st.HasBlob(ns) {
 			c.frozen[snap] = true
-			if snap > c.latest {
-				c.latest = snap
-			}
 			continue
 		}
 		if _, err := fmt.Sscanf(ns, "frozen/delta-%d", &snap); err == nil && st.HasBlob(ns) {
 			c.deltas[snap] = true
 		}
 	}
-	if c.latest < 0 {
+	if len(c.frozen) == 0 {
 		return nil, fmt.Errorf("core: load chain: store holds no frozen snapshot")
 	}
 	return c, nil
-}
-
-// Latest returns the highest committed snapshot version.
-func (c *Chain) Latest() int { return c.latest }
-
-// Versions returns every snapshot version the chain can materialize, in
-// ascending order.
-func (c *Chain) Versions() []int {
-	var vs []int
-	for snap := range c.frozen {
-		vs = append(vs, snap)
-	}
-	for snap := range c.deltas {
-		if !c.frozen[snap] && c.baseFor(snap) >= 0 {
-			vs = append(vs, snap)
-		}
-	}
-	sort.Ints(vs)
-	return vs
 }
 
 // baseFor finds the highest frozen snapshot <= snap from which snap is
@@ -166,10 +142,10 @@ type ChainDiff struct {
 	Investors []InvestorChange
 }
 
-// Diff materializes both endpoints and reports every entity added,
+// diff materializes both endpoints and reports every entity added,
 // removed, or changed between them. from must be <= to; equal endpoints
 // yield an empty diff.
-func (c *Chain) Diff(from, to int) (*ChainDiff, error) {
+func (c *Chain) diff(from, to int) (*ChainDiff, error) {
 	if from > to {
 		return nil, fmt.Errorf("core: chain diff: from %d > to %d", from, to)
 	}

@@ -47,7 +47,7 @@ func TestChainDiffContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd, err := chain.Diff(0, 2)
+	cd, err := chain.diff(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,14 @@ func TestChainDiffContents(t *testing.T) {
 		}
 	}
 
-	empty, err := chain.Diff(1, 1)
+	empty, err := chain.diff(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(empty.Companies) != 0 || len(empty.Investors) != 0 {
 		t.Fatal("equal-endpoint diff is not empty")
 	}
-	if _, err := chain.Diff(2, 0); err == nil {
+	if _, err := chain.diff(2, 0); err == nil {
 		t.Fatal("reversed endpoints accepted")
 	}
 	if _, err := chain.Snapshot(7); err == nil {
@@ -130,7 +130,7 @@ func TestChainQueryNamespaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd, err := chain.Diff(0, 2)
+	cd, err := chain.diff(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestMain(m *testing.M) {
 }
 
 func TestLatestSnapshot(t *testing.T) {
-	n, err := LatestSnapshot(context.Background(), fixStore)
+	n, err := latestSnapshot(context.Background(), fixStore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestLatestSnapshot(t *testing.T) {
 		t.Fatalf("latest snapshot = %d", n)
 	}
 	empty, _ := store.Open(t.TempDir())
-	if _, err := LatestSnapshot(context.Background(), empty); err == nil {
+	if _, err := latestSnapshot(context.Background(), empty); err == nil {
 		t.Fatal("expected error on empty store")
 	}
 }
@@ -84,6 +84,10 @@ func TestLoadCompaniesMerge(t *testing.T) {
 		t.Fatalf("loaded %d companies, world has %d", len(companies), len(fixWorld.Startups))
 	}
 	// Cross-check a sample against ground truth.
+	idx := make(map[string]int, len(fixWorld.Startups))
+	for i, s := range fixWorld.Startups {
+		idx[s.ID] = i
+	}
 	var checkedFunded, checkedSocial int
 	for _, c := range companies {
 		truth := fixWorld.StartupByID(c.ID)
@@ -96,8 +100,7 @@ func TestLoadCompaniesMerge(t *testing.T) {
 		if c.HasVideo != truth.HasDemoVideo {
 			t.Fatalf("video flag wrong for %s", c.ID)
 		}
-		idx, _ := fixWorld.StartupIndex(c.ID)
-		if fixWorld.Successful[idx] && truth.CrunchBaseURL != "" && !c.Funded {
+		if fixWorld.Successful[idx[c.ID]] && truth.CrunchBaseURL != "" && !c.Funded {
 			t.Fatalf("funded company %s not marked funded (linked CB)", c.ID)
 		}
 		if c.Funded {

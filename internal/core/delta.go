@@ -42,12 +42,6 @@ type SnapshotDelta struct {
 	InvestorDrops   []string
 }
 
-// Empty reports whether the delta changes nothing.
-func (sd *SnapshotDelta) Empty() bool {
-	return len(sd.CompanyUpserts) == 0 && len(sd.InvestorUpserts) == 0 &&
-		len(sd.CompanyDrops) == 0 && len(sd.InvestorDrops) == 0
-}
-
 // DeltaNamespace returns the store namespace holding the delta that
 // produces the given snapshot. Like IndexNamespace it must not share the
 // "frozen/snap-" prefix LatestFrozen parses.
@@ -55,17 +49,11 @@ func DeltaNamespace(snap int) string {
 	return fmt.Sprintf("frozen/delta-%06d", snap)
 }
 
-// HasDelta reports whether a committed delta artifact produces the
-// given snapshot.
-func HasDelta(st *store.Store, snap int) bool {
-	return st.HasBlob(DeltaNamespace(snap))
-}
-
-// EncodeDelta serializes the delta into a CSFROZ01 artifact: the
+// encodeDelta serializes the delta into a CSFROZ01 artifact: the
 // base/target metadata, the upserted entities in the snapshot column
 // scheme under the delta.co/delta.inv prefixes, and the tombstone ID
 // tables. Every section carries the container's per-section CRC32C.
-func EncodeDelta(sd *SnapshotDelta) ([]byte, error) {
+func encodeDelta(sd *SnapshotDelta) ([]byte, error) {
 	if sd.Target != sd.Base+1 {
 		return nil, fmt.Errorf("core: delta %d->%d must advance exactly one snapshot", sd.Base, sd.Target)
 	}
@@ -78,10 +66,10 @@ func EncodeDelta(sd *SnapshotDelta) ([]byte, error) {
 	return e.Bytes()
 }
 
-// DecodeDelta parses an artifact produced by EncodeDelta, validating
+// decodeDelta parses an artifact produced by encodeDelta, validating
 // the framing the apply kernel depends on: strictly ascending IDs in
 // every list, and no ID both upserted and dropped.
-func DecodeDelta(data []byte) (*SnapshotDelta, error) {
+func decodeDelta(data []byte) (*SnapshotDelta, error) {
 	d, err := snapshot.NewDecoder(data)
 	if err != nil {
 		return nil, err
@@ -162,7 +150,7 @@ func LoadDelta(st *store.Store, snap int) (*SnapshotDelta, error) {
 		return nil, fmt.Errorf("core: delta %d has format %d (reader supports %d)",
 			snap, format, snapshot.DeltaFormatVersion)
 	}
-	sd, err := DecodeDelta(data)
+	sd, err := decodeDelta(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: delta %d: %w", snap, err)
 	}
@@ -334,7 +322,7 @@ func ApplyDelta(prev *FrozenSnapshot, sd *SnapshotDelta) (*FrozenSnapshot, error
 // converges on the same chain as a fault-free run. Returns the applied
 // target snapshot.
 func CommitDelta(ctx context.Context, st *store.Store, prev *FrozenSnapshot, sd *SnapshotDelta) (*FrozenSnapshot, error) {
-	data, err := EncodeDelta(sd)
+	data, err := encodeDelta(sd)
 	if err != nil {
 		return nil, err
 	}

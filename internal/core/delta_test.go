@@ -127,6 +127,12 @@ func mustBlob(t *testing.T, st *store.Store, ns string) []byte {
 	return data
 }
 
+// deltaEmpty reports whether the delta changes nothing.
+func deltaEmpty(sd *SnapshotDelta) bool {
+	return len(sd.CompanyUpserts) == 0 && len(sd.InvestorUpserts) == 0 &&
+		len(sd.CompanyDrops) == 0 && len(sd.InvestorDrops) == 0
+}
+
 // TestDeltaRefreezeEquivalenceProperty is the headline gate of the
 // delta subsystem: across world sizes, seeds and rounds, committing
 // each round as a delta onto the previous snapshot must leave the store
@@ -166,7 +172,7 @@ func TestDeltaRefreezeEquivalenceProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 					sd := DiffFrozen(applied, world)
-					if sd.Empty() {
+					if deltaEmpty(sd) {
 						t.Fatalf("round %d: mutation schedule produced an empty delta", round)
 					}
 					applied, err = CommitDelta(ctx, inc, applied, sd)
@@ -184,8 +190,8 @@ func TestDeltaRefreezeEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if chain.Latest() != rounds {
-					t.Fatalf("chain latest = %d, want %d", chain.Latest(), rounds)
+				if latest, err := LatestFrozen(inc); err != nil || latest != rounds {
+					t.Fatalf("latest frozen = %d (%v), want %d", latest, err, rounds)
 				}
 				for v := 0; v <= rounds; v++ {
 					fs, err := chain.Snapshot(v)
@@ -223,11 +229,11 @@ func TestDeltaRoundtrip(t *testing.T) {
 		CompanyDrops:  []string{"co-2", "co-9"},
 		InvestorDrops: []string{"inv-2"},
 	}
-	data, err := EncodeDelta(sd)
+	data, err := encodeDelta(sd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeDelta(data)
+	got, err := decodeDelta(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +255,7 @@ func TestDeltaRoundtrip(t *testing.T) {
 // suite for the delta codec: every tampering mode must fail loudly with
 // the typed error, never decode to a plausible delta.
 func TestDeltaCodecCorruption(t *testing.T) {
-	valid, err := EncodeDelta(&SnapshotDelta{
+	valid, err := encodeDelta(&SnapshotDelta{
 		Base:            0,
 		Target:          1,
 		CompanyUpserts:  []Company{{ID: "co-1", Likes: 3}, {ID: "co-2"}},
@@ -267,14 +273,14 @@ func TestDeltaCodecCorruption(t *testing.T) {
 		for _, off := range []int{12, 16, len(valid) / 2, len(valid) - 3} {
 			data := bytes.Clone(valid)
 			data[off] ^= 0x20
-			if _, err := DecodeDelta(data); !errors.Is(err, snapshot.ErrCorrupt) {
+			if _, err := decodeDelta(data); !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Fatalf("offset %d: err = %v, want ErrCorrupt", off, err)
 			}
 		}
 	})
 	t.Run("truncation", func(t *testing.T) {
 		for _, n := range []int{0, 4, 12, len(valid) - 1} {
-			if _, err := DecodeDelta(valid[:n]); !errors.Is(err, snapshot.ErrCorrupt) {
+			if _, err := decodeDelta(valid[:n]); !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Fatalf("len %d: err = %v, want ErrCorrupt", n, err)
 			}
 		}
@@ -282,14 +288,14 @@ func TestDeltaCodecCorruption(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		data := bytes.Clone(valid)
 		copy(data, "NOTFROZE")
-		if _, err := DecodeDelta(data); !errors.Is(err, snapshot.ErrCorrupt) {
+		if _, err := decodeDelta(data); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("bad container version", func(t *testing.T) {
 		data := bytes.Clone(valid)
 		data[8] = 0xEE // container FormatVersion word
-		if _, err := DecodeDelta(data); err == nil || !strings.Contains(err.Error(), "format version") {
+		if _, err := decodeDelta(data); err == nil || !strings.Contains(err.Error(), "format version") {
 			t.Fatalf("err = %v, want unsupported-format-version error", err)
 		}
 	})
@@ -336,19 +342,19 @@ func TestDeltaCodecCorruption(t *testing.T) {
 		}
 	})
 	t.Run("unsorted upserts rejected", func(t *testing.T) {
-		data, err := EncodeDelta(&SnapshotDelta{
+		data, err := encodeDelta(&SnapshotDelta{
 			Base: 0, Target: 1,
 			CompanyUpserts: []Company{{ID: "co-2"}, {ID: "co-1"}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeDelta(data); !errors.Is(err, snapshot.ErrCorrupt) {
+		if _, err := decodeDelta(data); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("upsert and drop overlap rejected", func(t *testing.T) {
-		data, err := EncodeDelta(&SnapshotDelta{
+		data, err := encodeDelta(&SnapshotDelta{
 			Base: 0, Target: 1,
 			InvestorUpserts: []Investor{{ID: "inv-1"}},
 			InvestorDrops:   []string{"inv-1"},
@@ -356,7 +362,7 @@ func TestDeltaCodecCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeDelta(data); !errors.Is(err, snapshot.ErrCorrupt) {
+		if _, err := decodeDelta(data); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
@@ -532,7 +538,7 @@ func TestRecoverChainAfterCrash(t *testing.T) {
 	}
 	// Crash window: the delta blob landed, the applied snapshot did not.
 	sd := DiffFrozen(applied, rounds0[crashAt])
-	data, err := EncodeDelta(sd)
+	data, err := encodeDelta(sd)
 	if err != nil {
 		t.Fatal(err)
 	}

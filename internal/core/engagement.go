@@ -25,9 +25,9 @@ type EngagementThresholds struct {
 	Followers int
 }
 
-// Thresholds computes the category medians from the data, as the paper
+// thresholds computes the category medians from the data, as the paper
 // does.
-func Thresholds(companies []Company) EngagementThresholds {
+func thresholds(companies []Company) EngagementThresholds {
 	var likes, tweets, followers []float64
 	for _, c := range companies {
 		if c.HasFacebook {
@@ -52,7 +52,7 @@ func Thresholds(companies []Company) EngagementThresholds {
 // (possibly along with the other network); success means at least one
 // CrunchBase funding round. The error is always nil.
 func EngagementTable(companies []Company) ([]EngagementRow, EngagementThresholds, error) {
-	th := Thresholds(companies)
+	th := thresholds(companies)
 	total := len(companies)
 
 	categories := []struct {

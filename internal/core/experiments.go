@@ -11,20 +11,6 @@ import (
 	"crowdscope/internal/stats"
 )
 
-// ---- E1: dataset summary (Section 3) ----
-
-// DatasetSummary reproduces the Section 3 collection numbers.
-type DatasetSummary struct {
-	Companies        int
-	Users            int
-	CrunchBase       int
-	FacebookProfiles int
-	TwitterProfiles  int
-	InvestorPct      float64
-	FounderPct       float64
-	EmployeePct      float64
-}
-
 // ---- Figure 3: CDF of investments per investor ----
 
 // Fig3Result carries the investment-count distribution of Figure 3 plus
@@ -86,13 +72,13 @@ type CommunitiesResult struct {
 // at least minDeg investments (the paper uses 4), then run CoDA with K
 // communities. Detection runs on the process-default worker pool.
 func RunCommunities(b graph.BipartiteView, minDeg, k int, seed int64) (*CommunitiesResult, error) {
-	return RunCommunitiesWorkers(b, minDeg, k, seed, 0)
+	return runCommunitiesWorkers(b, minDeg, k, seed, 0)
 }
 
-// RunCommunitiesWorkers is RunCommunities under an explicit worker bound
+// runCommunitiesWorkers is RunCommunities under an explicit worker bound
 // (<= 0 selects the process-default pool). The fit is bit-identical for
 // every worker count.
-func RunCommunitiesWorkers(b graph.BipartiteView, minDeg, k int, seed int64, workers int) (*CommunitiesResult, error) {
+func runCommunitiesWorkers(b graph.BipartiteView, minDeg, k int, seed int64, workers int) (*CommunitiesResult, error) {
 	filtered := graph.FilterLeftMinDegree(b, minDeg)
 	filtered.SortAdjacency()
 	coda := &community.CoDA{K: k, Seed: seed, Workers: workers}

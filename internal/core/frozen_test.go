@@ -103,11 +103,11 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 	b := BuildInvestorGraph(investors)
 	k := fixWorld.Cfg.NumCommunities()
 
-	fromBuilder, err := RunCommunitiesWorkers(b, 4, k, 31, 3)
+	fromBuilder, err := runCommunitiesWorkers(b, 4, k, 31, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFrozen, err := RunCommunitiesWorkers(fs.Graph, 4, k, 31, 3)
+	fromFrozen, err := runCommunitiesWorkers(fs.Graph, 4, k, 31, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,10 @@ type Investor struct {
 	Follows     int
 }
 
-// LatestSnapshot returns the largest snapshot tag in the startups
+// latestSnapshot returns the largest snapshot tag in the startups
 // namespace, or an error when nothing was crawled. The context bounds
 // the namespace scan, which decodes the tag and nothing else.
-func LatestSnapshot(ctx context.Context, st *store.Store) (int, error) {
+func latestSnapshot(ctx context.Context, st *store.Store) (int, error) {
 	latest := -1
 	err := store.ScanAsContext(ctx, st, crawler.NSStartups, func(r struct{ Snapshot int }) error {
 		if r.Snapshot > latest {
@@ -66,7 +66,7 @@ func crawledSnapshot(ctx context.Context, st *store.Store, snapshot int) (int, e
 	if snapshot >= 0 {
 		return snapshot, nil
 	}
-	return LatestSnapshot(ctx, st)
+	return latestSnapshot(ctx, st)
 }
 
 // The row functions below are the only statement of the paper's merge:

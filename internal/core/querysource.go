@@ -386,7 +386,7 @@ func (q *QuerySource) chainFor(from, to int) (*ChainDiff, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cd, err = c.Diff(from, to); err != nil {
+	if cd, err = c.diff(from, to); err != nil {
 		return nil, err
 	}
 	q.mu.Lock()

@@ -226,7 +226,7 @@ func TestChaosZeroFaultRunInjectsNothing(t *testing.T) {
 	if got := srv.FaultStats().Total(); got != 0 {
 		t.Fatalf("zero-rate injector fired %d times", got)
 	}
-	if st := client.Stats(); st.Retries != 0 || st.BodyRetries != 0 {
+	if st := client.counters(); st.Retries != 0 || st.BodyRetries != 0 {
 		t.Fatalf("client retried against a healthy server: %+v", st)
 	}
 	if got := canonical(t, snap); !bytes.Equal(got, ref) {

@@ -107,8 +107,8 @@ func NewClient(baseURL string, tokens []string) (*Client, error) {
 	}, nil
 }
 
-// Stats returns a snapshot of the client's counters.
-func (c *Client) Stats() ClientStats {
+// counters returns a snapshot of the client's counters.
+func (c *Client) counters() ClientStats {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
 	return c.stats
@@ -314,8 +314,8 @@ func (c *Client) RaisingStartups(ctx context.Context) ([]string, error) {
 	}
 }
 
-// Startup fetches one AngelList startup profile.
-func (c *Client) Startup(ctx context.Context, id string) (*ecosystem.Startup, error) {
+// startup fetches one AngelList startup profile.
+func (c *Client) startup(ctx context.Context, id string) (*ecosystem.Startup, error) {
 	var s ecosystem.Startup
 	if err := c.getJSON(ctx, "/angellist/startups/"+id, nil, &s); err != nil {
 		return nil, err
@@ -323,8 +323,8 @@ func (c *Client) Startup(ctx context.Context, id string) (*ecosystem.Startup, er
 	return &s, nil
 }
 
-// Followers pages through the users following a startup.
-func (c *Client) Followers(ctx context.Context, id string) ([]string, error) {
+// followers pages through the users following a startup.
+func (c *Client) followers(ctx context.Context, id string) ([]string, error) {
 	var all []string
 	page := 1
 	for {
@@ -341,8 +341,8 @@ func (c *Client) Followers(ctx context.Context, id string) ([]string, error) {
 	}
 }
 
-// User fetches one AngelList user profile.
-func (c *Client) User(ctx context.Context, id string) (*ecosystem.User, error) {
+// user fetches one AngelList user profile.
+func (c *Client) user(ctx context.Context, id string) (*ecosystem.User, error) {
 	var u ecosystem.User
 	if err := c.getJSON(ctx, "/angellist/users/"+id, nil, &u); err != nil {
 		return nil, err
@@ -350,8 +350,8 @@ func (c *Client) User(ctx context.Context, id string) (*ecosystem.User, error) {
 	return &u, nil
 }
 
-// CBOrganization fetches a CrunchBase profile by its URL.
-func (c *Client) CBOrganization(ctx context.Context, cbURL string) (*ecosystem.CrunchBaseProfile, error) {
+// cbOrganization fetches a CrunchBase profile by its URL.
+func (c *Client) cbOrganization(ctx context.Context, cbURL string) (*ecosystem.CrunchBaseProfile, error) {
 	var p ecosystem.CrunchBaseProfile
 	if err := c.getJSON(ctx, "/crunchbase/organization", url.Values{"url": {cbURL}}, &p); err != nil {
 		return nil, err
@@ -359,8 +359,8 @@ func (c *Client) CBOrganization(ctx context.Context, cbURL string) (*ecosystem.C
 	return &p, nil
 }
 
-// CBSearch searches CrunchBase by company name.
-func (c *Client) CBSearch(ctx context.Context, name string) ([]*ecosystem.CrunchBaseProfile, error) {
+// cbSearch searches CrunchBase by company name.
+func (c *Client) cbSearch(ctx context.Context, name string) ([]*ecosystem.CrunchBaseProfile, error) {
 	var resp apiserver.CBSearchResponse
 	if err := c.getJSON(ctx, "/crunchbase/search", url.Values{"name": {name}}, &resp); err != nil {
 		return nil, err
@@ -368,51 +368,13 @@ func (c *Client) CBSearch(ctx context.Context, name string) ([]*ecosystem.Crunch
 	return resp.Results, nil
 }
 
-// FacebookPage fetches a Facebook page profile by URL via the Graph API.
-func (c *Client) FacebookPage(ctx context.Context, fbURL string) (*ecosystem.FacebookProfile, error) {
+// facebookPage fetches a Facebook page profile by URL via the Graph API.
+func (c *Client) facebookPage(ctx context.Context, fbURL string) (*ecosystem.FacebookProfile, error) {
 	var p ecosystem.FacebookProfile
 	if err := c.getJSON(ctx, "/facebook/graph", url.Values{"url": {fbURL}}, &p); err != nil {
 		return nil, err
 	}
 	return &p, nil
-}
-
-// ExchangeFacebookToken swaps a short-lived token plus app credentials
-// for a long-lived access token (the Graph API dance the paper performs
-// before crawling Facebook) and appends it to the client's rotation.
-func (c *Client) ExchangeFacebookToken(ctx context.Context, appID, appSecret, shortToken string) (string, error) {
-	q := url.Values{
-		"grant_type":        {"fb_exchange_token"},
-		"app_id":            {appID},
-		"app_secret":        {appSecret},
-		"fb_exchange_token": {shortToken},
-	}
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/facebook/oauth/access_token?"+q.Encode(), nil)
-	if err != nil {
-		return "", fmt.Errorf("crawler: token exchange: %w", err)
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("crawler: token exchange: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("crawler: token exchange failed with status %d", resp.StatusCode)
-	}
-	var tok apiserver.FBTokenResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tok); err != nil {
-		return "", fmt.Errorf("crawler: decode token exchange: %w", err)
-	}
-	if tok.AccessToken == "" {
-		return "", errors.New("crawler: empty long-lived token")
-	}
-	c.Tokens = append(c.Tokens, tok.AccessToken)
-	return tok.AccessToken, nil
 }
 
 // TwitterUser fetches a Twitter profile by screen name.

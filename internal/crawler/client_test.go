@@ -34,7 +34,7 @@ func TestBackoffRespectsContextCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := client.Startup(ctx, "s1")
+		_, err := client.startup(ctx, "s1")
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the first attempt fail and start backing off
@@ -67,7 +67,7 @@ func TestRetryAfterSleepRespectsContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Startup(ctx, "s1")
+		_, err := client.startup(ctx, "s1")
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -88,7 +88,7 @@ func TestCanceledContextFailsFast(t *testing.T) {
 	_, _, client := harness(t, apiserver.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := client.Startup(ctx, "s1"); !errors.Is(err, context.Canceled) {
+	if _, err := client.startup(ctx, "s1"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if _, err := client.RaisingStartups(ctx); !errors.Is(err, context.Canceled) {
@@ -136,7 +136,7 @@ func TestTruncatedBodyRefetched(t *testing.T) {
 			t.Fatalf("id %d diverges: %s vs %s", i, got[i], want[i])
 		}
 	}
-	if st := client.Stats(); st.BodyRetries == 0 {
+	if st := client.counters(); st.BodyRetries == 0 {
 		t.Error("expected body re-fetches at 50% truncation rate")
 	}
 	if fs := srv.FaultStats(); fs.Truncates == 0 {
@@ -182,7 +182,7 @@ func TestRetryAfterFormats(t *testing.T) {
 			client.Sleep = func(d time.Duration) { slept = append(slept, d) }
 			client.Clock = func() time.Time { return base }
 
-			st, err := client.Startup(context.Background(), "s1")
+			st, err := client.startup(context.Background(), "s1")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestRetryAfterFormats(t *testing.T) {
 			if len(slept) != 1 || slept[0] != tc.want {
 				t.Fatalf("slept %v, want exactly [%v]", slept, tc.want)
 			}
-			if cs := client.Stats(); cs.RateLimitHits != 1 || cs.TokenSleeps != 1 {
+			if cs := client.counters(); cs.RateLimitHits != 1 || cs.TokenSleeps != 1 {
 				t.Fatalf("stats = %+v, want one rate-limit hit and one token sleep", cs)
 			}
 		})
@@ -218,7 +218,7 @@ func TestBackoffBudgetCapsTotalSleep(t *testing.T) {
 		var total time.Duration
 		client.Sleep = func(d time.Duration) { total += d }
 
-		_, err = client.Startup(context.Background(), "s1")
+		_, err = client.startup(context.Background(), "s1")
 		if !errors.Is(err, ErrBackoffBudget) {
 			t.Fatalf("err = %v, want ErrBackoffBudget", err)
 		}
@@ -241,7 +241,7 @@ func TestBackoffBudgetCapsTotalSleep(t *testing.T) {
 		var total time.Duration
 		client.Sleep = func(d time.Duration) { total += d }
 
-		_, err = client.Startup(context.Background(), "s1")
+		_, err = client.startup(context.Background(), "s1")
 		if !errors.Is(err, ErrBackoffBudget) {
 			t.Fatalf("err = %v, want ErrBackoffBudget", err)
 		}

@@ -105,7 +105,7 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 			seeded = true
 			if phase != PhaseBFS && phase != PhaseAugment {
 				// Terminal checkpoint: the crawl already finished.
-				snap.Stats.Client = cr.Client.Stats()
+				snap.Stats.Client = cr.Client.counters()
 				return snap, nil
 			}
 		}
@@ -174,7 +174,7 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 	if err := save(Checkpoint{Phase: PhaseDone, Round: snap.Stats.Rounds}); err != nil {
 		return nil, err
 	}
-	snap.Stats.Client = cr.Client.Stats()
+	snap.Stats.Client = cr.Client.counters()
 	return snap, nil
 }
 
@@ -202,14 +202,14 @@ func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *
 			if seen {
 				return nil
 			}
-			st, err := cr.Client.Startup(ctx, id)
+			st, err := cr.Client.startup(ctx, id)
 			if err != nil {
 				if errors.Is(err, ErrNotFound) {
 					return nil
 				}
 				return err
 			}
-			followers, err := cr.Client.Followers(ctx, id)
+			followers, err := cr.Client.followers(ctx, id)
 			if err != nil && !errors.Is(err, ErrNotFound) {
 				return err
 			}
@@ -236,7 +236,7 @@ func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *
 			if seen {
 				return nil
 			}
-			u, err := cr.Client.User(ctx, id)
+			u, err := cr.Client.user(ctx, id)
 			if err != nil {
 				if errors.Is(err, ErrNotFound) {
 					return nil
@@ -337,7 +337,7 @@ func (cr *Crawler) augmentOne(ctx context.Context, snap *Snapshot, mu *sync.Mute
 	var cb *ecosystem.CrunchBaseProfile
 	viaLink := false
 	if st.CrunchBaseURL != "" {
-		p, err := cr.Client.CBOrganization(ctx, st.CrunchBaseURL)
+		p, err := cr.Client.cbOrganization(ctx, st.CrunchBaseURL)
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
@@ -346,7 +346,7 @@ func (cr *Crawler) augmentOne(ctx context.Context, snap *Snapshot, mu *sync.Mute
 	}
 	ambiguous := false
 	if cb == nil {
-		results, err := cr.Client.CBSearch(ctx, st.Name)
+		results, err := cr.Client.cbSearch(ctx, st.Name)
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
@@ -361,7 +361,7 @@ func (cr *Crawler) augmentOne(ctx context.Context, snap *Snapshot, mu *sync.Mute
 
 	var fb *ecosystem.FacebookProfile
 	if st.FacebookURL != "" {
-		p, err := cr.Client.FacebookPage(ctx, st.FacebookURL)
+		p, err := cr.Client.facebookPage(ctx, st.FacebookURL)
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}

@@ -217,28 +217,35 @@ func TestCrawlMaxRounds(t *testing.T) {
 	}
 }
 
-func TestPersistAndScheduler(t *testing.T) {
+// scanAll collects every committed record of a namespace.
+func scanAll[T any](t *testing.T, st *store.Store, ns string) []T {
+	t.Helper()
+	var out []T
+	if err := store.ScanAsContext(context.Background(), st, ns, func(rec T) error {
+		out = append(out, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestPersistTagsAndAppendsSnapshots(t *testing.T) {
 	w, srv, client := harness(t, apiserver.Options{})
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := &Scheduler{
-		Crawler: &Crawler{Client: client, Workers: 8},
-		Store:   st,
-	}
-	snap, err := sched.RunOnce(context.Background())
+	cr := &Crawler{Client: client, Workers: 8}
+	snap, err := cr.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sched.Snapshots() != 1 {
-		t.Fatalf("snapshots = %d", sched.Snapshots())
+	if err := Persist(context.Background(), st, snap, 0); err != nil {
+		t.Fatal(err)
 	}
 	// Verify persisted counts.
-	startups, err := store.ReadAll[StartupRecord](st, NSStartups)
-	if err != nil {
-		t.Fatal(err)
-	}
+	startups := scanAll[StartupRecord](t, st, NSStartups)
 	if len(startups) != len(snap.Startups) {
 		t.Fatalf("persisted %d startups, snapshot has %d", len(startups), len(snap.Startups))
 	}
@@ -247,11 +254,7 @@ func TestPersistAndScheduler(t *testing.T) {
 			t.Fatalf("snapshot tag = %d", r.Snapshot)
 		}
 	}
-	users, err := store.ReadAll[UserRecord](st, NSUsers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(users) != len(snap.Users) {
+	if users := scanAll[UserRecord](t, st, NSUsers); len(users) != len(snap.Users) {
 		t.Fatalf("persisted %d users", len(users))
 	}
 
@@ -260,10 +263,14 @@ func TestPersistAndScheduler(t *testing.T) {
 		w.Evolve()
 	}
 	srv.Reload()
-	if _, err := sched.RunOnce(context.Background()); err != nil {
+	snap, err = cr.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	startups2, _ := store.ReadAll[StartupRecord](st, NSStartups)
+	if err := Persist(context.Background(), st, snap, 1); err != nil {
+		t.Fatal(err)
+	}
+	startups2 := scanAll[StartupRecord](t, st, NSStartups)
 	if len(startups2) <= len(startups) {
 		t.Fatalf("second snapshot did not append: %d -> %d", len(startups), len(startups2))
 	}
@@ -279,20 +286,13 @@ func TestPersistAndScheduler(t *testing.T) {
 	}
 }
 
-func TestSchedulerValidation(t *testing.T) {
-	sc := &Scheduler{}
-	if _, err := sc.RunOnce(context.Background()); err == nil {
-		t.Fatal("expected error for unconfigured scheduler")
-	}
-}
-
 func TestClientNotFound(t *testing.T) {
 	_, _, client := harness(t, apiserver.Options{})
 	ctx := context.Background()
-	if _, err := client.Startup(ctx, "does-not-exist"); !errors.Is(err, ErrNotFound) {
+	if _, err := client.startup(ctx, "does-not-exist"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("expected ErrNotFound, got %v", err)
 	}
-	if _, err := client.User(ctx, "does-not-exist"); !errors.Is(err, ErrNotFound) {
+	if _, err := client.user(ctx, "does-not-exist"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("expected ErrNotFound, got %v", err)
 	}
 }
@@ -304,39 +304,5 @@ func TestDedupe(t *testing.T) {
 	}
 	if got := dedupe(nil); len(got) != 0 {
 		t.Fatalf("dedupe(nil) = %v", got)
-	}
-}
-
-func TestExchangeFacebookToken(t *testing.T) {
-	_, _, client := harness(t, apiserver.Options{
-		Tokens:        []string{"t1"},
-		FBAppID:       "app-x",
-		FBAppSecret:   "sec-x",
-		FBShortTokens: []string{"stub"},
-	})
-	ctx := context.Background()
-	before := len(client.Tokens)
-	long, err := client.ExchangeFacebookToken(ctx, "app-x", "sec-x", "stub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if long == "" || len(client.Tokens) != before+1 {
-		t.Fatalf("token not appended: %q (%d tokens)", long, len(client.Tokens))
-	}
-	// The new token works for data fetches.
-	solo, err := NewClient(client.BaseURL, []string{long})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo.Sleep = func(time.Duration) {}
-	if _, err := solo.RaisingStartups(ctx); err != nil {
-		t.Fatalf("long token rejected: %v", err)
-	}
-	// Bad exchanges fail.
-	if _, err := client.ExchangeFacebookToken(ctx, "app-x", "wrong", "stub"); err == nil {
-		t.Error("bad secret accepted")
-	}
-	if _, err := client.ExchangeFacebookToken(ctx, "app-x", "sec-x", "nope"); err == nil {
-		t.Error("bad short token accepted")
 	}
 }

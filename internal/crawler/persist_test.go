@@ -35,9 +35,9 @@ func startupSnapshot(n int) *Snapshot {
 	return snap
 }
 
-func segmentFiles(t *testing.T, st *store.Store) []string {
+func segmentFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(st.Dir(), "*", "*", "seg-*.csg"))
+	files, err := filepath.Glob(filepath.Join(dir, "*", "*", "seg-*.csg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,8 @@ func segmentFiles(t *testing.T, st *store.Store) []string {
 func TestPersistCancelCommitsNothing(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			st, err := store.Open(t.TempDir())
+			dir := t.TempDir()
+			st, err := store.Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +63,7 @@ func TestPersistCancelCommitsNothing(t *testing.T) {
 				st, _ := st.Stats(NSStartups)
 				t.Fatalf("cancelled Persist committed %d of 100 startups", st.Records)
 			}
-			if left := segmentFiles(t, st); len(left) != 0 {
+			if left := segmentFiles(t, dir); len(left) != 0 {
 				t.Fatalf("cancelled Persist left segment files: %v", left)
 			}
 
@@ -70,7 +71,7 @@ func TestPersistCancelCommitsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			before, _ := st.Stats(NSStartups)
-			files := segmentFiles(t, st)
+			files := segmentFiles(t, dir)
 			ctx = &countdownCtx{Context: context.Background(), n: 40}
 			if err := Persist(ctx, st, startupSnapshot(100), 1); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled Persist returned %v", err)
@@ -78,7 +79,7 @@ func TestPersistCancelCommitsNothing(t *testing.T) {
 			if after, _ := st.Stats(NSStartups); after != before {
 				t.Fatalf("cancelled round changed the namespace: %+v -> %+v", before, after)
 			}
-			if got := segmentFiles(t, st); !slices.Equal(got, files) {
+			if got := segmentFiles(t, dir); !slices.Equal(got, files) {
 				t.Fatalf("cancelled round left segment files: %v, committed %v", got, files)
 			}
 		})

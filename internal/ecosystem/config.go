@@ -173,8 +173,8 @@ func NewConfig(seed int64, scale float64) Config {
 	}
 }
 
-// Validate checks that the configuration is internally consistent.
-func (c Config) Validate() error {
+// validate checks that the configuration is internally consistent.
+func (c Config) validate() error {
 	if c.Scale <= 0 || c.Scale > 1 {
 		return fmt.Errorf("ecosystem: scale must be in (0,1], got %g", c.Scale)
 	}
@@ -228,8 +228,8 @@ func (c Config) NumStartups() int { return scaled(PaperStartups, c.Scale) }
 // NumUsers returns the user count at this scale.
 func (c Config) NumUsers() int { return scaled(PaperUsers, c.Scale) }
 
-// NumRaising returns the size of the currently-raising listing.
-func (c Config) NumRaising() int {
+// numRaising returns the size of the currently-raising listing.
+func (c Config) numRaising() int {
 	n := scaled(c.RaisingCount, c.Scale)
 	if n < 1 {
 		n = 1

@@ -18,7 +18,7 @@ var baseDate = time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC)
 // Generate builds a complete world from the configuration. Generation is
 // deterministic in Config (including Seed).
 func Generate(cfg Config) (*World, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	w := newWorld(cfg)
@@ -162,7 +162,7 @@ func genStartups(w *World, rng *rand.Rand) {
 		w.Startups[i] = s
 	}
 	// Currently-raising listing: a random subset, the crawl's seeds.
-	raising := stats.ReservoirSample(rng, n, w.Cfg.NumRaising())
+	raising := stats.ReservoirSample(rng, n, w.Cfg.numRaising())
 	for _, idx := range raising {
 		w.Startups[idx].Raising = true
 	}

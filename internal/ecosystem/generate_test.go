@@ -28,7 +28,7 @@ func testWorld(t *testing.T) (*World, GroundTruth) {
 
 func TestConfigValidate(t *testing.T) {
 	good := NewConfig(1, 0.01)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []func(*Config){
@@ -50,7 +50,7 @@ func TestConfigValidate(t *testing.T) {
 	for i, mutate := range bad {
 		c := NewConfig(1, 0.01)
 		mutate(&c)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("mutation %d not rejected", i)
 		}
 	}
@@ -78,24 +78,11 @@ func TestScaledCountFloors(t *testing.T) {
 	if got := c.NumStartups(); got != 1 {
 		t.Errorf("NumStartups at ~0 scale = %d, want floor 1", got)
 	}
-	if got := c.NumRaising(); got != 1 {
-		t.Errorf("NumRaising at ~0 scale = %d, want floor 1", got)
+	if got := c.numRaising(); got != 1 {
+		t.Errorf("numRaising at ~0 scale = %d, want floor 1", got)
 	}
 	if got := c.NumCommunities(); got != 2 {
 		t.Errorf("NumCommunities at ~0 scale = %d, want floor 2", got)
-	}
-}
-
-// TestSuccessRateNoMatches: an empty predicate slice reports a zero
-// rate, not NaN.
-func TestSuccessRateNoMatches(t *testing.T) {
-	w, err := Generate(NewConfig(3, 0.0005))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate, matched := w.SuccessRate(func(*Startup) bool { return false })
-	if rate != 0 || matched != 0 {
-		t.Errorf("SuccessRate with no matches = %g, %d; want 0, 0", rate, matched)
 	}
 }
 
@@ -172,16 +159,34 @@ func TestSocialAttachmentFractions(t *testing.T) {
 	within(float64(gt.WithVideo)/tot, 0.0488, 0.012, "video")
 }
 
+// successRate returns the fraction of startups matching pred that raised
+// funding, plus the match count — the quantity tabulated in Figure 6.
+func successRate(w *World, pred func(*Startup) bool) (rate float64, matched int) {
+	var succ int
+	for i, s := range w.Startups {
+		if pred(s) {
+			matched++
+			if w.Successful[i] {
+				succ++
+			}
+		}
+	}
+	if matched == 0 {
+		return 0, 0
+	}
+	return float64(succ) / float64(matched), matched
+}
+
 // TestSuccessGradient asserts the Figure 6 shape: the ordering of success
 // rates across categories and the approximate lift factors.
 func TestSuccessGradient(t *testing.T) {
 	w, _ := testWorld(t)
-	none, _ := w.SuccessRate(func(s *Startup) bool { return s.FacebookURL == "" && s.TwitterURL == "" })
-	fb, _ := w.SuccessRate(func(s *Startup) bool { return s.FacebookURL != "" })
-	tw, _ := w.SuccessRate(func(s *Startup) bool { return s.TwitterURL != "" })
-	both, _ := w.SuccessRate(func(s *Startup) bool { return s.FacebookURL != "" && s.TwitterURL != "" })
-	video, _ := w.SuccessRate(func(s *Startup) bool { return s.HasDemoVideo })
-	noVideo, _ := w.SuccessRate(func(s *Startup) bool { return !s.HasDemoVideo })
+	none, _ := successRate(w, func(s *Startup) bool { return s.FacebookURL == "" && s.TwitterURL == "" })
+	fb, _ := successRate(w, func(s *Startup) bool { return s.FacebookURL != "" })
+	tw, _ := successRate(w, func(s *Startup) bool { return s.TwitterURL != "" })
+	both, _ := successRate(w, func(s *Startup) bool { return s.FacebookURL != "" && s.TwitterURL != "" })
+	video, _ := successRate(w, func(s *Startup) bool { return s.HasDemoVideo })
+	noVideo, _ := successRate(w, func(s *Startup) bool { return !s.HasDemoVideo })
 
 	if none > 0.01 {
 		t.Errorf("no-social success = %.4f, want ≈0.004", none)
@@ -214,8 +219,8 @@ func TestSuccessGradient(t *testing.T) {
 func TestEngagementBoost(t *testing.T) {
 	w, _ := testWorld(t)
 	cfg := w.Cfg
-	fbAll, _ := w.SuccessRate(func(s *Startup) bool { return s.FacebookURL != "" })
-	fbHigh, n := w.SuccessRate(func(s *Startup) bool {
+	fbAll, _ := successRate(w, func(s *Startup) bool { return s.FacebookURL != "" })
+	fbHigh, n := successRate(w, func(s *Startup) bool {
 		p := w.Facebook[s.FacebookURL]
 		return p != nil && p.Likes > cfg.MedianLikes
 	})
@@ -225,8 +230,8 @@ func TestEngagementBoost(t *testing.T) {
 	if fbHigh <= fbAll {
 		t.Errorf("FB >%d likes success %.4f not above category %.4f", cfg.MedianLikes, fbHigh, fbAll)
 	}
-	twAll, _ := w.SuccessRate(func(s *Startup) bool { return s.TwitterURL != "" })
-	twHigh, _ := w.SuccessRate(func(s *Startup) bool {
+	twAll, _ := successRate(w, func(s *Startup) bool { return s.TwitterURL != "" })
+	twHigh, _ := successRate(w, func(s *Startup) bool {
 		p := w.Twitter[s.TwitterURL]
 		return p != nil && p.FollowersCount > cfg.MedianFollowers
 	})
@@ -486,12 +491,6 @@ func TestWorldLookups(t *testing.T) {
 	if w.UserByID("nope") != nil {
 		t.Error("unknown user should be nil")
 	}
-	if _, ok := w.StartupIndex(s.ID); !ok {
-		t.Error("StartupIndex failed")
-	}
-	if _, ok := w.UserIndex(u.ID); !ok {
-		t.Error("UserIndex failed")
-	}
 	if len(w.CrunchBaseByName("definitely-not-a-company")) != 0 {
 		t.Error("unknown CB name should return empty")
 	}
@@ -505,8 +504,8 @@ func TestRaisingListing(t *testing.T) {
 			n++
 		}
 	}
-	if n != w.Cfg.NumRaising() {
-		t.Errorf("raising = %d, want %d", n, w.Cfg.NumRaising())
+	if n != w.Cfg.numRaising() {
+		t.Errorf("raising = %d, want %d", n, w.Cfg.numRaising())
 	}
 }
 

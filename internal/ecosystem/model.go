@@ -181,18 +181,6 @@ func (w *World) UserByID(id string) *User {
 	return nil
 }
 
-// StartupIndex returns the dense index of a startup ID.
-func (w *World) StartupIndex(id string) (int32, bool) {
-	i, ok := w.startupIdx[id]
-	return i, ok
-}
-
-// UserIndex returns the dense index of a user ID.
-func (w *World) UserIndex(id string) (int32, bool) {
-	i, ok := w.userIdx[id]
-	return i, ok
-}
-
 // CrunchBaseByName returns the profiles whose name matches (case
 // insensitive), mimicking the CrunchBase search API.
 func (w *World) CrunchBaseByName(name string) []*CrunchBaseProfile {

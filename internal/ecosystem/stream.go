@@ -214,7 +214,7 @@ func (se *storeEmitter) closeAll() error {
 // the durable writes; cancellation abandons the run between records
 // with only fully committed segments visible.
 func GenerateTo(ctx context.Context, st *store.Store, cfg Config) (*GenStats, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	shards := cfg.Shards

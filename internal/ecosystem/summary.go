@@ -108,22 +108,3 @@ func (w *World) Summarize() GroundTruth {
 	}
 	return gt
 }
-
-// SuccessRate returns the fraction of startups matching pred that raised
-// funding, plus the match count — the quantity tabulated in Figure 6.
-func (w *World) SuccessRate(pred func(*Startup) bool) (rate float64, matched int) {
-	var succ int
-	for i, s := range w.Startups {
-		if !pred(s) {
-			continue
-		}
-		matched++
-		if w.Successful[i] {
-			succ++
-		}
-	}
-	if matched == 0 {
-		return 0, 0
-	}
-	return float64(succ) / float64(matched), matched
-}

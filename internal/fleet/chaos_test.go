@@ -229,7 +229,7 @@ func TestFleetChaosKillWorkersMergeBitIdentical(t *testing.T) {
 					go func(i int) {
 						defer wg.Done()
 						defer cancel()
-						errs[i] = worker.Run(ctx, parts)
+						errs[i] = worker.run(ctx, parts)
 					}(i)
 				}
 				wg.Wait()
@@ -424,13 +424,13 @@ func TestStaleWorkerGuardAbortsCrawl(t *testing.T) {
 	ctx := context.Background()
 
 	parts := PartitionSeeds(listSeeds(t, ts.URL), 2)
-	lease, err := leases.Acquire(ctx, parts[0].Key(), "alice")
+	lease, err := leases.acquire(ctx, parts[0].key(), "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// alice stalls long enough to expire; bob reclaims the partition.
 	clk.Advance(2 * DefaultLeaseTTL)
-	if _, err := leases.Acquire(ctx, parts[0].Key(), "bob"); err != nil {
+	if _, err := leases.acquire(ctx, parts[0].key(), "bob"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -440,11 +440,11 @@ func TestStaleWorkerGuardAbortsCrawl(t *testing.T) {
 		Seeds:  parts[0].Seeds,
 		Checkpoint: &crawler.CheckpointConfig{
 			Store:     st,
-			Namespace: parts[0].CheckpointNS(),
+			Namespace: parts[0].checkpointNS(),
 			Resume:    true,
 			Fence:     lease.Token,
 			Guard: func(ctx context.Context) error {
-				return leases.Renew(ctx, &lease)
+				return leases.renew(ctx, &lease)
 			},
 		},
 	}
@@ -453,10 +453,10 @@ func TestStaleWorkerGuardAbortsCrawl(t *testing.T) {
 	}
 	// Nothing of alice's survived: the partition has no committed
 	// checkpoint at all (her first write was refused).
-	if done, err := PartitionDone(ctx, st, parts[0]); err != nil || done {
+	if done, err := partitionDone(ctx, st, parts[0]); err != nil || done {
 		t.Fatalf("done=%v err=%v after fenced abort", done, err)
 	}
-	if _, ok, err := crawler.LoadCheckpoint(ctx, st, parts[0].CheckpointNS()); err != nil || ok {
+	if _, ok, err := crawler.LoadCheckpoint(ctx, st, parts[0].checkpointNS()); err != nil || ok {
 		t.Fatalf("fenced worker left a checkpoint: ok=%v err=%v", ok, err)
 	}
 }

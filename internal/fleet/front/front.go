@@ -105,17 +105,6 @@ func (f *Front) Retries() int64 { return f.retries.Load() }
 // Ejections reports how many times a replica left the rotation.
 func (f *Front) Ejections() int64 { return f.ejects.Load() }
 
-// HealthyCount reports replicas currently in rotation.
-func (f *Front) HealthyCount() int {
-	n := 0
-	for _, r := range f.replicas {
-		if r.healthy.Load() {
-			n++
-		}
-	}
-	return n
-}
-
 func (f *Front) logf(format string, args ...any) {
 	if f.opts.Logf != nil {
 		f.opts.Logf(format, args...)
@@ -201,11 +190,11 @@ func (f *Front) eject(rep *replica, status int, err error) {
 	}
 }
 
-// CheckNow probes every replica's /readyz once and updates the
+// checkNow probes every replica's /readyz once and updates the
 // rotation: 200 reinstates, anything else (including probe errors)
-// ejects. Exported so tests and the serve loop drive probes
+// ejects. Run calls it on every tick; tests call it to drive probes
 // deterministically.
-func (f *Front) CheckNow(ctx context.Context) {
+func (f *Front) checkNow(ctx context.Context) {
 	for _, rep := range f.replicas {
 		func() {
 			pctx, cancel := context.WithTimeout(ctx, f.opts.CheckTimeout)
@@ -245,7 +234,7 @@ func (f *Front) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			f.CheckNow(ctx)
+			f.checkNow(ctx)
 		}
 	}
 }

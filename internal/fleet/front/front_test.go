@@ -165,8 +165,8 @@ func TestFrontFailoverMidRequestKillZero5xx(t *testing.T) {
 	if f.Retries() == 0 {
 		t.Fatal("the mid-request kill was never retried (injector not hit?)")
 	}
-	if f.Ejections() == 0 || f.HealthyCount() != 1 {
-		t.Fatalf("dead replica still in rotation: ejections=%d healthy=%d", f.Ejections(), f.HealthyCount())
+	if f.Ejections() == 0 || healthyCount(f) != 1 {
+		t.Fatalf("dead replica still in rotation: ejections=%d healthy=%d", f.Ejections(), healthyCount(f))
 	}
 
 	// r1 now stays dead; the survivor carries all reads, still zero 5xx.
@@ -183,9 +183,9 @@ func TestFrontFailoverMidRequestKillZero5xx(t *testing.T) {
 
 	// Recovery: the probe reinstates r1 and traffic spreads again.
 	chaos[0].dead.Store(false)
-	f.CheckNow(context.Background())
-	if f.HealthyCount() != 2 {
-		t.Fatalf("healthy after recovery = %d, want 2", f.HealthyCount())
+	f.checkNow(context.Background())
+	if healthyCount(f) != 2 {
+		t.Fatalf("healthy after recovery = %d, want 2", healthyCount(f))
 	}
 	seen = map[string]int{}
 	for i := 0; i < 4; i++ {
@@ -236,12 +236,23 @@ func TestFrontRunLoopEjectsAndReinstates(t *testing.T) {
 	}()
 
 	chaos[1].dead.Store(true)
-	waitFor(t, func() bool { return f.HealthyCount() == 1 })
+	waitFor(t, func() bool { return healthyCount(f) == 1 })
 	chaos[1].dead.Store(false)
-	waitFor(t, func() bool { return f.HealthyCount() == 2 })
+	waitFor(t, func() bool { return healthyCount(f) == 2 })
 
 	cancel()
 	<-done
+}
+
+// healthyCount reports replicas currently in rotation.
+func healthyCount(f *Front) int {
+	n := 0
+	for _, r := range f.replicas {
+		if r.healthy.Load() {
+			n++
+		}
+	}
+	return n
 }
 
 func waitFor(t *testing.T, cond func() bool) {

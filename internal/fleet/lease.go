@@ -19,7 +19,7 @@ const DefaultLeaseNS = "fleet/leases"
 // frees its partition after at most one TTL.
 const DefaultLeaseTTL = time.Minute
 
-// ErrLeaseHeld reports an Acquire on a partition whose current lease is
+// ErrLeaseHeld reports an acquire on a partition whose current lease is
 // still live and owned by someone else.
 var ErrLeaseHeld = errors.New("fleet: lease held")
 
@@ -149,18 +149,18 @@ func (l *Leases) append(ctx context.Context, rec LeaseRecord) error {
 	return nil
 }
 
-// Acquire claims key for owner. It succeeds when the key has never been
+// acquire claims key for owner. It succeeds when the key has never been
 // leased, its current lease is expired or released, or owner already
 // holds it (the claim is then re-minted with a fresh, higher token —
 // useful after a worker error-and-retry). A live lease held by another
 // owner returns ErrLeaseHeld.
-func (l *Leases) Acquire(ctx context.Context, key, owner string) (Lease, error) {
+func (l *Leases) acquire(ctx context.Context, key, owner string) (Lease, error) {
 	if err := l.check(); err != nil {
 		return Lease{}, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//lint:ignore lockdisc claim decisions are check-then-append transactions; the lock spanning the tiny lease-namespace scan is what makes Acquire atomic
+	//lint:ignore lockdisc claim decisions are check-then-append transactions; the lock spanning the tiny lease-namespace scan is what makes acquire atomic
 	cur, maxToken, err := l.state(ctx)
 	if err != nil {
 		return Lease{}, err
@@ -177,11 +177,11 @@ func (l *Leases) Acquire(ctx context.Context, key, owner string) (Lease, error) 
 	return lease, nil
 }
 
-// Renew extends the lease by one TTL from now, verifying first that it
+// renew extends the lease by one TTL from now, verifying first that it
 // is still the key's current claim. A reclaimed key returns ErrFenced —
 // this is the checkpoint guard for fleet workers, so a worker that lost
 // its partition aborts at its next persist.
-func (l *Leases) Renew(ctx context.Context, lease *Lease) error {
+func (l *Leases) renew(ctx context.Context, lease *Lease) error {
 	if err := l.check(); err != nil {
 		return err
 	}
@@ -198,10 +198,10 @@ func (l *Leases) Renew(ctx context.Context, lease *Lease) error {
 	return nil
 }
 
-// Release voluntarily hands the key back, making it claimable without
+// release voluntarily hands the key back, making it claimable without
 // waiting out the TTL. Releasing a lease that was already reclaimed
 // returns ErrFenced (the release would clobber the new owner's claim).
-func (l *Leases) Release(ctx context.Context, lease Lease) error {
+func (l *Leases) release(ctx context.Context, lease Lease) error {
 	if err := l.check(); err != nil {
 		return err
 	}
@@ -212,19 +212,6 @@ func (l *Leases) Release(ctx context.Context, lease Lease) error {
 	}
 	//lint:ignore lockdisc the verify-then-append pair must be atomic; the appended record is a single lease transition
 	return l.append(ctx, LeaseRecord{Key: lease.Key, Owner: lease.Owner, Token: lease.Token, Released: true})
-}
-
-// Check verifies the lease is still the key's current claim without
-// touching it. Callers must hold l.mu via the public methods; Check is
-// the lock-taking form.
-func (l *Leases) Check(ctx context.Context, lease Lease) error {
-	if err := l.check(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	//lint:ignore lockdisc verification races against concurrent claims without the lock; the scan covers a handful of lease records
-	return l.verify(ctx, lease)
 }
 
 func (l *Leases) verify(ctx context.Context, lease Lease) error {
@@ -243,27 +230,4 @@ func (l *Leases) verify(ctx context.Context, lease Lease) error {
 		return fmt.Errorf("fleet: lease %s: already released: %w", lease.Key, ErrFenced)
 	}
 	return nil
-}
-
-// Holders reports the live (unexpired, unreleased) claims, for statusz
-// style observability and tests.
-func (l *Leases) Holders(ctx context.Context) (map[string]LeaseRecord, error) {
-	if err := l.check(); err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	//lint:ignore lockdisc the live-claim fold must not interleave with a concurrent claim append; the namespace holds a few records per partition
-	cur, _, err := l.state(ctx)
-	if err != nil {
-		return nil, err
-	}
-	now := l.Clock().UnixNano()
-	live := map[string]LeaseRecord{}
-	for k, rec := range cur {
-		if !rec.Released && rec.Expires > now {
-			live[k] = rec
-		}
-	}
-	return live, nil
 }

@@ -50,17 +50,17 @@ func TestLeaseLifecycle(t *testing.T) {
 	ls := &Leases{Store: st, Clock: clk.Now, TTL: time.Minute}
 	ctx := context.Background()
 
-	a, err := ls.Acquire(ctx, "part-0000", "alice")
+	a, err := ls.acquire(ctx, "part-0000", "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Token != 1 {
 		t.Fatalf("first token = %d, want 1", a.Token)
 	}
-	if _, err := ls.Acquire(ctx, "part-0000", "bob"); !errors.Is(err, ErrLeaseHeld) {
+	if _, err := ls.acquire(ctx, "part-0000", "bob"); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("double claim: %v, want ErrLeaseHeld", err)
 	}
-	b, err := ls.Acquire(ctx, "part-0001", "bob")
+	b, err := ls.acquire(ctx, "part-0001", "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,48 +71,50 @@ func TestLeaseLifecycle(t *testing.T) {
 	// A renew 30s in pushes expiry to t+90s: at t+75s the claim must
 	// still hold even though the original TTL has lapsed.
 	clk.Advance(30 * time.Second)
-	if err := ls.Renew(ctx, &a); err != nil {
+	if err := ls.renew(ctx, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := ls.Renew(ctx, &b); err != nil {
+	if err := ls.renew(ctx, &b); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(45 * time.Second)
-	if _, err := ls.Acquire(ctx, "part-0000", "bob"); !errors.Is(err, ErrLeaseHeld) {
+	if _, err := ls.acquire(ctx, "part-0000", "bob"); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("claim after renew: %v, want ErrLeaseHeld", err)
 	}
-	if err := ls.Check(ctx, a); err != nil {
+	if err := ls.verify(ctx, a); err != nil {
 		t.Fatalf("check of live lease: %v", err)
 	}
 
 	// Release hands the key back immediately; the stale handle is fenced
 	// from then on.
-	if err := ls.Release(ctx, a); err != nil {
+	if err := ls.release(ctx, a); err != nil {
 		t.Fatal(err)
 	}
-	c, err := ls.Acquire(ctx, "part-0000", "bob")
+	c, err := ls.acquire(ctx, "part-0000", "bob")
 	if err != nil {
 		t.Fatalf("claim after release: %v", err)
 	}
 	if c.Token <= b.Token {
 		t.Fatalf("reclaim token %d not above %d", c.Token, b.Token)
 	}
-	if err := ls.Check(ctx, a); !errors.Is(err, ErrFenced) {
+	if err := ls.verify(ctx, a); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale check: %v, want ErrFenced", err)
 	}
-	if err := ls.Renew(ctx, &a); !errors.Is(err, ErrFenced) {
+	if err := ls.renew(ctx, &a); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale renew: %v, want ErrFenced", err)
 	}
-	if err := ls.Release(ctx, a); !errors.Is(err, ErrFenced) {
+	if err := ls.release(ctx, a); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale release: %v, want ErrFenced", err)
 	}
 
-	live, err := ls.Holders(ctx)
+	cur, _, err := ls.state(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(live) != 2 || live["part-0000"].Owner != "bob" || live["part-0001"].Owner != "bob" {
-		t.Fatalf("holders = %+v", live)
+	for _, key := range []string{"part-0000", "part-0001"} {
+		if rec := cur[key]; rec.Owner != "bob" || rec.Released || rec.Expires <= clk.Now().UnixNano() {
+			t.Fatalf("live claim on %s = %+v, want bob's", key, rec)
+		}
 	}
 }
 
@@ -123,38 +125,38 @@ func TestLeaseExpiryReclaimFencesOldOwner(t *testing.T) {
 	ls := &Leases{Store: st, Clock: clk.Now, TTL: time.Minute}
 	ctx := context.Background()
 
-	a, err := ls.Acquire(ctx, "part-0000", "alice")
+	a, err := ls.acquire(ctx, "part-0000", "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// alice crashes: no renewals. Before expiry bob stays locked out;
 	// one TTL later the partition is his, and alice's handle is dead.
 	clk.Advance(59 * time.Second)
-	if _, err := ls.Acquire(ctx, "part-0000", "bob"); !errors.Is(err, ErrLeaseHeld) {
+	if _, err := ls.acquire(ctx, "part-0000", "bob"); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("pre-expiry claim: %v, want ErrLeaseHeld", err)
 	}
 	clk.Advance(2 * time.Second)
-	b, err := ls.Acquire(ctx, "part-0000", "bob")
+	b, err := ls.acquire(ctx, "part-0000", "bob")
 	if err != nil {
 		t.Fatalf("post-expiry claim: %v", err)
 	}
 	if b.Token <= a.Token {
 		t.Fatalf("reclaim token %d not above expired %d", b.Token, a.Token)
 	}
-	if err := ls.Renew(ctx, &a); !errors.Is(err, ErrFenced) {
+	if err := ls.renew(ctx, &a); !errors.Is(err, ErrFenced) {
 		t.Fatalf("expired owner renew: %v, want ErrFenced", err)
 	}
 
 	// Same-owner reacquire (worker retry loop) also re-mints: the old
 	// handle must not keep working.
-	b2, err := ls.Acquire(ctx, "part-0000", "bob")
+	b2, err := ls.acquire(ctx, "part-0000", "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b2.Token <= b.Token {
 		t.Fatalf("reacquire token %d not above %d", b2.Token, b.Token)
 	}
-	if err := ls.Check(ctx, b); !errors.Is(err, ErrFenced) {
+	if err := ls.verify(ctx, b); !errors.Is(err, ErrFenced) {
 		t.Fatalf("old same-owner handle: %v, want ErrFenced", err)
 	}
 }
@@ -169,7 +171,7 @@ func TestLeasesSurviveStoreReopen(t *testing.T) {
 	clk := newFakeClock()
 	ctx := context.Background()
 	ls := &Leases{Store: st, Clock: clk.Now, TTL: time.Minute}
-	a, err := ls.Acquire(ctx, "part-0000", "alice")
+	a, err := ls.acquire(ctx, "part-0000", "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +183,11 @@ func TestLeasesSurviveStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls2 := &Leases{Store: st2, Clock: clk.Now, TTL: time.Minute}
-	if _, err := ls2.Acquire(ctx, "part-0000", "bob"); !errors.Is(err, ErrLeaseHeld) {
+	if _, err := ls2.acquire(ctx, "part-0000", "bob"); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("cross-handle claim: %v, want ErrLeaseHeld", err)
 	}
 	clk.Advance(2 * time.Minute)
-	b, err := ls2.Acquire(ctx, "part-0000", "bob")
+	b, err := ls2.acquire(ctx, "part-0000", "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +210,14 @@ func TestFencedCheckpointShadowing(t *testing.T) {
 		Seq: 0, Phase: crawler.PhaseBFS, Fence: 1,
 		Snap: &crawler.Snapshot{Startups: map[string]*ecosystem.Startup{"s1": {ID: "s1", Name: "stale"}}},
 	}
-	if err := crawler.SaveCheckpoint(ctx, st, p.CheckpointNS(), stale); err != nil {
+	if err := crawler.SaveCheckpoint(ctx, st, p.checkpointNS(), stale); err != nil {
 		t.Fatal(err)
 	}
 	current := &crawler.Checkpoint{
 		Seq: 0, Phase: crawler.PhaseDone, Fence: 2,
 		Snap: &crawler.Snapshot{Startups: map[string]*ecosystem.Startup{"s1": {ID: "s1", Name: "current"}}},
 	}
-	if err := crawler.SaveCheckpoint(ctx, st, p.CheckpointNS(), current); err != nil {
+	if err := crawler.SaveCheckpoint(ctx, st, p.checkpointNS(), current); err != nil {
 		t.Fatal(err)
 	}
 	// The zombie's late append lands AFTER the winner in the log, with a
@@ -225,18 +227,18 @@ func TestFencedCheckpointShadowing(t *testing.T) {
 		Seq: 1, Phase: crawler.PhaseDone, Fence: 1,
 		Snap: &crawler.Snapshot{Startups: map[string]*ecosystem.Startup{"s1": {ID: "s1", Name: "zombie"}}},
 	}
-	if err := crawler.SaveCheckpoint(ctx, st, p.CheckpointNS(), zombie); err != nil {
+	if err := crawler.SaveCheckpoint(ctx, st, p.checkpointNS(), zombie); err != nil {
 		t.Fatal(err)
 	}
 
-	got, ok, err := crawler.LoadCheckpoint(ctx, st, p.CheckpointNS())
+	got, ok, err := crawler.LoadCheckpoint(ctx, st, p.checkpointNS())
 	if err != nil || !ok {
 		t.Fatalf("load: ok=%v err=%v", ok, err)
 	}
 	if got.Fence != 2 || got.Snap.Startups["s1"].Name != "current" {
 		t.Fatalf("winner fence=%d name=%q, want the fence-2 record", got.Fence, got.Snap.Startups["s1"].Name)
 	}
-	done, err := PartitionDone(ctx, st, p)
+	done, err := partitionDone(ctx, st, p)
 	if err != nil || !done {
 		t.Fatalf("done=%v err=%v", done, err)
 	}
@@ -258,7 +260,7 @@ func TestMergeRefusesIncompletePartition(t *testing.T) {
 		t.Fatalf("merge of unstarted partition: %v, want ErrPartitionIncomplete", err)
 	}
 	cp := &crawler.Checkpoint{Phase: crawler.PhaseBFS, Snap: &crawler.Snapshot{}}
-	if err := crawler.SaveCheckpoint(ctx, st, p.CheckpointNS(), cp); err != nil {
+	if err := crawler.SaveCheckpoint(ctx, st, p.checkpointNS(), cp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := MergePartitions(ctx, st, []Partition{p}); !errors.Is(err, ErrPartitionIncomplete) {

@@ -33,12 +33,12 @@ func MergePartitions(ctx context.Context, st *store.Store, parts []Partition) (*
 	}
 	partials := make([]partial, 0, len(parts))
 	for _, p := range parts {
-		cp, ok, err := crawler.LoadCheckpoint(ctx, st, p.CheckpointNS())
+		cp, ok, err := crawler.LoadCheckpoint(ctx, st, p.checkpointNS())
 		if err != nil {
 			return nil, err
 		}
 		if !ok || (cp.Phase != crawler.PhaseDone && cp.Phase != crawler.PhasePersisted) {
-			return nil, fmt.Errorf("%w: %s", ErrPartitionIncomplete, p.Key())
+			return nil, fmt.Errorf("%w: %s", ErrPartitionIncomplete, p.key())
 		}
 		partials = append(partials, partial{part: p, cp: cp})
 	}

@@ -18,13 +18,13 @@ type Partition struct {
 	Seeds []string
 }
 
-// Key is the partition's lease key.
-func (p Partition) Key() string { return fmt.Sprintf("part-%04d", p.Index) }
+// key is the partition's lease key.
+func (p Partition) key() string { return fmt.Sprintf("part-%04d", p.Index) }
 
-// CheckpointNS is where the partition's crawl checkpoints live. Each
+// checkpointNS is where the partition's crawl checkpoints live. Each
 // partition gets its own namespace so workers never contend on a writer
 // and the merger can load each partial independently.
-func (p Partition) CheckpointNS() string { return "fleet/checkpoint/" + p.Key() }
+func (p Partition) checkpointNS() string { return "fleet/checkpoint/" + p.key() }
 
 // PartitionSeeds splits the seed listing into n hash partitions. The
 // split is a pure function of the seed set: seeds are deduplicated,
@@ -55,11 +55,11 @@ func PartitionSeeds(seeds []string, n int) []Partition {
 	return parts
 }
 
-// PartitionDone reports whether the partition's crawl has a committed
+// partitionDone reports whether the partition's crawl has a committed
 // terminal checkpoint (the winning — highest-fence — record reached
 // PhaseDone or beyond).
-func PartitionDone(ctx context.Context, st *store.Store, p Partition) (bool, error) {
-	cp, ok, err := crawler.LoadCheckpoint(ctx, st, p.CheckpointNS())
+func partitionDone(ctx context.Context, st *store.Store, p Partition) (bool, error) {
+	cp, ok, err := crawler.LoadCheckpoint(ctx, st, p.checkpointNS())
 	if err != nil {
 		return false, err
 	}
@@ -93,14 +93,14 @@ type Worker struct {
 	Completed int
 }
 
-// Run sweeps parts until every partition is done or none is claimable
+// run sweeps parts until every partition is done or none is claimable
 // by this worker. It returns nil when a full sweep found only finished
 // or foreign-held partitions — the caller decides whether to re-sweep
 // later (the crowdscope fleet driver loops until AllDone), which keeps retry
 // pacing out of this package and under test control. The first crawl or
 // lease error aborts the sweep; a killed worker simply never returns and
 // its leases expire.
-func (w *Worker) Run(ctx context.Context, parts []Partition) error {
+func (w *Worker) run(ctx context.Context, parts []Partition) error {
 	if w.ID == "" {
 		return errors.New("fleet: Worker.ID is empty")
 	}
@@ -110,14 +110,14 @@ func (w *Worker) Run(ctx context.Context, parts []Partition) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("fleet: worker %s: %w", w.ID, err)
 			}
-			done, err := PartitionDone(ctx, w.Store, p)
+			done, err := partitionDone(ctx, w.Store, p)
 			if err != nil {
 				return fmt.Errorf("fleet: worker %s: %w", w.ID, err)
 			}
 			if done {
 				continue
 			}
-			lease, err := w.Leases.Acquire(ctx, p.Key(), w.ID)
+			lease, err := w.Leases.acquire(ctx, p.key(), w.ID)
 			if errors.Is(err, ErrLeaseHeld) {
 				continue
 			}
@@ -130,19 +130,19 @@ func (w *Worker) Run(ctx context.Context, parts []Partition) error {
 			// the lease fences every other writer, so the answer is
 			// stable — and hand the partition back instead of
 			// re-crawling it.
-			done, err = PartitionDone(ctx, w.Store, p)
+			done, err = partitionDone(ctx, w.Store, p)
 			if err != nil {
 				return fmt.Errorf("fleet: worker %s: %w", w.ID, err)
 			}
 			if done {
-				if err := w.Leases.Release(ctx, lease); err != nil {
+				if err := w.Leases.release(ctx, lease); err != nil {
 					return fmt.Errorf("fleet: worker %s: %w", w.ID, err)
 				}
 				continue
 			}
 			w.Claimed++
 			if err := w.crawl(ctx, p, lease); err != nil {
-				return fmt.Errorf("fleet: worker %s %s: %w", w.ID, p.Key(), err)
+				return fmt.Errorf("fleet: worker %s %s: %w", w.ID, p.key(), err)
 			}
 			w.Completed++
 			progress = true
@@ -162,10 +162,10 @@ func (w *Worker) crawl(ctx context.Context, p Partition, lease Lease) error {
 		// the crawler's "fetch the whole listing yourself" mode. Record
 		// it done directly with an empty fenced snapshot.
 		cp := &crawler.Checkpoint{Phase: crawler.PhaseDone, Fence: lease.Token, Snap: &crawler.Snapshot{}}
-		if err := crawler.SaveCheckpoint(ctx, w.Store, p.CheckpointNS(), cp); err != nil {
+		if err := crawler.SaveCheckpoint(ctx, w.Store, p.checkpointNS(), cp); err != nil {
 			return err
 		}
-		return w.Leases.Release(ctx, lease)
+		return w.Leases.release(ctx, lease)
 	}
 	fetchers := w.Fetchers
 	if fetchers <= 0 {
@@ -177,18 +177,18 @@ func (w *Worker) crawl(ctx context.Context, p Partition, lease Lease) error {
 		Seeds:   p.Seeds,
 		Checkpoint: &crawler.CheckpointConfig{
 			Store:     w.Store,
-			Namespace: p.CheckpointNS(),
+			Namespace: p.checkpointNS(),
 			Resume:    true,
 			Fence:     lease.Token,
 			Guard: func(ctx context.Context) error {
-				return w.Leases.Renew(ctx, &lease)
+				return w.Leases.renew(ctx, &lease)
 			},
 		},
 	}
 	if _, err := cr.Run(ctx); err != nil {
 		return err
 	}
-	return w.Leases.Release(ctx, lease)
+	return w.Leases.release(ctx, lease)
 }
 
 // RunWorkers drives the workers concurrently over the same partition
@@ -201,7 +201,7 @@ func RunWorkers(ctx context.Context, workers []*Worker, parts []Partition) error
 		wg.Add(1)
 		go func(i int, w *Worker) {
 			defer wg.Done()
-			errs[i] = w.Run(ctx, parts)
+			errs[i] = w.run(ctx, parts)
 		}(i, w)
 	}
 	wg.Wait()
@@ -211,7 +211,7 @@ func RunWorkers(ctx context.Context, workers []*Worker, parts []Partition) error
 // AllDone reports whether every partition has a terminal checkpoint.
 func AllDone(ctx context.Context, st *store.Store, parts []Partition) (bool, error) {
 	for _, p := range parts {
-		done, err := PartitionDone(ctx, st, p)
+		done, err := partitionDone(ctx, st, p)
 		if err != nil {
 			return false, err
 		}

@@ -12,15 +12,15 @@ type CSR struct {
 	Targets []int32
 }
 
-// Row returns node u's neighbor slice. The slice aliases the CSR's
+// row returns node u's neighbor slice. The slice aliases the CSR's
 // backing array and must not be modified.
-func (c *CSR) Row(u int32) []int32 { return c.Targets[c.Offsets[u]:c.Offsets[u+1]] }
+func (c *CSR) row(u int32) []int32 { return c.Targets[c.Offsets[u]:c.Offsets[u+1]] }
 
-// Degree returns the length of node u's row.
-func (c *CSR) Degree(u int32) int { return int(c.Offsets[u+1] - c.Offsets[u]) }
+// degree returns the length of node u's row.
+func (c *CSR) degree(u int32) int { return int(c.Offsets[u+1] - c.Offsets[u]) }
 
-// NumNodes returns the number of rows.
-func (c *CSR) NumNodes() int { return len(c.Offsets) - 1 }
+// numNodes returns the number of rows.
+func (c *CSR) numNodes() int { return len(c.Offsets) - 1 }
 
 func buildCSR(adj [][]int32, edges int) *CSR {
 	c := &CSR{

@@ -29,13 +29,13 @@ type FrozenBipartite struct {
 // NewFrozenBipartite wraps label tables and CSR adjacency into a
 // read-only bipartite graph. Arrays are adopted, not copied.
 func NewFrozenBipartite(leftLabels, rightLabels []string, fwd, rev *CSR) (*FrozenBipartite, error) {
-	if fwd.NumNodes() != len(leftLabels) {
+	if fwd.numNodes() != len(leftLabels) {
 		return nil, fmt.Errorf("graph: frozen bipartite left counts disagree (labels=%d fwd=%d)",
-			len(leftLabels), fwd.NumNodes())
+			len(leftLabels), fwd.numNodes())
 	}
-	if rev.NumNodes() != len(rightLabels) {
+	if rev.numNodes() != len(rightLabels) {
 		return nil, fmt.Errorf("graph: frozen bipartite right counts disagree (labels=%d rev=%d)",
-			len(rightLabels), rev.NumNodes())
+			len(rightLabels), rev.numNodes())
 	}
 	if len(fwd.Targets) != len(rev.Targets) {
 		return nil, fmt.Errorf("graph: frozen bipartite edge counts disagree (fwd=%d rev=%d)",
@@ -102,17 +102,17 @@ func (f *FrozenBipartite) RightIndex(label string) (int32, bool) {
 
 // Fwd returns the right-neighbors of left node idx. The slice aliases the
 // frozen arrays and must not be modified.
-func (f *FrozenBipartite) Fwd(idx int32) []int32 { return f.fwd.Row(idx) }
+func (f *FrozenBipartite) Fwd(idx int32) []int32 { return f.fwd.row(idx) }
 
 // Rev returns the left-neighbors of right node idx. The slice aliases the
 // frozen arrays and must not be modified.
-func (f *FrozenBipartite) Rev(idx int32) []int32 { return f.rev.Row(idx) }
+func (f *FrozenBipartite) Rev(idx int32) []int32 { return f.rev.row(idx) }
 
 // OutDegree returns the out-degree of a left node.
-func (f *FrozenBipartite) OutDegree(idx int32) int { return f.fwd.Degree(idx) }
+func (f *FrozenBipartite) OutDegree(idx int32) int { return f.fwd.degree(idx) }
 
 // InDegree returns the in-degree of a right node.
-func (f *FrozenBipartite) InDegree(idx int32) int { return f.rev.Degree(idx) }
+func (f *FrozenBipartite) InDegree(idx int32) int { return f.rev.degree(idx) }
 
 // HasEdge reports whether the labeled edge exists. Sorted rows (the
 // normal case — snapshots are written after SortAdjacency) are binary-
@@ -126,7 +126,7 @@ func (f *FrozenBipartite) HasEdge(left, right string) bool {
 	if !ok {
 		return false
 	}
-	row := f.fwd.Row(u)
+	row := f.fwd.row(u)
 	if f.sortedRows {
 		i := sort.Search(len(row), func(i int) bool { return row[i] >= r })
 		return i < len(row) && row[i] == r
@@ -141,8 +141,8 @@ func (f *FrozenBipartite) HasEdge(left, right string) bool {
 
 // csrRowsSorted reports whether every row of c is ascending.
 func csrRowsSorted(c *CSR) bool {
-	for u := 0; u < c.NumNodes(); u++ {
-		row := c.Row(int32(u))
+	for u := 0; u < c.numNodes(); u++ {
+		row := c.row(int32(u))
 		for i := 1; i < len(row); i++ {
 			if row[i-1] > row[i] {
 				return false

@@ -53,12 +53,12 @@ func Encode(tables []*TableIndex) ([]byte, error) {
 		ti := byName[name]
 		p := SectionPrefix + name + "."
 		e.Int64s(p+"rows", []int64{int64(ti.rows)})
-		boolKeys := ti.BoolKeys()
+		boolKeys := ti.boolKeys()
 		e.Strings(p+"bools", boolKeys)
 		for _, key := range boolKeys {
 			e.Int32s(p+"bool."+key, ti.postings[key])
 		}
-		intKeys := ti.OrderKeys()
+		intKeys := ti.orderKeys()
 		e.Strings(p+"ints", intKeys)
 		for _, key := range intKeys {
 			o := ti.orders[key]

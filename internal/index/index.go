@@ -82,17 +82,14 @@ func BuildTable(t Table) (*TableIndex, error) {
 	return ti, nil
 }
 
-// Name returns the table name the index was built for.
-func (ti *TableIndex) Name() string { return ti.name }
-
 // Rows returns the indexed table's row count.
 func (ti *TableIndex) Rows() int { return ti.rows }
 
-// BoolKeys returns the indexed boolean attributes in sorted order.
-func (ti *TableIndex) BoolKeys() []string { return sortedKeys(ti.postings) }
+// boolKeys returns the indexed boolean attributes in sorted order.
+func (ti *TableIndex) boolKeys() []string { return sortedKeys(ti.postings) }
 
-// OrderKeys returns the indexed integer columns in sorted order.
-func (ti *TableIndex) OrderKeys() []string { return sortedKeys(ti.orders) }
+// orderKeys returns the indexed integer columns in sorted order.
+func (ti *TableIndex) orderKeys() []string { return sortedKeys(ti.orders) }
 
 // HasBool reports whether the boolean attribute is indexed.
 func (ti *TableIndex) HasBool(key string) bool { _, ok := ti.postings[key]; return ok }

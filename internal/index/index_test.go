@@ -167,11 +167,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d tables", len(decoded))
 	}
 	got := decoded["things"]
-	if got.Rows() != 6 || got.Name() != "things" {
-		t.Fatalf("decoded table %q rows %d", got.Name(), got.Rows())
+	if got.Rows() != 6 || got.name != "things" {
+		t.Fatalf("decoded table %q rows %d", got.name, got.Rows())
 	}
-	if !reflect.DeepEqual(got.BoolKeys(), []string{"hot"}) || !reflect.DeepEqual(got.OrderKeys(), []string{"score"}) {
-		t.Fatalf("decoded keys: %v / %v", got.BoolKeys(), got.OrderKeys())
+	if !reflect.DeepEqual(got.boolKeys(), []string{"hot"}) || !reflect.DeepEqual(got.orderKeys(), []string{"score"}) {
+		t.Fatalf("decoded keys: %v / %v", got.boolKeys(), got.orderKeys())
 	}
 	if rows, ok := got.Range("score", ">=", 5); !ok || !reflect.DeepEqual(rows, []int32{0, 2, 3}) {
 		t.Fatalf("decoded Range = %v, %v", rows, ok)

@@ -11,12 +11,13 @@ import (
 // AllowlistFile is the checked-in exception list at the module root.
 // Each line names one symbol a specific analyzer exempts:
 //
-//	viewonly:internal/core.BuildInvestorGraph   # façade: builds the mutable graph
-//	goleak:cmd/crowddaemon.main                 # process-lifetime workers
+//	viewonly:internal/core.BuildInvestorGraph     # façade: builds the mutable graph
+//	deadexport:internal/graph.FreezeBipartite     # reference the tests compare against
 //
 // Lines are <analyzer>:<module-relative-pkg>.<Symbol> (methods spell the
-// receiver: <pkg>.<Type>.<Method>); '#' starts a comment. A line without
-// an analyzer prefix is a viewonly entry — the list predates the prefix.
+// receiver: <pkg>.<Type>.<Method>); '#' starts a comment. The analyzer
+// prefix is mandatory and must name one of allowAnalyzers; any other
+// line is a malformed-line finding.
 //
 // The analyzers keep the list minimal: an entry that no longer matches a
 // real finding is reported as stale, and `crowdlint -fix-allow` rewrites
@@ -25,7 +26,7 @@ const AllowlistFile = "crowdlint.allow"
 
 // allowEntry is one parsed allowlist line.
 type allowEntry struct {
-	analyzer string // owning analyzer ("viewonly", "goleak", ...)
+	analyzer string // owning analyzer ("viewonly", "deadexport", ...)
 	key      string // symbol spelling: <pkg>.<Func> or <pkg>.<Type>.<Method>
 	line     int    // 1-based line in the file
 	comment  []string
@@ -46,7 +47,7 @@ type allowlist struct {
 // allowAnalyzers names every analyzer that may own allowlist entries; a
 // prefix outside this set is a malformed line, so typos cannot silently
 // allow nothing.
-var allowAnalyzers = map[string]bool{"viewonly": true, "goleak": true, "errwrap": true}
+var allowAnalyzers = map[string]bool{"deadexport": true, "errwrap": true, "goleak": true, "viewonly": true}
 
 // loadAllow parses the module's allowlist. A missing file is an empty
 // list. The result is cached on the Module so the analyzers and the
@@ -93,20 +94,21 @@ func parseAllowlist(path string) *allowlist {
 			trailing = strings.TrimSpace(line[idx:])
 		}
 		pos := token.Position{Filename: path, Line: i + 1, Column: 1}
-		if entryText == "" || strings.ContainsAny(entryText, " \t") {
+		analyzer, key, ok := strings.Cut(entryText, ":")
+		if !ok || strings.ContainsAny(entryText, " \t") {
 			al.diags = append(al.diags, Diagnostic{Pos: pos, Analyzer: "lint",
 				Message: "malformed allowlist line: want one <analyzer>:<pkg>.<Symbol> per line"})
 			pending = nil
 			continue
 		}
-		analyzer := "viewonly" // prefixless entries predate multi-analyzer support
-		key := entryText
-		if idx := strings.IndexByte(entryText, ':'); idx >= 0 {
-			analyzer, key = entryText[:idx], entryText[idx+1:]
-		}
 		if !allowAnalyzers[analyzer] {
+			known := make([]string, 0, len(allowAnalyzers))
+			for name := range allowAnalyzers {
+				known = append(known, name)
+			}
+			sort.Strings(known)
 			al.diags = append(al.diags, Diagnostic{Pos: pos, Analyzer: "lint",
-				Message: fmt.Sprintf("allowlist entry names unknown analyzer %q (known: errwrap, goleak, viewonly)", analyzer)})
+				Message: fmt.Sprintf("allowlist entry names unknown analyzer %q (known: %s)", analyzer, strings.Join(known, ", "))})
 			pending = nil
 			continue
 		}

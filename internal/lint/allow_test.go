@@ -19,18 +19,22 @@ func viewonlyFixture(t *testing.T, allow string) *Module {
 	})
 }
 
+// TestAllowlistMalformedLines: two words, a missing analyzer prefix and
+// an unknown analyzer are each a finding; the last names every analyzer
+// that may own entries.
 func TestAllowlistMalformedLines(t *testing.T) {
 	m := viewonlyFixture(t, `viewonly:internal/core.Build
 two words on a line
+internal/core.Build
 nosuch:internal/core.Build
 `)
 	got := findings(t, m, AnalyzerViewOnly)
-	wantFindings(t, got, "crowdlint.allow:2:[lint]", "crowdlint.allow:3:[lint]")
-}
-
-func TestAllowlistPrefixlessEntryIsViewonly(t *testing.T) {
-	m := viewonlyFixture(t, "internal/core.Build\n")
-	wantFindings(t, findings(t, m, AnalyzerViewOnly))
+	wantFindings(t, got, "crowdlint.allow:2:[lint]", "crowdlint.allow:3:[lint]", "crowdlint.allow:4:[lint]")
+	for _, d := range m.Run([]*Analyzer{AnalyzerViewOnly}) {
+		if d.Pos.Line == 4 && !strings.Contains(d.Message, "(known: deadexport, errwrap, goleak, viewonly)") {
+			t.Errorf("unknown-analyzer message = %q, want every allowlist analyzer named", d.Message)
+		}
+	}
 }
 
 func TestAllowlistStaleEntryReported(t *testing.T) {

@@ -169,7 +169,7 @@ func definingPkgName(obj types.Object) string {
 func distinctCloserFuncs(cs []chanSite) []string {
 	set := map[string]bool{}
 	for _, c := range cs {
-		set[c.pkg.Name()+"."+c.fn] = true
+		set[c.pkg.name()+"."+c.fn] = true
 	}
 	out := make([]string, 0, len(set))
 	for k := range set {

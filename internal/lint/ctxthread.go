@@ -9,8 +9,9 @@ import (
 //
 //   - A function whose body sleeps, dials the network, issues HTTP
 //     requests, performs durable store writes ((*store.Store).Writer at
-//     any shard count, PutBlob, Compact), or triggers serving-layer
-//     backend reads ((*serve.Server).Refresh) must receive a
+//     any shard count, PutBlob), reads a whole namespace without a
+//     deadline ((*store.Store).Scan), or triggers serving-layer backend
+//     reads ((*serve.Server).Refresh) must receive a
 //     context.Context as its first parameter — or carry an
 //     *http.Request parameter, whose Context() serves the same role in
 //     handlers. Package main and internal/store itself (the layer being
@@ -30,7 +31,7 @@ func runCtxThread(m *Module) []Diagnostic {
 	servePath := m.internalPath("internal/serve")
 
 	for _, pkg := range m.Packages {
-		isMain := pkg.Name() == "main"
+		isMain := pkg.name() == "main"
 		for _, f := range pkg.Files {
 			// Collect every function node so a blocking call can consult
 			// its whole enclosing chain (closures inherit an outer ctx).
@@ -117,11 +118,6 @@ func blockingCall(fn *types.Func, storePath, servePath string) string {
 			case "Get", "Head", "Post", "PostForm":
 				return "http." + fn.Name()
 			}
-		case storePath:
-			switch fn.Name() {
-			case "ScanAs", "ReadAll":
-				return "store." + fn.Name() + " (unbounded read; use the Context variant)"
-			}
 		}
 		return ""
 	}
@@ -137,7 +133,7 @@ func blockingCall(fn *types.Func, storePath, servePath string) string {
 		}
 	case recv.Obj().Pkg().Path() == storePath && recv.Obj().Name() == "Store":
 		switch fn.Name() {
-		case "Writer", "PutBlob", "Compact":
+		case "Writer", "PutBlob":
 			return "(*store.Store)." + fn.Name() + " (durable write)"
 		case "Scan":
 			return "(*store.Store).Scan (unbounded read; use ScanContext)"

@@ -63,10 +63,9 @@ func Retry(ctx context.Context) {
 	wantFindings(t, findings(t, m, AnalyzerCtxThread))
 }
 
-// TestCtxThreadCatchesUnboundedReads: the scan family — the Store.Scan
-// method and the package-level ScanAs/ReadAll helpers — blocks for the
-// whole namespace walk, so callers without a context in scope must be
-// flagged toward the Context variants.
+// TestCtxThreadCatchesUnboundedReads: Store.Scan blocks for the whole
+// namespace walk, so callers without a context in scope must be flagged
+// toward ScanContext.
 func TestCtxThreadCatchesUnboundedReads(t *testing.T) {
 	m := writeModule(t, map[string]string{
 		"internal/store/store.go": `package store
@@ -74,10 +73,6 @@ func TestCtxThreadCatchesUnboundedReads(t *testing.T) {
 type Store struct{}
 
 func (s *Store) Scan(ns string, fn func(k string, raw []byte) error) error { return nil }
-
-func ScanAs(s *Store, ns string, fn func(k string) error) error { return nil }
-
-func ReadAll(s *Store, ns string) ([][]byte, error) { return nil, nil }
 `,
 		"internal/core/c.go": `package core
 
@@ -86,22 +81,10 @@ import "fixture.test/m/internal/store"
 func Walk(s *store.Store) error {
 	return s.Scan("events", nil)
 }
-
-func WalkTyped(s *store.Store) error {
-	return store.ScanAs(s, "events", nil)
-}
-
-func Slurp(s *store.Store) error {
-	_, err := store.ReadAll(s, "events")
-	return err
-}
 `,
 	})
 	got := findings(t, m, AnalyzerCtxThread)
-	wantFindings(t, got,
-		"internal/core/c.go:6:[ctxthread]",
-		"internal/core/c.go:10:[ctxthread]",
-		"internal/core/c.go:14:[ctxthread]")
+	wantFindings(t, got, "internal/core/c.go:6:[ctxthread]")
 }
 
 func TestCtxThreadBansContextBackgroundOutsideMain(t *testing.T) {

@@ -18,15 +18,16 @@
 //   - viewonly: exported APIs outside internal/graph consume the
 //     read-only graph.BipartiteView, never the mutable *graph.Bipartite
 //     builder (PR 3's frozen-snapshot refactor).
-//   - ctxthread: blocking work (sleeps, network, durable store writes)
-//     is cancelable: a context arrives as the first parameter, and
-//     context.Background() stays in main packages.
+//   - ctxthread: blocking work (sleeps, network, durable store writes,
+//     whole-namespace scans) is cancelable: a context arrives as the
+//     first parameter, and context.Background() stays in main packages.
 //   - errwrap: error causes survive wrapping (%w, not %v/%s), and error
 //     returns are not silently discarded with `_ =`.
 //   - binlayout: the CSFROZ01 and segment wire formats stay fixed-width,
 //     keyed and documented.
-//   - planfirst: inside internal/query, raw record scans happen only in
-//     the two functions that execute an already-planned route.
+//   - deadexport: internal/ exports only what some non-test code in the
+//     module references; a name only tests reach needs a reasoned
+//     crowdlint.allow entry.
 //   - goleak: every `go` statement has a provable exit path (a ctx.Done
 //     receive, a closed-channel receive, a waited WaitGroup, or a body
 //     with no unbounded loop); fire-and-forget spawns are findings

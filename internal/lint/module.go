@@ -58,8 +58,8 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Name returns the package's declared name ("main", "graph", ...).
-func (p *Package) Name() string { return p.Types.Name() }
+// name returns the package's declared name ("main", "graph", ...).
+func (p *Package) name() string { return p.Types.Name() }
 
 // directive is one //lint:ignore comment.
 type directive struct {
@@ -418,7 +418,7 @@ func All() []*Analyzer {
 		AnalyzerCtxThread,
 		AnalyzerErrWrap,
 		AnalyzerBinLayout,
-		AnalyzerPlanFirst,
+		AnalyzerDeadExport,
 		AnalyzerGoLeak,
 		AnalyzerLockDisc,
 		AnalyzerChanDisc,

@@ -74,12 +74,12 @@ func Build() *graph.Bipartite {
 	wantFindings(t, findings(t, m, AnalyzerViewOnly), "internal/core/c.go:5:[viewonly]")
 
 	// ...with it, the finding is excused.
-	files[AllowlistFile] = "# façade constructor\ninternal/core.Build\n"
+	files[AllowlistFile] = "# façade constructor\nviewonly:internal/core.Build\n"
 	m = writeModule(t, copyFiles(files))
 	wantFindings(t, findings(t, m, AnalyzerViewOnly))
 
 	// A stale entry is itself a finding, so the list stays minimal.
-	files[AllowlistFile] = "internal/core.Build\ninternal/core.Gone\n"
+	files[AllowlistFile] = "viewonly:internal/core.Build\nviewonly:internal/core.Gone\n"
 	m = writeModule(t, copyFiles(files))
 	got := m.Run([]*Analyzer{AnalyzerViewOnly})
 	if len(got) != 1 {

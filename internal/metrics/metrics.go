@@ -52,83 +52,6 @@ func AvgSharedSize(b graph.BipartiteView, investors []int32) float64 {
 	return sum / float64(pairs)
 }
 
-// SampledAvgSharedSize estimates AvgSharedSize from at most maxPairs
-// sampled pairs — the ablation A3 trade-off for very large communities.
-func SampledAvgSharedSize(b graph.BipartiteView, investors []int32, maxPairs int, rng *rand.Rand) float64 {
-	n := len(investors)
-	if n < 2 {
-		return 0
-	}
-	total := n * (n - 1) / 2
-	if total <= maxPairs {
-		return AvgSharedSize(b, investors)
-	}
-	var sum float64
-	//lint:ignore errwrap SamplePairs only fails on pop < 2, excluded by the n < 2 guard above
-	_ = stats.SamplePairs(rng, n, maxPairs, func(i, j int) {
-		sum += float64(graph.SharedRightCount(b, investors[i], investors[j]))
-	})
-	return sum / float64(maxPairs)
-}
-
-// SampledAvgSharedSizeParallel is SampledAvgSharedSize over the
-// counter-based pair stream identified by seed, with pair evaluation
-// fanned out across the shared pool. Each worker evaluates a disjoint
-// fixed-size index range of the stream (stats.PairAt makes draw k
-// addressable without drawing its predecessors) and range partials fold
-// in range order, so the estimate is bit-identical for every worker
-// count. When the community has at most maxPairs pairs the exact
-// AvgSharedSize is computed in parallel over rows instead.
-func SampledAvgSharedSizeParallel(b graph.BipartiteView, investors []int32, maxPairs int, seed int64, workers int) float64 {
-	n := len(investors)
-	if n < 2 {
-		return 0
-	}
-	pool := parallel.New(workers)
-	total := n * (n - 1) / 2
-	if total <= maxPairs {
-		// Exact: row i contributes its pairs (i, j>i); row sums fold in
-		// row order.
-		rowSums := make([]float64, n)
-		pool.Each(n, func(i int) {
-			var s float64
-			for j := i + 1; j < n; j++ {
-				s += float64(graph.SharedRightCount(b, investors[i], investors[j]))
-			}
-			rowSums[i] = s
-		})
-		var sum float64
-		for _, s := range rowSums {
-			sum += s
-		}
-		return sum / float64(total)
-	}
-	nChunks := (maxPairs + pairChunk - 1) / pairChunk
-	parts := make([]float64, nChunks)
-	pool.Each(nChunks, func(c int) {
-		lo := c * pairChunk
-		hi := lo + pairChunk
-		if hi > maxPairs {
-			hi = maxPairs
-		}
-		var s float64
-		for k := lo; k < hi; k++ {
-			i, j := stats.PairAt(seed, k, n)
-			s += float64(graph.SharedRightCount(b, investors[i], investors[j]))
-		}
-		parts[c] = s
-	})
-	var sum float64
-	for _, s := range parts {
-		sum += s
-	}
-	return sum / float64(maxPairs)
-}
-
-// pairChunk is the fixed pair-stream range size the parallel samplers
-// partition over; boundaries do not depend on the worker count.
-const pairChunk = 4096
-
 // SharedCompanyPct returns the percentage (0-100) of companies invested
 // in by the community that have at least k community investors — the
 // paper's second metric. In Figure 8a, K=2 gives 100%; in Figure 8b, 25%.
@@ -151,28 +74,14 @@ func SharedCompanyPct(b graph.BipartiteView, investors []int32, k int) float64 {
 	return float64(shared) / float64(len(counts)) * 100
 }
 
-// GlobalPairSample draws n i.i.d. investor pairs uniformly from the whole
-// graph and returns their shared investment sizes — the estimated global
-// CDF of Figure 4 (the paper samples 800,000 pairs and invokes
-// Glivenko–Cantelli/DKW for the 0.0196 accuracy band).
-func GlobalPairSample(b graph.BipartiteView, n int, rng *rand.Rand) ([]float64, error) {
-	if b.NumLeft() < 2 {
-		return nil, fmt.Errorf("metrics: need at least 2 investors, have %d", b.NumLeft())
-	}
-	out := make([]float64, 0, n)
-	err := stats.SamplePairs(rng, b.NumLeft(), n, func(i, j int) {
-		out = append(out, float64(graph.SharedRightCount(b, int32(i), int32(j))))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GlobalPairSampleParallel is GlobalPairSample over the counter-based
-// pair stream identified by seed: sample k is a pure function of
-// (seed, k), so workers fill disjoint slices of the output and the
-// result — including its order — is identical for every worker count.
+// GlobalPairSampleParallel draws n i.i.d. investor pairs uniformly from
+// the whole graph and returns their shared investment sizes — the
+// estimated global CDF of Figure 4 (the paper samples 800,000 pairs and
+// invokes Glivenko–Cantelli/DKW for the 0.0196 accuracy band). Pairs
+// come from the counter-based stream identified by seed: sample k is a
+// pure function of (seed, k), so workers fill disjoint slices of the
+// output and the result — including its order — is identical for every
+// worker count.
 func GlobalPairSampleParallel(b graph.BipartiteView, n int, seed int64, workers int) ([]float64, error) {
 	if b.NumLeft() < 2 {
 		return nil, fmt.Errorf("metrics: need at least 2 investors, have %d", b.NumLeft())
@@ -194,6 +103,10 @@ func GlobalPairSampleParallel(b graph.BipartiteView, n int, seed int64, workers 
 	})
 	return out, nil
 }
+
+// pairChunk is the fixed pair-stream range size the parallel sampler
+// partitions over; boundaries do not depend on the worker count.
+const pairChunk = 4096
 
 // RandomizedPctBaseline builds random investor groups matching the given
 // sizes and returns the mean SharedCompanyPct across them — the paper's

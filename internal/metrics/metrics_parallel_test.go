@@ -28,43 +28,6 @@ func pairTestGraph(nInv, nComp, deg int, seed int64) *graph.Bipartite {
 	return b
 }
 
-// serialPairStream mirrors what a workers=1 evaluation of the
-// counter-based stream computes, as an independent reference.
-func serialSampledAvg(b *graph.Bipartite, investors []int32, maxPairs int, seed int64) float64 {
-	n := len(investors)
-	var sum float64
-	for k := 0; k < maxPairs; k++ {
-		i, j := stats.PairAt(seed, k, n)
-		sum += float64(graph.SharedRightCount(b, investors[i], investors[j]))
-	}
-	return sum / float64(maxPairs)
-}
-
-func TestSampledAvgSharedSizeParallelWorkerInvariant(t *testing.T) {
-	b := pairTestGraph(200, 80, 6, 3)
-	investors := make([]int32, 200)
-	for i := range investors {
-		investors[i] = int32(i)
-	}
-	const maxPairs = 10000 // < 200*199/2, forces the sampled path
-	want := serialSampledAvg(b, investors, maxPairs, 42)
-	for _, workers := range []int{1, 4} {
-		got := SampledAvgSharedSizeParallel(b, investors, maxPairs, 42, workers)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("workers=%d: %v != %v", workers, got, want)
-		}
-	}
-	// Exact branch (few investors): must equal AvgSharedSize bitwise.
-	small := investors[:30]
-	exact := AvgSharedSize(b, small)
-	for _, workers := range []int{1, 4} {
-		got := SampledAvgSharedSizeParallel(b, small, maxPairs, 42, workers)
-		if math.Float64bits(got) != math.Float64bits(exact) {
-			t.Fatalf("exact branch workers=%d: %v != %v", workers, got, exact)
-		}
-	}
-}
-
 func TestGlobalPairSampleParallelWorkerInvariant(t *testing.T) {
 	b := pairTestGraph(150, 60, 5, 9)
 	want, err := GlobalPairSampleParallel(b, 9000, 7, 1)

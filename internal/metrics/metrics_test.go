@@ -97,41 +97,9 @@ func TestSharedCompanyPctPaperExamples(t *testing.T) {
 	}
 }
 
-func TestSampledAvgSharedSizeMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	// Build a larger co-investment community.
-	b := graph.NewBipartite(40, 30)
-	for i := 0; i < 40; i++ {
-		for j := 0; j < 30; j++ {
-			if rng.Float64() < 0.3 {
-				b.AddEdge(string(rune('A'+i%26))+string(rune('a'+i/26)), string(rune('0'+j%10))+string(rune('a'+j/10)))
-			}
-		}
-	}
-	b.SortAdjacency()
-	members := make([]int32, b.NumLeft())
-	for i := range members {
-		members[i] = int32(i)
-	}
-	exact := AvgSharedSize(b, members)
-	// With maxPairs >= total pairs it is exact.
-	if got := SampledAvgSharedSize(b, members, 10000, rng); got != exact {
-		t.Errorf("oversampled = %g, exact = %g", got, exact)
-	}
-	// Sampling approximates within a loose band.
-	est := SampledAvgSharedSize(b, members, 300, rng)
-	if math.Abs(est-exact) > exact*0.35 {
-		t.Errorf("sampled = %g, exact = %g", est, exact)
-	}
-	if got := SampledAvgSharedSize(b, members[:1], 100, rng); got != 0 {
-		t.Errorf("singleton sampled = %g", got)
-	}
-}
-
 func TestGlobalPairSample(t *testing.T) {
 	b, _ := fig8a()
-	rng := rand.New(rand.NewSource(2))
-	sample, err := GlobalPairSample(b, 5000, rng)
+	sample, err := GlobalPairSampleParallel(b, 5000, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +122,7 @@ func TestGlobalPairSample(t *testing.T) {
 	// Tiny graph error path.
 	single := graph.NewBipartite(1, 1)
 	single.AddEdge("i", "c")
-	if _, err := GlobalPairSample(single, 10, rng); err == nil {
+	if _, err := GlobalPairSampleParallel(single, 10, 2, 1); err == nil {
 		t.Error("expected error with < 2 investors")
 	}
 }

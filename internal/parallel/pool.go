@@ -4,7 +4,7 @@
 // kernels, CoDA's block-coordinate row sweeps, pair-sampled metrics —
 // honors one concurrency knob.
 //
-// Determinism contract: Each/EachWorker/EachErr make no ordering promises
+// Determinism contract: Each and EachErr make no ordering promises
 // and are only safe for tasks whose writes are disjoint. Ordered adds a
 // serialized merge phase that runs in strictly increasing index order
 // regardless of worker count or scheduling, which is how the kernels keep
@@ -76,13 +76,13 @@ func (p *Pool) WorkersFor(n int) int {
 // are claimed dynamically (work-stealing), so f must tolerate any
 // execution order and must confine its writes to task-owned state.
 func (p *Pool) Each(n int, f func(i int)) {
-	p.EachWorker(n, func(_, i int) { f(i) })
+	p.eachWorker(n, func(_, i int) { f(i) })
 }
 
-// EachWorker is Each with the claiming worker's id (0 <= w < WorkersFor(n))
+// eachWorker is Each with the claiming worker's id (0 <= w < WorkersFor(n))
 // passed alongside the task index, so tasks can reuse per-worker scratch
 // buffers. A worker runs its tasks sequentially; scratch needs no locking.
-func (p *Pool) EachWorker(n int, f func(w, i int)) {
+func (p *Pool) eachWorker(n int, f func(w, i int)) {
 	if n == 0 {
 		return
 	}

@@ -27,7 +27,7 @@ func TestEachWorkerIDsBounded(t *testing.T) {
 	p := New(4)
 	const n = 200
 	var bad atomic.Bool
-	p.EachWorker(n, func(w, i int) {
+	p.eachWorker(n, func(w, i int) {
 		if w < 0 || w >= p.WorkersFor(n) {
 			bad.Store(true)
 		}

@@ -39,9 +39,9 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// Select returns a view of the dataset restricted to the given feature
+// subset returns a view of the dataset restricted to the given feature
 // column indices.
-func (d *Dataset) Select(cols []int) *Dataset {
+func (d *Dataset) subset(cols []int) *Dataset {
 	nd := &Dataset{Y: d.Y}
 	for _, c := range cols {
 		nd.Names = append(nd.Names, d.Names[c])
@@ -179,9 +179,9 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// Score returns the predicted success probability for a raw (unscaled)
+// score returns the predicted success probability for a raw (unscaled)
 // feature row.
-func (m *Model) Score(row []float64) float64 {
+func (m *Model) score(row []float64) float64 {
 	z := m.Bias
 	for j, v := range row {
 		z += m.Weights[j] * (v - m.means[j]) / m.scales[j]
@@ -193,7 +193,7 @@ func (m *Model) Score(row []float64) float64 {
 func (m *Model) ScoreAll(d *Dataset) []float64 {
 	out := make([]float64, len(d.X))
 	for i, row := range d.X {
-		out[i] = m.Score(row)
+		out[i] = m.score(row)
 	}
 	return out
 }
@@ -300,7 +300,7 @@ func ForwardSelect(d *Dataset, maxFeatures int, minGain float64, seed int64, opt
 				continue
 			}
 			cols := append(append([]int(nil), selected...), c)
-			view := d.Select(cols)
+			view := d.subset(cols)
 			m, err := Train(view.Subset(trainIdx), opts)
 			if err != nil {
 				return nil, 0, err

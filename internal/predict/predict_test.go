@@ -155,7 +155,7 @@ func TestSelectAndSubset(t *testing.T) {
 		X:     [][]float64{{1, 2, 3}, {4, 5, 6}},
 		Y:     []bool{true, false},
 	}
-	v := d.Select([]int{2, 0})
+	v := d.subset([]int{2, 0})
 	if v.Names[0] != "c" || v.Names[1] != "a" {
 		t.Fatalf("names = %v", v.Names)
 	}

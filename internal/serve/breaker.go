@@ -129,8 +129,8 @@ type Breaker struct {
 	trips    int64
 }
 
-// NewBreaker builds a breaker; cfg.Clock must be set.
-func NewBreaker(cfg BreakerConfig) *Breaker {
+// newBreaker builds a breaker; cfg.Clock must be set.
+func newBreaker(cfg BreakerConfig) *Breaker {
 	cfg.fill()
 	if cfg.Clock == nil {
 		panic("serve: BreakerConfig.Clock is required (wire time.Now in package main)")
@@ -143,11 +143,11 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return b
 }
 
-// Do runs fn through the breaker: open states reject with
+// do runs fn through the breaker: open states reject with
 // ErrBreakerOpen before fn runs, and fn's outcome (error or measured
 // latency above the threshold) feeds the rolling window. fn's error is
 // returned unchanged so callers can branch on their own sentinel types.
-func (b *Breaker) Do(ctx context.Context, fn func(context.Context) error) error {
+func (b *Breaker) do(ctx context.Context, fn func(context.Context) error) error {
 	if err := b.allow(); err != nil {
 		return err
 	}
@@ -157,9 +157,9 @@ func (b *Breaker) Do(ctx context.Context, fn func(context.Context) error) error 
 	return err
 }
 
-// State reports the current breaker state (advancing open → half-open
-// when the cooldown has already elapsed).
-func (b *Breaker) State() BreakerState {
+// currentState reports the breaker state, advancing open → half-open
+// when the cooldown has already elapsed.
+func (b *Breaker) currentState() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerOpen && b.cfg.Clock().Sub(b.openedAt) >= b.cfg.Cooldown {
@@ -168,17 +168,17 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Trips reports how many times the breaker has opened.
-func (b *Breaker) Trips() int64 {
+// tripCount reports how many times the breaker has opened.
+func (b *Breaker) tripCount() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.trips
 }
 
-// RetryAfter reports how long callers should wait before retrying a
+// retryAfter reports how long callers should wait before retrying a
 // rejected call: the remaining cooldown when open, or the default
 // otherwise, rounded up to whole seconds for the Retry-After header.
-func (b *Breaker) RetryAfter() int {
+func (b *Breaker) retryAfter() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerOpen {

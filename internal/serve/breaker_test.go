@@ -10,7 +10,7 @@ import (
 var errBoom = errors.New("boom")
 
 func newTestBreaker(clk *fakeClock) *Breaker {
-	return NewBreaker(BreakerConfig{
+	return newBreaker(BreakerConfig{
 		Window:      10 * time.Second,
 		Buckets:     10,
 		MinRequests: 4,
@@ -28,11 +28,11 @@ func tripBreaker(t *testing.T, b *Breaker) {
 	t.Helper()
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
-		if err := b.Do(ctx, failCall); !errors.Is(err, errBoom) {
+		if err := b.do(ctx, failCall); !errors.Is(err, errBoom) {
 			t.Fatalf("Do #%d = %v, want errBoom", i, err)
 		}
 	}
-	if got := b.State(); got != BreakerOpen {
+	if got := b.currentState(); got != BreakerOpen {
 		t.Fatalf("state after failures = %v, want open", got)
 	}
 }
@@ -41,12 +41,12 @@ func TestBreakerTripsOnErrorRate(t *testing.T) {
 	clk := newFakeClock()
 	b := newTestBreaker(clk)
 	tripBreaker(t, b)
-	if got := b.Trips(); got != 1 {
+	if got := b.tripCount(); got != 1 {
 		t.Fatalf("trips = %d, want 1", got)
 	}
 	// Open: fails fast without running the call.
 	called := false
-	err := b.Do(context.Background(), func(context.Context) error { called = true; return nil })
+	err := b.do(context.Background(), func(context.Context) error { called = true; return nil })
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open Do = %v, want ErrBreakerOpen", err)
 	}
@@ -59,9 +59,9 @@ func TestBreakerBelowMinRequestsNeverTrips(t *testing.T) {
 	clk := newFakeClock()
 	b := newTestBreaker(clk)
 	for i := 0; i < 3; i++ {
-		_ = b.Do(context.Background(), failCall) //lint:ignore errwrap intentional failures feeding the window
+		_ = b.do(context.Background(), failCall) //lint:ignore errwrap intentional failures feeding the window
 	}
-	if got := b.State(); got != BreakerClosed {
+	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state with 3 < MinRequests failures = %v, want closed", got)
 	}
 }
@@ -71,20 +71,20 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	b := newTestBreaker(clk)
 	tripBreaker(t, b)
 	clk.Advance(2 * time.Second)
-	if got := b.State(); got != BreakerHalfOpen {
+	if got := b.currentState(); got != BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", got)
 	}
-	if err := b.Do(context.Background(), okCall); err != nil {
+	if err := b.do(context.Background(), okCall); err != nil {
 		t.Fatalf("probe = %v", err)
 	}
-	if got := b.State(); got != BreakerClosed {
+	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state after good probe = %v, want closed", got)
 	}
 	// The window was reset: three fresh failures stay below MinRequests.
 	for i := 0; i < 3; i++ {
-		_ = b.Do(context.Background(), failCall) //lint:ignore errwrap intentional failures feeding the window
+		_ = b.do(context.Background(), failCall) //lint:ignore errwrap intentional failures feeding the window
 	}
-	if got := b.State(); got != BreakerClosed {
+	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state after reset + 3 failures = %v, want closed", got)
 	}
 }
@@ -94,16 +94,16 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	b := newTestBreaker(clk)
 	tripBreaker(t, b)
 	clk.Advance(2 * time.Second)
-	if err := b.Do(context.Background(), failCall); !errors.Is(err, errBoom) {
+	if err := b.do(context.Background(), failCall); !errors.Is(err, errBoom) {
 		t.Fatalf("probe = %v, want errBoom", err)
 	}
-	if got := b.State(); got != BreakerOpen {
+	if got := b.currentState(); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", got)
 	}
-	if got := b.Trips(); got != 2 {
+	if got := b.tripCount(); got != 2 {
 		t.Fatalf("trips = %d, want 2", got)
 	}
-	if err := b.Do(context.Background(), okCall); !errors.Is(err, ErrBreakerOpen) {
+	if err := b.do(context.Background(), okCall); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Do after re-open = %v, want ErrBreakerOpen", err)
 	}
 }
@@ -113,9 +113,9 @@ func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
 	b := newTestBreaker(clk)
 	tripBreaker(t, b)
 	clk.Advance(2 * time.Second)
-	err := b.Do(context.Background(), func(ctx context.Context) error {
+	err := b.do(context.Background(), func(ctx context.Context) error {
 		// While the probe is in flight, a second call must be rejected.
-		if err := b.Do(ctx, okCall); !errors.Is(err, ErrBreakerOpen) {
+		if err := b.do(ctx, okCall); !errors.Is(err, ErrBreakerOpen) {
 			t.Errorf("concurrent call during probe = %v, want ErrBreakerOpen", err)
 		}
 		return nil
@@ -123,7 +123,7 @@ func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.State(); got != BreakerClosed {
+	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state after probe = %v, want closed", got)
 	}
 }
@@ -136,11 +136,11 @@ func TestBreakerCountsSlowCallsAsFailures(t *testing.T) {
 		return nil
 	}
 	for i := 0; i < 4; i++ {
-		if err := b.Do(context.Background(), slow); err != nil {
+		if err := b.do(context.Background(), slow); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := b.State(); got != BreakerOpen {
+	if got := b.currentState(); got != BreakerOpen {
 		t.Fatalf("state after 4 slow calls = %v, want open", got)
 	}
 }
@@ -150,12 +150,12 @@ func TestBreakerIgnoresClientCancellation(t *testing.T) {
 	b := newTestBreaker(clk)
 	walkedAway := func(context.Context) error { return context.Canceled }
 	for i := 0; i < 8; i++ {
-		_ = b.Do(context.Background(), walkedAway) //lint:ignore errwrap intentional cancellations feeding the window
+		_ = b.do(context.Background(), walkedAway) //lint:ignore errwrap intentional cancellations feeding the window
 	}
-	if got := b.State(); got != BreakerClosed {
+	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state after cancellations = %v, want closed", got)
 	}
-	if got := b.Trips(); got != 0 {
+	if got := b.tripCount(); got != 0 {
 		t.Fatalf("trips = %d, want 0", got)
 	}
 }
@@ -163,21 +163,21 @@ func TestBreakerIgnoresClientCancellation(t *testing.T) {
 func TestBreakerRetryAfter(t *testing.T) {
 	clk := newFakeClock()
 	b := newTestBreaker(clk)
-	if got := b.RetryAfter(); got != DefaultRetryAfterSecs {
-		t.Fatalf("closed RetryAfter = %d, want default %d", got, DefaultRetryAfterSecs)
+	if got := b.retryAfter(); got != DefaultRetryAfterSecs {
+		t.Fatalf("closed retryAfter = %d, want default %d", got, DefaultRetryAfterSecs)
 	}
 	tripBreaker(t, b)
-	if got := b.RetryAfter(); got != 3 {
+	if got := b.retryAfter(); got != 3 {
 		// Full 2s cooldown remaining, rounded up to whole seconds.
-		t.Fatalf("RetryAfter at trip = %d, want 3", got)
+		t.Fatalf("retryAfter at trip = %d, want 3", got)
 	}
 	clk.Advance(1500 * time.Millisecond)
-	if got := b.RetryAfter(); got != 1 {
-		t.Fatalf("RetryAfter with 500ms left = %d, want 1", got)
+	if got := b.retryAfter(); got != 1 {
+		t.Fatalf("retryAfter with 500ms left = %d, want 1", got)
 	}
 	clk.Advance(time.Second)
-	if got := b.RetryAfter(); got != DefaultRetryAfterSecs {
-		t.Fatalf("RetryAfter past cooldown = %d, want default", got)
+	if got := b.retryAfter(); got != DefaultRetryAfterSecs {
+		t.Fatalf("retryAfter past cooldown = %d, want default", got)
 	}
 }
 
@@ -188,11 +188,11 @@ func TestBreakerWindowAgesOutOldFailures(t *testing.T) {
 	// traffic: the old failures age out and cannot combine with later
 	// ones to trip.
 	for i := 0; i < 3; i++ {
-		_ = b.Do(context.Background(), failCall) //lint:ignore errwrap intentional failures feeding the window
+		_ = b.do(context.Background(), failCall) //lint:ignore errwrap intentional failures feeding the window
 	}
 	clk.Advance(11 * time.Second)
-	_ = b.Do(context.Background(), failCall) //lint:ignore errwrap intentional failure feeding the window
-	if got := b.State(); got != BreakerClosed {
+	_ = b.do(context.Background(), failCall) //lint:ignore errwrap intentional failure feeding the window
+	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state = %v, want closed (old failures aged out)", got)
 	}
 }

@@ -82,10 +82,10 @@ func runChaosScenario(t *testing.T, seed int64, rate float64) []chaosStep {
 		// Every backend call fails: the breaker must have tripped, and
 		// once open the expensive 502s stop — the error rate is bounded
 		// by the trip threshold, everything after fails fast or degrades.
-		if got := srv.Breaker().State(); got != BreakerOpen {
+		if got := srv.breaker.currentState(); got != BreakerOpen {
 			t.Fatalf("breaker state under total failure = %v, want open", got)
 		}
-		if srv.Breaker().Trips() == 0 {
+		if srv.breaker.tripCount() == 0 {
 			t.Fatal("breaker never tripped under total failure")
 		}
 		var slow502 int
@@ -112,7 +112,7 @@ func runChaosScenario(t *testing.T, seed int64, rate float64) []chaosStep {
 	clk.Advance(testOptions(clk).Breaker.Cooldown + time.Second)
 	record("/api/snapshot/companies")
 
-	if got := srv.Breaker().State(); got != BreakerClosed {
+	if got := srv.breaker.currentState(); got != BreakerClosed {
 		t.Fatalf("breaker after recovery = %v, want closed", got)
 	}
 
@@ -202,7 +202,7 @@ func TestChaosAdmissionBoundAndShed(t *testing.T) {
 			t.Fatalf("burst request %d shed without Retry-After", i)
 		}
 	}
-	if got := srv.Shed(); got != 4 {
+	if got := srv.shed.Load(); got != 4 {
 		t.Fatalf("shed = %d, want 4", got)
 	}
 

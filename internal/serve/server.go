@@ -148,7 +148,7 @@ func New(backend Backend, opts Options) *Server {
 		backend:    backend,
 		opts:       opts,
 		gate:       newGate(opts.MaxConcurrent, opts.QueueDepth),
-		breaker:    NewBreaker(opts.Breaker),
+		breaker:    newBreaker(opts.Breaker),
 		results:    newResultCache(opts.ResultCacheSize),
 		stmts:      newStmtCache(),
 		planRoutes: map[string]int64{},
@@ -196,25 +196,11 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// Breaker exposes the backend-read breaker for observability and tests.
-func (s *Server) Breaker() *Breaker { return s.breaker }
-
-// Shed reports how many requests have been rejected by admission
-// control (queue full or deadline expired while queued).
-func (s *Server) Shed() int64 { return s.shed.Load() }
-
-// Degraded reports how many responses were served from the stale
-// last-good snapshot.
-func (s *Server) Degraded() int64 { return s.degraded.Load() }
-
 // BeginDrain flips the server into drain mode: readyz reports 503 so
 // load balancers stop routing here, and new /api requests are refused
 // while in-flight ones finish. crowdscope serve calls it on SIGTERM
 // before http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Refresh observes the store's newest frozen snapshot and, when the
 // cache lags it (or is empty), brings the cache up to it and swaps the
@@ -249,7 +235,7 @@ func (s *Server) Refresh(ctx context.Context) error {
 // is already current and never touches the served snapshot.
 func (s *Server) prepareRefresh(ctx context.Context) (fs *core.FrozenSnapshot, viaDeltas bool, err error) {
 	var latest int
-	err = s.breaker.Do(ctx, func(ctx context.Context) error {
+	err = s.breaker.do(ctx, func(ctx context.Context) error {
 		var err error
 		latest, err = s.backend.LatestFrozen(ctx)
 		return err
@@ -265,7 +251,7 @@ func (s *Server) prepareRefresh(ctx context.Context) (fs *core.FrozenSnapshot, v
 	if fs, ok := s.refreshViaDeltas(ctx, cur, latest); ok {
 		return fs, true, nil
 	}
-	err = s.breaker.Do(ctx, func(ctx context.Context) error {
+	err = s.breaker.do(ctx, func(ctx context.Context) error {
 		var err error
 		fs, err = s.backend.LoadFrozen(ctx, latest)
 		return err
@@ -305,7 +291,7 @@ func (s *Server) refreshViaDeltas(ctx context.Context, cur *core.FrozenSnapshot,
 	fs := cur
 	for v := fs.Snapshot + 1; v <= latest; v++ {
 		var sd *core.SnapshotDelta
-		err := s.breaker.Do(ctx, func(ctx context.Context) error {
+		err := s.breaker.do(ctx, func(ctx context.Context) error {
 			var err error
 			sd, err = db.LoadDelta(ctx, v)
 			return err
@@ -463,8 +449,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		Shed:           s.shed.Load(),
 		Served:         s.served.Load(),
 		Degraded:       s.degraded.Load(),
-		BreakerState:   s.breaker.State().String(),
-		BreakerTrips:   s.breaker.Trips(),
+		BreakerState:   s.breaker.currentState().String(),
+		BreakerTrips:   s.breaker.tripCount(),
 		Snapshot:       -1,
 		DeltaRefreshes: s.deltaRefreshes.Load(),
 		FullReloads:    s.fullReloads.Load(),
@@ -496,7 +482,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 type breakerSource struct{ s *Server }
 
 func (bs breakerSource) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
-	return bs.s.breaker.Do(ctx, func(ctx context.Context) error {
+	return bs.s.breaker.do(ctx, func(ctx context.Context) error {
 		return bs.s.backend.ReadRecords(ctx, ns, fields, fn)
 	})
 }
@@ -506,7 +492,7 @@ func (bs breakerSource) TableIndex(ns string) (*index.TableIndex, error) {
 }
 
 func (bs breakerSource) ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(query.Record) error) error {
-	return bs.s.breaker.Do(ctx, func(ctx context.Context) error {
+	return bs.s.breaker.do(ctx, func(ctx context.Context) error {
 		return bs.s.backend.ReadRows(ctx, ns, rows, fields, fn)
 	})
 }
@@ -563,7 +549,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.results.put(key, body)
 		writeJSONBody(w, http.StatusOK, body)
 	case errors.Is(err, ErrBreakerOpen):
-		w.Header().Set("Retry-After", strconv.Itoa(s.breaker.RetryAfter()))
+		w.Header().Set("Retry-After", strconv.Itoa(s.breaker.retryAfter()))
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "store circuit breaker open; retry later"})
 	case errors.Is(err, context.DeadlineExceeded):
 		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "query exceeded the route deadline"})

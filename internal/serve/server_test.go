@@ -151,7 +151,7 @@ func TestServerDegradesToLastGoodSnapshot(t *testing.T) {
 	if got := rec.Header().Get(HeaderStale); got != "snap-000001" {
 		t.Fatalf("%s = %q, want snap-000001", HeaderStale, got)
 	}
-	if srv.Degraded() == 0 {
+	if srv.degraded.Load() == 0 {
 		t.Fatal("degraded counter did not advance")
 	}
 
@@ -227,7 +227,7 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 	if got := rec.Header().Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After = %q, want 7", got)
 	}
-	if got := srv.Shed(); got != 1 {
+	if got := srv.shed.Load(); got != 1 {
 		t.Fatalf("shed = %d, want 1", got)
 	}
 
@@ -313,7 +313,7 @@ func TestServerConcurrencyBoundNeverExceeded(t *testing.T) {
 	if got := gb.peak(); got > opts.MaxConcurrent {
 		t.Fatalf("peak concurrency %d exceeded the bound %d", got, opts.MaxConcurrent)
 	}
-	if got := srv.Shed(); got != int64(shed) {
+	if got := srv.shed.Load(); got != int64(shed) {
 		t.Fatalf("shed counter %d != observed 429s %d", got, shed)
 	}
 }
@@ -329,7 +329,7 @@ func TestServerDrain(t *testing.T) {
 	h := srv.Handler()
 
 	srv.BeginDrain()
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Fatal("Draining() = false after BeginDrain")
 	}
 	if rec := get(t, h, "/readyz"); rec.Code != http.StatusServiceUnavailable {

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Pearson returns the Pearson correlation coefficient of two equal-length
@@ -28,38 +27,6 @@ func Pearson(x, y []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns the Spearman rank correlation (Pearson on ranks, with
-// average ranks for ties).
-func Spearman(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, errors.New("stats: Spearman needs equal-length samples")
-	}
-	return Pearson(ranks(x), ranks(y))
-}
-
-// ranks assigns average ranks (1-based) with tie handling.
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return out
 }
 
 // ChiSquare2x2 computes the chi-square statistic (with Yates continuity

@@ -44,43 +44,6 @@ func TestPearsonIndependent(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Monotone nonlinear relation: Spearman = 1, Pearson < 1.
-	x := []float64{1, 2, 3, 4, 5, 6}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = math.Exp(v)
-	}
-	rs, err := Spearman(x, y)
-	if err != nil || math.Abs(rs-1) > 1e-12 {
-		t.Errorf("Spearman = %g (%v)", rs, err)
-	}
-	rp, _ := Pearson(x, y)
-	if rp >= 1 {
-		t.Errorf("Pearson = %g, expected < 1 for nonlinear", rp)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	rs, err := Spearman([]float64{1, 1, 2, 2}, []float64{3, 3, 4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rs-1) > 1e-12 {
-		t.Errorf("tied monotone Spearman = %g", rs)
-	}
-}
-
-func TestRanksAverageTies(t *testing.T) {
-	r := ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("ranks = %v", r)
-		}
-	}
-}
-
 func TestChiSquare2x2(t *testing.T) {
 	if _, _, err := ChiSquare2x2(-1, 0, 0, 0); err == nil {
 		t.Error("negative cell not rejected")

@@ -8,16 +8,15 @@ import (
 )
 
 // ECDF is an empirical cumulative distribution function built from a sample.
-// Evaluation is O(log n). The zero value is not usable; construct with
-// NewECDF.
+// The zero value is not usable; construct with MustECDF.
 type ECDF struct {
 	sorted []float64
 }
 
-// NewECDF builds an empirical CDF from the sample. The input slice is not
-// modified. NewECDF returns an error when the sample is empty or contains
+// newECDF builds an empirical CDF from the sample. The input slice is not
+// modified. newECDF returns an error when the sample is empty or contains
 // NaN values.
-func NewECDF(sample []float64) (*ECDF, error) {
+func newECDF(sample []float64) (*ECDF, error) {
 	if len(sample) == 0 {
 		return nil, errors.New("stats: empty sample for ECDF")
 	}
@@ -32,45 +31,15 @@ func NewECDF(sample []float64) (*ECDF, error) {
 	return &ECDF{sorted: s}, nil
 }
 
-// MustECDF is NewECDF that panics on error; intended for samples that are
-// statically known to be valid (tests, benchmarks).
+// MustECDF builds the empirical CDF of a sample the caller guarantees
+// is non-empty and NaN-free; it panics on any other sample.
 func MustECDF(sample []float64) *ECDF {
-	e, err := NewECDF(sample)
+	e, err := newECDF(sample)
 	if err != nil {
 		panic(err)
 	}
 	return e
 }
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Eval returns Fn(x) = (#{xi <= x}) / n.
-func (e *ECDF) Eval(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with sorted[i] >= x; we
-	// need the count of values <= x, i.e. the first index with sorted[i] > x.
-	idx := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// Quantile returns the smallest sample value v with Fn(v) >= p, for
-// p in (0, 1]. Quantile(0) returns the minimum.
-func (e *ECDF) Quantile(p float64) float64 {
-	if p <= 0 {
-		return e.sorted[0]
-	}
-	if p >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	idx := int(math.Ceil(p*float64(len(e.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return e.sorted[idx]
-}
-
-// Min and Max return the sample extremes.
-func (e *ECDF) Min() float64 { return e.sorted[0] }
 
 // Max returns the largest sample value.
 func (e *ECDF) Max() float64 { return e.sorted[len(e.sorted)-1] }
@@ -92,38 +61,6 @@ func (e *ECDF) Points() ([]float64, []float64) {
 	return xs, ys
 }
 
-// SupDistance returns the Kolmogorov–Smirnov statistic
-// sup_x |Fn(x) - Gm(x)| between two empirical CDFs, evaluated exactly over
-// the merged support.
-func SupDistance(f, g *ECDF) float64 {
-	var sup float64
-	i, j := 0, 0
-	for i < len(f.sorted) || j < len(g.sorted) {
-		var x float64
-		switch {
-		case i >= len(f.sorted):
-			x = g.sorted[j]
-		case j >= len(g.sorted):
-			x = f.sorted[i]
-		case f.sorted[i] <= g.sorted[j]:
-			x = f.sorted[i]
-		default:
-			x = g.sorted[j]
-		}
-		for i < len(f.sorted) && f.sorted[i] <= x {
-			i++
-		}
-		for j < len(g.sorted) && g.sorted[j] <= x {
-			j++
-		}
-		d := math.Abs(float64(i)/float64(len(f.sorted)) - float64(j)/float64(len(g.sorted)))
-		if d > sup {
-			sup = d
-		}
-	}
-	return sup
-}
-
 // DKWEpsilon returns the half-width eps of the Dvoretzky–Kiefer–Wolfowitz
 // confidence band: with probability at least confidence,
 // sup_x |Fn(x) - F(x)| <= eps for a sample of size n.
@@ -141,18 +78,4 @@ func DKWEpsilon(n int, confidence float64) (float64, error) {
 	}
 	alpha := 1 - confidence
 	return math.Sqrt(math.Log(2/alpha) / (2 * float64(n))), nil
-}
-
-// DKWSampleSize returns the smallest sample size n such that the DKW band
-// half-width at the given confidence is at most eps.
-func DKWSampleSize(eps, confidence float64) (int, error) {
-	if eps <= 0 || eps >= 1 {
-		return 0, fmt.Errorf("stats: DKW eps must be in (0,1), got %g", eps)
-	}
-	if confidence <= 0 || confidence >= 1 {
-		return 0, fmt.Errorf("stats: DKW confidence must be in (0,1), got %g", confidence)
-	}
-	alpha := 1 - confidence
-	n := math.Log(2/alpha) / (2 * eps * eps)
-	return int(math.Ceil(n)), nil
 }

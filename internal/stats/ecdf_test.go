@@ -3,37 +3,16 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewECDFErrors(t *testing.T) {
-	if _, err := NewECDF(nil); err == nil {
+	if _, err := newECDF(nil); err == nil {
 		t.Fatal("expected error for empty sample")
 	}
-	if _, err := NewECDF([]float64{1, math.NaN()}); err == nil {
+	if _, err := newECDF([]float64{1, math.NaN()}); err == nil {
 		t.Fatal("expected error for NaN sample")
-	}
-}
-
-func TestECDFEval(t *testing.T) {
-	e := MustECDF([]float64{1, 2, 2, 3})
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0, 0},
-		{1, 0.25},
-		{1.5, 0.25},
-		{2, 0.75},
-		{3, 1},
-		{10, 1},
-	}
-	for _, c := range cases {
-		if got := e.Eval(c.x); got != c.want {
-			t.Errorf("Eval(%g) = %g, want %g", c.x, got, c.want)
-		}
 	}
 }
 
@@ -42,22 +21,6 @@ func TestECDFDoesNotMutateInput(t *testing.T) {
 	MustECDF(in)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Fatalf("input mutated: %v", in)
-	}
-}
-
-func TestECDFQuantile(t *testing.T) {
-	e := MustECDF([]float64{10, 20, 30, 40})
-	if got := e.Quantile(0.5); got != 20 {
-		t.Errorf("Quantile(0.5) = %g, want 20", got)
-	}
-	if got := e.Quantile(0.75); got != 30 {
-		t.Errorf("Quantile(0.75) = %g, want 30", got)
-	}
-	if got := e.Quantile(0); got != 10 {
-		t.Errorf("Quantile(0) = %g, want 10", got)
-	}
-	if got := e.Quantile(1); got != 40 {
-		t.Errorf("Quantile(1) = %g, want 40", got)
 	}
 }
 
@@ -76,12 +39,10 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
-// Property: ECDF is monotone nondecreasing and bounded in [0,1].
+// Property: the ECDF's support points step strictly up in x and in
+// Fn(x), stay in (0, 1], and end at 1.
 func TestECDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, probes []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
+	f := func(raw []float64) bool {
 		sample := make([]float64, 0, len(raw))
 		for _, v := range raw {
 			if !math.IsNaN(v) && !math.IsInf(v, 0) {
@@ -91,76 +52,16 @@ func TestECDFMonotoneProperty(t *testing.T) {
 		if len(sample) == 0 {
 			return true
 		}
-		e := MustECDF(sample)
-		sort.Float64s(probes)
-		prev := 0.0
-		for _, x := range probes {
-			if math.IsNaN(x) {
-				continue
-			}
-			y := e.Eval(x)
-			if y < prev-1e-15 || y < 0 || y > 1 {
+		xs, ys := MustECDF(sample).Points()
+		for i := range xs {
+			if ys[i] <= 0 || ys[i] > 1 || i > 0 && (xs[i] <= xs[i-1] || ys[i] <= ys[i-1]) {
 				return false
 			}
-			prev = y
 		}
-		return true
+		return ys[len(ys)-1] == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: Quantile and Eval are (weak) inverses: Eval(Quantile(p)) >= p.
-func TestECDFQuantileInverseProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(50)
-		sample := make([]float64, n)
-		for i := range sample {
-			sample[i] = rng.NormFloat64() * 10
-		}
-		e := MustECDF(sample)
-		for k := 0; k < 20; k++ {
-			p := rng.Float64()
-			if got := e.Eval(e.Quantile(p)); got < p {
-				t.Fatalf("Eval(Quantile(%g)) = %g < p", p, got)
-			}
-		}
-	}
-}
-
-func TestSupDistance(t *testing.T) {
-	a := MustECDF([]float64{1, 2, 3})
-	if d := SupDistance(a, a); d != 0 {
-		t.Errorf("self distance = %g, want 0", d)
-	}
-	b := MustECDF([]float64{10, 20, 30})
-	if d := SupDistance(a, b); d != 1 {
-		t.Errorf("disjoint distance = %g, want 1", d)
-	}
-	c := MustECDF([]float64{1, 2, 30})
-	d := SupDistance(a, c)
-	if math.Abs(d-1.0/3) > 1e-12 {
-		t.Errorf("distance = %g, want 1/3", d)
-	}
-}
-
-func TestSupDistanceSymmetricProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		mk := func() *ECDF {
-			n := 1 + rng.Intn(40)
-			s := make([]float64, n)
-			for i := range s {
-				s[i] = rng.NormFloat64()
-			}
-			return MustECDF(s)
-		}
-		a, b := mk(), mk()
-		if d1, d2 := SupDistance(a, b), SupDistance(b, a); math.Abs(d1-d2) > 1e-12 {
-			t.Fatalf("asymmetric: %g vs %g", d1, d2)
-		}
 	}
 }
 
@@ -186,37 +87,6 @@ func TestDKWEpsilonErrors(t *testing.T) {
 	}
 }
 
-func TestDKWSampleSizeRoundTrip(t *testing.T) {
-	n, err := DKWSampleSize(0.0196, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps, err := DKWEpsilon(n, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eps > 0.0196 {
-		t.Errorf("sample size %d gives eps %g > 0.0196", n, eps)
-	}
-	// One fewer sample must not satisfy the band.
-	eps2, err := DKWEpsilon(n-1, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eps2 <= 0.0196 {
-		t.Errorf("n-1=%d already satisfies eps band (%g)", n-1, eps2)
-	}
-}
-
-func TestDKWSampleSizeErrors(t *testing.T) {
-	if _, err := DKWSampleSize(0, 0.99); err == nil {
-		t.Error("expected error for eps=0")
-	}
-	if _, err := DKWSampleSize(0.01, 0); err == nil {
-		t.Error("expected error for confidence=0")
-	}
-}
-
 // Property: ECDF converges (Glivenko–Cantelli, checked loosely): for a large
 // uniform sample, sup distance to the true CDF is within the 99.9% DKW band.
 func TestECDFGlivenkoCantelli(t *testing.T) {
@@ -226,14 +96,14 @@ func TestECDFGlivenkoCantelli(t *testing.T) {
 	for i := range sample {
 		sample[i] = rng.Float64()
 	}
-	e := MustECDF(sample)
+	// Fn steps at each support point, so sup_x |Fn(x) - x| is attained
+	// at a step: against Fn(x) itself or its left limit.
+	xs, ys := MustECDF(sample).Points()
 	eps, _ := DKWEpsilon(n, 0.999)
-	var sup float64
-	for x := 0.0; x <= 1.0; x += 0.001 {
-		d := math.Abs(e.Eval(x) - x)
-		if d > sup {
-			sup = d
-		}
+	var sup, prev float64
+	for i, x := range xs {
+		sup = math.Max(sup, math.Max(math.Abs(ys[i]-x), math.Abs(prev-x)))
+		prev = ys[i]
 	}
 	if sup > eps {
 		t.Errorf("sup distance %g exceeds DKW band %g", sup, eps)

@@ -35,7 +35,7 @@ func NewKDE(sample []float64, bandwidth float64) (*KDE, error) {
 
 // silvermanBandwidth implements h = 0.9 * min(sd, IQR/1.34) * n^(-1/5).
 func silvermanBandwidth(sorted []float64) float64 {
-	sd := StdDev(sorted)
+	sd := stdDev(sorted)
 	iqr := Percentile(sorted, 75) - Percentile(sorted, 25)
 	spread := sd
 	if iqr > 0 && iqr/1.34 < spread {
@@ -47,11 +47,8 @@ func silvermanBandwidth(sorted []float64) float64 {
 	return 0.9 * spread * math.Pow(float64(len(sorted)), -0.2)
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
-// Eval returns the estimated density at x.
-func (k *KDE) Eval(x float64) float64 {
+// eval returns the estimated density at x.
+func (k *KDE) eval(x float64) float64 {
 	const invSqrt2Pi = 0.3989422804014327
 	var sum float64
 	for _, xi := range k.sample {
@@ -74,7 +71,7 @@ func (k *KDE) Grid(n int) ([]float64, []float64) {
 	step := (hi - lo) / float64(n-1)
 	for i := range xs {
 		xs[i] = lo + float64(i)*step
-		ys[i] = k.Eval(xs[i])
+		ys[i] = k.eval(xs[i])
 	}
 	return xs, ys
 }

@@ -1,28 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math/rand"
-)
-
-// SamplePairs draws n i.i.d. ordered pairs (i, j), i != j, uniformly from
-// {0..pop-1}^2, calling f for each. This is the sampling scheme the paper
-// uses to estimate the global shared-investment-size CDF from 800,000
-// investor pairs. It returns an error when pop < 2.
-func SamplePairs(rng *rand.Rand, pop, n int, f func(i, j int)) error {
-	if pop < 2 {
-		return fmt.Errorf("stats: need population >= 2 to sample pairs, got %d", pop)
-	}
-	for k := 0; k < n; k++ {
-		i := rng.Intn(pop)
-		j := rng.Intn(pop - 1)
-		if j >= i {
-			j++
-		}
-		f(i, j)
-	}
-	return nil
-}
+import "math/rand"
 
 // splitmix64 is the SplitMix64 output function: a bijective avalanche mix
 // turning a counter into a high-quality 64-bit value. Used for the
@@ -36,10 +14,12 @@ func splitmix64(x uint64) uint64 {
 }
 
 // PairAt returns the k-th ordered pair (i, j), i != j, of the i.i.d.
-// uniform pair stream identified by seed. Unlike SamplePairs the stream
-// is counter-based: any index is addressable in O(1) independent of the
-// others, so parallel workers can evaluate disjoint index ranges and
-// produce exactly the stream a serial loop would. pop must be >= 2.
+// uniform pair stream identified by seed — the sampling scheme the paper
+// uses to estimate the global shared-investment-size CDF from 800,000
+// investor pairs. The stream is counter-based: any index is addressable
+// in O(1) independent of the others, so parallel workers can evaluate
+// disjoint index ranges and produce exactly the stream a serial loop
+// would. pop must be >= 2.
 func PairAt(seed int64, k, pop int) (i, j int) {
 	h := splitmix64(uint64(seed) ^ splitmix64(uint64(k)))
 	i = int(h % uint64(pop))
@@ -86,13 +66,5 @@ func Bootstrap(rng *rand.Rand, sample []float64, n int, f func(resample []float6
 			buf[i] = sample[rng.Intn(len(sample))]
 		}
 		f(buf)
-	}
-}
-
-// Shuffle permutes the ints in place using the Fisher–Yates shuffle.
-func Shuffle(rng *rand.Rand, xs []int) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
 	}
 }

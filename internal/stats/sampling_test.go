@@ -6,50 +6,6 @@ import (
 	"testing"
 )
 
-func TestSamplePairsErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if err := SamplePairs(rng, 1, 10, func(i, j int) {}); err == nil {
-		t.Fatal("expected error for population of 1")
-	}
-}
-
-func TestSamplePairsNeverEqual(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	count := 0
-	err := SamplePairs(rng, 5, 10000, func(i, j int) {
-		count++
-		if i == j {
-			t.Fatalf("sampled identical pair (%d,%d)", i, j)
-		}
-		if i < 0 || i >= 5 || j < 0 || j >= 5 {
-			t.Fatalf("pair out of range (%d,%d)", i, j)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 10000 {
-		t.Fatalf("callback invoked %d times", count)
-	}
-}
-
-func TestSamplePairsUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const pop, n = 4, 120000
-	counts := map[[2]int]int{}
-	_ = SamplePairs(rng, pop, n, func(i, j int) { counts[[2]int{i, j}]++ })
-	// 12 ordered pairs; each should get ~n/12 draws.
-	want := float64(n) / 12
-	for pair, c := range counts {
-		if math.Abs(float64(c)-want) > want*0.1 {
-			t.Errorf("pair %v count %d deviates from %g", pair, c, want)
-		}
-	}
-	if len(counts) != 12 {
-		t.Errorf("observed %d distinct pairs, want 12", len(counts))
-	}
-}
-
 func TestReservoirSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	got := ReservoirSample(rng, 3, 10)
@@ -106,19 +62,6 @@ func TestBootstrap(t *testing.T) {
 	// No-ops:
 	Bootstrap(rng, nil, 5, func([]float64) { t.Fatal("called for empty sample") })
 	Bootstrap(rng, sample, 0, func([]float64) { t.Fatal("called for zero iterations") })
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	Shuffle(rng, xs)
-	seen := make([]bool, 8)
-	for _, v := range xs {
-		if v < 0 || v >= 8 || seen[v] {
-			t.Fatalf("not a permutation: %v", xs)
-		}
-		seen[v] = true
-	}
 }
 
 func TestBoundedZipfErrors(t *testing.T) {

@@ -5,50 +5,6 @@ import (
 	"sort"
 )
 
-// Summary holds the descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes descriptive statistics in one pass plus a sort for the
-// median. An empty sample yields a zero Summary.
-func Summarize(sample []float64) Summary {
-	if len(sample) == 0 {
-		return Summary{}
-	}
-	s := Summary{
-		N:   len(sample),
-		Min: sample[0],
-		Max: sample[0],
-	}
-	var sum float64
-	for _, v := range sample {
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(len(sample))
-	var ss float64
-	for _, v := range sample {
-		d := v - s.Mean
-		ss += d * d
-	}
-	if len(sample) > 1 {
-		s.StdDev = math.Sqrt(ss / float64(len(sample)-1))
-	}
-	s.Median = Median(sample)
-	return s
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func Mean(sample []float64) float64 {
 	if len(sample) == 0 {
@@ -78,8 +34,8 @@ func Median(sample []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// Variance returns the unbiased sample variance, or 0 when n < 2.
-func Variance(sample []float64) float64 {
+// variance returns the unbiased sample variance, or 0 when n < 2.
+func variance(sample []float64) float64 {
 	if len(sample) < 2 {
 		return 0
 	}
@@ -92,8 +48,8 @@ func Variance(sample []float64) float64 {
 	return ss / float64(len(sample)-1)
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(sample []float64) float64 { return math.Sqrt(Variance(sample)) }
+// stdDev returns the unbiased sample standard deviation.
+func stdDev(sample []float64) float64 { return math.Sqrt(variance(sample)) }
 
 // Percentile returns the p-th percentile (p in [0,100]) using the
 // nearest-rank method. The input is not modified.
@@ -115,23 +71,4 @@ func Percentile(sample []float64, p float64) float64 {
 		idx = 0
 	}
 	return s[idx]
-}
-
-// MedianInt returns the median of an integer sample as a float64.
-func MedianInt(sample []int) float64 {
-	f := make([]float64, len(sample))
-	for i, v := range sample {
-		f[i] = float64(v)
-	}
-	return Median(f)
-}
-
-// Floats converts an int slice to float64, a convenience for feeding count
-// data (degrees, likes, tweets) into the estimators.
-func Floats(sample []int) []float64 {
-	f := make([]float64, len(sample))
-	for i, v := range sample {
-		f[i] = float64(v)
-	}
-	return f
 }

@@ -9,30 +9,32 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// TestSummarizeEmpty: every summary statistic of an empty sample is 0.
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.Median != 0 {
-		t.Errorf("empty summary not zero: %+v", s)
+	for name, got := range map[string]float64{
+		"mean": Mean(nil), "median": Median(nil), "P50": Percentile(nil, 50), "sd": stdDev(nil),
+	} {
+		if got != 0 {
+			t.Errorf("empty-sample %s = %g, want 0", name, got)
+		}
 	}
 }
 
+// TestSummarizeKnown checks the summary statistics of a textbook sample.
 func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Errorf("N = %d", s.N)
+	s := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	if m := Mean(s); !almostEqual(m, 5, 1e-12) {
+		t.Errorf("Mean = %g, want 5", m)
 	}
-	if !almostEqual(s.Mean, 5, 1e-12) {
-		t.Errorf("Mean = %g, want 5", s.Mean)
+	if md := Median(s); !almostEqual(md, 4.5, 1e-12) {
+		t.Errorf("Median = %g, want 4.5", md)
 	}
-	if !almostEqual(s.Median, 4.5, 1e-12) {
-		t.Errorf("Median = %g, want 4.5", s.Median)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %g/%g", s.Min, s.Max)
+	if lo, hi := Percentile(s, 0), Percentile(s, 100); lo != 2 || hi != 9 {
+		t.Errorf("min/max = %g/%g", lo, hi)
 	}
 	// Population sd is 2; sample sd = sqrt(32/7).
-	if !almostEqual(s.StdDev, math.Sqrt(32.0/7), 1e-12) {
-		t.Errorf("StdDev = %g", s.StdDev)
+	if sd := stdDev(s); !almostEqual(sd, math.Sqrt(32.0/7), 1e-12) {
+		t.Errorf("stdDev = %g", sd)
 	}
 }
 
@@ -73,15 +75,15 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestVarianceSmall(t *testing.T) {
-	if v := Variance([]float64{5}); v != 0 {
+	if v := variance([]float64{5}); v != 0 {
 		t.Errorf("single-element variance = %g", v)
 	}
-	if v := Variance([]float64{1, 3}); v != 2 {
-		t.Errorf("Variance([1,3]) = %g, want 2", v)
+	if v := variance([]float64{1, 3}); v != 2 {
+		t.Errorf("variance([1,3]) = %g, want 2", v)
 	}
 }
 
-// Property: mean is between min and max; median likewise.
+// Property: mean and median lie between the sample's min and max.
 func TestSummaryBoundsProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		sample := make([]float64, 0, len(raw))
@@ -93,9 +95,9 @@ func TestSummaryBoundsProperty(t *testing.T) {
 		if len(sample) == 0 {
 			return true
 		}
-		s := Summarize(sample)
-		return s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9 &&
-			s.Median >= s.Min && s.Median <= s.Max
+		lo, hi := Percentile(sample, 0), Percentile(sample, 100)
+		mean, median := Mean(sample), Median(sample)
+		return mean >= lo-1e-9 && mean <= hi+1e-9 && median >= lo && median <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -120,18 +122,8 @@ func TestShiftInvarianceProperty(t *testing.T) {
 		if !almostEqual(Median(shifted), Median(s)+shift, 1e-9) {
 			t.Fatalf("median not shift-invariant")
 		}
-		if !almostEqual(StdDev(shifted), StdDev(s), 1e-9) {
+		if !almostEqual(stdDev(shifted), stdDev(s), 1e-9) {
 			t.Fatalf("sd not shift-invariant")
 		}
-	}
-}
-
-func TestFloatsAndMedianInt(t *testing.T) {
-	f := Floats([]int{1, 2, 3})
-	if len(f) != 3 || f[2] != 3 {
-		t.Errorf("Floats = %v", f)
-	}
-	if m := MedianInt([]int{1, 2, 3, 100}); m != 2.5 {
-		t.Errorf("MedianInt = %g", m)
 	}
 }

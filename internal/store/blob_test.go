@@ -49,7 +49,7 @@ func TestNsDirAliasNamespacesCoexist(t *testing.T) {
 	write("a/b", 1)
 	write("a__b", 2)
 	for ns, want := range map[string]int{"a/b": 1, "a__b": 2} {
-		got, err := ReadAll[rec](s, ns)
+		got, err := readAll[rec](s, ns)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func TestRoundTripProperty(t *testing.T) {
 			want = append(want, raw)
 			// Random mid-stream flushes.
 			if rng.Intn(10) == 0 {
-				if err := w.Flush(); err != nil {
+				if err := w.flush(); err != nil {
 					return false
 				}
 			}
@@ -107,46 +107,3 @@ func randBytes(rng *rand.Rand, n int) []byte {
 }
 
 // Property: compaction preserves content exactly.
-func TestCompactPreservesContentProperty(t *testing.T) {
-	f := func(seed int64, nRecords uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st, err := Open(t.TempDir())
-		if err != nil {
-			return false
-		}
-		st.SegmentBytes = 256
-		w, err := st.Writer("c/docs", 1)
-		if err != nil {
-			return false
-		}
-		n := int(nRecords)%80 + 1
-		var want []string
-		for i := 0; i < n; i++ {
-			s := randString(rng, rng.Intn(50))
-			raw, _ := json.Marshal(s)
-			if err := w.AppendRaw("", raw); err != nil {
-				return false
-			}
-			want = append(want, s)
-		}
-		if err := w.Close(); err != nil {
-			return false
-		}
-		if err := st.Compact("c/docs"); err != nil {
-			return false
-		}
-		got, err := ReadAll[string](st, "c/docs")
-		if err != nil || len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

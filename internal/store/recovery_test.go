@@ -70,7 +70,7 @@ func TestOpenSweepsCrashedPutBlob(t *testing.T) {
 	}
 }
 
-func TestOpenSweepsCrashedCompact(t *testing.T) {
+func TestOpenSweepsCrashedWriterSegment(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestOpenSweepsCrashedCompact(t *testing.T) {
 		if err := w.Append("", rec{ID: i}); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Flush(); err != nil {
+		if err := w.flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,9 +92,9 @@ func TestOpenSweepsCrashedCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Compact writes its merged segment at NextSeq before committing; a
+	// A Writer creates its next segment at NextSeq before committing; a
 	// crash right after that write strands the file at the path the next
-	// Compact (or Writer) will reserve with O_EXCL.
+	// Writer will reserve with O_EXCL.
 	s.mu.Lock()
 	seq := s.manifest.Namespaces["ns"].Shards[0].NextSeq
 	s.mu.Unlock()
@@ -106,14 +106,21 @@ func TestOpenSweepsCrashedCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("orphaned compact segment survived reopen: stat err = %v", err)
+		t.Fatalf("orphaned segment survived reopen: stat err = %v", err)
 	}
-	if err := s.Compact("ns"); err != nil {
-		t.Fatalf("Compact after crash recovery: %v", err)
+	w, err = s.Writer("ns", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := ReadAll[rec](s, "ns")
-	if err != nil || len(got) != 10 {
-		t.Fatalf("ReadAll after recovered compact = %d recs, %v", len(got), err)
+	if err := w.Append("", rec{ID: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("append after crash recovery: %v", err)
+	}
+	got, err := readAll[rec](s, "ns")
+	if err != nil || len(got) != 11 {
+		t.Fatalf("readAll after recovered append = %d recs, %v", len(got), err)
 	}
 }
 
@@ -142,7 +149,7 @@ func TestOpenSweepKeepsCommittedAndForeignFiles(t *testing.T) {
 	if _, err := os.Stat(foreign); err != nil {
 		t.Fatalf("sweep removed a foreign file: %v", err)
 	}
-	got, err := ReadAll[rec](s, "ns")
+	got, err := readAll[rec](s, "ns")
 	if err != nil || len(got) != 1 {
 		t.Fatalf("committed data lost after sweep: %d recs, %v", len(got), err)
 	}
@@ -219,7 +226,7 @@ func TestFailedCommitLeavesNoPhantomNamespace(t *testing.T) {
 	if err := os.Mkdir(tmp, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err == nil {
+	if err := w.flush(); err == nil {
 		t.Fatal("Flush succeeded with the manifest temp path blocked")
 	}
 	absent("a/b")
@@ -229,7 +236,7 @@ func TestFailedCommitLeavesNoPhantomNamespace(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("retried commit: %v", err)
 	}
-	got, err := ReadAll[rec](s, "a/b")
+	got, err := readAll[rec](s, "a/b")
 	if err != nil || len(got) != 40 {
 		t.Fatalf("retry committed %d records (%v), want 40", len(got), err)
 	}

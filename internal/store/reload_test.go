@@ -113,9 +113,6 @@ func TestOpenReadOnly(t *testing.T) {
 	if err := ro.PutBlob("frozen/snap-000002", 1, []byte("x")); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("PutBlob on read-only handle: %v", err)
 	}
-	if err := ro.Compact("angellist/users"); err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("Compact on read-only handle: %v", err)
-	}
 
 	// A writing Open still sweeps the same files (the crash-recovery
 	// behavior the read-only path opts out of).

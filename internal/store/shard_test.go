@@ -3,13 +3,11 @@ package store
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -172,7 +170,7 @@ func shardPayloads(t *testing.T, s *Store, ns string) [][]string {
 
 // TestStoreShapeInvariance: at every K, ScanShard(i) yields exactly the
 // records whose key routes to i, in append order; Scan yields the shards
-// concatenated; reopen + append and Compact keep both.
+// concatenated; reopen + append keeps both.
 func TestStoreShapeInvariance(t *testing.T) {
 	for _, k := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
@@ -230,12 +228,8 @@ func TestStoreShapeInvariance(t *testing.T) {
 			s.SegmentBytes = 256
 			write(s, 150, 300)
 			check(s, "reopen + append")
-			if err := s.Compact("gen/items"); err != nil {
-				t.Fatal(err)
-			}
-			check(s, "compact")
-			if st, _ := s.Stats("gen/items"); st.Shards != k || st.Segments != k || st.Records != 300 {
-				t.Fatalf("after compaction Stats = %+v, want %d shards of one segment, 300 records", st, k)
+			if st, _ := s.Stats("gen/items"); st.Shards != k || st.Records != 300 {
+				t.Fatalf("after reopen + append Stats = %+v, want %d shards, 300 records", st, k)
 			}
 		})
 	}
@@ -245,8 +239,8 @@ func TestStoreShapeInvariance(t *testing.T) {
 // namespace had shards lists its segments at the namespace level, with
 // the files directly in the namespace directory. It folds into one shard
 // at load: it reads as K=1, appends land in shard-000/ after the legacy
-// segment, a K=2 writer is refused, Compact moves everything into
-// shard-000/, and Open's sweep keeps the legacy file while it is listed.
+// segment, a K=2 writer is refused, and Open's sweep keeps the legacy
+// file while it is listed.
 func TestLegacyNamespaceReadsAsSingleShard(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, nsDir("old/ns")), 0o755); err != nil {
@@ -328,20 +322,6 @@ func TestLegacyNamespaceReadsAsSingleShard(t *testing.T) {
 	if info := disk.Namespaces["old/ns"]; info.Segments != nil || info.NextSeq != 0 || len(info.Shards) != 1 {
 		t.Fatalf("committed manifest still carries the legacy layout: %s", raw)
 	}
-
-	if err := s.Compact("old/ns"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacy)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("compaction left the legacy segment behind: %v", err)
-	}
-	entries, _ := os.ReadDir(filepath.Join(dir, nsDir("old/ns")))
-	if len(entries) != 1 || entries[0].Name() != "shard-000" {
-		t.Fatalf("after compaction the namespace directory holds %v, want only shard-000/", entries)
-	}
-	if got := shardPayloads(t, s, "old/ns"); !reflect.DeepEqual(got, [][]string{want}) {
-		t.Fatalf("after compaction the namespace reads as %v", got)
-	}
 }
 
 // A shard-to-shard copy appends by shard index; an aborted one commits
@@ -381,7 +361,7 @@ func TestAppendRawToCopiesShardsAndAbortCommitsNothing(t *testing.T) {
 			t.Fatal("aborted writer committed its namespace")
 		}
 	}
-	left, _ := filepath.Glob(filepath.Join(s.Dir(), shardDir("copy/items", 0), "*"))
+	left, _ := filepath.Glob(filepath.Join(s.dir, shardDir("copy/items", 0), "*"))
 	if len(left) != 0 {
 		t.Fatalf("aborted writer left segment files: %v", left)
 	}
@@ -403,55 +383,6 @@ func TestAppendRawToCopiesShardsAndAbortCommitsNothing(t *testing.T) {
 	}
 	if n != len(want) {
 		t.Fatalf("copy holds %d records, want %d", n, len(want))
-	}
-}
-
-func TestShardedCompactPreservesRecords(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SegmentBytes = 256 // force many small segments
-	writeSharded(t, s, "gen/items", 3, 100)
-	writeSharded(t, s, "gen/items", 3, 100) // second batch: more segments
-
-	before, _ := s.Stats("gen/items")
-	if before.Segments <= 3 {
-		t.Fatalf("want many segments before compaction, got %d", before.Segments)
-	}
-	var wantIDs []string
-	if err := s.Scan("gen/items", func(p []byte) error {
-		wantIDs = append(wantIDs, string(append([]byte(nil), p...)))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact("gen/items"); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	after, _ := s.Stats("gen/items")
-	if after.Segments != 3 {
-		t.Fatalf("after compaction want 3 segments (one per shard), got %d", after.Segments)
-	}
-	if after.Records != before.Records {
-		t.Fatalf("compaction changed record count: %d -> %d", before.Records, after.Records)
-	}
-	var gotIDs []string
-	if err := s.Scan("gen/items", func(p []byte) error {
-		gotIDs = append(gotIDs, string(append([]byte(nil), p...)))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(wantIDs)
-	sort.Strings(gotIDs)
-	if len(gotIDs) != len(wantIDs) {
-		t.Fatalf("compaction lost records: %d vs %d", len(gotIDs), len(wantIDs))
-	}
-	for i := range gotIDs {
-		if gotIDs[i] != wantIDs[i] {
-			t.Fatalf("record %d differs after compaction", i)
-		}
 	}
 }
 

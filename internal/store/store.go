@@ -44,8 +44,8 @@ func Open(dir string) (*Store, error) {
 	return open(dir, false)
 }
 
-// OpenReadOnly opens a store for reading only: Writer, PutBlob and
-// Compact are rejected, and the crash-debris sweep is skipped. The
+// OpenReadOnly opens a store for reading only: Writer and PutBlob are
+// rejected, and the crash-debris sweep is skipped. The
 // sweep makes read-only opens safe to run concurrently with a live
 // writer process (e.g. crowdscope serve polling a store a crawler is still
 // appending to): a writing handle's Open would delete the other
@@ -103,7 +103,7 @@ func (s *Store) Reload() error {
 // that were written but never committed to the manifest. Uncommitted
 // files are invisible to readers, but they occupy the exact path the
 // namespace's next write reserves (segment and blob files are created
-// with O_EXCL at NextSeq), so a crashed PutBlob or Compact would
+// with O_EXCL at NextSeq), so a crashed Writer or PutBlob would
 // otherwise wedge the namespace permanently. Only files matching the
 // store's own naming patterns are touched; anything else in the
 // directory is left alone.
@@ -136,9 +136,6 @@ func sweepOrphans(dir string, m *manifest) error {
 		return nil
 	})
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // validNamespace restricts names to path-safe segments like
 // "angellist/startups".
@@ -189,9 +186,9 @@ type shardAppender struct {
 // record by its key (at K=1 every key routes to shard 0). Writers are
 // not safe for concurrent use; parallel producers should marshal
 // through a channel or open distinct namespaces. Records become visible
-// only when Flush (or Close) commits the manifest — all shards commit
-// atomically in one manifest write, so readers never observe a
-// namespace with some shards ahead of others.
+// only when Close commits the manifest — all shards commit atomically in
+// one manifest write, so readers never observe a namespace with some
+// shards ahead of others.
 type Writer struct {
 	s       *Store
 	ns      string
@@ -299,11 +296,11 @@ func (sa *shardAppender) rotate() error {
 	return nil
 }
 
-// Flush seals every shard's active segment and commits all sealed
+// flush seals every shard's active segment and commits all sealed
 // segments in one atomic manifest write. A failed commit leaves the
 // in-memory manifest as it was — a namespace the flush would have
 // created does not exist — and keeps the sealed segments for a retry.
-func (w *Writer) Flush() error {
+func (w *Writer) flush() error {
 	if w.closed {
 		return errors.New("store: flush of closed writer")
 	}
@@ -364,13 +361,13 @@ func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
-	err := w.Flush()
+	err := w.flush()
 	w.Abort() // after a successful flush there is nothing left to discard
 	return err
 }
 
 // Abort releases the writer slot without committing: every record
-// appended since the last Flush is discarded and its segment files are
+// appended since the last commit is discarded and its segment files are
 // removed. A no-op on a closed writer.
 func (w *Writer) Abort() {
 	if w.closed {
@@ -447,21 +444,10 @@ func (s *Store) scanSegments(segs []SegmentInfo, fn func(payload []byte) error) 
 	return nil
 }
 
-// ScanAs streams every committed record of the namespace unmarshaled into
-// T.
-func ScanAs[T any](s *Store, ns string, fn func(rec T) error) error {
-	return s.Scan(ns, func(payload []byte) error {
-		var rec T
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("store: unmarshal record in %q: %w", ns, err)
-		}
-		return fn(rec)
-	})
-}
-
-// ScanAsContext is ScanAs bounded by the caller's context, checked
-// before every record — the ctx-first variant library code should use
-// so a deadline cuts long typed scans off mid-stream.
+// ScanAsContext streams every committed record of the namespace
+// unmarshaled into T, bounded by the caller's context: it is checked
+// before every record, so a deadline cuts long typed scans off
+// mid-stream.
 func ScanAsContext[T any](ctx context.Context, s *Store, ns string, fn func(rec T) error) error {
 	return s.ScanContext(ctx, ns, func(payload []byte) error {
 		var rec T
@@ -470,17 +456,6 @@ func ScanAsContext[T any](ctx context.Context, s *Store, ns string, fn func(rec 
 		}
 		return fn(rec)
 	})
-}
-
-// ReadAll collects every record of a namespace into a slice of T. Intended
-// for tests and moderate-sized namespaces; large scans should stream.
-func ReadAll[T any](s *Store, ns string) ([]T, error) {
-	var out []T
-	err := ScanAs(s, ns, func(rec T) error {
-		out = append(out, rec)
-		return nil
-	})
-	return out, err
 }
 
 // Namespaces returns the sorted names of all committed namespaces.
@@ -527,96 +502,4 @@ func (s *Store) Stats(ns string) (NamespaceStats, error) {
 		}
 	}
 	return st, nil
-}
-
-// Compact rewrites each shard's segments into a single new segment and
-// commits the replacement for every shard in one manifest write,
-// reclaiming per-segment overhead after many small flushes. Concurrent
-// readers holding the old snapshot keep working because old files are
-// removed only after commit.
-func (s *Store) Compact(ns string) error {
-	if s.readOnly {
-		return fmt.Errorf("store: namespace %q: handle is read-only", ns)
-	}
-	s.mu.Lock()
-	info, err := s.manifest.jsonNamespace(ns)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.writers[ns] {
-		s.mu.Unlock()
-		return fmt.Errorf("store: cannot compact %q while a writer is open", ns)
-	}
-	// Reserve the writer slot so appends cannot interleave with compaction.
-	s.writers[ns] = true
-	old := make([]ShardInfo, len(info.Shards))
-	for i, sh := range info.Shards {
-		old[i] = *sh
-	}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.writers, ns)
-		s.mu.Unlock()
-	}()
-
-	fresh := make([]SegmentInfo, 0, len(old))
-	cleanup := func() {
-		for _, seg := range fresh {
-			os.Remove(filepath.Join(s.dir, seg.File))
-		}
-	}
-	for i, sh := range old {
-		seg, err := s.compactShard(shardDir(ns, i), sh)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		fresh = append(fresh, seg)
-	}
-
-	s.mu.Lock()
-	for i, sh := range info.Shards {
-		*sh = ShardInfo{Segments: []SegmentInfo{fresh[i]}, NextSeq: old[i].NextSeq + 1}
-	}
-	if err := s.manifest.commit(s.dir); err != nil {
-		for i, sh := range info.Shards {
-			*sh = old[i]
-		}
-		s.mu.Unlock()
-		cleanup()
-		return err
-	}
-	s.mu.Unlock()
-	for _, sh := range old {
-		for _, seg := range sh.Segments {
-			os.Remove(filepath.Join(s.dir, seg.File))
-		}
-	}
-	return nil
-}
-
-// compactShard copies one shard's segments, in order, into one new
-// segment at the shard's next sequence number under dir.
-func (s *Store) compactShard(dir string, sh ShardInfo) (SegmentInfo, error) {
-	// A folded pre-shard namespace has no shard directory yet.
-	if err := os.MkdirAll(filepath.Join(s.dir, dir), 0o755); err != nil {
-		return SegmentInfo{}, err
-	}
-	rel := filepath.Join(dir, segmentName(sh.NextSeq))
-	sw, err := newSegmentWriter(filepath.Join(s.dir, rel))
-	if err != nil {
-		return SegmentInfo{}, err
-	}
-	if err := s.scanSegments(sh.Segments, sw.append); err != nil {
-		sw.abort()
-		return SegmentInfo{}, err
-	}
-	records, size, err := sw.seal()
-	if err != nil {
-		os.Remove(sw.path)
-		return SegmentInfo{}, err
-	}
-	return SegmentInfo{File: rel, Records: records, Bytes: size}, nil
 }

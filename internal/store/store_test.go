@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,16 @@ import (
 type rec struct {
 	ID   int    `json:"id"`
 	Name string `json:"name"`
+}
+
+// readAll collects every committed record of a namespace into a slice.
+func readAll[T any](s *Store, ns string) ([]T, error) {
+	var out []T
+	err := ScanAsContext(context.Background(), s, ns, func(rec T) error {
+		out = append(out, rec)
+		return nil
+	})
+	return out, err
 }
 
 func openTemp(t *testing.T) *Store {
@@ -39,7 +50,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll[rec](s, "angellist/startups")
+	got, err := readAll[rec](s, "angellist/startups")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +72,7 @@ func TestVisibilityRequiresFlush(t *testing.T) {
 	if err := s.Scan("ns", func([]byte) error { return nil }); err == nil {
 		t.Fatal("expected unknown namespace before flush")
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		t.Fatal(err)
 	}
 	var n int
@@ -74,7 +85,7 @@ func TestVisibilityRequiresFlush(t *testing.T) {
 	// Append more, flush again: both batches visible, in order.
 	_ = w.Append("", rec{ID: 2})
 	_ = w.Close()
-	all, _ := ReadAll[rec](s, "ns")
+	all, _ := readAll[rec](s, "ns")
 	if len(all) != 2 || all[0].ID != 1 || all[1].ID != 2 {
 		t.Fatalf("records = %+v", all)
 	}
@@ -107,7 +118,7 @@ func TestWriterCloseIdempotent(t *testing.T) {
 	if err := w.Append("", rec{ID: 2}); err == nil {
 		t.Fatal("append after close should fail")
 	}
-	if err := w.Flush(); err == nil {
+	if err := w.flush(); err == nil {
 		t.Fatal("flush after close should fail")
 	}
 }
@@ -149,7 +160,7 @@ func TestSegmentRotation(t *testing.T) {
 	if st.Records != 200 {
 		t.Fatalf("records = %d", st.Records)
 	}
-	all, _ := ReadAll[rec](s, "ns")
+	all, _ := readAll[rec](s, "ns")
 	for i, r := range all {
 		if r.ID != i {
 			t.Fatalf("order broken at %d: %+v", i, r)
@@ -170,7 +181,7 @@ func TestReopenPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := ReadAll[rec](s2, "ns")
+	all, err := readAll[rec](s2, "ns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +195,7 @@ func TestReopenPersists(t *testing.T) {
 	}
 	_ = w2.Append("", rec{ID: 10})
 	_ = w2.Close()
-	all, _ = ReadAll[rec](s2, "ns")
+	all, _ = readAll[rec](s2, "ns")
 	if len(all) != 11 || all[10].ID != 10 {
 		t.Fatalf("after reopen+append: %d records", len(all))
 	}
@@ -249,69 +260,6 @@ func TestRecordCountMismatchDetected(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	s := openTemp(t)
-	s.SegmentBytes = 128
-	w, _ := s.Writer("ns", 1)
-	for i := 0; i < 100; i++ {
-		_ = w.Append("", rec{ID: i, Name: "some-name-padding"})
-	}
-	_ = w.Close()
-	before, _ := s.Stats("ns")
-	if before.Segments < 2 {
-		t.Fatalf("want multiple segments before compaction, got %d", before.Segments)
-	}
-	if err := s.Compact("ns"); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := s.Stats("ns")
-	if after.Segments != 1 {
-		t.Fatalf("segments after compact = %d", after.Segments)
-	}
-	if after.Records != before.Records {
-		t.Fatalf("records changed: %d -> %d", before.Records, after.Records)
-	}
-	all, err := ReadAll[rec](s, "ns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range all {
-		if r.ID != i {
-			t.Fatalf("order broken after compact at %d", i)
-		}
-	}
-	// Old segment files should be gone: only the compacted one remains.
-	entries, _ := os.ReadDir(filepath.Join(s.Dir(), shardDir("ns", 0)))
-	if len(entries) != 1 {
-		t.Fatalf("expected 1 segment file, found %d", len(entries))
-	}
-	// Appending after compaction continues cleanly.
-	w2, err := s.Writer("ns", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = w2.Append("", rec{ID: 100})
-	_ = w2.Close()
-	all, _ = ReadAll[rec](s, "ns")
-	if len(all) != 101 {
-		t.Fatalf("after compact+append: %d records", len(all))
-	}
-}
-
-func TestCompactWhileWriterOpenFails(t *testing.T) {
-	s := openTemp(t)
-	w, _ := s.Writer("ns", 1)
-	_ = w.Append("", rec{ID: 1})
-	_ = w.Flush()
-	if err := s.Compact("ns"); err == nil {
-		t.Fatal("compact should fail with open writer")
-	}
-	_ = w.Close()
-	if err := s.Compact("ns"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNamespacesListing(t *testing.T) {
 	s := openTemp(t)
 	for _, ns := range []string{"b/two", "a/one", "c"} {
@@ -341,7 +289,7 @@ func TestStatsUnknownNamespace(t *testing.T) {
 func TestEmptyFlushIsNoop(t *testing.T) {
 	s := openTemp(t)
 	w, _ := s.Writer("ns", 1)
-	if err := w.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

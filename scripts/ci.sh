@@ -24,7 +24,8 @@ git archive "$(git write-tree)" | tar -x -C "$export_dir"
 echo "module builds from the git export"
 
 # Invariant analyzers run before the tests: a determinism/viewonly/
-# ctxthread/errwrap/binlayout/planfirst violation, a concurrency-safety
+# ctxthread/errwrap/binlayout violation, an exported name in internal/
+# that no non-test code references (deadexport), a concurrency-safety
 # finding from goleak/lockdisc/chandisc, or a stale crowdlint.allow
 # entry (the tool reports those as findings) fails CI before a single
 # test executes.
@@ -65,8 +66,8 @@ go run ./cmd/crowdlint ./...
 #                      worker crawl; the front serves zero 5xx while at
 #                      least one replica survives mid-request kills
 #   store-shape        every K (1 included) is the same store: per-shard
-#                      routing and order survive reopen + append and
-#                      Compact; a pre-shard manifest folds into one shard;
+#                      routing and order survive reopen + append; a
+#                      pre-shard manifest folds into one shard;
 #                      a failed commit leaves no phantom namespace; a
 #                      cancelled Persist commits nothing
 #   binaries           crowdscope serve and fleet come up on an ephemeral
@@ -173,6 +174,10 @@ check_coverage ./internal/ecosystem 70
 # the ones that corrupt a merge when a worker dies at the wrong moment.
 check_coverage ./internal/fleet 70
 check_coverage ./internal/fleet/front 70
+# The statistics and community-strength metrics behind every figure
+# carry floors too, so what they export stays tested.
+check_coverage ./internal/stats 70
+check_coverage ./internal/metrics 70
 # The one command: every subcommand runs in-process against the golden
 # stdout of the binaries it replaced, so an untested flag or branch is
 # one the goldens no longer vouch for.
