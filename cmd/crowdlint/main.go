@@ -5,23 +5,21 @@
 //
 // Usage:
 //
-//	crowdlint [-root dir] [-list] [-fix-allow] [patterns...]
+//	crowdlint [-root dir] [-list] [patterns...]
 //
 // Patterns are accepted for `go vet`-style familiarity but the tool
 // always analyzes the entire module containing -root: the invariants are
-// whole-module properties (an allowlist entry in one package justifies a
-// signature in another), so partial loads would under-report.
-//
-// -fix-allow rewrites crowdlint.allow in place, dropping every entry no
-// finding matches any more, and emitting the remainder sorted by
-// (analyzer, key) with comments preserved — the output is deterministic
-// regardless of the input's order.
+// whole-module properties (a reference in one package keeps an export in
+// another alive), so partial loads would under-report.
 //
 // Findings print as file:line:col: [analyzer] message, paths relative to
 // the module root. Suppress a finding with a justified directive on its
 // line or the line above:
 //
 //	//lint:ignore <analyzer> <reason>
+//
+// A directive or crowdlint.allow entry that suppresses nothing is itself
+// a finding; delete the line it names.
 package main
 
 import (
@@ -38,7 +36,6 @@ import (
 func main() {
 	root := flag.String("root", ".", "directory inside the module to analyze")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	fixAllow := flag.Bool("fix-allow", false, "rewrite crowdlint.allow dropping stale entries, then exit")
 	flag.Parse()
 
 	if *list {
@@ -46,9 +43,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *fixAllow {
-		os.Exit(runFixAllow(*root, os.Stdout, os.Stderr))
 	}
 	os.Exit(run(*root, os.Stdout, os.Stderr))
 }
@@ -79,35 +73,6 @@ func run(root string, out, errOut io.Writer) int {
 		fmt.Fprintf(errOut, "crowdlint: %d finding(s)\n", len(diags))
 		return 1
 	}
-	return 0
-}
-
-// runFixAllow rewrites the module's allowlist, reporting what it kept
-// and dropped. Exit codes: 0 on success (even when nothing changed), 2
-// on load or rewrite failure.
-func runFixAllow(root string, out, errOut io.Writer) int {
-	modRoot, err := findModuleRoot(root)
-	if err != nil {
-		fmt.Fprintln(errOut, "crowdlint:", err)
-		return 2
-	}
-	m, err := lint.Load(modRoot)
-	if err != nil {
-		fmt.Fprintln(errOut, "crowdlint:", err)
-		return 2
-	}
-	kept, dropped, err := lint.RewriteAllowlist(m)
-	if err != nil {
-		fmt.Fprintln(errOut, "crowdlint:", err)
-		return 2
-	}
-	for _, k := range kept {
-		fmt.Fprintf(out, "kept    %s\n", k)
-	}
-	for _, d := range dropped {
-		fmt.Fprintf(out, "dropped %s\n", d)
-	}
-	fmt.Fprintf(out, "crowdlint: %s: %d kept, %d dropped\n", lint.AllowlistFile, len(kept), len(dropped))
 	return 0
 }
 

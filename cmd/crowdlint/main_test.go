@@ -75,50 +75,44 @@ func TestRunWithoutModuleExitsTwo(t *testing.T) {
 	}
 }
 
-func TestFixAllowDropsStaleAndRewritesSorted(t *testing.T) {
+// TestRunReportsAllowlistProblems: a malformed line, an unknown
+// analyzer and a stale entry each fail the run with a finding naming
+// its crowdlint.allow line; the entry that absorbs a real finding does
+// not.
+func TestRunReportsAllowlistProblems(t *testing.T) {
 	dir := writeTree(t, map[string]string{
 		"go.mod": "module fixture.test/m\n\ngo 1.22\n",
-		"crowdlint.allow": `# header comment, preserved verbatim.
-viewonly:internal/core.Gone
+		"crowdlint.allow": `# header comment
+errwrap:internal/a.Status   # err is nil on a bad status
+not an entry
 goleak:internal/a.Spawn
+deadexport:internal/a.Gone
 `,
+		"main.go": "package main\n\nimport \"fixture.test/m/internal/a\"\n\nfunc main() { println(a.Status(0, nil) == nil) }\n",
 		"internal/a/a.go": `package a
 
-func Spawn() {
-	go func() {
-		for {
-		}
-	}()
-}
+import "fmt"
+
+func Status(code int, err error) error { return fmt.Errorf("status %d: %v", code, err) }
 `,
 	})
 	var out, errOut bytes.Buffer
-	if code := runFixAllow(dir, &out, &errOut); code != 0 {
-		t.Fatalf("runFixAllow = %d, want 0; stderr: %s", code, errOut.String())
+	if code := run(dir, &out, &errOut); code != 1 {
+		t.Fatalf("run = %d, want 1; stderr: %s", code, errOut.String())
 	}
-	got := out.String()
-	if !strings.Contains(got, "kept    goleak:internal/a.Spawn") {
-		t.Errorf("output %q missing the kept entry", got)
+	want := []string{
+		"crowdlint.allow:3:1: [lint] malformed allowlist line",
+		`crowdlint.allow:4:1: [lint] allowlist entry names unknown analyzer "goleak"`,
+		"crowdlint.allow:5:1: [deadexport] stale allowlist entry internal/a.Gone",
 	}
-	if !strings.Contains(got, "dropped viewonly:internal/core.Gone") {
-		t.Errorf("output %q missing the dropped entry", got)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("got %d finding(s), want %d:\n%s", len(lines), len(want), out.String())
 	}
-	if !strings.Contains(got, "1 kept, 1 dropped") {
-		t.Errorf("output %q missing the summary line", got)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "crowdlint.allow"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "# header comment, preserved verbatim.\ngoleak:internal/a.Spawn\n"
-	if string(data) != want {
-		t.Errorf("rewritten allowlist = %q, want %q", data, want)
-	}
-	// After the rewrite the module lints clean: the stale entry is gone
-	// and the remaining entry still absorbs its finding.
-	var lintOut, lintErr bytes.Buffer
-	if code := run(dir, &lintOut, &lintErr); code != 0 {
-		t.Fatalf("post-rewrite run = %d, want 0; %s%s", code, lintOut.String(), lintErr.String())
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("finding %d = %q, want prefix %q", i, lines[i], w)
+		}
 	}
 }
 

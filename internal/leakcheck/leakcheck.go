@@ -1,6 +1,5 @@
 // Package leakcheck is the repository's runtime goroutine-leak harness:
-// the dynamic counterpart to crowdlint's static goleak analyzer. A test
-// calls Check(t) as its FIRST statement; leakcheck snapshots the live
+// a test calls Check(t) as its FIRST statement; leakcheck snapshots the live
 // goroutines, and a registered cleanup re-snapshots at test end, failing
 // the test with full stacks if goroutines created during the test are
 // still alive. Because cleanups run LIFO, calling Check first means the

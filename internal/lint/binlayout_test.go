@@ -39,11 +39,11 @@ const MagicV2 = "CSSEG02"
 const internalTuning = 4
 `,
 	}
-	m := writeModule(t, copyFiles(files))
+	m := writeModule(t, files)
 	wantFindings(t, findings(t, m, AnalyzerBinLayout), "internal/store/s.go:3:[binlayout]")
 
 	files[FormatDocFile] = "Segments open with the `MagicV2` marker.\n"
-	m = writeModule(t, copyFiles(files))
+	m = writeModule(t, files)
 	wantFindings(t, findings(t, m, AnalyzerBinLayout))
 }
 

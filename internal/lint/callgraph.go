@@ -5,16 +5,13 @@ import (
 	"go/types"
 )
 
-// callGraph is the lightweight intra-module call graph the concurrency
-// analyzers share. It indexes every function declaration in the module
-// and records, per function, the statically-resolvable calls its body
-// makes (direct calls and method calls on concrete receivers; calls
-// through interfaces and function values are invisible, which the
-// analyzers accept as a documented under-approximation).
+// callGraph is the lightweight intra-module call graph lockdisc follows
+// to see blocking work through helper functions. It records, per
+// function declaration in the module, the statically-resolvable calls
+// its body makes (direct calls and method calls on concrete receivers;
+// calls through interfaces and function values are invisible, which the
+// analyzer accepts as a documented under-approximation).
 type callGraph struct {
-	// decls maps a function object to its declaration site, so an
-	// analyzer can walk the body a `go f()` statement spawns.
-	decls map[*types.Func]*funcDecl
 	// calls maps a function object to the distinct functions its body
 	// calls, in source order. Only statically-resolved callees appear;
 	// both module-internal and imported (stdlib) functions are included
@@ -22,18 +19,9 @@ type callGraph struct {
 	calls map[*types.Func][]*types.Func
 }
 
-// funcDecl is one function declaration with the package that owns it.
-type funcDecl struct {
-	pkg  *Package
-	decl *ast.FuncDecl
-}
-
-// buildCallGraph indexes the module once; analyzers share the result.
+// buildCallGraph indexes every function declaration of the module.
 func buildCallGraph(m *Module) *callGraph {
-	g := &callGraph{
-		decls: map[*types.Func]*funcDecl{},
-		calls: map[*types.Func][]*types.Func{},
-	}
+	g := &callGraph{calls: map[*types.Func][]*types.Func{}}
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -45,7 +33,6 @@ func buildCallGraph(m *Module) *callGraph {
 				if !ok {
 					continue
 				}
-				g.decls[obj] = &funcDecl{pkg: pkg, decl: fd}
 				seen := map[*types.Func]bool{}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
@@ -98,11 +85,8 @@ func (g *callGraph) blockingClosure(seed func(*types.Func) string) map[*types.Fu
 		state[fn] = 1
 		for _, callee := range g.calls[fn] {
 			if r, ok := visit(callee); ok {
-				via := funcDisplay(callee)
-				if r.via != "" {
-					via = funcDisplay(callee) // report the first hop only; the chain bottoms out at r.what
-				}
-				res := blockReason{what: r.what, via: via}
+				// Report the first hop only; the chain bottoms out at r.what.
+				res := blockReason{what: r.what, via: funcDisplay(callee)}
 				memo[fn] = res
 				state[fn] = 2
 				return res, true
@@ -111,7 +95,7 @@ func (g *callGraph) blockingClosure(seed func(*types.Func) string) map[*types.Fu
 		state[fn] = 2
 		return blockReason{}, false
 	}
-	for fn := range g.decls {
+	for fn := range g.calls { // a declaration that calls nothing cannot block
 		visit(fn)
 	}
 	return memo

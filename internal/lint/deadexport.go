@@ -22,7 +22,7 @@ var AnalyzerDeadExport = &Analyzer{
 
 func runDeadExport(m *Module) []Diagnostic {
 	al := m.loadAllow()
-	allow, _ := al.forAnalyzer("deadexport")
+	allow := al.forAnalyzer("deadexport")
 	imported := map[string]bool{}
 	uses := map[types.Object][]*ast.Ident{}
 	for _, pkg := range m.Packages {

@@ -15,9 +15,6 @@
 //   - determinism: deterministic packages must not read wall clocks,
 //     environment variables or the global math/rand stream (PR 1-2's
 //     bit-identical reruns).
-//   - viewonly: exported APIs outside internal/graph consume the
-//     read-only graph.BipartiteView, never the mutable *graph.Bipartite
-//     builder (PR 3's frozen-snapshot refactor).
 //   - ctxthread: blocking work (sleeps, network, durable store writes,
 //     whole-namespace scans) is cancelable: a context arrives as the
 //     first parameter, and context.Background() stays in main packages.
@@ -28,26 +25,16 @@
 //   - deadexport: internal/ exports only what some non-test code in the
 //     module references; a name only tests reach needs a reasoned
 //     crowdlint.allow entry.
-//   - goleak: every `go` statement has a provable exit path (a ctx.Done
-//     receive, a closed-channel receive, a waited WaitGroup, or a body
-//     with no unbounded loop); fire-and-forget spawns are findings
-//     unless sanctioned in crowdlint.allow.
 //   - lockdisc: no mutex is held across blocking work (directly or
-//     through the intra-module call graph), no sync primitive is copied
-//     by value, and no function double-locks the same receiver.
-//   - chandisc: every tracked data channel has exactly one close-owner
-//     in its defining package, and channel buffer sizes in the hot
-//     packages are compile-time constants, not tuning knobs in disguise.
-//
-// The concurrency analyzers share a lightweight intra-module call graph
-// (callgraph.go): a callee map over typed ASTs with a transitive
-// "does this call chain block?" query, so lockdisc sees through helper
-// functions and goleak can classify spawns of named workers.
+//     through the intra-module call graph, callgraph.go), and no
+//     function double-locks the same receiver. Lock copies are go vet's.
 //
 // Suppression syntax, checked by the framework itself:
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// on the finding's line or the line above. The reason is mandatory; a
-// directive without one is itself reported.
+// on the finding's line or the line above. The reason is mandatory and
+// the analyzer must be registered; a directive that breaks either rule,
+// or whose analyzer ran and found nothing for it to suppress, is itself
+// reported.
 package lint

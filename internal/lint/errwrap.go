@@ -28,15 +28,9 @@ var AnalyzerErrWrap = &Analyzer{
 func runErrWrap(m *Module) []Diagnostic {
 	var out []Diagnostic
 	al := m.loadAllow()
-	allow, _ := al.forAnalyzer("errwrap")
+	allow := al.forAnalyzer("errwrap")
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
-			var funcs []ast.Node
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					funcs = append(funcs, fd)
-				}
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				var found []Diagnostic
 				switch node := n.(type) {
@@ -48,7 +42,7 @@ func runErrWrap(m *Module) []Diagnostic {
 				if len(found) == 0 {
 					return true
 				}
-				if key := enclosingAllowKey(pkg, funcs, n.Pos()); allow[key] {
+				if key := enclosingAllowKey(pkg, f, n.Pos()); allow[key] {
 					al.markUsed("errwrap", key)
 					return true
 				}

@@ -130,6 +130,59 @@ func Stamp() time.Time {
 	wantFindings(t, got, "internal/stats/s.go:7:[determinism]")
 }
 
+// TestSuppressionUnknownAnalyzerIsMalformed: a directive naming no
+// registered analyzer (a retired one, a typo) is a finding that lists
+// the analyzers it could name, whatever set runs.
+func TestSuppressionUnknownAnalyzerIsMalformed(t *testing.T) {
+	m := writeModule(t, map[string]string{
+		"internal/stats/s.go": `package stats
+
+func Buffer(n int) chan int {
+	//lint:ignore chandisc the capacity is the caller's knob
+	return make(chan int, n)
+}
+`,
+	})
+	got := m.Run([]*Analyzer{AnalyzerDeterminism})
+	wantFindings(t, findings(t, m, AnalyzerDeterminism), "internal/stats/s.go:4:[lint]")
+	if want := `unknown analyzer "chandisc" (known: determinism, ctxthread, errwrap, binlayout, deadexport, lockdisc)`; !strings.Contains(got[0].Message, want) {
+		t.Errorf("message = %q, want it to contain %q", got[0].Message, want)
+	}
+}
+
+// TestSuppressionStaleDirectiveReported: a directive whose analyzer ran
+// and found nothing on its line or the next is stale; one that absorbs
+// a finding is not, and one for an analyzer outside the run is not
+// judged.
+func TestSuppressionStaleDirectiveReported(t *testing.T) {
+	m := writeModule(t, map[string]string{
+		"internal/stats/s.go": `package stats
+
+import "time"
+
+func Stamp() time.Time {
+	//lint:ignore determinism demo output only
+	return time.Now()
+}
+
+func Zero() time.Time {
+	//lint:ignore determinism nothing here reads a clock any more
+	return time.Time{}
+}
+
+func Other() int {
+	//lint:ignore errwrap errwrap does not run in this test
+	return 0
+}
+`,
+	})
+	got := m.Run([]*Analyzer{AnalyzerDeterminism})
+	wantFindings(t, findings(t, m, AnalyzerDeterminism), "internal/stats/s.go:11:[determinism]")
+	if !strings.Contains(got[0].Message, "stale suppression") {
+		t.Errorf("message = %q, want the stale-suppression wording", got[0].Message)
+	}
+}
+
 func TestDiagnosticString(t *testing.T) {
 	m := writeModule(t, map[string]string{
 		"internal/stats/s.go": "package stats\n\nimport \"os\"\n\nfunc Env() string { return os.Getenv(\"X\") }\n",

@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// AnalyzerLockDisc enforces mutex discipline on three fronts:
+// AnalyzerLockDisc enforces mutex discipline on two fronts:
 //
 //   - held-across-blocking: a sync.Mutex/RWMutex acquired in a function
 //     must not stay held across a blocking call. The blocking set is
@@ -16,14 +16,11 @@ import (
 //     lock held across core.LoadFrozen is reported even though the
 //     blocking syscall is three calls down. internal/store itself is
 //     exempt: its mutex serializes the store's own I/O by design.
-//   - lock copies: assignments and call arguments that copy a value whose
-//     type (field-sensitively, through nested structs and arrays) contains
-//     a sync.Mutex, RWMutex, WaitGroup, Once or Cond. go vet's copylocks
-//     catches method-set copies; this check also flags copies hidden
-//     behind module-local struct nesting.
 //   - double-lock: a second x.Lock()/x.RLock() on the same receiver along
 //     a straight-line intra-function path with no intervening unlock —
 //     an unconditional self-deadlock.
+//
+// Copies of sync primitives are go vet's copylocks check, which CI runs.
 //
 // The analysis is intra-function and flow-insensitive across branches: a
 // nested block that unlocks anywhere is treated as releasing (no finding
@@ -31,7 +28,7 @@ import (
 // positives.
 var AnalyzerLockDisc = &Analyzer{
 	Name: "lockdisc",
-	Doc:  "no locks held across blocking calls, no lock copies, no double-lock paths",
+	Doc:  "no locks held across blocking calls, no double-lock paths",
 	Run:  runLockDisc,
 }
 
@@ -45,7 +42,7 @@ func runLockDisc(m *Module) []Diagnostic {
 		}
 		return lockDiscExtraBlocking(fn, storePath)
 	}
-	blocking := m.callgraph().blockingClosure(seed)
+	blocking := buildCallGraph(m).blockingClosure(seed)
 
 	for _, pkg := range m.Packages {
 		exemptHeld := pkg.Rel == "internal/store"
@@ -64,8 +61,6 @@ func runLockDisc(m *Module) []Diagnostic {
 			}
 		}
 	}
-
-	out = append(out, runLockCopies(m)...)
 	return out
 }
 
@@ -307,135 +302,4 @@ func exprString(e ast.Expr) string {
 		return exprString(ee.X)
 	}
 	return "<mutex>"
-}
-
-// ---- lock copies ----
-
-// runLockCopies flags value copies of types that field-sensitively
-// contain a sync primitive: x := other, x = *p, f(x) where x's type
-// embeds a Mutex/RWMutex/WaitGroup/Once/Cond anywhere in its struct
-// tree. Composite literals and function results are fresh values, not
-// copies of live state, and are not flagged.
-func runLockCopies(m *Module) []Diagnostic {
-	var out []Diagnostic
-	for _, pkg := range m.Packages {
-		for _, f := range pkg.Files {
-			info := pkg.Info
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch nn := n.(type) {
-				case *ast.AssignStmt:
-					for _, rhs := range nn.Rhs {
-						if bad := copiedLockType(info, rhs); bad != "" {
-							out = append(out, m.diag("lockdisc", rhs.Pos(),
-								"assignment copies a value containing %s; use a pointer", bad))
-						}
-					}
-				case *ast.CallExpr:
-					if isCopyExemptCall(info, nn) {
-						return true
-					}
-					for _, arg := range nn.Args {
-						if bad := copiedLockType(info, arg); bad != "" {
-							out = append(out, m.diag("lockdisc", arg.Pos(),
-								"call argument copies a value containing %s; pass a pointer", bad))
-						}
-					}
-				case *ast.RangeStmt:
-					if nn.Value != nil {
-						if tv, ok := info.Types[nn.X]; ok {
-							if elem := rangeElemType(tv.Type); elem != nil {
-								if bad := containsSyncPrimitive(elem, map[types.Type]bool{}); bad != "" {
-									out = append(out, m.diag("lockdisc", nn.Value.Pos(),
-										"range value copies an element containing %s; range over indices or pointers", bad))
-								}
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// copiedLockType reports the sync primitive a copying expression would
-// duplicate, or "" when the expression is not a live-value copy.
-func copiedLockType(info *types.Info, e ast.Expr) string {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return "" // literals, calls, conversions, &x: not copies of live state
-	}
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-		return ""
-	}
-	return containsSyncPrimitive(tv.Type, map[types.Type]bool{})
-}
-
-// isCopyExemptCall exempts conversions and builtin calls (len, cap,
-// copy, append re-slicing) whose "arguments" are not function-call
-// copies in the flagged sense.
-func isCopyExemptCall(info *types.Info, call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if _, ok := info.Uses[fun].(*types.Builtin); ok {
-			return true
-		}
-		if _, ok := info.Uses[fun].(*types.TypeName); ok {
-			return true
-		}
-	case *ast.SelectorExpr:
-		if _, ok := info.Uses[fun.Sel].(*types.TypeName); ok {
-			return true
-		}
-	}
-	return false
-}
-
-func rangeElemType(t types.Type) types.Type {
-	switch tt := t.Underlying().(type) {
-	case *types.Slice:
-		return tt.Elem()
-	case *types.Array:
-		return tt.Elem()
-	case *types.Map:
-		return tt.Elem()
-	}
-	return nil
-}
-
-// containsSyncPrimitive walks a type's struct tree for sync.Mutex,
-// RWMutex, WaitGroup, Once or Cond fields and names the first hit.
-func containsSyncPrimitive(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond":
-				return "sync." + obj.Name()
-			}
-			return "" // other sync types (Map, Pool) are copy-tolerant enough for vet to own
-		}
-		return containsSyncPrimitive(n.Underlying(), seen)
-	}
-	switch tt := t.(type) {
-	case *types.Struct:
-		for i := 0; i < tt.NumFields(); i++ {
-			if bad := containsSyncPrimitive(tt.Field(i).Type(), seen); bad != "" {
-				return bad
-			}
-		}
-	case *types.Array:
-		return containsSyncPrimitive(tt.Elem(), seen)
-	}
-	return ""
 }

@@ -76,32 +76,6 @@ func (s *S) Dead() {
 	}
 }
 
-func TestLockDiscFlagsLockCopies(t *testing.T) {
-	m := writeModule(t, map[string]string{
-		"internal/a/a.go": `package a
-
-import "sync"
-
-type inner struct{ mu sync.Mutex }
-
-type Box struct {
-	nested inner
-	n      int
-}
-
-func Clone(b Box) int {
-	c := b
-	return c.n
-}
-`,
-	})
-	got := m.Run([]*Analyzer{AnalyzerLockDisc})
-	wantFindings(t, findings(t, m, AnalyzerLockDisc), "internal/a/a.go:13:[lockdisc]")
-	if !strings.Contains(got[0].Message, "sync.Mutex") {
-		t.Fatalf("message = %q, want the nested sync.Mutex named", got[0].Message)
-	}
-}
-
 func TestLockDiscCleanWhenReleasedBeforeBlocking(t *testing.T) {
 	m := writeModule(t, map[string]string{
 		"internal/a/a.go": `package a

@@ -31,17 +31,6 @@ type Module struct {
 	directives map[string][]*directive
 	// allow caches the parsed AllowlistFile for one Run; see allow.go.
 	allow *allowlist
-	// graph caches the intra-module call graph for one Module; the
-	// concurrency analyzers share it.
-	graph *callGraph
-}
-
-// callgraph builds (once) and returns the module's call graph.
-func (m *Module) callgraph() *callGraph {
-	if m.graph == nil {
-		m.graph = buildCallGraph(m)
-	}
-	return m.graph
 }
 
 // Package is one type-checked package of the module.
@@ -336,30 +325,35 @@ func (m *Module) collectDirectives() {
 	}
 }
 
-// suppressed reports whether a directive for the diagnostic's analyzer
-// sits on the finding's line or the line above it.
-func (m *Module) suppressed(d Diagnostic) bool {
+// suppressor returns the directive for the diagnostic's analyzer on the
+// finding's line or the line above it, or nil.
+func (m *Module) suppressor(d Diagnostic) *directive {
 	for _, dir := range m.directives[d.Pos.Filename] {
 		if dir.analyzer != d.Analyzer || dir.reason == "" {
 			continue
 		}
 		if dir.pos.Line == d.Pos.Line || dir.pos.Line == d.Pos.Line-1 {
-			return true
+			return dir
 		}
 	}
-	return false
+	return nil
 }
 
 // Run executes the analyzers, drops suppressed findings, reports
-// malformed suppressions and allowlist lines, and returns everything in
-// stable order. The allowlist is re-read from disk on every Run, so a
-// -fix-allow rewrite between runs is observed.
+// malformed and stale suppressions and allowlist lines, and returns
+// everything in stable order. A directive is malformed when it has no
+// reason or names no registered analyzer, and stale when its analyzer
+// ran and it suppressed nothing.
 func (m *Module) Run(analyzers []*Analyzer) []Diagnostic {
 	m.allow = nil
+	ran := map[string]bool{}
+	used := map[*directive]bool{}
 	var out []Diagnostic
 	for _, a := range analyzers {
+		ran[a.Name] = true
 		for _, d := range a.Run(m) {
-			if m.suppressed(d) {
+			if dir := m.suppressor(d); dir != nil {
+				used[dir] = true
 				continue
 			}
 			out = append(out, d)
@@ -368,14 +362,24 @@ func (m *Module) Run(analyzers []*Analyzer) []Diagnostic {
 	if m.allow != nil {
 		out = append(out, m.allow.diags...)
 	}
+	known := map[string]bool{}
+	var names []string
+	for _, a := range All() {
+		known[a.Name] = true
+		names = append(names, a.Name)
+	}
 	for _, dirs := range m.directives {
 		for _, dir := range dirs {
-			if dir.analyzer == "" || dir.reason == "" {
-				out = append(out, Diagnostic{
-					Pos:      dir.pos,
-					Analyzer: "lint",
-					Message:  "malformed suppression: want //lint:ignore <analyzer> <reason> (the reason is mandatory)",
-				})
+			switch {
+			case dir.analyzer == "" || dir.reason == "":
+				out = append(out, Diagnostic{Pos: dir.pos, Analyzer: "lint",
+					Message: "malformed suppression: want //lint:ignore <analyzer> <reason> (the reason is mandatory)"})
+			case !known[dir.analyzer]:
+				out = append(out, Diagnostic{Pos: dir.pos, Analyzer: "lint",
+					Message: fmt.Sprintf("malformed suppression: unknown analyzer %q (known: %s)", dir.analyzer, strings.Join(names, ", "))})
+			case ran[dir.analyzer] && !used[dir]:
+				out = append(out, Diagnostic{Pos: dir.pos, Analyzer: dir.analyzer,
+					Message: "stale suppression: no " + dir.analyzer + " finding on this line or the next; delete the directive"})
 			}
 		}
 	}
@@ -410,17 +414,28 @@ func (m *Module) internalPath(rel string) string {
 	return m.Path + "/" + rel
 }
 
+// namedOf unwraps pointers to reach a named type.
+func namedOf(t types.Type) *types.Named {
+	for {
+		switch tt := t.(type) {
+		case *types.Pointer:
+			t = tt.Elem()
+		case *types.Named:
+			return tt
+		default:
+			return nil
+		}
+	}
+}
+
 // All returns every registered analyzer in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerDeterminism,
-		AnalyzerViewOnly,
 		AnalyzerCtxThread,
 		AnalyzerErrWrap,
 		AnalyzerBinLayout,
 		AnalyzerDeadExport,
-		AnalyzerGoLeak,
 		AnalyzerLockDisc,
-		AnalyzerChanDisc,
 	}
 }

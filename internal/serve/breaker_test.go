@@ -59,7 +59,7 @@ func TestBreakerBelowMinRequestsNeverTrips(t *testing.T) {
 	clk := newFakeClock()
 	b := newTestBreaker(clk)
 	for i := 0; i < 3; i++ {
-		_ = b.do(context.Background(), failCall) //lint:ignore errwrap intentional failures feeding the window
+		_ = b.do(context.Background(), failCall)
 	}
 	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state with 3 < MinRequests failures = %v, want closed", got)
@@ -82,7 +82,7 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	}
 	// The window was reset: three fresh failures stay below MinRequests.
 	for i := 0; i < 3; i++ {
-		_ = b.do(context.Background(), failCall) //lint:ignore errwrap intentional failures feeding the window
+		_ = b.do(context.Background(), failCall)
 	}
 	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state after reset + 3 failures = %v, want closed", got)
@@ -150,7 +150,7 @@ func TestBreakerIgnoresClientCancellation(t *testing.T) {
 	b := newTestBreaker(clk)
 	walkedAway := func(context.Context) error { return context.Canceled }
 	for i := 0; i < 8; i++ {
-		_ = b.do(context.Background(), walkedAway) //lint:ignore errwrap intentional cancellations feeding the window
+		_ = b.do(context.Background(), walkedAway)
 	}
 	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state after cancellations = %v, want closed", got)
@@ -188,10 +188,10 @@ func TestBreakerWindowAgesOutOldFailures(t *testing.T) {
 	// traffic: the old failures age out and cannot combine with later
 	// ones to trip.
 	for i := 0; i < 3; i++ {
-		_ = b.do(context.Background(), failCall) //lint:ignore errwrap intentional failures feeding the window
+		_ = b.do(context.Background(), failCall)
 	}
 	clk.Advance(11 * time.Second)
-	_ = b.do(context.Background(), failCall) //lint:ignore errwrap intentional failure feeding the window
+	_ = b.do(context.Background(), failCall)
 	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state = %v, want closed (old failures aged out)", got)
 	}

@@ -35,9 +35,7 @@ type gate struct {
 
 func newGate(maxConcurrent, queueDepth int) *gate {
 	return &gate{
-		//lint:ignore chandisc the capacity IS the operator's knob: Options.MaxConcurrent sizes the gate per deployment, validated at construction
 		slots: make(chan struct{}, maxConcurrent),
-		//lint:ignore chandisc same knob: Options.QueueDepth is deployment-sized, not a code constant
 		queue: make(chan struct{}, queueDepth),
 	}
 }

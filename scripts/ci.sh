@@ -3,13 +3,15 @@
 # detector. The parallel kernels' equivalence tests make -race meaningful:
 # every pool-backed code path runs at multiple worker counts.
 #
-# The crawler and apiserver packages additionally carry a coverage floor:
-# the chaos suite (fault injection + kill/resume) is the proof that the
-# collection layer tolerates real-world API behaviour, so its coverage
-# must not silently rot.
+# Fifteen packages additionally carry a coverage floor (the end of this
+# script says why each one does), starting with the collection layer:
+# the crawler and apiserver chaos suites (fault injection + kill/resume)
+# are the proof that it tolerates real-world API behaviour.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# go vet is also the lock-copy gate: its copylocks check flags any copy
+# of a value holding a sync primitive, through nested structs too.
 go vet ./...
 go build ./...
 
@@ -23,12 +25,12 @@ git archive "$(git write-tree)" | tar -x -C "$export_dir"
 (cd "$export_dir" && go build ./... && go vet ./...)
 echo "module builds from the git export"
 
-# Invariant analyzers run before the tests: a determinism/viewonly/
-# ctxthread/errwrap/binlayout violation, an exported name in internal/
-# that no non-test code references (deadexport), a concurrency-safety
-# finding from goleak/lockdisc/chandisc, or a stale crowdlint.allow
-# entry (the tool reports those as findings) fails CI before a single
-# test executes.
+# Invariant analyzers run before the tests: a determinism/ctxthread/
+# errwrap/binlayout violation, an exported name in internal/ that no
+# non-test code references (deadexport), a lock held across blocking
+# work or locked twice (lockdisc), or a stale crowdlint.allow entry or
+# //lint:ignore directive (the tool reports those as findings) fails CI
+# before a single test executes.
 go run ./cmd/crowdlint ./...
 
 # Race-detector suites. halt_on_error=1 makes the first detected race
