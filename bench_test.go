@@ -2,9 +2,10 @@ package crowdscope
 
 // The benchmark harness regenerates every table and figure in the paper's
 // evaluation (see DESIGN.md §3 for the experiment index) plus the ablations
-// A1, A2 and A5. Each benchmark reports the figure's headline quantities
+// A1 and A2. Each benchmark reports the figure's headline quantities
 // as custom metrics so `go test -bench` output doubles as the
-// reproduction record.
+// reproduction record. The shared fixture is scale 0.01; crowdscope
+// analyze -scale prints the same experiments at any scale.
 
 import (
 	"context"
@@ -12,7 +13,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -23,23 +23,8 @@ import (
 	"crowdscope/internal/crawler"
 	"crowdscope/internal/ecosystem"
 	"crowdscope/internal/graph"
-	"crowdscope/internal/store"
 	"crowdscope/internal/viz"
 )
-
-// benchScale balances realism against bench runtime; override with
-// CROWDSCOPE_BENCH_SCALE for larger reproductions.
-const defaultBenchScale = 0.01
-
-func benchScale() float64 {
-	if v := os.Getenv("CROWDSCOPE_BENCH_SCALE"); v != "" {
-		var f float64
-		if _, err := fmt.Sscanf(v, "%g", &f); err == nil && f > 0 && f <= 1 {
-			return f
-		}
-	}
-	return defaultBenchScale
-}
 
 var (
 	benchOnce sync.Once
@@ -53,7 +38,7 @@ var (
 func fixture(b *testing.B) (*Pipeline, *crawler.Snapshot, *Analysis) {
 	b.Helper()
 	benchOnce.Do(func() {
-		p, err := NewPipeline(PipelineConfig{Seed: 42, Scale: benchScale()})
+		p, err := NewPipeline(PipelineConfig{Seed: 42, Scale: 0.01})
 		if err != nil {
 			benchErr = err
 			return
@@ -418,83 +403,6 @@ func BenchmarkA2PlantedRecovery(b *testing.B) {
 				f1 = community.RecoveryScore(truth, a.Investors)
 			}
 			b.ReportMetric(f1, "recovery_f1")
-		})
-	}
-}
-
-// ---- A5: store scan ablation ----
-
-// BenchmarkA5StoreScan measures namespace scan throughput across segment
-// sizes.
-func BenchmarkA5StoreScan(b *testing.B) {
-	type rec struct {
-		ID   int    `json:"id"`
-		Body string `json:"body"`
-	}
-	for _, segBytes := range []int64{64 << 10, 1 << 20, 8 << 20} {
-		b.Run(fmt.Sprintf("segment=%dKiB", segBytes/1024), func(b *testing.B) {
-			st, err := store.Open(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			st.SegmentBytes = segBytes
-			w, err := st.Writer("bench", 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			const n = 20000
-			var total int64
-			for i := 0; i < n; i++ {
-				if err := w.Append("", rec{ID: i, Body: "crowdfunding social network record payload"}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-			stats, _ := st.Stats("bench")
-			total = stats.Bytes
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				count := 0
-				err := st.Scan("bench", func([]byte) error { count++; return nil })
-				if err != nil {
-					b.Fatal(err)
-				}
-				if count != n {
-					b.Fatalf("scanned %d", count)
-				}
-			}
-			b.SetBytes(total)
-		})
-	}
-}
-
-// ---- Parallel kernel scaling ----
-
-// BenchmarkCoDAParallel measures the parallel block-coordinate CoDA fit
-// across worker counts, reporting speedup over the single-worker run; the
-// fit is bit-identical at every width. The planted graph (320 investors ×
-// 200 companies) spans five 64-row sweep blocks on one side and four,
-// the last partial, on the other, so the speedup prices the per-block
-// hand-off between workers.
-func BenchmarkCoDAParallel(b *testing.B) {
-	bp, _ := plantedBenchGraph(8, 40, 25, 0.6, 0.1, 7)
-	var baseline float64
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := &community.CoDA{K: 8, Seed: 7, MaxIter: 10, Workers: workers}
-				if _, err := c.Detect(bp); err != nil {
-					b.Fatal(err)
-				}
-			}
-			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if workers == 1 {
-				baseline = perOp
-			} else if baseline > 0 {
-				b.ReportMetric(baseline/perOp, "speedup")
-			}
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"crowdscope"
@@ -13,6 +14,9 @@ import (
 	"crowdscope/internal/parallel"
 	"crowdscope/internal/viz"
 )
+
+// experiments are the -exp values analyze accepts.
+var experiments = []string{"e1", "fig3", "fig4", "fig5", "fig6", "fig7", "e4", "e5", "e9", "e11", "e12", "e13", "all"}
 
 // runAnalyze runs the paper's full evaluation over a fresh end-to-end
 // pipeline run (NewPipeline → Crawl → Analyze) and prints every table
@@ -30,11 +34,14 @@ import (
 func runAnalyze(ctx context.Context, args []string, stdout io.Writer) error {
 	var o options
 	fs := o.flagSet("analyze", "seed", "scale", "out", "workers")
-	exp := fs.String("exp", "all", "experiment: e1,fig3,fig4,fig5,fig6,fig7,e4,e5,e9,e11,e12,e13,all")
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(experiments, ","))
 	pairs := fs.Int("pairs", 100000, "global pair-sample size for fig4 (paper: 800000)")
 	layout := fs.String("layout", "force", "Figure 7 SVG layout: force (Fruchterman-Reingold) or band (bipartite columns)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !slices.Contains(experiments, *exp) {
+		return fmt.Errorf("unknown experiment %q (want one of %s)", *exp, strings.Join(experiments, ", "))
 	}
 	if *layout != "force" && *layout != "band" {
 		return fmt.Errorf("unknown layout %q", *layout)

@@ -5,14 +5,18 @@
 //	crowdscope crawl   -store DIR [-snapshots 3 -days 7] [-fault-rate 0.05 -fault-seed 7] [-resume]
 //	crowdscope analyze -seed 42 -scale 0.01 [-exp fig6] [-out DIR] [-layout band]
 //	crowdscope query   -store DIR [-explain] [-rebuild-snapshot] [STATEMENT]
-//	crowdscope serve   -store DIR -addr :8080
+//	crowdscope serve   -store DIR -addr :8080 [-refresh 5s]
 //	crowdscope fleet   -store DIR -addr :8080 [-crawl-workers 3 -replicas 2]
 //	crowdscope scale   -scale 1 -shards 16 [-store DIR]
 //
 // A flag two subcommands share (-seed, -scale, -store, -out, -workers,
 // -fault-rate, -fault-seed, -addr, -drain-timeout) is declared once, in
 // options.flagSet, and means the same thing with the same default
-// wherever it appears. "crowdscope <command> -h" lists a command's flags.
+// wherever it appears. "crowdscope <command> -h" lists a command's flags;
+// testdata/flags.golden holds all of them. Flags are the experiment's
+// inputs and deployment settings only: serving bounds, breaker
+// thresholds, fleet partitioning, lease TTL and analysis budget each
+// have one value, a constant in their package.
 package main
 
 import (

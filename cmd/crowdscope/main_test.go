@@ -25,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -482,6 +483,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{[]string{"serve"}, "-store is required"},
 		{[]string{"fleet"}, "-store is required"},
 		{[]string{"analyze", "-layout", "spiral"}, `unknown layout "spiral"`},
+		{[]string{"analyze", "-exp", "e99"}, `unknown experiment "e99" (want one of e1, fig3,`},
 		{[]string{"gen", "-no-such-flag"}, "flag provided but not defined"},
 	} {
 		err := run(context.Background(), tc.args, io.Discard)
@@ -492,4 +494,58 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	if err := run(context.Background(), []string{"scale", "-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("scale -h = %v, want flag.ErrHelp", err)
 	}
+}
+
+// TestFlagsGolden pins the command-line surface: every subcommand's
+// flags with their types and defaults, as "<command> -h" prints them.
+// A new flag, or a changed default, is a diff against the golden.
+func TestFlagsGolden(t *testing.T) {
+	names := make([]string, 0, len(commands))
+	for name := range commands {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	// "  -name type" starts a flag; its usage line may end "(default v)".
+	defaultRE := regexp.MustCompile(`\(default (.*)\)$`)
+	var got strings.Builder
+	for _, name := range names {
+		line := ""
+		for _, l := range strings.Split(helpOutput(t, name), "\n") {
+			switch {
+			case strings.HasPrefix(l, "  -"):
+				if line != "" {
+					got.WriteString(line + "\n")
+				}
+				line = name + " " + strings.TrimSpace(l)
+			case line != "" && defaultRE.MatchString(l):
+				line += " = " + defaultRE.FindStringSubmatch(l)[1]
+			}
+		}
+		if line != "" {
+			got.WriteString(line + "\n")
+		}
+	}
+	assertSame(t, "flags", got.String(), golden(t, "flags.golden"))
+}
+
+// helpOutput returns what "crowdscope <cmd> -h" writes to stderr.
+func helpOutput(t *testing.T, cmd string) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run(context.Background(), []string{cmd, "-h"}, io.Discard)
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("%s -h = %v, want flag.ErrHelp", cmd, err)
+	}
+	raw, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }

@@ -62,8 +62,6 @@ func runScale(ctx context.Context, args []string, stdout io.Writer) error {
 	var o options
 	fs := o.flagSet("scale", "seed", "scale", "store", "workers")
 	shards := fs.Int("shards", 16, "store shard count for every namespace")
-	edgeLimit := fs.Int("community-edge-limit", core.DefaultBudget().CommunityEdgeLimit, "exact community detection up to this many filtered edges; 0 = always exact")
-	maxDeg := fs.Int("max-left-degree", core.DefaultBudget().MaxLeftDegree, "per-investor degree cap in the sampled regime")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -108,7 +106,8 @@ func runScale(ctx context.Context, args []string, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
-			budget := core.Budget{CommunityEdgeLimit: *edgeLimit, MaxLeftDegree: *maxDeg, Seed: o.seed}
+			budget := core.DefaultBudget()
+			budget.Seed = o.seed
 			a, err := core.Analyze(ctx, frozen, 4, cfg.NumCommunities(), o.workers, budget)
 			if err != nil {
 				return err

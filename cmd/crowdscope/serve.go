@@ -35,11 +35,7 @@ import (
 func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	var o options
 	fs := o.flagSet("serve", "store", "addr", "drain-timeout")
-	maxConcurrent := fs.Int("max-concurrent", serve.DefaultMaxConcurrent, "max requests executing at once")
-	queueDepth := fs.Int("queue-depth", serve.DefaultQueueDepth, "max requests waiting for a slot before shedding")
-	routeTimeout := fs.Duration("route-timeout", serve.DefaultRouteTimeout, "per-request deadline propagated into store reads")
 	refresh := fs.Duration("refresh", 5*time.Second, "poll interval for new frozen snapshots")
-	resultCache := fs.Int("result-cache", serve.DefaultResultCacheSize, "query result cache entries per snapshot (negative disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -57,13 +53,9 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	srv := serve.New(&serve.StoreBackend{Store: st}, serve.Options{
-		MaxConcurrent:   *maxConcurrent,
-		QueueDepth:      *queueDepth,
-		RouteTimeout:    *routeTimeout,
-		ResultCacheSize: *resultCache,
-		DeltaRefresh:    true,
-		Logf:            log.Printf,
-		Clock:           time.Now,
+		DeltaRefresh: true,
+		Logf:         log.Printf,
+		Clock:        time.Now,
 	})
 	// Load the first snapshot; an empty or faulty store is not fatal —
 	// the server starts unready and keeps retrying on the ticker.
@@ -98,39 +90,36 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	return err
 }
 
+// maxWaves is how many worker waves fleet runs before giving up the
+// crawl.
+const maxWaves = 10
+
 // runFleet runs the distributed collection + replicated serving demo in
 // one process tree: it generates a world, serves it through the
-// simulated APIs, partitions the raising listing across
-// -crawl-workers lease-coordinated crawl workers, merges their partial
-// snapshots into one frozen artifact (byte-identical to a single-worker
-// crawl), brings up -replicas read-only serving replicas over the
-// merged store, and fronts them with a health-checked round-robin proxy
-// on -addr.
+// simulated APIs, partitions the raising listing (two partitions per
+// worker) across -crawl-workers lease-coordinated crawl workers, merges
+// their partial snapshots into one frozen artifact (byte-identical to a
+// single-worker crawl), brings up -replicas read-only serving replicas
+// over the merged store, and fronts them with a health-checked
+// round-robin proxy on -addr.
 //
 // Workers claim seed partitions through fencing-token leases persisted
 // in the store's fleet/leases namespace; a crashed worker's lease
-// expires (-lease-ttl) and a surviving worker resumes its partition
-// from the fenced checkpoints. The front serves every serve route,
-// retrying idempotent reads on the next replica so a dying replica
-// never surfaces a 5xx while another is healthy.
+// expires (fleet.DefaultLeaseTTL) and a surviving worker resumes its
+// partition from the fenced checkpoints. The front serves every serve
+// route, retrying idempotent reads on the next replica so a dying
+// replica never surfaces a 5xx while another is healthy.
 func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 	var o options
 	fs := o.flagSet("fleet", "seed", "scale", "store", "addr", "fault-rate", "fault-seed", "drain-timeout")
 	crawlWorkers := fs.Int("crawl-workers", 3, "fleet crawl workers")
-	partitions := fs.Int("partitions", 0, "seed partitions (default 2x workers)")
-	fetchers := fs.Int("fetchers", 4, "parallel fetches per worker")
 	replicas := fs.Int("replicas", 2, "serving replicas behind the front")
-	leaseTTL := fs.Duration("lease-ttl", fleet.DefaultLeaseTTL, "partition lease lifetime without renewal")
-	maxWaves := fs.Int("max-waves", 10, "worker waves before giving up the crawl")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	dir, err := o.storeDir()
 	if err != nil {
 		return err
-	}
-	if *partitions <= 0 {
-		*partitions = 2 * *crawlWorkers
 	}
 
 	// The simulated social APIs the fleet crawls, on a loopback port.
@@ -162,10 +151,10 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	parts := fleet.PartitionSeeds(seeds, *partitions)
+	parts := fleet.PartitionSeeds(seeds, 2*(*crawlWorkers))
 	fmt.Fprintf(stdout, "fleet: %d seeds in %d partitions, %d workers\n", len(seeds), len(parts), *crawlWorkers)
 
-	leases := &fleet.Leases{Store: st, Clock: time.Now, TTL: *leaseTTL}
+	leases := &fleet.Leases{Store: st, Clock: time.Now}
 	for wave := 0; ; wave++ {
 		done, err := fleet.AllDone(ctx, st, parts)
 		if err != nil {
@@ -174,7 +163,7 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 		if done {
 			break
 		}
-		if wave >= *maxWaves {
+		if wave >= maxWaves {
 			return fmt.Errorf("crawl incomplete after %d worker waves", wave)
 		}
 		workers := make([]*fleet.Worker, *crawlWorkers)
@@ -186,13 +175,12 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 			// A worker sleeping past its lease TTL would be fenced out
 			// anyway; fail the partition attempt instead and let the
 			// next wave resume from its checkpoints.
-			client.MaxSleepPerCall = *leaseTTL
+			client.MaxSleepPerCall = fleet.DefaultLeaseTTL
 			workers[i] = &fleet.Worker{
-				ID:       fmt.Sprintf("worker-%d-wave-%d", i, wave),
-				Client:   client,
-				Store:    st,
-				Leases:   leases,
-				Fetchers: *fetchers,
+				ID:     fmt.Sprintf("worker-%d-wave-%d", i, wave),
+				Client: client,
+				Store:  st,
+				Leases: leases,
 			}
 		}
 		if err := fleet.RunWorkers(ctx, workers, parts); err != nil {
@@ -203,7 +191,7 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 			// fatal to the fleet: surviving checkpoints carry the next
 			// wave forward once stale leases expire.
 			log.Printf("wave %d: %v", wave, err)
-			sleepCtx(ctx, *leaseTTL)
+			sleepCtx(ctx, fleet.DefaultLeaseTTL)
 		}
 		for _, w := range workers {
 			fmt.Fprintf(stdout, "  %s: claimed %d, completed %d partitions\n", w.ID, w.Claimed, w.Completed)

@@ -61,12 +61,13 @@ type PipelineConfig struct {
 	// Resume continues the next Crawl from its latest checkpoint
 	// (implies Checkpoint).
 	Resume bool
-	// TwitterLimit overrides the simulated Twitter rate window. The
-	// default is effectively unlimited because the pipeline runs in
-	// simulated time; the token-rotation ablation reinstates the real
-	// 180-calls/15-minute window against a fake clock.
-	TwitterLimit int
 }
+
+// twitterLimit lifts the simulated Twitter rate window out of the
+// pipeline's way: it runs in simulated time. The token-rotation
+// ablation reinstates the real 180-calls/15-minute window against a
+// fake clock on its own API server.
+const twitterLimit = 1 << 30
 
 // Pipeline owns one generated world, its simulated API server, and the
 // crawled store.
@@ -116,13 +117,10 @@ func NewPipelineFromWorld(world *ecosystem.World, cfg PipelineConfig) (*Pipeline
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
-	if cfg.TwitterLimit <= 0 {
-		cfg.TwitterLimit = 1 << 30
-	}
 	srv := apiserver.New(world, apiserver.Options{
 		Tokens:       cfg.Tokens,
 		Faults:       cfg.Faults,
-		TwitterLimit: cfg.TwitterLimit,
+		TwitterLimit: twitterLimit,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	client, err := crawler.NewClient(ts.URL, cfg.Tokens)

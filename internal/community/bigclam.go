@@ -11,17 +11,13 @@ import (
 
 // BigCLAM fits the undirected cluster-affiliation model (Yang–Leskovec,
 // WSDM'13) to the one-mode projection of the investor graph: investors are
-// linked when they co-invested in at least MinShared companies, and
+// linked when they co-invested in at least minShared companies, and
 // p(u,v) = 1 − exp(−F_u·F_v). It is the natural baseline for CoDA — what
 // the paper's analysis would look like if the bipartite structure were
 // projected away first.
 type BigCLAM struct {
-	K          int
-	MinShared  int // projection threshold; default 1
-	MaxIter    int
-	Tol        float64
-	Seed       int64
-	MinMembers int
+	K    int
+	Seed int64
 }
 
 // Name implements Detector.
@@ -36,23 +32,7 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	if n == 0 {
 		return &Assignment{}, nil
 	}
-	minShared := b.MinShared
-	if minShared <= 0 {
-		minShared = 1
-	}
-	maxIter := b.MaxIter
-	if maxIter <= 0 {
-		maxIter = 50
-	}
-	tol := b.Tol
-	if tol <= 0 {
-		tol = 1e-4
-	}
-	minMembers := b.MinMembers
-	if minMembers <= 0 {
-		minMembers = 3
-	}
-	adj := projectionAdjacency(bp, minShared)
+	adj := projectionAdjacency(bp)
 	var edges int
 	for _, nb := range adj {
 		edges += len(nb)
@@ -104,7 +84,7 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	SF := colSums(F, K)
 	scratch := newRowScratch(K)
 	prevL := math.Inf(-1)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < fitMaxIter; iter++ {
 		var total float64
 		for u := 0; u < n; u++ {
 			// Exclude self from the non-neighbor sum.
@@ -121,7 +101,7 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 			if denom < 1e-12 {
 				denom = 1e-12
 			}
-			if (total-prevL)/denom < tol && total >= prevL {
+			if (total-prevL)/denom < fitTol && total >= prevL {
 				break
 			}
 		}
@@ -154,7 +134,7 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 
 // projectionAdjacency converts ProjectLeft edges into adjacency lists over
 // left indices (unweighted).
-func projectionAdjacency(bp graph.BipartiteView, minShared int) [][]int32 {
+func projectionAdjacency(bp graph.BipartiteView) [][]int32 {
 	adj := make([][]int32, bp.NumLeft())
 	for _, e := range graph.ProjectLeft(bp, minShared) {
 		adj[e.U] = append(adj[e.U], e.V)

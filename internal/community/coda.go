@@ -28,15 +28,8 @@ type CoDA struct {
 	// K is the number of communities to fit (the paper's run found 96 at
 	// full scale).
 	K int
-	// MaxIter bounds outer sweeps; default 50.
-	MaxIter int
-	// Tol stops when the relative likelihood improvement per sweep falls
-	// below it; default 1e-4.
-	Tol float64
 	// Seed drives initialization noise.
 	Seed int64
-	// MinMembers drops communities with fewer investor members; default 3.
-	MinMembers int
 	// Workers bounds the parallelism of the block-coordinate sweeps;
 	// <= 0 selects the process-default pool. Rows within a sweep are
 	// independent given the opposite matrix and the column-sum caches;
@@ -57,14 +50,6 @@ func (c *CoDA) fit(b graph.BipartiteView) (F, H [][]float64, err error) {
 		return nil, nil, fmt.Errorf("community: CoDA needs K > 0, got %d", c.K)
 	}
 	nL, nR := b.NumLeft(), b.NumRight()
-	maxIter := c.MaxIter
-	if maxIter <= 0 {
-		maxIter = 50
-	}
-	tol := c.Tol
-	if tol <= 0 {
-		tol = 1e-4
-	}
 	K := c.K
 	rng := rand.New(rand.NewSource(c.Seed))
 
@@ -86,7 +71,7 @@ func (c *CoDA) fit(b graph.BipartiteView) (F, H [][]float64, err error) {
 	}
 
 	prevL := math.Inf(-1)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < fitMaxIter; iter++ {
 		total := sweep(pool, scratch, F, b.Fwd, H, SH, SF)
 		// Companies: their neighbours are investors, roles swapped.
 		sweep(pool, scratch, H, b.Rev, F, SF, SH)
@@ -95,7 +80,7 @@ func (c *CoDA) fit(b graph.BipartiteView) (F, H [][]float64, err error) {
 			if denom < 1e-12 {
 				denom = 1e-12
 			}
-			if (total-prevL)/denom < tol && total >= prevL {
+			if (total-prevL)/denom < fitTol && total >= prevL {
 				prevL = total
 				break
 			}
@@ -114,10 +99,6 @@ func (c *CoDA) Detect(b graph.BipartiteView) (*Assignment, error) {
 	}
 	if nL == 0 || nR == 0 || b.NumEdges() == 0 {
 		return &Assignment{}, nil
-	}
-	minMembers := c.MinMembers
-	if minMembers <= 0 {
-		minMembers = 3
 	}
 	K := c.K
 

@@ -13,11 +13,12 @@ import (
 // "standard community detection on undirected graphs" family the paper
 // contrasts CoDA with.
 type LabelProp struct {
-	MinShared  int // projection threshold; default 1
-	MaxIter    int // default 30
-	Seed       int64
-	MinMembers int // default 3
+	Seed int64
 }
+
+// labelPropRounds bounds the propagation rounds; it stops sooner once a
+// round changes no label.
+const labelPropRounds = 30
 
 // Name implements Detector.
 func (l *LabelProp) Name() string { return "labelprop" }
@@ -27,18 +28,6 @@ func (l *LabelProp) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	n := bp.NumLeft()
 	if n == 0 {
 		return &Assignment{}, nil
-	}
-	minShared := l.MinShared
-	if minShared <= 0 {
-		minShared = 1
-	}
-	maxIter := l.MaxIter
-	if maxIter <= 0 {
-		maxIter = 30
-	}
-	minMembers := l.MinMembers
-	if minMembers <= 0 {
-		minMembers = 3
 	}
 	type wEdge struct {
 		to int32
@@ -60,7 +49,7 @@ func (l *LabelProp) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	}
 	rng := rand.New(rand.NewSource(l.Seed))
 	votes := map[int32]float64{}
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < labelPropRounds; iter++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		changed := 0
 		for _, u := range order {

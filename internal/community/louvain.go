@@ -11,11 +11,11 @@ import (
 // then graph aggregation, repeated until modularity stops improving). A
 // disjoint-communities baseline for CoDA.
 type Louvain struct {
-	MinShared  int // projection threshold; default 1
-	MaxLevels  int // default 10
-	Seed       int64
-	MinMembers int // default 3
+	Seed int64
 }
+
+// louvainLevels bounds the move-then-aggregate levels.
+const louvainLevels = 10
 
 // Name implements Detector.
 func (l *Louvain) Name() string { return "louvain" }
@@ -43,19 +43,6 @@ func (l *Louvain) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	if n == 0 {
 		return &Assignment{}, nil
 	}
-	minShared := l.MinShared
-	if minShared <= 0 {
-		minShared = 1
-	}
-	maxLevels := l.MaxLevels
-	if maxLevels <= 0 {
-		maxLevels = 10
-	}
-	minMembers := l.MinMembers
-	if minMembers <= 0 {
-		minMembers = 3
-	}
-
 	g := &louvainGraph{
 		n:     n,
 		adj:   make([]map[int]float64, n),
@@ -83,7 +70,7 @@ func (l *Louvain) Detect(bp graph.BipartiteView) (*Assignment, error) {
 		membership[i] = i
 	}
 
-	for level := 0; level < maxLevels; level++ {
+	for level := 0; level < louvainLevels; level++ {
 		comm, improved := l.onePass(g, rng)
 		if !improved {
 			break

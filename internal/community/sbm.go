@@ -22,13 +22,14 @@ import (
 // where m_rs is the weight between blocks r and s and κ_r the total
 // degree of block r.
 type SBM struct {
-	K          int
-	MinShared  int // projection threshold; default 1
-	MaxSweeps  int // greedy refinement sweeps; default 20
-	PowerIters int // orthogonal-iteration steps; default 50
-	Seed       int64
-	MinMembers int // default 3
+	K    int
+	Seed int64
 }
+
+const (
+	sbmSweeps     = 20 // bound on the greedy refinement sweeps
+	sbmPowerIters = 50 // orthogonal-iteration steps
+)
 
 // Name implements Detector.
 func (s *SBM) Name() string { return "sbm" }
@@ -41,22 +42,6 @@ func (s *SBM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	n := bp.NumLeft()
 	if n == 0 {
 		return &Assignment{}, nil
-	}
-	minShared := s.MinShared
-	if minShared <= 0 {
-		minShared = 1
-	}
-	maxSweeps := s.MaxSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = 20
-	}
-	powerIters := s.PowerIters
-	if powerIters <= 0 {
-		powerIters = 50
-	}
-	minMembers := s.MinMembers
-	if minMembers <= 0 {
-		minMembers = 3
 	}
 	K := s.K
 	if K > n {
@@ -105,7 +90,7 @@ func (s *SBM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 			}
 		}
 	}
-	for it := 0; it < powerIters; it++ {
+	for it := 0; it < sbmPowerIters; it++ {
 		for d := range vecs {
 			apply(vecs[d], tmp)
 			copy(vecs[d], tmp)
@@ -138,7 +123,7 @@ func (s *SBM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 		order[i] = i
 	}
 	wTo := make([]float64, K)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	for sweep := 0; sweep < sbmSweeps; sweep++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		moves := 0
 		for _, u := range order {

@@ -69,6 +69,21 @@ func uniqSorted(xs []int32) []int32 {
 	return out
 }
 
+// Every detector runs at one setting: callers choose K, the seed and
+// CoDA's worker count, nothing else.
+const (
+	// minMembers is the fewest investors a reported community has.
+	minMembers = 3
+	// minShared is how many companies two investors must share to be
+	// linked in the one-mode projection the baselines cluster.
+	minShared = 1
+	// fitMaxIter bounds the CoDA and BigCLAM sweeps; a fit stops sooner
+	// once a sweep improves the likelihood by a relative amount under
+	// fitTol.
+	fitMaxIter = 50
+	fitTol     = 1e-4
+)
+
 // Detector is the common interface of all community-detection algorithms,
 // used by the comparison experiments.
 type Detector interface {

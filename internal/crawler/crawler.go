@@ -46,10 +46,6 @@ type Crawler struct {
 	Client *Client
 	// Workers bounds parallel fetches per phase. Default 8.
 	Workers int
-	// MaxRounds caps BFS depth (0 = unlimited), for partial crawls.
-	MaxRounds int
-	// SkipAugmentation collects only the AngelList graph.
-	SkipAugmentation bool
 	// Seeds, when non-empty, replaces the raising listing as the BFS
 	// seed set (worker mode): a fleet coordinator fetches the listing
 	// once, partitions it, and hands each worker its slice. The crawl is
@@ -154,19 +150,17 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 			return nil, err
 		}
 		phase = PhaseAugment
-		if !cr.SkipAugmentation {
-			// Mark the phase transition so a crash between phases resumes
-			// directly into augmentation.
-			if err := save(Checkpoint{Phase: PhaseAugment, Round: snap.Stats.Rounds}); err != nil {
-				return nil, err
-			}
+		// Mark the phase transition so a crash between phases resumes
+		// directly into augmentation.
+		if err := save(Checkpoint{Phase: PhaseAugment, Round: snap.Stats.Rounds}); err != nil {
+			return nil, err
 		}
 	}
 
 	snap.Stats.StartupsCrawled = len(snap.Startups)
 	snap.Stats.UsersCrawled = len(snap.Users)
 
-	if phase == PhaseAugment && !cr.SkipAugmentation {
+	if phase == PhaseAugment {
 		if err := cr.augment(ctx, workers, snap, &mu, augmentDone, save); err != nil {
 			return nil, err
 		}
@@ -187,10 +181,6 @@ func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *
 			return err
 		}
 		snap.Stats.Rounds++
-		if cr.MaxRounds > 0 && snap.Stats.Rounds > cr.MaxRounds {
-			snap.Stats.Rounds--
-			break
-		}
 		var nextStartups, nextUsers []string
 
 		// Fetch every startup in the frontier plus its follower list; the

@@ -201,22 +201,6 @@ func TestCrawlContextCancellation(t *testing.T) {
 	}
 }
 
-func TestCrawlMaxRounds(t *testing.T) {
-	w, _, client := harness(t, apiserver.Options{})
-	cr := &Crawler{Client: client, Workers: 4, MaxRounds: 1, SkipAugmentation: true}
-	snap, err := cr.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One round collects only the raising seeds.
-	if snap.Stats.StartupsCrawled >= len(w.Startups) {
-		t.Errorf("partial crawl got everything: %d", snap.Stats.StartupsCrawled)
-	}
-	if snap.Stats.StartupsCrawled != snap.Stats.SeedStartups {
-		t.Errorf("round-1 crawl = %d, want %d seeds", snap.Stats.StartupsCrawled, snap.Stats.SeedStartups)
-	}
-}
-
 // scanAll collects every committed record of a namespace.
 func scanAll[T any](t *testing.T, st *store.Store, ns string) []T {
 	t.Helper()

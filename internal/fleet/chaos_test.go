@@ -219,11 +219,10 @@ func TestFleetChaosKillWorkersMergeBitIdentical(t *testing.T) {
 					}
 					client.HTTP = &http.Client{Transport: ks}
 					worker := &Worker{
-						ID:       fmt.Sprintf("w%d-wave%d", i, wave),
-						Client:   client,
-						Store:    st,
-						Leases:   leases,
-						Fetchers: 4,
+						ID:     fmt.Sprintf("w%d-wave%d", i, wave),
+						Client: client,
+						Store:  st,
+						Leases: leases,
 					}
 					wg.Add(1)
 					go func(i int) {

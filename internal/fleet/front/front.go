@@ -9,6 +9,7 @@ package front
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,52 +17,28 @@ import (
 	"time"
 )
 
-// Defaults. The probe interval is deliberately short: ejection already
-// happens inline on request failures, so the background probe mostly
-// handles reinstatement after a replica recovers.
+// The probe interval is deliberately short: ejection already happens
+// inline on request failures, so the background probe mostly handles
+// reinstatement after a replica recovers.
 const (
-	DefaultCheckInterval    = 500 * time.Millisecond
-	DefaultCheckTimeout     = 2 * time.Second
-	DefaultRetryAfterSecs   = 1
-	DefaultMaxResponseBytes = 64 << 20
+	checkInterval = 500 * time.Millisecond // Run's health-probe period
+	checkTimeout  = 2 * time.Second        // bound on one /readyz probe
+	// retryAfterSecs is advertised when every replica is down.
+	retryAfterSecs = 1
+	// maxResponseBytes bounds one buffered replica response.
+	maxResponseBytes = 64 << 20
 )
+
+// errOversized reports a replica response body over the front's bound.
+var errOversized = errors.New("front: replica response too large")
 
 // Options tunes the front.
 type Options struct {
 	// Client performs replica requests and probes. Default
 	// http.DefaultClient.
 	Client *http.Client
-	// CheckInterval paces the Run health-probe loop. Default
-	// DefaultCheckInterval.
-	CheckInterval time.Duration
-	// CheckTimeout bounds one /readyz probe. Default DefaultCheckTimeout.
-	CheckTimeout time.Duration
-	// RetryAfterSecs is advertised when every replica is down. Default
-	// DefaultRetryAfterSecs.
-	RetryAfterSecs int
-	// MaxResponseBytes bounds a buffered replica response. Default
-	// DefaultMaxResponseBytes.
-	MaxResponseBytes int64
 	// Logf, when set, receives ejection/reinstatement log lines.
 	Logf func(format string, args ...any)
-}
-
-func (o *Options) fill() {
-	if o.Client == nil {
-		o.Client = http.DefaultClient
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = DefaultCheckInterval
-	}
-	if o.CheckTimeout <= 0 {
-		o.CheckTimeout = DefaultCheckTimeout
-	}
-	if o.RetryAfterSecs <= 0 {
-		o.RetryAfterSecs = DefaultRetryAfterSecs
-	}
-	if o.MaxResponseBytes <= 0 {
-		o.MaxResponseBytes = DefaultMaxResponseBytes
-	}
 }
 
 type replica struct {
@@ -73,6 +50,7 @@ type replica struct {
 type Front struct {
 	replicas []*replica
 	opts     Options
+	maxBody  int64 // maxResponseBytes; tests lower it
 	rr       atomic.Uint64
 
 	retries atomic.Int64
@@ -86,8 +64,10 @@ func New(targets []string, opts Options) (*Front, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("front: no replicas")
 	}
-	opts.fill()
-	f := &Front{opts: opts, replicas: make([]*replica, len(targets))}
+	if opts.Client == nil {
+		opts.Client = http.DefaultClient
+	}
+	f := &Front{opts: opts, maxBody: maxResponseBytes, replicas: make([]*replica, len(targets))}
 	for i, base := range targets {
 		f.replicas[i] = &replica{base: base}
 		f.replicas[i].healthy.Store(true)
@@ -136,6 +116,12 @@ func (f *Front) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, rep := range order {
 		status, header, body, err := f.forward(r, rep)
+		if errors.Is(err, errOversized) {
+			// The replica answered, so it stays in rotation, and every
+			// replica would return the same body, so no retry.
+			http.Error(w, fmt.Sprintf("replica response exceeds %d bytes", f.maxBody), http.StatusBadGateway)
+			return
+		}
 		if err != nil || status >= http.StatusInternalServerError {
 			f.eject(rep, status, err)
 			continue
@@ -156,7 +142,7 @@ func (f *Front) serveHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", f.opts.RetryAfterSecs))
+	w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSecs))
 	http.Error(w, "no healthy replica", http.StatusServiceUnavailable)
 }
 
@@ -164,7 +150,8 @@ func (f *Front) serveHTTP(w http.ResponseWriter, r *http.Request) {
 // response before anything reaches the client. Buffering is what makes
 // mid-request replica death retryable: a body truncated by a kill
 // surfaces here as a read error and the next replica gets the request,
-// while the client connection has seen zero bytes.
+// while the client connection has seen zero bytes. A body over maxBody
+// is errOversized, never a truncated success.
 func (f *Front) forward(r *http.Request, rep *replica) (int, http.Header, []byte, error) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, rep.base+r.URL.RequestURI(), nil)
 	if err != nil {
@@ -176,9 +163,12 @@ func (f *Front) forward(r *http.Request, rep *replica) (int, http.Header, []byte
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, f.opts.MaxResponseBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, f.maxBody+1))
 	if err != nil {
 		return 0, nil, nil, err
+	}
+	if int64(len(body)) > f.maxBody {
+		return 0, nil, nil, errOversized
 	}
 	return resp.StatusCode, resp.Header, body, nil
 }
@@ -197,7 +187,7 @@ func (f *Front) eject(rep *replica, status int, err error) {
 func (f *Front) checkNow(ctx context.Context) {
 	for _, rep := range f.replicas {
 		func() {
-			pctx, cancel := context.WithTimeout(ctx, f.opts.CheckTimeout)
+			pctx, cancel := context.WithTimeout(ctx, checkTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(pctx, http.MethodGet, rep.base+"/readyz", nil)
 			if err != nil {
@@ -227,7 +217,7 @@ func (f *Front) checkNow(ctx context.Context) {
 
 // Run drives the health-probe loop until ctx is done.
 func (f *Front) Run(ctx context.Context) {
-	ticker := time.NewTicker(f.opts.CheckInterval)
+	ticker := time.NewTicker(checkInterval)
 	defer ticker.Stop()
 	for {
 		select {

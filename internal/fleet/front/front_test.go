@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,7 +230,6 @@ func TestFrontRunLoopEjectsAndReinstates(t *testing.T) {
 	f, chaos := replicaSet(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	f.opts.CheckInterval = 10 * time.Millisecond
 	go func() {
 		defer close(done)
 		f.Run(ctx)
@@ -263,6 +263,32 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFrontOversizedResponseIs502: a body over the front's bound is a
+// 502 that names the bound, never a 200 cut short under the replica's
+// Content-Length. The replica answered, so it stays in rotation, and
+// every replica would send the same body, so there is no retry.
+func TestFrontOversizedResponseIs502(t *testing.T) {
+	leakcheck.Check(t)
+	var hits atomic.Int64
+	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Write([]byte(strings.Repeat("x", 100)))
+	}))
+	t.Cleanup(big.Close)
+	f, err := New([]string{big.URL, big.URL}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.maxBody = 10
+	rec := get(f, "/api/snapshot/stats")
+	if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), "exceeds 10 bytes") {
+		t.Fatalf("oversized response: %d %q, want 502 naming the 10-byte bound", rec.Code, rec.Body)
+	}
+	if hits.Load() != 1 || f.Retries() != 0 || f.Ejections() != 0 {
+		t.Fatalf("replica hits %d, retries %d, ejections %d; want 1, 0, 0", hits.Load(), f.Retries(), f.Ejections())
 	}
 }
 

@@ -70,9 +70,6 @@ type Leases struct {
 	Clock apiserver.Clock
 	// Namespace for lease records. Default DefaultLeaseNS.
 	Namespace string
-	// TTL is the claim lifetime per acquire/renew. Default
-	// DefaultLeaseTTL.
-	TTL time.Duration
 
 	mu sync.Mutex
 }
@@ -82,13 +79,6 @@ func (l *Leases) ns() string {
 		return DefaultLeaseNS
 	}
 	return l.Namespace
-}
-
-func (l *Leases) ttl() time.Duration {
-	if l.TTL <= 0 {
-		return DefaultLeaseTTL
-	}
-	return l.TTL
 }
 
 func (l *Leases) check() error {
@@ -170,7 +160,7 @@ func (l *Leases) acquire(ctx context.Context, key, owner string) (Lease, error) 
 		return Lease{}, fmt.Errorf("fleet: acquire %s: held by %s until %s: %w",
 			key, rec.Owner, time.Unix(0, rec.Expires).UTC().Format(time.RFC3339), ErrLeaseHeld)
 	}
-	lease := Lease{Key: key, Owner: owner, Token: maxToken + 1, Expires: now.Add(l.ttl())}
+	lease := Lease{Key: key, Owner: owner, Token: maxToken + 1, Expires: now.Add(DefaultLeaseTTL)}
 	if err := l.append(ctx, LeaseRecord{Key: key, Owner: owner, Token: lease.Token, Expires: lease.Expires.UnixNano()}); err != nil {
 		return Lease{}, err
 	}
@@ -190,7 +180,7 @@ func (l *Leases) renew(ctx context.Context, lease *Lease) error {
 	if err := l.verify(ctx, *lease); err != nil {
 		return err
 	}
-	expires := l.Clock().Add(l.ttl())
+	expires := l.Clock().Add(DefaultLeaseTTL)
 	if err := l.append(ctx, LeaseRecord{Key: lease.Key, Owner: lease.Owner, Token: lease.Token, Expires: expires.UnixNano()}); err != nil {
 		return err
 	}

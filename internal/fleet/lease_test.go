@@ -47,7 +47,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	leakcheck.Check(t)
 	st := openStore(t)
 	clk := newFakeClock()
-	ls := &Leases{Store: st, Clock: clk.Now, TTL: time.Minute}
+	ls := &Leases{Store: st, Clock: clk.Now}
 	ctx := context.Background()
 
 	a, err := ls.acquire(ctx, "part-0000", "alice")
@@ -122,7 +122,7 @@ func TestLeaseExpiryReclaimFencesOldOwner(t *testing.T) {
 	leakcheck.Check(t)
 	st := openStore(t)
 	clk := newFakeClock()
-	ls := &Leases{Store: st, Clock: clk.Now, TTL: time.Minute}
+	ls := &Leases{Store: st, Clock: clk.Now}
 	ctx := context.Background()
 
 	a, err := ls.acquire(ctx, "part-0000", "alice")
@@ -170,7 +170,7 @@ func TestLeasesSurviveStoreReopen(t *testing.T) {
 	}
 	clk := newFakeClock()
 	ctx := context.Background()
-	ls := &Leases{Store: st, Clock: clk.Now, TTL: time.Minute}
+	ls := &Leases{Store: st, Clock: clk.Now}
 	a, err := ls.acquire(ctx, "part-0000", "alice")
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestLeasesSurviveStoreReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls2 := &Leases{Store: st2, Clock: clk.Now, TTL: time.Minute}
+	ls2 := &Leases{Store: st2, Clock: clk.Now}
 	if _, err := ls2.acquire(ctx, "part-0000", "bob"); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("cross-handle claim: %v, want ErrLeaseHeld", err)
 	}

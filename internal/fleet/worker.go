@@ -66,6 +66,10 @@ func partitionDone(ctx context.Context, st *store.Store, p Partition) (bool, err
 	return ok && (cp.Phase == crawler.PhaseDone || cp.Phase == crawler.PhasePersisted), nil
 }
 
+// fetchers bounds parallel fetches inside each partition crawl: fleet
+// parallelism comes from workers, not fetch fan-out.
+const fetchers = 4
+
 // Worker is one member of the crawl fleet. It sweeps the partition list,
 // claims whatever is unleased and unfinished, and crawls each claim with
 // the standard crawler in worker mode — checkpoint fence set to the
@@ -83,9 +87,6 @@ type Worker struct {
 	Store *store.Store
 	// Leases coordinates partition claims. Required.
 	Leases *Leases
-	// Fetchers bounds parallel fetches inside each partition crawl.
-	// Default 4 (fleet parallelism comes from workers, not fetch fan-out).
-	Fetchers int
 
 	// Claimed and Completed count this worker's lease acquisitions and
 	// finished partitions, for tests and statusz-style reporting.
@@ -166,10 +167,6 @@ func (w *Worker) crawl(ctx context.Context, p Partition, lease Lease) error {
 			return err
 		}
 		return w.Leases.release(ctx, lease)
-	}
-	fetchers := w.Fetchers
-	if fetchers <= 0 {
-		fetchers = 4
 	}
 	cr := &crawler.Crawler{
 		Client:  w.Client,

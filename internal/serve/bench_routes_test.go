@@ -55,7 +55,7 @@ func benchWorld() *core.FrozenSnapshot {
 
 // benchServer builds a refreshed server over the benchmark world,
 // committed with or without its secondary-index blob.
-func benchServer(b *testing.B, indexed bool, cacheSize int) *Server {
+func benchServer(b *testing.B, indexed bool) *Server {
 	b.Helper()
 	st, err := store.Open(b.TempDir())
 	if err != nil {
@@ -75,7 +75,7 @@ func benchServer(b *testing.B, indexed bool, cacheSize int) *Server {
 			b.Fatal(err)
 		}
 	}
-	srv := New(&StoreBackend{Store: st}, Options{Clock: time.Now, ResultCacheSize: cacheSize})
+	srv := New(&StoreBackend{Store: st}, Options{Clock: time.Now})
 	if err := srv.Refresh(context.Background()); err != nil {
 		b.Fatal(err)
 	}
@@ -109,8 +109,10 @@ func (w *benchWriter) reset() {
 }
 
 // runQueryRouteBench drives b.N sequential requests, recording each
-// latency, and reports the p50/p99 tail alongside ns/op.
-func runQueryRouteBench(b *testing.B, srv *Server) {
+// latency, and reports the p50/p99 tail alongside ns/op. With miss set,
+// the result cache is emptied before each request, outside its timed
+// span, so every request plans and executes.
+func runQueryRouteBench(b *testing.B, srv *Server, miss bool) {
 	h := srv.Handler()
 	path := queryURL(benchQueryStmt)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -126,6 +128,9 @@ func runQueryRouteBench(b *testing.B, srv *Server) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.reset()
+		if miss {
+			srv.results.invalidate(0)
+		}
 		start := time.Now()
 		h.ServeHTTP(w, req)
 		lat[i] = time.Since(start)
@@ -144,23 +149,24 @@ func runQueryRouteBench(b *testing.B, srv *Server) {
 }
 
 // BenchmarkQueryRouteScan is the baseline: the same statement against
-// the same snapshot committed without its index blob, result cache off,
-// so every request decodes the full table.
+// the same snapshot committed without its index blob, every request a
+// result-cache miss, so every request decodes the full table.
 func BenchmarkQueryRouteScan(b *testing.B) {
-	runQueryRouteBench(b, benchServer(b, false, -1))
+	runQueryRouteBench(b, benchServer(b, false), true)
 }
 
-// BenchmarkQueryRouteIndex measures the planner's index-count route
-// with the result cache off: parse, plan, postings cardinality, encode.
+// BenchmarkQueryRouteIndex measures the planner's index-count route,
+// every request a result-cache miss: parse, plan, postings cardinality,
+// encode.
 func BenchmarkQueryRouteIndex(b *testing.B) {
-	runQueryRouteBench(b, benchServer(b, true, -1))
+	runQueryRouteBench(b, benchServer(b, true), true)
 }
 
 // BenchmarkQueryRouteCacheHit measures a warmed result-cache hit:
 // parse, canonicalize, replay the marshalled body.
 func BenchmarkQueryRouteCacheHit(b *testing.B) {
-	srv := benchServer(b, true, DefaultResultCacheSize)
-	runQueryRouteBench(b, srv)
+	srv := benchServer(b, true)
+	runQueryRouteBench(b, srv, false)
 	hits, misses, _, _ := srv.results.stats()
 	if hits+misses > 0 {
 		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-ratio")

@@ -53,7 +53,8 @@ func BenchmarkServeQuery(b *testing.B) {
 // see during a load spike, so it reports p99 alongside the mean.
 func BenchmarkServeShedLatency(b *testing.B) {
 	st := testStore(b, 1)
-	srv := New(&StoreBackend{Store: st}, Options{MaxConcurrent: 1, QueueDepth: 1, Clock: time.Now})
+	srv := New(&StoreBackend{Store: st}, Options{Clock: time.Now})
+	srv.gate = newGate(1, 1)
 	if err := srv.Refresh(context.Background()); err != nil {
 		b.Fatal(err)
 	}

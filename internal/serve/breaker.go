@@ -9,26 +9,26 @@ import (
 	"crowdscope/internal/apiserver"
 )
 
-// Circuit-breaker defaults (documented in DESIGN.md §10).
+// Circuit-breaker thresholds (DESIGN.md §10).
 const (
-	// DefaultBreakerWindow is the rolling window over which error rates
-	// are measured.
-	DefaultBreakerWindow = 10 * time.Second
-	// DefaultBreakerBuckets is how many sub-buckets the window rotates
-	// through; older buckets age out one bucket-width at a time.
-	DefaultBreakerBuckets = 10
-	// DefaultBreakerMinRequests is the minimum number of calls in the
-	// window before the error rate is meaningful enough to trip on.
-	DefaultBreakerMinRequests = 10
-	// DefaultBreakerErrorRate is the failure fraction (errors plus
-	// over-latency calls) at which the breaker trips open.
-	DefaultBreakerErrorRate = 0.5
-	// DefaultBreakerLatency is the per-call latency above which an
-	// otherwise successful call counts as a failure.
-	DefaultBreakerLatency = time.Second
-	// DefaultBreakerCooldown is how long an open breaker fails fast
-	// before half-opening a single probe.
-	DefaultBreakerCooldown = 5 * time.Second
+	// breakerWindow is the rolling window over which error rates are
+	// measured.
+	breakerWindow = 10 * time.Second
+	// breakerBuckets is how many sub-buckets the window rotates through;
+	// older buckets age out one bucket-width at a time.
+	breakerBuckets = 10
+	// breakerMinRequests is the minimum number of calls in the window
+	// before the error rate is meaningful enough to trip on.
+	breakerMinRequests = 10
+	// breakerErrorRate is the failure fraction (errors plus over-latency
+	// calls) at which the breaker trips open.
+	breakerErrorRate = 0.5
+	// breakerLatency is the per-call latency above which an otherwise
+	// successful call counts as a failure.
+	breakerLatency = time.Second
+	// breakerCooldown is how long an open breaker fails fast before
+	// half-opening a single probe.
+	breakerCooldown = 5 * time.Second
 )
 
 // ErrBreakerOpen reports a call rejected without touching the backend
@@ -60,50 +60,6 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes the rolling window and trip thresholds. The Clock
-// is mandatory: all breaker time flows through it, which is what makes
-// trip/half-open/close transitions deterministic under a fake clock.
-type BreakerConfig struct {
-	// Window is the rolling measurement window; Buckets sub-buckets
-	// rotate through it.
-	Window  time.Duration
-	Buckets int
-	// MinRequests gates tripping: fewer calls than this in the window
-	// never trip, however bad the rate.
-	MinRequests int
-	// ErrorRate in (0,1] is the failure fraction that trips the breaker.
-	ErrorRate float64
-	// Latency is the slow-call threshold; calls slower than this count
-	// as failures even when they succeed.
-	Latency time.Duration
-	// Cooldown is the fail-fast period before a half-open probe.
-	Cooldown time.Duration
-	// Clock supplies all breaker time (see apiserver.Clock: the
-	// repository's sanctioned determinism escape hatch).
-	Clock apiserver.Clock
-}
-
-func (c *BreakerConfig) fill() {
-	if c.Window <= 0 {
-		c.Window = DefaultBreakerWindow
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = DefaultBreakerBuckets
-	}
-	if c.MinRequests <= 0 {
-		c.MinRequests = DefaultBreakerMinRequests
-	}
-	if c.ErrorRate <= 0 {
-		c.ErrorRate = DefaultBreakerErrorRate
-	}
-	if c.Latency <= 0 {
-		c.Latency = DefaultBreakerLatency
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultBreakerCooldown
-	}
-}
-
 type breakerBucket struct {
 	total    int
 	failures int
@@ -111,13 +67,14 @@ type breakerBucket struct {
 
 // Breaker is a rolling-window circuit breaker. Closed, it records every
 // call outcome into time-rotated buckets and trips open when the
-// window's failure fraction crosses ErrorRate (with at least
-// MinRequests calls observed). Open, it fails fast until Cooldown
-// elapses, then half-opens exactly one probe; the probe's outcome
-// decides between closing (window reset) and re-opening (fresh
-// cooldown).
+// window's failure fraction crosses breakerErrorRate (with at least
+// breakerMinRequests calls observed). Open, it fails fast until
+// breakerCooldown elapses, then half-opens exactly one probe; the
+// probe's outcome decides between closing (window reset) and re-opening
+// (fresh cooldown). All breaker time flows through its clock, which is
+// what makes the transitions deterministic under a fake one.
 type Breaker struct {
-	cfg BreakerConfig
+	clock apiserver.Clock
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -129,18 +86,12 @@ type Breaker struct {
 	trips    int64
 }
 
-// newBreaker builds a breaker; cfg.Clock must be set.
-func newBreaker(cfg BreakerConfig) *Breaker {
-	cfg.fill()
-	if cfg.Clock == nil {
-		panic("serve: BreakerConfig.Clock is required (wire time.Now in package main)")
+func newBreaker(clock apiserver.Clock) *Breaker {
+	return &Breaker{
+		clock:    clock,
+		buckets:  make([]breakerBucket, breakerBuckets),
+		curStart: clock(),
 	}
-	b := &Breaker{
-		cfg:      cfg,
-		buckets:  make([]breakerBucket, cfg.Buckets),
-		curStart: cfg.Clock(),
-	}
-	return b
 }
 
 // do runs fn through the breaker: open states reject with
@@ -151,7 +102,7 @@ func (b *Breaker) do(ctx context.Context, fn func(context.Context) error) error 
 	if err := b.allow(); err != nil {
 		return err
 	}
-	start := b.cfg.Clock()
+	start := b.clock()
 	err := fn(ctx)
 	b.record(start, err)
 	return err
@@ -162,7 +113,7 @@ func (b *Breaker) do(ctx context.Context, fn func(context.Context) error) error 
 func (b *Breaker) currentState() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && b.cfg.Clock().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == BreakerOpen && b.clock().Sub(b.openedAt) >= breakerCooldown {
 		return BreakerHalfOpen
 	}
 	return b.state
@@ -176,27 +127,27 @@ func (b *Breaker) tripCount() int64 {
 }
 
 // retryAfter reports how long callers should wait before retrying a
-// rejected call: the remaining cooldown when open, or the default
+// rejected call: the remaining cooldown when open, or retryAfterSecs
 // otherwise, rounded up to whole seconds for the Retry-After header.
 func (b *Breaker) retryAfter() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerOpen {
-		rem := b.cfg.Cooldown - b.cfg.Clock().Sub(b.openedAt)
+		rem := breakerCooldown - b.clock().Sub(b.openedAt)
 		if rem > 0 {
 			return int(rem/time.Second) + 1
 		}
 	}
-	return DefaultRetryAfterSecs
+	return retryAfterSecs
 }
 
 func (b *Breaker) allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.cfg.Clock()
+	now := b.clock()
 	switch b.state {
 	case BreakerOpen:
-		if now.Sub(b.openedAt) < b.cfg.Cooldown {
+		if now.Sub(b.openedAt) < breakerCooldown {
 			return ErrBreakerOpen
 		}
 		b.state = BreakerHalfOpen
@@ -216,7 +167,7 @@ func (b *Breaker) allow() error {
 func (b *Breaker) record(start time.Time, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.cfg.Clock()
+	now := b.clock()
 	if errors.Is(err, context.Canceled) {
 		// The caller walked away; that says nothing about backend health.
 		if b.state == BreakerHalfOpen {
@@ -224,7 +175,7 @@ func (b *Breaker) record(start time.Time, err error) {
 		}
 		return
 	}
-	failure := err != nil || now.Sub(start) > b.cfg.Latency
+	failure := err != nil || now.Sub(start) > breakerLatency
 	switch b.state {
 	case BreakerHalfOpen:
 		b.probing = false
@@ -245,7 +196,7 @@ func (b *Breaker) record(start time.Time, err error) {
 			total += bk.total
 			failures += bk.failures
 		}
-		if total >= b.cfg.MinRequests && float64(failures) >= b.cfg.ErrorRate*float64(total) {
+		if total >= breakerMinRequests && float64(failures) >= breakerErrorRate*float64(total) {
 			b.trip(now)
 		}
 	}
@@ -270,18 +221,18 @@ func (b *Breaker) reset(now time.Time) {
 // advance rotates the bucket ring forward to cover now, zeroing buckets
 // that age out of the window.
 func (b *Breaker) advance(now time.Time) {
-	width := b.cfg.Window / time.Duration(b.cfg.Buckets)
+	const width = breakerWindow / breakerBuckets
 	elapsed := now.Sub(b.curStart)
 	if elapsed < width {
 		return
 	}
 	steps := int(elapsed / width)
-	if steps >= b.cfg.Buckets {
+	if steps >= breakerBuckets {
 		b.reset(now)
 		return
 	}
 	for i := 0; i < steps; i++ {
-		b.cur = (b.cur + 1) % b.cfg.Buckets
+		b.cur = (b.cur + 1) % breakerBuckets
 		b.buckets[b.cur] = breakerBucket{}
 	}
 	b.curStart = b.curStart.Add(time.Duration(steps) * width)

@@ -9,25 +9,13 @@ import (
 
 var errBoom = errors.New("boom")
 
-func newTestBreaker(clk *fakeClock) *Breaker {
-	return newBreaker(BreakerConfig{
-		Window:      10 * time.Second,
-		Buckets:     10,
-		MinRequests: 4,
-		ErrorRate:   0.5,
-		Latency:     100 * time.Millisecond,
-		Cooldown:    2 * time.Second,
-		Clock:       clk.Now,
-	})
-}
-
 func failCall(context.Context) error { return errBoom }
 func okCall(context.Context) error   { return nil }
 
 func tripBreaker(t *testing.T, b *Breaker) {
 	t.Helper()
 	ctx := context.Background()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < breakerMinRequests; i++ {
 		if err := b.do(ctx, failCall); !errors.Is(err, errBoom) {
 			t.Fatalf("Do #%d = %v, want errBoom", i, err)
 		}
@@ -39,7 +27,7 @@ func tripBreaker(t *testing.T, b *Breaker) {
 
 func TestBreakerTripsOnErrorRate(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk)
+	b := newBreaker(clk.Now)
 	tripBreaker(t, b)
 	if got := b.tripCount(); got != 1 {
 		t.Fatalf("trips = %d, want 1", got)
@@ -57,20 +45,20 @@ func TestBreakerTripsOnErrorRate(t *testing.T) {
 
 func TestBreakerBelowMinRequestsNeverTrips(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk)
-	for i := 0; i < 3; i++ {
+	b := newBreaker(clk.Now)
+	for i := 0; i < breakerMinRequests-1; i++ {
 		_ = b.do(context.Background(), failCall)
 	}
 	if got := b.currentState(); got != BreakerClosed {
-		t.Fatalf("state with 3 < MinRequests failures = %v, want closed", got)
+		t.Fatalf("state with %d < breakerMinRequests failures = %v, want closed", breakerMinRequests-1, got)
 	}
 }
 
 func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk)
+	b := newBreaker(clk.Now)
 	tripBreaker(t, b)
-	clk.Advance(2 * time.Second)
+	clk.Advance(breakerCooldown)
 	if got := b.currentState(); got != BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", got)
 	}
@@ -80,20 +68,20 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state after good probe = %v, want closed", got)
 	}
-	// The window was reset: three fresh failures stay below MinRequests.
-	for i := 0; i < 3; i++ {
+	// The window was reset: fresh failures stay below breakerMinRequests.
+	for i := 0; i < breakerMinRequests-1; i++ {
 		_ = b.do(context.Background(), failCall)
 	}
 	if got := b.currentState(); got != BreakerClosed {
-		t.Fatalf("state after reset + 3 failures = %v, want closed", got)
+		t.Fatalf("state after reset + %d failures = %v, want closed", breakerMinRequests-1, got)
 	}
 }
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk)
+	b := newBreaker(clk.Now)
 	tripBreaker(t, b)
-	clk.Advance(2 * time.Second)
+	clk.Advance(breakerCooldown)
 	if err := b.do(context.Background(), failCall); !errors.Is(err, errBoom) {
 		t.Fatalf("probe = %v, want errBoom", err)
 	}
@@ -110,9 +98,9 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 
 func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk)
+	b := newBreaker(clk.Now)
 	tripBreaker(t, b)
-	clk.Advance(2 * time.Second)
+	clk.Advance(breakerCooldown)
 	err := b.do(context.Background(), func(ctx context.Context) error {
 		// While the probe is in flight, a second call must be rejected.
 		if err := b.do(ctx, okCall); !errors.Is(err, ErrBreakerOpen) {
@@ -128,28 +116,37 @@ func TestBreakerHalfOpenAdmitsSingleProbe(t *testing.T) {
 	}
 }
 
+// TestBreakerCountsSlowCallsAsFailures fills the window one call short
+// of breakerMinRequests with failures one short of the trip rate, so the
+// last call trips the breaker only if its slowness counts as a failure.
 func TestBreakerCountsSlowCallsAsFailures(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk)
+	b := newBreaker(clk.Now)
+	const fails = breakerMinRequests/2 - 1
+	for i := 0; i < breakerMinRequests-1; i++ {
+		call := okCall
+		if i < fails {
+			call = failCall
+		}
+		_ = b.do(context.Background(), call)
+	}
 	slow := func(context.Context) error {
-		clk.Advance(200 * time.Millisecond) // over the 100ms latency threshold
+		clk.Advance(breakerLatency + time.Millisecond)
 		return nil
 	}
-	for i := 0; i < 4; i++ {
-		if err := b.do(context.Background(), slow); err != nil {
-			t.Fatal(err)
-		}
+	if err := b.do(context.Background(), slow); err != nil {
+		t.Fatal(err)
 	}
 	if got := b.currentState(); got != BreakerOpen {
-		t.Fatalf("state after 4 slow calls = %v, want open", got)
+		t.Fatalf("state after %d failures and a slow call = %v, want open", fails, got)
 	}
 }
 
 func TestBreakerIgnoresClientCancellation(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk)
+	b := newBreaker(clk.Now)
 	walkedAway := func(context.Context) error { return context.Canceled }
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*breakerMinRequests; i++ {
 		_ = b.do(context.Background(), walkedAway)
 	}
 	if got := b.currentState(); got != BreakerClosed {
@@ -162,35 +159,35 @@ func TestBreakerIgnoresClientCancellation(t *testing.T) {
 
 func TestBreakerRetryAfter(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk)
-	if got := b.retryAfter(); got != DefaultRetryAfterSecs {
-		t.Fatalf("closed retryAfter = %d, want default %d", got, DefaultRetryAfterSecs)
+	b := newBreaker(clk.Now)
+	if got := b.retryAfter(); got != retryAfterSecs {
+		t.Fatalf("closed retryAfter = %d, want %d", got, retryAfterSecs)
 	}
 	tripBreaker(t, b)
-	if got := b.retryAfter(); got != 3 {
-		// Full 2s cooldown remaining, rounded up to whole seconds.
-		t.Fatalf("retryAfter at trip = %d, want 3", got)
+	if got := b.retryAfter(); got != 6 {
+		// Full 5s cooldown remaining, rounded up to whole seconds.
+		t.Fatalf("retryAfter at trip = %d, want 6", got)
 	}
-	clk.Advance(1500 * time.Millisecond)
+	clk.Advance(breakerCooldown - 500*time.Millisecond)
 	if got := b.retryAfter(); got != 1 {
 		t.Fatalf("retryAfter with 500ms left = %d, want 1", got)
 	}
 	clk.Advance(time.Second)
-	if got := b.retryAfter(); got != DefaultRetryAfterSecs {
-		t.Fatalf("retryAfter past cooldown = %d, want default", got)
+	if got := b.retryAfter(); got != retryAfterSecs {
+		t.Fatalf("retryAfter past cooldown = %d, want %d", got, retryAfterSecs)
 	}
 }
 
 func TestBreakerWindowAgesOutOldFailures(t *testing.T) {
 	clk := newFakeClock()
-	b := newTestBreaker(clk)
-	// Three failures now, then the whole window elapses before more
-	// traffic: the old failures age out and cannot combine with later
-	// ones to trip.
-	for i := 0; i < 3; i++ {
+	b := newBreaker(clk.Now)
+	// Failures one short of the minimum now, then the whole window
+	// elapses before more traffic: the old failures age out and cannot
+	// combine with later ones to trip.
+	for i := 0; i < breakerMinRequests-1; i++ {
 		_ = b.do(context.Background(), failCall)
 	}
-	clk.Advance(11 * time.Second)
+	clk.Advance(breakerWindow + time.Second)
 	_ = b.do(context.Background(), failCall)
 	if got := b.currentState(); got != BreakerClosed {
 		t.Fatalf("state = %v, want closed (old failures aged out)", got)

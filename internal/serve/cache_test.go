@@ -293,27 +293,3 @@ func TestIndexedRouteBodiesMatchScanRoute(t *testing.T) {
 		t.Fatalf("unindexed server took a non-scan route: %v", st.PlanRoutes)
 	}
 }
-
-func TestResultCacheDisabled(t *testing.T) {
-	srv, _ := indexedServer(t, func(o *Options) { o.ResultCacheSize = -1 })
-	h := srv.Handler()
-	stmt := "SELECT ID FROM frozen/snap-0/companies WHERE Raising"
-
-	a := get(t, h, queryURL(stmt))
-	b := get(t, h, queryURL(stmt))
-	if a.Code != http.StatusOK || b.Code != http.StatusOK {
-		t.Fatalf("codes %d/%d", a.Code, b.Code)
-	}
-	if !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
-		t.Fatalf("bodies diverged without cache:\n%q\n%q", a.Body, b.Body)
-	}
-	status := statuszOf(t, h)
-	if status.CacheHits != 0 || status.CacheMisses != 0 || status.CacheEntries != 0 {
-		t.Fatalf("disabled cache reported activity: hits %d misses %d entries %d",
-			status.CacheHits, status.CacheMisses, status.CacheEntries)
-	}
-	// Every request re-plans when the cache is off.
-	if got := status.PlanRoutes[query.RouteIndex]; got != 2 {
-		t.Fatalf("plan_routes[index] = %d, want 2; all: %v", got, status.PlanRoutes)
-	}
-}

@@ -94,9 +94,9 @@ func runChaosScenario(t *testing.T, seed int64, rate float64) []chaosStep {
 				slow502++
 			}
 		}
-		if slow502 > testOptions(clk).Breaker.MinRequests {
+		if slow502 > breakerMinRequests {
 			t.Fatalf("%d requests reached the failing backend; breaker should cap at %d",
-				slow502, testOptions(clk).Breaker.MinRequests)
+				slow502, breakerMinRequests)
 		}
 		// And every degraded response served the cached last-good tag.
 		for _, step := range trace {
@@ -109,7 +109,7 @@ func runChaosScenario(t *testing.T, seed int64, rate float64) []chaosStep {
 	// ---- Recovery: faults clear, the cooldown elapses, and the next
 	// refresh probe closes the breaker and hot-loads snapshot 1. ----
 	faulty.SetEnabled(false)
-	clk.Advance(testOptions(clk).Breaker.Cooldown + time.Second)
+	clk.Advance(breakerCooldown + time.Second)
 	record("/api/snapshot/companies")
 
 	if got := srv.breaker.currentState(); got != BreakerClosed {
@@ -180,11 +180,8 @@ func TestChaosAdmissionBoundAndShed(t *testing.T) {
 	leakcheck.Check(t)
 	bb := &blockingBackend{entered: make(chan struct{}, 16), release: make(chan struct{})}
 	gb := &gaugeBackend{Backend: bb}
-	clk := newFakeClock()
-	opts := testOptions(clk)
-	opts.MaxConcurrent = 1
-	opts.QueueDepth = 1
-	srv := New(gb, opts)
+	srv := New(gb, testOptions(newFakeClock()))
+	srv.gate = newGate(1, 1)
 	h := srv.Handler()
 
 	codes := make(chan int, 2)

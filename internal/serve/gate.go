@@ -5,18 +5,16 @@ import (
 	"errors"
 )
 
-// Admission-control defaults. Every value is an exported, documented
-// constant (DESIGN.md §10) so operators can reason about the shed policy
-// without reading code.
+// Admission control (DESIGN.md §10 lists these with the breaker's).
 const (
-	// DefaultMaxConcurrent is the number of requests executing at once.
-	DefaultMaxConcurrent = 64
-	// DefaultQueueDepth is how many admitted-but-waiting requests may
-	// queue for a slot before new arrivals are shed.
-	DefaultQueueDepth = 128
-	// DefaultRetryAfterSecs is the Retry-After value advertised on shed
-	// (429) and fail-fast (503) responses.
-	DefaultRetryAfterSecs = 1
+	// maxConcurrent is the number of requests executing at once.
+	maxConcurrent = 64
+	// queueDepth is how many admitted-but-waiting requests may queue for
+	// a slot before new arrivals are shed.
+	queueDepth = 128
+	// retryAfterSecs is the Retry-After value advertised on shed (429)
+	// and fail-fast (503) responses.
+	retryAfterSecs = 1
 )
 
 // ErrShed reports that the admission queue was full and the request was

@@ -112,17 +112,9 @@ func testStore(t testing.TB, snaps int) *store.Store {
 	return st
 }
 
-// testOptions is the shared deterministic server configuration: a small
-// breaker window so a handful of failures trips it.
+// testOptions is the shared deterministic server configuration.
 func testOptions(clk *fakeClock) Options {
-	return Options{
-		Clock: clk.Now,
-		Breaker: BreakerConfig{
-			MinRequests: 5,
-			ErrorRate:   0.5,
-			Cooldown:    2 * time.Second,
-		},
-	}
+	return Options{Clock: clk.Now}
 }
 
 // get performs one in-process request and returns the recorder.

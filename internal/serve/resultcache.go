@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultResultCacheSize bounds the query result cache when Options
-// leaves it unset.
+// DefaultResultCacheSize bounds the query result cache: entries per
+// snapshot generation.
 const DefaultResultCacheSize = 256
 
 // resultCache memoizes marshalled query-route response bodies, keyed by
@@ -20,8 +20,7 @@ const DefaultResultCacheSize = 256
 // Recency for LRU eviction is a logical counter: the serving layer is
 // in the determinism lint set, so the cache never consults a clock.
 type resultCache struct {
-	size int // entry bound per generation; <= 0 disables the cache
-	gen  atomic.Pointer[cacheGen]
+	gen atomic.Pointer[cacheGen]
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -40,20 +39,15 @@ type cacheEntry struct {
 	last uint64
 }
 
-func newResultCache(size int) *resultCache {
-	c := &resultCache{size: size}
+func newResultCache() *resultCache {
+	c := &resultCache{}
 	c.gen.Store(&cacheGen{snap: -1, entries: map[string]*cacheEntry{}})
 	return c
 }
 
-func (c *resultCache) enabled() bool { return c.size > 0 }
-
 // get returns the cached response body for the statement under the
 // current generation.
 func (c *resultCache) get(key string) ([]byte, bool) {
-	if !c.enabled() {
-		return nil, false
-	}
 	g := c.gen.Load()
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -71,13 +65,10 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 // put stores a successful response body, evicting the least recently
 // used entry when the generation is full.
 func (c *resultCache) put(key string, body []byte) {
-	if !c.enabled() {
-		return
-	}
 	g := c.gen.Load()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.entries[key]; !ok && len(g.entries) >= c.size {
+	if _, ok := g.entries[key]; !ok && len(g.entries) >= DefaultResultCacheSize {
 		var coldest string
 		var coldestTick uint64
 		first := true
@@ -97,9 +88,6 @@ func (c *resultCache) put(key string, body []byte) {
 // miss counters restart with the generation; the invalidation counter
 // is cumulative, counting the swaps themselves.
 func (c *resultCache) invalidate(snap int) {
-	if !c.enabled() {
-		return
-	}
 	old := c.gen.Swap(&cacheGen{snap: snap, entries: map[string]*cacheEntry{}})
 	if old.snap != snap {
 		c.invalidations.Add(1)
@@ -110,9 +98,6 @@ func (c *resultCache) invalidate(snap int) {
 
 // stats returns the counters and the live entry count.
 func (c *resultCache) stats() (hits, misses, invalidations int64, entries int) {
-	if !c.enabled() {
-		return 0, 0, 0, 0
-	}
 	g := c.gen.Load()
 	g.mu.Lock()
 	defer g.mu.Unlock()

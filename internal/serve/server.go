@@ -27,33 +27,14 @@ const HeaderStale = "X-CrowdScope-Stale"
 // replica that has one, identifying which fleet member served.
 const HeaderReplica = "X-CrowdScope-Replica"
 
-// DefaultRouteTimeout bounds each /api request end to end; the deadline
+// routeTimeout bounds each /api request end to end; the deadline
 // propagates as a context through query, core and store reads.
-const DefaultRouteTimeout = 5 * time.Second
+const routeTimeout = 5 * time.Second
 
 // Options configures the serving layer. Clock is mandatory — the
 // package is in crowdlint's deterministic set, so crowdscope serve wires
 // time.Now and tests inject fakes.
 type Options struct {
-	// MaxConcurrent bounds requests executing at once; default
-	// DefaultMaxConcurrent.
-	MaxConcurrent int
-	// QueueDepth bounds requests waiting for a slot; arrivals beyond it
-	// are shed with 429. Default DefaultQueueDepth.
-	QueueDepth int
-	// RouteTimeout is the per-request deadline for /api routes; default
-	// DefaultRouteTimeout.
-	RouteTimeout time.Duration
-	// RetryAfterSecs is advertised on shed responses; default
-	// DefaultRetryAfterSecs.
-	RetryAfterSecs int
-	// Breaker tunes the circuit breaker around backend reads; its Clock
-	// defaults to Options.Clock.
-	Breaker BreakerConfig
-	// ResultCacheSize bounds the query result cache (entries per
-	// snapshot generation); default DefaultResultCacheSize, negative
-	// disables caching.
-	ResultCacheSize int
 	// DeltaRefresh makes Refresh apply frozen/delta-N artifacts onto the
 	// served snapshot in memory instead of reloading the whole artifact
 	// — the hot-swap pause scales with the round's churn, not the world
@@ -65,37 +46,14 @@ type Options struct {
 	// Logf, when set, receives operational log lines — notably the
 	// planner's scan-fallback reasons. Nil silences them.
 	Logf func(format string, args ...any)
-	// Clock supplies all serving-layer time.
+	// Clock supplies all serving-layer time, the circuit breaker's
+	// included.
 	Clock apiserver.Clock
 	// ReplicaID names this serving replica in a fleet. When set, every
 	// response carries it in HeaderReplica and /statusz reports it, so
 	// the fleet front (and its failover tests) can observe which replica
 	// actually served.
 	ReplicaID string
-}
-
-func (o *Options) fill() {
-	if o.Clock == nil {
-		panic("serve: Options.Clock is required (wire time.Now in package main)")
-	}
-	if o.MaxConcurrent <= 0 {
-		o.MaxConcurrent = DefaultMaxConcurrent
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = DefaultQueueDepth
-	}
-	if o.RouteTimeout <= 0 {
-		o.RouteTimeout = DefaultRouteTimeout
-	}
-	if o.RetryAfterSecs <= 0 {
-		o.RetryAfterSecs = DefaultRetryAfterSecs
-	}
-	if o.ResultCacheSize == 0 {
-		o.ResultCacheSize = DefaultResultCacheSize
-	}
-	if o.Breaker.Clock == nil {
-		o.Breaker.Clock = o.Clock
-	}
 }
 
 // Server is the resilient HTTP layer over a Backend.
@@ -143,13 +101,15 @@ type Server struct {
 // New builds a server over the backend. Call Refresh to load the first
 // snapshot before serving traffic (readyz reports 503 until one loads).
 func New(backend Backend, opts Options) *Server {
-	opts.fill()
+	if opts.Clock == nil {
+		panic("serve: Options.Clock is required (wire time.Now in package main)")
+	}
 	s := &Server{
 		backend:    backend,
 		opts:       opts,
-		gate:       newGate(opts.MaxConcurrent, opts.QueueDepth),
-		breaker:    newBreaker(opts.Breaker),
-		results:    newResultCache(opts.ResultCacheSize),
+		gate:       newGate(maxConcurrent, queueDepth),
+		breaker:    newBreaker(opts.Clock),
+		results:    newResultCache(),
 		stmts:      newStmtCache(),
 		planRoutes: map[string]int64{},
 
@@ -382,13 +342,13 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is draining"})
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RouteTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), routeTimeout)
 		defer cancel()
 		if err := s.gate.acquire(ctx); err != nil {
 			// Queue full and deadline-expired-while-queued both mean the
 			// same thing to the client: overloaded, come back later.
 			s.shed.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.opts.RetryAfterSecs))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
 			writeJSON(w, http.StatusTooManyRequests, apiError{Error: "server overloaded; retry later"})
 			return
 		}
@@ -569,7 +529,7 @@ func (s *Server) snapshotHandler(project func(*core.FrozenSnapshot) any) http.Ha
 		s.ensureFresh(r.Context())
 		fs, stale := s.cache.get()
 		if fs == nil {
-			w.Header().Set("Retry-After", strconv.Itoa(s.opts.RetryAfterSecs))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
 			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "no snapshot available yet"})
 			return
 		}

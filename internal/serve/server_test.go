@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -118,13 +119,68 @@ func TestServerQueryBackendErrorIs502(t *testing.T) {
 
 func TestServerQueryDeadlineIs504(t *testing.T) {
 	st := testStore(t, 1)
-	clk := newFakeClock()
-	opts := testOptions(clk)
-	opts.RouteTimeout = time.Nanosecond // expires before the scan starts
-	srv := New(&StoreBackend{Store: st}, opts)
-	rec := get(t, srv.Handler(), queryURL("SELECT COUNT(*) AS n FROM users"))
+	srv := New(&StoreBackend{Store: st}, testOptions(newFakeClock()))
+	// The route deadline derives from the request's context, which has
+	// already expired before the scan starts.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, queryURL("SELECT COUNT(*) AS n FROM users"), nil).WithContext(ctx))
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("expired deadline = %d, want 504: %s", rec.Code, rec.Body)
+	}
+}
+
+// deadlineBackend records the deadline of the context each query read
+// runs under.
+type deadlineBackend struct {
+	Backend
+	mu        sync.Mutex
+	deadlines []time.Time
+	missing   int
+}
+
+func (b *deadlineBackend) record(ctx context.Context) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if d, ok := ctx.Deadline(); ok {
+		b.deadlines = append(b.deadlines, d)
+	} else {
+		b.missing++
+	}
+}
+
+func (b *deadlineBackend) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
+	b.record(ctx)
+	return b.Backend.ReadRecords(ctx, ns, fields, fn)
+}
+
+func (b *deadlineBackend) ReadRows(ctx context.Context, ns string, rows []int32, fields [][]string, fn func(query.Record) error) error {
+	b.record(ctx)
+	return b.Backend.ReadRows(ctx, ns, rows, fields, fn)
+}
+
+// TestServerRouteDeadline pins deadline propagation: a request that
+// arrives without a deadline reaches the backend under one set
+// routeTimeout after admission.
+func TestServerRouteDeadline(t *testing.T) {
+	b := &deadlineBackend{Backend: &StoreBackend{Store: testStore(t, 1)}}
+	srv := New(b, testOptions(newFakeClock()))
+	start := time.Now()
+	rec := get(t, srv.Handler(), queryURL("SELECT COUNT(*) AS n FROM users"))
+	end := time.Now()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query = %d: %s", rec.Code, rec.Body)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.missing > 0 || len(b.deadlines) == 0 {
+		t.Fatalf("backend reads: %d with a deadline, %d without", len(b.deadlines), b.missing)
+	}
+	for _, d := range b.deadlines {
+		if d.Before(start.Add(routeTimeout)) || d.After(end.Add(routeTimeout)) {
+			t.Fatalf("read deadline %v after the request started, want %v", d.Sub(start), routeTimeout)
+		}
 	}
 }
 
@@ -205,12 +261,8 @@ func (b *blockingBackend) ReadRows(ctx context.Context, ns string, rows []int32,
 
 func TestServerShedsWithRetryAfter(t *testing.T) {
 	bb := &blockingBackend{entered: make(chan struct{}, 8), release: make(chan struct{})}
-	clk := newFakeClock()
-	opts := testOptions(clk)
-	opts.MaxConcurrent = 1
-	opts.QueueDepth = 1
-	opts.RetryAfterSecs = 7
-	srv := New(bb, opts)
+	srv := New(bb, testOptions(newFakeClock()))
+	srv.gate = newGate(1, 1)
 	h := srv.Handler()
 
 	codes := make(chan int, 2)
@@ -224,8 +276,8 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overload = %d, want 429: %s", rec.Code, rec.Body)
 	}
-	if got := rec.Header().Get("Retry-After"); got != "7" {
-		t.Fatalf("Retry-After = %q, want 7", got)
+	if got, want := rec.Header().Get("Retry-After"), strconv.Itoa(retryAfterSecs); got != want {
+		t.Fatalf("Retry-After = %q, want %s", got, want)
 	}
 	if got := srv.shed.Load(); got != 1 {
 		t.Fatalf("shed = %d, want 1", got)
@@ -273,11 +325,9 @@ func TestServerConcurrencyBoundNeverExceeded(t *testing.T) {
 	leakcheck.Check(t)
 	st := testStore(t, 1)
 	gb := &gaugeBackend{Backend: &StoreBackend{Store: st}}
-	clk := newFakeClock()
-	opts := testOptions(clk)
-	opts.MaxConcurrent = 3
-	opts.QueueDepth = 3
-	srv := New(gb, opts)
+	const bound = 3
+	srv := New(gb, testOptions(newFakeClock()))
+	srv.gate = newGate(bound, bound)
 	h := srv.Handler()
 
 	const n = 24
@@ -310,8 +360,8 @@ func TestServerConcurrencyBoundNeverExceeded(t *testing.T) {
 	if ok+shed != n {
 		t.Fatalf("ok %d + shed %d != %d", ok, shed, n)
 	}
-	if got := gb.peak(); got > opts.MaxConcurrent {
-		t.Fatalf("peak concurrency %d exceeded the bound %d", got, opts.MaxConcurrent)
+	if got := gb.peak(); got > bound {
+		t.Fatalf("peak concurrency %d exceeded the bound %d", got, bound)
 	}
 	if got := srv.shed.Load(); got != int64(shed) {
 		t.Fatalf("shed counter %d != observed 429s %d", got, shed)
@@ -357,11 +407,8 @@ func TestServerDrain(t *testing.T) {
 func TestServerDrainGoroutineCountRegression(t *testing.T) {
 	leakcheck.Check(t)
 	bb := &blockingBackend{entered: make(chan struct{}, 16), release: make(chan struct{})}
-	clk := newFakeClock()
-	opts := testOptions(clk)
-	opts.MaxConcurrent = 1
-	opts.QueueDepth = 4
-	srv := New(bb, opts)
+	srv := New(bb, testOptions(newFakeClock()))
+	srv.gate = newGate(1, 4)
 	h := srv.Handler()
 	baseline := leakcheck.Count()
 

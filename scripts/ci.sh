@@ -3,7 +3,7 @@
 # detector. The parallel kernels' equivalence tests make -race meaningful:
 # every pool-backed code path runs at multiple worker counts.
 #
-# Fifteen packages additionally carry a coverage floor (the end of this
+# Seventeen packages additionally carry a coverage floor (the end of this
 # script says why each one does), starting with the collection layer:
 # the crawler and apiserver chaos suites (fault injection + kill/resume)
 # are the proof that it tolerates real-world API behaviour.
@@ -180,6 +180,14 @@ check_coverage ./internal/fleet/front 70
 # carry floors too, so what they export stays tested.
 check_coverage ./internal/stats 70
 check_coverage ./internal/metrics 70
+# CoDA and the four baseline detectors produce the paper's community
+# numbers (E5, Fig. 4/5/7, E9, A2): each now runs at one fixed setting,
+# and that one setting must stay tested.
+check_coverage ./internal/community 70
+# The query engine answers every /api/query and crowdscope query
+# statement; its planner picks between index and scan routes that must
+# return the same rows.
+check_coverage ./internal/query 70
 # The one command: every subcommand runs in-process against the golden
 # stdout of the binaries it replaced, so an untested flag or branch is
 # one the goldens no longer vouch for.
