@@ -175,6 +175,12 @@ func TestGenGolden(t *testing.T) {
 	assertDigests(t, "gen.sha256", "out")
 }
 
+// Both crawl goldens were re-recorded once on purpose: the two
+// "store frozen/snap-*" size lines fell from 184.8/185.0 KiB to
+// 173.2/173.3 KiB when the frozen artifact stopped storing the
+// investment graph (its g.* sections), which the reader rebuilds from
+// the investor rows. Every other line, and every snapshot row, is as
+// recorded.
 func TestCrawlGolden(t *testing.T) {
 	_, got := crawledStore(t)
 	assertSame(t, "crawl stdout", got, golden(t, "crawl.stdout"))

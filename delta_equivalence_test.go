@@ -84,9 +84,10 @@ func TestRecrawlIsIdempotent(t *testing.T) {
 
 // TestDeltaFallbackFreezesFromStore keeps the fallback covered: on a
 // re-crawl, the base snapshot is replaced by one carrying a duplicated
-// investor row, which the CSR kernel rejects when the next round's delta
-// is applied. The round must still freeze — from the store, counted as
-// a fallback — to the bytes the undisturbed first run committed.
+// investor row, which the decoder rejects when the next round loads it
+// to apply its delta onto. The round must still freeze — from the store,
+// counted as a fallback — to the bytes the undisturbed first run
+// committed.
 func TestDeltaFallbackFreezesFromStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
@@ -114,25 +115,10 @@ func TestDeltaFallbackFreezesFromStore(t *testing.T) {
 	if !sameBlobs(roundBlobs(t, p.Store, 1), want[1]) {
 		t.Fatal("fallback freeze differs from the undisturbed run's round 1")
 	}
-
 	// The first run's delta-1 now sits beside a base it does not apply
-	// to. It must not poison the chain reader: snapshot 1 has a committed
-	// artifact, so the chain materializes it directly.
-	chain, err := core.LoadChain(p.Store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := chain.Snapshot(1)
-	if err != nil {
-		t.Fatalf("chain snapshot 1 after fallback: %v", err)
-	}
-	loaded, err := core.LoadFrozen(p.Store, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs.Companies) != len(loaded.Companies) || len(fs.Investors) != len(loaded.Investors) {
-		t.Fatalf("chain materialization diverges from frozen artifact: %d/%d companies, %d/%d investors",
-			len(fs.Companies), len(loaded.Companies), len(fs.Investors), len(loaded.Investors))
+	// to; snapshot 1 is read from its own artifact, never rebuilt from it.
+	if _, err := core.LoadFrozen(p.Store, 1); err != nil {
+		t.Fatalf("snapshot 1 after fallback: %v", err)
 	}
 }
 
@@ -231,27 +217,8 @@ func TestDeltaRefreezeEquivalenceEndToEnd(t *testing.T) {
 						r, len(committed[r][0]), len(refrozen[0]))
 				}
 			}
-
-			// The chain reader materializes every round of the store to
-			// the same entities the analysis sees.
-			chain, err := core.LoadChain(p.Store)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if latest, err := core.LatestFrozen(p.Store); err != nil || latest != rounds-1 {
 				t.Fatalf("latest frozen = %d (%v), want %d", latest, err, rounds-1)
-			}
-			fs, err := chain.Snapshot(rounds - 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := core.LoadFrozen(p.Store, rounds-1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fs.Companies) != len(loaded.Companies) || len(fs.Investors) != len(loaded.Investors) {
-				t.Fatalf("chain materialization diverges: %d/%d companies, %d/%d investors",
-					len(fs.Companies), len(loaded.Companies), len(fs.Investors), len(loaded.Investors))
 			}
 		})
 	}

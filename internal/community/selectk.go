@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"crowdscope/internal/graph"
+	"crowdscope/internal/predict"
 )
 
 // SelectK chooses the number of CoDA communities by hold-out link
@@ -76,6 +76,12 @@ func SelectK(b graph.BipartiteView, candidates []int, seed int64) (int, []float6
 		}
 	}
 
+	// Rank-based AUC over the held-out positives, scored first, vs the
+	// sampled negatives.
+	labels := make([]bool, len(held)+len(negs))
+	for i := range held {
+		labels[i] = true
+	}
 	aucs := make([]float64, len(candidates))
 	bestK, bestAUC := candidates[0], -1.0
 	for ci, k := range candidates {
@@ -91,38 +97,14 @@ func SelectK(b graph.BipartiteView, candidates []int, seed int64) (int, []float6
 			}
 			return 1 - math.Exp(-dot)
 		}
-		// Rank-based AUC over held-out positives vs sampled negatives.
-		type scored struct {
-			s   float64
-			pos bool
-		}
-		all := make([]scored, 0, len(held)+len(negs))
+		scores := make([]float64, 0, len(labels))
 		for _, e := range held {
-			all = append(all, scored{score(e), true})
+			scores = append(scores, score(e))
 		}
 		for _, e := range negs {
-			all = append(all, scored{score(e), false})
+			scores = append(scores, score(e))
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i].s < all[j].s })
-		var rankSum float64
-		i := 0
-		rank := 1.0
-		for i < len(all) {
-			j := i
-			for j+1 < len(all) && all[j+1].s == all[i].s {
-				j++
-			}
-			avg := (rank + rank + float64(j-i)) / 2
-			for t := i; t <= j; t++ {
-				if all[t].pos {
-					rankSum += avg
-				}
-			}
-			rank += float64(j - i + 1)
-			i = j + 1
-		}
-		nPos, nNeg := float64(len(held)), float64(len(negs))
-		auc := (rankSum - nPos*(nPos+1)/2) / (nPos * nNeg)
+		auc := predict.AUC(scores, labels)
 		aucs[ci] = auc
 		if auc > bestAUC {
 			bestK, bestAUC = k, auc

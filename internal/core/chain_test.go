@@ -38,16 +38,13 @@ func deltaChainStore(t *testing.T, seed int64, n, rounds int) (*store.Store, []*
 	return st, worlds
 }
 
-// TestChainDiffContents pins Chain.Diff semantics: every entity is
+// TestChainDiffContents pins the chain diff's semantics: every entity is
 // classified added/removed/changed with the right Before/After rows,
 // sorted by ID, and an equal-endpoints diff is empty.
 func TestChainDiffContents(t *testing.T) {
 	st, worlds := deltaChainStore(t, 21, 80, 2)
-	chain, err := LoadChain(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cd, err := chain.diff(0, 2)
+	src := &QuerySource{Store: st}
+	cd, err := src.chainFor(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,18 +102,18 @@ func TestChainDiffContents(t *testing.T) {
 		}
 	}
 
-	empty, err := chain.diff(1, 1)
+	empty, err := src.chainFor(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(empty.Companies) != 0 || len(empty.Investors) != 0 {
 		t.Fatal("equal-endpoint diff is not empty")
 	}
-	if _, err := chain.diff(2, 0); err == nil {
+	if _, err := src.chainFor(2, 0); err == nil {
 		t.Fatal("reversed endpoints accepted")
 	}
-	if _, err := chain.Snapshot(7); err == nil {
-		t.Fatal("unmaterializable version accepted")
+	if _, err := src.chainFor(0, 7); err == nil {
+		t.Fatal("version without an artifact accepted")
 	}
 }
 
@@ -126,14 +123,15 @@ func TestChainDiffContents(t *testing.T) {
 // must fall back to a scan with a reason naming the namespace.
 func TestChainQueryNamespaces(t *testing.T) {
 	st, _ := deltaChainStore(t, 31, 80, 2)
-	chain, err := LoadChain(st)
+	from, err := LoadFrozen(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd, err := chain.diff(0, 2)
+	to, err := LoadFrozen(st, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cd := diffSnapshots(from, to)
 	src := &QuerySource{Store: st}
 	ctx := context.Background()
 

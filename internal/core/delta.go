@@ -68,7 +68,8 @@ func encodeDelta(sd *SnapshotDelta) ([]byte, error) {
 
 // decodeDelta parses an artifact produced by encodeDelta, validating
 // the framing the apply kernel depends on: strictly ascending IDs in
-// every list, and no ID both upserted and dropped.
+// every list (the column decoders check the upserts), and no ID both
+// upserted and dropped.
 func decodeDelta(data []byte) (*SnapshotDelta, error) {
 	d, err := snapshot.NewDecoder(data)
 	if err != nil {
@@ -103,8 +104,8 @@ func decodeDelta(data []byte) (*SnapshotDelta, error) {
 		{name: "company", upserts: companyIDs(sd.CompanyUpserts), drops: sd.CompanyDrops},
 		{name: "investor", upserts: investorIDs(sd.InvestorUpserts), drops: sd.InvestorDrops},
 	} {
-		if !strictlyAscending(check.upserts) || !strictlyAscending(check.drops) {
-			return nil, fmt.Errorf("%w: %s delta lists are not strictly ascending", snapshot.ErrCorrupt, check.name)
+		if !strictlyAscending(check.drops) {
+			return nil, fmt.Errorf("%w: %s tombstones are not strictly ascending", snapshot.ErrCorrupt, check.name)
 		}
 		for _, id := range check.drops {
 			if _, dup := slices.BinarySearch(check.upserts, id); dup {

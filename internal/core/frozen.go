@@ -10,11 +10,11 @@ import (
 )
 
 // Frozen snapshots are the columnar artifact the snapshot-builder stage
-// emits after a crawl persists: the merged companies, the merged
-// investors, and the bipartite investment graph's CSR arrays, all in one
-// checksummed blob. Loading one is a single sequential read per column —
-// no per-record JSON decoding, no joins, no CSR rebuild. It is what
-// every analysis, query and serving replica reads.
+// emits after a crawl persists: the merged companies and the merged
+// investors in one checksummed blob. Loading one is a single sequential
+// read per column — no per-record JSON decoding, no joins — followed by
+// the same CSR build every freeze ends in, over the investor rows. It is
+// what every analysis, query and serving replica reads.
 
 // Company flag bits in the co.flags column.
 const (
@@ -64,15 +64,16 @@ func LatestFrozen(st *store.Store) (int, error) {
 
 // newFrozen is the one constructor of a FrozenSnapshot: ID-sorted
 // company and investor rows in, the investment CSR built over the
-// investor rows by the snapshot package's apply kernel. A full freeze
-// is a delta from empty, so BuildFrozen and ApplyDelta both end here.
-// Duplicate investor IDs are rejected by the kernel.
+// investor rows by graph.FromRows. A full freeze is a delta from empty
+// and a decode is a freeze of the artifact's rows, so BuildFrozen,
+// ApplyDelta and DecodeFrozen all end here. Investor IDs out of order
+// or duplicated are rejected by the kernel.
 func newFrozen(snap int, companies []Company, investors []Investor) (*FrozenSnapshot, error) {
-	rows := make([]snapshot.AdjacencyRow, len(investors))
+	rows := make([]graph.AdjacencyRow, len(investors))
 	for i, inv := range investors {
-		rows[i] = snapshot.AdjacencyRow{Left: inv.ID, Rights: inv.Investments}
+		rows[i] = graph.AdjacencyRow{Left: inv.ID, Rights: inv.Investments}
 	}
-	g, err := snapshot.ApplyBipartite(rows)
+	g, err := graph.FromRows(rows)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +113,7 @@ func BuildFrozen(ctx context.Context, st *store.Store, snap int) (int, error) {
 
 // LoadFrozenContext is LoadFrozen bounded by the caller's context.
 // Cancellation is checked before the blob read; the decode itself is
-// pure in-memory column slicing and runs to completion once started.
+// pure in-memory work and runs to completion once started.
 func LoadFrozenContext(ctx context.Context, st *store.Store, snap int) (*FrozenSnapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: load frozen snapshot: %w", err)
@@ -149,13 +150,14 @@ func LoadFrozen(st *store.Store, snap int) (*FrozenSnapshot, error) {
 	return fs, nil
 }
 
-// EncodeFrozen serializes the snapshot into the columnar artifact.
+// EncodeFrozen serializes the snapshot's rows into the columnar
+// artifact. The graph is not stored: it is a function of the investor
+// rows, and DecodeFrozen rebuilds it.
 func EncodeFrozen(fs *FrozenSnapshot) ([]byte, error) {
 	e := snapshot.NewEncoder()
 	e.Int64s("meta.snapshot", []int64{int64(fs.Snapshot)})
 	encodeCompanyColumns(e, "co", fs.Companies)
 	encodeInvestorColumns(e, "inv", fs.Investors)
-	snapshot.EncodeBipartite(e, "g", fs.Graph)
 	return e.Bytes()
 }
 
@@ -233,7 +235,10 @@ func encodeInvestorColumns(e *snapshot.Encoder, prefix string, investors []Inves
 	e.Strings(prefix+".investments.flat", invFlat)
 }
 
-// DecodeFrozen parses an artifact produced by EncodeFrozen.
+// DecodeFrozen parses an artifact produced by EncodeFrozen and builds
+// its graph with newFrozen. Artifacts written while the graph was still
+// stored carry g.* sections; they are CRC-checked with the rest and
+// otherwise ignored.
 func DecodeFrozen(data []byte) (*FrozenSnapshot, error) {
 	d, err := snapshot.NewDecoder(data)
 	if err != nil {
@@ -246,25 +251,25 @@ func DecodeFrozen(data []byte) (*FrozenSnapshot, error) {
 	if len(meta) != 1 {
 		return nil, fmt.Errorf("%w: meta.snapshot holds %d values", snapshot.ErrCorrupt, len(meta))
 	}
-	fs := &FrozenSnapshot{Snapshot: int(meta[0])}
-
-	fs.Companies, err = decodeCompanyColumns(d, "co")
+	companies, err := decodeCompanyColumns(d, "co")
 	if err != nil {
 		return nil, err
 	}
-	fs.Investors, err = decodeInvestorColumns(d, "inv")
+	investors, err := decodeInvestorColumns(d, "inv")
 	if err != nil {
 		return nil, err
 	}
-	fs.Graph, err = snapshot.DecodeBipartite(d, "g")
+	fs, err := newFrozen(int(meta[0]), companies, investors)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
 	}
 	return fs, nil
 }
 
 // decodeCompanyColumns parses a company column family written by
-// encodeCompanyColumns under the given section prefix.
+// encodeCompanyColumns under the given section prefix. IDs must be
+// strictly ascending: every reader of the rows — ApplyDelta's sorted
+// merge, binary-searched ID lookups, the delta decoder — relies on it.
 func decodeCompanyColumns(d *snapshot.Decoder, prefix string) ([]Company, error) {
 	coIDs, err := d.Strings(prefix + ".ids")
 	if err != nil {
@@ -297,6 +302,9 @@ func decodeCompanyColumns(d *snapshot.Decoder, prefix string) ([]Company, error)
 	coRaised, err := d.Int64s(prefix + ".raised")
 	if err != nil {
 		return nil, err
+	}
+	if !strictlyAscending(coIDs) {
+		return nil, fmt.Errorf("%w: %s.ids are not strictly ascending", snapshot.ErrCorrupt, prefix)
 	}
 	nCo := len(coIDs)
 	for name, n := range map[string]int{
@@ -331,7 +339,8 @@ func decodeCompanyColumns(d *snapshot.Decoder, prefix string) ([]Company, error)
 }
 
 // decodeInvestorColumns parses an investor column family written by
-// encodeInvestorColumns under the given section prefix.
+// encodeInvestorColumns under the given section prefix; IDs must be
+// strictly ascending, as in decodeCompanyColumns.
 func decodeInvestorColumns(d *snapshot.Decoder, prefix string) ([]Investor, error) {
 	invIDs, err := d.Strings(prefix + ".ids")
 	if err != nil {
@@ -348,6 +357,9 @@ func decodeInvestorColumns(d *snapshot.Decoder, prefix string) ([]Investor, erro
 	invFlat, err := d.Strings(prefix + ".investments.flat")
 	if err != nil {
 		return nil, err
+	}
+	if !strictlyAscending(invIDs) {
+		return nil, fmt.Errorf("%w: %s.ids are not strictly ascending", snapshot.ErrCorrupt, prefix)
 	}
 	nInv := len(invIDs)
 	if len(invFollows) != nInv || len(invOffsets) != nInv+1 {

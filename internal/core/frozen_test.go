@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"crowdscope/internal/query"
+	"crowdscope/internal/snapshot"
 )
 
 // buildFixtureFrozen freezes the shared fixture store's snapshot 0 once.
@@ -145,6 +148,33 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f4b, f4f) {
 		t.Fatal("Fig4 differs between builder and frozen graphs")
+	}
+}
+
+// TestDecodeFrozenRejectsUnsortedRows: an artifact whose rows are out
+// of ID order or duplicated — its CRCs valid, so only the decoder can
+// tell — fails with ErrCorrupt instead of decoding to a snapshot that
+// ApplyDelta's sorted merge and every binary-searched ID lookup would
+// then get wrong.
+func TestDecodeFrozenRejectsUnsortedRows(t *testing.T) {
+	_, world := newWorldGen(3, 32)
+	for name, corrupt := range map[string]func(fs *FrozenSnapshot){
+		"swapped companies":   func(fs *FrozenSnapshot) { fs.Companies[1], fs.Companies[2] = fs.Companies[2], fs.Companies[1] },
+		"duplicated company":  func(fs *FrozenSnapshot) { fs.Companies[2] = fs.Companies[1] },
+		"swapped investors":   func(fs *FrozenSnapshot) { fs.Investors[1], fs.Investors[2] = fs.Investors[2], fs.Investors[1] },
+		"duplicated investor": func(fs *FrozenSnapshot) { fs.Investors[2] = fs.Investors[1] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := &FrozenSnapshot{Companies: slices.Clone(world.Companies), Investors: slices.Clone(world.Investors), Graph: world.Graph}
+			corrupt(fs)
+			data, err := EncodeFrozen(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeFrozen(data); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

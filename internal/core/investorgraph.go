@@ -9,8 +9,8 @@ import (
 // investors with at least one investment (LoadInvestors already
 // filters). Adjacency is sorted so the shared-investment metrics can
 // intersect in linear time. Frozen snapshots do not go through it — their
-// CSR comes from snapshot.ApplyBipartite, which is tested against this
-// builder — it serves callers that filter or extend the graph.
+// CSR comes from graph.FromRows, which is tested against this builder —
+// it serves callers that filter or extend the graph.
 func BuildInvestorGraph(investors []Investor) *graph.Bipartite {
 	b := graph.NewBipartite(len(investors), len(investors)*3)
 	for _, inv := range investors {

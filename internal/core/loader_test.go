@@ -13,11 +13,12 @@ import (
 	"crowdscope/internal/store"
 )
 
-// encodeReference encodes the snapshot with its graph built by the
-// mutable builder and frozen — the reference implementation the CSR
-// kernel is compared against (see TestApplyBipartiteMatchesBuilder),
-// which no non-test code freezes through.
-func encodeReference(t *testing.T, st *store.Store, snap int) []byte {
+// matchesReference reports whether the artifact decodes to the store's
+// rows with the graph built by the mutable builder and frozen — the
+// reference implementation the CSR kernel is compared against (see
+// graph's TestFromRowsMatchesBuilder), which no non-test code freezes
+// through.
+func matchesReference(t *testing.T, st *store.Store, snap int, artifact []byte) bool {
 	t.Helper()
 	companies, err := LoadCompanies(context.Background(), st, snap)
 	if err != nil {
@@ -27,16 +28,16 @@ func encodeReference(t *testing.T, st *store.Store, snap int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := EncodeFrozen(&FrozenSnapshot{
+	got, err := DecodeFrozen(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reflect.DeepEqual(got, &FrozenSnapshot{
 		Snapshot:  snap,
 		Companies: companies,
 		Investors: investors,
 		Graph:     graph.FreezeBipartite(BuildInvestorGraph(investors)),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
 }
 
 // TestShardedFreezeEquivalence is shard-count invariance: the same
@@ -68,7 +69,7 @@ func TestShardedFreezeEquivalence(t *testing.T) {
 					if len(fs.Companies) == 0 || len(fs.Investors) == 0 {
 						t.Fatal("invariance vacuous: empty snapshot")
 					}
-					if !bytes.Equal(gotSnap, encodeReference(t, st, snap)) {
+					if !matchesReference(t, st, snap, gotSnap) {
 						t.Fatal("committed artifact differs from the reference graph builder's")
 					}
 					continue
@@ -93,7 +94,7 @@ func TestShardedFreezeOnLegacyStore(t *testing.T) {
 	}
 	buildFixtureFrozen(t)
 	snapBlob, _ := frozenBlobs(t, fixStore, 0)
-	if !bytes.Equal(snapBlob, encodeReference(t, fixStore, 0)) {
+	if !matchesReference(t, fixStore, 0, snapBlob) {
 		t.Fatal("legacy-store artifact differs from the reference graph builder's")
 	}
 }

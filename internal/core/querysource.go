@@ -21,8 +21,8 @@ import (
 //	frozen/snap-NNNNNN/companies   one record per merged Company
 //	frozen/snap-NNNNNN/investors   one record per merged Investor
 //
-// Longitudinal namespaces expose the snapshot chain's diffs, one record
-// per entity added, removed, or changed between two versions (fields:
+// Longitudinal namespaces diff two frozen snapshots, one record per
+// entity added, removed, or changed between the two versions (fields:
 // ID, Change, Before, After — so predicates like After.Likes address
 // the endpoint rows):
 //
@@ -370,11 +370,14 @@ func (q *QuerySource) ScanContext(ctx context.Context, ns string, fn func(payloa
 	return q.read(ctx, ns, readReq{export: fn})
 }
 
-// chainFor returns the diff for a version pair, materializing both
-// endpoints through the snapshot chain on first use. Like frozenFor,
-// materialization runs unlocked: racing builders derive identical diffs
-// from immutable artifacts and the first install wins.
+// chainFor returns the diff for a version pair, reading both endpoints
+// through frozenFor on first use. Like frozenFor, the build runs
+// unlocked: racing builders derive identical diffs from immutable
+// artifacts and the first install wins.
 func (q *QuerySource) chainFor(from, to int) (*ChainDiff, error) {
+	if from > to {
+		return nil, fmt.Errorf("core: chain diff: from %d > to %d", from, to)
+	}
 	key := fmt.Sprintf("%d-%d", from, to)
 	q.mu.Lock()
 	cd, ok := q.chains[key]
@@ -382,13 +385,15 @@ func (q *QuerySource) chainFor(from, to int) (*ChainDiff, error) {
 	if ok {
 		return cd, nil
 	}
-	c, err := LoadChain(q.Store)
+	a, err := q.frozenFor(from)
 	if err != nil {
 		return nil, err
 	}
-	if cd, err = c.diff(from, to); err != nil {
+	b, err := q.frozenFor(to)
+	if err != nil {
 		return nil, err
 	}
+	cd = diffSnapshots(a, b)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if cached, ok := q.chains[key]; ok { // racing builder installed first

@@ -171,9 +171,9 @@ func TestChaosCrawlKillResumeBitIdentical(t *testing.T) {
 					Client:  client,
 					Workers: 4,
 					Checkpoint: &CheckpointConfig{
-						Store:        st,
-						AugmentBatch: 100,
-						Resume:       attempt > 0,
+						Store:     st,
+						Namespace: "checkpoint/crawl",
+						Resume:    attempt > 0,
 					},
 				}
 				snap, err = cr.Run(ctx)

@@ -19,9 +19,8 @@ const (
 	PhasePersisted = "persisted"
 )
 
-// DefaultCheckpointNS is where crawl checkpoints live unless the
-// CheckpointConfig names another namespace.
-const DefaultCheckpointNS = "checkpoint/crawl"
+// augmentBatch is how many startups are augmented between checkpoints.
+const augmentBatch = 64
 
 // CheckpointConfig enables durable crawl progress. After every BFS round
 // and every augmentation batch the crawler appends a Checkpoint record to
@@ -31,12 +30,9 @@ const DefaultCheckpointNS = "checkpoint/crawl"
 type CheckpointConfig struct {
 	// Store receives the checkpoint records. Required.
 	Store *store.Store
-	// Namespace for the records. Default DefaultCheckpointNS. Give each
-	// logical crawl (e.g. each longitudinal snapshot) its own namespace.
+	// Namespace for the records. Required: give each logical crawl
+	// (e.g. each longitudinal snapshot) its own namespace.
 	Namespace string
-	// AugmentBatch is how many startups are augmented between
-	// checkpoints. Default 64.
-	AugmentBatch int
 	// Resume loads the latest checkpoint before starting and skips all
 	// completed work. Without a checkpoint on disk it is a no-op.
 	Resume bool
@@ -51,20 +47,6 @@ type CheckpointConfig struct {
 	// here, so a fenced-out worker stops at its next persist instead of
 	// crawling on uselessly.
 	Guard func(ctx context.Context) error
-}
-
-func (cfg *CheckpointConfig) namespace() string {
-	if cfg.Namespace == "" {
-		return DefaultCheckpointNS
-	}
-	return cfg.Namespace
-}
-
-func (cfg *CheckpointConfig) batch() int {
-	if cfg.AugmentBatch <= 0 {
-		return 64
-	}
-	return cfg.AugmentBatch
 }
 
 // Checkpoint is one durable record of crawl progress: the phase, the

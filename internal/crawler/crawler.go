@@ -86,7 +86,7 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 	cpSeq := 0
 
 	if cr.Checkpoint != nil && cr.Checkpoint.Resume {
-		cp, ok, err := LoadCheckpoint(ctx, cr.Checkpoint.Store, cr.Checkpoint.namespace())
+		cp, ok, err := LoadCheckpoint(ctx, cr.Checkpoint.Store, cr.Checkpoint.Namespace)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +121,7 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 		cp.Seq = cpSeq
 		cp.Fence = cr.Checkpoint.Fence
 		cp.Snap = snap
-		if err := SaveCheckpoint(ctx, cr.Checkpoint.Store, cr.Checkpoint.namespace(), &cp); err != nil {
+		if err := SaveCheckpoint(ctx, cr.Checkpoint.Store, cr.Checkpoint.Namespace, &cp); err != nil {
 			return err
 		}
 		cpSeq++
@@ -294,7 +294,7 @@ func (cr *Crawler) augment(ctx context.Context, workers int, snap *Snapshot, mu 
 
 	batch := len(ids)
 	if cr.Checkpoint != nil {
-		batch = cr.Checkpoint.batch()
+		batch = augmentBatch
 	}
 	for lo := 0; lo < len(ids); lo += batch {
 		hi := lo + batch

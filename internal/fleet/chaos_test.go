@@ -369,7 +369,7 @@ func TestShardedKillResumeFrozenBitIdentical(t *testing.T) {
 		cr := &crawler.Crawler{
 			Client:     client,
 			Workers:    4,
-			Checkpoint: &crawler.CheckpointConfig{Store: st, Resume: attempt > 0},
+			Checkpoint: &crawler.CheckpointConfig{Store: st, Namespace: "checkpoint/crawl", Resume: attempt > 0},
 		}
 		snap, err = cr.Run(ctx)
 		cancel()

@@ -1,36 +1,35 @@
 package graph
 
-// CSR is a flattened compressed-sparse-row adjacency view: the neighbors
-// of node u occupy Targets[Offsets[u]:Offsets[u+1]]. Row order preserves
+// csr is a flattened compressed-sparse-row adjacency: the neighbors of
+// node u occupy targets[offsets[u]:offsets[u+1]]. Row order preserves
 // the graph's adjacency-list order, so algorithms that switch from
 // [][]int32 traversal to CSR traversal visit neighbors in exactly the
 // same sequence — only the memory layout changes (one contiguous array
-// instead of n separately allocated slices), which is also the layout a
-// snapshot persists and loads without a rebuild.
-type CSR struct {
-	Offsets []int64
-	Targets []int32
+// instead of n separately allocated slices).
+type csr struct {
+	offsets []int64
+	targets []int32
 }
 
 // row returns node u's neighbor slice. The slice aliases the CSR's
 // backing array and must not be modified.
-func (c *CSR) row(u int32) []int32 { return c.Targets[c.Offsets[u]:c.Offsets[u+1]] }
+func (c *csr) row(u int32) []int32 { return c.targets[c.offsets[u]:c.offsets[u+1]] }
 
 // degree returns the length of node u's row.
-func (c *CSR) degree(u int32) int { return int(c.Offsets[u+1] - c.Offsets[u]) }
+func (c *csr) degree(u int32) int { return int(c.offsets[u+1] - c.offsets[u]) }
 
 // numNodes returns the number of rows.
-func (c *CSR) numNodes() int { return len(c.Offsets) - 1 }
+func (c *csr) numNodes() int { return len(c.offsets) - 1 }
 
-func buildCSR(adj [][]int32, edges int) *CSR {
-	c := &CSR{
-		Offsets: make([]int64, len(adj)+1),
-		Targets: make([]int32, 0, edges),
+func buildCSR(adj [][]int32, edges int) *csr {
+	c := &csr{
+		offsets: make([]int64, len(adj)+1),
+		targets: make([]int32, 0, edges),
 	}
 	for i, row := range adj {
-		c.Offsets[i] = int64(len(c.Targets))
-		c.Targets = append(c.Targets, row...)
+		c.offsets[i] = int64(len(c.targets))
+		c.targets = append(c.targets, row...)
 	}
-	c.Offsets[len(adj)] = int64(len(c.Targets))
+	c.offsets[len(adj)] = int64(len(c.targets))
 	return c
 }

@@ -2,20 +2,20 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// FrozenBipartite is the immutable form of a Bipartite, backed directly
-// by flat arrays: left and right label tables plus fwd (left→right) and
-// rev (right→left) CSR adjacency, exactly as loaded from a snapshot.
-// Wrapping loaded arrays copies and rebuilds nothing; the label→index
-// maps are built lazily on first lookup. Safe for concurrent use.
+// FrozenBipartite is the immutable form of a bipartite graph, backed
+// directly by flat arrays: left and right label tables plus fwd
+// (left→right) and rev (right→left) CSR adjacency. The label→index maps
+// are built lazily on first lookup. Safe for concurrent use.
 type FrozenBipartite struct {
 	leftLabels  []string
 	rightLabels []string
-	fwd         *CSR
-	rev         *CSR
+	fwd         *csr
+	rev         *csr
 	// sortedRows records whether every fwd row is ascending, deciding
 	// whether HasEdge may binary-search.
 	sortedRows bool
@@ -26,24 +26,12 @@ type FrozenBipartite struct {
 	rightIdx  map[string]int32
 }
 
-// NewFrozenBipartite wraps label tables and CSR adjacency into a
-// read-only bipartite graph. Arrays are adopted, not copied.
-func NewFrozenBipartite(leftLabels, rightLabels []string, fwd, rev *CSR) (*FrozenBipartite, error) {
-	if fwd.numNodes() != len(leftLabels) {
-		return nil, fmt.Errorf("graph: frozen bipartite left counts disagree (labels=%d fwd=%d)",
-			len(leftLabels), fwd.numNodes())
-	}
-	if rev.numNodes() != len(rightLabels) {
-		return nil, fmt.Errorf("graph: frozen bipartite right counts disagree (labels=%d rev=%d)",
-			len(rightLabels), rev.numNodes())
-	}
-	if len(fwd.Targets) != len(rev.Targets) {
-		return nil, fmt.Errorf("graph: frozen bipartite edge counts disagree (fwd=%d rev=%d)",
-			len(fwd.Targets), len(rev.Targets))
-	}
-	fb := &FrozenBipartite{leftLabels: leftLabels, rightLabels: rightLabels, fwd: fwd, rev: rev}
-	fb.sortedRows = csrRowsSorted(fwd)
-	return fb, nil
+// newFrozenBipartite wraps label tables and CSR adjacency into a
+// read-only bipartite graph. Arrays are adopted, not copied; both
+// callers build them consistent by construction.
+func newFrozenBipartite(leftLabels, rightLabels []string, fwd, rev *csr) *FrozenBipartite {
+	return &FrozenBipartite{leftLabels: leftLabels, rightLabels: rightLabels, fwd: fwd, rev: rev,
+		sortedRows: csrRowsSorted(fwd)}
 }
 
 // FreezeBipartite snapshots a Bipartite into its immutable flat-array
@@ -53,12 +41,90 @@ func FreezeBipartite(b *Bipartite) *FrozenBipartite {
 	copy(left, b.leftLabels)
 	right := make([]string, b.NumRight())
 	copy(right, b.rightLabels)
-	fb, err := NewFrozenBipartite(left, right, buildCSR(b.fwd, b.edges), buildCSR(b.rev, b.edges))
-	if err != nil {
-		// Unreachable: Bipartite maintains the mirror invariant.
-		panic(err)
+	return newFrozenBipartite(left, right, buildCSR(b.fwd, b.edges), buildCSR(b.rev, b.edges))
+}
+
+// AdjacencyRow is one left node's raw edge list by label, in original
+// (load-bearing) order: for the investment graph, an investor and the
+// company IDs it reports, duplicates and all.
+type AdjacencyRow struct {
+	Left   string
+	Rights []string
+}
+
+// FromRows is the CSR kernel every frozen snapshot's graph is built by:
+// it turns adjacency rows sorted by left label — a freeze's freshly
+// loaded rows, a decoded artifact's rows, or a previous snapshot's
+// retained rows plus a delta's upserted ones — into the frozen CSR,
+// without the intermediate builder graph or its per-edge hash set.
+//
+// Its contract (TestFromRowsMatchesBuilder) is identity with the
+// reference builder, FreezeBipartite over a graph built edge by edge the
+// way core.BuildInvestorGraph does:
+//
+//   - a left node exists only if its row has at least one edge, in row
+//     order (the builder creates left nodes lazily on the first AddEdge);
+//   - right nodes are numbered by first appearance in raw traversal
+//     order, which is why Rights must be each row's original list;
+//   - forward rows are deduplicated and sorted ascending (AddEdge's seen
+//     set plus SortAdjacency);
+//   - reverse rows come out ascending by construction, matching the
+//     sorted rows of the builder.
+//
+// Non-empty rows whose left labels are not strictly ascending — a
+// duplicate left node included — are an error.
+func FromRows(rows []AdjacencyRow) (*FrozenBipartite, error) {
+	raw := 0
+	for _, r := range rows {
+		raw += len(r.Rights)
 	}
-	return fb
+	leftLabels := make([]string, 0, len(rows))
+	rightLabels := []string{}
+	rightIdx := make(map[string]int32, len(rows))
+	fwd := &csr{offsets: make([]int64, 1, len(rows)+1), targets: make([]int32, 0, raw)}
+	for _, r := range rows {
+		if len(r.Rights) == 0 {
+			continue
+		}
+		if n := len(leftLabels); n > 0 && r.Left <= leftLabels[n-1] {
+			return nil, fmt.Errorf("graph: left node %q follows %q: rows not strictly ascending", r.Left, leftLabels[n-1])
+		}
+		start := len(fwd.targets)
+		for _, label := range r.Rights {
+			v, ok := rightIdx[label]
+			if !ok {
+				v = int32(len(rightLabels))
+				rightIdx[label] = v
+				rightLabels = append(rightLabels, label)
+			}
+			fwd.targets = append(fwd.targets, v)
+		}
+		row := fwd.targets[start:]
+		slices.Sort(row)
+		fwd.targets = fwd.targets[:start+len(slices.Compact(row))]
+		fwd.offsets = append(fwd.offsets, int64(len(fwd.targets)))
+		leftLabels = append(leftLabels, r.Left)
+	}
+
+	// Reverse CSR by counting sort. Rows fill in ascending left order, so
+	// every reverse row comes out already sorted — exactly what
+	// SortAdjacency produces on the builder (each (u,v) pair is unique
+	// after the dedup above).
+	rev := &csr{offsets: make([]int64, len(rightLabels)+1), targets: make([]int32, len(fwd.targets))}
+	for _, v := range fwd.targets {
+		rev.offsets[v+1]++
+	}
+	for i := 1; i < len(rev.offsets); i++ {
+		rev.offsets[i] += rev.offsets[i-1]
+	}
+	next := slices.Clone(rev.offsets[:len(rightLabels)])
+	for u := range leftLabels {
+		for _, v := range fwd.row(int32(u)) {
+			rev.targets[next[v]] = int32(u)
+			next[v]++
+		}
+	}
+	return newFrozenBipartite(leftLabels, rightLabels, fwd, rev), nil
 }
 
 // NumLeft returns the number of left (investor) nodes.
@@ -68,7 +134,7 @@ func (f *FrozenBipartite) NumLeft() int { return len(f.leftLabels) }
 func (f *FrozenBipartite) NumRight() int { return len(f.rightLabels) }
 
 // NumEdges returns the number of edges.
-func (f *FrozenBipartite) NumEdges() int { return len(f.fwd.Targets) }
+func (f *FrozenBipartite) NumEdges() int { return len(f.fwd.targets) }
 
 // LeftLabel returns the label of left node idx.
 func (f *FrozenBipartite) LeftLabel(idx int32) string { return f.leftLabels[idx] }
@@ -140,7 +206,7 @@ func (f *FrozenBipartite) HasEdge(left, right string) bool {
 }
 
 // csrRowsSorted reports whether every row of c is ascending.
-func csrRowsSorted(c *CSR) bool {
+func csrRowsSorted(c *csr) bool {
 	for u := 0; u < c.numNodes(); u++ {
 		row := c.row(int32(u))
 		for i := 1; i < len(row); i++ {

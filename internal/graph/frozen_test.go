@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -19,30 +20,96 @@ func itoa(i int) string {
 	return string(b)
 }
 
-// TestNewFrozenBipartiteValidates covers the three consistency checks a
-// decoded artifact relies on: each CSR's row count must match its label
-// table, and both directions must carry the same number of edges.
-func TestNewFrozenBipartiteValidates(t *testing.T) {
-	left, right := []string{"i1", "i2"}, []string{"c1"}
-	fwd := &CSR{Offsets: []int64{0, 1, 1}, Targets: []int32{0}}
-	rev := &CSR{Offsets: []int64{0, 1}, Targets: []int32{0}}
-	if _, err := NewFrozenBipartite(left, right, fwd, rev); err != nil {
-		t.Fatalf("consistent arrays rejected: %v", err)
-	}
-	cases := []struct {
-		name     string
-		fwd, rev *CSR
-		want     string
-	}{
-		{"left count", &CSR{Offsets: []int64{0, 1}, Targets: []int32{0}}, rev, "left counts"},
-		{"right count", fwd, &CSR{Offsets: []int64{0, 0, 1}, Targets: []int32{0}}, "right counts"},
-		{"edge count", fwd, &CSR{Offsets: []int64{0, 2}, Targets: []int32{0, 1}}, "edge counts"},
-	}
-	for _, c := range cases {
-		_, err := NewFrozenBipartite(left, right, c.fwd, c.rev)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+// freezeOracle is the full-rebuild reference path: feed the raw rows
+// through the builder exactly like core.BuildInvestorGraph does and
+// freeze the result.
+func freezeOracle(rows []AdjacencyRow) *FrozenBipartite {
+	b := NewBipartite(len(rows), len(rows))
+	for _, r := range rows {
+		for _, right := range r.Rights {
+			b.AddEdge(r.Left, right)
 		}
+	}
+	b.SortAdjacency()
+	return FreezeBipartite(b)
+}
+
+// TestFromRowsMatchesBuilder is the kernel-level property behind the
+// delta==refreeze gate: for random raw adjacency rows (duplicate edges,
+// shuffled right labels, empty rows), FromRows must produce labels and
+// CSR arrays identical to the builder's freeze.
+func TestFromRowsMatchesBuilder(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			nLeft := 20 + rng.Intn(60)
+			nRight := 10 + rng.Intn(40)
+			rows := make([]AdjacencyRow, 0, nLeft)
+			for i := 0; i < nLeft; i++ {
+				row := AdjacencyRow{Left: fmt.Sprintf("inv-%03d", i)}
+				// ~15% of rows keep zero edges: the builder never creates
+				// those left nodes, so FromRows must skip them too.
+				if rng.Intn(7) != 0 {
+					for j := rng.Intn(8); j >= 0; j-- {
+						row.Rights = append(row.Rights, fmt.Sprintf("co-%03d", rng.Intn(nRight)))
+					}
+					// Raw crawl rows carry duplicates; both paths must dedup.
+					if len(row.Rights) > 1 && rng.Intn(2) == 0 {
+						row.Rights = append(row.Rights, row.Rights[0])
+					}
+				}
+				rows = append(rows, row)
+			}
+			got, err := FromRows(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := freezeOracle(rows); !reflect.DeepEqual(got, want) {
+				t.Fatalf("kernel diverged from builder freeze (%d/%d/%d vs %d/%d/%d nodes/nodes/edges)",
+					got.NumLeft(), got.NumRight(), got.NumEdges(), want.NumLeft(), want.NumRight(), want.NumEdges())
+			}
+		})
+	}
+}
+
+func TestFromRowsEdgeCases(t *testing.T) {
+	// All-empty input freezes to an empty graph.
+	fb, err := FromRows([]AdjacencyRow{{Left: "a"}, {Left: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fb.NumLeft() != 0 || fb.NumRight() != 0 || fb.NumEdges() != 0 {
+		t.Fatalf("empty rows froze to %d/%d/%d", fb.NumLeft(), fb.NumRight(), fb.NumEdges())
+	}
+
+	// Duplicate or out-of-order left labels are writer bugs, not
+	// recoverable input.
+	for _, lefts := range [][2]string{{"a", "a"}, {"b", "a"}} {
+		_, err = FromRows([]AdjacencyRow{
+			{Left: lefts[0], Rights: []string{"x"}},
+			{Left: lefts[1], Rights: []string{"y"}},
+		})
+		if err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
+			t.Fatalf("left %v: err = %v", lefts, err)
+		}
+	}
+
+	// Right nodes number by first appearance in raw order, and duplicate
+	// edges collapse.
+	fb, err = FromRows([]AdjacencyRow{
+		{Left: "a", Rights: []string{"z", "y", "z"}},
+		{Left: "b", Rights: []string{"y", "x"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"z", "y", "x"} {
+		if got := fb.RightLabel(int32(i)); got != want {
+			t.Fatalf("right %d = %q, want %q", i, got, want)
+		}
+	}
+	if fb.NumEdges() != 4 {
+		t.Fatalf("edges = %d, want 4 (duplicate z collapsed)", fb.NumEdges())
 	}
 }
 

@@ -13,31 +13,24 @@ import (
 )
 
 // Backend is the serving layer's view of persistent data: discover the
-// newest frozen snapshot, load one, and read a namespace for queries.
-// *StoreBackend implements it over a real store; the chaos suite wraps
-// it with a deterministic fault injector.
+// newest frozen snapshot, load one or the delta that produced it, and
+// read a namespace for queries. *StoreBackend implements it over a real
+// store; the chaos suite wraps it with a deterministic fault injector.
 type Backend interface {
 	// LatestFrozen returns the largest snapshot tag with a committed
 	// frozen artifact.
 	LatestFrozen(ctx context.Context) (int, error)
 	// LoadFrozen decodes the snapshot's frozen artifact (-1 = latest).
 	LoadFrozen(ctx context.Context, snap int) (*core.FrozenSnapshot, error)
+	// LoadDelta decodes and validates the frozen/delta-N artifact that
+	// turns snapshot snap-1 into snap. Any error makes a delta refresh
+	// fall back to LoadFrozen.
+	LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error)
 	// What queries read: ReadRecords streams a namespace's records under
 	// the caller's context, ReadRows the planner-selected rows of an
 	// indexed one, and TableIndex returns a namespace's secondary
 	// indexes — (nil, nil) when it has none (the planner then scans).
 	query.IndexedSource
-}
-
-// DeltaBackend is the optional capability a Backend may add for
-// incremental hot-swaps: loading the frozen/delta-N artifact that turns
-// snapshot N-1 into N. Server.Refresh type-asserts for it when
-// DeltaRefresh is enabled and falls back to a full LoadFrozen when the
-// backend lacks it (or the delta path fails) — so existing Backend
-// implementations keep working unchanged.
-type DeltaBackend interface {
-	// LoadDelta decodes and validates the delta producing snapshot snap.
-	LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error)
 }
 
 // StoreBackend serves directly from a crawled store, projecting frozen
@@ -81,7 +74,7 @@ func (b *StoreBackend) LoadFrozen(ctx context.Context, snap int) (*core.FrozenSn
 	return core.LoadFrozenContext(ctx, b.Store, snap)
 }
 
-// LoadDelta implements DeltaBackend.
+// LoadDelta implements Backend.
 func (b *StoreBackend) LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("serve: load delta %d: %w", snap, err)

@@ -207,8 +207,9 @@ func TestRefreshSeesExternalCommits(t *testing.T) {
 	}
 }
 
-// TestRefreshWithoutDeltaCapability: a backend that cannot serve deltas
-// (stubBackend) silently uses full reloads even with DeltaRefresh on.
+// TestRefreshWithoutDeltaCapability: a backend whose LoadDelta fails
+// (stubBackend serves no deltas) silently uses full reloads even with
+// DeltaRefresh on.
 func TestRefreshWithoutDeltaCapability(t *testing.T) {
 	ctx := context.Background()
 	stub := &stubBackend{latest: 0, fs: testSnapshot(0)}

@@ -128,20 +128,13 @@ func (f *FaultyBackend) TableIndex(ns string) (*index.TableIndex, error) {
 	return f.Inner.TableIndex(ns)
 }
 
-// LoadDelta implements DeltaBackend by delegating to Inner's capability;
-// wrapping preserves it, so a FaultyBackend over a StoreBackend still
-// supports delta refresh (with faults injected on the delta reads too).
-// An Inner without the capability yields an error, which Server.Refresh
-// absorbs as a fall-back to full reload.
+// LoadDelta implements Backend, with faults injected on the delta reads
+// too.
 func (f *FaultyBackend) LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error) {
 	if f.decide("LoadDelta") {
 		return nil, fmt.Errorf("%w: LoadDelta(%d)", ErrInjected, snap)
 	}
-	db, ok := f.Inner.(DeltaBackend)
-	if !ok {
-		return nil, fmt.Errorf("serve: backend %T cannot load deltas", f.Inner)
-	}
-	return db.LoadDelta(ctx, snap)
+	return f.Inner.LoadDelta(ctx, snap)
 }
 
 // ReadRows implements Backend.

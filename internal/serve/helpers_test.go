@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -152,6 +153,12 @@ func (s *stubBackend) LatestFrozen(ctx context.Context) (int, error) { return s.
 
 func (s *stubBackend) LoadFrozen(ctx context.Context, snap int) (*core.FrozenSnapshot, error) {
 	return s.fs, nil
+}
+
+// LoadDelta fails: the stub serves whole snapshots only, so a delta
+// refresh over it falls back to a full reload.
+func (s *stubBackend) LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error) {
+	return nil, errors.New("stub backend serves no deltas")
 }
 
 func (s *stubBackend) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {

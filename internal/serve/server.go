@@ -38,10 +38,9 @@ type Options struct {
 	// DeltaRefresh makes Refresh apply frozen/delta-N artifacts onto the
 	// served snapshot in memory instead of reloading the whole artifact
 	// — the hot-swap pause scales with the round's churn, not the world
-	// size. Requires the backend to implement DeltaBackend; any delta
-	// failure (missing artifact, fault, conflict) silently falls back to
-	// a full reload. Generation-keyed caches invalidate identically on
-	// both paths.
+	// size. Any delta failure (missing artifact, fault, conflict)
+	// silently falls back to a full reload. Generation-keyed caches
+	// invalidate identically on both paths.
 	DeltaRefresh bool
 	// Logf, when set, receives operational log lines — notably the
 	// planner's scan-fallback reasons. Nil silences them.
@@ -164,12 +163,11 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Refresh observes the store's newest frozen snapshot and, when the
 // cache lags it (or is empty), brings the cache up to it and swaps the
-// result in as last-good. With DeltaRefresh enabled and a DeltaBackend,
-// it first tries to roll the served snapshot forward by applying the
-// intervening frozen/delta-N artifacts in memory; on any delta failure
-// — or without the capability — it loads the whole artifact through
-// the breaker as before. On any failure the previous snapshot keeps
-// serving and the cache is marked stale.
+// result in as last-good. With DeltaRefresh enabled it first tries to
+// roll the served snapshot forward by applying the intervening
+// frozen/delta-N artifacts in memory; on any delta failure it loads the
+// whole artifact through the breaker as before. On any failure the
+// previous snapshot keeps serving and the cache is marked stale.
 //
 // Refresh is prepare + install: every load, decode and delta apply runs
 // against local state with the previous snapshot still serving, and the
@@ -237,15 +235,11 @@ func (s *Server) install(fs *core.FrozenSnapshot, viaDeltas bool) {
 // refreshViaDeltas rolls cur forward to latest by loading each
 // intervening delta through the breaker and applying it in memory.
 // ok is false whenever the incremental path cannot produce latest —
-// delta refresh disabled, no capability, nothing served yet, or any
-// load/apply failure — and the caller falls back to a full reload
-// (logged, not surfaced: the artifacts are equivalent by construction).
+// delta refresh disabled, nothing served yet, or any load/apply
+// failure — and the caller falls back to a full reload (logged, not
+// surfaced: the artifacts are equivalent by construction).
 func (s *Server) refreshViaDeltas(ctx context.Context, cur *core.FrozenSnapshot, latest int) (*core.FrozenSnapshot, bool) {
 	if !s.opts.DeltaRefresh || cur == nil {
-		return nil, false
-	}
-	db, ok := s.backend.(DeltaBackend)
-	if !ok {
 		return nil, false
 	}
 	fs := cur
@@ -253,7 +247,7 @@ func (s *Server) refreshViaDeltas(ctx context.Context, cur *core.FrozenSnapshot,
 		var sd *core.SnapshotDelta
 		err := s.breaker.do(ctx, func(ctx context.Context) error {
 			var err error
-			sd, err = db.LoadDelta(ctx, v)
+			sd, err = s.backend.LoadDelta(ctx, v)
 			return err
 		})
 		if err == nil {

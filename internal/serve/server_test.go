@@ -243,6 +243,10 @@ func (b *blockingBackend) LoadFrozen(ctx context.Context, snap int) (*core.Froze
 	return nil, errors.New("no snapshot")
 }
 
+func (b *blockingBackend) LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error) {
+	return nil, errors.New("no delta")
+}
+
 func (b *blockingBackend) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
 	b.entered <- struct{}{}
 	select {

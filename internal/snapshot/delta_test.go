@@ -2,119 +2,8 @@ package snapshot
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
-
-	"crowdscope/internal/graph"
 )
-
-// freezeOracle is the full-rebuild reference path: feed the raw rows
-// through the builder exactly like core.BuildInvestorGraph does and
-// freeze the result.
-func freezeOracle(rows []AdjacencyRow) *graph.FrozenBipartite {
-	b := graph.NewBipartite(len(rows), len(rows))
-	for _, r := range rows {
-		for _, right := range r.Rights {
-			b.AddEdge(r.Left, right)
-		}
-	}
-	b.SortAdjacency()
-	return graph.FreezeBipartite(b)
-}
-
-// encodeBipartite serializes a frozen bipartite graph so the property
-// test can assert byte identity, the same contract the delta==refreeze
-// equivalence suite enforces on whole snapshots.
-func encodeBipartite(t *testing.T, fb *graph.FrozenBipartite) []byte {
-	t.Helper()
-	e := NewEncoder()
-	EncodeBipartite(e, "g", fb)
-	data, err := e.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestApplyBipartiteMatchesBuilder is the kernel-level property behind
-// the delta==refreeze gate: for random raw adjacency rows (duplicate
-// edges, shuffled right labels, empty rows), ApplyBipartite must produce
-// a graph byte-identical to the builder's freeze.
-func TestApplyBipartiteMatchesBuilder(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			nLeft := 20 + rng.Intn(60)
-			nRight := 10 + rng.Intn(40)
-			rows := make([]AdjacencyRow, 0, nLeft)
-			for i := 0; i < nLeft; i++ {
-				row := AdjacencyRow{Left: fmt.Sprintf("inv-%03d", i)}
-				// ~15% of rows keep zero edges: the builder never creates
-				// those left nodes, so ApplyBipartite must skip them too.
-				if rng.Intn(7) != 0 {
-					for j := rng.Intn(8); j >= 0; j-- {
-						row.Rights = append(row.Rights, fmt.Sprintf("co-%03d", rng.Intn(nRight)))
-					}
-					// Raw crawl rows carry duplicates; both paths must dedup.
-					if len(row.Rights) > 1 && rng.Intn(2) == 0 {
-						row.Rights = append(row.Rights, row.Rights[0])
-					}
-				}
-				rows = append(rows, row)
-			}
-			got, err := ApplyBipartite(rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := freezeOracle(rows)
-			gotBytes, wantBytes := encodeBipartite(t, got), encodeBipartite(t, want)
-			if string(gotBytes) != string(wantBytes) {
-				t.Fatalf("apply kernel diverged from builder freeze (%d vs %d bytes)",
-					len(gotBytes), len(wantBytes))
-			}
-		})
-	}
-}
-
-func TestApplyBipartiteEdgeCases(t *testing.T) {
-	// All-empty input freezes to an empty graph.
-	fb, err := ApplyBipartite([]AdjacencyRow{{Left: "a"}, {Left: "b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb.NumLeft() != 0 || fb.NumRight() != 0 || fb.NumEdges() != 0 {
-		t.Fatalf("empty rows froze to %d/%d/%d", fb.NumLeft(), fb.NumRight(), fb.NumEdges())
-	}
-
-	// Duplicate left labels are writer bugs, not recoverable input.
-	_, err = ApplyBipartite([]AdjacencyRow{
-		{Left: "a", Rights: []string{"x"}},
-		{Left: "a", Rights: []string{"y"}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "duplicate left node") {
-		t.Fatalf("duplicate left: err = %v", err)
-	}
-
-	// Right nodes number by first appearance in raw order, and duplicate
-	// edges collapse.
-	fb, err = ApplyBipartite([]AdjacencyRow{
-		{Left: "a", Rights: []string{"z", "y", "z"}},
-		{Left: "b", Rights: []string{"y", "x"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []string{"z", "y", "x"} {
-		if got := fb.RightLabel(int32(i)); got != want {
-			t.Fatalf("right %d = %q, want %q", i, got, want)
-		}
-	}
-	if fb.NumEdges() != 4 {
-		t.Fatalf("edges = %d, want 4 (duplicate z collapsed)", fb.NumEdges())
-	}
-}
 
 func TestDeltaMetaRoundtrip(t *testing.T) {
 	e := NewEncoder()

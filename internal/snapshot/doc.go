@@ -1,8 +1,10 @@
 // Package snapshot implements the frozen-snapshot columnar container: a
 // versioned, checksummed, little-endian binary format holding named typed
 // columns — int64/int32/uint8 arrays and string tables — from which a
-// crawled network loads in near-zero work (one sequential read per
-// column, no per-record JSON decoding, no CSR rebuild).
+// crawled network's rows load with one sequential read per column and no
+// per-record JSON decoding. It is a pure container: it knows nothing of
+// the columns' meaning, and the investment graph is not stored in it but
+// rebuilt from the rows by the reader (internal/core).
 //
 // # Byte layout (format version 1)
 //
@@ -30,6 +32,8 @@
 //
 // Compatibility rules: readers reject any version they do not know.
 // Adding new sections is backward-compatible within a version (readers
-// look sections up by name and ignore extras); removing or re-typing a
-// section requires a version bump.
+// look sections up by name and ignore extras — which is how the retired
+// g.* graph sections of older artifacts are still read); re-typing a
+// section, or removing one a current reader needs, requires a version
+// bump.
 package snapshot

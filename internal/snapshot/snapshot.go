@@ -273,7 +273,8 @@ func (d *Decoder) Uint8s(name string) ([]uint8, error) {
 	return s.payload, nil
 }
 
-// Strings returns the named string-table column.
+// Strings returns the named string-table column. The strings share one
+// copy of the column's bytes, so any one of them keeps all of it alive.
 func (d *Decoder) Strings(name string) ([]string, error) {
 	s, err := d.section(name, kindStrings)
 	if err != nil {
@@ -284,7 +285,7 @@ func (d *Decoder) Strings(name string) ([]string, error) {
 		return nil, fmt.Errorf("%w: section %q: %d payload bytes cannot hold the offsets of %d strings", ErrCorrupt, name, len(s.payload), s.count)
 	}
 	header := 8 * (s.count + 1)
-	blob := s.payload[header:]
+	blob := string(s.payload[header:]) // one allocation the strings share
 	out := make([]string, s.count)
 	prev := int64(0)
 	for i := range out {
@@ -293,7 +294,7 @@ func (d *Decoder) Strings(name string) ([]string, error) {
 		if lo != prev || hi < lo || hi > int64(len(blob)) {
 			return nil, fmt.Errorf("%w: section %q: invalid string offsets [%d,%d)", ErrCorrupt, name, lo, hi)
 		}
-		out[i] = string(blob[lo:hi])
+		out[i] = blob[lo:hi]
 		prev = hi
 	}
 	if prev != int64(len(blob)) {

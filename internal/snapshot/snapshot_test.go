@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"crowdscope/internal/graph"
 )
 
 func encodeAll(t *testing.T) []byte {
@@ -167,74 +165,4 @@ func TestDecoderRejectsOverflowingCounts(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
-}
-
-func TestBipartiteCodecRoundTrip(t *testing.T) {
-	b := graph.NewBipartite(4, 8)
-	for _, e := range [][2]string{
-		{"inv-a", "co-1"}, {"inv-a", "co-2"},
-		{"inv-b", "co-2"}, {"inv-b", "co-3"}, {"inv-b", "co-1"},
-		{"inv-c", "co-3"},
-	} {
-		b.AddEdge(e[0], e[1])
-	}
-	b.SortAdjacency()
-	enc := NewEncoder()
-	EncodeBipartite(enc, "g", b)
-	data, err := enc.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := DecodeBipartite(dec, "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb.NumLeft() != b.NumLeft() || fb.NumRight() != b.NumRight() || fb.NumEdges() != b.NumEdges() {
-		t.Fatalf("sizes: frozen %d/%d/%d vs builder %d/%d/%d",
-			fb.NumLeft(), fb.NumRight(), fb.NumEdges(), b.NumLeft(), b.NumRight(), b.NumEdges())
-	}
-	for u := int32(0); int(u) < b.NumLeft(); u++ {
-		if fb.LeftLabel(u) != b.LeftLabel(u) {
-			t.Fatalf("left label %d: %q vs %q", u, fb.LeftLabel(u), b.LeftLabel(u))
-		}
-		if !reflect.DeepEqual(fb.Fwd(u), b.Fwd(u)) {
-			t.Fatalf("fwd row %d: %v vs %v", u, fb.Fwd(u), b.Fwd(u))
-		}
-	}
-	for v := int32(0); int(v) < b.NumRight(); v++ {
-		if fb.RightLabel(v) != b.RightLabel(v) {
-			t.Fatalf("right label %d differs", v)
-		}
-		if !reflect.DeepEqual(fb.Rev(v), b.Rev(v)) {
-			t.Fatalf("rev row %d: %v vs %v", v, fb.Rev(v), b.Rev(v))
-		}
-	}
-	if !fb.HasEdge("inv-b", "co-3") || fb.HasEdge("inv-c", "co-1") {
-		t.Fatal("HasEdge disagrees with builder graph")
-	}
-}
-
-func TestDecodeCSRRejectsInconsistency(t *testing.T) {
-	enc := NewEncoder()
-	enc.Strings("g.left", []string{"a", "b"})
-	enc.Strings("g.right", []string{"x"})
-	enc.Int64s("g.fwd.offsets", []int64{0, 1, 2})
-	enc.Int32s("g.fwd.targets", []int32{0, 5}) // 5 is out of range
-	enc.Int64s("g.rev.offsets", []int64{0, 2})
-	enc.Int32s("g.rev.targets", []int32{0, 1})
-	data, err := enc.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeBipartite(dec, "g"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("out-of-range target: err = %v, want ErrCorrupt", err)
-	}
 }

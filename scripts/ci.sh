@@ -3,7 +3,7 @@
 # detector. The parallel kernels' equivalence tests make -race meaningful:
 # every pool-backed code path runs at multiple worker counts.
 #
-# Seventeen packages additionally carry a coverage floor (the end of this
+# Eighteen packages additionally carry a coverage floor (the end of this
 # script says why each one does), starting with the collection layer:
 # the crawler and apiserver chaos suites (fault injection + kill/resume)
 # are the proof that it tolerates real-world API behaviour.
@@ -115,14 +115,18 @@ run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsF
 # records and the same rows decoded from JSON give the same bytes), on
 # the freeze's user projection (it decodes whatever the typed user
 # record decodes, to the same fields; its array-length decoder accepts
-# exactly what a []string decode accepts) and on the graph codec (any
-# bytes decode to an ErrCorrupt error or to a frozen graph whose every
-# row, label and index stays in range). internal/core gets 20 s: its
-# TestMain crawls the package fixture in the coordinator and in every
-# fuzz worker before the first input runs, which takes about half of it.
-for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzUserProjection:./internal/core:20s FuzzDecodeBipartite:./internal/snapshot:10s; do
+# exactly what a []string decode accepts) and on the frozen-snapshot
+# decoder (any bytes decode to an ErrCorrupt error or to a snapshot with
+# strictly ascending IDs whose graph is the one built over its own rows,
+# allocating in proportion to the input). internal/core's targets get
+# 20 s: its TestMain crawls the package fixture in the coordinator and in
+# every fuzz worker before the first input runs, which takes about half.
+# Minimizing each new corpus entry is capped at 100 runs: left at its
+# default (up to a minute), minimizing one ~1.5 KB frozen artifact eats
+# the whole budget. A failing input is still reported, minimized or not.
+for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzUserProjection:./internal/core:20s FuzzDecodeFrozen:./internal/core:20s; do
   IFS=: read -r target pkg budget <<<"$entry"
-  go test -run '^$' -fuzz "^${target}\$" -fuzztime="$budget" "$pkg"
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime="$budget" -fuzzminimizetime=100x "$pkg"
 done
 
 # Per-package coverage floors (percent).
@@ -164,9 +168,13 @@ check_coverage ./internal/serve 70
 # tested or silent wrong answers become possible.
 check_coverage ./internal/index 70
 # The snapshot container carries the frozen artifacts AND the delta
-# artifacts; its codec and the delta apply kernel are the foundation of
-# the delta==refreeze byte-identity guarantee.
+# artifacts; its codec is the foundation of the delta==refreeze
+# byte-identity guarantee.
 check_coverage ./internal/snapshot 70
+# The snapshot builder, decoder, delta apply and query source: every
+# analysis, query and replica reads what this package freezes and
+# decodes.
+check_coverage ./internal/core 70
 # The synthetic ecosystem is the ground truth every equivalence suite
 # measures against (streaming==in-memory generation, sharded==unsharded
 # freeze), so its distribution and emission paths carry a floor too.
