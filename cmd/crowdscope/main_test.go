@@ -31,6 +31,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdscope"
 	"crowdscope/internal/leakcheck"
 )
 
@@ -318,8 +319,9 @@ func (l *lockedBuffer) String() string {
 
 // startServer runs args in the background and returns the address from
 // the first stdout line starting with prefix (its last field), the
-// cancel that starts the drain, and the channel run's result arrives on.
-func startServer(t *testing.T, prefix string, args ...string) (string, context.CancelFunc, <-chan error) {
+// stdout up to then, the cancel that starts the drain, and the channel
+// run's result arrives on.
+func startServer(t *testing.T, prefix string, args ...string) (string, string, context.CancelFunc, <-chan error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -328,10 +330,9 @@ func startServer(t *testing.T, prefix string, args ...string) (string, context.C
 	go func() { done <- run(ctx, args, &out) }()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, line := range strings.Split(out.String(), "\n") {
-			if fields := strings.Fields(line); strings.HasPrefix(line, prefix) && len(fields) > 0 {
-				return fields[len(fields)-1], cancel, done
-			}
+		stdout := out.String()
+		if addr := lastField(stdout, prefix); addr != "" {
+			return addr, stdout, cancel, done
 		}
 		select {
 		case err := <-done:
@@ -340,7 +341,18 @@ func startServer(t *testing.T, prefix string, args ...string) (string, context.C
 		}
 	}
 	t.Fatalf("no %q line within 60s:\n%s", prefix, out.String())
-	return "", nil, nil
+	return "", "", nil, nil
+}
+
+// lastField returns the last field of the first line of stdout starting
+// with prefix, or "".
+func lastField(stdout, prefix string) string {
+	for _, line := range strings.Split(stdout, "\n") {
+		if fields := strings.Fields(line); strings.HasPrefix(line, prefix) && len(fields) > 0 {
+			return fields[len(fields)-1]
+		}
+	}
+	return ""
 }
 
 // get fetches path from addr with a client whose connections the test
@@ -399,7 +411,7 @@ func TestServeDrain(t *testing.T) {
 	dir, _ := crawledStore(t)
 	leakcheck.Check(t)
 	client := &http.Client{Transport: &http.Transport{}}
-	addr, cancel, done := startServer(t, "serving ", "serve", "-store", dir, "-addr", "127.0.0.1:0")
+	addr, _, cancel, done := startServer(t, "serving ", "serve", "-store", dir, "-addr", "127.0.0.1:0")
 	waitReady(t, client, addr)
 	code, body := get(t, client, addr, "/api/query?q="+url.QueryEscape(queryStatements[0]))
 	if code != http.StatusOK {
@@ -414,13 +426,56 @@ func TestServeDrain(t *testing.T) {
 func TestFleetDrain(t *testing.T) {
 	leakcheck.Check(t)
 	client := &http.Client{Transport: &http.Transport{}}
-	addr, cancel, done := startServer(t, "front serving ", "fleet", "-store", t.TempDir(), "-addr", "127.0.0.1:0",
+	addr, _, cancel, done := startServer(t, "front serving ", "fleet", "-store", t.TempDir(), "-addr", "127.0.0.1:0",
 		"-scale", "0.001", "-crawl-workers", "2", "-replicas", "2")
 	waitReady(t, client, addr)
 	code, body := get(t, client, addr, "/api/snapshot/stats")
 	var stats struct{ Companies int }
 	if err := json.Unmarshal([]byte(body), &stats); code != http.StatusOK || err != nil || stats.Companies == 0 {
 		t.Fatalf("/api/snapshot/stats through the front: %d %s (%v)", code, body, err)
+	}
+	stopServer(t, client, addr, cancel, done)
+}
+
+// TestFleetCrawlsThePipelineAPI: fleet crawls the simulated APIs crawl
+// builds (crowdscope.NewPipelineFromWorld): the same tokens and the same
+// lifted Twitter window. With a server of its own keeping the real 180
+// calls per token per 15 minutes, a world past 3 × 180 Twitter lookups
+// (scale ≳ 0.008) left every worker out of backoff budget, wave after
+// wave.
+func TestFleetCrawlsThePipelineAPI(t *testing.T) {
+	leakcheck.Check(t)
+	p, err := crowdscope.NewPipeline(crowdscope.PipelineConfig{Seed: 42, Scale: 0.001, StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	// twitterLimit returns the status and the window limit the API gives
+	// the crawl's first token.
+	twitterLimit := func(api string) (int, int) {
+		req, err := http.NewRequest(http.MethodGet, api+"/twitter/rate_limit_status", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+p.Config.Tokens[0])
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var status struct{ Limit int }
+		json.NewDecoder(resp.Body).Decode(&status) // an error status has no limit
+		return resp.StatusCode, status.Limit
+	}
+	wantCode, want := twitterLimit(p.BaseURL())
+
+	addr, stdout, cancel, done := startServer(t, "front serving ", "fleet", "-store", t.TempDir(), "-addr", "127.0.0.1:0",
+		"-seed", "42", "-scale", "0.001", "-crawl-workers", "1", "-replicas", "1")
+	api := lastField(stdout, "simulated APIs on ")
+	if code, got := twitterLimit(api); code != wantCode || got != want {
+		t.Errorf("fleet's API gives the crawl's token status %d, Twitter window %d; the crawl's API %d, %d", code, got, wantCode, want)
 	}
 	stopServer(t, client, addr, cancel, done)
 }

@@ -10,9 +10,8 @@ import (
 	"net/http"
 	"time"
 
-	"crowdscope/internal/apiserver"
+	"crowdscope"
 	"crowdscope/internal/crawler"
-	"crowdscope/internal/ecosystem"
 	"crowdscope/internal/fleet"
 	"crowdscope/internal/fleet/front"
 	"crowdscope/internal/serve"
@@ -122,27 +121,21 @@ func runFleet(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// The simulated social APIs the fleet crawls, on a loopback port.
-	world, err := ecosystem.Generate(ecosystem.NewConfig(o.seed, o.scale))
-	if err != nil {
-		return err
-	}
-	tokens := []string{"t1", "t2", "t3"}
-	api := apiserver.New(world, apiserver.Options{
-		Tokens: tokens,
-		Faults: faultConfig(o.faultRate, o.faultSeed),
+	// The world, the simulated social APIs and their tokens come from the
+	// constructor crawl uses, so the fleet crawls the same API server.
+	p, err := crowdscope.NewPipeline(crowdscope.PipelineConfig{
+		Seed:     o.seed,
+		Scale:    o.scale,
+		StoreDir: dir,
+		Faults:   faultConfig(o.faultRate, o.faultSeed),
 	})
-	apiURL, apiClose, err := serveLoopback(api.Handler())
 	if err != nil {
 		return err
 	}
-	defer apiClose()
+	defer p.Close()
+	apiURL, tokens, st := p.BaseURL(), p.Config.Tokens, p.Store
 	fmt.Fprintf(stdout, "simulated APIs on %s\n", apiURL)
 
-	st, err := store.Open(dir)
-	if err != nil {
-		return err
-	}
 	coord, err := crawler.NewClient(apiURL, tokens)
 	if err != nil {
 		return err

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
+	"sort"
 
 	"crowdscope/internal/crawler"
 	"crowdscope/internal/parallel"
@@ -46,10 +46,13 @@ type Investor struct {
 // the namespace scan, which decodes the tag and nothing else.
 func latestSnapshot(ctx context.Context, st *store.Store) (int, error) {
 	latest := -1
-	err := store.ScanAsContext(ctx, st, crawler.NSStartups, func(r struct{ Snapshot int }) error {
-		if r.Snapshot > latest {
-			latest = r.Snapshot
+	var l lexer
+	err := st.ScanContext(ctx, crawler.NSStartups, func(payload []byte) error {
+		var tag int
+		if err := l.record(payload, func(l *lexer) error { return l.fields([]string{"snapshot"}, &tag) }); err != nil {
+			return fmt.Errorf("core: decode record in %q: %w", crawler.NSStartups, err)
 		}
+		latest = max(latest, tag)
 		return nil
 	})
 	if err != nil {
@@ -77,75 +80,42 @@ func crawledSnapshot(ctx context.Context, st *store.Store, snapshot int) (int, e
 // startupRecord, userRecord, cbProfile, fbProfile and twProfile are the
 // narrow projections of the persisted AngelList, CrunchBase, Facebook
 // and Twitter records: the snapshot tag that selects a record and
-// exactly the fields the row functions read. Decoding into them skips
-// the rest of the ecosystem schemas — a user's follow lists, the bulk
-// of the store, and the time.Time fields above all.
+// exactly the fields the row functions read. The freeze scans records
+// into them (records.go), stepping over the rest of the ecosystem
+// schemas — a user's follow lists, the bulk of the store, and the
+// time.Time fields above all.
 type startupRecord struct {
-	ID           string `json:"id"`
-	Name         string `json:"name"`
-	Raising      bool   `json:"raising"`
-	HasDemoVideo bool   `json:"has_demo_video"`
-	FacebookURL  string `json:"facebook_url"`
-	TwitterURL   string `json:"twitter_url"`
-	Snapshot     int    `json:"snapshot"`
+	ID           string
+	Name         string
+	Raising      bool
+	HasDemoVideo bool
+	FacebookURL  string
+	TwitterURL   string
+	Snapshot     int
 }
 
 type userRecord struct {
-	ID          string   `json:"id"`
-	Investments []string `json:"investments"`
-	Follows     arrayLen `json:"follows_startups"`
-	Snapshot    int      `json:"snapshot"`
-}
-
-// arrayLen decodes a JSON array of strings to the len() of the
-// []string it stands in for, allocating nothing: null elements count
-// (they decode to ""), a null array is 0, any other element or value is
-// an error. It only has to find the elements: encoding/json validates
-// the whole payload before it calls an Unmarshaler.
-type arrayLen int
-
-func (n *arrayLen) UnmarshalJSON(b []byte) error {
-	isArray := len(b) > 0 && b[0] == '['
-	count, ok := 0, isArray || string(b) == "null"
-	for i := 1; isArray && ok && i < len(b); i++ {
-		switch b[i] {
-		case '"': // skip to the closing quote, over escaped ones
-			for i++; i < len(b) && b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
-				}
-			}
-			count++
-		case 'n': // null
-			i += 3
-			count++
-		case ',', ']', ' ', '\t', '\n', '\r':
-		default:
-			ok = false
-		}
-	}
-	if !ok {
-		return fmt.Errorf("core: want a JSON array of strings, got %.40q", b)
-	}
-	*n = arrayLen(count)
-	return nil
+	ID          string
+	Investments []string
+	Follows     []struct{} // follows_startups, counted: its len is the list's
+	Snapshot    int
 }
 
 type cbProfile struct {
-	Rounds []cbRound `json:"rounds"`
+	Rounds []cbRound
 }
 
 type cbRound struct {
-	AmountUSD int64 `json:"amount_usd"`
+	AmountUSD int64
 }
 
 type fbProfile struct {
-	Likes int `json:"likes"`
+	Likes int
 }
 
 type twProfile struct {
-	StatusesCount  int `json:"statuses_count"`
-	FollowersCount int `json:"followers_count"`
+	StatusesCount  int
+	FollowersCount int
 }
 
 // companyRow is the company join: the AngelList profile left-outer
@@ -195,35 +165,62 @@ func investorRow(id string, investments []string, follows int) (Investor, bool) 
 // append order and later ones replace earlier ones, so a round persisted
 // twice (a re-crawl, a resume after a crash) loads as if persisted once.
 
-// walkShards runs walk over the k shards on parallel.Default() and
-// returns their rows concatenated in shard order, then sorted by ID (IDs
-// are unique), so the rows are the same at every K and worker count.
-// Peak memory is workers × one shard's profiles plus the merged rows.
-func walkShards[T any](k int, id func(T) string, walk func(shard int) ([]T, error)) ([]T, error) {
-	parts := make([][]T, k)
-	err := parallel.Default().EachErr(k, func(shard int) (err error) {
-		parts[shard], err = walk(shard)
+// walkShards runs walk over the k shards on parallel.Default(), each
+// worker sorting its shard's rows by ID, and merges the k sorted runs in
+// one pass. IDs are unique, so the rows are the same at every K and
+// worker count. Peak memory is workers × one shard's profiles plus the
+// merged rows.
+func walkShards[T any](k int, id func(*T) string, walk func(shard int) ([]T, error)) ([]T, error) {
+	runs, n := make([][]T, k), 0
+	err := parallel.Default().EachErr(k, func(shard int) error {
+		rows, err := walk(shard)
+		sort.Slice(rows, func(i, j int) bool { return id(&rows[i]) < id(&rows[j]) }) // compares in place: rows are wide
+		runs[shard] = rows
 		return err
 	})
-	if err != nil {
-		return nil, err
+	for _, run := range runs {
+		n += len(run)
 	}
-	rows := slices.Concat(parts...)
-	slices.SortFunc(rows, func(a, b T) int { return strings.Compare(id(a), id(b)) })
-	return rows, nil
+	rows := make([]T, 0, n)
+	for err == nil && len(rows) < n {
+		next := -1
+		for r, run := range runs {
+			if len(run) > 0 && (next < 0 || id(&run[0]) < id(&runs[next][0])) {
+				next = r
+			}
+		}
+		rows = append(rows, runs[next][0])
+		runs[next] = runs[next][1:]
+	}
+	return rows, err
+}
+
+// scanShard scans each record of one shard of ns into a T, reused and
+// zeroed per record, and hands it to fn, which must copy what it keeps.
+func scanShard[T any](ctx context.Context, st *store.Store, ns string, shard int, scan func(*T, *lexer) error, fn func(*T) error) error {
+	var rec T
+	var l lexer
+	return st.ScanShardContext(ctx, ns, shard, func(payload []byte) error {
+		rec = *new(T)
+		if err := l.record(payload, func(l *lexer) error { return scan(&rec, l) }); err != nil {
+			return fmt.Errorf("core: decode record in %q shard %d: %w", ns, shard, err)
+		}
+		return fn(&rec)
+	})
 }
 
 // shardProfiles returns, by startup ID, the snapshot's profiles in one
 // shard of an augmentation namespace — nil for a namespace the crawl
 // never wrote.
 func shardProfiles[T any](ctx context.Context, st *store.Store, ns string, shard, snap int) (map[string]*T, error) {
-	if !hasNamespace(st, ns) {
+	if !slices.Contains(st.Namespaces(), ns) {
 		return nil, nil
 	}
 	profiles := map[string]*T{}
-	err := store.ScanShardAsContext(ctx, st, ns, shard, func(r crawler.AugmentRecord[T]) error {
+	err := scanShard(ctx, st, ns, shard, scanAugment[T], func(r *crawler.AugmentRecord[T]) error {
 		if r.Snapshot == snap {
-			profiles[r.StartupID] = &r.Profile
+			p := r.Profile
+			profiles[r.StartupID] = &p
 		}
 		return nil
 	})
@@ -247,7 +244,7 @@ func LoadCompanies(ctx context.Context, st *store.Store, snapshot int) ([]Compan
 	// Augmentations are keyed by startup ID; they join shard-locally only
 	// when persisted with the startups' shard count.
 	for _, ns := range []string{crawler.NSCrunchBase, crawler.NSFacebook, crawler.NSTwitter} {
-		if !hasNamespace(st, ns) {
+		if !slices.Contains(st.Namespaces(), ns) {
 			continue
 		}
 		ak, err := st.ShardCount(ns)
@@ -258,7 +255,7 @@ func LoadCompanies(ctx context.Context, st *store.Store, snapshot int) ([]Compan
 			return nil, fmt.Errorf("core: %s has %d shards, %s has %d: not co-sharded", ns, ak, crawler.NSStartups, k)
 		}
 	}
-	return walkShards(k, func(c Company) string { return c.ID }, func(shard int) ([]Company, error) {
+	return walkShards(k, func(c *Company) string { return c.ID }, func(shard int) ([]Company, error) {
 		cb, err := shardProfiles[cbProfile](ctx, st, crawler.NSCrunchBase, shard, snap)
 		if err != nil {
 			return nil, err
@@ -273,11 +270,14 @@ func LoadCompanies(ctx context.Context, st *store.Store, snapshot int) ([]Compan
 		}
 		var rows []Company
 		at := map[string]int{} // startup ID → its row, for a later record to replace
-		err = store.ScanShardAsContext(ctx, st, crawler.NSStartups, shard, func(r startupRecord) error {
+		err = scanShard(ctx, st, crawler.NSStartups, shard, (*startupRecord).scan, func(r *startupRecord) error {
 			if r.Snapshot != snap {
 				return nil
 			}
-			row := companyRow(&r, cb[r.ID], fb[r.ID], tw[r.ID])
+			if r.ID == "" { // else it would freeze as a row with the empty ID
+				return fmt.Errorf("core: record without an id in %q shard %d", crawler.NSStartups, shard)
+			}
+			row := companyRow(r, cb[r.ID], fb[r.ID], tw[r.ID])
 			if i, seen := at[r.ID]; seen {
 				rows[i] = row
 			} else {
@@ -293,7 +293,7 @@ func LoadCompanies(ctx context.Context, st *store.Store, snapshot int) ([]Compan
 // LoadInvestors returns the snapshot's investor rows sorted by ID: the
 // users with at least one investment, reduced to ID, investment list
 // and follow count. The raw follow lists — the bulk of a user record —
-// are counted, never decoded. Pass snapshot -1 for the latest. The
+// are counted, never built. Pass snapshot -1 for the latest. The
 // context bounds the namespace scan.
 func LoadInvestors(ctx context.Context, st *store.Store, snapshot int) ([]Investor, error) {
 	snap, err := crawledSnapshot(ctx, st, snapshot)
@@ -304,13 +304,16 @@ func LoadInvestors(ctx context.Context, st *store.Store, snapshot int) ([]Invest
 	if err != nil {
 		return nil, err
 	}
-	return walkShards(k, func(inv Investor) string { return inv.ID }, func(shard int) ([]Investor, error) {
+	return walkShards(k, func(inv *Investor) string { return inv.ID }, func(shard int) ([]Investor, error) {
 		byID := map[string]Investor{}
-		err := store.ScanShardAsContext(ctx, st, crawler.NSUsers, shard, func(r userRecord) error {
+		err := scanShard(ctx, st, crawler.NSUsers, shard, (*userRecord).scan, func(r *userRecord) error {
 			if r.Snapshot != snap {
 				return nil
 			}
-			if inv, ok := investorRow(r.ID, r.Investments, int(r.Follows)); ok {
+			if r.ID == "" {
+				return fmt.Errorf("core: record without an id in %q shard %d", crawler.NSUsers, shard)
+			}
+			if inv, ok := investorRow(r.ID, r.Investments, len(r.Follows)); ok {
 				byID[r.ID] = inv
 			} else {
 				delete(byID, r.ID)
@@ -323,13 +326,4 @@ func LoadInvestors(ctx context.Context, st *store.Store, snapshot int) ([]Invest
 		}
 		return rows, err
 	})
-}
-
-func hasNamespace(st *store.Store, ns string) bool {
-	for _, known := range st.Namespaces() {
-		if known == ns {
-			return true
-		}
-	}
-	return false
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -32,8 +31,8 @@ func nsPayloads(t testing.TB, st *store.Store, ns string) [][]byte {
 
 // TestProjectionRowsMatchTypedDecode is the projection contract: for
 // every user and startup record of a generated world, the row built
-// from the narrow projection equals the row the in-memory feeder builds
-// from the full typed record.
+// from the scanned projection equals the row the in-memory feeder
+// builds from the full typed record.
 func TestProjectionRowsMatchTypedDecode(t *testing.T) {
 	st := generatedStore(t, 0.0055, 4)
 	investors := 0
@@ -43,11 +42,11 @@ func TestProjectionRowsMatchTypedDecode(t *testing.T) {
 		if err := json.Unmarshal(p, &typed); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(p, &proj); err != nil {
+		if err := scanRecord(p, proj.scan); err != nil {
 			t.Fatal(err)
 		}
 		want, wantOK := investorRow(typed.ID, typed.Investments, len(typed.FollowsStartups))
-		got, gotOK := investorRow(proj.ID, proj.Investments, int(proj.Follows))
+		got, gotOK := investorRow(proj.ID, proj.Investments, len(proj.Follows))
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) || proj.Snapshot != typed.Snapshot {
 			t.Fatalf("user %s: projection row %+v (%v), typed row %+v (%v)", typed.ID, got, gotOK, want, wantOK)
 		}
@@ -62,7 +61,7 @@ func TestProjectionRowsMatchTypedDecode(t *testing.T) {
 		if err := json.Unmarshal(p, &typed); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(p, &proj); err != nil {
+		if err := scanRecord(p, proj.scan); err != nil {
 			t.Fatal(err)
 		}
 		cur := &crawler.Snapshot{Startups: map[string]*ecosystem.Startup{typed.ID: &typed.Startup}}
@@ -73,75 +72,6 @@ func TestProjectionRowsMatchTypedDecode(t *testing.T) {
 	if investors == 0 || len(startups) == 0 {
 		t.Fatalf("contract vacuous: %d investors with follows, %d startups", investors, len(startups))
 	}
-}
-
-// TestArrayLenIsStrict: the length decoder takes an array of strings
-// (or nulls) or a null, and nothing else. Syntax is encoding/json's
-// check, made before it calls an Unmarshaler, so the cases go through
-// json.Unmarshal; handed broken input directly it must still not panic.
-func TestArrayLenIsStrict(t *testing.T) {
-	for in, want := range map[string]int{
-		`null`: 0, ` null `: 0, `[]`: 0, ` [ ] `: 0, `["a"]`: 1, "[ \"a\" ,\n\"b\"\t]": 2,
-		`["b\"]","c"]`: 2, `["\\","\u00e9\n","/"]`: 3, `[null,"a",null]`: 3, `["é","",""]`: 3, `["\u0022",","]`: 2,
-	} {
-		var n arrayLen = -1
-		if err := json.Unmarshal([]byte(in), &n); err != nil || int(n) != want {
-			t.Errorf("%q: length %d, error %v; want %d", in, n, err, want)
-		}
-	}
-	for _, in := range []string{
-		``, ` `, `[`, `]`, `["a"`, `["a",`, `["a",]`, `[,]`, `[,"a"]`, `["a" "b"]`, `["a"]]`, `["a"]x`,
-		`[1]`, `["a",1]`, `[true]`, `[["a"]]`, `[{}]`, `{"a":"b"}`, `"a"`, `1`, `12`, `-1`, `true`, `nul`, `nullx`, `[nul]`,
-		`["\q"]`, `["\u12"]`, `["\u12g4"]`, `["\`, `["\"]`, "[\"a\x01\"]", "[\"a\nb\"]",
-	} {
-		var n arrayLen = -1
-		if err := json.Unmarshal([]byte(in), &n); err == nil || n != -1 {
-			t.Errorf("%q: accepted with length %d", in, n)
-		}
-		_ = n.UnmarshalJSON([]byte(in))
-	}
-}
-
-// FuzzUserProjection: whenever the typed crawler.UserRecord decode of
-// the input succeeds, the projection succeeds with the same ID,
-// investments, follow count and snapshot tag; and the length decoder
-// agrees with a []string decode of the input in both directions. It
-// never panics, whether or not encoding/json vetted the input first.
-func FuzzUserProjection(f *testing.F) {
-	for _, p := range nsPayloads(f, generatedStore(f, 0.0001, 1), crawler.NSUsers)[:8] {
-		f.Add(p)
-	}
-	for _, s := range []string{
-		`{"id":"u1","name":"n","role":"investor","follows_startups":["s1","s\"2","s\\u00e93"],"investments":["s1"],"snapshot":4}`,
-		`{"id":"u1","follows_startups":["s1","s2"`,
-		`{"id":"u1","follows_startups":["s1",7],"snapshot":1}`,
-		`{"id":"u1","follows_startups":[null,"s2"],"follows_startups":null}`,
-		`{"ID":"u1","Follows_Startups":["a"],"follows_users":[1],"investments":null}`,
-		`["a","b\\"]`, ` [ null , "\\ud800" ] `, `["a",{}]`, `null`,
-	} {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var typed crawler.UserRecord
-		var proj userRecord
-		projErr := json.Unmarshal(data, &proj)
-		if json.Unmarshal(data, &typed) == nil {
-			if projErr != nil {
-				t.Fatalf("typed decode succeeds, projection fails: %v", projErr)
-			}
-			if proj.ID != typed.ID || !slices.Equal(proj.Investments, typed.Investments) ||
-				int(proj.Follows) != len(typed.FollowsStartups) || proj.Snapshot != typed.Snapshot {
-				t.Fatalf("projection %+v, typed %+v", proj, typed)
-			}
-		}
-		var list []string
-		var n arrayLen
-		listErr, lenErr := json.Unmarshal(data, &list), json.Unmarshal(data, &n)
-		if (listErr == nil) != (lenErr == nil) || (lenErr == nil && int(n) != len(list)) {
-			t.Fatalf("[]string decode: %d elements, error %v; arrayLen: %d, error %v", len(list), listErr, n, lenErr)
-		}
-		_ = n.UnmarshalJSON(data)
-	})
 }
 
 // TestShardedFreezeWorkerCountInvariant: the shard walk gives the same
@@ -209,6 +139,36 @@ func TestFreezeRejectsMalformedRecord(t *testing.T) {
 		}
 		if _, err := BuildFrozen(ctx, st, 1); err == nil || !strings.Contains(err.Error(), crawlNS) {
 			t.Fatalf("freeze over a malformed %s record: error %v, want one naming the namespace", ns, err)
+		}
+	}
+}
+
+// TestFreezeRejectsRecordWithoutID: a startup or user record without an
+// id must stop the freeze with an error naming its namespace, not freeze
+// as a row with the empty ID.
+func TestFreezeRejectsRecordWithoutID(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct{ ns, crawlNS, payload string }{
+		{ecosystem.NSGenStartups, crawler.NSStartups, `{"name":"ghost"}`},
+		{ecosystem.NSGenStartups, crawler.NSStartups, `{"snapshot":1}`},
+		{ecosystem.NSGenUsers, crawler.NSUsers, `{"name":"ghost","investments":["s1"]}`},
+	} {
+		st := generatedStore(t, 0.0001, 2)
+		w, err := st.Writer(c.ns, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendRaw("x", []byte(c.payload)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := crawler.IngestGenerated(ctx, st, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildFrozen(ctx, st, 1); err == nil || !strings.Contains(err.Error(), c.crawlNS) {
+			t.Fatalf("freeze over %s record %s: error %v, want one naming the namespace", c.ns, c.payload, err)
 		}
 	}
 }

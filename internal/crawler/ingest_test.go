@@ -49,7 +49,7 @@ func typedAugment[T any]() func([]byte, int) (string, []byte, error) {
 func shardPayloads(t *testing.T, st *store.Store, ns string, shard int) [][]byte {
 	t.Helper()
 	var out [][]byte
-	err := st.ScanShard(ns, shard, func(p []byte) error {
+	err := st.ScanShardContext(context.Background(), ns, shard, func(p []byte) error {
 		out = append(out, bytes.Clone(p))
 		return nil
 	})

@@ -98,7 +98,7 @@ func TestGenerateToMatchesGenerate(t *testing.T) {
 		}
 		for sh := 0; sh < k; sh++ {
 			i := 0
-			if err := st.ScanShard(ns, sh, func(payload []byte) error {
+			if err := st.ScanShardContext(context.Background(), ns, sh, func(payload []byte) error {
 				if i >= len(wantShards[sh]) {
 					t.Fatalf("%s shard %d: extra record %d: %s", ns, sh, i, payload)
 				}

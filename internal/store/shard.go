@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 )
@@ -47,9 +46,10 @@ func shardDir(ns string, shard int) string {
 	return filepath.Join(nsDir(ns), fmt.Sprintf("shard-%03d", shard))
 }
 
-// ScanShard streams one shard's committed records, in append order, to
-// fn. The payload slice is reused; fn must copy it if retained.
-func (s *Store) ScanShard(ns string, shard int, fn func(payload []byte) error) error {
+// ScanShardContext streams one shard's committed records, in append
+// order, to fn, checking the caller's context before every record. The
+// payload slice is reused; fn must copy it if retained.
+func (s *Store) ScanShardContext(ctx context.Context, ns string, shard int, fn func(payload []byte) error) error {
 	shards, err := s.snapshot(ns)
 	if err != nil {
 		return err
@@ -57,28 +57,10 @@ func (s *Store) ScanShard(ns string, shard int, fn func(payload []byte) error) e
 	if shard < 0 || shard >= len(shards) {
 		return fmt.Errorf("store: namespace %q has %d shards, requested shard %d", ns, len(shards), shard)
 	}
-	return s.scanSegments(shards[shard], fn)
-}
-
-// ScanShardContext is ScanShard bounded by the caller's context,
-// checked before every record.
-func (s *Store) ScanShardContext(ctx context.Context, ns string, shard int, fn func(payload []byte) error) error {
-	return s.ScanShard(ns, shard, func(payload []byte) error {
+	return s.scanSegments(shards[shard], func(payload []byte) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("store: scan %q shard %d: %w", ns, shard, err)
 		}
 		return fn(payload)
-	})
-}
-
-// ScanShardAsContext streams one shard's records unmarshaled into T,
-// under the caller's context.
-func ScanShardAsContext[T any](ctx context.Context, s *Store, ns string, shard int, fn func(rec T) error) error {
-	return s.ScanShardContext(ctx, ns, shard, func(payload []byte) error {
-		var rec T
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("store: unmarshal record in %q shard %d: %w", ns, shard, err)
-		}
-		return fn(rec)
 	})
 }

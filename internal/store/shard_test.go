@@ -16,6 +16,17 @@ type shardRec struct {
 	N  int    `json:"n"`
 }
 
+// scanShardRecs streams one shard's records decoded into shardRec.
+func scanShardRecs(s *Store, ns string, shard int, fn func(shardRec) error) error {
+	return s.ScanShardContext(context.Background(), ns, shard, func(p []byte) error {
+		var r shardRec
+		if err := json.Unmarshal(p, &r); err != nil {
+			return err
+		}
+		return fn(r)
+	})
+}
+
 func writeSharded(t *testing.T, s *Store, ns string, k, n int) []shardRec {
 	t.Helper()
 	w, err := s.Writer(ns, k)
@@ -82,7 +93,7 @@ func TestShardedRoundTripAndScanOrder(t *testing.T) {
 	var got []shardRec
 	for shard := 0; shard < k; shard++ {
 		prev := -1
-		err := ScanShardAsContext(context.Background(), s, "gen/items", shard, func(r shardRec) error {
+		err := scanShardRecs(s, "gen/items", shard, func(r shardRec) error {
 			if ShardFor(r.ID, k) != shard {
 				t.Fatalf("record %s scanned from shard %d, routes to %d", r.ID, shard, ShardFor(r.ID, k))
 			}
@@ -94,7 +105,7 @@ func TestShardedRoundTripAndScanOrder(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("ScanShard %d: %v", shard, err)
+			t.Fatalf("ScanShardContext %d: %v", shard, err)
 		}
 	}
 	if len(got) != len(want) {
@@ -158,7 +169,7 @@ func shardPayloads(t *testing.T, s *Store, ns string) [][]string {
 	}
 	out := make([][]string, k)
 	for shard := range out {
-		if err := s.ScanShard(ns, shard, func(p []byte) error {
+		if err := s.ScanShardContext(context.Background(), ns, shard, func(p []byte) error {
 			out[shard] = append(out[shard], string(p))
 			return nil
 		}); err != nil {
@@ -168,7 +179,7 @@ func shardPayloads(t *testing.T, s *Store, ns string) [][]string {
 	return out
 }
 
-// TestStoreShapeInvariance: at every K, ScanShard(i) yields exactly the
+// TestStoreShapeInvariance: at every K, ScanShardContext(i) yields exactly the
 // records whose key routes to i, in append order; Scan yields the shards
 // concatenated; reopen + append keeps both.
 func TestStoreShapeInvariance(t *testing.T) {
@@ -340,7 +351,7 @@ func TestAppendRawToCopiesShardsAndAbortCommitsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for shard := 0; shard < k; shard++ {
-			err := s.ScanShard("gen/items", shard, func(p []byte) error { return w.AppendRawTo(shard, p) })
+			err := s.ScanShardContext(context.Background(), "gen/items", shard, func(p []byte) error { return w.AppendRawTo(shard, p) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,7 +381,7 @@ func TestAppendRawToCopiesShardsAndAbortCommitsNothing(t *testing.T) {
 	}
 	n := 0
 	for shard := 0; shard < k; shard++ {
-		err := ScanShardAsContext(context.Background(), s, "copy/items", shard, func(r shardRec) error {
+		err := scanShardRecs(s, "copy/items", shard, func(r shardRec) error {
 			if ShardFor(r.ID, k) != shard {
 				t.Errorf("record %s copied to shard %d, key routes to %d", r.ID, shard, ShardFor(r.ID, k))
 			}

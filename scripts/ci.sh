@@ -61,7 +61,8 @@ go run ./cmd/crowdlint ./...
 #                      ingest byte for
 #                      byte; the freeze is shard-count and worker-count
 #                      invariant (its shard walk is concurrent), pinned
-#                      to the golden digests, and a re-persisted round
+#                      to the golden digests, its record scanners agree
+#                      with encoding/json, and a re-persisted round
 #                      freezes as its last persist
 #   fleet-chaos        workers SIGKILLed mid-round still merge to an
 #                      artifact bit-identical to a fault-free single-
@@ -102,7 +103,7 @@ run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/communi
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
 run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestIndexedRouteBodiesMatchScanRoute' ./internal/core ./internal/serve
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
-run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
+run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite fleet-chaos    'TestFleetChaosKillWorkersMergeBitIdentical|TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/fleet ./internal/fleet/front
 run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects' ./internal/store ./internal/crawler
 run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsForInFlight' ./cmd/crowdscope
@@ -113,9 +114,10 @@ run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsF
 # (json.Marshal's bytes for any field values, or its failure), on the
 # row contract (core's typed
 # records and the same rows decoded from JSON give the same bytes), on
-# the freeze's user projection (it decodes whatever the typed user
-# record decodes, to the same fields; its array-length decoder accepts
-# exactly what a []string decode accepts) and on the frozen-snapshot
+# the freeze's record scanners (each accepts and rejects exactly what
+# json.Unmarshal into the same projection does, with the same fields,
+# and a user record the typed decode takes scans to its values) and on
+# the frozen-snapshot
 # decoder (any bytes decode to an ErrCorrupt error or to a snapshot with
 # strictly ascending IDs whose graph is the one built over its own rows,
 # allocating in proportion to the input). internal/core's targets get
@@ -124,7 +126,7 @@ run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsF
 # Minimizing each new corpus entry is capped at 100 runs: left at its
 # default (up to a minute), minimizing one ~1.5 KB frozen artifact eats
 # the whole budget. A failing input is still reported, minimized or not.
-for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzUserProjection:./internal/core:20s FuzzDecodeFrozen:./internal/core:20s; do
+for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzFreezeDecoders:./internal/core:20s FuzzDecodeFrozen:./internal/core:20s; do
   IFS=: read -r target pkg budget <<<"$entry"
   go test -run '^$' -fuzz "^${target}\$" -fuzztime="$budget" -fuzzminimizetime=100x "$pkg"
 done
