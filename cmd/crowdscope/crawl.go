@@ -23,7 +23,9 @@ import (
 // schedule replays exactly for a given -fault-seed.
 func runCrawl(ctx context.Context, args []string, stdout io.Writer) error {
 	var o options
-	fs := o.flagSet("crawl", "seed", "scale", "store", "workers", "fault-rate", "fault-seed")
+	fs := o.flagSet("crawl", "seed", "scale", "store", "workers")
+	faultRate := fs.Float64("fault-rate", 0, "deterministic per-kind API fault rate [0,0.2)")
+	faultSeed := fs.Int64("fault-seed", 1, "fault schedule seed")
 	snapshots := fs.Int("snapshots", 1, "number of crawl snapshots")
 	days := fs.Int("days", 7, "simulated days between snapshots")
 	resume := fs.Bool("resume", false, "resume the crawl from its latest checkpoint")
@@ -40,7 +42,7 @@ func runCrawl(ctx context.Context, args []string, stdout io.Writer) error {
 		Scale:      o.scale,
 		StoreDir:   dir,
 		Workers:    o.workers,
-		Faults:     faultConfig(o.faultRate, o.faultSeed),
+		Faults:     faultConfig(*faultRate, *faultSeed),
 		Checkpoint: true,
 		Resume:     *resume,
 	})

@@ -6,17 +6,17 @@
 //	crowdscope analyze -seed 42 -scale 0.01 [-exp fig6] [-out DIR] [-layout band]
 //	crowdscope query   -store DIR [-explain] [-rebuild-snapshot] [STATEMENT]
 //	crowdscope serve   -store DIR -addr :8080 [-refresh 5s]
-//	crowdscope fleet   -store DIR -addr :8080 [-crawl-workers 3 -replicas 2]
+//	crowdscope fleet   -store DIR -addr :8080 [-replicas 2]
 //	crowdscope scale   -scale 1 -shards 16 [-store DIR]
 //
 // A flag two subcommands share (-seed, -scale, -store, -out, -workers,
-// -fault-rate, -fault-seed, -addr, -drain-timeout) is declared once, in
-// options.flagSet, and means the same thing with the same default
-// wherever it appears. "crowdscope <command> -h" lists a command's flags;
+// -addr, -drain-timeout) is declared once, in options.flagSet, and
+// means the same thing with the same default wherever it appears.
+// "crowdscope <command> -h" lists a command's flags;
 // testdata/flags.golden holds all of them. Flags are the experiment's
 // inputs and deployment settings only: serving bounds, breaker
-// thresholds, fleet partitioning, lease TTL and analysis budget each
-// have one value, a constant in their package.
+// thresholds, front probe pacing and analysis budget each have one
+// value, a constant in their package.
 package main
 
 import (
@@ -45,7 +45,7 @@ commands:
   analyze  print every table and figure of the paper over a fresh crawl
   query    run SQL-like statements against a store
   serve    serve a store over HTTP
-  fleet    lease-coordinated crawl workers, merged snapshot, replicated serving
+  fleet    serve a store through read-only replicas behind a failover front
   scale    the out-of-core batch pipeline with per-stage wall-clock and RSS
 
 Run "crowdscope <command> -h" for its flags.`
@@ -99,8 +99,6 @@ type options struct {
 	store        string
 	out          string
 	workers      int
-	faultRate    float64
-	faultSeed    int64
 	addr         string
 	drainTimeout time.Duration
 }
@@ -121,10 +119,6 @@ func (o *options) flagSet(cmd string, shared ...string) *flag.FlagSet {
 			fs.StringVar(&o.out, name, "", "optional output directory")
 		case "workers":
 			fs.IntVar(&o.workers, name, 0, "worker pool size for the crawler and the parallel kernels (<=0: 8 crawler workers, GOMAXPROCS kernel workers); results are identical for any value")
-		case "fault-rate":
-			fs.Float64Var(&o.faultRate, name, 0, "deterministic per-kind API fault rate [0,0.2)")
-		case "fault-seed":
-			fs.Int64Var(&o.faultSeed, name, 1, "fault schedule seed")
 		case "addr":
 			fs.StringVar(&o.addr, name, ":8080", "listen address")
 		case "drain-timeout":

@@ -14,7 +14,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,7 +30,6 @@ import (
 	"testing"
 	"time"
 
-	"crowdscope"
 	"crowdscope/internal/leakcheck"
 )
 
@@ -423,60 +421,20 @@ func TestServeDrain(t *testing.T) {
 	stopServer(t, client, addr, cancel, done)
 }
 
+// TestFleetDrain serves the crawled store through two replicas behind
+// the front: the query body must be the serve golden byte for byte, so
+// the front passes replica bodies through untouched.
 func TestFleetDrain(t *testing.T) {
+	dir, _ := crawledStore(t)
 	leakcheck.Check(t)
 	client := &http.Client{Transport: &http.Transport{}}
-	addr, _, cancel, done := startServer(t, "front serving ", "fleet", "-store", t.TempDir(), "-addr", "127.0.0.1:0",
-		"-scale", "0.001", "-crawl-workers", "2", "-replicas", "2")
+	addr, _, cancel, done := startServer(t, "front serving ", "fleet", "-store", dir, "-addr", "127.0.0.1:0", "-replicas", "2")
 	waitReady(t, client, addr)
-	code, body := get(t, client, addr, "/api/snapshot/stats")
-	var stats struct{ Companies int }
-	if err := json.Unmarshal([]byte(body), &stats); code != http.StatusOK || err != nil || stats.Companies == 0 {
-		t.Fatalf("/api/snapshot/stats through the front: %d %s (%v)", code, body, err)
+	code, body := get(t, client, addr, "/api/query?q="+url.QueryEscape(queryStatements[0]))
+	if code != http.StatusOK {
+		t.Fatalf("/api/query through the front: %d %s", code, body)
 	}
-	stopServer(t, client, addr, cancel, done)
-}
-
-// TestFleetCrawlsThePipelineAPI: fleet crawls the simulated APIs crawl
-// builds (crowdscope.NewPipelineFromWorld): the same tokens and the same
-// lifted Twitter window. With a server of its own keeping the real 180
-// calls per token per 15 minutes, a world past 3 × 180 Twitter lookups
-// (scale ≳ 0.008) left every worker out of backoff budget, wave after
-// wave.
-func TestFleetCrawlsThePipelineAPI(t *testing.T) {
-	leakcheck.Check(t)
-	p, err := crowdscope.NewPipeline(crowdscope.PipelineConfig{Seed: 42, Scale: 0.001, StoreDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	client := &http.Client{Transport: &http.Transport{}}
-	defer client.CloseIdleConnections()
-	// twitterLimit returns the status and the window limit the API gives
-	// the crawl's first token.
-	twitterLimit := func(api string) (int, int) {
-		req, err := http.NewRequest(http.MethodGet, api+"/twitter/rate_limit_status", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer "+p.Config.Tokens[0])
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var status struct{ Limit int }
-		json.NewDecoder(resp.Body).Decode(&status) // an error status has no limit
-		return resp.StatusCode, status.Limit
-	}
-	wantCode, want := twitterLimit(p.BaseURL())
-
-	addr, stdout, cancel, done := startServer(t, "front serving ", "fleet", "-store", t.TempDir(), "-addr", "127.0.0.1:0",
-		"-seed", "42", "-scale", "0.001", "-crawl-workers", "1", "-replicas", "1")
-	api := lastField(stdout, "simulated APIs on ")
-	if code, got := twitterLimit(api); code != wantCode || got != want {
-		t.Errorf("fleet's API gives the crawl's token status %d, Twitter window %d; the crawl's API %d, %d", code, got, wantCode, want)
-	}
+	assertSame(t, "/api/query body through the front", body, golden(t, "serve_query.json"))
 	stopServer(t, client, addr, cancel, done)
 }
 

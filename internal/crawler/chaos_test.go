@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -321,5 +322,49 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// All maps usable even where the JSON had none.
 	if got.Snap.Users == nil || got.Snap.Twitter == nil {
 		t.Fatal("nil maps after load")
+	}
+}
+
+// TestLoadCheckpointDecodesOnlyTheLatest: every checkpoint record holds
+// the whole partial snapshot, so decoding each one on resume made a
+// finished crawl's resume cost grow with its checkpoint count. Loading
+// from a namespace of 50 checkpoints must allocate within 2x of loading
+// from a namespace holding just the last of them.
+func TestLoadCheckpointDecodesOnlyTheLatest(t *testing.T) {
+	snap := &Snapshot{
+		Startups: map[string]*ecosystem.Startup{},
+		Users:    map[string]*ecosystem.User{},
+	}
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("s%d", i)
+		snap.Startups[id] = &ecosystem.Startup{ID: id, Name: "Startup " + id, FounderIDs: []string{"u" + id}}
+		uid := fmt.Sprintf("u%d", i)
+		snap.Users[uid] = &ecosystem.User{ID: uid, Name: "User " + uid, FollowsStartups: []string{id}}
+	}
+	ctx := context.Background()
+	fill := func(n int) *store.Store {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := 0; seq < n; seq++ {
+			cp := &Checkpoint{Seq: seq, Phase: PhaseBFS, Round: seq, Snap: snap}
+			if err := SaveCheckpoint(ctx, st, "checkpoint/crawl", cp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	allocs := func(st *store.Store, wantSeq int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			cp, ok, err := LoadCheckpoint(ctx, st, "checkpoint/crawl")
+			if err != nil || !ok || cp.Seq != wantSeq || len(cp.Snap.Startups) != len(snap.Startups) {
+				t.Fatalf("load: ok=%v err=%v", ok, err)
+			}
+		})
+	}
+	one, fifty := allocs(fill(1), 0), allocs(fill(50), 49)
+	if fifty > 2*one {
+		t.Fatalf("LoadCheckpoint over 50 checkpoints: %.0f allocs, over 1: %.0f; want within 2x", fifty, one)
 	}
 }

@@ -2,7 +2,9 @@ package crawler
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"slices"
 
 	"crowdscope/internal/ecosystem"
 	"crowdscope/internal/store"
@@ -36,17 +38,6 @@ type CheckpointConfig struct {
 	// Resume loads the latest checkpoint before starting and skips all
 	// completed work. Without a checkpoint on disk it is a no-op.
 	Resume bool
-	// Fence, when nonzero, tags every checkpoint record this crawl
-	// writes with the writer's fencing token (a fleet worker's lease
-	// token). LoadCheckpoint prefers the highest fence, so records a
-	// stale owner sneaks in after losing its lease can never shadow the
-	// current owner's progress.
-	Fence int64
-	// Guard, when non-nil, runs before every checkpoint write; an error
-	// aborts the crawl. Fleet workers verify their lease is still held
-	// here, so a fenced-out worker stops at its next persist instead of
-	// crawling on uselessly.
-	Guard func(ctx context.Context) error
 }
 
 // Checkpoint is one durable record of crawl progress: the phase, the
@@ -65,10 +56,6 @@ type Checkpoint struct {
 	UserFrontier    []string `json:"user_frontier,omitempty"`
 	// AugmentDone lists startup IDs already augmented (PhaseAugment).
 	AugmentDone []string `json:"augment_done,omitempty"`
-	// Fence is the writer's fencing token (0 outside fleet crawls).
-	// Among committed records, higher fences always win: a reclaimed
-	// partition's new owner shadows anything its predecessor wrote.
-	Fence int64 `json:"fence,omitempty"`
 	// Snap is the partial snapshot collected so far.
 	Snap *Snapshot `json:"snapshot"`
 }
@@ -93,44 +80,38 @@ func SaveCheckpoint(ctx context.Context, s *store.Store, ns string, cp *Checkpoi
 	return nil
 }
 
-// LoadCheckpoint returns the winning checkpoint in the namespace, or
-// ok=false when none has ever been committed. The winner is the record
-// with the highest fencing token, ties broken by append order — for
-// single-owner crawls (all fences zero) that is simply the latest
-// record, and for fleet partitions it means a stale ex-owner's late
-// append can never shadow the reclaiming owner's progress. The context
-// bounds the checkpoint scan.
+// LoadCheckpoint returns the latest checkpoint in the namespace, or
+// ok=false when none has ever been committed. Every record carries the
+// whole partial snapshot, so only the last one is decoded: the scan
+// still checks every segment's framing, CRC and record count, but keeps
+// just the raw bytes of the record it last saw. The context bounds the
+// checkpoint scan.
 func LoadCheckpoint(ctx context.Context, s *store.Store, ns string) (*Checkpoint, bool, error) {
-	known := false
-	for _, n := range s.Namespaces() {
-		if n == ns {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(s.Namespaces(), ns) {
 		return nil, false, nil
 	}
-	var last *Checkpoint
-	err := store.ScanAsContext(ctx, s, ns, func(cp Checkpoint) error {
-		if last != nil && cp.Fence < last.Fence {
-			return nil
-		}
-		c := cp
-		last = &c
+	var last []byte
+	seen := false
+	err := s.ScanContext(ctx, ns, func(payload []byte) error {
+		last = append(last[:0], payload...)
+		seen = true
 		return nil
 	})
 	if err != nil {
 		return nil, false, fmt.Errorf("crawler: load checkpoint: %w", err)
 	}
-	if last == nil {
+	if !seen {
 		return nil, false, nil
 	}
-	if last.Snap == nil {
-		last.Snap = &Snapshot{}
+	cp := &Checkpoint{}
+	if err := json.Unmarshal(last, cp); err != nil {
+		return nil, false, fmt.Errorf("crawler: load checkpoint: unmarshal record in %q: %w", ns, err)
 	}
-	ensureMaps(last.Snap)
-	return last, true, nil
+	if cp.Snap == nil {
+		cp.Snap = &Snapshot{}
+	}
+	ensureMaps(cp.Snap)
+	return cp, true, nil
 }
 
 // ensureMaps fills nil maps after JSON round-trips of empty snapshots.

@@ -34,13 +34,6 @@ import (
 // not failures.
 var ErrNotFound = errors.New("crawler: not found")
 
-// ErrBackoffBudget marks a call abandoned because its cumulative retry
-// and rate-limit sleeping hit MaxSleepPerCall. A fleet worker that sees
-// it fails the current partition attempt instead of sleeping past its
-// lease expiry (where a hostile Retry-After would otherwise park it
-// until another worker fences it out).
-var ErrBackoffBudget = errors.New("crawler: backoff budget exhausted")
-
 // Client is a rate-limit-aware, retrying HTTP client for the simulated
 // services. It is safe for concurrent use.
 type Client struct {
@@ -64,15 +57,6 @@ type Client struct {
 	// nil means time.Now. Tests inject fakes so date headers resolve to
 	// deterministic waits.
 	Clock apiserver.Clock
-	// MaxSleepPerCall caps cumulative sleeping (backoff plus rate-limit
-	// waits) within one call. Individual waits are clamped to the
-	// remaining budget; a call that would sleep with nothing left fails
-	// with ErrBackoffBudget instead. 0 disables the cap — a lone crawler
-	// legitimately sleeps out whole Twitter rate windows, which is the
-	// paper's documented crawl reality. Fleet workers set it to their
-	// lease TTL so a hostile or skewed Retry-After header cannot park
-	// them past expiry (crowdscope fleet wires this up).
-	MaxSleepPerCall time.Duration
 
 	tokenCursor atomic.Uint64
 
@@ -189,34 +173,18 @@ func (c *Client) retryAfterDelay(ra string) (time.Duration, bool) {
 // token rotation. A 429 rotates to the next token immediately; when all
 // tokens are exhausted it sleeps out the window's Retry-After (either
 // wire form). Truncated or malformed 200 bodies are re-fetched like
-// transient failures. All waits abort promptly on context cancellation,
-// and their sum is capped by MaxSleepPerCall: individual waits are
-// clamped to the remaining budget, and once it is gone the call fails
-// with ErrBackoffBudget.
+// transient failures. All waits abort promptly on context cancellation;
+// a lone crawler legitimately sleeps out whole Twitter rate windows,
+// which is the paper's documented crawl reality.
 func (c *Client) getJSON(ctx context.Context, path string, query url.Values, out any) error {
 	attempt := 0
 	rotations := 0
-	var slept time.Duration
-	budgetedSleep := func(d time.Duration) error {
-		budget := c.MaxSleepPerCall
-		if budget > 0 {
-			remaining := budget - slept
-			if remaining <= 0 {
-				return fmt.Errorf("%w (cap %v)", ErrBackoffBudget, budget)
-			}
-			if d > remaining {
-				d = remaining
-			}
-		}
-		slept += d
-		return c.sleep(ctx, d)
-	}
 	retryTransient := func(cause error) error {
 		if attempt >= c.MaxRetries {
 			return cause
 		}
 		c.bump(func(s *ClientStats) { s.Retries++ })
-		if err := budgetedSleep(c.backoff(attempt)); err != nil {
+		if err := c.sleep(ctx, c.backoff(attempt)); err != nil {
 			return fmt.Errorf("crawler: %s: %w", path, err)
 		}
 		attempt++
@@ -279,7 +247,7 @@ func (c *Client) getJSON(ctx context.Context, path string, query url.Values, out
 				retry = d
 			}
 			c.bump(func(s *ClientStats) { s.TokenSleeps++ })
-			if err := budgetedSleep(retry); err != nil {
+			if err := c.sleep(ctx, retry); err != nil {
 				return fmt.Errorf("crawler: %s: %w", path, err)
 			}
 			rotations = 0

@@ -199,58 +199,6 @@ func TestRetryAfterFormats(t *testing.T) {
 	}
 }
 
-// TestBackoffBudgetCapsTotalSleep: a hostile (or skewed) server that
-// keeps demanding hour-long waits must not stall a call forever — the
-// cumulative sleep within one call is capped by MaxSleepPerCall and the
-// call fails with the typed ErrBackoffBudget.
-func TestBackoffBudgetCapsTotalSleep(t *testing.T) {
-	t.Run("rate limit waits", func(t *testing.T) {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Retry-After", "3600")
-			http.Error(w, `{"error":"rate limited"}`, http.StatusTooManyRequests)
-		}))
-		defer ts.Close()
-		client, err := NewClient(ts.URL, []string{"only-token"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		client.MaxSleepPerCall = 5 * time.Second
-		var total time.Duration
-		client.Sleep = func(d time.Duration) { total += d }
-
-		_, err = client.startup(context.Background(), "s1")
-		if !errors.Is(err, ErrBackoffBudget) {
-			t.Fatalf("err = %v, want ErrBackoffBudget", err)
-		}
-		if total > 5*time.Second {
-			t.Fatalf("slept %v total, budget was 5s", total)
-		}
-	})
-	t.Run("retry backoff", func(t *testing.T) {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, `{"error":"always failing"}`, http.StatusInternalServerError)
-		}))
-		defer ts.Close()
-		client, err := NewClient(ts.URL, []string{"tok"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		client.MaxRetries = 50
-		client.BaseBackoff = time.Second
-		client.MaxSleepPerCall = 3 * time.Second
-		var total time.Duration
-		client.Sleep = func(d time.Duration) { total += d }
-
-		_, err = client.startup(context.Background(), "s1")
-		if !errors.Is(err, ErrBackoffBudget) {
-			t.Fatalf("err = %v, want ErrBackoffBudget", err)
-		}
-		if total > 3*time.Second {
-			t.Fatalf("slept %v total, budget was 3s", total)
-		}
-	})
-}
-
 // TestParallelRecordsAllErrors: after the first failure no new work is
 // dispatched, but every in-flight failure lands in the joined error.
 func TestParallelRecordsAllErrors(t *testing.T) {

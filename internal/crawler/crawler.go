@@ -3,7 +3,6 @@ package crawler
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -46,14 +45,6 @@ type Crawler struct {
 	Client *Client
 	// Workers bounds parallel fetches per phase. Default 8.
 	Workers int
-	// Seeds, when non-empty, replaces the raising listing as the BFS
-	// seed set (worker mode): a fleet coordinator fetches the listing
-	// once, partitions it, and hands each worker its slice. The crawl is
-	// otherwise identical — the union of worker crawls over a partition
-	// of the listing collects exactly what one crawl of the whole
-	// listing does, because the fetched data is a pure function of the
-	// served world.
-	Seeds []string
 	// Checkpoint, when non-nil, persists progress after every BFS round
 	// and augmentation batch so an interrupted crawl can resume. The
 	// collected data is unchanged by interruption: a resumed crawl
@@ -111,15 +102,7 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 		if cr.Checkpoint == nil {
 			return nil
 		}
-		if cr.Checkpoint.Guard != nil {
-			// Fleet workers verify their lease here; a fenced-out worker
-			// aborts before it can write a stale checkpoint.
-			if err := cr.Checkpoint.Guard(ctx); err != nil {
-				return fmt.Errorf("crawler: checkpoint guard: %w", err)
-			}
-		}
 		cp.Seq = cpSeq
-		cp.Fence = cr.Checkpoint.Fence
 		cp.Snap = snap
 		if err := SaveCheckpoint(ctx, cr.Checkpoint.Store, cr.Checkpoint.Namespace, &cp); err != nil {
 			return err
@@ -133,15 +116,10 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 
 	if phase == PhaseBFS {
 		if !seeded {
-			// Phase 1 start: seed the BFS from the raising listing, or
-			// from the caller-supplied partition in worker mode.
-			seeds := cr.Seeds
-			if len(seeds) == 0 {
-				var err error
-				seeds, err = cr.Client.RaisingStartups(ctx)
-				if err != nil {
-					return nil, err
-				}
+			// Phase 1 start: seed the BFS from the raising listing.
+			seeds, err := cr.Client.RaisingStartups(ctx)
+			if err != nil {
+				return nil, err
 			}
 			snap.Stats.SeedStartups = len(seeds)
 			startupFrontier = dedupe(seeds)

@@ -24,10 +24,9 @@ var deterministicPackages = map[string]bool{
 	"internal/predict":   true,
 	"internal/serve":     true,
 	"internal/index":     true,
-	// The fleet's lease expiry and the front's probe pacing both run on
-	// injected clocks; a wall-clock read here would make lease reclaim
-	// schedules — and thus chaos replays — nondeterministic.
-	"internal/fleet":       true,
+	// The front's ejection and reinstatement follow probe and request
+	// outcomes alone; a wall-clock read here would make failover
+	// replays nondeterministic.
 	"internal/fleet/front": true,
 }
 

@@ -57,7 +57,7 @@ func (b *StoreBackend) source() *core.QuerySource {
 // current manifest view is still a consistent snapshot, so serving
 // slightly behind is exactly the degradation contract. Any other reload
 // failure means the manifest itself cannot be re-read and is surfaced,
-// so the breaker and the fleet front's health probe see a sick replica
+// so the breaker and the front's health probe see a sick replica
 // instead of one that silently stopped advancing.
 func (b *StoreBackend) LatestFrozen(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {

@@ -24,7 +24,8 @@ import (
 const HeaderStale = "X-CrowdScope-Stale"
 
 // HeaderReplica carries Options.ReplicaID on every response of a
-// replica that has one, identifying which fleet member served.
+// replica that has one, identifying which replica behind the front
+// served.
 const HeaderReplica = "X-CrowdScope-Replica"
 
 // routeTimeout bounds each /api request end to end; the deadline
@@ -48,10 +49,11 @@ type Options struct {
 	// Clock supplies all serving-layer time, the circuit breaker's
 	// included.
 	Clock apiserver.Clock
-	// ReplicaID names this serving replica in a fleet. When set, every
-	// response carries it in HeaderReplica and /statusz reports it, so
-	// the fleet front (and its failover tests) can observe which replica
-	// actually served.
+	// ReplicaID names this replica among those crowdscope fleet (or the
+	// benchmark's serving rig) puts behind internal/fleet/front. When
+	// set, every response carries it in HeaderReplica and /statusz
+	// reports it, so the front's failover tests can observe which
+	// replica actually served.
 	ReplicaID string
 }
 

@@ -3,7 +3,7 @@
 # detector. The parallel kernels' equivalence tests make -race meaningful:
 # every pool-backed code path runs at multiple worker counts.
 #
-# Eighteen packages additionally carry a coverage floor (the end of this
+# Seventeen packages additionally carry a coverage floor (the end of this
 # script says why each one does), starting with the collection layer:
 # the crawler and apiserver chaos suites (fault injection + kill/resume)
 # are the proof that it tolerates real-world API behaviour.
@@ -64,20 +64,23 @@ go run ./cmd/crowdlint ./...
 #                      to the golden digests, its record scanners agree
 #                      with encoding/json, and a re-persisted round
 #                      freezes as its last persist
-#   fleet-chaos        workers SIGKILLed mid-round still merge to an
-#                      artifact bit-identical to a fault-free single-
-#                      worker crawl; the front serves zero 5xx while at
-#                      least one replica survives mid-request kills
+#   front-chaos        a crawler SIGKILLed mid-round and resumed into a
+#                      K=4 store still freezes to an artifact bit-
+#                      identical to a fault-free unsharded crawl; the
+#                      front serves zero 5xx while at least one replica
+#                      survives mid-request kills, and 503s only when
+#                      every replica is down
 #   store-shape        every K (1 included) is the same store: per-shard
 #                      routing and order survive reopen + append; a
 #                      pre-shard manifest folds into one shard;
 #                      a failed commit leaves no phantom namespace; a
 #                      cancelled Persist commits nothing
-#   binaries           crowdscope serve and fleet come up on an ephemeral
-#                      port, answer /readyz, and on cancellation return
-#                      only after the drain, leaking no goroutine; the
-#                      shared drain helper never returns with a request
-#                      in flight
+#   binaries           crowdscope serve, and fleet's replicas behind the
+#                      front, come up on an ephemeral port over a crawled
+#                      store, answer /readyz and the query golden byte
+#                      for byte, and on cancellation return only after
+#                      the drain, leaking no goroutine; the shared drain
+#                      helper never returns with a request in flight
 export GORACE="halt_on_error=1"
 
 go test -race ./...
@@ -104,7 +107,7 @@ run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./inter
 run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestIndexedRouteBodiesMatchScanRoute' ./internal/core ./internal/serve
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
-run_suite fleet-chaos    'TestFleetChaosKillWorkersMergeBitIdentical|TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/fleet ./internal/fleet/front
+run_suite front-chaos    'TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/core ./internal/fleet/front
 run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects' ./internal/store ./internal/crawler
 run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsForInFlight' ./cmd/crowdscope
 
@@ -181,10 +184,10 @@ check_coverage ./internal/core 70
 # measures against (streaming==in-memory generation, sharded==unsharded
 # freeze), so its distribution and emission paths carry a floor too.
 check_coverage ./internal/ecosystem 70
-# The fleet's lease/fence/merge machinery is pure coordination logic:
-# every line exists to survive a crash, so untested lines are exactly
-# the ones that corrupt a merge when a worker dies at the wrong moment.
-check_coverage ./internal/fleet 70
+# The front is what crowdscope fleet and the serving benchmark put
+# between clients and replicas: its ejection, retry and reinstatement
+# paths only run when a replica dies, so the failover suite must keep
+# exercising them.
 check_coverage ./internal/fleet/front 70
 # The statistics and community-strength metrics behind every figure
 # carry floors too, so what they export stays tested.
