@@ -137,7 +137,7 @@ func randomStatement(rng *rand.Rand, snap int) string {
 }
 
 // TestIndexRouteMatchesScanRouteProperty is the correctness gate for the
-// whole planner stack: random queries at three world sizes, each run
+// whole planner stack: random queries at eight world sizes, each run
 // once through the indexed source and once through a scan-only wrapper
 // of the same store, must produce byte-identical JSON results.
 func TestIndexRouteMatchesScanRouteProperty(t *testing.T) {
@@ -148,6 +148,14 @@ func TestIndexRouteMatchesScanRouteProperty(t *testing.T) {
 		{rows: 64, stmts: 80},
 		{rows: 512, stmts: 60},
 		{rows: 4096, stmts: 25},
+		// Row counts off the 64-row word boundary: a complement that set
+		// bits past the last row would inflate index-count answers here.
+		{rows: 1, stmts: 80},
+		{rows: 63, stmts: 80},
+		{rows: 65, stmts: 80},
+		{rows: 1000, stmts: 40},
+		// The serve_hot snapshot's size.
+		{rows: 14881, stmts: 12},
 	} {
 		world := world
 		t.Run(fmt.Sprintf("rows=%d", world.rows), func(t *testing.T) {
@@ -270,6 +278,67 @@ func TestCorruptIndexBlobFailsLoudly(t *testing.T) {
 	wantJSON, _ := json.Marshal(want)
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("fallback result diverged: %s vs %s", gotJSON, wantJSON)
+	}
+}
+
+// TestStaleIndexFallsBackToScan commits a 64-row snapshot and then
+// overwrites its index blob with one built over 65 rows, as a crash
+// between CommitFrozen's two puts during a re-freeze of the snapshot
+// would leave it. The planner must refuse the stale index, say why in
+// the plan, and answer COUNT(*) exactly as the scan does — whether the
+// index loads before the snapshot is decoded (row counts read off the
+// artifact) or after (row counts of the decoded snapshot).
+func TestStaleIndexFallsBackToScan(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CommitFrozen(context.Background(), st, randomWorld(rand.New(rand.NewSource(5)), 0, 64)); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := EncodeIndexes(randomWorld(rand.New(rand.NewSource(6)), 0, 65))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutBlob(IndexNamespace(0), index.FormatVersion, stale); err != nil {
+		t.Fatal(err)
+	}
+
+	oracle := scanOnly{src: &QuerySource{Store: st}}
+	for _, decodedFirst := range []bool{false, true} {
+		src := &QuerySource{Store: st}
+		if decodedFirst {
+			if _, err := src.frozenFor(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, stmt := range []string{
+			"SELECT COUNT(*) AS n FROM frozen/snap-0/companies WHERE Raising",
+			"SELECT COUNT(*) AS n FROM frozen/snap-0/companies WHERE NOT Funded",
+			"SELECT COUNT(*) AS n FROM frozen/snap-0/companies WHERE Likes > 100 AND NOT HasVideo",
+			"SELECT ID FROM frozen/snap-0/companies WHERE Likes > 900 ORDER BY ID",
+		} {
+			q, err := query.Parse(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, plan, err := q.Explain(context.Background(), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Route != query.RouteScan || !strings.Contains(plan.Fallback, "index unavailable") {
+				t.Fatalf("decodedFirst=%v %s: planned %s; want a scan falling back from the stale index", decodedFirst, stmt, plan.Explain())
+			}
+			want, err := q.Execute(context.Background(), oracle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, _ := json.Marshal(got)
+			wantJSON, _ := json.Marshal(want)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("decodedFirst=%v %s: %s, scan says %s", decodedFirst, stmt, gotJSON, wantJSON)
+			}
+		}
 	}
 }
 

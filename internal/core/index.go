@@ -10,11 +10,13 @@ import (
 )
 
 // Secondary indexes ride alongside each frozen snapshot as a sibling
-// blob: postings lists for the boolean company attributes and sorted
-// orderings for the numeric columns, keyed by the canonical query
-// expressions the planner matches against. The index blob is committed
-// after the snapshot artifact, so a crash between the two leaves a
-// perfectly queryable (merely unindexed) snapshot behind.
+// blob: postings lists (row bitmaps once loaded) for the boolean
+// company attributes and sorted orderings for the numeric columns,
+// keyed by the canonical query expressions the planner matches against.
+// The index blob is committed after the snapshot artifact, so a crash
+// between the two leaves a perfectly queryable (merely unindexed)
+// snapshot behind — or, on a re-freeze, the earlier index, which
+// QuerySource refuses when its row counts differ.
 
 // IndexNamespace returns the store namespace holding the snapshot's
 // secondary-index blob. It deliberately does not share the

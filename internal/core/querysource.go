@@ -270,7 +270,9 @@ func (q *QuerySource) frozenFor(snap int) (*FrozenSnapshot, error) {
 // TableIndex returns the snapshot table's secondary indexes, (nil, nil)
 // for anything unindexed (non-frozen namespaces, snapshots frozen
 // before indexing existed), and an error when an index blob is present
-// but fails validation — the planner's loud-fallback path.
+// but fails validation or indexes a different number of rows than the
+// snapshot's table holds (an idx-N left from an earlier freeze of
+// snapshot N) — the planner's loud-fallback path.
 func (q *QuerySource) TableIndex(ns string) (*index.TableIndex, error) {
 	snap, table, ok := parseFrozenNS(ns)
 	if !ok {
@@ -284,7 +286,10 @@ func (q *QuerySource) TableIndex(ns string) (*index.TableIndex, error) {
 	loaded, idx, idxErr := ent.idxLoaded, ent.idx, ent.idxErr
 	ent.mu.Unlock()
 	if !loaded {
-		idx, idxErr = LoadIndex(q.Store, snap) // no lock held across the blob read
+		idx, idxErr = LoadIndex(q.Store, snap) // no lock held across the blob reads
+		if idxErr == nil && idx != nil {
+			idxErr = q.checkIndexRows(ent, snap, idx)
+		}
 		ent.mu.Lock()
 		if ent.idxLoaded { // racing loader installed first; its result is canonical
 			idx, idxErr = ent.idx, ent.idxErr
@@ -297,6 +302,38 @@ func (q *QuerySource) TableIndex(ns string) (*index.TableIndex, error) {
 		return nil, idxErr
 	}
 	return idx[table], nil
+}
+
+// checkIndexRows refuses an index whose tables hold a different number
+// of rows than the snapshot's: an idx-N left beside a re-frozen snap-N
+// by a crash between CommitFrozen's two puts. It compares against the
+// decoded snapshot when the entry holds one, and otherwise reads the
+// counts off the artifact without decoding its rows.
+func (q *QuerySource) checkIndexRows(ent *frozenEntry, snap int, idx map[string]*index.TableIndex) error {
+	ent.mu.Lock()
+	fs := ent.fs
+	ent.mu.Unlock()
+	var companies, investors int
+	if fs != nil {
+		companies, investors = len(fs.Companies), len(fs.Investors)
+	} else {
+		data, _, err := q.Store.GetBlob(FrozenNamespace(snap))
+		if err != nil {
+			return err
+		}
+		if companies, investors, err = frozenRowCounts(data); err != nil {
+			return fmt.Errorf("core: frozen snapshot %d: %w", snap, err)
+		}
+	}
+	for _, t := range []struct {
+		name string
+		rows int
+	}{{"companies", companies}, {"investors", investors}} {
+		if ti := idx[t.name]; ti != nil && ti.Rows() != t.rows {
+			return fmt.Errorf("core: snapshot %d index covers %d %s, the snapshot holds %d", snap, ti.Rows(), t.name, t.rows)
+		}
+	}
+	return nil
 }
 
 // read serves one pass over a namespace: the decoded rows of a virtual

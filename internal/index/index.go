@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -16,13 +18,14 @@ type Table struct {
 	Ints  map[string][]int64
 }
 
-// TableIndex is one table's persisted secondary indexes: postings lists
-// for boolean attributes and sorted orderings for integer columns.
+// TableIndex is one table's persisted secondary indexes: a row bitmap
+// for each boolean attribute and a sorted ordering for each integer
+// column.
 type TableIndex struct {
-	name     string
-	rows     int
-	postings map[string][]int32 // sorted row ids where the attribute is true
-	orders   map[string]*order
+	name   string
+	rows   int
+	bools  map[string]Bitmap // rows where the attribute is true
+	orders map[string]*order
 }
 
 // order is a column ordering: perm[i] is the row holding the i-th
@@ -33,30 +36,86 @@ type order struct {
 	vals []int64
 }
 
+// Bitmap is a set of a table's rows: bit r%64 of word r/64 is set when
+// row r is a member. Every Bitmap a TableIndex hands out has
+// ⌈rows/64⌉ words and no bit set past the table's last row, so two
+// of one table combine word by word.
+type Bitmap []uint64
+
+func newBitmap(rows int) Bitmap { return make(Bitmap, (rows+63)/64) }
+
+func (b Bitmap) set(r int32)      { b[r>>6] |= 1 << (r & 63) }
+func (b Bitmap) has(r int32) bool { return b[r>>6]&(1<<(r&63)) != 0 }
+
+// invert complements a bitmap of the given row count in place, keeping
+// the bits past the last row zero.
+func (b Bitmap) invert(rows int) {
+	for i := range b {
+		b[i] = ^b[i]
+	}
+	if tail := rows % 64; tail != 0 {
+		b[len(b)-1] &= 1<<tail - 1
+	}
+}
+
+// And intersects b with o, a bitmap of the same table, in place.
+func (b Bitmap) And(o Bitmap) {
+	o = o[:len(b)]
+	for i := range b {
+		b[i] &= o[i]
+	}
+}
+
+// Count returns how many rows the set holds.
+func (b Bitmap) Count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Rows returns the set's rows in ascending order — the order ReadRows
+// takes them in, so no sort is needed.
+func (b Bitmap) Rows() []int32 {
+	out := make([]int32, 0, b.Count())
+	for i, w := range b {
+		for w != 0 {
+			out = append(out, int32(i<<6|bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return out
+}
+
 // BuildTable computes every index for one table. The result is a pure
-// function of the input: postings iterate rows in order and orderings
-// tie-break on row id.
+// function of the input: orderings tie-break on row id. A table with
+// rows must have an integer column: an ordering's permutation is what
+// carries the row count through Encode, and Decode trusts no other.
 func BuildTable(t Table) (*TableIndex, error) {
 	if t.Name == "" {
 		return nil, fmt.Errorf("index: table needs a name")
 	}
+	if t.Rows > 0 && len(t.Ints) == 0 {
+		return nil, fmt.Errorf("index: table %s has %d rows but no integer column to order them", t.Name, t.Rows)
+	}
 	ti := &TableIndex{
-		name:     t.Name,
-		rows:     t.Rows,
-		postings: make(map[string][]int32, len(t.Bools)),
-		orders:   make(map[string]*order, len(t.Ints)),
+		name:   t.Name,
+		rows:   t.Rows,
+		bools:  make(map[string]Bitmap, len(t.Bools)),
+		orders: make(map[string]*order, len(t.Ints)),
 	}
 	for key, col := range t.Bools {
 		if len(col) != t.Rows {
 			return nil, fmt.Errorf("index: table %s bool column %q has %d values for %d rows", t.Name, key, len(col), t.Rows)
 		}
-		var rows []int32
+		b := newBitmap(t.Rows)
 		for i, v := range col {
 			if v {
-				rows = append(rows, int32(i))
+				b.set(int32(i))
 			}
 		}
-		ti.postings[key] = rows
+		ti.bools[key] = b
 	}
 	for key, col := range t.Ints {
 		if len(col) != t.Rows {
@@ -86,44 +145,43 @@ func BuildTable(t Table) (*TableIndex, error) {
 func (ti *TableIndex) Rows() int { return ti.rows }
 
 // boolKeys returns the indexed boolean attributes in sorted order.
-func (ti *TableIndex) boolKeys() []string { return sortedKeys(ti.postings) }
+func (ti *TableIndex) boolKeys() []string { return sortedKeys(ti.bools) }
 
 // orderKeys returns the indexed integer columns in sorted order.
 func (ti *TableIndex) orderKeys() []string { return sortedKeys(ti.orders) }
 
 // HasBool reports whether the boolean attribute is indexed.
-func (ti *TableIndex) HasBool(key string) bool { _, ok := ti.postings[key]; return ok }
+func (ti *TableIndex) HasBool(key string) bool { _, ok := ti.bools[key]; return ok }
 
 // HasOrder reports whether the integer column has an ordering.
 func (ti *TableIndex) HasOrder(key string) bool { _, ok := ti.orders[key]; return ok }
 
-// EqBool returns the sorted rows where the attribute equals want, or
-// false when the attribute is not indexed. The true side is the stored
-// postings list; the false side is its complement.
-func (ti *TableIndex) EqBool(key string, want bool) ([]int32, bool) {
-	pos, ok := ti.postings[key]
+// BoolSet returns a fresh bitmap of the rows where the attribute equals
+// want, or false when the attribute is not indexed. The false side is
+// the stored bitmap inverted word by word.
+func (ti *TableIndex) BoolSet(key string, want bool) (Bitmap, bool) {
+	b, ok := ti.bools[key]
 	if !ok {
 		return nil, false
 	}
-	if want {
-		out := make([]int32, len(pos))
-		copy(out, pos)
-		return out, true
+	out := slices.Clone(b)
+	if !want {
+		out.invert(ti.rows)
 	}
-	return complement(pos, ti.rows), true
+	return out, true
 }
 
 // BoolCount returns how many rows satisfy the attribute without
-// materializing them — the planner's selectivity estimate, O(1).
+// building their set — the planner's selectivity estimate.
 func (ti *TableIndex) BoolCount(key string, want bool) (int, bool) {
-	pos, ok := ti.postings[key]
+	b, ok := ti.bools[key]
 	if !ok {
 		return 0, false
 	}
 	if want {
-		return len(pos), true
+		return b.Count(), true
 	}
-	return ti.rows - len(pos), true
+	return ti.rows - b.Count(), true
 }
 
 // rangeBounds returns the [lo,hi) window of the ordering matching
@@ -156,28 +214,26 @@ func (ti *TableIndex) rangeBounds(key, op string, v float64) (lo, hi int, neg, o
 	return 0, 0, false, false
 }
 
-// Range returns the sorted rows satisfying `col OP v` (op one of
-// = != < <= > >=), or false when the column or operator is unsupported.
-func (ti *TableIndex) Range(key, op string, v float64) ([]int32, bool) {
+// RangeSet returns a fresh bitmap of the rows satisfying `col OP v` (op
+// one of = != < <= > >=), or false when the column or operator is
+// unsupported: the bits of the ordering's window, complemented for "!=".
+func (ti *TableIndex) RangeSet(key, op string, v float64) (Bitmap, bool) {
 	lo, hi, neg, ok := ti.rangeBounds(key, op, v)
 	if !ok {
 		return nil, false
 	}
-	o := ti.orders[key]
-	if neg {
-		matched := make([]int32, 0, hi-lo)
-		matched = append(matched, o.perm[lo:hi]...)
-		sort.Slice(matched, func(a, b int) bool { return matched[a] < matched[b] })
-		return complement(matched, ti.rows), true
+	b := newBitmap(ti.rows)
+	for _, r := range ti.orders[key].perm[lo:hi] {
+		b.set(r)
 	}
-	out := make([]int32, hi-lo)
-	copy(out, o.perm[lo:hi])
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, true
+	if neg {
+		b.invert(ti.rows)
+	}
+	return b, true
 }
 
-// RangeCount returns how many rows satisfy `col OP v` without
-// materializing them, O(log n).
+// RangeCount returns how many rows satisfy `col OP v` without building
+// their set, O(log n).
 func (ti *TableIndex) RangeCount(key, op string, v float64) (int, bool) {
 	lo, hi, neg, ok := ti.rangeBounds(key, op, v)
 	if !ok {
@@ -189,111 +245,47 @@ func (ti *TableIndex) RangeCount(key, op string, v float64) (int, bool) {
 	return hi - lo, true
 }
 
-// TopK returns the rows holding the k extreme values of the column in
-// ascending row-id order: the k smallest when desc is false, the k
-// largest when desc is true. Tie-breaking matches a stable sort of the
-// scan path exactly — within equal values, lower row ids win a slot
-// first. ok is false when the column has no ordering.
-func (ti *TableIndex) TopK(key string, desc bool, k int) ([]int32, bool) {
-	return ti.topK(key, desc, k, nil)
-}
-
-// TopKWithin is TopK restricted to a candidate row set (sorted row ids,
-// typically a postings intersection).
-func (ti *TableIndex) TopKWithin(key string, desc bool, k int, within []int32) ([]int32, bool) {
-	member := make(map[int32]struct{}, len(within))
-	for _, r := range within {
-		member[r] = struct{}{}
-	}
-	return ti.topK(key, desc, k, member)
-}
-
-func (ti *TableIndex) topK(key string, desc bool, k int, member map[int32]struct{}) ([]int32, bool) {
+// TopK returns the rows of within (every row when within is nil)
+// holding the k extreme values of the column, in ascending row-id
+// order: the k smallest when desc is false, the k largest when desc is
+// true. Tie-breaking matches a stable sort of the scan path exactly —
+// within equal values, lower row ids win a slot first. ok is false when
+// the column has no ordering.
+func (ti *TableIndex) TopK(key string, desc bool, k int, within Bitmap) ([]int32, bool) {
 	o, exists := ti.orders[key]
 	if !exists {
 		return nil, false
 	}
-	if k < 0 {
-		k = 0
-	}
-	take := func(rows []int32) []int32 {
-		out := make([]int32, 0, k)
+	k = max(k, 0)
+	out := make([]int32, 0, k)
+	take := func(rows []int32) {
 		for _, r := range rows {
 			if len(out) == k {
-				break
+				return
 			}
-			if member != nil {
-				if _, ok := member[r]; !ok {
-					continue
-				}
+			if within == nil || within.has(r) {
+				out = append(out, r)
 			}
-			out = append(out, r)
 		}
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-		return out
 	}
 	if !desc {
-		return take(o.perm), true
-	}
-	// Descending traversal must still surface ties in ascending row-id
-	// order, so walk equal-value runs from the top end and emit each run
-	// front-to-back (perm within a run is already ascending).
-	out := make([]int32, 0, k)
-	for hi := len(o.perm); hi > 0 && len(out) < k; {
-		lo := hi - 1
-		for lo > 0 && o.vals[lo-1] == o.vals[hi-1] {
-			lo--
-		}
-		for _, r := range o.perm[lo:hi] {
-			if len(out) == k {
-				break
+		take(o.perm)
+	} else {
+		// Descending traversal must still surface ties in ascending
+		// row-id order, so walk equal-value runs from the top end and
+		// emit each run front-to-back (perm within a run is already
+		// ascending).
+		for hi := len(o.perm); hi > 0 && len(out) < k; {
+			lo := hi - 1
+			for lo > 0 && o.vals[lo-1] == o.vals[hi-1] {
+				lo--
 			}
-			if member != nil {
-				if _, ok := member[r]; !ok {
-					continue
-				}
-			}
-			out = append(out, r)
+			take(o.perm[lo:hi])
+			hi = lo
 		}
-		hi = lo
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out, true
-}
-
-// Intersect merges two sorted row-id lists into their sorted
-// intersection.
-func Intersect(a, b []int32) []int32 {
-	out := make([]int32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// complement returns the sorted rows of [0,rows) not present in the
-// sorted list pos.
-func complement(pos []int32, rows int) []int32 {
-	out := make([]int32, 0, rows-len(pos))
-	next := 0
-	for r := int32(0); int(r) < rows; r++ {
-		if next < len(pos) && pos[next] == r {
-			next++
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 func sortedKeys[V any](m map[string]V) []string {

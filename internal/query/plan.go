@@ -15,10 +15,11 @@ const (
 	// — the always-correct baseline.
 	RouteScan = "scan"
 	// RouteIndex probes secondary indexes for the WHERE conjuncts,
-	// intersects the postings, and materializes only the matching rows.
+	// ANDs their row bitmaps, and materializes only the matching rows.
 	RouteIndex = "index"
 	// RouteIndexCount answers COUNT(*) queries from index cardinalities
-	// without materializing any record.
+	// (a popcount of the ANDed bitmaps for several conjuncts) without
+	// materializing any record.
 	RouteIndexCount = "index-count"
 	// RouteIndexTopK walks a column ordering to pick ORDER BY ... LIMIT k
 	// rows before materializing anything.
@@ -98,7 +99,7 @@ type planned struct {
 type pushedConj struct {
 	kind string // "bool" | "range"
 	key  string
-	want bool    // bool kind: which side of the postings list
+	want bool    // bool kind: which side of the attribute's bitmap
 	op   string  // range kind: = != < <= > >=
 	val  float64 // range kind: the literal threshold
 	est  int     // cardinality estimate from BoolCount/RangeCount
@@ -113,13 +114,13 @@ func (c pushedConj) count(ti *index.TableIndex) int {
 	return n
 }
 
-func (c pushedConj) rows(ti *index.TableIndex) []int32 {
+func (c pushedConj) set(ti *index.TableIndex) index.Bitmap {
 	if c.kind == "bool" {
-		r, _ := ti.EqBool(c.key, c.want)
-		return r
+		b, _ := ti.BoolSet(c.key, c.want)
+		return b
 	}
-	r, _ := ti.Range(c.key, c.op, c.val)
-	return r
+	b, _ := ti.RangeSet(c.key, c.op, c.val)
+	return b
 }
 
 // PlanFor reports how the query would execute against the source
@@ -224,33 +225,34 @@ func (q *Query) planFor(src Source) *planned {
 	return p
 }
 
-// matchedRows resolves the pushed conjuncts to the final sorted row-id
-// set, applying the top-k traversal when that route was chosen.
-func (p *planned) matchedRows() []int32 {
-	var rows []int32
-	have := false
-	for _, c := range p.conjs {
-		cur := c.rows(p.ti)
-		if !have {
-			rows, have = cur, true
+// matchSet ANDs the pushed conjuncts' row bitmaps word by word; nil
+// when nothing was pushed.
+func (p *planned) matchSet() index.Bitmap {
+	var set index.Bitmap
+	for i, c := range p.conjs {
+		if i == 0 {
+			set = c.set(p.ti)
 			continue
 		}
-		rows = index.Intersect(rows, cur)
+		set.And(c.set(p.ti))
 	}
+	return set
+}
+
+// matchedRows resolves the pushed conjuncts to the final ascending
+// row-id set, applying the top-k traversal when that route was chosen.
+func (p *planned) matchedRows() []int32 {
+	set := p.matchSet()
 	if p.plan.Route == RouteIndexTopK {
-		if !have {
-			r, _ := p.ti.TopK(p.plan.OrderKey, p.plan.OrderDesc, p.topK)
-			return r
-		}
-		r, _ := p.ti.TopKWithin(p.plan.OrderKey, p.plan.OrderDesc, p.topK, rows)
+		r, _ := p.ti.TopK(p.plan.OrderKey, p.plan.OrderDesc, p.topK, set)
 		return r
 	}
-	return rows
+	return set.Rows()
 }
 
 // matchCount resolves the pushed conjuncts to a cardinality without
-// materializing rows: O(1)/O(log n) for a single probe, an intersection
-// for several.
+// materializing rows: the estimate for a single probe, a popcount of
+// the ANDed bitmaps for several.
 func (p *planned) matchCount() int {
 	switch len(p.conjs) {
 	case 0:
@@ -258,7 +260,7 @@ func (p *planned) matchCount() int {
 	case 1:
 		return p.conjs[0].est
 	}
-	return len(p.matchedRows())
+	return p.matchSet().Count()
 }
 
 // countOnly reports whether the query is exactly `SELECT COUNT(*) ...`
@@ -279,9 +281,9 @@ func (q *Query) aggregated() bool { return len(q.groupBy) > 0 || len(q.aggs) > 0
 // classifyConjunct decides whether one WHERE conjunct can be answered
 // by an index probe with semantics identical to per-record evaluation:
 //
-//	Attr                  -> postings (bool truthiness)
-//	NOT Attr              -> postings complement
-//	Attr = TRUE/FALSE     -> postings / complement (also != and flipped)
+//	Attr                  -> the attribute's bitmap (bool truthiness)
+//	NOT Attr              -> its masked complement
+//	Attr = TRUE/FALSE     -> bitmap / complement (also != and flipped)
 //	Col OP number         -> ordering binary search (also flipped)
 //	LEN(Col) OP number    -> ordering keyed by the canonical expression
 //

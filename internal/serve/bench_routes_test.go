@@ -83,7 +83,7 @@ func benchServer(b *testing.B, indexed bool) *Server {
 }
 
 // benchQueryStmt is the indexed query-route workload: a COUNT the
-// planner answers from postings cardinality without materializing a
+// planner answers from a popcount of the Raising bitmap without reading a
 // single record, and the scan route answers by decoding all 4096 rows.
 const benchQueryStmt = "SELECT COUNT(*) AS n FROM frozen/snap-0/companies WHERE Raising"
 
@@ -156,7 +156,7 @@ func BenchmarkQueryRouteScan(b *testing.B) {
 }
 
 // BenchmarkQueryRouteIndex measures the planner's index-count route,
-// every request a result-cache miss: parse, plan, postings cardinality,
+// every request a result-cache miss: parse, plan, bitmap popcount,
 // encode.
 func BenchmarkQueryRouteIndex(b *testing.B) {
 	runQueryRouteBench(b, benchServer(b, true), true)

@@ -48,7 +48,9 @@ go run ./cmd/crowdlint ./...
 #                      deterministic breaker transitions, stale-marked
 #                      degradation — and drained goroutine counts
 #   index-scan         planner index routes stay byte-identical to the
-#                      scan route; corrupt index blobs fail loudly
+#                      scan route, off the 64-row word boundary too; each
+#                      row-bitmap kernel matches brute force; corrupt,
+#                      stale or unbounded index blobs fail loudly
 #   delta-refreeze     delta-applied snapshots match a freeze of the same
 #                      round from the store; crash-interrupted chains
 #                      recover byte-identically; the in-memory crawl
@@ -104,7 +106,7 @@ run_suite() {
 run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
 run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/community
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
-run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestIndexedRouteBodiesMatchScanRoute' ./internal/core ./internal/serve
+run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps' ./internal/core ./internal/serve ./internal/index
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite front-chaos    'TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/core ./internal/fleet/front
@@ -123,13 +125,17 @@ run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsF
 # the frozen-snapshot
 # decoder (any bytes decode to an ErrCorrupt error or to a snapshot with
 # strictly ascending IDs whose graph is the one built over its own rows,
-# allocating in proportion to the input). internal/core's targets get
+# allocating in proportion to the input) and on the index decoder (an
+# ErrCorrupt or ErrInvalid error, or tables equal to the index built
+# over their own columns, on which every row-bitmap kernel matches
+# brute force, again allocating in proportion to the input).
+# internal/core's targets get
 # 20 s: its TestMain crawls the package fixture in the coordinator and in
 # every fuzz worker before the first input runs, which takes about half.
 # Minimizing each new corpus entry is capped at 100 runs: left at its
 # default (up to a minute), minimizing one ~1.5 KB frozen artifact eats
 # the whole budget. A failing input is still reported, minimized or not.
-for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzFreezeDecoders:./internal/core:20s FuzzDecodeFrozen:./internal/core:20s; do
+for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzFreezeDecoders:./internal/core:20s FuzzDecodeFrozen:./internal/core:20s FuzzDecodeIndex:./internal/index:10s; do
   IFS=: read -r target pkg budget <<<"$entry"
   go test -run '^$' -fuzz "^${target}\$" -fuzztime="$budget" -fuzzminimizetime=100x "$pkg"
 done
