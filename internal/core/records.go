@@ -127,6 +127,9 @@ func (l *lexer) skip() error {
 	case c == '{':
 		return l.object(nil, nil)
 	case c == '[':
+		if _, ok := l.plainStrings(); ok {
+			return nil
+		}
 		return l.list(']', l.skip)
 	case c == '"':
 		_, _, err := l.str()
@@ -140,6 +143,49 @@ func (l *lexer) skip() error {
 		return l.literal("null")
 	}
 	return l.syntax()
+}
+
+// plainByte marks the bytes a plain string holds: printable ASCII but
+// the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// plainStrings steps over the array at l.i in one loop when it is an
+// array of plain strings with no whitespace, the shape of every ID list
+// the crawler writes, and returns its length. On any other array —
+// whitespace, an escape, a byte past ASCII or a control byte, a bad
+// separator, the nesting limit — it returns false with l.i unmoved, and
+// the general scan takes the array from its first byte.
+func (l *lexer) plainStrings() (n int, ok bool) {
+	b, i := l.b, l.i+1
+	if l.depth >= maxDepth {
+		return 0, false
+	}
+	if i < len(b) && b[i] == ']' {
+		l.i = i + 1
+		return 0, true
+	}
+	for i < len(b) && b[i] == '"' {
+		for i++; i < len(b) && plainByte[b[i]]; i++ {
+		}
+		if i+1 >= len(b) || b[i] != '"' {
+			return 0, false
+		}
+		n, i = n+1, i+2
+		switch b[i-1] {
+		case ']':
+			l.i = i
+			return n, true
+		case ',':
+			continue
+		}
+		return 0, false
+	}
+	return 0, false
 }
 
 // list scans the elements of the array or object at l.i by elem.
@@ -225,8 +271,8 @@ func (l *lexer) fields(names []string, ptrs ...any) error {
 			return l.nullOr("a bool")
 		case *int:
 			return scanInt(l, p)
-		case *[]struct{}: // an array of strings, counted: its strings are checked and dropped
-			return scanSlice(l, p, func(*struct{}) error { return l.text(nil) })
+		case *[]struct{}:
+			return l.count(p)
 		case *[]string:
 			return scanSlice(l, p, l.text)
 		case *cbProfile:
@@ -256,6 +302,18 @@ func (l *lexer) text(p *string) error {
 		*p = unquote(tok, plain)
 	}
 	return err
+}
+
+// count decodes an array of strings into *p, counted: its strings are
+// checked and dropped, and *p takes the array's length.
+func (l *lexer) count(p *[]struct{}) error {
+	if l.ws() == '[' {
+		if n, ok := l.plainStrings(); ok {
+			*p = make([]struct{}, n)
+			return nil
+		}
+	}
+	return scanSlice(l, p, func(*struct{}) error { return l.text(nil) })
 }
 
 // unquote returns a valid string token's value: a copy of its bytes

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -108,6 +109,45 @@ var freezeDecoderSeeds = []string{
 	`{"x":[[[{"y":[[{}]]}]]],"id":"a"}`, `{"x":[[[{"y":[[{}]]}]]]],"id":"a"}`,
 }
 
+// plainArrays are the arrays at the edge of the scanner's one-loop path
+// for arrays of plain strings: each must take the general path and
+// still agree with encoding/json.
+var plainArrays = []string{
+	`["s1","s2"]`, `[ "s1" , "s2" ]`, `["s1", "s2"]`, `["s\"1"]`, `["\u0073\u0031"]`,
+	"[\"s\u00e9\"]", "[\"s\xc3\xa9\"]", "[\"s\x1f\"]", "[\"s1\",\"\x7f\"]",
+	`[]`, `[ ]`, `null`, `[,]`, `["s1",]`, `["s1"`, `["s1`, `["s1",`, `["s1";"s2"]`, `["s1"]]`,
+	`[""]`, `["s1",2]`, `["s1",null]`, `["s1",["s2"]]`,
+}
+
+// plainArrayRecords places each of plainArrays where the freeze meets
+// an ID list: a follow list it counts, a follow list and a founder list
+// it steps over, and the investments it keeps.
+func plainArrayRecords() []string {
+	var out []string
+	for _, a := range plainArrays {
+		for _, key := range []string{"follows_startups", "follows_users", "founder_ids", "investments"} {
+			out = append(out, `{"id":"u1",`+strconv.Quote(key)+`:`+a+`,"snapshot":2}`)
+		}
+	}
+	return out
+}
+
+// TestPlainStringArrays: on arrays of plain strings and on every array
+// just off that shape, the scanners agree with encoding/json, also where
+// the array sits exactly at and one past the nesting limit.
+func TestPlainStringArrays(t *testing.T) {
+	for _, rec := range plainArrayRecords() {
+		decodersAgree(t, []byte(rec))
+	}
+	for _, depth := range []int{maxDepth - 1, maxDepth} {
+		for _, a := range []string{`["s1","s2"]`, `[]`} {
+			decodersAgree(t, []byte(strings.Repeat("[", depth-1)+a+strings.Repeat("]", depth-1)))
+			decodersAgree(t, []byte(`{"follows_startups":`+strings.Repeat("[", depth-1)+a+strings.Repeat("]", depth-1)+`}`))
+			decodersAgree(t, []byte(`{"founder_ids":`+strings.Repeat("[", depth-1)+a+strings.Repeat("]", depth-1)+`}`))
+		}
+	}
+}
+
 // FuzzFreezeDecoders holds each of the freeze's scanners to
 // json.Unmarshal into the same projection: for any bytes both accept or
 // both reject, and on acceptance every field agrees, slice nil-ness
@@ -138,6 +178,9 @@ func FuzzFreezeDecoders(f *testing.F) {
 		}
 	}
 	for _, s := range freezeDecoderSeeds {
+		f.Add([]byte(s))
+	}
+	for _, s := range plainArrayRecords() {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(decodersAgree)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"crowdscope/internal/ecosystem"
+	pool "crowdscope/internal/parallel"
 	"crowdscope/internal/store"
 )
 
@@ -56,7 +57,9 @@ func IngestGenerated(ctx context.Context, s *store.Store, snapshotNum int) (int6
 }
 
 // ingestNS streams one generated namespace into its crawl counterpart,
-// preserving the shard count and per-shard record order.
+// preserving the shard count and per-shard record order. The shards copy
+// concurrently on parallel.Default(), each by its own goroutine into its
+// own shard of one Writer, which the Writer allows.
 func ingestNS(ctx context.Context, s *store.Store, from, to string, tag []byte) (int64, error) {
 	k, err := s.ShardCount(from)
 	if err != nil {
@@ -67,23 +70,27 @@ func ingestNS(ctx context.Context, s *store.Store, from, to string, tag []byte) 
 		return 0, err
 	}
 	defer w.Abort() // a no-op once Close has committed
-	var n int64
-	var buf []byte
-	for shard := 0; shard < k; shard++ {
-		err := s.ScanShardContext(ctx, from, shard, func(payload []byte) error {
+	counts := make([]int64, k)
+	err = pool.Default().EachErr(k, func(shard int) error {
+		var buf []byte
+		return s.ScanShardContext(ctx, from, shard, func(payload []byte) error {
 			// Only braces around at least one member take the tag.
 			end := len(payload) - 1
 			if end < 1 || payload[0] != '{' || payload[end] != '}' ||
 				!bytes.HasPrefix(bytes.TrimLeft(payload[1:end], " \t\r\n"), []byte(`"`)) {
-				return fmt.Errorf("shard %d, after %d records: payload is not a non-empty JSON object: %.40q", shard, n, payload)
+				return fmt.Errorf("shard %d, after %d records: payload is not a non-empty JSON object: %.40q", shard, counts[shard], payload)
 			}
 			buf = append(append(buf[:0], payload[:end]...), tag...)
-			n++
+			counts[shard]++
 			return w.AppendRawTo(shard, buf)
 		})
-		if err != nil {
-			return 0, err
-		}
+	})
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, c := range counts {
+		n += c
 	}
 	return n, w.Close()
 }

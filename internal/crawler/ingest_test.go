@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"crowdscope/internal/ecosystem"
+	pool "crowdscope/internal/parallel"
 	"crowdscope/internal/store"
 )
 
@@ -62,54 +63,67 @@ func shardPayloads(t *testing.T, st *store.Store, ns string, shard int) [][]byte
 // TestIngestGeneratedIsTypedIdentity: the spliced crawl record is, byte
 // for byte, the typed crawl record marshaled from the decoded gen/*
 // record — in every namespace, shard by shard and in order, at several
-// snapshot tags — and it sits in the shard its key routes to.
+// snapshot tags, with the shards copied by one worker and by four — and
+// it sits in the shard its key routes to.
 func TestIngestGeneratedIsTypedIdentity(t *testing.T) {
+	defer pool.SetDefaultWorkers(0)
 	ctx := context.Background()
 	for _, tag := range []int{0, 3, 12} {
 		t.Run(fmt.Sprintf("snapshot-%d", tag), func(t *testing.T) {
-			st, err := store.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.SegmentBytes = 4 << 10 // several segments per shard
-			cfg := ecosystem.NewConfig(99, 0.0007)
-			cfg.Shards = 4
-			gen, err := ecosystem.GenerateTo(ctx, st, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n, err := IngestGenerated(ctx, st, tag)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := gen.Startups + gen.Users + gen.CrunchBase + gen.Facebook + gen.Twitter; n != want || n == 0 {
-				t.Fatalf("ingested %d records, generation emitted %d", n, want)
-			}
-			for _, p := range ingestPairs {
-				from, to := p[0], p[1]
-				if k, err := st.ShardCount(to); err != nil || k != cfg.Shards {
-					t.Fatalf("%s has %d shards (%v), want %d", to, k, err, cfg.Shards)
-				}
-				for shard := 0; shard < cfg.Shards; shard++ {
-					src, got := shardPayloads(t, st, from, shard), shardPayloads(t, st, to, shard)
-					if len(src) != len(got) {
-						t.Fatalf("%s shard %d: %d records from %d", to, shard, len(got), len(src))
-					}
-					for i := range src {
-						key, want, err := typedIngest[to](src[i], tag)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got[i], want) {
-							t.Fatalf("%s shard %d record %d:\n got %s\nwant %s", to, shard, i, got[i], want)
-						}
-						if store.ShardFor(key, cfg.Shards) != shard {
-							t.Fatalf("%s: key %s sits in shard %d, routes to %d", to, key, shard, store.ShardFor(key, cfg.Shards))
-						}
-					}
-				}
+			for _, workers := range []int{1, 4} {
+				pool.SetDefaultWorkers(workers)
+				checkIngestIsTypedIdentity(t, ctx, tag, workers)
 			}
 		})
+	}
+}
+
+// checkIngestIsTypedIdentity generates a fresh world, ingests it at the
+// snapshot tag with the shards copied by the given number of workers,
+// and compares every crawl record with its typed reference.
+func checkIngestIsTypedIdentity(t *testing.T, ctx context.Context, tag, workers int) {
+	t.Helper()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SegmentBytes = 4 << 10 // several segments per shard
+	cfg := ecosystem.NewConfig(99, 0.0007)
+	cfg.Shards = 4
+	gen, err := ecosystem.GenerateTo(ctx, st, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := IngestGenerated(ctx, st, tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := gen.Startups + gen.Users + gen.CrunchBase + gen.Facebook + gen.Twitter; n != want || n == 0 {
+		t.Fatalf("workers %d: ingested %d records, generation emitted %d", workers, n, want)
+	}
+	for _, p := range ingestPairs {
+		from, to := p[0], p[1]
+		if k, err := st.ShardCount(to); err != nil || k != cfg.Shards {
+			t.Fatalf("workers %d: %s has %d shards (%v), want %d", workers, to, k, err, cfg.Shards)
+		}
+		for shard := 0; shard < cfg.Shards; shard++ {
+			src, got := shardPayloads(t, st, from, shard), shardPayloads(t, st, to, shard)
+			if len(src) != len(got) {
+				t.Fatalf("workers %d: %s shard %d: %d records from %d", workers, to, shard, len(got), len(src))
+			}
+			for i := range src {
+				key, want, err := typedIngest[to](src[i], tag)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got[i], want) {
+					t.Fatalf("workers %d: %s shard %d record %d:\n got %s\nwant %s", workers, to, shard, i, got[i], want)
+				}
+				if store.ShardFor(key, cfg.Shards) != shard {
+					t.Fatalf("workers %d: %s: key %s sits in shard %d, routes to %d", workers, to, key, shard, store.ShardFor(key, cfg.Shards))
+				}
+			}
+		}
 	}
 }
 

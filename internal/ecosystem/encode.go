@@ -2,6 +2,8 @@ package ecosystem
 
 import (
 	"encoding/json"
+	"math/bits"
+	"slices"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -68,7 +70,53 @@ func appendTime(dst []byte, t time.Time) ([]byte, error) {
 	return append(dst, b...), nil
 }
 
-func appendInt(dst []byte, v int64) []byte { return strconv.AppendInt(dst, v, 10) }
+// appendInt appends v in decimal, the bytes strconv.AppendInt(dst, v,
+// 10) appends: it sizes the number first, then writes it in place from
+// its last digit, two digits a step from digitPairs.
+func appendInt(dst []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst, u = append(dst, '-'), -u
+	}
+	n := bits.Len64(u|1) * 1233 >> 12 // log10(2) ≈ 1233/4096: the digit count or one less
+	if u >= pow10[n] {
+		n++
+	}
+	n = max(n, 1)
+	dst = slices.Grow(dst, n)
+	i := len(dst) + n
+	dst = dst[:i]
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		i -= 2
+		dst[i], dst[i+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		dst[i-2], dst[i-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		dst[i-1] = byte('0' + u)
+	}
+	return dst
+}
+
+// pow10[k] is 10^k, up to the largest power a uint64 holds.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = 10 * p[k-1]
+	}
+	return p
+}()
+
+// digitPairs holds "00" to "99", back to back.
+var digitPairs = func() (p [200]byte) {
+	for d := range 100 {
+		p[2*d], p[2*d+1] = byte('0'+d/10), byte('0'+d%10)
+	}
+	return p
+}()
 
 // appendStartup appends s as json.Marshal encodes a Startup.
 func appendStartup(dst []byte, s *Startup) []byte {

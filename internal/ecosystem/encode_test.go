@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -96,4 +98,29 @@ func FuzzGenRecordEncoders(f *testing.F) {
 		got, err = appendCrunchBase(prefix, s2, cb)
 		check("crunchbase", got, err, GenAugment[*CrunchBaseProfile]{s2, cb})
 	})
+}
+
+// TestAppendIntMatchesStrconv: the digit-pair appender writes
+// strconv.AppendInt's bytes at every digit-count boundary, at the int32
+// and int64 extremes and on random values of every magnitude, after a
+// prefix it leaves as it was, whether or not dst has room to spare.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	vals := []int64{0, math.MinInt64, math.MaxInt64, math.MinInt32, math.MaxInt32, math.MinInt32 - 1, math.MaxInt32 + 1}
+	for p := int64(1); p <= math.MaxInt64/10; p *= 10 {
+		for _, v := range []int64{p - 1, p, p + 1, 10*p - 1} {
+			vals = append(vals, v, -v)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for range 10000 {
+		vals = append(vals, int64(rng.Uint64())>>rng.Intn(64))
+	}
+	for _, v := range vals {
+		want := strconv.AppendInt([]byte("p"), v, 10)
+		for _, dst := range [][]byte{[]byte("p"), append(make([]byte, 0, 32), 'p')} {
+			if got := appendInt(dst, v); !bytes.Equal(got, want) {
+				t.Fatalf("appendInt(%d) = %q, want %q", v, got, want)
+			}
+		}
+	}
 }

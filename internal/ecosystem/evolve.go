@@ -1,7 +1,6 @@
 package ecosystem
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -124,7 +123,8 @@ func (w *World) markFunded(idx int, rng *rand.Rand) {
 	s := w.Startups[idx]
 	url := s.CrunchBaseURL
 	if url == "" {
-		url = "https://www.crunchbase.com/organization/" + slugify(s.Name) + fmt.Sprint("-", idx+1)
+		var buf []byte
+		url = linkURL(&buf, "https://www.crunchbase.com/organization/", appendSlug(nil, s.Name), '-', idx)
 		if w.CrunchBase[url] == nil {
 			w.CrunchBase[url] = &CrunchBaseProfile{
 				URL:    url,

@@ -1,7 +1,6 @@
 package ecosystem
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -101,6 +100,14 @@ func startupID(i int) string { return "s" + strconv.Itoa(i+1) }
 
 func userID(i int) string { return "u" + strconv.Itoa(i+1) }
 
+// linkURL returns the link prefix+slug+sep+(i+1) of the startup at
+// index i, built in *buf.
+func linkURL(buf *[]byte, prefix string, slug []byte, sep byte, i int) string {
+	b := append(append((*buf)[:0], prefix...), slug...)
+	*buf = appendInt(append(b, sep), int64(i)+1)
+	return string(*buf)
+}
+
 func startupIndex(id string) int32 {
 	n, _ := strconv.Atoi(strings.TrimPrefix(id, "s")) // 0 on error: index -1
 	return int32(n - 1)
@@ -120,23 +127,24 @@ func genStartups(w *World, rng *rand.Rand) {
 	used := make(map[string]struct{}, n)
 	w.dupNames = map[string]bool{}
 	var lastName string
+	var key, slug, buf []byte // lastName normalized; reused buffers
 	fbOnly := cfg.FacebookFrac - cfg.BothFrac
 	twOnly := cfg.TwitterFrac - cfg.BothFrac
 	for i := 0; i < n; i++ {
 		var name string
 		if lastName != "" && rng.Float64() < cfg.DupliNameFrac {
 			name = lastName
-			w.dupNames[normalizeName(name)] = true
+			w.dupNames[string(key)] = true
 		} else {
 			name = companyName(rng)
-			for {
-				if _, dup := used[normalizeName(name)]; !dup {
+			for key = appendNormalized(key[:0], name); ; key = appendNormalized(key[:0], name) {
+				if _, dup := used[string(key)]; !dup {
 					break
 				}
 				name = companyName(rng) + " " + companyHeads[rng.Intn(len(companyHeads))] + companyTails[rng.Intn(len(companyTails))]
 			}
+			used[string(key)] = struct{}{}
 		}
-		used[normalizeName(name)] = struct{}{}
 		lastName = name
 		s := &Startup{
 			ID:   startupID(i),
@@ -144,14 +152,17 @@ func genStartups(w *World, rng *rand.Rand) {
 		}
 		// Social category draw.
 		u := rng.Float64()
+		if u < cfg.BothFrac+fbOnly+twOnly {
+			slug = appendSlug(slug[:0], name)
+		}
 		switch {
 		case u < cfg.BothFrac:
-			s.FacebookURL = "https://facebook.com/" + slugify(name) + fmt.Sprint("-", i+1)
-			s.TwitterURL = "https://twitter.com/" + slugify(name) + fmt.Sprint("_", i+1)
+			s.FacebookURL = linkURL(&buf, "https://facebook.com/", slug, '-', i)
+			s.TwitterURL = linkURL(&buf, "https://twitter.com/", slug, '_', i)
 		case u < cfg.BothFrac+fbOnly:
-			s.FacebookURL = "https://facebook.com/" + slugify(name) + fmt.Sprint("-", i+1)
+			s.FacebookURL = linkURL(&buf, "https://facebook.com/", slug, '-', i)
 		case u < cfg.BothFrac+fbOnly+twOnly:
-			s.TwitterURL = "https://twitter.com/" + slugify(name) + fmt.Sprint("_", i+1)
+			s.TwitterURL = linkURL(&buf, "https://twitter.com/", slug, '_', i)
 		}
 		// Demo video, correlated with having a social presence.
 		videoP := cfg.VideoFracNoSocial
@@ -309,13 +320,18 @@ func assignSuccess(w *World, rng *rand.Rand, latent []float64) {
 // the link assignment afterwards mutates only the startup.
 func genCrunchBase(w *World, rng *rand.Rand, em emitter) error {
 	cfg := w.Cfg
+	var buf, slug []byte
 	for i, s := range w.Startups {
-		hasProfile := w.Successful[i] || w.dupNames[normalizeName(s.Name)] ||
-			rng.Float64() < cfg.CBNoRoundsFrac*0.02
+		hasProfile := w.Successful[i]
+		if !hasProfile {
+			buf = appendNormalized(buf[:0], s.Name)
+			hasProfile = w.dupNames[string(buf)] || rng.Float64() < cfg.CBNoRoundsFrac*0.02
+		}
 		if !hasProfile {
 			continue
 		}
-		url := "https://www.crunchbase.com/organization/" + slugify(s.Name) + fmt.Sprint("-", i+1)
+		slug = appendSlug(slug[:0], s.Name)
+		url := linkURL(&buf, "https://www.crunchbase.com/organization/", slug, '-', i)
 		p := &CrunchBaseProfile{
 			URL:    url,
 			Name:   s.Name,

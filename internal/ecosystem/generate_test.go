@@ -2,6 +2,7 @@ package ecosystem
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -510,14 +511,35 @@ func TestRaisingListing(t *testing.T) {
 }
 
 func TestSlugifyAndNormalize(t *testing.T) {
-	if slugify("Zen Labs AI") != "zen-labs-ai" {
-		t.Errorf("slugify = %q", slugify("Zen Labs AI"))
+	// The slug as it was first defined: lowercase the whole name, then
+	// keep letters and digits and turn separators into '-'.
+	slugRef := func(name string) string {
+		var b strings.Builder
+		for _, r := range strings.ToLower(name) {
+			switch {
+			case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+				b.WriteRune(r)
+			case r == ' ' || r == '-' || r == '_':
+				b.WriteByte('-')
+			}
+		}
+		return b.String()
 	}
-	if slugify("Weird!!Name") != "weirdname" {
-		t.Errorf("slugify = %q", slugify("Weird!!Name"))
+	for name, want := range map[string]string{"Zen Labs AI": "zen-labs-ai", "Weird!!Name": "weirdname"} {
+		if got := string(appendSlug(nil, name)); got != want {
+			t.Errorf("appendSlug(%q) = %q, want %q", name, got, want)
+		}
 	}
 	if normalizeName("  FooBar ") != "foobar" {
 		t.Errorf("normalizeName = %q", normalizeName("  FooBar "))
+	}
+	for _, name := range []string{"", "  FooBar ", "Zen Labs AI", "A_b-C d", "\tX\n", "\u212aelvin", "\u0130stanbul", "Caf\u00c9 HQ", "bad\xffutf8", " \u00a0Nbsp\u00a0 ", "\u0085X"} {
+		if got, want := string(appendSlug([]byte("x"), name)), "x"+slugRef(name); got != want {
+			t.Errorf("appendSlug(%q) = %q, want %q", name, got, want)
+		}
+		if got, want := string(appendNormalized([]byte("x"), name)), "x"+normalizeName(name); got != want {
+			t.Errorf("appendNormalized(%q) = %q, want %q", name, got, want)
+		}
 	}
 }
 

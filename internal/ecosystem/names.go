@@ -3,6 +3,8 @@ package ecosystem
 import (
 	"math/rand"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Name generation: deterministic, pronounceable fake company and person
@@ -67,16 +69,36 @@ func normalizeName(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
 
-// slugify converts a company name into a URL slug.
-func slugify(name string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		case r == ' ' || r == '-' || r == '_':
-			b.WriteByte('-')
+// appendNormalized appends normalizeName(name) to dst, allocating
+// nothing for an ASCII name.
+func appendNormalized(dst []byte, name string) []byte {
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			return append(dst, normalizeName(name)...)
 		}
 	}
-	return b.String()
+	name = strings.TrimSpace(name)
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// appendSlug appends the URL slug of a company name to dst: its
+// lowercased letters and digits, with a '-' for each space, hyphen or
+// underscore.
+func appendSlug(dst []byte, name string) []byte {
+	for _, r := range name {
+		switch r = unicode.ToLower(r); {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+			dst = append(dst, byte(r))
+		case r == ' ' || r == '-' || r == '_':
+			dst = append(dst, '-')
+		}
+	}
+	return dst
 }

@@ -2,9 +2,12 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
+
+	"crowdscope/internal/parallel"
 )
 
 // Table is the columnar input to BuildTable: named boolean and integer
@@ -117,28 +120,62 @@ func BuildTable(t Table) (*TableIndex, error) {
 		}
 		ti.bools[key] = b
 	}
-	for key, col := range t.Ints {
-		if len(col) != t.Rows {
+	keys := sortedKeys(t.Ints)
+	for _, key := range keys {
+		if col := t.Ints[key]; len(col) != t.Rows {
 			return nil, fmt.Errorf("index: table %s int column %q has %d values for %d rows", t.Name, key, len(col), t.Rows)
 		}
-		perm := make([]int32, t.Rows)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		sort.Slice(perm, func(a, b int) bool {
-			va, vb := col[perm[a]], col[perm[b]]
-			if va != vb {
-				return va < vb
-			}
-			return perm[a] < perm[b]
-		})
-		vals := make([]int64, t.Rows)
-		for i, r := range perm {
-			vals[i] = col[r]
-		}
-		ti.orders[key] = &order{perm: perm, vals: vals}
+	}
+	orders := make([]*order, len(keys))
+	parallel.Default().Each(len(keys), func(i int) { orders[i] = sortColumn(t.Ints[keys[i]]) })
+	for i, key := range keys {
+		ti.orders[key] = orders[i]
 	}
 	return ti, nil
+}
+
+// sortColumn orders a column by value, ties by row id: a stable LSD
+// radix sort of the row ids, keyed on each value with its sign bit
+// flipped (so the keys' unsigned byte order is the values' order), one
+// counting pass per key byte, least significant first. A byte every
+// key shares orders nothing, so its pass is skipped.
+func sortColumn(col []int64) *order {
+	n := len(col)
+	var counts [8][256]int
+	keys := make([]int64, n)
+	perm := make([]int32, n)
+	for i, v := range col {
+		k := v ^ math.MinInt64
+		keys[i], perm[i] = k, int32(i)
+		for b := range counts {
+			counts[b][byte(uint64(k)>>(8*b))]++
+		}
+	}
+	var keys2 []int64
+	var perm2 []int32
+	for b := range counts {
+		shift, c := 8*b, &counts[b]
+		if n == 0 || c[byte(uint64(keys[0])>>shift)] == n {
+			continue
+		}
+		if keys2 == nil {
+			keys2, perm2 = make([]int64, n), make([]int32, n)
+		}
+		for d, off := 0, 0; d < len(c); d++ {
+			c[d], off = off, off+c[d]
+		}
+		for i, k := range keys {
+			d := byte(uint64(k) >> shift)
+			keys2[c[d]], perm2[c[d]] = k, perm[i]
+			c[d]++
+		}
+		keys, keys2 = keys2, keys
+		perm, perm2 = perm2, perm
+	}
+	for i := range keys {
+		keys[i] ^= math.MinInt64
+	}
+	return &order{perm: perm, vals: keys}
 }
 
 // Rows returns the indexed table's row count.

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"crowdscope/internal/parallel"
 	"crowdscope/internal/snapshot"
 )
 
@@ -574,6 +575,58 @@ func TestBuildDeterministicOnRandomData(t *testing.T) {
 		sort.Slice(wantK, func(a, b int) bool { return wantK[a] < wantK[b] })
 		if !reflect.DeepEqual(topk, wantK) && !(len(topk) == 0 && len(wantK) == 0) {
 			t.Fatalf("trial %d: TopK mismatch: got %v want %v", trial, topk, wantK)
+		}
+	}
+}
+
+// TestRadixOrderingMatchesStableSort: every ordering BuildTable makes is
+// a stable sort of the row ids by value, on columns that exercise the
+// sign flip (the int64 extremes, -1/0/1), the skipped passes (all equal,
+// values apart only in the top byte) and counting buckets that fill a
+// byte's range, at one worker and at four.
+func TestRadixOrderingMatchesStableSort(t *testing.T) {
+	defer parallel.SetDefaultWorkers(0)
+	rng := rand.New(rand.NewSource(7))
+	columns := map[string]func(i int) int64{
+		"extremes": func(int) int64 {
+			return []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64 + 1, math.MaxInt64 - 1}[rng.Intn(7)]
+		},
+		"signs":    func(int) int64 { return int64(rng.Intn(3) - 1) },
+		"equal":    func(int) int64 { return -42 },
+		"top-byte": func(int) int64 { return int64(uint64(rng.Intn(256))<<56 | 0x00ab_cdef_0123_4567) },
+		"spread":   func(i int) int64 { return int64(rng.Uint64()) >> (i % 64) },
+	}
+	for _, workers := range []int{1, 4} {
+		parallel.SetDefaultWorkers(workers)
+		for _, rows := range []int{0, 1, 2, 255, 256, 65537} {
+			ints := make(map[string][]int64, len(columns))
+			for name, gen := range columns {
+				col := make([]int64, rows)
+				for i := range col {
+					col[i] = gen(i)
+				}
+				ints[name] = col
+			}
+			ti, err := BuildTable(Table{Name: "r", Rows: rows, Ints: ints})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, col := range ints {
+				want := make([]int32, rows)
+				for i := range want {
+					want[i] = int32(i)
+				}
+				sort.SliceStable(want, func(a, b int) bool { return col[want[a]] < col[want[b]] })
+				o := ti.orders[name]
+				if !slices.Equal(o.perm, want) {
+					t.Fatalf("workers %d, %d rows, %s: ordering differs from a stable sort", workers, rows, name)
+				}
+				for i, r := range want {
+					if o.vals[i] != col[r] {
+						t.Fatalf("workers %d, %d rows, %s: vals[%d] = %d, want %d", workers, rows, name, i, o.vals[i], col[r])
+					}
+				}
+			}
 		}
 	}
 }

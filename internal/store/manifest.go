@@ -90,24 +90,67 @@ func loadManifest(dir string) (*manifest, error) {
 	}
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("store: parse manifest: %w", err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, manifestName, err)
 	}
+	if err := m.validate(); err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, manifestName, err)
+	}
+	return &m, nil
+}
+
+// validate checks a decoded manifest before the store uses it, folding
+// a namespace written before every JSON namespace had shards into one
+// shard: every namespace has a valid name and a known kind, every JSON
+// namespace at least one shard, and every file a path under the store
+// root with counts no reader can misread.
+func (m *manifest) validate() error {
 	if m.Version != 1 {
-		return nil, fmt.Errorf("store: unsupported manifest version %d", m.Version)
+		return fmt.Errorf("unsupported version %d", m.Version)
 	}
 	if m.Namespaces == nil {
 		m.Namespaces = map[string]*NamespaceInfo{}
 	}
-	for _, info := range m.Namespaces {
-		if info.Kind == KindJSON && info.Shards == nil {
+	for ns, info := range m.Namespaces {
+		if err := validNamespace(ns); err != nil {
+			return err
+		}
+		if info == nil || info.Kind != KindJSON && info.Kind != KindBlob {
+			return fmt.Errorf("namespace %q: no entry or an unknown kind", ns)
+		}
+		if info.Kind == KindBlob {
+			if info.Shards != nil || info.Segments != nil {
+				return fmt.Errorf("namespace %q: a blob namespace listing segments", ns)
+			}
+			if b := info.Blob; b != nil && (!filepath.IsLocal(b.File) || b.Bytes < 0) {
+				return fmt.Errorf("namespace %q: bad blob %+v", ns, *b)
+			}
+			continue
+		}
+		if info.Shards != nil && info.Segments != nil {
+			return fmt.Errorf("namespace %q: both a shard list and a legacy segment list", ns)
+		}
+		if info.Shards == nil {
 			// Written before every JSON namespace had shards: the segments
 			// become shard 0 where they lie, and the next commit stores
 			// the folded form.
 			info.Shards = []*ShardInfo{{Segments: info.Segments, NextSeq: info.NextSeq}}
 			info.Segments, info.NextSeq = nil, 0
 		}
+		if len(info.Shards) == 0 {
+			return fmt.Errorf("namespace %q: no shards", ns)
+		}
+		for i, sh := range info.Shards {
+			if sh == nil || sh.NextSeq < 0 {
+				return fmt.Errorf("namespace %q: shard %d: no entry or a negative sequence", ns, i)
+			}
+			for _, seg := range sh.Segments {
+				if !filepath.IsLocal(seg.File) || seg.Records < 0 || seg.Bytes < 0 {
+					return fmt.Errorf("namespace %q: shard %d: bad segment %+v", ns, i, seg)
+				}
+			}
+		}
 	}
-	return &m, nil
+	return nil
 }
 
 // jsonNamespace returns the committed entry of a JSON namespace. The

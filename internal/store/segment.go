@@ -29,8 +29,10 @@ const maxRecordSize = 16 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports a failed integrity check during a segment scan.
-var ErrCorrupt = errors.New("store: corrupt segment")
+// ErrCorrupt reports bytes on disk that fail the store's integrity
+// checks: a segment's framing, CRC or record count, a blob's size or
+// CRC, or a manifest that does not parse or validate.
+var ErrCorrupt = errors.New("store: corrupt data")
 
 // ErrSegmentMissing reports that a manifest-listed segment file is absent
 // on disk — the manifest and the data files disagree, typically because a
@@ -112,14 +114,22 @@ func scanSegment(path string, expectRecords int64, fn func(payload []byte) error
 		return fmt.Errorf("store: open segment: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	magic := make([]byte, len(segmentMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: stat segment: %w", err)
+	}
+	// left counts the bytes not yet read: a length prefix claiming more
+	// is a truncated record, found before its buffer is allocated.
+	left := st.Size()
+	r := bufio.NewReaderSize(f, int(min(left, 1<<16)))
+	var magic [len(segmentMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return fmt.Errorf("%w: %s: short header", ErrCorrupt, path)
 	}
-	if string(magic) != segmentMagic {
+	if string(magic[:]) != segmentMagic {
 		return fmt.Errorf("%w: %s: bad magic %q", ErrCorrupt, path, magic)
 	}
+	left -= int64(len(magic))
 	var hdr [8]byte
 	var buf []byte
 	var n int64
@@ -130,11 +140,16 @@ func scanSegment(path string, expectRecords int64, fn func(payload []byte) error
 			}
 			return fmt.Errorf("%w: %s: truncated record header after %d records", ErrCorrupt, path, n)
 		}
+		left -= int64(len(hdr))
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
 		if length > maxRecordSize {
 			return fmt.Errorf("%w: %s: record %d claims %d bytes", ErrCorrupt, path, n, length)
 		}
+		if int64(length) > left {
+			return fmt.Errorf("%w: %s: truncated record %d", ErrCorrupt, path, n)
+		}
+		left -= int64(length)
 		if cap(buf) < int(length) {
 			buf = make([]byte, length)
 		}

@@ -183,9 +183,12 @@ type shardAppender struct {
 }
 
 // Writer appends JSON records to a namespace of K shards, routing each
-// record by its key (at K=1 every key routes to shard 0). Writers are
-// not safe for concurrent use; parallel producers should marshal
-// through a channel or open distinct namespaces. Records become visible
+// record by its key (at K=1 every key routes to shard 0). The one
+// concurrent use a Writer allows is AppendRawTo calls on distinct
+// shards, each shard's records keeping the order of its calls. Every
+// other call — Append and AppendRaw, two appends to one shard, Close,
+// Abort — must come from one goroutine, after the concurrent appends
+// have returned. Records become visible
 // only when Close commits the manifest — all shards commit atomically in
 // one manifest write, so readers never observe a namespace with some
 // shards ahead of others.

@@ -50,7 +50,9 @@ go run ./cmd/crowdlint ./...
 #   index-scan         planner index routes stay byte-identical to the
 #                      scan route, off the 64-row word boundary too; each
 #                      row-bitmap kernel matches brute force; corrupt,
-#                      stale or unbounded index blobs fail loudly
+#                      stale or unbounded index blobs fail loudly; the
+#                      radix-built orderings equal a stable sort at one
+#                      worker and at four
 #   delta-refreeze     delta-applied snapshots match a freeze of the same
 #                      round from the store; crash-interrupted chains
 #                      recover byte-identically; the in-memory crawl
@@ -60,8 +62,8 @@ go run ./cmd/crowdlint ./...
 #                      match json.Marshal and its bytes are pinned to
 #                      golden digests; a cancelled or failed-commit run
 #                      commits nothing; the spliced ingest is the typed
-#                      ingest byte for
-#                      byte; the freeze is shard-count and worker-count
+#                      ingest byte for byte, its shards copied by one
+#                      worker or by four; the freeze is shard-count and worker-count
 #                      invariant (its shard walk is concurrent), pinned
 #                      to the golden digests, its record scanners agree
 #                      with encoding/json, and a re-persisted round
@@ -76,7 +78,9 @@ go run ./cmd/crowdlint ./...
 #                      routing and order survive reopen + append; a
 #                      pre-shard manifest folds into one shard;
 #                      a failed commit leaves no phantom namespace; a
-#                      cancelled Persist commits nothing
+#                      cancelled Persist commits nothing; goroutines
+#                      appending each to its own shard of one Writer
+#                      race on nothing and keep each shard's order
 #   binaries           crowdscope serve, and fleet's replicas behind the
 #                      front, come up on an ephemeral port over a crawled
 #                      store, answer /readyz and the query golden byte
@@ -106,11 +110,11 @@ run_suite() {
 run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
 run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/community
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
-run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps' ./internal/core ./internal/serve ./internal/index
+run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps|TestRadixOrderingMatchesStableSort' ./internal/core ./internal/serve ./internal/index
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite front-chaos    'TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/core ./internal/fleet/front
-run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects' ./internal/store ./internal/crawler
+run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects|TestWriterConcurrentShardAppends' ./internal/store ./internal/crawler
 run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsForInFlight' ./cmd/crowdscope
 
 # Hostile and random bytes: ten seconds or so of native fuzzing each on the
@@ -128,14 +132,18 @@ run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsF
 # allocating in proportion to the input) and on the index decoder (an
 # ErrCorrupt or ErrInvalid error, or tables equal to the index built
 # over their own columns, on which every row-bitmap kernel matches
-# brute force, again allocating in proportion to the input).
+# brute force, again allocating in proportion to the input) and on the
+# store's segment and manifest readers (an ErrCorrupt error, or records
+# that frame back to the file's bytes / a manifest that commits and
+# loads back unchanged and opens a store that scans without a panic,
+# allocating in proportion to the input).
 # internal/core's targets get
 # 20 s: its TestMain crawls the package fixture in the coordinator and in
 # every fuzz worker before the first input runs, which takes about half.
 # Minimizing each new corpus entry is capped at 100 runs: left at its
 # default (up to a minute), minimizing one ~1.5 KB frozen artifact eats
 # the whole budget. A failing input is still reported, minimized or not.
-for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzFreezeDecoders:./internal/core:20s FuzzDecodeFrozen:./internal/core:20s FuzzDecodeIndex:./internal/index:10s; do
+for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzFreezeDecoders:./internal/core:20s FuzzDecodeFrozen:./internal/core:20s FuzzDecodeIndex:./internal/index:10s FuzzScanSegment:./internal/store:10s FuzzLoadManifest:./internal/store:10s; do
   IFS=: read -r target pkg budget <<<"$entry"
   go test -run '^$' -fuzz "^${target}\$" -fuzztime="$budget" -fuzzminimizetime=100x "$pkg"
 done
