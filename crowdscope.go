@@ -70,7 +70,9 @@ type PipelineConfig struct {
 const twitterLimit = 1 << 30
 
 // Pipeline owns one generated world, its simulated API server, and the
-// crawled store.
+// crawled store. It holds no crawl between rounds: a round's delta is
+// computed from that round's crawl and the previous frozen snapshot
+// alone, so the snapshot Crawl returns is the caller's to keep or drop.
 type Pipeline struct {
 	Config PipelineConfig
 	World  *ecosystem.World
@@ -79,13 +81,6 @@ type Pipeline struct {
 
 	ts     *httptest.Server
 	client *crawler.Client
-
-	// Previous round's raw crawl, retained so the next round's delta can
-	// be pre-filtered by the crawler's RoundDiff instead of re-merging
-	// every entity. Only valid within one process: after a restart the
-	// delta path re-merges from the in-memory crawl alone.
-	lastCrawl     *crawler.Snapshot
-	lastCrawlSnap int
 
 	// DeltaFallbacks counts rounds whose delta commit failed and was
 	// recovered by freezing the round from the store (e.g. a base
@@ -142,13 +137,12 @@ func NewPipelineFromWorld(world *ecosystem.World, cfg PipelineConfig) (*Pipeline
 		return nil, err
 	}
 	return &Pipeline{
-		Config:        cfg,
-		World:         world,
-		Server:        srv,
-		Store:         st,
-		ts:            ts,
-		client:        client,
-		lastCrawlSnap: -1,
+		Config: cfg,
+		World:  world,
+		Server: srv,
+		Store:  st,
+		ts:     ts,
+		client: client,
 	}, nil
 }
 
@@ -193,7 +187,6 @@ func (p *Pipeline) Crawl(ctx context.Context, snapshot int) (*crawler.Snapshot, 
 		return nil, err
 	}
 	if alreadyPersisted {
-		p.lastCrawl, p.lastCrawlSnap = snap, snapshot
 		return snap, nil
 	}
 	if err := crawler.Persist(ctx, p.Store, snap, snapshot); err != nil {
@@ -214,7 +207,6 @@ func (p *Pipeline) Crawl(ctx context.Context, snapshot int) (*crawler.Snapshot, 
 			return nil, err
 		}
 	}
-	p.lastCrawl, p.lastCrawlSnap = snap, snapshot
 	return snap, nil
 }
 
@@ -247,11 +239,7 @@ func (p *Pipeline) deltaFreeze(ctx context.Context, snap *crawler.Snapshot, snap
 	if err != nil {
 		return err
 	}
-	prevRaw := p.lastCrawl
-	if p.lastCrawlSnap != snapshot-1 {
-		prevRaw = nil
-	}
-	sd, err := core.DiffCrawl(prev, prevRaw, snap, snapshot)
+	sd, err := core.DiffCrawl(prev, nil, snap, snapshot)
 	if err != nil {
 		return err
 	}

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"crowdscope/internal/community"
-	"crowdscope/internal/graph"
 )
 
 // Budgeted analysis: the paper-scale entry point. Most of the suite
@@ -84,24 +81,9 @@ func Analyze(ctx context.Context, fs *FrozenSnapshot, minDeg, k, workers int, bu
 		return nil, fmt.Errorf("core: analyze: %w", err)
 	}
 
-	filtered := graph.FilterLeftMinDegree(fs.Graph, minDeg)
-	filtered.SortAdjacency()
-	res.FilteredEdges = filtered.NumEdges()
-	detect := filtered
-	if budget.CommunityEdgeLimit > 0 && filtered.NumEdges() > budget.CommunityEdgeLimit {
-		detect = graph.CapLeftDegree(filtered, budget.MaxLeftDegree, budget.Seed)
-		detect.SortAdjacency()
-		res.CommunitiesSampled = true
-	}
-	coda := &community.CoDA{K: k, Seed: budget.Seed, Workers: workers}
-	a, err := coda.Detect(detect)
+	res.Communities, res.FilteredEdges, res.CommunitiesSampled, err = detectCommunities(fs.Graph, minDeg, k, workers, budget)
 	if err != nil {
 		return nil, err
-	}
-	res.Communities = &CommunitiesResult{
-		Assignment: a,
-		Filtered:   detect,
-		MeanSize:   a.MeanInvestorSize(),
 	}
 	return res, nil
 }

@@ -40,7 +40,7 @@ func TestAnalyzeExactMatchesRunCommunities(t *testing.T) {
 	if res.Companies != len(fs.Companies) || res.Investors != len(fs.Investors) {
 		t.Fatalf("entity counts wrong: %d/%d", res.Companies, res.Investors)
 	}
-	want, err := runCommunitiesWorkers(fs.Graph, 4, 8, 3, 0)
+	want, err := RunCommunities(fs.Graph, 4, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,25 +72,35 @@ type CommunitiesResult struct {
 // at least minDeg investments (the paper uses 4), then run CoDA with K
 // communities. Detection runs on the process-default worker pool.
 func RunCommunities(b graph.BipartiteView, minDeg, k int, seed int64) (*CommunitiesResult, error) {
-	return runCommunitiesWorkers(b, minDeg, k, seed, 0)
+	cr, _, _, err := detectCommunities(b, minDeg, k, 0, Budget{Seed: seed})
+	return cr, err
 }
 
-// runCommunitiesWorkers is RunCommunities under an explicit worker bound
-// (<= 0 selects the process-default pool). The fit is bit-identical for
-// every worker count.
-func runCommunitiesWorkers(b graph.BipartiteView, minDeg, k int, seed int64, workers int) (*CommunitiesResult, error) {
+// detectCommunities is the filter → CoDA step RunCommunities and Analyze
+// share. It fits CoDA, seeded by budget.Seed, on the investors with at
+// least minDeg investments (filteredEdges edges) or, past the budget's
+// CommunityEdgeLimit, on their degree-capped subgraph (sampled).
+// workers <= 0 selects the process-default pool; the fit is
+// bit-identical for every worker count.
+func detectCommunities(b graph.BipartiteView, minDeg, k, workers int, budget Budget) (cr *CommunitiesResult, filteredEdges int, sampled bool, err error) {
 	filtered := graph.FilterLeftMinDegree(b, minDeg)
 	filtered.SortAdjacency()
-	coda := &community.CoDA{K: k, Seed: seed, Workers: workers}
-	a, err := coda.Detect(filtered)
+	detect := filtered
+	if budget.CommunityEdgeLimit > 0 && filtered.NumEdges() > budget.CommunityEdgeLimit {
+		detect = graph.CapLeftDegree(filtered, budget.MaxLeftDegree, budget.Seed)
+		detect.SortAdjacency()
+		sampled = true
+	}
+	coda := &community.CoDA{K: k, Seed: budget.Seed, Workers: workers}
+	a, err := coda.Detect(detect)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	return &CommunitiesResult{
 		Assignment: a,
-		Filtered:   filtered,
+		Filtered:   detect,
 		MeanSize:   a.MeanInvestorSize(),
-	}, nil
+	}, filtered.NumEdges(), sampled, nil
 }
 
 // ---- Figure 4: shared-investment-size CDFs ----

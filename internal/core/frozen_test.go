@@ -106,11 +106,11 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 	b := BuildInvestorGraph(investors)
 	k := fixWorld.Cfg.NumCommunities()
 
-	fromBuilder, err := runCommunitiesWorkers(b, 4, k, 31, 3)
+	fromBuilder, _, _, err := detectCommunities(b, 4, k, 3, Budget{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFrozen, err := runCommunitiesWorkers(fs.Graph, 4, k, 31, 3)
+	fromFrozen, _, _, err := detectCommunities(fs.Graph, 4, k, 3, Budget{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ type CheckpointConfig struct {
 type Checkpoint struct {
 	// Seq numbers checkpoints within one crawl, for observability.
 	Seq int `json:"seq"`
-	// Phase is PhaseBFS, PhaseAugment or PhaseDone.
+	// Phase is PhaseBFS, PhaseAugment, PhaseDone or PhasePersisted.
 	Phase string `json:"phase"`
 	// Round is the number of completed BFS rounds.
 	Round int `json:"round"`
@@ -84,7 +84,10 @@ func SaveCheckpoint(ctx context.Context, s *store.Store, ns string, cp *Checkpoi
 // ok=false when none has ever been committed. Every record carries the
 // whole partial snapshot, so only the last one is decoded: the scan
 // still checks every segment's framing, CRC and record count, but keeps
-// just the raw bytes of the record it last saw. The context bounds the
+// just the raw bytes of the record it last saw. A last record that does
+// not decode, names an unknown phase or holds a null entity is an error
+// wrapping store.ErrCorrupt: resuming from it would take it for a
+// finished crawl or dereference the null. The context bounds the
 // checkpoint scan.
 func LoadCheckpoint(ctx context.Context, s *store.Store, ns string) (*Checkpoint, bool, error) {
 	if !slices.Contains(s.Namespaces(), ns) {
@@ -105,13 +108,40 @@ func LoadCheckpoint(ctx context.Context, s *store.Store, ns string) (*Checkpoint
 	}
 	cp := &Checkpoint{}
 	if err := json.Unmarshal(last, cp); err != nil {
-		return nil, false, fmt.Errorf("crawler: load checkpoint: unmarshal record in %q: %w", ns, err)
+		return nil, false, fmt.Errorf("crawler: load checkpoint: unmarshal record in %q: %w: %w", ns, store.ErrCorrupt, err)
 	}
 	if cp.Snap == nil {
 		cp.Snap = &Snapshot{}
 	}
+	if err := cp.validate(); err != nil {
+		return nil, false, fmt.Errorf("crawler: load checkpoint: record in %q: %w", ns, err)
+	}
 	ensureMaps(cp.Snap)
 	return cp, true, nil
+}
+
+// validate checks what a resume relies on beyond the JSON shape: a
+// known phase and no null entity in any snapshot map.
+func (cp *Checkpoint) validate() error {
+	switch cp.Phase {
+	case PhaseBFS, PhaseAugment, PhaseDone, PhasePersisted:
+	default:
+		return fmt.Errorf("%w: unknown phase %q", store.ErrCorrupt, cp.Phase)
+	}
+	s := cp.Snap
+	if hasNull(s.Startups) || hasNull(s.Users) || hasNull(s.CrunchBase) || hasNull(s.Facebook) || hasNull(s.Twitter) {
+		return fmt.Errorf("%w: null entity in the snapshot", store.ErrCorrupt)
+	}
+	return nil
+}
+
+func hasNull[T any](m map[string]*T) bool {
+	for _, v := range m {
+		if v == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // ensureMaps fills nil maps after JSON round-trips of empty snapshots.

@@ -2,9 +2,12 @@ package crowdscope
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"crowdscope/internal/core"
+	"crowdscope/internal/crawler"
 	"crowdscope/internal/ecosystem"
 )
 
@@ -107,4 +110,33 @@ func TestNewPipelineFromWorldCustomConfig(t *testing.T) {
 	if p.Config.Scale != 0.001 {
 		t.Fatalf("scale not mirrored: %g", p.Config.Scale)
 	}
+}
+
+// TestPipelineKeepsNoCrawlAlive: a round's delta needs only the round's
+// own crawl and the previous frozen snapshot, so once the caller drops
+// the snapshot Crawl returned, the pipeline must not keep it reachable.
+func TestPipelineKeepsNoCrawlAlive(t *testing.T) {
+	p, err := NewPipeline(PipelineConfig{Seed: 5, Scale: 0.002, StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	snap, err := p.Crawl(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(snap, func(*crawler.Snapshot) { close(freed) })
+	snap = nil
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(p)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(p)
+	t.Fatal("the crawl snapshot is still reachable after Crawl returned and the caller dropped it")
 }

@@ -56,7 +56,8 @@ go run ./cmd/crowdlint ./...
 #   delta-refreeze     delta-applied snapshots match a freeze of the same
 #                      round from the store; crash-interrupted chains
 #                      recover byte-identically; the in-memory crawl
-#                      merge and the store loader build the same rows
+#                      merge and the store loader build the same rows;
+#                      the pipeline keeps no crawl alive between rounds
 #   sharded-freeze     streaming generation matches in-memory generation,
 #                      payload for payload, its hand-written encoders
 #                      match json.Marshal and its bytes are pinned to
@@ -111,7 +112,7 @@ run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
 run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/community
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
 run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps|TestRadixOrderingMatchesStableSort' ./internal/core ./internal/serve ./internal/index
-run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlFastSlowAgree|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker' ./internal/core .
+run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlAppliesToMergedRound|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker|TestPipelineKeepsNoCrawlAlive' ./internal/core .
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite front-chaos    'TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/core ./internal/fleet/front
 run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects|TestWriterConcurrentShardAppends' ./internal/store ./internal/crawler
@@ -136,14 +137,16 @@ run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsF
 # store's segment and manifest readers (an ErrCorrupt error, or records
 # that frame back to the file's bytes / a manifest that commits and
 # loads back unchanged and opens a store that scans without a panic,
-# allocating in proportion to the input).
+# allocating in proportion to the input) and on the crawler's checkpoint
+# record (an ErrCorrupt error, or a checkpoint in a known phase whose
+# snapshot persists without a panic).
 # internal/core's targets get
 # 20 s: its TestMain crawls the package fixture in the coordinator and in
 # every fuzz worker before the first input runs, which takes about half.
 # Minimizing each new corpus entry is capped at 100 runs: left at its
 # default (up to a minute), minimizing one ~1.5 KB frozen artifact eats
 # the whole budget. A failing input is still reported, minimized or not.
-for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzFreezeDecoders:./internal/core:20s FuzzDecodeFrozen:./internal/core:20s FuzzDecodeIndex:./internal/index:10s FuzzScanSegment:./internal/store:10s FuzzLoadManifest:./internal/store:10s; do
+for entry in FuzzParse:./internal/query:10s FuzzGenRecordEncoders:./internal/ecosystem:10s FuzzTypedVsDecoded:./internal/query:10s FuzzFreezeDecoders:./internal/core:20s FuzzDecodeFrozen:./internal/core:20s FuzzDecodeIndex:./internal/index:10s FuzzScanSegment:./internal/store:10s FuzzLoadManifest:./internal/store:10s FuzzLoadCheckpoint:./internal/crawler:10s; do
   IFS=: read -r target pkg budget <<<"$entry"
   go test -run '^$' -fuzz "^${target}\$" -fuzztime="$budget" -fuzzminimizetime=100x "$pkg"
 done
