@@ -69,7 +69,7 @@ func runScale(ctx context.Context, args []string, stdout io.Writer) error {
 
 	dir, scratch := o.store, o.store == ""
 	if scratch {
-		d, err := os.MkdirTemp("", "crowdscale-*")
+		d, err := os.MkdirTemp("", "crowdscope-scale-*")
 		if err != nil {
 			return err
 		}

@@ -286,8 +286,9 @@ func TestCorruptIndexBlobFailsLoudly(t *testing.T) {
 // between CommitFrozen's two puts during a re-freeze of the snapshot
 // would leave it. The planner must refuse the stale index, say why in
 // the plan, and answer COUNT(*) exactly as the scan does — whether the
-// index loads before the snapshot is decoded (row counts read off the
-// artifact) or after (row counts of the decoded snapshot).
+// planner's index lookup is the first touch of the snapshot or the
+// snapshot was decoded before it. Both orders check the index against
+// the decoded rows: TableIndex loads the snapshot through the cache.
 func TestStaleIndexFallsBackToScan(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -308,7 +309,7 @@ func TestStaleIndexFallsBackToScan(t *testing.T) {
 	for _, decodedFirst := range []bool{false, true} {
 		src := &QuerySource{Store: st}
 		if decodedFirst {
-			if _, err := src.frozenFor(0); err != nil {
+			if _, err := src.Frozen(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
 		}

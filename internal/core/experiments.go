@@ -62,8 +62,8 @@ func RunFig3(investors []Investor) Fig3Result {
 type CommunitiesResult struct {
 	Assignment *community.Assignment
 	// Filtered is the min-degree-filtered graph detection ran on; member
-	// indices refer to it. It is a read-only view: the builder path stores
-	// the filtered *graph.Bipartite, the frozen path a *graph.FrozenBipartite.
+	// indices refer to it. It is a read-only view over the *graph.Bipartite
+	// that FilterLeftMinDegree (or, when sampled, CapLeftDegree) built.
 	Filtered graph.BipartiteView
 	MeanSize float64
 }

@@ -266,25 +266,6 @@ func DecodeFrozen(data []byte) (*FrozenSnapshot, error) {
 	return fs, nil
 }
 
-// frozenRowCounts returns how many companies and investors an artifact
-// produced by EncodeFrozen holds, read off the length of one column
-// section each, without decoding any row.
-func frozenRowCounts(data []byte) (companies, investors int, err error) {
-	d, err := snapshot.NewDecoder(data)
-	if err != nil {
-		return 0, 0, err
-	}
-	coFlags, err := d.Uint8s("co.flags")
-	if err != nil {
-		return 0, 0, err
-	}
-	invFollows, err := d.Int64s("inv.follows")
-	if err != nil {
-		return 0, 0, err
-	}
-	return len(coFlags), len(invFollows), nil
-}
-
 // decodeCompanyColumns parses a company column family written by
 // encodeCompanyColumns under the given section prefix. IDs must be
 // strictly ascending: every reader of the rows — ApplyDelta's sorted

@@ -235,7 +235,19 @@ func TestQuerySourceFrozenNamespaces(t *testing.T) {
 	if _, err := query.Run(context.Background(), src, "SELECT COUNT(*) AS n FROM frozen/snap-000099/companies"); err == nil {
 		t.Fatal("querying a nonexistent snapshot must error, not return empty rows")
 	}
+	if ti, err := src.TableIndex("frozen/snap-000099/companies"); ti != nil || err != nil {
+		t.Fatalf("TableIndex of a nonexistent snapshot = %v, %v; want nil, nil (not indexed)", ti, err)
+	}
 	if err := src.ScanContext(context.Background(), "frozen/oops", func([]byte) error { return nil }); err == nil {
 		t.Fatal("malformed frozen namespace must error")
+	}
+	// A negative tag names no snapshot: it must not read as the latest.
+	for _, ns := range []string{"frozen/snap--1/companies", "frozen/snap--7/companies"} {
+		if res, err := query.Run(context.Background(), src, "SELECT COUNT(*) AS n FROM "+ns); err == nil {
+			t.Fatalf("%s answered %v; a negative snapshot tag must error", ns, res.Rows)
+		}
+	}
+	if _, err := src.Frozen(context.Background(), -1); err == nil {
+		t.Fatal("Frozen(-1) must error, not load the latest snapshot")
 	}
 }

@@ -58,11 +58,9 @@ const maxCachedChainDiffs = 2
 // is hot-swapping away from.
 const maxCachedSnapshots = 2
 
-// frozenEntry caches one snapshot's query-facing state. The snapshot
-// and the index load independently (a COUNT(*) answered from
-// cardinalities never touches the records). An index load error is
-// sticky — the blob is immutable, so retrying cannot help, and the
-// planner's scan fallback must stay cheap.
+// frozenEntry caches one snapshot's query-facing state. An index load
+// error is sticky — the blob is immutable, so retrying cannot help, and
+// the planner's scan fallback must stay cheap.
 type frozenEntry struct {
 	// mu guards this entry's fields. Blob loads happen OUTSIDE both mu
 	// and q.mu (lockdisc: a multi-second whole-artifact read must not
@@ -204,7 +202,7 @@ func readTable(ctx context.Context, ns string, table reflect.Value, r readReq) e
 // and table name.
 func parseFrozenNS(ns string) (snap int, table string, ok bool) {
 	n, _ := fmt.Sscanf(ns, "frozen/snap-%d/%s", &snap, &table)
-	return snap, table, n == 2
+	return snap, table, n == 2 && snap >= 0
 }
 
 // parseChainNS splits a longitudinal chain namespace into its version
@@ -237,13 +235,45 @@ func (q *QuerySource) entry(snap int) *frozenEntry {
 	return ent
 }
 
-// frozenFor returns the decoded snapshot, loading and caching it on
-// first use. Load errors are not cached: they are rare and retrying
-// costs one blob read. The load itself runs with no lock held —
-// concurrent first touches of the same snapshot may decode the artifact
-// twice, but a slow disk read never blocks queries against an
-// already-cached snapshot.
-func (q *QuerySource) frozenFor(snap int) (*FrozenSnapshot, error) {
+// Frozen returns the decoded snapshot, loading it under ctx and caching
+// it on first use: a replica's full reload installs this copy, the one
+// its frozen/snap-N queries read.
+func (q *QuerySource) Frozen(ctx context.Context, snap int) (*FrozenSnapshot, error) {
+	return q.cache(snap, func() (*FrozenSnapshot, error) { return LoadFrozenContext(ctx, q.Store, snap) })
+}
+
+// frozen is Frozen without a context, for TableIndex (the planner's
+// index lookup takes none).
+func (q *QuerySource) frozen(snap int) (*FrozenSnapshot, error) {
+	return q.cache(snap, func() (*FrozenSnapshot, error) { return LoadFrozen(q.Store, snap) })
+}
+
+// ApplyDelta returns snapshot snap by applying frozen/delta-snap onto
+// base, cached as Frozen caches it (a snapshot already cached under snap
+// is returned as is): a replica's delta refresh installs this copy.
+func (q *QuerySource) ApplyDelta(ctx context.Context, base *FrozenSnapshot, snap int) (*FrozenSnapshot, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: apply delta %d: %w", snap, err)
+	}
+	return q.cache(snap, func() (*FrozenSnapshot, error) {
+		sd, err := LoadDelta(q.Store, snap)
+		if err != nil {
+			return nil, err
+		}
+		return ApplyDelta(base, sd)
+	})
+}
+
+// cache returns the decoded snapshot, running load on a miss. Load
+// errors are not cached: they are rare and retrying costs one blob
+// read. The load runs with no lock held — concurrent first touches of
+// the same snapshot may load it twice, and the first install wins — so
+// a slow disk read never blocks queries against an already-cached
+// snapshot.
+func (q *QuerySource) cache(snap int, load func() (*FrozenSnapshot, error)) (*FrozenSnapshot, error) {
+	if snap < 0 {
+		return nil, fmt.Errorf("core: no frozen snapshot %d", snap)
+	}
 	q.mu.Lock()
 	ent := q.entry(snap)
 	q.mu.Unlock()
@@ -255,7 +285,7 @@ func (q *QuerySource) frozenFor(snap int) (*FrozenSnapshot, error) {
 		return fs, nil
 	}
 
-	fs, err := LoadFrozen(q.Store, snap)
+	fs, err := load()
 	if err != nil {
 		return nil, err
 	}
@@ -268,11 +298,11 @@ func (q *QuerySource) frozenFor(snap int) (*FrozenSnapshot, error) {
 }
 
 // TableIndex returns the snapshot table's secondary indexes, (nil, nil)
-// for anything unindexed (non-frozen namespaces, snapshots frozen
-// before indexing existed), and an error when an index blob is present
-// but fails validation or indexes a different number of rows than the
-// snapshot's table holds (an idx-N left from an earlier freeze of
-// snapshot N) — the planner's loud-fallback path.
+// for anything unindexed (non-frozen namespaces, missing snapshots,
+// snapshots frozen before indexing existed), and an error when an index
+// blob is present but fails validation or indexes a different number of
+// rows than the decoded snapshot's table holds (an idx-N left from an
+// earlier freeze of snapshot N) — the planner's loud-fallback path.
 func (q *QuerySource) TableIndex(ns string) (*index.TableIndex, error) {
 	snap, table, ok := parseFrozenNS(ns)
 	if !ok {
@@ -288,7 +318,11 @@ func (q *QuerySource) TableIndex(ns string) (*index.TableIndex, error) {
 	if !loaded {
 		idx, idxErr = LoadIndex(q.Store, snap) // no lock held across the blob reads
 		if idxErr == nil && idx != nil {
-			idxErr = q.checkIndexRows(ent, snap, idx)
+			fs, err := q.frozen(snap)
+			if err != nil {
+				return nil, err // not sticky: the snapshot load is retried
+			}
+			idxErr = checkIndexRows(fs, idx)
 		}
 		ent.mu.Lock()
 		if ent.idxLoaded { // racing loader installed first; its result is canonical
@@ -305,32 +339,15 @@ func (q *QuerySource) TableIndex(ns string) (*index.TableIndex, error) {
 }
 
 // checkIndexRows refuses an index whose tables hold a different number
-// of rows than the snapshot's: an idx-N left beside a re-frozen snap-N
-// by a crash between CommitFrozen's two puts. It compares against the
-// decoded snapshot when the entry holds one, and otherwise reads the
-// counts off the artifact without decoding its rows.
-func (q *QuerySource) checkIndexRows(ent *frozenEntry, snap int, idx map[string]*index.TableIndex) error {
-	ent.mu.Lock()
-	fs := ent.fs
-	ent.mu.Unlock()
-	var companies, investors int
-	if fs != nil {
-		companies, investors = len(fs.Companies), len(fs.Investors)
-	} else {
-		data, _, err := q.Store.GetBlob(FrozenNamespace(snap))
-		if err != nil {
-			return err
-		}
-		if companies, investors, err = frozenRowCounts(data); err != nil {
-			return fmt.Errorf("core: frozen snapshot %d: %w", snap, err)
-		}
-	}
+// of rows than the decoded snapshot's: an idx-N left beside a re-frozen
+// snap-N by a crash between CommitFrozen's two puts.
+func checkIndexRows(fs *FrozenSnapshot, idx map[string]*index.TableIndex) error {
 	for _, t := range []struct {
 		name string
 		rows int
-	}{{"companies", companies}, {"investors", investors}} {
+	}{{"companies", len(fs.Companies)}, {"investors", len(fs.Investors)}} {
 		if ti := idx[t.name]; ti != nil && ti.Rows() != t.rows {
-			return fmt.Errorf("core: snapshot %d index covers %d %s, the snapshot holds %d", snap, ti.Rows(), t.name, t.rows)
+			return fmt.Errorf("core: snapshot %d index covers %d %s, the snapshot holds %d", fs.Snapshot, ti.Rows(), t.name, t.rows)
 		}
 	}
 	return nil
@@ -368,7 +385,7 @@ func (q *QuerySource) read(ctx context.Context, ns string, r readReq) error {
 		if !ok {
 			return fmt.Errorf("core: malformed frozen namespace %q (want frozen/snap-N/{companies,investors})", ns)
 		}
-		fs, err := q.frozenFor(snap)
+		fs, err := q.frozen(snap)
 		if err != nil {
 			return err
 		}
@@ -408,9 +425,9 @@ func (q *QuerySource) ScanContext(ctx context.Context, ns string, fn func(payloa
 }
 
 // chainFor returns the diff for a version pair, reading both endpoints
-// through frozenFor on first use. Like frozenFor, the build runs
-// unlocked: racing builders derive identical diffs from immutable
-// artifacts and the first install wins.
+// through the snapshot cache on first use. Like a snapshot load, the
+// build runs unlocked: racing builders derive identical diffs from
+// immutable artifacts and the first install wins.
 func (q *QuerySource) chainFor(from, to int) (*ChainDiff, error) {
 	if from > to {
 		return nil, fmt.Errorf("core: chain diff: from %d > to %d", from, to)
@@ -422,11 +439,11 @@ func (q *QuerySource) chainFor(from, to int) (*ChainDiff, error) {
 	if ok {
 		return cd, nil
 	}
-	a, err := q.frozenFor(from)
+	a, err := q.frozen(from)
 	if err != nil {
 		return nil, err
 	}
-	b, err := q.frozenFor(to)
+	b, err := q.frozen(to)
 	if err != nil {
 		return nil, err
 	}

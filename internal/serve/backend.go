@@ -13,19 +13,20 @@ import (
 )
 
 // Backend is the serving layer's view of persistent data: discover the
-// newest frozen snapshot, load one or the delta that produced it, and
-// read a namespace for queries. *StoreBackend implements it over a real
-// store; the chaos suite wraps it with a deterministic fault injector.
+// newest frozen snapshot, load one or apply the delta that produced it,
+// and read a namespace for queries. *StoreBackend implements it over a
+// real store; the chaos suite wraps it with a deterministic fault
+// injector.
 type Backend interface {
 	// LatestFrozen returns the largest snapshot tag with a committed
 	// frozen artifact.
 	LatestFrozen(ctx context.Context) (int, error)
-	// LoadFrozen decodes the snapshot's frozen artifact (-1 = latest).
+	// LoadFrozen returns the snapshot's decoded frozen artifact.
 	LoadFrozen(ctx context.Context, snap int) (*core.FrozenSnapshot, error)
-	// LoadDelta decodes and validates the frozen/delta-N artifact that
-	// turns snapshot snap-1 into snap. Any error makes a delta refresh
-	// fall back to LoadFrozen.
-	LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error)
+	// ApplyDelta returns snapshot snap built by applying the
+	// frozen/delta-snap artifact onto base, snapshot snap-1. Any error
+	// makes a delta refresh fall back to LoadFrozen.
+	ApplyDelta(ctx context.Context, base *core.FrozenSnapshot, snap int) (*core.FrozenSnapshot, error)
 	// What queries read: ReadRecords streams a namespace's records under
 	// the caller's context, ReadRows the planner-selected rows of an
 	// indexed one, and TableIndex returns a namespace's secondary
@@ -35,8 +36,9 @@ type Backend interface {
 
 // StoreBackend serves directly from a crawled store, projecting frozen
 // snapshots through core.QuerySource's virtual namespaces. The source
-// is built once and reused, so its snapshot/index caches actually carry
-// across requests.
+// is built once and owns every decoded snapshot: LoadFrozen and
+// ApplyDelta return its cached copy, so the snapshot a Server installs
+// is the one its frozen/snap-N queries read.
 type StoreBackend struct {
 	Store *store.Store
 
@@ -71,15 +73,12 @@ func (b *StoreBackend) LatestFrozen(ctx context.Context) (int, error) {
 
 // LoadFrozen implements Backend.
 func (b *StoreBackend) LoadFrozen(ctx context.Context, snap int) (*core.FrozenSnapshot, error) {
-	return core.LoadFrozenContext(ctx, b.Store, snap)
+	return b.source().Frozen(ctx, snap)
 }
 
-// LoadDelta implements Backend.
-func (b *StoreBackend) LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("serve: load delta %d: %w", snap, err)
-	}
-	return core.LoadDelta(b.Store, snap)
+// ApplyDelta implements Backend.
+func (b *StoreBackend) ApplyDelta(ctx context.Context, base *core.FrozenSnapshot, snap int) (*core.FrozenSnapshot, error) {
+	return b.source().ApplyDelta(ctx, base, snap)
 }
 
 // ReadRecords implements Backend.

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"crowdscope/internal/core"
@@ -108,7 +110,7 @@ func TestRefreshAppliesDeltas(t *testing.T) {
 	}
 }
 
-// TestRefreshDeltaFaultFallsBackToFullReload: every LoadDelta fails, so
+// TestRefreshDeltaFaultFallsBackToFullReload: every delta apply fails, so
 // the server must fall back to whole-artifact reloads and still land on
 // the latest snapshot.
 func TestRefreshDeltaFaultFallsBackToFullReload(t *testing.T) {
@@ -207,7 +209,7 @@ func TestRefreshSeesExternalCommits(t *testing.T) {
 	}
 }
 
-// TestRefreshWithoutDeltaCapability: a backend whose LoadDelta fails
+// TestRefreshWithoutDeltaCapability: a backend whose ApplyDelta fails
 // (stubBackend serves no deltas) silently uses full reloads even with
 // DeltaRefresh on.
 func TestRefreshWithoutDeltaCapability(t *testing.T) {
@@ -226,5 +228,54 @@ func TestRefreshWithoutDeltaCapability(t *testing.T) {
 	status := statusOf(t, srv.Handler())
 	if status.Snapshot != 1 || status.DeltaRefreshes != 0 || status.FullReloads != 2 {
 		t.Fatalf("status = %+v, want snapshot 1 via two full reloads", status)
+	}
+}
+
+// TestServedSnapshotIsQueriedSnapshot: a replica holds one decoded copy
+// per snapshot version. After a full Refresh, and again after a delta
+// Refresh, the snapshot /api/snapshot/* serves is the very one the
+// backend hands out for that version, and a frozen/snap-N query reads
+// its rows (a probe written into the served rows comes back in the
+// query's answer); statusz still attributes each swap to its path.
+func TestServedSnapshotIsQueriedSnapshot(t *testing.T) {
+	ctx := context.Background()
+	backend := &pinnedBackend{StoreBackend: &StoreBackend{Store: deltaChainStore(t, 2)}}
+	opts := testOptions(newFakeClock())
+	opts.DeltaRefresh = true
+	srv := New(backend, opts)
+	h := srv.Handler()
+
+	for _, step := range []struct {
+		pin         int
+		full, delta int64
+	}{{0, 1, 0}, {2, 1, 1}} {
+		backend.pin = step.pin
+		if err := srv.Refresh(ctx); err != nil {
+			t.Fatal(err)
+		}
+		status := statusOf(t, h)
+		if status.Snapshot != step.pin || status.FullReloads != step.full || status.DeltaRefreshes != step.delta {
+			t.Fatalf("status = snapshot %d, %d full / %d delta; want %d, %d / %d",
+				status.Snapshot, status.FullReloads, status.DeltaRefreshes, step.pin, step.full, step.delta)
+		}
+		served, _ := srv.cache.get()
+		loaded, err := backend.LoadFrozen(ctx, step.pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served != loaded {
+			t.Fatalf("snapshot %d: the server serves one decoded copy and the backend holds another", step.pin)
+		}
+
+		probe := 1_000_000 + step.pin
+		served.Companies[0].Likes = probe
+		stmt := fmt.Sprintf("SELECT Likes FROM frozen/snap-%d/companies WHERE ID = '%s'", step.pin, served.Companies[0].ID)
+		rec := get(t, h, queryURL(stmt))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", stmt, rec.Code, rec.Body)
+		}
+		if want := fmt.Sprintf("[[%d]]", probe); !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("snapshot %d: query answered %s, want the served rows' %s", step.pin, rec.Body, want)
+		}
 	}
 }

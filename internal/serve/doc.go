@@ -17,7 +17,7 @@
 //     timeout as a context that flows through query execution (the
 //     query pass and query.Source.ReadRecords both check it between
 //     records), the core frozen-snapshot loader
-//     (core.LoadFrozenContext) and the store's record scans
+//     (core.QuerySource.Frozen) and the store's record scans
 //     (store.ScanContext), so a slow scan is cut off mid-stream rather
 //     than holding a slot past its deadline.
 //

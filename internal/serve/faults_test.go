@@ -128,13 +128,14 @@ func (f *FaultyBackend) TableIndex(ns string) (*index.TableIndex, error) {
 	return f.Inner.TableIndex(ns)
 }
 
-// LoadDelta implements Backend, with faults injected on the delta reads
-// too.
-func (f *FaultyBackend) LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error) {
+// ApplyDelta implements Backend, with faults injected on the delta reads
+// too. The schedule key stays "LoadDelta", so pinned chaos schedules
+// replay.
+func (f *FaultyBackend) ApplyDelta(ctx context.Context, base *core.FrozenSnapshot, snap int) (*core.FrozenSnapshot, error) {
 	if f.decide("LoadDelta") {
 		return nil, fmt.Errorf("%w: LoadDelta(%d)", ErrInjected, snap)
 	}
-	return f.Inner.LoadDelta(ctx, snap)
+	return f.Inner.ApplyDelta(ctx, base, snap)
 }
 
 // ReadRows implements Backend.

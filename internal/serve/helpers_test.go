@@ -155,9 +155,9 @@ func (s *stubBackend) LoadFrozen(ctx context.Context, snap int) (*core.FrozenSna
 	return s.fs, nil
 }
 
-// LoadDelta fails: the stub serves whole snapshots only, so a delta
+// ApplyDelta fails: the stub serves whole snapshots only, so a delta
 // refresh over it falls back to a full reload.
-func (s *stubBackend) LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error) {
+func (s *stubBackend) ApplyDelta(ctx context.Context, base *core.FrozenSnapshot, snap int) (*core.FrozenSnapshot, error) {
 	return nil, errors.New("stub backend serves no deltas")
 }
 

@@ -234,8 +234,8 @@ func (s *Server) install(fs *core.FrozenSnapshot, viaDeltas bool) {
 	}
 }
 
-// refreshViaDeltas rolls cur forward to latest by loading each
-// intervening delta through the breaker and applying it in memory.
+// refreshViaDeltas rolls cur forward to latest by having the backend
+// apply each intervening delta in memory, through the breaker.
 // ok is false whenever the incremental path cannot produce latest —
 // delta refresh disabled, nothing served yet, or any load/apply
 // failure — and the caller falls back to a full reload (logged, not
@@ -246,15 +246,11 @@ func (s *Server) refreshViaDeltas(ctx context.Context, cur *core.FrozenSnapshot,
 	}
 	fs := cur
 	for v := fs.Snapshot + 1; v <= latest; v++ {
-		var sd *core.SnapshotDelta
 		err := s.breaker.do(ctx, func(ctx context.Context) error {
 			var err error
-			sd, err = s.backend.LoadDelta(ctx, v)
+			fs, err = s.backend.ApplyDelta(ctx, fs, v)
 			return err
 		})
-		if err == nil {
-			fs, err = core.ApplyDelta(fs, sd)
-		}
 		if err != nil {
 			if s.opts.Logf != nil {
 				s.opts.Logf("serve: delta refresh to %d failed at %d, falling back to full reload: %v", latest, v, err)

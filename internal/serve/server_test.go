@@ -243,7 +243,7 @@ func (b *blockingBackend) LoadFrozen(ctx context.Context, snap int) (*core.Froze
 	return nil, errors.New("no snapshot")
 }
 
-func (b *blockingBackend) LoadDelta(ctx context.Context, snap int) (*core.SnapshotDelta, error) {
+func (b *blockingBackend) ApplyDelta(ctx context.Context, base *core.FrozenSnapshot, snap int) (*core.FrozenSnapshot, error) {
 	return nil, errors.New("no delta")
 }
 

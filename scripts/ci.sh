@@ -52,7 +52,9 @@ go run ./cmd/crowdlint ./...
 #                      row-bitmap kernel matches brute force; corrupt,
 #                      stale or unbounded index blobs fail loudly; the
 #                      radix-built orderings equal a stable sort at one
-#                      worker and at four
+#                      worker and at four; a replica's queries read the
+#                      very snapshot its last full or delta refresh
+#                      installed
 #   delta-refreeze     delta-applied snapshots match a freeze of the same
 #                      round from the store; crash-interrupted chains
 #                      recover byte-identically; the in-memory crawl
@@ -111,7 +113,7 @@ run_suite() {
 run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
 run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/community
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
-run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps|TestRadixOrderingMatchesStableSort' ./internal/core ./internal/serve ./internal/index
+run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestServedSnapshotIsQueriedSnapshot|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps|TestRadixOrderingMatchesStableSort' ./internal/core ./internal/serve ./internal/index
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlAppliesToMergedRound|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker|TestPipelineKeepsNoCrawlAlive' ./internal/core .
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite front-chaos    'TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/core ./internal/fleet/front
