@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 
@@ -76,67 +75,110 @@ type frozenEntry struct {
 
 // ---- the row contract: decoded rows as query.Records ----
 
-// getter reads one resolved field path off a row.
-type getter func(row reflect.Value) any
+// table is a row type's accessor table: one typed reader per column,
+// each yielding exactly what json.Unmarshal into any gives for that
+// column of the row's JSON — float64 for every number, []any for a
+// list (nil for a nil slice), map[string]any for a row. A column added
+// to a row type needs its entry here; TestTypedRecordsMatchDecodedJSON
+// derives every path by reflection and fails on one without.
+type table[R any] map[string]column[R]
 
-// fieldGetter resolves a field path into values of type t — structs,
-// whose fields go by their Go names as they do in the rows' JSON, and
-// pointers to them — to a getter yielding exactly what json.Unmarshal
-// into any would from the value's JSON. It is derived from the same
-// struct definitions json.Marshal reads, so a column added to a row type
-// is queryable without an accessor to forget (one renamed by a json tag
-// fails TestTypedRecordsMatchDecodedJSON). A path t does not have reads
-// as nil.
-func fieldGetter(t reflect.Type, path []string) getter {
-	switch {
-	case len(path) == 0:
-		return decoded
-	case t.Kind() == reflect.Pointer: // a chain row's Before or After
-		inner := fieldGetter(t.Elem(), path)
-		return func(v reflect.Value) any {
-			if v.IsNil() {
-				return nil
-			}
-			return inner(v.Elem())
-		}
-	case t.Kind() == reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).Name == path[0] {
-				inner := fieldGetter(t.Field(i).Type, path[1:])
-				return func(v reflect.Value) any { return inner(v.Field(i)) }
-			}
-		}
-	}
-	return func(reflect.Value) any { return nil }
+// column is one entry of a table. A pointer column (a chain row's
+// Before or After) also resolves the rest of a longer path.
+type column[R any] struct {
+	get func(*R) any
+	sub func(rest []string) func(*R) any
 }
 
-// decoded is v as it would come back from json.Unmarshal into any after
-// a json.Marshal: float64 for every number, nil for a nil pointer or
-// slice, []any for a list, map[string]any for a struct.
-func decoded(v reflect.Value) any {
-	switch {
-	case v.Kind() == reflect.String:
-		return v.String()
-	case v.Kind() == reflect.Bool:
-		return v.Bool()
-	case v.CanInt():
-		return float64(v.Int())
-	case v.Kind() == reflect.Pointer && !v.IsNil():
-		return decoded(v.Elem())
-	case v.Kind() == reflect.Slice && !v.IsNil():
-		out := make([]any, v.Len())
-		for i := range out {
-			out[i] = decoded(v.Index(i))
-		}
-		return out
-	case v.Kind() == reflect.Struct:
-		m := make(map[string]any, v.NumField())
-		for i := 0; i < v.NumField(); i++ {
-			m[v.Type().Field(i).Name] = decoded(v.Field(i))
-		}
-		return m
+// at resolves a field path to its reader once per read, not once per
+// row. The empty path is the whole row; a path the row type does not
+// have reads as nil.
+func (t table[R]) at(path []string) func(*R) any {
+	if len(path) == 0 {
+		return func(r *R) any { return t.whole(r) }
 	}
-	return nil
+	col, ok := t[path[0]]
+	switch {
+	case !ok:
+	case len(path) == 1:
+		return col.get
+	case col.sub != nil:
+		return col.sub(path[1:])
+	}
+	return func(*R) any { return nil }
+}
+
+// whole is the row as a map of every column, the way json.Unmarshal
+// gives an object.
+func (t table[R]) whole(r *R) any {
+	m := make(map[string]any, len(t))
+	for name, col := range t {
+		m[name] = col.get(r)
+	}
+	return m
+}
+
+// ref is the column of a pointer into rows of table t: nil while the
+// pointer is, and behind it every path of t, the empty one (the whole
+// row) included.
+func ref[R, E any](t table[E], ptr func(*R) *E) column[R] {
+	sub := func(rest []string) func(*R) any {
+		get := t.at(rest)
+		return func(r *R) any {
+			if e := ptr(r); e != nil {
+				return get(e)
+			}
+			return nil
+		}
+	}
+	return column[R]{get: sub(nil), sub: sub}
+}
+
+// strs is a []string column: nil stays nil, as JSON null decodes.
+func strs(s []string) any {
+	if s == nil {
+		return nil
+	}
+	out := make([]any, len(s))
+	for i, v := range s {
+		out[i] = v
+	}
+	return out
+}
+
+var companyTable = table[Company]{
+	"ID":             {get: func(c *Company) any { return c.ID }},
+	"Name":           {get: func(c *Company) any { return c.Name }},
+	"Raising":        {get: func(c *Company) any { return c.Raising }},
+	"HasVideo":       {get: func(c *Company) any { return c.HasVideo }},
+	"HasFacebook":    {get: func(c *Company) any { return c.HasFacebook }},
+	"HasTwitter":     {get: func(c *Company) any { return c.HasTwitter }},
+	"Likes":          {get: func(c *Company) any { return float64(c.Likes) }},
+	"Tweets":         {get: func(c *Company) any { return float64(c.Tweets) }},
+	"Followers":      {get: func(c *Company) any { return float64(c.Followers) }},
+	"Funded":         {get: func(c *Company) any { return c.Funded }},
+	"RoundCount":     {get: func(c *Company) any { return float64(c.RoundCount) }},
+	"TotalRaisedUSD": {get: func(c *Company) any { return float64(c.TotalRaisedUSD) }},
+}
+
+var investorTable = table[Investor]{
+	"ID":          {get: func(v *Investor) any { return v.ID }},
+	"Investments": {get: func(v *Investor) any { return strs(v.Investments) }},
+	"Follows":     {get: func(v *Investor) any { return float64(v.Follows) }},
+}
+
+var companyChangeTable = table[CompanyChange]{
+	"ID":     {get: func(c *CompanyChange) any { return c.ID }},
+	"Change": {get: func(c *CompanyChange) any { return c.Change }},
+	"Before": ref(companyTable, func(c *CompanyChange) *Company { return c.Before }),
+	"After":  ref(companyTable, func(c *CompanyChange) *Company { return c.After }),
+}
+
+var investorChangeTable = table[InvestorChange]{
+	"ID":     {get: func(c *InvestorChange) any { return c.ID }},
+	"Change": {get: func(c *InvestorChange) any { return c.Change }},
+	"Before": ref(investorTable, func(c *InvestorChange) *Investor { return c.Before }),
+	"After":  ref(investorTable, func(c *InvestorChange) *Investor { return c.After }),
 }
 
 // readReq is one pass over a namespace: the statement's field paths and
@@ -149,48 +191,55 @@ type readReq struct {
 	export func(payload []byte) error
 }
 
-// typedRecord is the query.Record over one decoded row: the field paths
-// resolved to getters once per read, not once per row.
-type typedRecord struct {
-	row  reflect.Value
-	cols []getter
+// record is the query.Record over one row of a decoded table.
+type record[R any] struct {
+	row  *R
+	cols []func(*R) any
 }
 
-func (r *typedRecord) Value(i int) any { return r.cols[i](r.row) }
+func (r *record[R]) Value(i int) any { return r.cols[i](r.row) }
 
-// readTable serves a read from a decoded table (a slice of row
-// structs), checking the caller's context between rows.
-func readTable(ctx context.Context, ns string, table reflect.Value, r readReq) error {
-	rec := &typedRecord{cols: make([]getter, len(r.fields))}
+// cancelEvery is how many rows a pass reads between two looks at its
+// context (before the first row, then every 64th).
+const cancelEvery = 64
+
+// readRows serves a read from a decoded table's rows.
+func readRows[R any](ctx context.Context, ns string, rows []R, t table[R], r readReq) error {
+	rec := &record[R]{cols: make([]func(*R) any, len(r.fields))}
 	for i, path := range r.fields {
-		rec.cols[i] = fieldGetter(table.Type().Elem(), path)
+		rec.cols[i] = t.at(path)
 	}
 	visit := func() error { return r.fn(rec) }
 	if r.export != nil {
 		visit = func() error {
-			payload, err := json.Marshal(rec.row.Addr().Interface())
+			payload, err := json.Marshal(rec.row)
 			if err != nil {
 				return fmt.Errorf("core: scan %s: %w", ns, err)
 			}
 			return r.export(payload)
 		}
 	}
-	n := table.Len()
+	n := len(rows)
 	if r.rows != nil {
 		n = len(r.rows)
 	}
+	done := ctx.Done()
 	for k, last := 0, -1; k < n; k++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: scan %s: %w", ns, err)
+		if k%cancelEvery == 0 {
+			select {
+			case <-done:
+				return fmt.Errorf("core: scan %s: %w", ns, ctx.Err())
+			default:
+			}
 		}
 		i := k
 		if r.rows != nil {
 			i = int(r.rows[k])
 		}
-		if i <= last || i >= table.Len() {
-			return fmt.Errorf("core: scan %s: row %d is not ascending within %d rows", ns, i, table.Len())
+		if i <= last || i >= len(rows) {
+			return fmt.Errorf("core: scan %s: row %d is not ascending within %d rows", ns, i, len(rows))
 		}
-		last, rec.row = i, table.Index(i)
+		last, rec.row = i, &rows[i]
 		if err := visit(); err != nil {
 			return err
 		}
@@ -368,41 +417,48 @@ func (q *QuerySource) read(ctx context.Context, ns string, r readReq) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: scan %s: %w", ns, err)
 	}
-	var table string
-	var companies, investors any
 	if strings.HasPrefix(ns, "frozen/chain/") {
-		from, to, name, ok := parseChainNS(ns)
+		from, to, table, ok := parseChainNS(ns)
 		if !ok {
-			return fmt.Errorf("core: malformed chain namespace %q (want frozen/chain/A-B/{companies,investors})", ns)
+			return fmt.Errorf("core: malformed chain namespace %q (want frozen/chain/A-B/{companies,investors}): %w", ns, store.ErrNotExist)
 		}
 		cd, err := q.chainFor(from, to)
 		if err != nil {
 			return err
 		}
-		table, companies, investors = name, cd.Companies, cd.Investors
-	} else {
-		snap, name, ok := parseFrozenNS(ns)
-		if !ok {
-			return fmt.Errorf("core: malformed frozen namespace %q (want frozen/snap-N/{companies,investors})", ns)
+		switch table {
+		case "companies":
+			return readRows(ctx, ns, cd.Companies, companyChangeTable, r)
+		case "investors":
+			return readRows(ctx, ns, cd.Investors, investorChangeTable, r)
 		}
-		fs, err := q.frozen(snap)
-		if err != nil {
-			return err
-		}
-		table, companies, investors = name, fs.Companies, fs.Investors
+		return unknownTable(table, ns)
+	}
+	snap, table, ok := parseFrozenNS(ns)
+	if !ok {
+		return fmt.Errorf("core: malformed frozen namespace %q (want frozen/snap-N/{companies,investors}): %w", ns, store.ErrNotExist)
+	}
+	fs, err := q.frozen(snap)
+	if err != nil {
+		return err
 	}
 	switch table {
 	case "companies":
-		return readTable(ctx, ns, reflect.ValueOf(companies), r)
+		return readRows(ctx, ns, fs.Companies, companyTable, r)
 	case "investors":
-		return readTable(ctx, ns, reflect.ValueOf(investors), r)
+		return readRows(ctx, ns, fs.Investors, investorTable, r)
 	}
-	return fmt.Errorf("core: unknown table %q in %s (want companies or investors)", table, ns)
+	return unknownTable(table, ns)
+}
+
+func unknownTable(table, ns string) error {
+	return fmt.Errorf("core: unknown table %q in %s (want companies or investors): %w", table, ns, store.ErrNotExist)
 }
 
 // ReadRecords streams the namespace's records under the caller's
-// context: cancellation is checked between records, so a route deadline
-// from the serving layer stops a scan mid-stream.
+// context: cancellation is checked before the first record and then
+// every 64, so a route deadline from the serving layer stops a scan
+// mid-stream.
 func (q *QuerySource) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(query.Record) error) error {
 	return q.read(ctx, ns, readReq{fields: fields, fn: fn})
 }
@@ -430,7 +486,7 @@ func (q *QuerySource) ScanContext(ctx context.Context, ns string, fn func(payloa
 // immutable artifacts and the first install wins.
 func (q *QuerySource) chainFor(from, to int) (*ChainDiff, error) {
 	if from > to {
-		return nil, fmt.Errorf("core: chain diff: from %d > to %d", from, to)
+		return nil, fmt.Errorf("core: chain diff: from %d > to %d: %w", from, to, store.ErrNotExist)
 	}
 	key := fmt.Sprintf("%d-%d", from, to)
 	q.mu.Lock()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -91,7 +92,7 @@ func TestTypedRecordsMatchDecodedJSON(t *testing.T) {
 		{ID: "inv-two", Investments: []string{"co-1", "co-2"}, Follows: 1 << 40},
 	}
 	checkRowContract(t, func(r readReq) error {
-		return readTable(ctx, "investors", reflect.ValueOf(investors), r)
+		return readRows(ctx, "investors", investors, investorTable, r)
 	}, reflect.TypeOf(Investor{}))
 
 	st, _ := deltaChainStore(t, 31, 80, 2)
@@ -163,5 +164,49 @@ func TestFullScanAllocatesPerFieldReadOnly(t *testing.T) {
 			t.Errorf("%s: %.0f allocations over %d rows, want at most %.0f", stmt, allocs, n, limit)
 		}
 		t.Logf("%.0f allocations over %d rows: %s", allocs, n, stmt)
+	}
+}
+
+// A context cancelled from inside a pass's callback stops the pass at
+// the reader's next look at it, within 64 rows: for a row-addressed
+// read and for the JSON export alike.
+func TestCancelledPassStopsWithin64Records(t *testing.T) {
+	const n = 300
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CommitFrozen(context.Background(), st, randomWorld(rand.New(rand.NewSource(9)), 0, n)); err != nil {
+		t.Fatal(err)
+	}
+	src := &QuerySource{Store: st}
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	for name, pass := range map[string]func(ctx context.Context, each func() error) error{
+		"ReadRows": func(ctx context.Context, each func() error) error {
+			return src.ReadRows(ctx, "frozen/snap-0/companies", rows, [][]string{{"ID"}}, func(query.Record) error { return each() })
+		},
+		"ScanContext": func(ctx context.Context, each func() error) error {
+			return src.ScanContext(ctx, "frozen/snap-0/companies", func([]byte) error { return each() })
+		},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		err := pass(ctx, func() error {
+			if seen == 100 {
+				cancel()
+			}
+			seen++
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if seen <= 100 || seen > 164 {
+			t.Fatalf("%s: %d records delivered; cancelled at record 100, the pass must stop before record 164", name, seen)
+		}
 	}
 }

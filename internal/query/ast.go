@@ -53,6 +53,8 @@ func (e callExpr) String() string {
 type selectItem struct {
 	expr expr
 	name string // alias or derived
+	eval evalFn // compiled per record; set when the statement does not aggregate
+	fold foldFn // compiled per group; set when it does
 }
 
 // orderItem is one ORDER BY key.
@@ -72,6 +74,12 @@ type Query struct {
 
 	fields [][]string // every field path named, indexed by identExpr.slot
 	aggs   []callExpr // the select items' aggregates, indexed by callExpr.slot
+
+	// The compiled forms, built once by Parse so that a cached
+	// statement never walks its tree per record.
+	conjs   []conjunct // where's AND-ed terms, in evaluation order
+	group   []evalFn   // groupBy
+	aggArgs []evalFn   // aggs' arguments; nil for COUNT(*)
 }
 
 // parser is a recursive-descent parser over the token stream.
@@ -237,6 +245,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	for i := range q.items {
 		q.items[i].expr = q.bindAggs(q.items[i].expr)
 	}
+	q.compile()
 	return q, nil
 }
 

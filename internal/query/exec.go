@@ -3,12 +3,18 @@ package query
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// ErrBadStatement marks a statement that parses but cannot be executed:
+// an ORDER BY key that names no selected column, or a comparison over
+// aggregates. Such a statement fails the same way on every snapshot.
+var ErrBadStatement = errors.New("query: bad statement")
 
 // Result is a query's output table.
 type Result struct {
@@ -32,8 +38,11 @@ type Record interface {
 // statement's field paths once per read rather than once per record.
 // core's QuerySource serves frozen snapshot columns this way directly;
 // JSONSource adapts a store of JSON payloads. Implementations must
-// honour ctx cancellation between records, so a route deadline set by
-// the serving layer cuts a scan off mid-stream.
+// honour ctx cancellation mid-stream — core's QuerySource looks before
+// the first record and then every 64 — so that a route deadline set by
+// the serving layer cuts off a read that has no query pass above it
+// (the JSON export); under a query, the pass looks on the same cadence
+// itself.
 type Source interface {
 	ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(Record) error) error
 }
@@ -123,19 +132,26 @@ func (q *Query) Explain(ctx context.Context, src Source) (*Result, *Plan, error)
 // same sink (the index routes minus rows already proven non-matching),
 // which is what keeps their results byte-identical.
 func (q *Query) stream(ctx context.Context, src Source, p *planned) (*Result, error) {
-	s := &sink{q: q, where: q.where}
+	s := &sink{q: q, where: q.conjs}
 	if q.aggregated() {
 		s.groups = map[string]*group{}
 		if len(q.groupBy) == 0 {
 			s.groups[""] = q.newGroup() // the one global group exists even when empty
 		}
 	}
-	// The pass checks the context between records itself, whatever the
-	// source does: a deadline must cut a scan off mid-stream.
+	// The pass checks the context itself, whatever the source does: a
+	// deadline must cut a scan off mid-stream. It looks before the first
+	// record and then once every cancelEvery records.
+	done, n := ctx.Done(), 0
 	add := func(rec Record) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("query: read %s: %w", q.namespace, err)
+		if n%cancelEvery == 0 {
+			select {
+			case <-done:
+				return fmt.Errorf("query: read %s: %w", q.namespace, ctx.Err())
+			default:
+			}
 		}
+		n++
 		return s.add(rec)
 	}
 	var err error
@@ -151,12 +167,17 @@ func (q *Query) stream(ctx context.Context, src Source, p *planned) (*Result, er
 	return s.result()
 }
 
+// cancelEvery is how many records a pass streams between two looks at
+// its context: often enough that a cancelled pass stops within
+// microseconds, rarely enough that the look costs nothing per record.
+const cancelEvery = 64
+
 // sink consumes the record stream: each record is filtered, then
 // projected into an output row or folded into its group, so no record
 // outlives its callback.
 type sink struct {
 	q      *Query
-	where  expr
+	where  []conjunct
 	rows   [][]any           // projected rows (no aggregation)
 	groups map[string]*group // by rendered GROUP BY key; nil when not aggregating
 	key    []byte            // scratch for the current record's group key
@@ -180,20 +201,22 @@ func (q *Query) newGroup() *group {
 
 func (s *sink) add(rec Record) error {
 	q := s.q
-	if s.where != nil && !truthy(eval(s.where, rec)) {
-		return nil
+	for _, c := range s.where {
+		if !truthy(c.eval(rec)) {
+			return nil
+		}
 	}
 	if s.groups == nil {
 		out := make([]any, len(q.items))
 		for i, item := range q.items {
-			out[i] = eval(item.expr, rec).any()
+			out[i] = item.eval(rec).any()
 		}
 		s.rows = append(s.rows, out)
 		return nil
 	}
 	s.key = s.key[:0]
-	for _, e := range q.groupBy {
-		s.key = append(appendKey(s.key, eval(e, rec)), 0)
+	for _, e := range q.group {
+		s.key = append(appendKey(s.key, e(rec)), 0)
 	}
 	g := s.groups[string(s.key)]
 	if g == nil {
@@ -206,9 +229,9 @@ func (s *sink) add(rec Record) error {
 		}
 	}
 	g.n++
-	for i, c := range q.aggs {
-		if !c.star {
-			g.aggs[i].add(eval(c.arg, rec))
+	for i, arg := range q.aggArgs {
+		if arg != nil {
+			g.aggs[i].add(arg(rec))
 		}
 	}
 	return nil
@@ -241,7 +264,7 @@ func (s *sink) result() (*Result, error) {
 	for _, key := range keys {
 		out := make([]any, len(q.items))
 		for i, item := range q.items {
-			v, err := s.groups[key].fold(item.expr)
+			v, err := item.fold(s.groups[key])
 			if err != nil {
 				return nil, err
 			}
@@ -275,7 +298,7 @@ func (q *Query) order(res *Result) error {
 			cols[i] = slices.IndexFunc(q.items, func(sel selectItem) bool { return sel.expr.String() == name })
 		}
 		if cols[i] < 0 {
-			return fmt.Errorf("query: ORDER BY %s does not match a selected column", name)
+			return fmt.Errorf("%w: ORDER BY %s does not match a selected column", ErrBadStatement, name)
 		}
 	}
 	sort.SliceStable(res.Rows, func(a, b int) bool {
@@ -294,7 +317,48 @@ func (q *Query) order(res *Result) error {
 	return nil
 }
 
-// ---- expression evaluation ----
+// ---- compiled expressions ----
+
+// evalFn is an expression compiled once, at Parse: its value for one
+// record, with literals converted and operators resolved ahead of time.
+// Missing fields yield nil.
+type evalFn func(Record) value
+
+// foldFn is a select item compiled for a finished group.
+type foldFn func(*group) (value, error)
+
+// conjunct is one AND-ed term of a WHERE clause, compiled. A record
+// passes the clause when every term is truthy, tested left to right,
+// which is how the tree's AND short-circuits.
+type conjunct struct {
+	expr expr
+	eval evalFn
+}
+
+// compile builds the statement's compiled forms (Parse calls it once the
+// aggregates are bound).
+func (q *Query) compile() {
+	for _, c := range splitConjuncts(q.where) {
+		q.conjs = append(q.conjs, conjunct{expr: c, eval: compile(c)})
+	}
+	for i := range q.items {
+		if q.aggregated() {
+			q.items[i].fold = compileFold(q.items[i].expr)
+		} else {
+			q.items[i].eval = compile(q.items[i].expr)
+		}
+	}
+	for _, e := range q.groupBy {
+		q.group = append(q.group, compile(e))
+	}
+	for _, c := range q.aggs {
+		var arg evalFn
+		if !c.star {
+			arg = compile(c.arg)
+		}
+		q.aggArgs = append(q.aggArgs, arg)
+	}
+}
 
 // value is an evaluated expression. Numbers stay unboxed so arithmetic
 // and comparisons over a scan allocate nothing; anything else a record
@@ -314,6 +378,8 @@ func valueOf(v any) value {
 
 func number(f float64) value { return value{num: f, isNum: true} }
 
+func boolean(b bool) value { return value{ref: b} }
+
 func (v value) any() any {
 	if v.isNum {
 		return v.num
@@ -323,71 +389,82 @@ func (v value) any() any {
 
 func (v value) isNil() bool { return !v.isNum && v.ref == nil }
 
-// eval evaluates an expression against one record. Missing fields yield
-// nil.
-func eval(e expr, rec Record) value {
+// compile compiles an expression to its per-record value.
+func compile(e expr) evalFn {
 	switch t := e.(type) {
 	case literalExpr:
-		return valueOf(t.value)
+		v := valueOf(t.value)
+		return func(Record) value { return v }
 	case identExpr:
-		return valueOf(rec.Value(t.slot))
+		slot := t.slot
+		return func(rec Record) value { return valueOf(rec.Value(slot)) }
 	case unaryExpr:
-		v := eval(t.sub, rec)
+		sub := compile(t.sub)
 		if t.op == "NOT" {
-			return value{ref: !truthy(v)}
+			return func(rec Record) value { return boolean(!truthy(sub(rec))) }
 		}
-		return negate(v)
+		return func(rec Record) value { return negate(sub(rec)) }
 	case binaryExpr:
-		l := eval(t.l, rec)
-		switch t.op {
-		case "AND":
-			return value{ref: truthy(l) && truthy(eval(t.r, rec))}
-		case "OR":
-			return value{ref: truthy(l) || truthy(eval(t.r, rec))}
-		}
-		r := eval(t.r, rec)
-		if !isCmpOp(t.op) {
-			return arith(t.op, l, r)
-		}
-		if l.isNil() || r.isNil() {
-			return value{ref: false}
-		}
-		cmp := compareValues(l, r)
-		switch t.op {
-		case "=":
-			return value{ref: cmp == 0}
-		case "!=":
-			return value{ref: cmp != 0}
-		case "<":
-			return value{ref: cmp < 0}
-		case "<=":
-			return value{ref: cmp <= 0}
-		case ">":
-			return value{ref: cmp > 0}
-		}
-		return value{ref: cmp >= 0}
-	case callExpr:
-		v := eval(t.arg, rec)
-		if t.fn == "LEN" {
-			switch a := v.ref.(type) {
-			case []any:
-				return number(float64(len(a)))
-			case string:
-				return number(float64(len(a)))
-			case nil:
-				if !v.isNum {
-					return number(0)
-				}
+		l, r := compile(t.l), compile(t.r)
+		switch {
+		case t.op == "AND":
+			return func(rec Record) value { return boolean(truthy(l(rec)) && truthy(r(rec))) }
+		case t.op == "OR":
+			return func(rec Record) value { return boolean(truthy(l(rec)) || truthy(r(rec))) }
+		case isCmpOp(t.op):
+			// Either side nil makes a comparison false.
+			test := cmpTests[t.op]
+			return func(rec Record) value {
+				a, b := l(rec), r(rec)
+				return boolean(!a.isNil() && !b.isNil() && test(compareValues(a, b)))
 			}
-			return value{}
+		}
+		op := arithOps[t.op]
+		return func(rec Record) value { return arith(op, l(rec), r(rec)) }
+	case callExpr:
+		if t.fn == "LEN" {
+			arg := compile(t.arg)
+			return func(rec Record) value { return length(arg(rec)) }
 		}
 		// An aggregate outside the select list's fold (in a WHERE, or
 		// nested in another call) is the aggregate of this one record.
-		var one aggState
-		if !t.star {
-			one.add(v)
+		if t.star {
+			v := t.result(1, aggState{})
+			return func(Record) value { return v }
 		}
-		return t.result(1, one)
+		arg := compile(t.arg)
+		return func(rec Record) value {
+			var one aggState
+			one.add(arg(rec))
+			return t.result(1, one)
+		}
+	}
+	return func(Record) value { return value{} }
+}
+
+// cmpTests maps each comparison operator to its test on compareValues'
+// result.
+var cmpTests = map[string]func(int) bool{
+	"=":  func(c int) bool { return c == 0 },
+	"!=": func(c int) bool { return c != 0 },
+	"<":  func(c int) bool { return c < 0 },
+	"<=": func(c int) bool { return c <= 0 },
+	">":  func(c int) bool { return c > 0 },
+	">=": func(c int) bool { return c >= 0 },
+}
+
+// length is LEN: the length of a string or list, 0 for nil, nil for
+// anything else.
+func length(v value) value {
+	switch a := v.ref.(type) {
+	case []any:
+		return number(float64(len(a)))
+	case string:
+		return number(float64(len(a)))
+	case nil:
+		if !v.isNum {
+			return number(0)
+		}
 	}
 	return value{}
 }
@@ -400,26 +477,29 @@ func negate(v value) value {
 	return value{}
 }
 
-// arith applies + - * / to two numbers; a non-number operand or a zero
+// arithOps resolves + - * / to their kernels over two numbers; a zero
 // divisor yields nil.
-func arith(op string, l, r value) value {
+var arithOps = map[string]func(l, r float64) value{
+	"+": func(l, r float64) value { return number(l + r) },
+	"-": func(l, r float64) value { return number(l - r) },
+	"*": func(l, r float64) value { return number(l * r) },
+	"/": func(l, r float64) value {
+		if r == 0 {
+			return value{}
+		}
+		return number(l / r)
+	},
+}
+
+// arith applies an arithmetic kernel to two values: nil when either is
+// not a number.
+func arith(op func(l, r float64) value, l, r value) value {
 	lf, lok := toFloat(l)
 	rf, rok := toFloat(r)
 	if !lok || !rok {
 		return value{}
 	}
-	switch op {
-	case "+":
-		return number(lf + rf)
-	case "-":
-		return number(lf - rf)
-	case "*":
-		return number(lf * rf)
-	}
-	if rf == 0 {
-		return value{}
-	}
-	return number(lf / rf)
+	return op(lf, rf)
 }
 
 // containsAggregate reports whether the expression contains COUNT/SUM/....
@@ -479,44 +559,58 @@ func (c callExpr) result(n int, a aggState) value {
 	return number(a.max)
 }
 
-// fold evaluates a select item over a finished group: aggregates read
-// their folded state, everything else is evaluated on the group's first
-// record (the GROUP BY key is constant within a group).
-func (g *group) fold(e expr) (value, error) {
+// compileFold compiles a select item for a finished group: aggregates
+// read their folded state, everything else is evaluated on the group's
+// first record (the GROUP BY key is constant within a group).
+func compileFold(e expr) foldFn {
 	if !containsAggregate(e) {
-		if g.n == 0 {
-			return value{}, nil
+		v := compile(e)
+		return func(g *group) (value, error) {
+			if g.n == 0 {
+				return value{}, nil
+			}
+			return v(g.first), nil
 		}
-		return eval(e, g.first), nil
 	}
 	switch t := e.(type) {
 	case unaryExpr:
-		v, err := g.fold(t.sub)
-		switch {
-		case err != nil:
-			return value{}, err
-		case t.op == "-":
-			return negate(v), nil
+		sub := compileFold(t.sub)
+		return func(g *group) (value, error) {
+			v, err := sub(g)
+			switch {
+			case err != nil:
+				return value{}, err
+			case t.op == "-":
+				return negate(v), nil
+			}
+			return boolean(!truthy(v)), nil
 		}
-		return value{ref: !truthy(v)}, nil
 	case binaryExpr:
-		l, err := g.fold(t.l)
-		if err != nil {
-			return value{}, err
+		l, r, op := compileFold(t.l), compileFold(t.r), arithOps[t.op]
+		return func(g *group) (value, error) {
+			lv, err := l(g)
+			if err != nil {
+				return value{}, err
+			}
+			rv, err := r(g)
+			if err != nil {
+				return value{}, err
+			}
+			if op != nil {
+				return arith(op, lv, rv), nil
+			}
+			// A comparison, AND or OR: refused over two numbers, nil
+			// otherwise.
+			_, lok := toFloat(lv)
+			_, rok := toFloat(rv)
+			if lok && rok {
+				return value{}, fmt.Errorf("%w: operator %s not supported over aggregates", ErrBadStatement, t.op)
+			}
+			return value{}, nil
 		}
-		r, err := g.fold(t.r)
-		if err != nil {
-			return value{}, err
-		}
-		_, lok := toFloat(l)
-		_, rok := toFloat(r)
-		if lok && rok && (isCmpOp(t.op) || t.op == "AND" || t.op == "OR") {
-			return value{}, fmt.Errorf("query: operator %s not supported over aggregates", t.op)
-		}
-		return arith(t.op, l, r), nil // nil unless both are numbers
 	}
 	c := e.(callExpr)
-	return c.result(g.n, g.aggs[c.slot]), nil
+	return func(g *group) (value, error) { return c.result(g.n, g.aggs[c.slot]), nil }
 }
 
 func truthy(v value) bool {
@@ -562,14 +656,7 @@ func compareValues(a, b value) int {
 	af, aok := toFloat(a)
 	bf, bok := toFloat(b)
 	if aok && bok {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return cmpFloat(af, bf)
 	}
 	as, aIsStr := a.ref.(string)
 	bs, bIsStr := b.ref.(string)
@@ -577,4 +664,15 @@ func compareValues(a, b value) int {
 		return strings.Compare(as, bs)
 	}
 	return strings.Compare(fmt.Sprintf("%T", a.any()), fmt.Sprintf("%T", b.any()))
+}
+
+// cmpFloat orders two numbers; NaN compares equal to everything.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }

@@ -85,12 +85,12 @@ func (p *Plan) Explain() string {
 }
 
 // planned is the executable form of a Plan: the probe descriptors and
-// residual expression the public Plan only describes.
+// residual conjuncts the public Plan only describes.
 type planned struct {
 	plan     *Plan
 	ti       *index.TableIndex
 	conjs    []pushedConj
-	residual expr
+	residual []conjunct
 	topK     int
 }
 
@@ -132,10 +132,7 @@ func (q *Query) PlanFor(src Source) *Plan {
 // planFor builds the executable plan. It only ever chooses an index
 // route whose results are provably byte-identical to the scan route.
 func (q *Query) planFor(src Source) *planned {
-	p := &planned{
-		plan:     &Plan{Route: RouteScan, Namespace: q.namespace},
-		residual: q.where,
-	}
+	p := &planned{plan: &Plan{Route: RouteScan, Namespace: q.namespace}}
 	is, ok := src.(IndexedSource)
 	if !ok {
 		p.plan.Fallback = "source has no secondary indexes"
@@ -156,20 +153,18 @@ func (q *Query) planFor(src Source) *planned {
 	p.ti = ti
 	p.plan.TableRows = ti.Rows()
 
-	var residual []expr
-	for _, c := range splitConjuncts(q.where) {
-		pc, ok := classifyConjunct(c, ti)
+	for _, c := range q.conjs {
+		pc, ok := classifyConjunct(c.expr, ti)
 		if !ok {
-			residual = append(residual, c)
+			p.residual = append(p.residual, c)
 			continue
 		}
 		pc.est = pc.count(ti)
 		p.conjs = append(p.conjs, pc)
-		p.plan.Pushed = append(p.plan.Pushed, c.String())
+		p.plan.Pushed = append(p.plan.Pushed, c.expr.String())
 	}
-	p.residual = andAll(residual)
-	if p.residual != nil {
-		p.plan.Residual = p.residual.String()
+	if len(p.residual) > 0 {
+		p.plan.Residual = andAll(p.residual).String()
 	}
 
 	est := ti.Rows()
@@ -180,7 +175,7 @@ func (q *Query) planFor(src Source) *planned {
 	}
 	p.plan.EstRows = est
 
-	fullPush := q.where == nil || (len(p.conjs) > 0 && p.residual == nil)
+	fullPush := q.where == nil || (len(p.conjs) > 0 && len(p.residual) == 0)
 
 	// COUNT(*) over fully pushed predicates needs no records at all.
 	if fullPush && q.countOnly() {
@@ -391,15 +386,12 @@ func splitConjuncts(e expr) []expr {
 	return []expr{e}
 }
 
-// andAll rebuilds a conjunction from conjuncts (nil when empty).
+// andAll rebuilds a conjunction from conjuncts, for the plan's text.
 // Truthiness makes AND associative, so the fold order is immaterial.
-func andAll(es []expr) expr {
-	if len(es) == 0 {
-		return nil
-	}
-	out := es[0]
-	for _, e := range es[1:] {
-		out = binaryExpr{"AND", out, e}
+func andAll(cs []conjunct) expr {
+	out := cs[0].expr
+	for _, c := range cs[1:] {
+		out = binaryExpr{"AND", out, c.expr}
 	}
 	return out
 }

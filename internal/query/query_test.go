@@ -252,11 +252,19 @@ func TestQueryStringRoundTrip(t *testing.T) {
 	}
 }
 
-// deafSource streams n records and never looks at the context.
-type deafSource struct{ n, served int }
+// deafSource streams n records and never looks at the context; with
+// cancel set, it calls cancel just before serving record cancelAt.
+type deafSource struct {
+	n, served int
+	cancelAt  int
+	cancel    func()
+}
 
 func (d *deafSource) ReadRecords(ctx context.Context, ns string, fields [][]string, fn func(Record) error) error {
 	for ; d.served < d.n; d.served++ {
+		if d.cancel != nil && d.served == d.cancelAt {
+			d.cancel()
+		}
 		if err := fn(values{"u1"}); err != nil {
 			return err
 		}
@@ -283,5 +291,24 @@ func TestExecuteStopsWhenContextEnds(t *testing.T) {
 	}
 	if src.served != 0 {
 		t.Fatalf("%d records got through a cancelled context", src.served)
+	}
+}
+
+// A context cancelled mid-pass stops the pass at the engine's next look
+// at it, which comes within 64 records, even over a source that never
+// looks itself.
+func TestCancelledPassStopsWithin64Records(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &deafSource{n: 1000, cancelAt: 100, cancel: cancel}
+	q, err := Parse("SELECT COUNT(*) AS n FROM anything WHERE id = 'u1'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Execute(ctx, src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if src.served < 100 || src.served >= 164 {
+		t.Fatalf("the pass refused record %d; cancelled at record 100, it must stop before record 164", src.served)
 	}
 }

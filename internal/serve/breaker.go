@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"crowdscope/internal/apiserver"
+	"crowdscope/internal/store"
 )
 
 // Circuit-breaker thresholds (DESIGN.md §10).
@@ -168,8 +169,11 @@ func (b *Breaker) record(start time.Time, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := b.clock()
-	if errors.Is(err, context.Canceled) {
-		// The caller walked away; that says nothing about backend health.
+	if errors.Is(err, context.Canceled) || errors.Is(err, store.ErrNotExist) {
+		// The caller walked away, or named something the store does not
+		// hold; neither says anything about backend health. (A
+		// statement's own errors, query.ErrBadStatement, arise after its
+		// read and never reach the breaker.)
 		if b.state == BreakerHalfOpen {
 			b.probing = false
 		}

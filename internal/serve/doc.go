@@ -15,8 +15,8 @@
 //
 //   - Deadline propagation. Each admitted request carries a per-route
 //     timeout as a context that flows through query execution (the
-//     query pass and query.Source.ReadRecords both check it between
-//     records), the core frozen-snapshot loader
+//     query pass and core.QuerySource's reader each check it before
+//     the first record and then every 64), the core frozen-snapshot loader
 //     (core.QuerySource.Frozen) and the store's record scans
 //     (store.ScanContext), so a slow scan is cut off mid-stream rather
 //     than holding a slot past its deadline.
@@ -24,7 +24,10 @@
 //   - Circuit breaking. Store and snapshot reads run through a
 //     rolling-window circuit breaker that trips open when the recent
 //     error-or-slow rate crosses a threshold, fails fast while open,
-//     and half-opens a single probe after a cooldown. All breaker time
+//     and half-opens a single probe after a cooldown. A statement that
+//     names a namespace, snapshot or table the store does not hold
+//     (404) or cannot execute (400) is the client's error and does not
+//     count against the breaker. All breaker time
 //     comes from an injected apiserver.Clock, so every transition is
 //     deterministic under test.
 //

@@ -16,6 +16,7 @@ import (
 	"crowdscope/internal/core"
 	"crowdscope/internal/index"
 	"crowdscope/internal/query"
+	"crowdscope/internal/store"
 )
 
 // HeaderStale marks a response served from the last-good cached
@@ -505,9 +506,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "store circuit breaker open; retry later"})
 	case errors.Is(err, context.DeadlineExceeded):
 		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "query exceeded the route deadline"})
+	case errors.Is(err, store.ErrNotExist):
+		// A namespace, snapshot or table the statement names does not
+		// exist: the client's error, like a parse error.
+		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
+	case errors.Is(err, query.ErrBadStatement):
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 	default:
-		// The statement parsed; failing to execute it is a backend
-		// problem, not a client one.
+		// Any other failure to execute a statement that parsed is a
+		// backend problem, not a client one.
 		writeJSON(w, http.StatusBadGateway, apiError{Error: err.Error()})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"crowdscope/internal/core"
+	"crowdscope/internal/fleet/front"
 	"crowdscope/internal/index"
 	"crowdscope/internal/leakcheck"
 	"crowdscope/internal/query"
@@ -114,6 +116,74 @@ func TestServerQueryBackendErrorIs502(t *testing.T) {
 	rec := get(t, srv.Handler(), queryURL("SELECT COUNT(*) AS n FROM users"))
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("backend failure = %d, want 502: %s", rec.Code, rec.Body)
+	}
+}
+
+// A statement that names a namespace, snapshot or table the store does
+// not hold answers 404, and one that cannot execute answers 400: the
+// client's error, not the backend's. Neither counts against the
+// breaker, so a dozen of them leave the route open, and through a
+// front neither ejects a replica.
+func TestStatementErrorsAreClientErrors(t *testing.T) {
+	st := testStore(t, 1)
+	var missing []string
+	for i := 0; i < 12; i++ {
+		switch i % 4 {
+		case 0:
+			missing = append(missing, fmt.Sprintf("SELECT ID FROM frozen/snap-%d/companies", 9+i))
+		case 1:
+			missing = append(missing, fmt.Sprintf("SELECT ID FROM frozen/snap-0/startups%d", i))
+		case 2:
+			missing = append(missing, fmt.Sprintf("SELECT ID FROM frozen/chain/0-%d/investors", 9+i))
+		case 3:
+			missing = append(missing, fmt.Sprintf("SELECT id FROM nosuch%d", i))
+		}
+	}
+	bad := []string{
+		"SELECT ID FROM frozen/snap-0/companies ORDER BY Nope",
+		"SELECT COUNT(*) > 1 FROM frozen/snap-0/companies",
+	}
+	const valid = "SELECT COUNT(*) AS n FROM frozen/snap-0/companies"
+
+	srv := New(&StoreBackend{Store: st}, testOptions(newFakeClock()))
+	h := srv.Handler()
+	for _, stmt := range missing {
+		if rec := get(t, h, queryURL(stmt)); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s = %d, want 404: %s", stmt, rec.Code, rec.Body)
+		}
+	}
+	for _, stmt := range bad {
+		if rec := get(t, h, queryURL(stmt)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s = %d, want 400: %s", stmt, rec.Code, rec.Body)
+		}
+	}
+	if rec := get(t, h, queryURL(valid)); rec.Code != http.StatusOK {
+		t.Fatalf("%s after the statement errors = %d, want 200: %s", valid, rec.Code, rec.Body)
+	}
+	if trips := srv.breaker.tripCount(); trips != 0 {
+		t.Fatalf("statement errors tripped the breaker %d times", trips)
+	}
+
+	var targets []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(New(&StoreBackend{Store: st}, testOptions(newFakeClock())).Handler())
+		t.Cleanup(ts.Close)
+		targets = append(targets, ts.URL)
+	}
+	f, err := front.New(targets, front.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range append(missing, bad...) {
+		if rec := get(t, f.Handler(), queryURL(stmt)); rec.Code < 400 || rec.Code >= 500 {
+			t.Fatalf("%s through the front = %d, want 4xx: %s", stmt, rec.Code, rec.Body)
+		}
+	}
+	if rec := get(t, f.Handler(), queryURL(valid)); rec.Code != http.StatusOK {
+		t.Fatalf("%s through the front = %d, want 200: %s", valid, rec.Code, rec.Body)
+	}
+	if n := f.Ejections(); n != 0 {
+		t.Fatalf("statement errors ejected a replica %d times", n)
 	}
 }
 

@@ -110,7 +110,7 @@ func (s *Store) GetBlob(ns string) (data []byte, format int, err error) {
 	info := s.manifest.Namespaces[ns]
 	if info == nil {
 		s.mu.Unlock()
-		return nil, 0, fmt.Errorf("store: unknown namespace %q", ns)
+		return nil, 0, fmt.Errorf("store: unknown namespace %q: %w", ns, ErrNotExist)
 	}
 	if info.Kind != KindBlob || info.Blob == nil {
 		s.mu.Unlock()

@@ -158,7 +158,7 @@ func (m *manifest) validate() error {
 func (m *manifest) jsonNamespace(ns string) (*NamespaceInfo, error) {
 	info := m.Namespaces[ns]
 	if info == nil {
-		return nil, fmt.Errorf("store: unknown namespace %q", ns)
+		return nil, fmt.Errorf("store: unknown namespace %q: %w", ns, ErrNotExist)
 	}
 	if info.Kind == KindBlob {
 		return nil, fmt.Errorf("store: namespace %q holds a binary blob, not JSON segments", ns)

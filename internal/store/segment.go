@@ -34,6 +34,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // CRC, or a manifest that does not parse or validate.
 var ErrCorrupt = errors.New("store: corrupt data")
 
+// ErrNotExist reports a read of a namespace the store does not hold.
+// The layers above wrap it for a snapshot or table that does not exist,
+// so a caller can tell a name that resolves to nothing from a failing
+// store.
+var ErrNotExist = errors.New("does not exist")
+
 // ErrSegmentMissing reports that a manifest-listed segment file is absent
 // on disk — the manifest and the data files disagree, typically because a
 // file was deleted out from under the store. Errors wrap it with the

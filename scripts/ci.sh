@@ -54,7 +54,13 @@ go run ./cmd/crowdlint ./...
 #                      radix-built orderings equal a stable sort at one
 #                      worker and at four; a replica's queries read the
 #                      very snapshot its last full or delta refresh
-#                      installed
+#                      installed; the compiled evaluator keeps every
+#                      operator's answer over every operand kind; a
+#                      cancelled pass (query, row read, JSON export)
+#                      stops within 64 records; a statement naming what
+#                      does not exist answers 404, one that cannot run
+#                      400, and neither trips the breaker or ejects a
+#                      replica
 #   delta-refreeze     delta-applied snapshots match a freeze of the same
 #                      round from the store; crash-interrupted chains
 #                      recover byte-identically; the in-memory crawl
@@ -113,7 +119,7 @@ run_suite() {
 run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
 run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/community
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
-run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestServedSnapshotIsQueriedSnapshot|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps|TestRadixOrderingMatchesStableSort' ./internal/core ./internal/serve ./internal/index
+run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestServedSnapshotIsQueriedSnapshot|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps|TestRadixOrderingMatchesStableSort|TestEvaluatorSemantics|TestCancelledPassStopsWithin64Records|TestStatementErrorsAreClientErrors' ./internal/core ./internal/serve ./internal/index ./internal/query
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlAppliesToMergedRound|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker|TestPipelineKeepsNoCrawlAlive' ./internal/core .
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite front-chaos    'TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/core ./internal/fleet/front
