@@ -5,8 +5,7 @@
 //	crowdscope crawl   -store DIR [-snapshots 3 -days 7] [-fault-rate 0.05 -fault-seed 7] [-resume]
 //	crowdscope analyze -seed 42 -scale 0.01 [-exp fig6] [-out DIR] [-layout band]
 //	crowdscope query   -store DIR [-explain] [-rebuild-snapshot] [STATEMENT]
-//	crowdscope serve   -store DIR -addr :8080 [-refresh 5s]
-//	crowdscope fleet   -store DIR -addr :8080 [-replicas 2]
+//	crowdscope serve   -store DIR -addr :8080 [-refresh 5s] [-replicas 1]
 //	crowdscope scale   -scale 1 -shards 16 [-store DIR]
 //
 // A flag two subcommands share (-seed, -scale, -store, -out, -workers,
@@ -44,8 +43,7 @@ commands:
   crawl    crawl the simulated APIs into a store, optionally longitudinally
   analyze  print every table and figure of the paper over a fresh crawl
   query    run SQL-like statements against a store
-  serve    serve a store over HTTP
-  fleet    serve a store through read-only replicas behind a failover front
+  serve    serve a store over HTTP; -replicas N puts N replicas behind a failover front
   scale    the out-of-core batch pipeline with per-stage wall-clock and RSS
 
 Run "crowdscope <command> -h" for its flags.`
@@ -59,7 +57,6 @@ var commands = map[string]func(ctx context.Context, args []string, stdout io.Wri
 	"analyze": runAnalyze,
 	"query":   runQuery,
 	"serve":   runServe,
-	"fleet":   runFleet,
 	"scale":   runScale,
 }
 

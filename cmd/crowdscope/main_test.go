@@ -14,6 +14,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,6 +31,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdscope"
 	"crowdscope/internal/leakcheck"
 )
 
@@ -405,42 +407,93 @@ func stopServer(t *testing.T, client *http.Client, addr string, cancel context.C
 	}
 }
 
+// TestServeDrain serves the crawled store from one replica and from two
+// behind the front. Both ways the query body must be the crowdserve
+// golden byte for byte, so the front passes replica bodies through
+// untouched.
 func TestServeDrain(t *testing.T) {
 	dir, _ := crawledStore(t)
-	leakcheck.Check(t)
-	client := &http.Client{Transport: &http.Transport{}}
-	addr, _, cancel, done := startServer(t, "serving ", "serve", "-store", dir, "-addr", "127.0.0.1:0")
-	waitReady(t, client, addr)
-	code, body := get(t, client, addr, "/api/query?q="+url.QueryEscape(queryStatements[0]))
-	if code != http.StatusOK {
-		t.Fatalf("/api/query: %d %s", code, body)
+	for _, replicas := range []string{"1", "2"} {
+		t.Run("replicas-"+replicas, func(t *testing.T) {
+			leakcheck.Check(t)
+			client := &http.Client{Transport: &http.Transport{}}
+			addr, _, cancel, done := startServer(t, "serving ", "serve", "-store", dir, "-addr", "127.0.0.1:0", "-replicas", replicas)
+			waitReady(t, client, addr)
+			code, body := get(t, client, addr, "/api/query?q="+url.QueryEscape(queryStatements[0]))
+			if code != http.StatusOK {
+				t.Fatalf("/api/query: %d %s", code, body)
+			}
+			// The body crowdserve gave for the same statement over the
+			// same store; the encoder's trailing newline is part of it.
+			assertSame(t, "/api/query body", body, golden(t, "serve_query.json"))
+			stopServer(t, client, addr, cancel, done)
+		})
 	}
-	// The body crowdserve gave for the same statement over the same
-	// store; the encoder's trailing newline is part of it.
-	assertSame(t, "/api/query body", body, golden(t, "serve_query.json"))
+}
+
+// TestServeReplicasStartUnreadyAndRefreshByDelta starts two replicas
+// behind the front over a store with no frozen snapshot yet: the front
+// answers 503 until a crawl commits round 0, and every replica then
+// takes round 1 by applying its delta on the -refresh ticker.
+func TestServeReplicasStartUnreadyAndRefreshByDelta(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	client := &http.Client{Transport: &http.Transport{}}
+	addr, stdout, cancel, done := startServer(t, "serving ", "serve", "-store", dir, "-addr", "127.0.0.1:0", "-replicas", "2", "-refresh", "50ms")
+	resp, err := client.Get("http://" + addr + "/api/snapshot/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("before any snapshot: %d Retry-After=%q, want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	ctx := context.Background()
+	p, err := crowdscope.NewPipeline(crowdscope.PipelineConfig{Seed: 7, Scale: 0.003, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Crawl(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, client, addr)
+	p.AdvanceDays(7)
+	if _, err := p.Crawl(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 2; i++ {
+		replica := strings.TrimPrefix(lastField(stdout, fmt.Sprintf("replica-%d serving on ", i)), "http://")
+		if replica == "" {
+			t.Fatalf("no replica-%d line in stdout:\n%s", i, stdout)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			var st struct {
+				Snapshot       int   `json:"snapshot"`
+				DeltaRefreshes int64 `json:"delta_refreshes"`
+			}
+			_, body := get(t, client, replica, "/statusz")
+			if err := json.Unmarshal([]byte(body), &st); err != nil {
+				t.Fatalf("replica-%d /statusz: %v: %s", i, err, body)
+			}
+			if st.Snapshot == 1 && st.DeltaRefreshes >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica-%d never refreshed to snapshot 1 by delta: %s", i, body)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
 	stopServer(t, client, addr, cancel, done)
 }
 
-// TestFleetDrain serves the crawled store through two replicas behind
-// the front: the query body must be the serve golden byte for byte, so
-// the front passes replica bodies through untouched.
-func TestFleetDrain(t *testing.T) {
-	dir, _ := crawledStore(t)
-	leakcheck.Check(t)
-	client := &http.Client{Transport: &http.Transport{}}
-	addr, _, cancel, done := startServer(t, "front serving ", "fleet", "-store", dir, "-addr", "127.0.0.1:0", "-replicas", "2")
-	waitReady(t, client, addr)
-	code, body := get(t, client, addr, "/api/query?q="+url.QueryEscape(queryStatements[0]))
-	if code != http.StatusOK {
-		t.Fatalf("/api/query through the front: %d %s", code, body)
-	}
-	assertSame(t, "/api/query body through the front", body, golden(t, "serve_query.json"))
-	stopServer(t, client, addr, cancel, done)
-}
-
-// TestServeUntilDoneWaitsForInFlight pins the drain contract serve and
-// fleet share: after ctx is cancelled the helper returns only once the
-// request already in flight has been answered in full.
+// TestServeUntilDoneWaitsForInFlight pins the drain contract of serve,
+// whatever its replica count: after ctx is cancelled the helper returns
+// only once the request already in flight has been answered in full.
 func TestServeUntilDoneWaitsForInFlight(t *testing.T) {
 	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -496,11 +549,11 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		want string
 	}{
 		{nil, "usage: crowdscope"},
-		{[]string{"viz"}, `unknown command "viz"`},
+		{[]string{"fleet"}, `unknown command "fleet"`},
 		{[]string{"crawl"}, "-store is required"},
 		{[]string{"query"}, "-store is required"},
 		{[]string{"serve"}, "-store is required"},
-		{[]string{"fleet"}, "-store is required"},
+		{[]string{"serve", "-store", t.TempDir(), "-replicas", "0"}, "-replicas must be at least 1"},
 		{[]string{"analyze", "-layout", "spiral"}, `unknown layout "spiral"`},
 		{[]string{"analyze", "-exp", "e99"}, `unknown experiment "e99" (want one of e1, fig3,`},
 		{[]string{"gen", "-no-such-flag"}, "flag provided but not defined"},

@@ -1,6 +1,6 @@
 // Package front is the entry point of replicated serving (crowdscope
-// fleet): a round-robin front over M read-only serve replicas of one
-// store. It health-checks each
+// serve -replicas N): a round-robin front over N read-only serve
+// replicas of one store. It health-checks each
 // replica's /readyz, ejects dead ones from rotation, and — because
 // every served route is an idempotent GET — retries a failed read on
 // the next replica instead of surfacing the failure. The contract the

@@ -50,11 +50,11 @@ type Options struct {
 	// Clock supplies all serving-layer time, the circuit breaker's
 	// included.
 	Clock apiserver.Clock
-	// ReplicaID names this replica among those crowdscope fleet (or the
-	// benchmark's serving rig) puts behind internal/fleet/front. When
-	// set, every response carries it in HeaderReplica and /statusz
-	// reports it, so the front's failover tests can observe which
-	// replica actually served.
+	// ReplicaID names this replica among those that crowdscope serve
+	// -replicas N (N > 1) or the benchmark's serving rig puts behind
+	// internal/fleet/front. When set, every response carries it in
+	// HeaderReplica and /statusz reports it, so the front's failover
+	// tests can observe which replica actually served.
 	ReplicaID string
 }
 

@@ -90,12 +90,15 @@ go run ./cmd/crowdlint ./...
 #                      cancelled Persist commits nothing; goroutines
 #                      appending each to its own shard of one Writer
 #                      race on nothing and keep each shard's order
-#   binaries           crowdscope serve, and fleet's replicas behind the
-#                      front, come up on an ephemeral port over a crawled
-#                      store, answer /readyz and the query golden byte
-#                      for byte, and on cancellation return only after
-#                      the drain, leaking no goroutine; the shared drain
-#                      helper never returns with a request in flight
+#   binaries           crowdscope serve, with one replica and with two
+#                      behind the front, comes up on an ephemeral port
+#                      over a crawled store, answers /readyz and the
+#                      query golden byte for byte, and on cancellation
+#                      returns only after the drain, leaking no
+#                      goroutine; over an empty store its replicas start
+#                      unready and then take each committed round, the
+#                      second by delta; the drain helper never returns
+#                      with a request in flight
 export GORACE="halt_on_error=1"
 
 go test -race ./...
@@ -124,7 +127,7 @@ run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCras
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite front-chaos    'TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/core ./internal/fleet/front
 run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects|TestWriterConcurrentShardAppends' ./internal/store ./internal/crawler
-run_suite binaries       'TestServeDrain|TestFleetDrain|TestServeUntilDoneWaitsForInFlight' ./cmd/crowdscope
+run_suite binaries       'TestServeDrain|TestServeReplicasStartUnreadyAndRefreshByDelta|TestServeUntilDoneWaitsForInFlight' ./cmd/crowdscope
 
 # Hostile and random bytes: ten seconds or so of native fuzzing each on the
 # parser (a query error, or a statement whose canonical text parses
@@ -209,10 +212,10 @@ check_coverage ./internal/core 70
 # measures against (streaming==in-memory generation, sharded==unsharded
 # freeze), so its distribution and emission paths carry a floor too.
 check_coverage ./internal/ecosystem 70
-# The front is what crowdscope fleet and the serving benchmark put
-# between clients and replicas: its ejection, retry and reinstatement
-# paths only run when a replica dies, so the failover suite must keep
-# exercising them.
+# The front is what crowdscope serve -replicas N and the serving
+# benchmark put between clients and replicas: its ejection, retry and
+# reinstatement paths only run when a replica dies, so the failover
+# suite must keep exercising them.
 check_coverage ./internal/fleet/front 70
 # The statistics and community-strength metrics behind every figure
 # carry floors too, so what they export stays tested.
