@@ -32,12 +32,8 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	if n == 0 {
 		return &Assignment{}, nil
 	}
-	adj := projectionAdjacency(bp)
-	var edges int
-	for _, nb := range adj {
-		edges += len(nb)
-	}
-	edges /= 2
+	p := graph.ProjectLeft(bp, minShared)
+	edges := p.NumEdges()
 	if edges == 0 {
 		return &Assignment{}, nil
 	}
@@ -58,8 +54,9 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 		order[i] = i
 	}
 	sort.Slice(order, func(i, j int) bool {
-		if len(adj[order[i]]) != len(adj[order[j]]) {
-			return len(adj[order[i]]) > len(adj[order[j]])
+		di, dj := p.Degree(int32(order[i])), p.Degree(int32(order[j]))
+		if di != dj {
+			return di > dj
 		}
 		return order[i] < order[j]
 	})
@@ -74,7 +71,8 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 		}
 		F[u][k] = 1
 		claimed[u] = true
-		for _, v := range adj[u] {
+		nbrs, _ := p.Row(int32(u))
+		for _, v := range nbrs {
 			F[v][k] = 1
 			claimed[v] = true
 		}
@@ -91,7 +89,8 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 			for j := 0; j < K; j++ {
 				SF[j] -= F[u][j]
 			}
-			total += updateRow(F[u], adj[u], F, SF, scratch, scratch.diff[:K])
+			nbrs, _ := p.Row(int32(u))
+			total += updateRow(F[u], nbrs, F, SF, scratch, scratch.diff[:K])
 			for j := 0; j < K; j++ {
 				SF[j] += F[u][j]
 			}
@@ -130,15 +129,4 @@ func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	a.Investors = inv
 	a.normalize()
 	return a, nil
-}
-
-// projectionAdjacency converts ProjectLeft edges into adjacency lists over
-// left indices (unweighted).
-func projectionAdjacency(bp graph.BipartiteView) [][]int32 {
-	adj := make([][]int32, bp.NumLeft())
-	for _, e := range graph.ProjectLeft(bp, minShared) {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	return adj
 }

@@ -233,6 +233,57 @@ func TestDetectorsOnEmptyProjection(t *testing.T) {
 	}
 }
 
+// ringGraph links investor i_k and i_{k+1} (mod n) through company c_k:
+// its projection is an n-cycle of unit weights, every node's neighbour
+// communities tie, and so a detector that breaks ties by map order
+// returns a different answer run to run.
+func ringGraph(n int) *graph.Bipartite {
+	b := graph.NewBipartite(n, n)
+	for i := 0; i < n; i++ {
+		b.AddLeft(fmt.Sprint("i", i))
+	}
+	for k := 0; k < n; k++ {
+		b.AddEdge(fmt.Sprint("i", k), fmt.Sprint("c", k))
+		b.AddEdge(fmt.Sprint("i", (k+1)%n), fmt.Sprint("c", k))
+	}
+	b.SortAdjacency()
+	return b
+}
+
+// TestProjectedDetectorsDeterministic pins that every detector on the
+// one-mode projection returns one answer per seed, on a graph full of
+// ties and on a planted partition.
+func TestProjectedDetectorsDeterministic(t *testing.T) {
+	planted, _ := plantedGraph(4, 12, 8, 0.85, 0.05, 7)
+	inputs := []struct {
+		name string
+		b    *graph.Bipartite
+	}{{"ring", ringGraph(12)}, {"planted", planted}}
+	detectors := []Detector{
+		&BigCLAM{K: 4, Seed: 1},
+		&SBM{K: 4, Seed: 1},
+		&LabelProp{Seed: 1},
+		&Louvain{Seed: 1},
+	}
+	for _, in := range inputs {
+		for _, det := range detectors {
+			t.Run(in.name+"/"+det.Name(), func(t *testing.T) {
+				distinct := map[string]bool{}
+				for run := 0; run < 200; run++ {
+					a, err := det.Detect(in.b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					distinct[fmt.Sprint(a.Investors)] = true
+				}
+				if len(distinct) != 1 {
+					t.Fatalf("200 runs at one seed gave %d distinct assignments, want 1", len(distinct))
+				}
+			})
+		}
+	}
+}
+
 func TestRecoveryScore(t *testing.T) {
 	truth := [][]int32{{1, 2, 3}, {4, 5, 6}}
 	if s := RecoveryScore(truth, truth); s != 1 {

@@ -17,8 +17,11 @@
 //     undirected graphs" the paper contrasts CoDA against.
 //   - A degree-corrected stochastic block model with spectral
 //     initialization and greedy likelihood refinement — the Section 7
-//     future-work method, extended to directed bipartite graphs.
+//     future-work method, run on the weighted projection.
 //
-// All algorithms operate on graph.Bipartite and return Assignment values;
-// every stochastic step takes an explicit seed.
+// All algorithms take a graph.BipartiteView and return Assignment values.
+// The four baselines read the rows of one graph.Projection (ProjectLeft);
+// Louvain's aggregated levels are Projections too. Every stochastic step
+// takes an explicit seed, and no result depends on map iteration order,
+// so each detector returns one answer per seed.
 package community

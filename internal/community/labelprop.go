@@ -29,43 +29,44 @@ func (l *LabelProp) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	if n == 0 {
 		return &Assignment{}, nil
 	}
-	type wEdge struct {
-		to int32
-		w  float64
-	}
-	adj := make([][]wEdge, n)
-	for _, e := range graph.ProjectLeft(bp, minShared) {
-		adj[e.U] = append(adj[e.U], wEdge{to: e.V, w: e.Weight})
-		adj[e.V] = append(adj[e.V], wEdge{to: e.U, w: e.Weight})
-	}
-
-	labels := make([]int32, n)
+	p := graph.ProjectLeft(bp, minShared)
+	labels := make([]int, n)
 	for i := range labels {
-		labels[i] = int32(i)
+		labels[i] = i
 	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	rng := rand.New(rand.NewSource(l.Seed))
-	votes := map[int32]float64{}
+	// votes[lab] is u's edge weight into label lab, for lab in voted.
+	votes := make([]float64, n)
+	var voted []int
 	for iter := 0; iter < labelPropRounds; iter++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		changed := 0
 		for _, u := range order {
-			if len(adj[u]) == 0 {
+			nbrs, ws := p.Row(int32(u))
+			if len(nbrs) == 0 {
 				continue
 			}
-			clear(votes)
-			for _, e := range adj[u] {
-				votes[labels[e.to]] += e.w
+			voted = voted[:0]
+			for i, v := range nbrs {
+				if votes[labels[v]] == 0 {
+					voted = append(voted, labels[v])
+				}
+				votes[labels[v]] += ws[i]
 			}
+			// The heaviest label wins, the smallest among equals.
 			best := labels[u]
-			bestW := votes[best] // stickiness: stay unless strictly better
-			for lab, w := range votes {
-				if w > bestW || (w == bestW && lab < best) {
+			bestW := votes[best]
+			for _, lab := range voted {
+				if w := votes[lab]; w > bestW || (w == bestW && lab < best) {
 					best, bestW = lab, w
 				}
+			}
+			for _, lab := range voted {
+				votes[lab] = 0
 			}
 			if best != labels[u] {
 				labels[u] = best
@@ -76,57 +77,5 @@ func (l *LabelProp) Detect(bp graph.BipartiteView) (*Assignment, error) {
 			break
 		}
 	}
-
-	groups := map[int32][]int32{}
-	for u, lab := range labels {
-		if len(adj[u]) == 0 {
-			continue // isolated investors form no community
-		}
-		groups[lab] = append(groups[lab], int32(u))
-	}
-	a := &Assignment{}
-	for _, members := range groups {
-		if len(members) >= minMembers {
-			a.Investors = append(a.Investors, members)
-		}
-	}
-	a.normalize()
-	// Deterministic community order: by first (smallest) member.
-	sortCommunities(a)
-	return a, nil
-}
-
-func sortCommunities(a *Assignment) {
-	type pair struct {
-		inv  []int32
-		comp []int32
-	}
-	ps := make([]pair, len(a.Investors))
-	for i := range a.Investors {
-		ps[i].inv = a.Investors[i]
-		if i < len(a.Companies) {
-			ps[i].comp = a.Companies[i]
-		}
-	}
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && less(ps[j].inv, ps[j-1].inv); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-	a.Investors = a.Investors[:0]
-	a.Companies = a.Companies[:0]
-	for _, p := range ps {
-		a.Investors = append(a.Investors, p.inv)
-		a.Companies = append(a.Companies, p.comp)
-	}
-}
-
-func less(a, b []int32) bool {
-	if len(a) == 0 {
-		return true
-	}
-	if len(b) == 0 {
-		return false
-	}
-	return a[0] < b[0]
+	return partition(p, labels), nil
 }

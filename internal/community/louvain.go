@@ -2,6 +2,7 @@ package community
 
 import (
 	"math/rand"
+	"slices"
 
 	"crowdscope/internal/graph"
 )
@@ -20,18 +21,18 @@ const louvainLevels = 10
 // Name implements Detector.
 func (l *Louvain) Name() string { return "louvain" }
 
-// louvainGraph is a weighted undirected multigraph with self-loops used by
-// the aggregation phases.
+// louvainGraph is one level's graph: the weighted projection among its
+// nodes plus each node's self-loop weight, which aggregation creates.
 type louvainGraph struct {
-	n     int
-	adj   []map[int]float64 // adj[u][v] = weight (v != u)
-	loops []float64         // self-loop weight (doubled-count convention)
-	total float64           // sum of all edge weights (each edge once)
+	adj   *graph.Projection
+	loops []float64 // self-loop weight (doubled-count convention)
+	total float64   // sum of all edge weights (each edge once)
 }
 
 func (g *louvainGraph) degree(u int) float64 {
 	d := g.loops[u] * 2
-	for _, w := range g.adj[u] {
+	_, ws := g.adj.Row(int32(u))
+	for _, w := range ws {
 		d += w
 	}
 	return d
@@ -43,21 +44,10 @@ func (l *Louvain) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	if n == 0 {
 		return &Assignment{}, nil
 	}
-	g := &louvainGraph{
-		n:     n,
-		adj:   make([]map[int]float64, n),
-		loops: make([]float64, n),
-	}
-	for i := range g.adj {
-		g.adj[i] = map[int]float64{}
-	}
-	hasEdge := make([]bool, n)
-	for _, e := range graph.ProjectLeft(bp, minShared) {
-		g.adj[e.U][int(e.V)] += e.Weight
-		g.adj[e.V][int(e.U)] += e.Weight
-		g.total += e.Weight
-		hasEdge[e.U] = true
-		hasEdge[e.V] = true
+	p := graph.ProjectLeft(bp, minShared)
+	g := &louvainGraph{adj: p, loops: make([]float64, n)}
+	for u := range n {
+		g.total += g.degree(u) / 2
 	}
 	if g.total == 0 {
 		return &Assignment{}, nil
@@ -75,54 +65,49 @@ func (l *Louvain) Detect(bp graph.BipartiteView) (*Assignment, error) {
 		if !improved {
 			break
 		}
-		// Renumber communities densely.
-		renum := map[int]int{}
-		for _, c := range comm {
-			if _, ok := renum[c]; !ok {
-				renum[c] = len(renum)
+		// Renumber communities densely, in order of first member.
+		renum := make([]int, len(comm))
+		for c := range renum {
+			renum[c] = -1
+		}
+		k := 0
+		for u, c := range comm {
+			if renum[c] < 0 {
+				renum[c] = k
+				k++
 			}
+			comm[u] = renum[c]
 		}
 		for i := range membership {
-			membership[i] = renum[comm[membership[i]]]
+			membership[i] = comm[membership[i]]
 		}
-		if len(renum) == g.n {
+		if k == len(comm) {
 			break // no aggregation happened
 		}
-		g = aggregate(g, comm, renum)
+		g = aggregate(g, comm, k)
 	}
-
-	groups := map[int][]int32{}
-	for u := 0; u < n; u++ {
-		if !hasEdge[u] {
-			continue
-		}
-		groups[membership[u]] = append(groups[membership[u]], int32(u))
-	}
-	a := &Assignment{}
-	for _, members := range groups {
-		if len(members) >= minMembers {
-			a.Investors = append(a.Investors, members)
-		}
-	}
-	a.normalize()
-	sortCommunities(a)
-	return a, nil
+	return partition(p, membership), nil
 }
 
 // onePass runs local moves until no single move improves modularity,
-// returning the node→community map and whether anything moved.
+// returning the node→community map and whether anything moved. Among
+// equally good communities a node joins the one with the smallest ID.
 func (l *Louvain) onePass(g *louvainGraph, rng *rand.Rand) ([]int, bool) {
-	comm := make([]int, g.n)
-	commDeg := make([]float64, g.n) // total degree per community
+	n := len(g.loops)
+	comm := make([]int, n)
+	commDeg := make([]float64, n) // total degree per community
 	for i := range comm {
 		comm[i] = i
 		commDeg[i] = g.degree(i)
 	}
 	m2 := 2 * g.total
-	order := make([]int, g.n)
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
+	// wTo[c] is u's edge weight into community c, for c in cands.
+	wTo := make([]float64, n)
+	var cands []int
 	improvedEver := false
 	for round := 0; round < 20; round++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -130,21 +115,28 @@ func (l *Louvain) onePass(g *louvainGraph, rng *rand.Rand) ([]int, bool) {
 		for _, u := range order {
 			cu := comm[u]
 			du := g.degree(u)
-			// Weight from u to each neighboring community.
-			wTo := map[int]float64{}
-			for v, w := range g.adj[u] {
-				wTo[comm[v]] += w
+			cands = cands[:0]
+			nbrs, ws := g.adj.Row(int32(u))
+			for i, v := range nbrs {
+				c := comm[v]
+				if wTo[c] == 0 {
+					cands = append(cands, c)
+				}
+				wTo[c] += ws[i]
 			}
+			slices.Sort(cands)
 			// Remove u from its community.
 			commDeg[cu] -= du
 			best, bestGain := cu, 0.0
-			baseW := wTo[cu]
-			baseGain := baseW - commDeg[cu]*du/m2
-			for c, w := range wTo {
-				gain := w - commDeg[c]*du/m2
+			baseGain := wTo[cu] - commDeg[cu]*du/m2
+			for _, c := range cands {
+				gain := wTo[c] - commDeg[c]*du/m2
 				if gain-baseGain > bestGain+1e-12 {
 					best, bestGain = c, gain-baseGain
 				}
+			}
+			for _, c := range cands {
+				wTo[c] = 0
 			}
 			comm[u] = best
 			commDeg[best] += du
@@ -160,31 +152,12 @@ func (l *Louvain) onePass(g *louvainGraph, rng *rand.Rand) ([]int, bool) {
 	return comm, improvedEver
 }
 
-// aggregate collapses communities into super-nodes.
-func aggregate(g *louvainGraph, comm []int, renum map[int]int) *louvainGraph {
-	n := len(renum)
-	ng := &louvainGraph{
-		n:     n,
-		adj:   make([]map[int]float64, n),
-		loops: make([]float64, n),
-		total: g.total,
+// aggregate collapses the k communities of comm into super-nodes, each
+// keeping its members' self-loops and the weight between them.
+func aggregate(g *louvainGraph, comm []int, k int) *louvainGraph {
+	adj, loops := g.adj.Collapse(comm, k)
+	for u, c := range comm {
+		loops[c] += g.loops[u]
 	}
-	for i := range ng.adj {
-		ng.adj[i] = map[int]float64{}
-	}
-	for u := 0; u < g.n; u++ {
-		cu := renum[comm[u]]
-		ng.loops[cu] += g.loops[u]
-		for v, w := range g.adj[u] {
-			cv := renum[comm[v]]
-			if cu == cv {
-				// Each undirected edge appears twice in adj; halve into
-				// the loop weight.
-				ng.loops[cu] += w / 2
-			} else {
-				ng.adj[cu][cv] += w
-			}
-		}
-	}
-	return ng
+	return &louvainGraph{adj: adj, loops: loops, total: g.total}
 }

@@ -48,17 +48,13 @@ func (s *SBM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 		K = n
 	}
 
-	type wEdge struct {
-		to int32
-		w  float64
-	}
-	adj := make([][]wEdge, n)
+	p := graph.ProjectLeft(bp, minShared)
 	deg := make([]float64, n)
-	for _, e := range graph.ProjectLeft(bp, minShared) {
-		adj[e.U] = append(adj[e.U], wEdge{e.V, e.Weight})
-		adj[e.V] = append(adj[e.V], wEdge{e.U, e.Weight})
-		deg[e.U] += e.Weight
-		deg[e.V] += e.Weight
+	for u := range deg {
+		_, ws := p.Row(int32(u))
+		for _, w := range ws {
+			deg[u] += w
+		}
 	}
 
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -85,8 +81,9 @@ func (s *SBM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 		}
 		for u := 0; u < n; u++ {
 			xu := x[u] * invSqrt[u]
-			for _, e := range adj[u] {
-				out[e.to] += e.w * xu * invSqrt[e.to]
+			nbrs, ws := p.Row(int32(u))
+			for i, v := range nbrs {
+				out[v] += ws[i] * xu * invSqrt[v]
 			}
 		}
 	}
@@ -114,8 +111,9 @@ func (s *SBM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 	kappa := make([]float64, K)
 	for u := 0; u < n; u++ {
 		kappa[blocks[u]] += deg[u]
-		for _, e := range adj[u] {
-			m[blocks[u]][blocks[e.to]] += e.w
+		nbrs, ws := p.Row(int32(u))
+		for i, v := range nbrs {
+			m[blocks[u]][blocks[v]] += ws[i]
 		}
 	}
 	order := make([]int, n)
@@ -134,26 +132,22 @@ func (s *SBM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 			for k := range wTo {
 				wTo[k] = 0
 			}
-			var selfLoop float64
-			for _, e := range adj[u] {
-				if int(e.to) == u {
-					selfLoop += e.w
-					continue
-				}
-				wTo[blocks[e.to]] += e.w
+			nbrs, ws := p.Row(int32(u))
+			for i, v := range nbrs {
+				wTo[blocks[v]] += ws[i]
 			}
 			best, bestDelta := cur, 0.0
 			for cand := 0; cand < K; cand++ {
 				if cand == cur {
 					continue
 				}
-				delta := dcsbmMoveDelta(m, kappa, wTo, deg[u], selfLoop, cur, cand, K)
+				delta := dcsbmMoveDelta(m, kappa, wTo, deg[u], cur, cand, K)
 				if delta > bestDelta+1e-9 {
 					best, bestDelta = cand, delta
 				}
 			}
 			if best != cur {
-				applyMove(m, kappa, wTo, deg[u], selfLoop, cur, best)
+				applyMove(m, kappa, wTo, deg[u], cur, best)
 				blocks[u] = best
 				moves++
 			}
@@ -163,22 +157,7 @@ func (s *SBM) Detect(bp graph.BipartiteView) (*Assignment, error) {
 		}
 	}
 
-	groups := map[int][]int32{}
-	for u := 0; u < n; u++ {
-		if deg[u] == 0 {
-			continue
-		}
-		groups[blocks[u]] = append(groups[blocks[u]], int32(u))
-	}
-	a := &Assignment{}
-	for _, members := range groups {
-		if len(members) >= minMembers {
-			a.Investors = append(a.Investors, members)
-		}
-	}
-	a.normalize()
-	sortCommunities(a)
-	return a, nil
+	return partition(p, blocks), nil
 }
 
 // dcsbmLikelihood computes Σ_rs m_rs log(m_rs/(κ_r κ_s)) over non-zero
@@ -199,19 +178,22 @@ func dcsbmLikelihood(m [][]float64, kappa []float64, K int) float64 {
 }
 
 // dcsbmMoveDelta evaluates the likelihood change of moving a node with
-// the given degree, neighbor-block weights and self-loop from block cur
-// to cand, by applying, measuring and reverting.
-func dcsbmMoveDelta(m [][]float64, kappa, wTo []float64, degU, selfLoop float64, cur, cand, K int) float64 {
+// the given degree and neighbor-block weights from block cur to cand, by
+// applying, measuring and reverting.
+func dcsbmMoveDelta(m [][]float64, kappa, wTo []float64, degU float64, cur, cand, K int) float64 {
 	before := dcsbmLikelihood(m, kappa, K)
-	applyMove(m, kappa, wTo, degU, selfLoop, cur, cand)
+	applyMove(m, kappa, wTo, degU, cur, cand)
 	after := dcsbmLikelihood(m, kappa, K)
-	applyMove(m, kappa, wTo, degU, selfLoop, cand, cur) // revert (wTo unchanged by the move since u's neighbors stay put)
+	applyMove(m, kappa, wTo, degU, cand, cur) // revert (wTo unchanged by the move since u's neighbors stay put)
 	return after - before
 }
 
 // applyMove updates the block matrices for moving one node from block a
-// to block b.
-func applyMove(m [][]float64, kappa, wTo []float64, degU, selfLoop float64, a, b int) {
+// to block b. Edges to same-block neighbors were counted in wTo[a] before
+// the move and are handled like any other, because wTo is expressed in
+// *neighbor* blocks, which do not change; the projection has no
+// self-loops.
+func applyMove(m [][]float64, kappa, wTo []float64, degU float64, a, b int) {
 	for s := range wTo {
 		w := wTo[s]
 		if w == 0 {
@@ -222,12 +204,6 @@ func applyMove(m [][]float64, kappa, wTo []float64, degU, selfLoop float64, a, b
 		m[b][s] += w
 		m[s][b] += w
 	}
-	// Self-loops and the node's own block membership interplay: edges to
-	// same-block neighbors were counted in wTo[a] before the move; the
-	// above handles them because wTo is expressed in *neighbor* blocks,
-	// which do not change. Self-loops move wholly.
-	m[a][a] -= 2 * selfLoop
-	m[b][b] += 2 * selfLoop
 	kappa[a] -= degU
 	kappa[b] += degU
 }

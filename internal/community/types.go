@@ -54,6 +54,32 @@ func (a *Assignment) normalize() {
 	a.Companies = comp
 }
 
+// partition turns one label per investor into a disjoint Assignment:
+// each label in [0, len(labels)) held by at least minMembers investors
+// with an edge in the projection p is one community, and communities
+// come in order of their smallest member. Isolated investors form none.
+func partition(p *graph.Projection, labels []int) *Assignment {
+	groups := make([][]int32, len(labels))
+	var firstSeen []int
+	for u, lab := range labels {
+		if p.Degree(int32(u)) == 0 {
+			continue
+		}
+		if len(groups[lab]) == 0 {
+			firstSeen = append(firstSeen, lab)
+		}
+		groups[lab] = append(groups[lab], int32(u))
+	}
+	a := &Assignment{}
+	for _, lab := range firstSeen {
+		if len(groups[lab]) >= minMembers {
+			a.Investors = append(a.Investors, groups[lab])
+		}
+	}
+	a.normalize()
+	return a
+}
+
 func uniqSorted(xs []int32) []int32 {
 	if len(xs) == 0 {
 		return nil

@@ -47,7 +47,9 @@ func HasFrozen(st *store.Store, snap int) bool {
 }
 
 // LatestFrozen returns the largest snapshot tag with a frozen artifact.
-// It inspects namespace names only — no data is read.
+// It inspects namespace names only — no data is read. A store that holds
+// none yet answers an error wrapping store.ErrNotExist: nothing is
+// broken, the first round has simply not landed.
 func LatestFrozen(st *store.Store) (int, error) {
 	latest := -1
 	for _, ns := range st.Namespaces() {
@@ -57,7 +59,7 @@ func LatestFrozen(st *store.Store) (int, error) {
 		}
 	}
 	if latest < 0 {
-		return 0, fmt.Errorf("core: no frozen snapshots in store")
+		return 0, fmt.Errorf("core: no frozen snapshots in store: %w", store.ErrNotExist)
 	}
 	return latest, nil
 }

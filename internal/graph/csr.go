@@ -1,11 +1,9 @@
 package graph
 
 // csr is a flattened compressed-sparse-row adjacency: the neighbors of
-// node u occupy targets[offsets[u]:offsets[u+1]]. Row order preserves
-// the graph's adjacency-list order, so algorithms that switch from
-// [][]int32 traversal to CSR traversal visit neighbors in exactly the
-// same sequence — only the memory layout changes (one contiguous array
-// instead of n separately allocated slices).
+// node u occupy targets[offsets[u]:offsets[u+1]], in one contiguous array
+// instead of n separately allocated slices. It backs both directions of
+// a FrozenBipartite and, with a parallel weight slice, a Projection.
 type csr struct {
 	offsets []int64
 	targets []int32

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -46,38 +47,33 @@ func TestLeftDegreeSharesEmpty(t *testing.T) {
 
 func TestProjectLeft(t *testing.T) {
 	b := paperExampleStrong()
-	edges := ProjectLeft(b, 1)
+	p := ProjectLeft(b, 1)
 	// (i1,i2)=2, (i1,i3)=2, (i2,i3)=1.
-	if len(edges) != 3 {
+	edges := edgesOf(p)
+	if len(edges) != 3 || p.NumEdges() != 3 {
 		t.Fatalf("projection edges = %v", edges)
 	}
 	total := 0.0
 	for _, e := range edges {
 		total += e.Weight
-		if e.U >= e.V {
-			t.Errorf("edge not canonical: %v", e)
-		}
 	}
 	if total != 5 {
 		t.Errorf("total weight = %g, want 5", total)
 	}
+	checkRows(t, p)
 	strong := ProjectLeft(b, 2)
-	if len(strong) != 2 {
-		t.Errorf("minShared=2 edges = %v", strong)
+	if strong.NumEdges() != 2 {
+		t.Errorf("minShared=2 edges = %v", edgesOf(strong))
 	}
 	// minShared < 1 is clamped to 1.
-	if got := ProjectLeft(b, 0); len(got) != 3 {
-		t.Errorf("minShared=0 edges = %d, want 3", len(got))
+	if got := ProjectLeft(b, 0); got.NumEdges() != 3 {
+		t.Errorf("minShared=0 edges = %d, want 3", got.NumEdges())
 	}
 }
 
 func TestProjectLeftDeterministic(t *testing.T) {
 	b := paperExampleStrong()
-	e1 := ProjectLeft(b, 1)
-	e2 := ProjectLeft(b, 1)
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			t.Fatal("projection not deterministic")
-		}
+	if !reflect.DeepEqual(ProjectLeft(b, 1), ProjectLeft(b, 1)) {
+		t.Fatal("projection not deterministic")
 	}
 }

@@ -4,7 +4,7 @@
 // snapshot loads (FrozenBipartite), both read through BipartiteView; the
 // degree filter and per-investor degree cap applied before community
 // detection; degree-concentration statistics; and the one-mode investor
-// projection.
+// projection, a symmetric weighted CSR (Projection).
 //
 // Nodes are referenced externally by string labels (AngelList IDs in the
 // analyses) and internally by dense integer indices so adjacency is stored

@@ -17,6 +17,7 @@ import (
 	"crowdscope/internal/index"
 	"crowdscope/internal/leakcheck"
 	"crowdscope/internal/query"
+	"crowdscope/internal/store"
 )
 
 func TestServerLifecycle(t *testing.T) {
@@ -184,6 +185,36 @@ func TestStatementErrorsAreClientErrors(t *testing.T) {
 	}
 	if n := f.Ejections(); n != 0 {
 		t.Fatalf("statement errors ejected a replica %d times", n)
+	}
+}
+
+// TestEmptyStoreRefreshNeverTripsBreaker pins that a store with no
+// frozen snapshot yet is not a sick backend: refreshes over it fail with
+// store.ErrNotExist, never open the breaker, and the first Refresh after
+// a snapshot lands installs it with no cooldown in between.
+func TestEmptyStoreRefreshNeverTripsBreaker(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	srv := New(&StoreBackend{Store: st}, testOptions(clk))
+	for i := 0; i < 12; i++ {
+		err := srv.Refresh(context.Background())
+		if !errors.Is(err, store.ErrNotExist) {
+			t.Fatalf("refresh %d over an empty store = %v, want store.ErrNotExist", i, err)
+		}
+		clk.Advance(100 * time.Millisecond)
+	}
+	if trips := srv.breaker.tripCount(); trips != 0 {
+		t.Fatalf("an empty store tripped the breaker %d times", trips)
+	}
+	putFrozen(t, st, 0)
+	if err := srv.Refresh(context.Background()); err != nil {
+		t.Fatalf("first refresh after the snapshot landed: %v", err)
+	}
+	if rec := get(t, srv.Handler(), "/readyz"); rec.Code != http.StatusOK {
+		t.Fatalf("readyz after the snapshot landed = %d, want 200", rec.Code)
 	}
 }
 

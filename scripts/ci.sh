@@ -44,9 +44,14 @@ go run ./cmd/crowdlint ./...
 #                      every worker count, pinned to golden digests; the
 #                      fused row kernel matches the unfused reference bit
 #                      for bit; BigCLAM, which shares it, stays pinned
+#   projection         the weighted CSR projection gives the pair-
+#                      counting reference's edges with ascending,
+#                      symmetric rows, and Collapse sums group weights;
+#                      each projected detector returns one answer per seed
 #   serve-chaos        seeded backend faults yield bounded error rates,
 #                      deterministic breaker transitions, stale-marked
-#                      degradation — and drained goroutine counts
+#                      degradation — and drained goroutine counts; a
+#                      store with no snapshot yet never trips the breaker
 #   index-scan         planner index routes stay byte-identical to the
 #                      scan route, off the 64-row word boundary too; each
 #                      row-bitmap kernel matches brute force; corrupt,
@@ -121,7 +126,8 @@ run_suite() {
 
 run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
 run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/community
-run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression' ./internal/serve
+run_suite projection     'TestProjectLeft|TestCollapseSumsGroupWeights|TestProjectedDetectorsDeterministic' ./internal/graph ./internal/community
+run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression|TestEmptyStoreRefreshNeverTripsBreaker' ./internal/serve
 run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestServedSnapshotIsQueriedSnapshot|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps|TestRadixOrderingMatchesStableSort|TestEvaluatorSemantics|TestCancelledPassStopsWithin64Records|TestStatementErrorsAreClientErrors' ./internal/core ./internal/serve ./internal/index ./internal/query
 run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlAppliesToMergedRound|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker|TestPipelineKeepsNoCrawlAlive' ./internal/core .
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
