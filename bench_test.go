@@ -150,8 +150,7 @@ func BenchmarkE4InvestorGraph(b *testing.B) {
 	b.ResetTimer()
 	var st core.GraphStats
 	for i := 0; i < b.N; i++ {
-		g := core.BuildInvestorGraph(a.Investors)
-		st = core.InvestorGraphStats(g)
+		st = core.InvestorGraphStats(investorGraph(b, a.Investors))
 	}
 	b.ReportMetric(float64(st.Investors), "investors")
 	b.ReportMetric(float64(st.Companies), "companies")
@@ -167,7 +166,7 @@ func BenchmarkE4InvestorGraph(b *testing.B) {
 // communities, average size 190.2).
 func BenchmarkE5CoDA(b *testing.B) {
 	p, _, a := fixture(b)
-	g := core.BuildInvestorGraph(a.Investors)
+	g := investorGraph(b, a.Investors)
 	k := p.World.Cfg.NumCommunities()
 	b.ResetTimer()
 	var cr *core.CommunitiesResult
@@ -428,36 +427,51 @@ func plantedTruthIdx(p *Pipeline, a *Analysis) [][]int32 {
 	return truth
 }
 
+// investorGraph builds the investment graph of ID-sorted investors, as
+// a frozen snapshot's graph is built.
+func investorGraph(b *testing.B, investors []core.Investor) *graph.FrozenBipartite {
+	rows := make([]graph.AdjacencyRow, len(investors))
+	for i, inv := range investors {
+		rows[i] = graph.AdjacencyRow{Left: inv.ID, Rights: inv.Investments}
+	}
+	g, err := graph.FromRows(rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
 // plantedBenchGraph mirrors the community package's planted-graph
-// builder for the A2 ablation.
-func plantedBenchGraph(k, m, c int, dense, noise float64, seed int64) (*graph.Bipartite, [][]int32) {
+// builder for the A2 ablation: investors i0.. and companies c0..,
+// numbered by index.
+func plantedBenchGraph(k, m, c int, dense, noise float64, seed int64) (*graph.FrozenBipartite, [][]int32) {
 	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBipartite(k*m, k*c)
+	rows := make([][]int32, k*m)
 	truth := make([][]int32, k)
-	for i := 0; i < k*m; i++ {
-		b.AddLeft(fmt.Sprint("i", i))
-	}
-	for j := 0; j < k*c; j++ {
-		b.AddRight(fmt.Sprint("c", j))
-	}
 	for g := 0; g < k; g++ {
 		for i := 0; i < m; i++ {
 			inv := g*m + i
 			truth[g] = append(truth[g], int32(inv))
 			for j := 0; j < c; j++ {
 				if rng.Float64() < dense {
-					b.AddEdge(fmt.Sprint("i", inv), fmt.Sprint("c", g*c+j))
+					rows[inv] = append(rows[inv], int32(g*c+j))
 				}
 			}
 			for t := 0; t < 2; t++ {
 				if rng.Float64() < noise {
-					b.AddEdge(fmt.Sprint("i", inv), fmt.Sprint("c", rng.Intn(k*c)))
+					rows[inv] = append(rows[inv], int32(rng.Intn(k*c)))
 				}
 			}
 		}
 	}
-	b.SortAdjacency()
-	return b, truth
+	investors, companies := make([]string, k*m), make([]string, k*c)
+	for i := range investors {
+		investors[i] = fmt.Sprint("i", i)
+	}
+	for j := range companies {
+		companies[j] = fmt.Sprint("c", j)
+	}
+	return graph.FromIndexRows(investors, companies, rows), truth
 }
 
 // ---- E11: success prediction (§7) ----

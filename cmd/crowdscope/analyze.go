@@ -256,7 +256,7 @@ func runAnalyze(ctx context.Context, args []string, stdout io.Writer) error {
 		// Whole-graph overview rendered straight from the frozen
 		// snapshot's CSR columns.
 		err = output("overview.svg", "svg", func(w io.Writer) error {
-			return viz.BipartiteViewSVG(w, "Filtered investment graph (first 120 investors)",
+			return viz.BipartiteSVG(w, "Filtered investment graph (first 120 investors)",
 				a.Communities.Filtered, 120)
 		})
 		if err != nil {

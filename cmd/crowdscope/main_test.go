@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/url"
@@ -489,6 +490,36 @@ func TestServeReplicasStartUnreadyAndRefreshByDelta(t *testing.T) {
 		}
 	}
 	stopServer(t, client, addr, cancel, done)
+}
+
+// TestServeLogsEmptyStoreRefreshOnce: a replica over a store with no
+// snapshot yet fails every -refresh tick with the same error, and logs
+// it once, not once a tick.
+func TestServeLogsEmptyStoreRefreshOnce(t *testing.T) {
+	leakcheck.Check(t)
+	var logs lockedBuffer
+	prev := log.Writer()
+	log.SetOutput(&logs)
+	defer log.SetOutput(prev)
+	client := &http.Client{Transport: &http.Transport{}}
+	addr, _, cancel, done := startServer(t, "serving ", "serve", "-store", t.TempDir(), "-addr", "127.0.0.1:0", "-replicas", "2", "-refresh", "10ms")
+	time.Sleep(300 * time.Millisecond) // about 30 ticks
+	stopServer(t, client, addr, cancel, done)
+	out := logs.String()
+	for i := 0; i < 2; i++ {
+		n := 0
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, fmt.Sprintf("replica-%d: ", i)) && strings.Contains(line, "no frozen snapshots") {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("replica-%d logged the empty store %d times, want once:\n%s", i, n, out)
+		}
+	}
+	if strings.Contains(out, "refresh: serve: refresh:") {
+		t.Errorf("log doubles the refresh prefix:\n%s", out)
+	}
 }
 
 // TestServeUntilDoneWaitsForInFlight pins the drain contract of serve,

@@ -49,6 +49,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	servers := make([]*serve.Server, *replicas)
+	lastErr := make([]string, *replicas)
 	for i := range servers {
 		// Read-only: a replica never writes, and a writing Open would
 		// sweep a concurrently-crawling process's in-flight commit files
@@ -67,6 +68,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		// unready and keeps retrying on the ticker.
 		if err := servers[i].Refresh(ctx); err != nil {
 			log.Printf("replica-%d: initial snapshot load failed (unready until one lands): %v", i, err)
+			lastErr[i] = err.Error()
 		}
 	}
 	h := servers[0].Handler()
@@ -96,7 +98,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		refreshEvery(ctx, *refresh, servers)
+		refreshEvery(ctx, *refresh, servers, lastErr)
 	}()
 	if fr != nil {
 		wg.Add(1)
@@ -117,8 +119,11 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 // refreshEvery refreshes every replica on each tick of interval until
-// ctx is done.
-func refreshEvery(ctx context.Context, interval time.Duration, servers []*serve.Server) {
+// ctx is done. lastErr[i] is the text of replica i's last logged refresh
+// error: a failure is logged only when its text differs, since a replica
+// waiting on an empty store fails the same way every tick, and a
+// successful refresh clears it.
+func refreshEvery(ctx context.Context, interval time.Duration, servers []*serve.Server, lastErr []string) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -127,8 +132,13 @@ func refreshEvery(ctx context.Context, interval time.Duration, servers []*serve.
 			return
 		case <-t.C:
 			for i, srv := range servers {
-				if err := srv.Refresh(ctx); err != nil {
-					log.Printf("replica-%d: refresh: %v", i, err)
+				err := srv.Refresh(ctx)
+				switch {
+				case err == nil:
+					lastErr[i] = ""
+				case err.Error() != lastErr[i]:
+					lastErr[i] = err.Error()
+					log.Printf("replica-%d: %v", i, err)
 				}
 			}
 		}

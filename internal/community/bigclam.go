@@ -24,7 +24,7 @@ type BigCLAM struct {
 func (b *BigCLAM) Name() string { return "bigclam" }
 
 // Detect implements Detector.
-func (b *BigCLAM) Detect(bp graph.BipartiteView) (*Assignment, error) {
+func (b *BigCLAM) Detect(bp *graph.FrozenBipartite) (*Assignment, error) {
 	if b.K <= 0 {
 		return nil, fmt.Errorf("community: BigCLAM needs K > 0, got %d", b.K)
 	}

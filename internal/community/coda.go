@@ -45,7 +45,7 @@ func (c *CoDA) Name() string { return "coda" }
 // fit runs the gradient ascent and returns the membership matrices F
 // (investors, outgoing) and H (companies, incoming). Used by Detect and
 // by SelectK's held-out scoring.
-func (c *CoDA) fit(b graph.BipartiteView) (F, H [][]float64, err error) {
+func (c *CoDA) fit(b *graph.FrozenBipartite) (F, H [][]float64, err error) {
 	if c.K <= 0 {
 		return nil, nil, fmt.Errorf("community: CoDA needs K > 0, got %d", c.K)
 	}
@@ -91,7 +91,7 @@ func (c *CoDA) fit(b graph.BipartiteView) (F, H [][]float64, err error) {
 }
 
 // Detect implements Detector.
-func (c *CoDA) Detect(b graph.BipartiteView) (*Assignment, error) {
+func (c *CoDA) Detect(b *graph.FrozenBipartite) (*Assignment, error) {
 	nL, nR := b.NumLeft(), b.NumRight()
 	F, H, err := c.fit(b)
 	if err != nil {
@@ -142,7 +142,7 @@ func (c *CoDA) Detect(b graph.BipartiteView) (*Assignment, error) {
 // seed initializes memberships from the neighborhoods of high-degree
 // investors (an approximation of CoDA's locally-minimal-conductance
 // seeding) plus uniform noise.
-func (c *CoDA) seed(b graph.BipartiteView, F, H [][]float64, rng *rand.Rand) {
+func (c *CoDA) seed(b *graph.FrozenBipartite, F, H [][]float64, rng *rand.Rand) {
 	nL := b.NumLeft()
 	nR := b.NumRight()
 	K := c.K

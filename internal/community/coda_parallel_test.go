@@ -11,7 +11,7 @@ import (
 // requireBlocks fails unless both sides of b span at least three sweep
 // blocks and end in a partial one, so that a multi-worker fit really
 // hands blocks between workers and merges a short tail.
-func requireBlocks(t *testing.T, b graph.BipartiteView) {
+func requireBlocks(t *testing.T, b *graph.FrozenBipartite) {
 	t.Helper()
 	for _, n := range []int{b.NumLeft(), b.NumRight()} {
 		if numBlocks(n) < 3 || n%sweepBlock == 0 {

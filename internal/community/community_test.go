@@ -9,42 +9,57 @@ import (
 	"crowdscope/internal/graph"
 )
 
-// plantedGraph builds a bipartite graph with k disjoint planted
+// plantedRows draws a bipartite graph with k disjoint planted
 // communities: each has m investors and c companies, every member invests
 // in each community company with probability dense, plus sparse random
-// cross-community noise. Returns the graph and the ground-truth investor
-// communities (left indices).
-func plantedGraph(k, m, c int, dense, noise float64, seed int64) (*graph.Bipartite, [][]int32) {
+// cross-community noise. Returns investor u's company row (duplicates
+// possible) and the ground-truth investor communities (left indices).
+func plantedRows(k, m, c int, dense, noise float64, seed int64) ([][]int32, [][]int32) {
 	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBipartite(k*m, k*c)
+	rows := make([][]int32, k*m)
 	truth := make([][]int32, k)
-	// Pre-create nodes so indices are predictable.
-	for i := 0; i < k*m; i++ {
-		b.AddLeft(fmt.Sprint("i", i))
-	}
-	for j := 0; j < k*c; j++ {
-		b.AddRight(fmt.Sprint("c", j))
-	}
 	for g := 0; g < k; g++ {
 		for i := 0; i < m; i++ {
 			inv := g*m + i
 			truth[g] = append(truth[g], int32(inv))
 			for j := 0; j < c; j++ {
 				if rng.Float64() < dense {
-					b.AddEdge(fmt.Sprint("i", inv), fmt.Sprint("c", g*c+j))
+					rows[inv] = append(rows[inv], int32(g*c+j))
 				}
 			}
 			// Noise edges anywhere.
 			for t := 0; t < 2; t++ {
 				if rng.Float64() < noise {
-					b.AddEdge(fmt.Sprint("i", inv), fmt.Sprint("c", rng.Intn(k*c)))
+					rows[inv] = append(rows[inv], int32(rng.Intn(k*c)))
 				}
 			}
 		}
 	}
-	b.SortAdjacency()
-	return b, truth
+	return rows, truth
 }
+
+// plantedGraph is plantedRows' graph, over investors i0.. and companies
+// c0.. numbered by index.
+func plantedGraph(k, m, c int, dense, noise float64, seed int64) (*graph.FrozenBipartite, [][]int32) {
+	rows, truth := plantedRows(k, m, c, dense, noise, seed)
+	return identityGraph(rows, k*c), truth
+}
+
+// identityGraph builds the graph in which investor i<u> invests in the
+// companies c<v> of rows[u], with nRight companies in all.
+func identityGraph(rows [][]int32, nRight int) *graph.FrozenBipartite {
+	labels := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprint(prefix, i)
+		}
+		return out
+	}
+	return graph.FromIndexRows(labels("i", len(rows)), labels("c", nRight), rows)
+}
+
+// emptyGraph has no node at all.
+var emptyGraph = graph.FromIndexRows(nil, nil, nil)
 
 func TestCoDARecoversPlantedCommunities(t *testing.T) {
 	b, truth := plantedGraph(4, 12, 8, 0.8, 0.1, 1)
@@ -71,11 +86,11 @@ func TestCoDARecoversPlantedCommunities(t *testing.T) {
 }
 
 func TestCoDAValidation(t *testing.T) {
-	if _, err := (&CoDA{}).Detect(graph.NewBipartite(0, 0)); err == nil {
+	if _, err := (&CoDA{}).Detect(emptyGraph); err == nil {
 		t.Fatal("K=0 should error")
 	}
 	// Empty graph: no communities, no error.
-	a, err := (&CoDA{K: 3}).Detect(graph.NewBipartite(0, 0))
+	a, err := (&CoDA{K: 3}).Detect(emptyGraph)
 	if err != nil || a.NumCommunities() != 0 {
 		t.Fatalf("empty graph: %v, %d", err, a.NumCommunities())
 	}
@@ -109,13 +124,13 @@ func TestCoDADeterministic(t *testing.T) {
 func TestCoDAOverlapAllowed(t *testing.T) {
 	// Two communities sharing two investors: overlapping membership
 	// should be representable (a disjoint method cannot do this).
-	b, _ := plantedGraph(2, 10, 8, 0.9, 0, 3)
+	rows, _ := plantedRows(2, 10, 8, 0.9, 0, 3)
 	// Make investors 0 and 1 also invest in the second community.
-	for j := 8; j < 16; j++ {
-		b.AddEdge("i0", fmt.Sprint("c", j))
-		b.AddEdge("i1", fmt.Sprint("c", j))
+	for j := int32(8); j < 16; j++ {
+		rows[0] = append(rows[0], j)
+		rows[1] = append(rows[1], j)
 	}
-	b.SortAdjacency()
+	b := identityGraph(rows, 16)
 	a, err := (&CoDA{K: 2, Seed: 4}).Detect(b)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +168,7 @@ func TestBigCLAMRecoversPlantedCommunities(t *testing.T) {
 }
 
 func TestBigCLAMValidation(t *testing.T) {
-	if _, err := (&BigCLAM{}).Detect(graph.NewBipartite(0, 0)); err == nil {
+	if _, err := (&BigCLAM{}).Detect(emptyGraph); err == nil {
 		t.Fatal("K=0 should error")
 	}
 }
@@ -205,7 +220,7 @@ func TestSBMRecoversPlantedCommunities(t *testing.T) {
 }
 
 func TestSBMValidation(t *testing.T) {
-	if _, err := (&SBM{}).Detect(graph.NewBipartite(0, 0)); err == nil {
+	if _, err := (&SBM{}).Detect(emptyGraph); err == nil {
 		t.Fatal("K=0 should error")
 	}
 }
@@ -213,11 +228,7 @@ func TestSBMValidation(t *testing.T) {
 func TestDetectorsOnEmptyProjection(t *testing.T) {
 	// Investors that never co-invest: projection is empty; one-mode
 	// detectors must return no communities without failing.
-	b := graph.NewBipartite(4, 4)
-	for i := 0; i < 4; i++ {
-		b.AddEdge(fmt.Sprint("i", i), fmt.Sprint("c", i))
-	}
-	b.SortAdjacency()
+	b := identityGraph([][]int32{{0}, {1}, {2}, {3}}, 4)
 	for _, det := range []Detector{
 		&BigCLAM{K: 2, Seed: 1},
 		&LabelProp{Seed: 1},
@@ -237,17 +248,13 @@ func TestDetectorsOnEmptyProjection(t *testing.T) {
 // its projection is an n-cycle of unit weights, every node's neighbour
 // communities tie, and so a detector that breaks ties by map order
 // returns a different answer run to run.
-func ringGraph(n int) *graph.Bipartite {
-	b := graph.NewBipartite(n, n)
-	for i := 0; i < n; i++ {
-		b.AddLeft(fmt.Sprint("i", i))
-	}
+func ringGraph(n int) *graph.FrozenBipartite {
+	rows := make([][]int32, n)
 	for k := 0; k < n; k++ {
-		b.AddEdge(fmt.Sprint("i", k), fmt.Sprint("c", k))
-		b.AddEdge(fmt.Sprint("i", (k+1)%n), fmt.Sprint("c", k))
+		rows[k] = append(rows[k], int32(k))
+		rows[(k+1)%n] = append(rows[(k+1)%n], int32(k))
 	}
-	b.SortAdjacency()
-	return b
+	return identityGraph(rows, n)
 }
 
 // TestProjectedDetectorsDeterministic pins that every detector on the
@@ -257,7 +264,7 @@ func TestProjectedDetectorsDeterministic(t *testing.T) {
 	planted, _ := plantedGraph(4, 12, 8, 0.85, 0.05, 7)
 	inputs := []struct {
 		name string
-		b    *graph.Bipartite
+		b    *graph.FrozenBipartite
 	}{{"ring", ringGraph(12)}, {"planted", planted}}
 	detectors := []Detector{
 		&BigCLAM{K: 4, Seed: 1},
@@ -356,13 +363,11 @@ func TestSelectK(t *testing.T) {
 }
 
 func TestSelectKDegenerate(t *testing.T) {
-	if _, _, err := SelectK(graph.NewBipartite(0, 0), nil, 1); err == nil {
+	if _, _, err := SelectK(emptyGraph, nil, 1); err == nil {
 		t.Fatal("no candidates accepted")
 	}
 	// Tiny graph: falls back to the first candidate without error.
-	b := graph.NewBipartite(2, 2)
-	b.AddEdge("a", "x")
-	b.SortAdjacency()
+	b := graph.FromIndexRows([]string{"a"}, []string{"x"}, [][]int32{{0}})
 	k, _, err := SelectK(b, []int{3, 5}, 1)
 	if err != nil || k != 3 {
 		t.Fatalf("fallback k = %d, err %v", k, err)
@@ -373,13 +378,7 @@ func TestSelectKDegenerate(t *testing.T) {
 // non-edge to sample as a negative, so SelectK must fall back to the
 // first candidate instead of drawing pairs forever.
 func TestSelectKCompleteGraphReturns(t *testing.T) {
-	b := graph.NewBipartite(2, 5)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 5; j++ {
-			b.AddEdge(fmt.Sprint("i", i), fmt.Sprint("c", j))
-		}
-	}
-	b.SortAdjacency()
+	b := identityGraph([][]int32{{0, 1, 2, 3, 4}, {0, 1, 2, 3, 4}}, 5)
 	type result struct {
 		k    int
 		aucs []float64

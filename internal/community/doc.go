@@ -19,7 +19,7 @@
 //     initialization and greedy likelihood refinement — the Section 7
 //     future-work method, run on the weighted projection.
 //
-// All algorithms take a graph.BipartiteView and return Assignment values.
+// All algorithms take a *graph.FrozenBipartite and return Assignment values.
 // The four baselines read the rows of one graph.Projection (ProjectLeft);
 // Louvain's aggregated levels are Projections too. Every stochastic step
 // takes an explicit seed, and no result depends on map iteration order,

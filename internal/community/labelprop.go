@@ -24,7 +24,7 @@ const labelPropRounds = 30
 func (l *LabelProp) Name() string { return "labelprop" }
 
 // Detect implements Detector.
-func (l *LabelProp) Detect(bp graph.BipartiteView) (*Assignment, error) {
+func (l *LabelProp) Detect(bp *graph.FrozenBipartite) (*Assignment, error) {
 	n := bp.NumLeft()
 	if n == 0 {
 		return &Assignment{}, nil

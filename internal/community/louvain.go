@@ -39,7 +39,7 @@ func (g *louvainGraph) degree(u int) float64 {
 }
 
 // Detect implements Detector.
-func (l *Louvain) Detect(bp graph.BipartiteView) (*Assignment, error) {
+func (l *Louvain) Detect(bp *graph.FrozenBipartite) (*Assignment, error) {
 	n := bp.NumLeft()
 	if n == 0 {
 		return &Assignment{}, nil

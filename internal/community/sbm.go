@@ -35,7 +35,7 @@ const (
 func (s *SBM) Name() string { return "sbm" }
 
 // Detect implements Detector.
-func (s *SBM) Detect(bp graph.BipartiteView) (*Assignment, error) {
+func (s *SBM) Detect(bp *graph.FrozenBipartite) (*Assignment, error) {
 	if s.K <= 0 {
 		return nil, fmt.Errorf("community: SBM needs K > 0, got %d", s.K)
 	}

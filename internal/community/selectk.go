@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"crowdscope/internal/graph"
 	"crowdscope/internal/predict"
@@ -19,7 +20,7 @@ import (
 // It returns the chosen K and the per-candidate AUCs in candidate order.
 // A graph too small to split, or with fewer non-edges than held-out
 // edges, gets the first candidate and zero AUCs.
-func SelectK(b graph.BipartiteView, candidates []int, seed int64) (int, []float64, error) {
+func SelectK(b *graph.FrozenBipartite, candidates []int, seed int64) (int, []float64, error) {
 	if len(candidates) == 0 {
 		return 0, nil, fmt.Errorf("community: SelectK needs candidates")
 	}
@@ -54,24 +55,25 @@ func SelectK(b graph.BipartiteView, candidates []int, seed int64) (int, []float6
 	train := edges[nHold:]
 
 	// Training graph keeps every node so indices line up.
-	tb := graph.NewBipartite(nL, nR)
-	for u := int32(0); int(u) < nL; u++ {
-		tb.AddLeft(b.LeftLabel(u))
+	leftLabels, rightLabels := make([]string, nL), make([]string, nR)
+	for u := range leftLabels {
+		leftLabels[u] = b.LeftLabel(int32(u))
 	}
-	for v := int32(0); int(v) < nR; v++ {
-		tb.AddRight(b.RightLabel(v))
+	for v := range rightLabels {
+		rightLabels[v] = b.RightLabel(int32(v))
 	}
+	rows := make([][]int32, nL)
 	for _, e := range train {
-		tb.AddEdge(b.LeftLabel(e.u), b.RightLabel(e.v))
+		rows[e.u] = append(rows[e.u], e.v)
 	}
-	tb.SortAdjacency()
+	tb := graph.FromIndexRows(leftLabels, rightLabels, rows)
 
 	// Negative samples: uniform non-edges of the full graph.
 	negs := make([]edge, 0, nHold)
 	for len(negs) < nHold {
 		u := int32(rng.Intn(nL))
 		v := int32(rng.Intn(nR))
-		if !b.HasEdge(b.LeftLabel(u), b.RightLabel(v)) {
+		if _, linked := slices.BinarySearch(b.Fwd(u), v); !linked {
 			negs = append(negs, edge{u, v})
 		}
 	}

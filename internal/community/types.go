@@ -116,7 +116,7 @@ type Detector interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
 	// Detect clusters the bipartite graph's investors.
-	Detect(b graph.BipartiteView) (*Assignment, error)
+	Detect(b *graph.FrozenBipartite) (*Assignment, error)
 }
 
 // RecoveryScore compares detected investor communities against planted

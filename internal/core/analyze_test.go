@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-
-	"crowdscope/internal/graph"
 )
 
 func analyzeFixture(t *testing.T) *FrozenSnapshot {
@@ -21,7 +19,7 @@ func analyzeFixture(t *testing.T) *FrozenSnapshot {
 		Snapshot:  0,
 		Companies: companies,
 		Investors: investors,
-		Graph:     graph.FreezeBipartite(BuildInvestorGraph(investors)),
+		Graph:     investorGraph(investors),
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"crowdscope/internal/apiserver"
 	"crowdscope/internal/crawler"
 	"crowdscope/internal/ecosystem"
+	"crowdscope/internal/graph"
 	"crowdscope/internal/store"
 )
 
@@ -207,7 +208,7 @@ func TestLiftErrors(t *testing.T) {
 
 func TestInvestorGraphStats(t *testing.T) {
 	investors, _ := LoadInvestors(context.Background(), fixStore, -1)
-	b := BuildInvestorGraph(investors)
+	b := investorGraph(investors)
 	st := InvestorGraphStats(b)
 	if st.Investors != len(investors) {
 		t.Fatalf("graph investors = %d", st.Investors)
@@ -288,7 +289,7 @@ func communities(t *testing.T) *CommunitiesResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := BuildInvestorGraph(investors)
+	b := investorGraph(investors)
 	k := fixWorld.Cfg.NumCommunities()
 	cr, err := RunCommunities(b, 4, k, 99)
 	if err != nil {
@@ -433,15 +434,25 @@ func TestCompareDetectors(t *testing.T) {
 	}
 }
 
-func TestBuildInvestorGraphDedup(t *testing.T) {
-	b := BuildInvestorGraph([]Investor{
+// investorGraph builds the investment graph of ID-sorted investors as
+// every frozen snapshot gets it, through newFrozen.
+func investorGraph(investors []Investor) *graph.FrozenBipartite {
+	fs, err := newFrozen(0, nil, investors)
+	if err != nil {
+		panic(err)
+	}
+	return fs.Graph
+}
+
+func TestInvestorGraphDedup(t *testing.T) {
+	b := investorGraph([]Investor{
 		{ID: "i1", Investments: []string{"c1", "c1", "c2"}},
 		{ID: "i2", Investments: []string{"c2"}},
 	})
 	if b.NumEdges() != 3 {
 		t.Fatalf("edges = %d (duplicates should collapse)", b.NumEdges())
 	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
+	if b.OutDegree(0) != 2 || b.InDegree(0) != 1 || b.InDegree(1) != 2 {
+		t.Fatalf("degrees i1 %d, c1 %d, c2 %d; want 2, 1, 2", b.OutDegree(0), b.InDegree(0), b.InDegree(1))
 	}
 }

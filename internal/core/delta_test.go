@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"crowdscope/internal/graph"
 	"crowdscope/internal/snapshot"
 	"crowdscope/internal/store"
 )
@@ -115,7 +114,7 @@ func (g *worldGen) mutate(prev *FrozenSnapshot) *FrozenSnapshot {
 		next.Investors = append(next.Investors, Investor{ID: id, Investments: inv, Follows: g.rng.Intn(300)})
 	}
 	sort.Slice(next.Investors, func(i, j int) bool { return next.Investors[i].ID < next.Investors[j].ID })
-	next.Graph = graph.FreezeBipartite(BuildInvestorGraph(next.Investors))
+	next.Graph = investorGraph(next.Investors)
 	return next
 }
 
@@ -453,7 +452,7 @@ func TestApplyDeltaGraphNeutral(t *testing.T) {
 		if next.Graph == world.Graph {
 			t.Fatal("investment-touching delta must rebuild the graph")
 		}
-		want := graph.FreezeBipartite(BuildInvestorGraph(next.Investors))
+		want := investorGraph(next.Investors)
 		if !reflect.DeepEqual(next.Graph, want) {
 			t.Fatal("rebuilt graph diverges from a full refreeze")
 		}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"crowdscope/internal/graph"
 	"crowdscope/internal/index"
 	"crowdscope/internal/query"
 	"crowdscope/internal/snapshot"
@@ -66,7 +65,7 @@ func randomWorld(rng *rand.Rand, snap, n int) *FrozenSnapshot {
 		Snapshot:  snap,
 		Companies: companies,
 		Investors: investors,
-		Graph:     graph.FreezeBipartite(BuildInvestorGraph(investors)),
+		Graph:     investorGraph(investors),
 	}
 }
 

@@ -61,17 +61,17 @@ func RunFig3(investors []Investor) Fig3Result {
 // stats (the paper: 96 communities, average size 190.2).
 type CommunitiesResult struct {
 	Assignment *community.Assignment
-	// Filtered is the min-degree-filtered graph detection ran on; member
-	// indices refer to it. It is a read-only view over the *graph.Bipartite
-	// that FilterLeftMinDegree (or, when sampled, CapLeftDegree) built.
-	Filtered graph.BipartiteView
+	// Filtered is the min-degree-filtered graph detection ran on, as
+	// FilterLeftMinDegree (or, when sampled, CapLeftDegree) built it;
+	// member indices refer to it.
+	Filtered *graph.FrozenBipartite
 	MeanSize float64
 }
 
 // RunCommunities applies the paper's pipeline: filter to investors with
 // at least minDeg investments (the paper uses 4), then run CoDA with K
 // communities. Detection runs on the process-default worker pool.
-func RunCommunities(b graph.BipartiteView, minDeg, k int, seed int64) (*CommunitiesResult, error) {
+func RunCommunities(b *graph.FrozenBipartite, minDeg, k int, seed int64) (*CommunitiesResult, error) {
 	cr, _, _, err := detectCommunities(b, minDeg, k, 0, Budget{Seed: seed})
 	return cr, err
 }
@@ -82,13 +82,11 @@ func RunCommunities(b graph.BipartiteView, minDeg, k int, seed int64) (*Communit
 // CommunityEdgeLimit, on their degree-capped subgraph (sampled).
 // workers <= 0 selects the process-default pool; the fit is
 // bit-identical for every worker count.
-func detectCommunities(b graph.BipartiteView, minDeg, k, workers int, budget Budget) (cr *CommunitiesResult, filteredEdges int, sampled bool, err error) {
+func detectCommunities(b *graph.FrozenBipartite, minDeg, k, workers int, budget Budget) (cr *CommunitiesResult, filteredEdges int, sampled bool, err error) {
 	filtered := graph.FilterLeftMinDegree(b, minDeg)
-	filtered.SortAdjacency()
 	detect := filtered
 	if budget.CommunityEdgeLimit > 0 && filtered.NumEdges() > budget.CommunityEdgeLimit {
 		detect = graph.CapLeftDegree(filtered, budget.MaxLeftDegree, budget.Seed)
-		detect.SortAdjacency()
 		sampled = true
 	}
 	coda := &community.CoDA{K: k, Seed: budget.Seed, Workers: workers}
@@ -257,7 +255,7 @@ func RunFig7(cr *CommunitiesResult, minSize int) (*Fig7Result, error) {
 	return &Fig7Result{Strong: pick(strong), Weak: pick(weak)}, nil
 }
 
-func extractSubgraph(b graph.BipartiteView, members []int32, s metrics.CommunityScore) Fig7Community {
+func extractSubgraph(b *graph.FrozenBipartite, members []int32, s metrics.CommunityScore) Fig7Community {
 	c := Fig7Community{AvgShared: s.AvgShared, SharedPct: s.SharedPctK2}
 	companyIdx := map[int32]int{}
 	for _, u := range members {
@@ -296,7 +294,7 @@ type DetectorResult struct {
 // CompareDetectors runs every detector on the filtered graph and scores
 // the results with the paper's metrics; truth (optional) adds planted-
 // recovery F1.
-func CompareDetectors(filtered graph.BipartiteView, k int, seed int64, truth [][]int32) ([]DetectorResult, error) {
+func CompareDetectors(filtered *graph.FrozenBipartite, k int, seed int64, truth [][]int32) ([]DetectorResult, error) {
 	detectors := []community.Detector{
 		&community.CoDA{K: k, Seed: seed},
 		&community.BigCLAM{K: k, Seed: seed},

@@ -30,8 +30,8 @@ type FrozenSnapshot struct {
 	Snapshot  int
 	Companies []Company
 	Investors []Investor
-	// Graph is the investment bipartite graph, adjacency-identical to
-	// BuildInvestorGraph(Investors).
+	// Graph is the investment bipartite graph over Investors, built by
+	// graph.FromRows.
 	Graph *graph.FrozenBipartite
 }
 
@@ -225,8 +225,8 @@ func encodeInvestorColumns(e *snapshot.Encoder, prefix string, investors []Inves
 		invIDs[i] = inv.ID
 		invFollows[i] = int64(inv.Follows)
 		invOffsets[i] = int64(len(invFlat))
-		// Investment order is load-bearing: BuildInvestorGraph assigns
-		// right-node ids by first appearance, so the flat table preserves
+		// Investment order is load-bearing: graph.FromRows numbers
+		// right nodes by first appearance, so the flat table preserves
 		// each investor's original list exactly.
 		invFlat = append(invFlat, inv.Investments...)
 	}

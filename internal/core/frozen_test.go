@@ -65,9 +65,9 @@ func TestFrozenRoundTripMatchesJSONPath(t *testing.T) {
 		}
 	}
 
-	b := BuildInvestorGraph(investors)
+	b := investorGraph(investors)
 	if fs.Graph.NumLeft() != b.NumLeft() || fs.Graph.NumRight() != b.NumRight() || fs.Graph.NumEdges() != b.NumEdges() {
-		t.Fatal("frozen graph sizes differ from rebuilt graph")
+		t.Fatal("frozen graph sizes differ from the loader rows' graph")
 	}
 	for u := int32(0); int(u) < b.NumLeft(); u++ {
 		if fs.Graph.LeftLabel(u) != b.LeftLabel(u) {
@@ -91,8 +91,8 @@ func TestFrozenRoundTripMatchesJSONPath(t *testing.T) {
 }
 
 // TestFrozenAnalysesBitIdentical runs the snapshot's analyses on the
-// rebuilt graph and on the frozen CSR view and requires byte-identical
-// JSON serializations.
+// graph of the loader's rows and on the decoded artifact's graph and
+// requires byte-identical JSON serializations.
 func TestFrozenAnalysesBitIdentical(t *testing.T) {
 	buildFixtureFrozen(t)
 	fs, err := LoadFrozen(fixStore, 0)
@@ -103,10 +103,10 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := BuildInvestorGraph(investors)
+	b := investorGraph(investors)
 	k := fixWorld.Cfg.NumCommunities()
 
-	fromBuilder, _, _, err := detectCommunities(b, 4, k, 3, Budget{Seed: 31})
+	fromLoader, _, _, err := detectCommunities(b, 4, k, 3, Budget{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := json.Marshal(fromBuilder.Assignment)
+	jb, err := json.Marshal(fromLoader.Assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +123,9 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(jb) != string(jf) {
-		t.Fatal("community assignments differ between builder and frozen graphs")
+		t.Fatal("community assignments differ between loaded and decoded graphs")
 	}
-	if fromBuilder.MeanSize != fromFrozen.MeanSize {
+	if fromLoader.MeanSize != fromFrozen.MeanSize {
 		t.Fatal("community mean sizes differ")
 	}
 
@@ -138,7 +138,7 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 		t.Fatal("Fig3 differs between JSON and frozen investors")
 	}
 
-	f4b, err := RunFig4(fromBuilder, 3, 5000, 31)
+	f4b, err := RunFig4(fromLoader, 3, 5000, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFrozenAnalysesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(f4b, f4f) {
-		t.Fatal("Fig4 differs between builder and frozen graphs")
+		t.Fatal("Fig4 differs between loaded and decoded graphs")
 	}
 }
 

@@ -9,15 +9,12 @@ import (
 	"testing"
 
 	"crowdscope/internal/crawler"
-	"crowdscope/internal/graph"
 	"crowdscope/internal/store"
 )
 
 // matchesReference reports whether the artifact decodes to the store's
-// rows with the graph built by the mutable builder and frozen — the
-// reference implementation the CSR kernel is compared against (see
-// graph's TestFromRowsMatchesBuilder), which no non-test code freezes
-// through.
+// rows and the graph graph.FromRows builds over them, which graph's
+// TestFromRowsMatchesBuilder holds to the reference builder.
 func matchesReference(t *testing.T, st *store.Store, snap int, artifact []byte) bool {
 	t.Helper()
 	companies, err := LoadCompanies(context.Background(), st, snap)
@@ -36,15 +33,14 @@ func matchesReference(t *testing.T, st *store.Store, snap int, artifact []byte) 
 		Snapshot:  snap,
 		Companies: companies,
 		Investors: investors,
-		Graph:     graph.FreezeBipartite(BuildInvestorGraph(investors)),
+		Graph:     investorGraph(investors),
 	})
 }
 
 // TestShardedFreezeEquivalence is shard-count invariance: the same
 // generated world stored with K = 1, 4 and 8 shards freezes to the same
 // snapshot and index bytes, across world sizes (≈64, ≈512, ≈4096
-// entities), and those bytes carry the graph the reference builder
-// produces. (TestFrozenGoldenDigests pins the K=4 bytes themselves.)
+// entities), and those bytes carry the store rows' graph. (TestFrozenGoldenDigests pins the K=4 bytes themselves.)
 func TestShardedFreezeEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range shardedFixtures {
@@ -70,7 +66,7 @@ func TestShardedFreezeEquivalence(t *testing.T) {
 						t.Fatal("invariance vacuous: empty snapshot")
 					}
 					if !matchesReference(t, st, snap, gotSnap) {
-						t.Fatal("committed artifact differs from the reference graph builder's")
+						t.Fatal("committed artifact differs from the store rows' snapshot")
 					}
 					continue
 				}
@@ -85,7 +81,7 @@ func TestShardedFreezeEquivalence(t *testing.T) {
 // TestShardedFreezeOnLegacyStore runs the shard-at-a-time loader over
 // the unsharded HTTP-crawled fixture store — no shard directories, the
 // single-shard degenerate case. The committed bytes must carry the
-// reference builder's graph (TestFrozenGoldenDigests pins them to the
+// store rows' graph (TestFrozenGoldenDigests pins them to the
 // digest recorded when such stores still froze through the dataflow
 // joins).
 func TestShardedFreezeOnLegacyStore(t *testing.T) {
@@ -95,7 +91,7 @@ func TestShardedFreezeOnLegacyStore(t *testing.T) {
 	buildFixtureFrozen(t)
 	snapBlob, _ := frozenBlobs(t, fixStore, 0)
 	if !matchesReference(t, fixStore, 0, snapBlob) {
-		t.Fatal("legacy-store artifact differs from the reference graph builder's")
+		t.Fatal("legacy-store artifact differs from the store rows' snapshot")
 	}
 }
 

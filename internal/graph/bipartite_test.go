@@ -7,19 +7,18 @@ import (
 	"testing/quick"
 )
 
-// paperExample builds the Figure 8a "strong community" toy graph:
+// paperExampleStrong builds the Figure 8a "strong community" toy graph:
 // 3 investors, 3 companies, investor i1 -> {c1,c2,c3}, i2 -> {c1,c2},
 // i3 -> {c2,c3}.
-func paperExampleStrong() *Bipartite {
-	b := NewBipartite(3, 3)
-	b.AddEdge("i1", "c1")
-	b.AddEdge("i1", "c2")
-	b.AddEdge("i1", "c3")
-	b.AddEdge("i2", "c1")
-	b.AddEdge("i2", "c2")
-	b.AddEdge("i3", "c2")
-	b.AddEdge("i3", "c3")
-	b.SortAdjacency()
+func paperExampleStrong() *FrozenBipartite {
+	b, err := FromRows([]AdjacencyRow{
+		{Left: "i1", Rights: []string{"c1", "c2", "c3"}},
+		{Left: "i2", Rights: []string{"c1", "c2"}},
+		{Left: "i3", Rights: []string{"c2", "c3"}},
+	})
+	if err != nil {
+		panic(err)
+	}
 	return b
 }
 
@@ -28,31 +27,21 @@ func TestBipartiteBasics(t *testing.T) {
 	if b.NumLeft() != 3 || b.NumRight() != 3 || b.NumEdges() != 7 {
 		t.Fatalf("L=%d R=%d E=%d", b.NumLeft(), b.NumRight(), b.NumEdges())
 	}
-	if b.AddEdge("i1", "c1") {
-		t.Fatal("duplicate edge added")
-	}
-	if !b.HasEdge("i1", "c1") || b.HasEdge("i3", "c1") {
-		t.Fatal("HasEdge wrong")
-	}
-	if b.HasEdge("zz", "c1") || b.HasEdge("i1", "zz") {
-		t.Fatal("HasEdge should be false for unknown labels")
-	}
 	u, ok := b.LeftIndex("i2")
 	if !ok || b.LeftLabel(u) != "i2" {
 		t.Fatal("left index round trip")
 	}
-	v, ok := b.RightIndex("c3")
-	if !ok || b.RightLabel(v) != "c3" {
-		t.Fatal("right index round trip")
+	if _, ok := b.LeftIndex("zz"); ok {
+		t.Fatal("LeftIndex resolved an unknown label")
+	}
+	if b.RightLabel(2) != "c3" {
+		t.Fatalf("right 2 = %q, want c3 (first-appearance numbering)", b.RightLabel(2))
 	}
 	if b.OutDegree(u) != 2 {
 		t.Errorf("i2 out-degree = %d", b.OutDegree(u))
 	}
-	if b.InDegree(v) != 2 {
-		t.Errorf("c3 in-degree = %d", b.InDegree(v))
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
+	if b.InDegree(2) != 2 {
+		t.Errorf("c3 in-degree = %d", b.InDegree(2))
 	}
 }
 
@@ -88,33 +77,50 @@ func TestFilterLeftMinDegree(t *testing.T) {
 	if f.NumEdges() != 3 || f.NumRight() != 3 {
 		t.Fatalf("filtered E=%d R=%d", f.NumEdges(), f.NumRight())
 	}
-	// min < 1 keeps everything, including degree-0 nodes? Degree-0 left
-	// nodes have no edges so they are dropped by construction; assert the
-	// edge set is preserved.
+	// min < 1 keeps every edge; a left node without edges is dropped.
 	all := FilterLeftMinDegree(b, 0)
 	if all.NumEdges() != b.NumEdges() {
 		t.Fatalf("filter(0) lost edges: %d vs %d", all.NumEdges(), b.NumEdges())
 	}
+	isolated := FromIndexRows([]string{"a", "b"}, []string{"x"}, [][]int32{{0}, nil})
+	if f := FilterLeftMinDegree(isolated, 0); f.NumLeft() != 1 || f.LeftLabel(0) != "a" {
+		t.Fatalf("filter(0) kept %d left nodes, want only a", f.NumLeft())
+	}
 }
 
 // Property: for random bipartite graphs, the sum of left out-degrees, the
-// sum of right in-degrees, and NumEdges agree; Validate passes.
+// sum of right in-degrees, and NumEdges agree, and every edge of a
+// forward row appears in its right node's reverse row.
 func TestBipartiteDegreeSumProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := NewBipartite(10, 10)
-		n := rng.Intn(100)
-		for i := 0; i < n; i++ {
-			b.AddEdge(fmt.Sprint("i", rng.Intn(10)), fmt.Sprint("c", rng.Intn(10)))
+		rows := make([][]int32, 10)
+		for i := rng.Intn(100); i > 0; i-- {
+			u := rng.Intn(10)
+			rows[u] = append(rows[u], int32(rng.Intn(10)))
 		}
+		labels := make([]string, 10)
+		for i := range labels {
+			labels[i] = fmt.Sprint(i)
+		}
+		b := FromIndexRows(labels, labels, rows)
 		var outSum, inSum int
 		for u := int32(0); int(u) < b.NumLeft(); u++ {
 			outSum += b.OutDegree(u)
+			for _, v := range b.Fwd(u) {
+				found := false
+				for _, w := range b.Rev(v) {
+					found = found || w == u
+				}
+				if !found {
+					return false
+				}
+			}
 		}
 		for v := int32(0); int(v) < b.NumRight(); v++ {
 			inSum += b.InDegree(v)
 		}
-		return outSum == b.NumEdges() && inSum == b.NumEdges() && b.Validate() == nil
+		return outSum == b.NumEdges() && inSum == b.NumEdges()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -125,20 +131,20 @@ func TestBipartiteDegreeSumProperty(t *testing.T) {
 func TestSharedRightCountProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 50; trial++ {
-		b := NewBipartite(8, 12)
+		b := newRefBipartite()
 		for i := 0; i < 60; i++ {
 			b.AddEdge(fmt.Sprint("i", rng.Intn(8)), fmt.Sprint("c", rng.Intn(12)))
 		}
-		b.SortAdjacency()
-		for a := int32(0); int(a) < b.NumLeft(); a++ {
-			for c := a + 1; int(c) < b.NumLeft(); c++ {
-				s1 := SharedRightCount(b, a, c)
-				s2 := SharedRightCount(b, c, a)
+		f := b.frozen()
+		for a := int32(0); int(a) < f.NumLeft(); a++ {
+			for c := a + 1; int(c) < f.NumLeft(); c++ {
+				s1 := SharedRightCount(f, a, c)
+				s2 := SharedRightCount(f, c, a)
 				if s1 != s2 {
 					t.Fatalf("asymmetric shared count: %d vs %d", s1, s2)
 				}
-				min := b.OutDegree(a)
-				if d := b.OutDegree(c); d < min {
+				min := f.OutDegree(a)
+				if d := f.OutDegree(c); d < min {
 					min = d
 				}
 				if s1 > min {

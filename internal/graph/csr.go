@@ -15,19 +15,3 @@ func (c *csr) row(u int32) []int32 { return c.targets[c.offsets[u]:c.offsets[u+1
 
 // degree returns the length of node u's row.
 func (c *csr) degree(u int32) int { return int(c.offsets[u+1] - c.offsets[u]) }
-
-// numNodes returns the number of rows.
-func (c *csr) numNodes() int { return len(c.offsets) - 1 }
-
-func buildCSR(adj [][]int32, edges int) *csr {
-	c := &csr{
-		offsets: make([]int64, len(adj)+1),
-		targets: make([]int32, 0, edges),
-	}
-	for i, row := range adj {
-		c.offsets[i] = int64(len(c.targets))
-		c.targets = append(c.targets, row...)
-	}
-	c.offsets[len(adj)] = int64(len(c.targets))
-	return c
-}

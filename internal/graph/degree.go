@@ -13,7 +13,7 @@ type DegreeShare struct {
 
 // LeftDegreeShares computes the degree-concentration rows for the given
 // thresholds over the bipartite graph's left side.
-func LeftDegreeShares(b BipartiteView, thresholds []int) []DegreeShare {
+func LeftDegreeShares(b *FrozenBipartite, thresholds []int) []DegreeShare {
 	out := make([]DegreeShare, 0, len(thresholds))
 	totalNodes := b.NumLeft()
 	totalEdges := b.NumEdges()

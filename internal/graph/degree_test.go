@@ -7,15 +7,16 @@ import (
 )
 
 func TestLeftDegreeShares(t *testing.T) {
-	b := NewBipartite(4, 6)
 	// Degrees: i1=4, i2=2, i3=1, i4=1; total edges = 8.
-	for _, c := range []string{"c1", "c2", "c3", "c4"} {
-		b.AddEdge("i1", c)
+	b, err := FromRows([]AdjacencyRow{
+		{Left: "i1", Rights: []string{"c1", "c2", "c3", "c4"}},
+		{Left: "i2", Rights: []string{"c1", "c5"}},
+		{Left: "i3", Rights: []string{"c6"}},
+		{Left: "i4", Rights: []string{"c6"}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.AddEdge("i2", "c1")
-	b.AddEdge("i2", "c5")
-	b.AddEdge("i3", "c6")
-	b.AddEdge("i4", "c6")
 	shares := LeftDegreeShares(b, []int{1, 2, 4})
 	if len(shares) != 3 {
 		t.Fatalf("rows = %d", len(shares))
@@ -38,8 +39,7 @@ func TestLeftDegreeShares(t *testing.T) {
 }
 
 func TestLeftDegreeSharesEmpty(t *testing.T) {
-	b := NewBipartite(0, 0)
-	shares := LeftDegreeShares(b, []int{3})
+	shares := LeftDegreeShares(FromIndexRows(nil, nil, nil), []int{3})
 	if shares[0].NodeFraction != 0 || shares[0].EdgeFraction != 0 {
 		t.Error("empty graph should yield zero fractions")
 	}

@@ -32,7 +32,7 @@ func (p *Projection) Row(u int32) ([]int32, []float64) {
 //
 // It costs Σ deg² over the right nodes: each investor's row is counted in
 // a dense shared-company counter, with no hash map and no edge sort.
-func ProjectLeft(b BipartiteView, minShared int) *Projection {
+func ProjectLeft(b *FrozenBipartite, minShared int) *Projection {
 	return accumulate(b.NumLeft(), float64(max(minShared, 1)), func(u int32, add func(int32, float64)) {
 		for _, c := range b.Fwd(u) {
 			for _, v := range b.Rev(c) {
@@ -115,10 +115,9 @@ func accumulate(n int, minWeight float64, fill func(u int32, add func(v int32, w
 }
 
 // SharedRightCount returns |Fwd(a) ∩ Fwd(c)| — the paper's "shared
-// investment size" between two investors. It requires ascending rows, as
-// SortAdjacency leaves them and every frozen snapshot stores them; there
-// is no fallback, so on unsorted rows the count is wrong.
-func SharedRightCount(b BipartiteView, a, c int32) int {
+// investment size" between two investors: one linear merge of their
+// rows, which are always ascending.
+func SharedRightCount(b *FrozenBipartite, a, c int32) int {
 	return sortedIntersectLen(b.Fwd(a), b.Fwd(c))
 }
 

@@ -18,7 +18,7 @@ type weightedEdge struct {
 // company's investors is counted in a hash map, then the pairs sharing
 // at least minShared companies are sorted by (U, V). ProjectLeft must
 // give exactly these edges.
-func referenceProjectLeft(b BipartiteView, minShared int) []weightedEdge {
+func referenceProjectLeft(b *FrozenBipartite, minShared int) []weightedEdge {
 	if minShared < 1 {
 		minShared = 1
 	}
@@ -49,6 +49,9 @@ func referenceProjectLeft(b BipartiteView, minShared int) []weightedEdge {
 	})
 	return edges
 }
+
+// numNodes returns the number of rows.
+func (c *csr) numNodes() int { return len(c.offsets) - 1 }
 
 // edgesOf lists p's edges once each, U < V, in (U, V) order.
 func edgesOf(p *Projection) []weightedEdge {
@@ -90,35 +93,27 @@ func checkRows(t *testing.T, p *Projection) {
 }
 
 // TestProjectLeftMatchesPairCountingReference checks the CSR kernel
-// against the pair-counting reference on seeded random graphs, through
-// an unsorted builder, the sorted builder and its frozen form, at
+// against the pair-counting reference on seeded random graphs at
 // minShared 0 to 3.
 func TestProjectLeftMatchesPairCountingReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		left, right := 1+rng.Intn(40), 1+rng.Intn(25)
-		b := NewBipartite(left, right)
+		ref := newRefBipartite()
 		for i := rng.Intn(5 * left); i > 0; i-- {
-			b.AddEdge("inv-"+itoa(rng.Intn(left)), "co-"+itoa(rng.Intn(right)))
+			ref.AddEdge("inv-"+itoa(rng.Intn(left)), "co-"+itoa(rng.Intn(right)))
 		}
-		views := map[string]func() BipartiteView{
-			"builder": func() BipartiteView { return b },
-			"sorted":  func() BipartiteView { b.SortAdjacency(); return b },
-			"frozen":  func() BipartiteView { return FreezeBipartite(b) },
-		}
-		for _, name := range []string{"builder", "sorted", "frozen"} {
-			v := views[name]()
-			for minShared := 0; minShared <= 3; minShared++ {
-				p := ProjectLeft(v, minShared)
-				checkRows(t, p)
-				want := referenceProjectLeft(v, minShared)
-				if got := edgesOf(p); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d %s minShared %d: edges %v, want %v", seed, name, minShared, got, want)
-				}
-				if p.numNodes() != v.NumLeft() || p.NumEdges() != len(want) {
-					t.Fatalf("seed %d %s minShared %d: %d nodes, %d edges; want %d, %d",
-						seed, name, minShared, p.numNodes(), p.NumEdges(), v.NumLeft(), len(want))
-				}
+		b := ref.frozen()
+		for minShared := 0; minShared <= 3; minShared++ {
+			p := ProjectLeft(b, minShared)
+			checkRows(t, p)
+			want := referenceProjectLeft(b, minShared)
+			if got := edgesOf(p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d minShared %d: edges %v, want %v", seed, minShared, got, want)
+			}
+			if p.numNodes() != b.NumLeft() || p.NumEdges() != len(want) {
+				t.Fatalf("seed %d minShared %d: %d nodes, %d edges; want %d, %d",
+					seed, minShared, p.numNodes(), p.NumEdges(), b.NumLeft(), len(want))
 			}
 		}
 	}
@@ -130,11 +125,11 @@ func TestCollapseSumsGroupWeights(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		left, right := 2+rng.Intn(30), 1+rng.Intn(20)
-		b := NewBipartite(left, right)
+		b := newRefBipartite()
 		for i := 1 + rng.Intn(5*left); i > 0; i-- {
 			b.AddEdge("inv-"+itoa(rng.Intn(left)), "co-"+itoa(rng.Intn(right)))
 		}
-		p := ProjectLeft(b, 1)
+		p := ProjectLeft(b.frozen(), 1)
 		k := 1 + rng.Intn(p.numNodes())
 		group := make([]int, p.numNodes())
 		for u := range group {

@@ -13,7 +13,7 @@ import (
 // AllowlistFile is the checked-in exception list at the module root.
 // Each line names one symbol a specific analyzer exempts:
 //
-//	deadexport:internal/graph.FreezeBipartite     # reference the tests compare against
+//	deadexport:internal/ecosystem.GenAugment      # only the tests decode into it
 //	errwrap:benchmark.replayDepths                # err is nil on a non-200 status
 //
 // Lines are <analyzer>:<module-relative-pkg>.<Symbol> (methods spell the

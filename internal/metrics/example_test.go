@@ -11,15 +11,14 @@ import (
 // three investors whose pairwise shared investment sizes are 2, 2 and 1,
 // averaging 1.67.
 func ExampleAvgSharedSize() {
-	b := graph.NewBipartite(3, 3)
-	b.AddEdge("investor1", "companyA")
-	b.AddEdge("investor1", "companyB")
-	b.AddEdge("investor1", "companyC")
-	b.AddEdge("investor2", "companyA")
-	b.AddEdge("investor2", "companyB")
-	b.AddEdge("investor3", "companyB")
-	b.AddEdge("investor3", "companyC")
-	b.SortAdjacency()
+	b, err := graph.FromRows([]graph.AdjacencyRow{
+		{Left: "investor1", Rights: []string{"companyA", "companyB", "companyC"}},
+		{Left: "investor2", Rights: []string{"companyA", "companyB"}},
+		{Left: "investor3", Rights: []string{"companyB", "companyC"}},
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	members := []int32{0, 1, 2}
 	fmt.Printf("avg shared size: %.2f\n", metrics.AvgSharedSize(b, members))

@@ -22,9 +22,9 @@ import (
 )
 
 // SharedSizes returns the shared investment size of every unordered pair
-// of the given investors (left indices). The graph's adjacency must be
-// sorted (graph.Bipartite.SortAdjacency). The result has n(n-1)/2 entries.
-func SharedSizes(b graph.BipartiteView, investors []int32) []float64 {
+// of the given investors (left indices). The result has n(n-1)/2
+// entries.
+func SharedSizes(b *graph.FrozenBipartite, investors []int32) []float64 {
 	var out []float64
 	for i := 0; i < len(investors); i++ {
 		for j := i + 1; j < len(investors); j++ {
@@ -37,7 +37,7 @@ func SharedSizes(b graph.BipartiteView, investors []int32) []float64 {
 // AvgSharedSize is the community-strength score: the mean pairwise shared
 // investment size (the paper's strongest community scores 2.1, its weak
 // example 0.018). Communities with fewer than two members score 0.
-func AvgSharedSize(b graph.BipartiteView, investors []int32) float64 {
+func AvgSharedSize(b *graph.FrozenBipartite, investors []int32) float64 {
 	if len(investors) < 2 {
 		return 0
 	}
@@ -55,7 +55,7 @@ func AvgSharedSize(b graph.BipartiteView, investors []int32) float64 {
 // SharedCompanyPct returns the percentage (0-100) of companies invested
 // in by the community that have at least k community investors — the
 // paper's second metric. In Figure 8a, K=2 gives 100%; in Figure 8b, 25%.
-func SharedCompanyPct(b graph.BipartiteView, investors []int32, k int) float64 {
+func SharedCompanyPct(b *graph.FrozenBipartite, investors []int32, k int) float64 {
 	counts := map[int32]int{}
 	for _, u := range investors {
 		for _, v := range b.Fwd(u) {
@@ -82,7 +82,7 @@ func SharedCompanyPct(b graph.BipartiteView, investors []int32, k int) float64 {
 // pure function of (seed, k), so workers fill disjoint slices of the
 // output and the result — including its order — is identical for every
 // worker count.
-func GlobalPairSampleParallel(b graph.BipartiteView, n int, seed int64, workers int) ([]float64, error) {
+func GlobalPairSampleParallel(b *graph.FrozenBipartite, n int, seed int64, workers int) ([]float64, error) {
 	if b.NumLeft() < 2 {
 		return nil, fmt.Errorf("metrics: need at least 2 investors, have %d", b.NumLeft())
 	}
@@ -111,7 +111,7 @@ const pairChunk = 4096
 // RandomizedPctBaseline builds random investor groups matching the given
 // sizes and returns the mean SharedCompanyPct across them — the paper's
 // randomized-community comparison (5.8% vs 23.1% for real communities).
-func RandomizedPctBaseline(b graph.BipartiteView, sizes []int, k int, rng *rand.Rand) float64 {
+func RandomizedPctBaseline(b *graph.FrozenBipartite, sizes []int, k int, rng *rand.Rand) float64 {
 	if len(sizes) == 0 || b.NumLeft() == 0 {
 		return 0
 	}
@@ -141,7 +141,7 @@ type CommunityScore struct {
 // RankCommunities scores every community by average shared investment
 // size (descending), attaching the K=2 shared-company percentage. Used to
 // pick the "strong" and "weak" communities of Figure 7.
-func RankCommunities(b graph.BipartiteView, communities [][]int32) []CommunityScore {
+func RankCommunities(b *graph.FrozenBipartite, communities [][]int32) []CommunityScore {
 	scores := make([]CommunityScore, len(communities))
 	for i, members := range communities {
 		scores[i] = CommunityScore{

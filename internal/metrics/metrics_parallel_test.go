@@ -9,23 +9,23 @@ import (
 	"crowdscope/internal/stats"
 )
 
-func pairTestGraph(nInv, nComp, deg int, seed int64) *graph.Bipartite {
-	b := graph.NewBipartite(nInv, nComp)
-	for i := 0; i < nInv; i++ {
-		b.AddLeft(fmt.Sprint("inv", i))
+func pairTestGraph(nInv, nComp, deg int, seed int64) *graph.FrozenBipartite {
+	invs, cos := make([]string, nInv), make([]string, nComp)
+	for i := range invs {
+		invs[i] = fmt.Sprint("inv", i)
 	}
-	for i := 0; i < nComp; i++ {
-		b.AddRight(fmt.Sprint("co", i))
+	for i := range cos {
+		cos[i] = fmt.Sprint("co", i)
 	}
 	// Deterministic overlapping neighborhoods: investor i invests in deg
 	// consecutive companies starting at a stride-dependent offset.
-	for i := 0; i < nInv; i++ {
+	rows := make([][]int32, nInv)
+	for i := range rows {
 		for d := 0; d < deg; d++ {
-			b.AddEdge(fmt.Sprint("inv", i), fmt.Sprint("co", (i*3+d*7+int(seed))%nComp))
+			rows[i] = append(rows[i], int32((i*3+d*7+int(seed))%nComp))
 		}
 	}
-	b.SortAdjacency()
-	return b
+	return graph.FromIndexRows(invs, cos, rows)
 }
 
 func TestGlobalPairSampleParallelWorkerInvariant(t *testing.T) {

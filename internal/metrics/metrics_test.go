@@ -10,30 +10,33 @@ import (
 
 // fig8a builds the paper's Figure 8a toy bipartite graph (strong
 // community): i1→{c1,c2,c3}, i2→{c1,c2}, i3→{c2,c3}.
-func fig8a() (*graph.Bipartite, []int32) {
-	b := graph.NewBipartite(3, 3)
-	b.AddEdge("i1", "c1")
-	b.AddEdge("i1", "c2")
-	b.AddEdge("i1", "c3")
-	b.AddEdge("i2", "c1")
-	b.AddEdge("i2", "c2")
-	b.AddEdge("i3", "c2")
-	b.AddEdge("i3", "c3")
-	b.SortAdjacency()
-	return b, []int32{0, 1, 2}
+func fig8a() (*graph.FrozenBipartite, []int32) {
+	return fromRows(fig8aRows...), []int32{0, 1, 2}
+}
+
+var fig8aRows = []graph.AdjacencyRow{
+	{Left: "i1", Rights: []string{"c1", "c2", "c3"}},
+	{Left: "i2", Rights: []string{"c1", "c2"}},
+	{Left: "i3", Rights: []string{"c2", "c3"}},
+}
+
+// fromRows builds the graph of rows, whose left labels ascend.
+func fromRows(rows ...graph.AdjacencyRow) *graph.FrozenBipartite {
+	b, err := graph.FromRows(rows)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // fig8b builds Figure 8b (weak community): i1→{c1,c2}, i2→{c3}, i3→{c4},
 // with only c... — per the paper: shared sizes (1,0,0), pct = 25%.
-func fig8b() (*graph.Bipartite, []int32) {
-	b := graph.NewBipartite(3, 4)
-	b.AddEdge("i1", "c1")
-	b.AddEdge("i1", "c2")
-	b.AddEdge("i2", "c2")
-	b.AddEdge("i2", "c3")
-	b.AddEdge("i3", "c4")
-	b.SortAdjacency()
-	return b, []int32{0, 1, 2}
+func fig8b() (*graph.FrozenBipartite, []int32) {
+	return fromRows(
+		graph.AdjacencyRow{Left: "i1", Rights: []string{"c1", "c2"}},
+		graph.AdjacencyRow{Left: "i2", Rights: []string{"c2", "c3"}},
+		graph.AdjacencyRow{Left: "i3", Rights: []string{"c4"}},
+	), []int32{0, 1, 2}
 }
 
 func TestAvgSharedSizePaperExamples(t *testing.T) {
@@ -120,8 +123,7 @@ func TestGlobalPairSample(t *testing.T) {
 		t.Errorf("sample mean = %g, want ≈1.67", mean)
 	}
 	// Tiny graph error path.
-	single := graph.NewBipartite(1, 1)
-	single.AddEdge("i", "c")
+	single := fromRows(graph.AdjacencyRow{Left: "i", Rights: []string{"c"}})
 	if _, err := GlobalPairSampleParallel(single, 10, 2, 1); err == nil {
 		t.Error("expected error with < 2 investors")
 	}
@@ -130,16 +132,16 @@ func TestGlobalPairSample(t *testing.T) {
 func TestRandomizedPctBaseline(t *testing.T) {
 	// Planted structure: two tight groups. Random groups should score
 	// well below the true communities.
-	b := graph.NewBipartite(20, 10)
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 5; j++ {
-			b.AddEdge(string(rune('a'+i)), string(rune('A'+j)))
+	rows := make([]graph.AdjacencyRow, 20)
+	for i := range rows {
+		rows[i].Left = string(rune('a' + i))
+		if i < 10 {
+			rows[i].Rights = []string{"A", "B", "C", "D", "E"}
+		} else {
+			rows[i].Rights = []string{string(rune('A' + 5 + (i-10)%5))}
 		}
 	}
-	for i := 10; i < 20; i++ {
-		b.AddEdge(string(rune('a'+i)), string(rune('A'+5+(i-10)%5)))
-	}
-	b.SortAdjacency()
+	b := fromRows(rows...)
 	group1 := make([]int32, 10)
 	for i := range group1 {
 		group1[i] = int32(i)
@@ -160,12 +162,13 @@ func TestRandomizedPctBaseline(t *testing.T) {
 }
 
 func TestRankCommunities(t *testing.T) {
-	b, strong := fig8a()
-	// Add three weak investors to the same graph.
-	b.AddEdge("w1", "x1")
-	b.AddEdge("w2", "x2")
-	b.AddEdge("w3", "x3")
-	b.SortAdjacency()
+	// Three weak investors beside fig8a's strong ones.
+	b := fromRows(append(fig8aRows,
+		graph.AdjacencyRow{Left: "w1", Rights: []string{"x1"}},
+		graph.AdjacencyRow{Left: "w2", Rights: []string{"x2"}},
+		graph.AdjacencyRow{Left: "w3", Rights: []string{"x3"}},
+	)...)
+	strong := []int32{0, 1, 2}
 	w1, _ := b.LeftIndex("w1")
 	w2, _ := b.LeftIndex("w2")
 	w3, _ := b.LeftIndex("w3")

@@ -69,6 +69,20 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// investorGraph builds the investment graph of ID-sorted investors, as
+// a frozen snapshot's graph is built.
+func investorGraph(investors []core.Investor) *graph.FrozenBipartite {
+	rows := make([]graph.AdjacencyRow, len(investors))
+	for i, inv := range investors {
+		rows[i] = graph.AdjacencyRow{Left: inv.ID, Rights: inv.Investments}
+	}
+	g, err := graph.FromRows(rows)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // fuzzStore holds two small snapshots (so a chain diff with an added, a
 // removed and two changed entities) that every column type appears in.
 func fuzzStore(f *testing.F) *store.Store {
@@ -79,7 +93,7 @@ func fuzzStore(f *testing.F) *store.Store {
 	}
 	world := func(snap int, companies []core.Company, investors []core.Investor) *core.FrozenSnapshot {
 		return &core.FrozenSnapshot{Snapshot: snap, Companies: companies, Investors: investors,
-			Graph: graph.FreezeBipartite(core.BuildInvestorGraph(investors))}
+			Graph: investorGraph(investors)}
 	}
 	w0 := world(0, []core.Company{
 		{ID: "co-1", Name: "Acme", Raising: true, HasTwitter: true, Likes: 10, Tweets: 4, Followers: 90},

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"crowdscope/internal/core"
-	"crowdscope/internal/graph"
 	"crowdscope/internal/store"
 )
 
@@ -41,7 +40,7 @@ func benchSnapshot(snap, nCompanies, nInvestors int) *core.FrozenSnapshot {
 		}
 		fs.Investors = append(fs.Investors, inv)
 	}
-	fs.Graph = graph.FreezeBipartite(core.BuildInvestorGraph(fs.Investors))
+	fs.Graph = investorGraph(fs.Investors)
 	return fs
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"crowdscope/internal/core"
-	"crowdscope/internal/graph"
 	"crowdscope/internal/snapshot"
 	"crowdscope/internal/store"
 )
@@ -49,7 +48,7 @@ func benchWorld() *core.FrozenSnapshot {
 		Snapshot:  0,
 		Companies: companies,
 		Investors: investors,
-		Graph:     graph.FreezeBipartite(core.BuildInvestorGraph(investors)),
+		Graph:     investorGraph(investors),
 	}
 }
 

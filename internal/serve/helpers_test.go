@@ -57,8 +57,22 @@ func testSnapshot(snap int) *core.FrozenSnapshot {
 			{ID: "co-2", Name: "Bolt", Funded: true, Followers: 7},
 		},
 		Investors: investors,
-		Graph:     graph.FreezeBipartite(core.BuildInvestorGraph(investors)),
+		Graph:     investorGraph(investors),
 	}
+}
+
+// investorGraph builds the investment graph of ID-sorted investors, as
+// a frozen snapshot's graph is built.
+func investorGraph(investors []core.Investor) *graph.FrozenBipartite {
+	rows := make([]graph.AdjacencyRow, len(investors))
+	for i, inv := range investors {
+		rows[i] = graph.AdjacencyRow{Left: inv.ID, Rights: inv.Investments}
+	}
+	g, err := graph.FromRows(rows)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // putFrozen commits the frozen snapshot artifact only — deliberately no

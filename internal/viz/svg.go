@@ -42,11 +42,10 @@ func CommunityBandSVG(w io.Writer, title string, investors, companies []string, 
 	return renderSVG(w, title, investors, companies, edges, bandLayout(len(investors), len(companies)))
 }
 
-// BipartiteViewSVG draws the first maxLeft left nodes of a bipartite
-// view (all of them when maxLeft <= 0) and the right nodes they reach,
-// in the band layout. It reads the view only through the interface, so a
-// frozen snapshot's CSR columns render without a graph rebuild.
-func BipartiteViewSVG(w io.Writer, title string, b graph.BipartiteView, maxLeft int) error {
+// BipartiteSVG draws the first maxLeft left nodes of a bipartite graph
+// (all of them when maxLeft <= 0) and the right nodes they reach, in the
+// band layout, straight from the graph's CSR rows.
+func BipartiteSVG(w io.Writer, title string, b *graph.FrozenBipartite, maxLeft int) error {
 	nLeft := b.NumLeft()
 	if maxLeft > 0 && maxLeft < nLeft {
 		nLeft = maxLeft

@@ -149,26 +149,21 @@ func TestSVGRejectsOutOfRangeEdge(t *testing.T) {
 	}
 }
 
-// TestBipartiteViewSVGMatchesOnBuilderAndFrozen renders the same graph
-// through both BipartiteView implementations and caps the left side.
-func TestBipartiteViewSVGMatchesOnBuilderAndFrozen(t *testing.T) {
-	b := graph.NewBipartite(3, 4)
+// TestBipartiteSVGGoldenAndCap renders the test community as a graph,
+// whole and with its left side capped to one investor.
+func TestBipartiteSVGGoldenAndCap(t *testing.T) {
+	rows := make([][]int32, len(testInvestors))
 	for _, e := range testEdges {
-		b.AddEdge(testInvestors[e[0]], testCompanies[e[1]-len(testInvestors)])
+		rows[e[0]] = append(rows[e[0]], int32(e[1]-len(testInvestors)))
 	}
-	var fromBuilder, fromFrozen, capped bytes.Buffer
-	if err := BipartiteViewSVG(&fromBuilder, "Overview", b, 0); err != nil {
+	b := graph.FromIndexRows(testInvestors, testCompanies, rows)
+	var whole, capped bytes.Buffer
+	if err := BipartiteSVG(&whole, "Overview", b, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := BipartiteViewSVG(&fromFrozen, "Overview", graph.FreezeBipartite(b), 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromBuilder.Bytes(), fromFrozen.Bytes()) {
-		t.Fatal("builder and frozen views render differently")
-	}
-	golden(t, "bipartite_view.svg", fromBuilder.Bytes())
+	golden(t, "bipartite_view.svg", whole.Bytes())
 
-	if err := BipartiteViewSVG(&capped, "Overview", b, 1); err != nil {
+	if err := BipartiteSVG(&capped, "Overview", b, 1); err != nil {
 		t.Fatal(err)
 	}
 	// inv-a alone reaches co-1 and co-2.

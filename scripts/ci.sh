@@ -37,9 +37,11 @@ go run ./cmd/crowdlint ./...
 # fail the run immediately instead of racing on and burying the report
 # mid-log. Each named suite pins one equivalence or resilience claim:
 #
-#   frozen-view        the builder graph and the frozen CSR graph give
-#                      bit-identical analyses (filter, projection, CoDA,
-#                      metrics), and a frozen artifact round-trips
+#   frozen-view        the index-space CSR kernels (FromRows, the
+#                      min-degree filter, the degree cap) give the
+#                      reference label-keyed builder's graphs, a frozen
+#                      artifact round-trips, and the decoded snapshot's
+#                      analyses (CoDA, metrics) equal the loader rows
 #   coda-sweep         CoDA's block-ordered sweeps give the same F/H at
 #                      every worker count, pinned to golden digests; the
 #                      fused row kernel matches the unfused reference bit
@@ -124,7 +126,7 @@ run_suite() {
   go test -race -run "$pattern" "$@"
 }
 
-run_suite frozen-view    'Frozen' ./internal/graph ./internal/core .
+run_suite frozen-view    'Frozen|TestFromRowsMatchesBuilder|TestFilterAndCapMatchReference' ./internal/graph ./internal/core .
 run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/community
 run_suite projection     'TestProjectLeft|TestCollapseSumsGroupWeights|TestProjectedDetectorsDeterministic' ./internal/graph ./internal/community
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression|TestEmptyStoreRefreshNeverTripsBreaker' ./internal/serve
@@ -188,8 +190,8 @@ check_coverage() {
 check_coverage ./internal/crawler 70
 check_coverage ./internal/apiserver 70
 # The persistence layer (the one K-shard writer, blob namespaces, frozen
-# artifacts) and the graph layer (the builder and the frozen CSR graph
-# behind BipartiteView) gate the snapshot format's integrity guarantees.
+# artifacts) and the graph layer (the one CSR graph type and its
+# kernels) gate the snapshot format's integrity guarantees.
 check_coverage ./internal/store 70
 check_coverage ./internal/graph 70
 # The lint framework gates every other invariant, so it carries its own
