@@ -17,10 +17,13 @@ import (
 //
 // With -snapshots > 1 the world evolves -days simulated days between
 // crawls, producing the longitudinal dataset of the paper's Section 7.
-// Crawl progress is checkpointed into the store after every BFS round
-// and augmentation batch; -resume continues an interrupted run from its
-// latest checkpoint. -fault-rate injects the faultConfig mix, whose
-// schedule replays exactly for a given -fault-seed.
+// Each snapshot's crawl appends a checkpoint record to the store after
+// every BFS round and augmentation batch, holding what that step
+// collected. -resume folds those records and continues an interrupted
+// run from where the last one left off, skipping every snapshot whose
+// frozen artifact is already committed. -fault-rate injects the
+// faultConfig mix, whose schedule replays exactly for a given
+// -fault-seed.
 func runCrawl(ctx context.Context, args []string, stdout io.Writer) error {
 	var o options
 	fs := o.flagSet("crawl", "seed", "scale", "store", "workers")

@@ -177,12 +177,16 @@ func TestGenGolden(t *testing.T) {
 	assertDigests(t, "gen.sha256", "out")
 }
 
-// Both crawl goldens were re-recorded once on purpose: the two
+// Both crawl goldens were re-recorded twice on purpose. First, the two
 // "store frozen/snap-*" size lines fell from 184.8/185.0 KiB to
 // 173.2/173.3 KiB when the frozen artifact stopped storing the
 // investment graph (its g.* sections), which the reader rebuilds from
-// the investor rows. Every other line, and every snapshot row, is as
-// recorded.
+// the investor rows. Then the two "store checkpoint/snap-*" lines fell
+// from 41/42 records of 50339.1/51489.6 KiB to 40/41 records of
+// 1379.2/1379.8 KiB when a checkpoint record came to hold only what
+// its step added and the users still to fetch, and the pipeline
+// stopped appending a whole-crawl marker record after each round's
+// freeze. Every other line, and every snapshot row, is as recorded.
 func TestCrawlGolden(t *testing.T) {
 	_, got := crawledStore(t)
 	assertSame(t, "crawl stdout", got, golden(t, "crawl.stdout"))

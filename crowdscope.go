@@ -151,7 +151,7 @@ func (p *Pipeline) BaseURL() string { return p.ts.URL }
 
 // Crawl runs a full collection (BFS + augmentation) and persists it as
 // the next snapshot, returning the crawl summary. With Checkpoint (or
-// Resume) configured, progress is checkpointed into a per-snapshot
+// Resume) configured, the crawler logs its progress into a per-snapshot
 // namespace and a resumed crawl continues where the last one stopped.
 //
 // Every round ends with its frozen/snap-N artifact committed. Round 0,
@@ -161,32 +161,25 @@ func (p *Pipeline) BaseURL() string { return p.ts.URL }
 // bytes, without re-reading the store — and fall back to the freeze,
 // counted in DeltaFallbacks, if that commit fails. Interrupted delta
 // commits left by a crash are completed first via core.RecoverChain.
+// On Resume a round whose artifact exists (it commits after the
+// persist) is done: it is neither persisted nor frozen again.
 func (p *Pipeline) Crawl(ctx context.Context, snapshot int) (*crawler.Snapshot, error) {
 	if _, err := core.RecoverChain(ctx, p.Store); err != nil {
 		return nil, fmt.Errorf("crowdscope: recover snapshot chain: %w", err)
 	}
 	cr := &crawler.Crawler{Client: p.client, Workers: p.Config.Workers}
-	alreadyPersisted := false
 	if p.Config.Checkpoint || p.Config.Resume {
-		ns := fmt.Sprintf("checkpoint/snap-%03d", snapshot)
 		cr.Checkpoint = &crawler.CheckpointConfig{
 			Store:     p.Store,
-			Namespace: ns,
+			Namespace: fmt.Sprintf("checkpoint/snap-%03d", snapshot),
 			Resume:    p.Config.Resume,
-		}
-		if p.Config.Resume {
-			if cp, ok, err := crawler.LoadCheckpoint(ctx, p.Store, ns); err != nil {
-				return nil, err
-			} else if ok && cp.Phase == crawler.PhasePersisted {
-				alreadyPersisted = true
-			}
 		}
 	}
 	snap, err := cr.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if alreadyPersisted {
+	if p.Config.Resume && core.HasFrozen(p.Store, snapshot) {
 		return snap, nil
 	}
 	if err := crawler.Persist(ctx, p.Store, snap, snapshot); err != nil {
@@ -196,16 +189,6 @@ func (p *Pipeline) Crawl(ctx context.Context, snapshot int) (*crawler.Snapshot, 
 	// analysis, query and replica reads.
 	if err := p.freeze(ctx, snap, snapshot); err != nil {
 		return nil, err
-	}
-	if cr.Checkpoint != nil {
-		marker := &crawler.Checkpoint{
-			Seq:   snap.Stats.Checkpoints,
-			Phase: crawler.PhasePersisted,
-			Snap:  snap,
-		}
-		if err := crawler.SaveCheckpoint(ctx, p.Store, cr.Checkpoint.Namespace, marker); err != nil {
-			return nil, err
-		}
 	}
 	return snap, nil
 }

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io/fs"
+	"maps"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"crowdscope/internal/core"
 	"crowdscope/internal/crawler"
@@ -122,11 +126,13 @@ func TestDeltaFallbackFreezesFromStore(t *testing.T) {
 	}
 }
 
-// TestResumeAfterPersistBeforeMarker kills a checkpointed crawl in the
-// window between Persist and the PhasePersisted marker: the round's
-// records are in the store, nothing says so. The resumed crawl persists
-// the round again and must commit the bytes of a fault-free run.
-func TestResumeAfterPersistBeforeMarker(t *testing.T) {
+// TestResumeBeforeAndAfterFreeze kills a checkpointed crawl at the two
+// points a resume tells apart by the round's frozen artifact. Killed
+// between Persist and the freeze, the round's records are in the store
+// but no artifact: the resumed crawl persists the round again and must
+// commit the bytes of a fault-free run. Killed after the freeze, the
+// round is done: a resume must fetch and write nothing.
+func TestResumeBeforeAndAfterFreeze(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
@@ -182,6 +188,91 @@ func TestResumeAfterPersistBeforeMarker(t *testing.T) {
 	}
 	if !sameBlobs(roundBlobs(t, resumed.Store, 0), want[0]) {
 		t.Fatal("resumed crawl committed different bytes than a fault-free run")
+	}
+
+	// The second kill point: after the freeze the resumed round is done.
+	files := storeFiles(t, cfg.StoreDir)
+	again, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	done, err := again.Crawl(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !done.Stats.Resumed || done.Stats.Client.Requests != 0 || len(done.Startups) != len(snap.Startups) {
+		t.Fatalf("resume of a frozen round: resumed=%v, %d requests, %d of %d startups",
+			done.Stats.Resumed, done.Stats.Client.Requests, len(done.Startups), len(snap.Startups))
+	}
+	if got := storeFiles(t, cfg.StoreDir); !maps.Equal(got, files) {
+		t.Fatalf("resume of a frozen round wrote to the store: %d files before, %d after", len(files), len(got))
+	}
+}
+
+// storeFiles maps every file under dir to its size and modification
+// time, so that any write shows.
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		files[path] = fmt.Sprintf("%d %s", info.Size(), info.ModTime().Format(time.RFC3339Nano))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestCheckpointLogBytesBound: a checkpoint record holds what its step
+// added, not the crawl so far, so each round's checkpoint log stays
+// within twice the crawl records that round persisted (it is 0.99
+// times here). When every record re-serialized the whole partial
+// crawl, round 0's log was 26 times its records.
+func TestCheckpointLogBytesBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end pipeline in -short mode")
+	}
+	ctx := context.Background()
+	p, err := NewPipeline(PipelineConfig{Seed: 7, Scale: 0.002, StoreDir: t.TempDir(), Workers: 4, Checkpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	crawlBytes := func() int64 {
+		var n int64
+		for _, ns := range []string{crawler.NSStartups, crawler.NSUsers, crawler.NSCrunchBase, crawler.NSFacebook, crawler.NSTwitter} {
+			if st, err := p.Store.Stats(ns); err == nil {
+				n += st.Bytes
+			}
+		}
+		return n
+	}
+	for r := 0; r < 2; r++ {
+		if r > 0 {
+			p.AdvanceDays(15)
+		}
+		before := crawlBytes()
+		if _, err := p.Crawl(ctx, r); err != nil {
+			t.Fatalf("crawl round %d: %v", r, err)
+		}
+		records := crawlBytes() - before
+		log, err := p.Store.Stats(fmt.Sprintf("checkpoint/snap-%03d", r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if records == 0 || log.Bytes > 2*records {
+			t.Fatalf("round %d: checkpoint log of %d bytes for %d bytes of crawl records, want at most 2x",
+				r, log.Bytes, records)
+		}
 	}
 }
 

@@ -153,7 +153,8 @@ func TestShardedKillResumeFrozenBitIdentical(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	if err := crawler.PersistSharded(ctx, st, snap, 0, 4); err != nil {
+	shardCrawlNamespaces(t, st, 4)
+	if err := crawler.Persist(ctx, st, snap, 0); err != nil {
 		t.Fatal(err)
 	}
 	if k, err := st.ShardCount(crawler.NSStartups); err != nil || k != 4 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"crowdscope/internal/crawler"
+	"crowdscope/internal/ecosystem"
 	"crowdscope/internal/store"
 )
 
@@ -153,6 +154,32 @@ func staleRound(final *crawler.Snapshot) *crawler.Snapshot {
 	return stale
 }
 
+// shardCrawlNamespaces creates the five crawl namespaces at k shards,
+// as a sharded ingest leaves them: a small generated world ingested as
+// snapshot 1, which a freeze of snapshot 0 never reads. Persist keeps an
+// existing namespace's shard count, so a round it then writes routes
+// over the same k shards. At k = 1 it leaves the store empty.
+func shardCrawlNamespaces(t *testing.T, st *store.Store, k int) {
+	t.Helper()
+	if k == 1 {
+		return
+	}
+	ctx := context.Background()
+	cfg := ecosystem.NewConfig(3, 0.001)
+	cfg.Shards = k
+	if _, err := ecosystem.GenerateTo(ctx, st, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := crawler.IngestGenerated(ctx, st, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, ns := range []string{crawler.NSStartups, crawler.NSUsers, crawler.NSCrunchBase, crawler.NSFacebook, crawler.NSTwitter} {
+		if got, err := st.ShardCount(ns); err != nil || got != k {
+			t.Fatalf("%s: %d shards (err %v), want %d", ns, got, err, k)
+		}
+	}
+}
+
 // TestRepersistedRoundFreezesAsLastPersist: a round persisted more than
 // once — verbatim, or after an earlier visit that saw different values —
 // freezes to the bytes of its last persist alone, at K=1 and K=4.
@@ -165,8 +192,9 @@ func TestRepersistedRoundFreezesAsLastPersist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		shardCrawlNamespaces(t, st, shards)
 		for _, round := range persists {
-			if err := crawler.PersistSharded(ctx, st, round, 0, shards); err != nil {
+			if err := crawler.Persist(ctx, st, round, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

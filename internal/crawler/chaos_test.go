@@ -5,9 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -279,7 +279,10 @@ func TestChaosIdenticalSeedsIdenticalSchedules(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip covers the save/load primitives directly.
+// TestCheckpointRoundTrip covers the save/load primitives directly: a
+// log of two records folds into one checkpoint holding the last record's
+// position and stats, every startup either augmented and every entity
+// either added, a later addition replacing an earlier one.
 func TestCheckpointRoundTrip(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -289,20 +292,28 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("empty store: ok=%v err=%v", ok, err)
 	}
 	cp := &Checkpoint{
-		Seq:             3,
 		Phase:           PhaseBFS,
 		Round:           2,
 		StartupFrontier: []string{"s1", "s2"},
 		UserFrontier:    []string{"u9"},
-		Snap: &Snapshot{
-			Startups: map[string]*ecosystem.Startup{"s0": {ID: "s0", Name: "Zero"}},
+		Stats:           Stats{Rounds: 2},
+		Added: &Snapshot{
+			Startups: map[string]*ecosystem.Startup{"s0": {ID: "s0", Name: "Zero"}, "s1": {ID: "s1", Name: "Old"}},
 		},
 	}
 	if err := SaveCheckpoint(context.Background(), st, "checkpoint/crawl", cp); err != nil {
 		t.Fatal(err)
 	}
-	// A later checkpoint must shadow the earlier one.
-	cp2 := &Checkpoint{Seq: 4, Phase: PhaseAugment, Round: 3, AugmentDone: []string{"s0"}, Snap: cp.Snap}
+	cp2 := &Checkpoint{
+		Phase:     PhaseAugment,
+		Round:     3,
+		Augmented: []string{"s0"},
+		Stats:     Stats{Rounds: 3, TwitterProfiles: 1},
+		Added: &Snapshot{
+			Startups: map[string]*ecosystem.Startup{"s1": {ID: "s1", Name: "New"}},
+			Twitter:  map[string]*ecosystem.TwitterProfile{"s0": {Username: "zero"}},
+		},
+	}
 	if err := SaveCheckpoint(context.Background(), st, "checkpoint/crawl", cp2); err != nil {
 		t.Fatal(err)
 	}
@@ -310,61 +321,107 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("load: ok=%v err=%v", ok, err)
 	}
-	if got.Seq != 4 || got.Phase != PhaseAugment || got.Round != 3 {
-		t.Fatalf("loaded the wrong checkpoint: %+v", got)
+	if got.Phase != PhaseAugment || got.Round != 3 || got.Stats != cp2.Stats {
+		t.Fatalf("fold does not end at the last record: %+v", got)
 	}
-	if len(got.AugmentDone) != 1 || got.AugmentDone[0] != "s0" {
-		t.Fatalf("augment done lost: %v", got.AugmentDone)
+	if len(got.StartupFrontier) != 0 || len(got.UserFrontier) != 0 {
+		t.Fatalf("fold kept an earlier record's frontier: %v %v", got.StartupFrontier, got.UserFrontier)
 	}
-	if got.Snap.Startups["s0"].Name != "Zero" {
-		t.Fatal("snapshot contents lost in round trip")
+	if len(got.Augmented) != 1 || got.Augmented[0] != "s0" {
+		t.Fatalf("augmented set lost: %v", got.Augmented)
 	}
-	// All maps usable even where the JSON had none.
-	if got.Snap.Users == nil || got.Snap.Twitter == nil {
+	a := got.Added
+	if len(a.Startups) != 2 || a.Startups["s0"].Name != "Zero" || a.Startups["s1"].Name != "New" || a.Twitter["s0"].Username != "zero" {
+		t.Fatalf("additions folded wrong: %+v", a)
+	}
+	// All maps usable even where no record added to them.
+	if a.Users == nil || a.CrunchBase == nil || a.Facebook == nil {
 		t.Fatal("nil maps after load")
 	}
 }
 
-// TestLoadCheckpointDecodesOnlyTheLatest: every checkpoint record holds
-// the whole partial snapshot, so decoding each one on resume made a
-// finished crawl's resume cost grow with its checkpoint count. Loading
-// from a namespace of 50 checkpoints must allocate within 2x of loading
-// from a namespace holding just the last of them.
-func TestLoadCheckpointDecodesOnlyTheLatest(t *testing.T) {
-	snap := &Snapshot{
-		Startups: map[string]*ecosystem.Startup{},
-		Users:    map[string]*ecosystem.User{},
+// TestSaveCheckpointSplitsLargeSteps: a step that added more entities
+// than one record holds commits as several records in one segment, and
+// folds as the step would.
+func TestSaveCheckpointSplitsLargeSteps(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		id := fmt.Sprintf("s%d", i)
-		snap.Startups[id] = &ecosystem.Startup{ID: id, Name: "Startup " + id, FounderIDs: []string{"u" + id}}
-		uid := fmt.Sprintf("u%d", i)
-		snap.Users[uid] = &ecosystem.User{ID: uid, Name: "User " + uid, FollowsStartups: []string{id}}
+	added := &Snapshot{
+		Startups:   map[string]*ecosystem.Startup{},
+		Users:      map[string]*ecosystem.User{"u1": {ID: "u1"}},
+		CrunchBase: map[string]*ecosystem.CrunchBaseProfile{},
+		Facebook:   map[string]*ecosystem.FacebookProfile{},
+		Twitter:    map[string]*ecosystem.TwitterProfile{"s0": {Username: "zero"}},
+	}
+	for i := 0; i < checkpointChunk+10; i++ {
+		id := "s" + strconv.Itoa(i)
+		added.Startups[id] = &ecosystem.Startup{ID: id}
+	}
+	cp := &Checkpoint{Phase: PhaseBFS, Round: 1, UserFrontier: []string{"u2"}, Stats: Stats{Rounds: 1}, Added: added}
+	if err := SaveCheckpoint(context.Background(), st, "checkpoint/crawl", cp); err != nil {
+		t.Fatal(err)
+	}
+	// Two chunks of startups, one of users, one of Twitter profiles, and
+	// the step's position.
+	if s, err := st.Stats("checkpoint/crawl"); err != nil || s.Records != 5 || s.Segments != 1 {
+		t.Fatalf("step committed as %+v (err %v), want 5 records in 1 segment", s, err)
+	}
+	got, ok, err := LoadCheckpoint(context.Background(), st, "checkpoint/crawl")
+	if err != nil || !ok {
+		t.Fatalf("load: ok=%v err=%v", ok, err)
+	}
+	if got.Phase != PhaseBFS || got.Round != 1 || len(got.UserFrontier) != 1 || got.Stats != cp.Stats {
+		t.Fatalf("fold does not end at the step's position: %+v", got)
+	}
+	if !bytes.Equal(canonical(t, got.Added), canonical(t, added)) {
+		t.Fatal("split step folds to different additions")
+	}
+}
+
+// TestLoadCheckpointFoldsTheCrawl: each record holds only what its step
+// added, so a finished crawl's log must fold back to exactly the crawl —
+// every entity and the final stats — and resuming from it must return
+// that crawl without a request.
+func TestLoadCheckpointFoldsTheCrawl(t *testing.T) {
+	_, _, client := harness(t, apiserver.Options{TwitterLimit: 1 << 30})
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctx := context.Background()
-	fill := func(n int) *store.Store {
-		st, err := store.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seq := 0; seq < n; seq++ {
-			cp := &Checkpoint{Seq: seq, Phase: PhaseBFS, Round: seq, Snap: snap}
-			if err := SaveCheckpoint(ctx, st, "checkpoint/crawl", cp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return st
+	cfg := &CheckpointConfig{Store: st, Namespace: "checkpoint/crawl"}
+	snap, err := (&Crawler{Client: client, Workers: 4, Checkpoint: cfg}).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := func(st *store.Store, wantSeq int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			cp, ok, err := LoadCheckpoint(ctx, st, "checkpoint/crawl")
-			if err != nil || !ok || cp.Seq != wantSeq || len(cp.Snap.Startups) != len(snap.Startups) {
-				t.Fatalf("load: ok=%v err=%v", ok, err)
-			}
-		})
+	cp, ok, err := LoadCheckpoint(ctx, st, cfg.Namespace)
+	if err != nil || !ok {
+		t.Fatalf("load: ok=%v err=%v", ok, err)
 	}
-	one, fifty := allocs(fill(1), 0), allocs(fill(50), 49)
-	if fifty > 2*one {
-		t.Fatalf("LoadCheckpoint over 50 checkpoints: %.0f allocs, over 1: %.0f; want within 2x", fifty, one)
+	want := snap.Stats
+	want.Client = ClientStats{}
+	if cp.Phase != PhaseDone || cp.Stats != want {
+		t.Fatalf("fold ends at %s with %+v, want done with %+v", cp.Phase, cp.Stats, want)
+	}
+	if !bytes.Equal(canonical(t, cp.Added), canonical(t, snap)) {
+		t.Fatal("the log does not fold back to the crawl")
+	}
+	if n := len(cp.Augmented); n != len(snap.Startups) {
+		t.Fatalf("log augmented %d startups, the crawl holds %d", n, len(snap.Startups))
+	}
+
+	before := client.counters().Requests
+	cfg.Resume = true
+	resumed, err := (&Crawler{Client: client, Workers: 4, Checkpoint: cfg}).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := client.counters().Requests - before; n != 0 || !resumed.Stats.Resumed {
+		t.Fatalf("resuming a finished crawl made %d requests (resumed=%v)", n, resumed.Stats.Resumed)
+	}
+	if !bytes.Equal(canonical(t, resumed), canonical(t, snap)) {
+		t.Fatal("resuming a finished crawl returned a different crawl")
 	}
 }

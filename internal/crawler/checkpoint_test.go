@@ -11,14 +11,14 @@ import (
 )
 
 // writeLastCheckpoint commits a well-formed checkpoint record followed
-// by payload to the namespace, so payload is the record LoadCheckpoint
-// decodes.
+// by payload to the namespace, so payload is the last record
+// LoadCheckpoint folds.
 func writeLastCheckpoint(t testing.TB, st *store.Store, ns string, payload []byte) {
 	w, err := st.Writer(ns, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append("", &Checkpoint{Phase: PhaseBFS, Snap: &Snapshot{}}); err != nil {
+	if err := w.Append("", &Checkpoint{Phase: PhaseBFS, Added: &Snapshot{}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.AppendRaw("", payload); err != nil {
@@ -29,20 +29,24 @@ func writeLastCheckpoint(t testing.TB, st *store.Store, ns string, payload []byt
 	}
 }
 
-// TestLoadCheckpointRejectsMalformedSnapshot: a last record with a null
-// entity used to load and then panic the resumed crawl (PersistSharded
-// and augmentation dereference every entity), and one with an unknown
-// phase resumed as a finished crawl. Both, and undecodable bytes, must
+// TestLoadCheckpointRejectsMalformedSnapshot: a record with a null
+// entity used to load and then panic the resumed crawl (Persist and
+// augmentation dereference every entity), and one with an unknown
+// phase resumed as a finished crawl. Both, undecodable bytes, and a
+// record in the format that carried the whole crawl in "snapshot" must
 // fail the load with an error wrapping store.ErrCorrupt.
 func TestLoadCheckpointRejectsMalformedSnapshot(t *testing.T) {
 	for _, rec := range []string{
-		`{"phase":"augment","round":1,"snapshot":{"Startups":{"s1":null}}}`,
-		`{"phase":"bfs","snapshot":{"Users":{"u1":{"ID":"u1"},"u2":null}}}`,
-		`{"phase":"done","snapshot":{"CrunchBase":{"s1":null}}}`,
-		`{"phase":"persisted","snapshot":{"Facebook":{"s1":null}}}`,
-		`{"phase":"augment","snapshot":{"Twitter":{"s1":null}}}`,
-		`{"phase":"finished","snapshot":{}}`,
-		`{"snapshot":null}`,
+		`{"phase":"augment","round":1,"added":{"Startups":{"s1":null}}}`,
+		`{"phase":"bfs","added":{"Users":{"u1":{"ID":"u1"},"u2":null}}}`,
+		`{"phase":"done","added":{"CrunchBase":{"s1":null}}}`,
+		`{"phase":"bfs","added":{"Facebook":{"s1":null}}}`,
+		`{"phase":"augment","added":{"Twitter":{"s1":null}}}`,
+		`{"phase":"finished","added":{}}`,
+		`{"phase":"persisted","added":null}`,
+		`{"added":null}`,
+		`{"phase":"bfs","snapshot":{"Startups":{"s1":{"ID":"s1"}}}}`,
+		`{"phase":"bfs"} {}`,
 		`{"phase":"bfs"`,
 	} {
 		st, err := store.Open(t.TempDir())
@@ -59,16 +63,16 @@ func TestLoadCheckpointRejectsMalformedSnapshot(t *testing.T) {
 
 // FuzzLoadCheckpoint writes arbitrary bytes as a namespace's last
 // checkpoint record. LoadCheckpoint must return an ErrCorrupt error, or
-// a checkpoint in one of the four phases whose snapshot persists.
+// a fold whose additions persist without a panic.
 func FuzzLoadCheckpoint(f *testing.F) {
 	rec, err := json.Marshal(&Checkpoint{
-		Seq:             7,
 		Phase:           PhaseAugment,
 		Round:           3,
 		StartupFrontier: []string{"s2"},
 		UserFrontier:    []string{"u2"},
-		AugmentDone:     []string{"s1"},
-		Snap: &Snapshot{
+		Augmented:       []string{"s1"},
+		Stats:           Stats{Rounds: 3, CBByLink: 1},
+		Added: &Snapshot{
 			Startups:   map[string]*ecosystem.Startup{"s1": {ID: "s1", Name: "One", FounderIDs: []string{"u1"}}},
 			Users:      map[string]*ecosystem.User{"u1": {ID: "u1", Investments: []string{"s1"}}},
 			CrunchBase: map[string]*ecosystem.CrunchBaseProfile{"s1": {Rounds: []ecosystem.FundingRound{{AmountUSD: 5}}}},
@@ -81,8 +85,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	}
 	f.Add(rec)
 	f.Add(rec[:len(rec)/2])
-	f.Add([]byte(`{"phase":"augment","round":1,"snapshot":{"Startups":{"s1":null}}}`))
-	f.Add([]byte(`{"phase":"finished","snapshot":{}}`))
+	f.Add([]byte(`{"phase":"augment","round":1,"added":{"Startups":{"s1":null}}}`))
+	f.Add([]byte(`{"phase":"finished","added":{}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := store.Open(t.TempDir())
@@ -101,13 +105,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if !ok {
 			t.Fatal("a committed record loaded as no checkpoint")
 		}
-		switch cp.Phase {
-		case PhaseBFS, PhaseAugment, PhaseDone, PhasePersisted:
-		default:
-			t.Fatalf("loaded unknown phase %q", cp.Phase)
-		}
-		if err := PersistSharded(ctx, st, cp.Snap, 0, 2); err != nil {
-			t.Fatalf("persist the loaded snapshot: %v", err)
+		if err := Persist(ctx, st, cp.Added, 0); err != nil {
+			t.Fatalf("persist the folded additions: %v", err)
 		}
 	})
 }

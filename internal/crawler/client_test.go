@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -196,33 +194,5 @@ func TestRetryAfterFormats(t *testing.T) {
 				t.Fatalf("stats = %+v, want one rate-limit hit and one token sleep", cs)
 			}
 		})
-	}
-}
-
-// TestParallelRecordsAllErrors: after the first failure no new work is
-// dispatched, but every in-flight failure lands in the joined error.
-func TestParallelRecordsAllErrors(t *testing.T) {
-	items := []string{"a", "b", "c", "d"}
-	var barrier sync.WaitGroup
-	barrier.Add(len(items))
-	err := parallel(context.Background(), len(items), items, func(id string) error {
-		barrier.Done()
-		barrier.Wait() // all four failures are in flight together
-		return fmt.Errorf("boom-%s", id)
-	})
-	if err == nil {
-		t.Fatal("expected an error")
-	}
-	for _, id := range items {
-		if !strings.Contains(err.Error(), "boom-"+id) {
-			t.Fatalf("joined error lost failure of %q: %v", id, err)
-		}
-	}
-	var asJoin interface{ Unwrap() []error }
-	if !errors.As(err, &asJoin) {
-		t.Fatalf("error is not a joined error: %T", err)
-	}
-	if got := len(asJoin.Unwrap()); got != len(items) {
-		t.Fatalf("joined %d errors, want %d", got, len(items))
 	}
 }

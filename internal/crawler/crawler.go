@@ -3,23 +3,36 @@ package crawler
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"crowdscope/internal/ecosystem"
+	"crowdscope/internal/parallel"
 )
 
 // Snapshot holds everything one crawl collected, keyed exactly like the
 // paper's datasets: AngelList startups and users, plus per-source
-// augmentation profiles.
+// augmentation profiles. A checkpoint record's Snapshot holds one step's
+// additions, and the record carries the crawl's Stats itself.
 type Snapshot struct {
 	Startups   map[string]*ecosystem.Startup
 	Users      map[string]*ecosystem.User
 	CrunchBase map[string]*ecosystem.CrunchBaseProfile // by startup ID
 	Facebook   map[string]*ecosystem.FacebookProfile   // by startup ID
 	Twitter    map[string]*ecosystem.TwitterProfile    // by startup ID
-	Stats      Stats
+	Stats      Stats                                   `json:"-"`
+}
+
+func newSnapshot() *Snapshot {
+	return &Snapshot{
+		Startups:   map[string]*ecosystem.Startup{},
+		Users:      map[string]*ecosystem.User{},
+		CrunchBase: map[string]*ecosystem.CrunchBaseProfile{},
+		Facebook:   map[string]*ecosystem.FacebookProfile{},
+		Twitter:    map[string]*ecosystem.TwitterProfile{},
+	}
 }
 
 // Stats summarizes one crawl.
@@ -35,7 +48,7 @@ type Stats struct {
 	FacebookProfiles int
 	TwitterProfiles  int
 	Resumed          bool // this crawl continued from a checkpoint
-	Checkpoints      int  // checkpoints written by this process
+	Checkpoints      int  // checkpoint steps written, across resumes
 	Client           ClientStats
 }
 
@@ -62,19 +75,9 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 	if workers <= 0 {
 		workers = 8
 	}
-	snap := &Snapshot{
-		Startups:   map[string]*ecosystem.Startup{},
-		Users:      map[string]*ecosystem.User{},
-		CrunchBase: map[string]*ecosystem.CrunchBaseProfile{},
-		Facebook:   map[string]*ecosystem.FacebookProfile{},
-		Twitter:    map[string]*ecosystem.TwitterProfile{},
-	}
-
-	var startupFrontier, userFrontier []string
-	var augmentDone []string
+	snap := newSnapshot()
+	var startupFrontier, userFrontier, augmented []string
 	phase := PhaseBFS
-	seeded := false
-	cpSeq := 0
 
 	if cr.Checkpoint != nil && cr.Checkpoint.Resume {
 		cp, ok, err := LoadCheckpoint(ctx, cr.Checkpoint.Store, cr.Checkpoint.Namespace)
@@ -82,16 +85,14 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 			return nil, err
 		}
 		if ok {
-			snap = cp.Snap
+			snap = cp.Added
+			snap.Stats = cp.Stats
 			snap.Stats.Resumed = true
 			phase = cp.Phase
 			startupFrontier = cp.StartupFrontier
 			userFrontier = cp.UserFrontier
-			augmentDone = cp.AugmentDone
-			cpSeq = cp.Seq + 1
-			seeded = true
-			if phase != PhaseBFS && phase != PhaseAugment {
-				// Terminal checkpoint: the crawl already finished.
+			augmented = cp.Augmented
+			if phase == PhaseDone {
 				snap.Stats.Client = cr.Client.counters()
 				return snap, nil
 			}
@@ -102,20 +103,16 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 		if cr.Checkpoint == nil {
 			return nil
 		}
-		cp.Seq = cpSeq
-		cp.Snap = snap
-		if err := SaveCheckpoint(ctx, cr.Checkpoint.Store, cr.Checkpoint.Namespace, &cp); err != nil {
-			return err
-		}
-		cpSeq++
 		snap.Stats.Checkpoints++
-		return nil
+		cp.Stats = snap.Stats
+		return SaveCheckpoint(ctx, cr.Checkpoint.Store, cr.Checkpoint.Namespace, &cp)
 	}
 
+	pool := parallel.New(workers)
 	var mu sync.Mutex // guards snap maps and the next-frontier sets
 
 	if phase == PhaseBFS {
-		if !seeded {
+		if !snap.Stats.Resumed {
 			// Phase 1 start: seed the BFS from the raising listing.
 			seeds, err := cr.Client.RaisingStartups(ctx)
 			if err != nil {
@@ -124,7 +121,7 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 			snap.Stats.SeedStartups = len(seeds)
 			startupFrontier = dedupe(seeds)
 		}
-		if err := cr.runBFS(ctx, workers, snap, &mu, startupFrontier, userFrontier, save); err != nil {
+		if err := cr.runBFS(ctx, pool, snap, &mu, startupFrontier, userFrontier, save); err != nil {
 			return nil, err
 		}
 		phase = PhaseAugment
@@ -139,7 +136,7 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 	snap.Stats.UsersCrawled = len(snap.Users)
 
 	if phase == PhaseAugment {
-		if err := cr.augment(ctx, workers, snap, &mu, augmentDone, save); err != nil {
+		if err := cr.augment(ctx, pool, snap, &mu, augmented, save); err != nil {
 			return nil, err
 		}
 	}
@@ -151,8 +148,8 @@ func (cr *Crawler) Run(ctx context.Context) (*Snapshot, error) {
 }
 
 // runBFS crawls the AngelList follow graph breadth-first until both
-// frontiers empty, checkpointing after each completed round.
-func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *sync.Mutex,
+// frontiers empty, checkpointing each completed round's additions.
+func (cr *Crawler) runBFS(ctx context.Context, pool *parallel.Pool, snap *Snapshot, mu *sync.Mutex,
 	startupFrontier, userFrontier []string, save func(Checkpoint) error) error {
 	for len(startupFrontier) > 0 || len(userFrontier) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -160,10 +157,12 @@ func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *
 		}
 		snap.Stats.Rounds++
 		var nextStartups, nextUsers []string
+		added := &Snapshot{Startups: map[string]*ecosystem.Startup{}, Users: map[string]*ecosystem.User{}}
 
 		// Fetch every startup in the frontier plus its follower list; the
 		// followers become user-frontier candidates.
-		err := parallel(ctx, workers, startupFrontier, func(id string) error {
+		err := pool.EachErr(len(startupFrontier), func(i int) error {
+			id := startupFrontier[i]
 			mu.Lock()
 			_, seen := snap.Startups[id]
 			mu.Unlock()
@@ -183,6 +182,7 @@ func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *
 			}
 			mu.Lock()
 			snap.Startups[id] = st
+			added.Startups[id] = st
 			for _, uid := range followers {
 				if _, ok := snap.Users[uid]; !ok {
 					nextUsers = append(nextUsers, uid)
@@ -197,7 +197,8 @@ func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *
 
 		// Fetch every user in the frontier; what they follow becomes the
 		// next frontier on both sides.
-		err = parallel(ctx, workers, userFrontier, func(id string) error {
+		err = pool.EachErr(len(userFrontier), func(i int) error {
+			id := userFrontier[i]
 			mu.Lock()
 			_, seen := snap.Users[id]
 			mu.Unlock()
@@ -213,6 +214,7 @@ func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *
 			}
 			mu.Lock()
 			snap.Users[id] = u
+			added.Users[id] = u
 			for _, sid := range u.FollowsStartups {
 				if _, ok := snap.Startups[sid]; !ok {
 					nextStartups = append(nextStartups, sid)
@@ -241,11 +243,19 @@ func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *
 		// is not; sort so checkpoint records are stable.
 		sort.Strings(startupFrontier)
 		sort.Strings(userFrontier)
+		// A worker can queue a followed user while another is fetching it
+		// this round. The record leaves such users out, as a resumed round
+		// would skip them, so its bytes do not depend on fetch timing.
+		unfetched := slices.DeleteFunc(slices.Clone(userFrontier), func(id string) bool {
+			_, fetched := snap.Users[id]
+			return fetched
+		})
 		if err := save(Checkpoint{
 			Phase:           PhaseBFS,
 			Round:           snap.Stats.Rounds,
 			StartupFrontier: startupFrontier,
-			UserFrontier:    userFrontier,
+			UserFrontier:    unfetched,
+			Added:           added,
 		}); err != nil {
 			return err
 		}
@@ -255,8 +265,9 @@ func (cr *Crawler) runBFS(ctx context.Context, workers int, snap *Snapshot, mu *
 
 // augment performs the one-time CrunchBase/Facebook/Twitter augmentation
 // the paper describes in Section 3, in sorted batches with a checkpoint
-// after each so interrupted runs re-fetch at most one batch.
-func (cr *Crawler) augment(ctx context.Context, workers int, snap *Snapshot, mu *sync.Mutex,
+// after each so interrupted runs re-fetch at most one batch. done lists
+// the startups an earlier run already augmented.
+func (cr *Crawler) augment(ctx context.Context, pool *parallel.Pool, snap *Snapshot, mu *sync.Mutex,
 	done []string, save func(Checkpoint) error) error {
 	doneSet := make(map[string]struct{}, len(done))
 	for _, id := range done {
@@ -275,25 +286,37 @@ func (cr *Crawler) augment(ctx context.Context, workers int, snap *Snapshot, mu 
 		batch = augmentBatch
 	}
 	for lo := 0; lo < len(ids); lo += batch {
-		hi := lo + batch
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		if err := parallel(ctx, workers, ids[lo:hi], func(id string) error {
-			return cr.augmentOne(ctx, snap, mu, id)
+		batchIDs := ids[lo:min(lo+batch, len(ids))]
+		if err := pool.EachErr(len(batchIDs), func(i int) error {
+			return cr.augmentOne(ctx, snap, mu, batchIDs[i])
 		}); err != nil {
 			return err
 		}
-		done = append(done, ids[lo:hi]...)
 		if err := save(Checkpoint{
-			Phase:       PhaseAugment,
-			Round:       snap.Stats.Rounds,
-			AugmentDone: done,
+			Phase:     PhaseAugment,
+			Round:     snap.Stats.Rounds,
+			Augmented: batchIDs,
+			Added: &Snapshot{
+				CrunchBase: pick(snap.CrunchBase, batchIDs),
+				Facebook:   pick(snap.Facebook, batchIDs),
+				Twitter:    pick(snap.Twitter, batchIDs),
+			},
 		}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// pick returns the entries of m under ids.
+func pick[T any](m map[string]*T, ids []string) map[string]*T {
+	out := make(map[string]*T)
+	for _, id := range ids {
+		if v, ok := m[id]; ok {
+			out[id] = v
+		}
+	}
+	return out
 }
 
 // augmentOne attaches the external profiles of a single startup.
@@ -371,55 +394,6 @@ func (cr *Crawler) augmentOne(ctx context.Context, snap *Snapshot, mu *sync.Mute
 		snap.Stats.TwitterProfiles++
 	}
 	return nil
-}
-
-// parallel runs f over items with bounded workers. After the first error
-// no new items are dispatched, but every failure from in-flight workers
-// is recorded; the result joins them all (errors.Join) so callers can
-// inspect the complete failure set.
-func parallel(ctx context.Context, workers int, items []string, f func(string) error) error {
-	if len(items) == 0 {
-		return nil
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		errs []error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if len(errs) > 0 || next >= len(items) {
-					mu.Unlock()
-					return
-				}
-				item := items[next]
-				next++
-				mu.Unlock()
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					errs = append(errs, err)
-					mu.Unlock()
-					return
-				}
-				if err := f(item); err != nil {
-					mu.Lock()
-					errs = append(errs, err)
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 func dedupe(ids []string) []string {

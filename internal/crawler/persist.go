@@ -42,8 +42,8 @@ type AugmentRecord[T any] struct {
 // Persist writes the snapshot into the store under the standard
 // namespaces, tagging every record with the snapshot number. Records are
 // written in sorted ID order so persisted output is deterministic. A
-// namespace that already exists hash-sharded (a store prepared by
-// PersistSharded or a sharded ingest) keeps its shard count: records
+// namespace Persist creates has one shard; one that already exists
+// hash-sharded (a sharded ingest made it) keeps its shard count: records
 // route by store.ShardFor over the same keys the ingest path uses
 // (startups and users by their own ID, augmentation profiles by the
 // owning startup ID), so the crawl namespaces stay co-sharded and the
@@ -52,42 +52,32 @@ type AugmentRecord[T any] struct {
 // in-flight namespace uncommitted (segment commits are atomic, so the
 // store never sees a torn snapshot).
 func Persist(ctx context.Context, s *store.Store, snap *Snapshot, snapshotNum int) error {
-	return PersistSharded(ctx, s, snap, snapshotNum, 0)
-}
-
-// PersistSharded is Persist with an explicit shard count for namespaces
-// that do not exist yet: new namespaces are created with `shards`
-// shards (K=1 when shards <= 1), existing ones keep their committed
-// count (the store enforces equal K on reopen). It is how a crawl
-// bootstraps a store at paper scale, where every downstream stage wants
-// the K-way layout.
-func PersistSharded(ctx context.Context, s *store.Store, snap *Snapshot, snapshotNum, shards int) error {
-	if err := persistMap(ctx, s, NSStartups, snap.Startups, shards, func(id string, v *ecosystem.Startup) any {
+	if err := persistMap(ctx, s, NSStartups, snap.Startups, func(id string, v *ecosystem.Startup) any {
 		return StartupRecord{Startup: *v, Snapshot: snapshotNum}
 	}); err != nil {
 		return err
 	}
-	if err := persistMap(ctx, s, NSUsers, snap.Users, shards, func(id string, v *ecosystem.User) any {
+	if err := persistMap(ctx, s, NSUsers, snap.Users, func(id string, v *ecosystem.User) any {
 		return UserRecord{User: *v, Snapshot: snapshotNum}
 	}); err != nil {
 		return err
 	}
-	if err := persistMap(ctx, s, NSCrunchBase, snap.CrunchBase, shards, func(id string, v *ecosystem.CrunchBaseProfile) any {
+	if err := persistMap(ctx, s, NSCrunchBase, snap.CrunchBase, func(id string, v *ecosystem.CrunchBaseProfile) any {
 		return AugmentRecord[ecosystem.CrunchBaseProfile]{StartupID: id, Profile: *v, Snapshot: snapshotNum}
 	}); err != nil {
 		return err
 	}
-	if err := persistMap(ctx, s, NSFacebook, snap.Facebook, shards, func(id string, v *ecosystem.FacebookProfile) any {
+	if err := persistMap(ctx, s, NSFacebook, snap.Facebook, func(id string, v *ecosystem.FacebookProfile) any {
 		return AugmentRecord[ecosystem.FacebookProfile]{StartupID: id, Profile: *v, Snapshot: snapshotNum}
 	}); err != nil {
 		return err
 	}
-	return persistMap(ctx, s, NSTwitter, snap.Twitter, shards, func(id string, v *ecosystem.TwitterProfile) any {
+	return persistMap(ctx, s, NSTwitter, snap.Twitter, func(id string, v *ecosystem.TwitterProfile) any {
 		return AugmentRecord[ecosystem.TwitterProfile]{StartupID: id, Profile: *v, Snapshot: snapshotNum}
 	})
 }
 
-func persistMap[T any](ctx context.Context, s *store.Store, ns string, m map[string]*T, shards int, wrap func(string, *T) any) error {
+func persistMap[T any](ctx context.Context, s *store.Store, ns string, m map[string]*T, wrap func(string, *T) any) error {
 	if len(m) == 0 {
 		return nil
 	}
@@ -96,9 +86,8 @@ func persistMap[T any](ctx context.Context, s *store.Store, ns string, m map[str
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	// An existing namespace dictates its own layout; the caller's shard
-	// count only shapes namespaces being created now.
-	k := max(shards, 1)
+	// An existing namespace dictates its own layout.
+	k := 1
 	if existing, err := s.ShardCount(ns); err == nil {
 		k = existing
 	}

@@ -46,7 +46,8 @@ func segmentFiles(t *testing.T, dir string) []string {
 
 // TestPersistCancelCommitsNothing: a Persist cancelled mid-namespace
 // leaves that namespace as it was — absent in a fresh store, unchanged
-// from the previous round otherwise — and leaves no segment file behind.
+// from the previous round otherwise, at the K it was created with — and
+// leaves no segment file behind.
 func TestPersistCancelCommitsNothing(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
@@ -56,7 +57,7 @@ func TestPersistCancelCommitsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := &countdownCtx{Context: context.Background(), n: 40}
-			if err := PersistSharded(ctx, st, startupSnapshot(100), 0, k); !errors.Is(err, context.Canceled) {
+			if err := Persist(ctx, st, startupSnapshot(100), 0); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled Persist returned %v", err)
 			}
 			if slices.Contains(st.Namespaces(), NSStartups) {
@@ -67,7 +68,18 @@ func TestPersistCancelCommitsNothing(t *testing.T) {
 				t.Fatalf("cancelled Persist left segment files: %v", left)
 			}
 
-			if err := PersistSharded(context.Background(), st, startupSnapshot(50), 0, k); err != nil {
+			// The previous round, in a namespace created at K shards as a
+			// sharded ingest leaves it.
+			w, err := st.Writer(NSStartups, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, s := range startupSnapshot(50).Startups {
+				if err := w.Append(id, StartupRecord{Startup: *s}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
 			before, _ := st.Stats(NSStartups)

@@ -13,6 +13,7 @@
 package parallel
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -114,7 +115,8 @@ func (p *Pool) eachWorker(n int, f func(w, i int)) {
 }
 
 // EachErr is Each for fallible tasks: the first error stops new tasks
-// from being claimed and is returned once in-flight tasks drain.
+// from being claimed, and once in-flight tasks drain the result joins
+// (errors.Join) every failure, the first one first.
 func (p *Pool) EachErr(n int, f func(i int) error) error {
 	if n == 0 {
 		return nil
@@ -133,7 +135,7 @@ func (p *Pool) EachErr(n int, f func(i int) error) error {
 		failed atomic.Bool
 		wg     sync.WaitGroup
 		mu     sync.Mutex
-		err    error
+		errs   []error
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -147,12 +149,10 @@ func (p *Pool) EachErr(n int, f func(i int) error) error {
 				if i >= n {
 					return
 				}
-				if e := f(i); e != nil {
+				if err := f(i); err != nil {
 					failed.Store(true)
 					mu.Lock()
-					if err == nil {
-						err = e
-					}
+					errs = append(errs, err)
 					mu.Unlock()
 					return
 				}
@@ -160,7 +160,7 @@ func (p *Pool) EachErr(n int, f func(i int) error) error {
 		}()
 	}
 	wg.Wait()
-	return err
+	return errors.Join(errs...)
 }
 
 // Ordered runs n tasks in two phases: compute(w, i) executes concurrently

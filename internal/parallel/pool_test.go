@@ -2,6 +2,9 @@ package parallel
 
 import (
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -66,6 +69,34 @@ func TestEachErrPropagatesFirstError(t *testing.T) {
 	})
 	if !errors.Is(err, sentinel) || ran.Load() != 18 {
 		t.Fatalf("serial: err=%v ran=%d, want sentinel after 18", err, ran.Load())
+	}
+}
+
+// TestEachErrRecordsAllErrors: after the first failure no new task is
+// claimed, but every in-flight failure lands in the joined error.
+func TestEachErrRecordsAllErrors(t *testing.T) {
+	const n = 4
+	var barrier sync.WaitGroup
+	barrier.Add(n)
+	err := New(n).EachErr(n, func(i int) error {
+		barrier.Done()
+		barrier.Wait() // all four failures are in flight together
+		return fmt.Errorf("boom-%d", i)
+	})
+	if err == nil {
+		t.Fatal("expected an error")
+	}
+	for i := 0; i < n; i++ {
+		if !strings.Contains(err.Error(), fmt.Sprintf("boom-%d", i)) {
+			t.Fatalf("joined error lost failure of task %d: %v", i, err)
+		}
+	}
+	var asJoin interface{ Unwrap() []error }
+	if !errors.As(err, &asJoin) {
+		t.Fatalf("error is not a joined error: %T", err)
+	}
+	if got := len(asJoin.Unwrap()); got != n {
+		t.Fatalf("joined %d errors, want %d", got, n)
 	}
 }
 

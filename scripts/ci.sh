@@ -72,7 +72,15 @@ go run ./cmd/crowdlint ./...
 #                      round from the store; crash-interrupted chains
 #                      recover byte-identically; the in-memory crawl
 #                      merge and the store loader build the same rows;
-#                      the pipeline keeps no crawl alive between rounds
+#                      the pipeline keeps no crawl alive between rounds;
+#                      a resumed round killed before its freeze commits
+#                      a fault-free run's bytes, one killed after it
+#                      writes nothing
+#   checkpoint-log     a crawl's checkpoint log folds back to exactly the
+#                      crawl, a step too large for one record folds the
+#                      same from several, each round's log stays within
+#                      twice the crawl records it persisted, and a
+#                      malformed record fails the load as ErrCorrupt
 #   sharded-freeze     streaming generation matches in-memory generation,
 #                      payload for payload, its hand-written encoders
 #                      match json.Marshal and its bytes are pinned to
@@ -131,7 +139,8 @@ run_suite coda-sweep     'TestCoDA|TestUpdateRow|TestBigCLAM' ./internal/communi
 run_suite projection     'TestProjectLeft|TestCollapseSumsGroupWeights|TestProjectedDetectorsDeterministic' ./internal/graph ./internal/community
 run_suite serve-chaos    'Chaos|TestServerDrainGoroutineCountRegression|TestEmptyStoreRefreshNeverTripsBreaker' ./internal/serve
 run_suite index-scan     'TestIndexRouteMatchesScanRouteProperty|TestCorruptIndexBlobFailsLoudly|TestStaleIndexFallsBackToScan|TestServedSnapshotIsQueriedSnapshot|TestIndexedRouteBodiesMatchScanRoute|TestBitmapKernelsMatchBruteForce|TestDecodeStructuralValidation|TestEncodeRefusesOversizedBitmaps|TestRadixOrderingMatchesStableSort|TestEvaluatorSemantics|TestCancelledPassStopsWithin64Records|TestStatementErrorsAreClientErrors' ./internal/core ./internal/serve ./internal/index ./internal/query
-run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlAppliesToMergedRound|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeAfterPersistBeforeMarker|TestPipelineKeepsNoCrawlAlive' ./internal/core .
+run_suite delta-refreeze 'TestDeltaRefreezeEquivalence|TestRecoverChainAfterCrash|TestDiffCrawlAppliesToMergedRound|TestStoreLoaderMatchesMergeCrawl|TestRecrawlIsIdempotent|TestDeltaFallbackFreezesFromStore|TestResumeBeforeAndAfterFreeze|TestPipelineKeepsNoCrawlAlive' ./internal/core .
+run_suite checkpoint-log 'TestCheckpointRoundTrip|TestLoadCheckpoint|TestSaveCheckpoint|TestCheckpointLogBytesBound' ./internal/crawler .
 run_suite sharded-freeze 'TestGenerateToMatchesGenerate|TestGenerateToGoldenDigests|TestGenerateToCancel|TestGenerateToFailedCommitCommitsNothing|TestStreamedUserAllocs|FuzzGenRecordEncoders|TestIngestGenerated|TestShardedFreeze|TestProjectionRowsMatchTypedDecode|FuzzFreezeDecoders|TestFrozenGoldenDigests|TestRepersistedRoundFreezesAsLastPersist' ./internal/ecosystem ./internal/crawler ./internal/core
 run_suite front-chaos    'TestShardedKillResumeFrozenBitIdentical|TestFrontFailoverMidRequestKillZero5xx|TestFrontAllReplicasDown503' ./internal/core ./internal/fleet/front
 run_suite store-shape    'TestStoreShapeInvariance|TestLegacyNamespaceReadsAsSingleShard|TestFailedCommitLeavesNoPhantomNamespace|TestAppendRawToCopiesShardsAndAbortCommitsNothing|TestPersistCancelCommitsNothing|TestIngestGeneratedRejectsNonObjects|TestWriterConcurrentShardAppends' ./internal/store ./internal/crawler
@@ -157,8 +166,8 @@ run_suite binaries       'TestServeDrain|TestServeReplicasStartUnreadyAndRefresh
 # that frame back to the file's bytes / a manifest that commits and
 # loads back unchanged and opens a store that scans without a panic,
 # allocating in proportion to the input) and on the crawler's checkpoint
-# record (an ErrCorrupt error, or a checkpoint in a known phase whose
-# snapshot persists without a panic).
+# log (an ErrCorrupt error, or a fold whose additions persist without a
+# panic).
 # internal/core's targets get
 # 20 s: its TestMain crawls the package fixture in the coordinator and in
 # every fuzz worker before the first input runs, which takes about half.
