@@ -33,7 +33,9 @@ import (
 	"time"
 
 	"crowdscope"
+	"crowdscope/internal/crawler"
 	"crowdscope/internal/leakcheck"
+	"crowdscope/internal/store"
 )
 
 // crawlArgs is the crawl every store-reading scenario starts from.
@@ -177,7 +179,7 @@ func TestGenGolden(t *testing.T) {
 	assertDigests(t, "gen.sha256", "out")
 }
 
-// Both crawl goldens were re-recorded twice on purpose. First, the two
+// Both crawl goldens were re-recorded three times on purpose. First, the two
 // "store frozen/snap-*" size lines fell from 184.8/185.0 KiB to
 // 173.2/173.3 KiB when the frozen artifact stopped storing the
 // investment graph (its g.* sections), which the reader rebuilds from
@@ -186,7 +188,12 @@ func TestGenGolden(t *testing.T) {
 // 1379.2/1379.8 KiB when a checkpoint record came to hold only what
 // its step added and the users still to fetch, and the pipeline
 // stopped appending a whole-crawl marker record after each round's
-// freeze. Every other line, and every snapshot row, is as recorded.
+// freeze. Last, snapshot 1 fell from 4 BFS rounds to 3 and its
+// "store checkpoint/snap-001" line from 41 records of 1379.8 KiB to 40
+// of 1379.3 KiB when each round's next frontiers came to be taken after
+// the round: the fourth round re-queued users the third had fetched and
+// fetched nothing (TestCrawlEveryBFSRoundAddsEntities). Every other
+// line, and every snapshot row, is as recorded.
 func TestCrawlGolden(t *testing.T) {
 	_, got := crawledStore(t)
 	assertSame(t, "crawl stdout", got, golden(t, "crawl.stdout"))
@@ -203,6 +210,47 @@ func TestCrawlFaultsGolden(t *testing.T) {
 	// entities and every other namespace do not.
 	varying := regexp.MustCompile(`(?m)^(  http: .*|store checkpoint/.*)$`)
 	assertSame(t, "faulted crawl stdout", maskLines(got, varying), maskLines(golden(t, "crawl_faults.stdout"), varying))
+}
+
+// TestCrawlEveryBFSRoundAddsEntities reads the golden crawl's
+// checkpoint logs: every BFS round must fetch at least one startup or
+// user. A round's next frontier once left in users the same round had
+// already fetched, so a crawl could end on a round that fetched nothing.
+func TestCrawlEveryBFSRoundAddsEntities(t *testing.T) {
+	dir, _ := crawledStore(t)
+	st, err := store.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for snap := 0; snap < 2; snap++ {
+		ns := fmt.Sprintf("checkpoint/snap-%03d", snap)
+		added := map[int]int{} // BFS round -> entities its records add
+		err := st.ScanContext(context.Background(), ns, func(payload []byte) error {
+			var cp crawler.Checkpoint
+			if err := json.Unmarshal(payload, &cp); err != nil {
+				return err
+			}
+			if cp.Phase != crawler.PhaseBFS {
+				return nil
+			}
+			added[cp.Round] += 0 // a split step's last record adds nothing itself
+			if cp.Added != nil {
+				added[cp.Round] += len(cp.Added.Startups) + len(cp.Added.Users)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(added) == 0 {
+			t.Fatalf("%s: no BFS record", ns)
+		}
+		for round, n := range added {
+			if n == 0 {
+				t.Errorf("%s: BFS round %d of %d adds nothing", ns, round, len(added))
+			}
+		}
+	}
 }
 
 var queryStatements = []string{

@@ -132,7 +132,7 @@ func TestFaultProfileResolution(t *testing.T) {
 	if k := fi.decide("GET", "/twitter/users/show"); k != faultNone {
 		t.Fatalf("exact match should win: got %v", k)
 	}
-	if k := fi.decide("GET", "/twitter/rate_limit_status"); k != faultServerError {
+	if k := fi.decide("GET", "/twitter/users/lookup"); k != faultServerError {
 		t.Fatalf("prefix match should apply: got %v", k)
 	}
 	if k := fi.decide("GET", "/angellist/users/u1"); k != faultSlow {
@@ -210,7 +210,7 @@ func TestFaultKindsOverHTTP(t *testing.T) {
 	})
 	t.Run("healthy endpoints unaffected", func(t *testing.T) {
 		s, ts := newServer(t, Options{Tokens: []string{"tk"}, Faults: force(FaultProfile{ServerError: 1}, FaultConfig{Seed: 1})})
-		if code := get(t, ts.URL+"/twitter/rate_limit_status", "tk", nil); code != http.StatusOK {
+		if code := get(t, ts.URL+"/crunchbase/search?name=x", "tk", nil); code != http.StatusOK {
 			t.Fatalf("unfaulted endpoint code %d", code)
 		}
 		if got := s.FaultStats().Total(); got != 0 {

@@ -56,19 +56,3 @@ func (f *fixedWindow) allow(token string) (ok bool, retryAfter time.Duration) {
 	st.count++
 	return true, 0
 }
-
-// remaining reports how many calls the token has left in its current
-// window.
-func (f *fixedWindow) remaining(token string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st := f.states[token]
-	if st == nil || f.clock().Sub(st.start) >= f.window {
-		return f.limit
-	}
-	r := f.limit - st.count
-	if r < 0 {
-		return 0
-	}
-	return r
-}

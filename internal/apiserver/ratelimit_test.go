@@ -32,18 +32,17 @@ func TestFixedWindowRollover(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	fw := newFixedWindow(3, time.Minute, clk.Now)
 	steps := []struct {
-		advance    time.Duration
-		wantOK     bool
-		wantRetry  time.Duration
-		wantRemain int // remaining AFTER the allow call
+		advance   time.Duration
+		wantOK    bool
+		wantRetry time.Duration
 	}{
-		{0, true, 0, 2},                                // 1st call opens the window
-		{10 * time.Second, true, 0, 1},                 // 2nd
-		{10 * time.Second, true, 0, 0},                 // 3rd exhausts the limit
-		{10 * time.Second, false, 30 * time.Second, 0}, // denied; 30s left of the window
-		{29 * time.Second, false, time.Second, 0},      // still denied at 59s
-		{2 * time.Second, true, 0, 2},                  // 61s: rollover, fresh window
-		{0, true, 0, 1},
+		{0, true, 0},                                // 1st call opens the window
+		{10 * time.Second, true, 0},                 // 2nd
+		{10 * time.Second, true, 0},                 // 3rd exhausts the limit
+		{10 * time.Second, false, 30 * time.Second}, // denied; 30s left of the window
+		{29 * time.Second, false, time.Second},      // still denied at 59s
+		{2 * time.Second, true, 0},                  // 61s: rollover, fresh window
+		{0, true, 0},
 	}
 	for i, st := range steps {
 		clk.Advance(st.advance)
@@ -54,29 +53,28 @@ func TestFixedWindowRollover(t *testing.T) {
 		if retry != st.wantRetry {
 			t.Fatalf("step %d: retryAfter = %v, want %v", i, retry, st.wantRetry)
 		}
-		if got := fw.remaining("tok"); got != st.wantRemain {
-			t.Fatalf("step %d: remaining = %d, want %d", i, got, st.wantRemain)
-		}
 	}
 }
 
+// TestFixedWindowRemainingFreshAndRolledOver: a fresh token has the
+// whole limit, an exhausted one none, and the window rolls over once the
+// clock passes it.
 func TestFixedWindowRemainingFreshAndRolledOver(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(100, 0)}
 	fw := newFixedWindow(5, time.Minute, clk.Now)
-	if got := fw.remaining("unseen"); got != 5 {
-		t.Fatalf("fresh token remaining = %d", got)
-	}
 	for i := 0; i < 5; i++ {
-		fw.allow("tok")
+		if ok, _ := fw.allow("tok"); !ok {
+			t.Fatalf("call %d of a fresh token denied", i+1)
+		}
 	}
-	if got := fw.remaining("tok"); got != 0 {
-		t.Fatalf("exhausted remaining = %d", got)
+	if ok, retry := fw.allow("tok"); ok || retry != time.Minute {
+		t.Fatalf("exhausted token: allow = %v, retry %v, want denied for 1m", ok, retry)
 	}
-	// Remaining resets as soon as the clock passes the window even
-	// without another allow call.
 	clk.Advance(time.Minute)
-	if got := fw.remaining("tok"); got != 5 {
-		t.Fatalf("rolled-over remaining = %d", got)
+	for i := 0; i < 5; i++ {
+		if ok, _ := fw.allow("tok"); !ok {
+			t.Fatalf("call %d after rollover denied", i+1)
+		}
 	}
 }
 
@@ -131,17 +129,10 @@ func TestRetryAfterHeaderValues(t *testing.T) {
 	}
 	for _, tc := range cases {
 		clk.Advance(tc.advance)
-		req, _ := http.NewRequest("GET", url, nil)
-		req.Header.Set("Authorization", "Bearer ra")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		code, got := getRetryAfter(t, url, "ra")
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("%s: code %d, want 429", tc.name, code)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("%s: code %d, want 429", tc.name, resp.StatusCode)
-		}
-		got := resp.Header.Get("Retry-After")
 		if got != tc.wantHeader {
 			t.Fatalf("%s: Retry-After = %q, want %q", tc.name, got, tc.wantHeader)
 		}
@@ -158,6 +149,9 @@ func TestRetryAfterHeaderValues(t *testing.T) {
 	}
 }
 
+// TestRateLimitStatusTracksWindow observes the window over HTTP: the
+// call past the limit answers 429 with the rest of the window in
+// Retry-After, and the rollover restores the whole limit.
 func TestRateLimitStatusTracksWindow(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	_, ts := newServer(t, Options{
@@ -172,17 +166,20 @@ func TestRateLimitStatusTracksWindow(t *testing.T) {
 		username = p.Username
 		break
 	}
-	var status TwitterStatusResponse
-	for i := 0; i < 3; i++ {
-		get(t, ts.URL+"/twitter/users/show?screen_name="+urlQuery(username), "st", nil)
+	url := ts.URL + "/twitter/users/show?screen_name=" + urlQuery(username)
+	calls := func(n int) {
+		for i := 0; i < n; i++ {
+			if code := get(t, url, "st", nil); code != http.StatusOK {
+				t.Fatalf("call %d: code %d", i+1, code)
+			}
+		}
 	}
-	get(t, ts.URL+"/twitter/rate_limit_status", "st", &status)
-	if status.Remaining != 1 {
-		t.Fatalf("remaining = %d, want 1", status.Remaining)
+	calls(3)
+	clk.Advance(20 * time.Second)
+	calls(1)
+	if code, retry := getRetryAfter(t, url, "st"); code != http.StatusTooManyRequests || retry != "41" {
+		t.Fatalf("5th call: code %d, Retry-After %q, want 429 and 41", code, retry)
 	}
-	clk.Advance(61 * time.Second)
-	get(t, ts.URL+"/twitter/rate_limit_status", "st", &status)
-	if status.Remaining != 4 {
-		t.Fatalf("post-rollover remaining = %d, want %d", status.Remaining, 4)
-	}
+	clk.Advance(41 * time.Second)
+	calls(4)
 }

@@ -28,15 +28,6 @@ type Options struct {
 	// slow responses, truncated bodies, connection resets), replayable
 	// from its seed. Nil disables injection.
 	Faults *FaultConfig
-	// Facebook OAuth: short-lived tokens are only good for exchanging
-	// into long-lived ones at /facebook/oauth/access_token with the app
-	// credentials — the dance the paper describes ("the access token is
-	// at first short-lived, but we've used it to generate a long-lived
-	// one ... including creating a Facebook App"). Defaults: app id
-	// "app", secret "secret", no short tokens.
-	FBAppID       string
-	FBAppSecret   string
-	FBShortTokens []string
 	// Clock for rate limiting; defaults to time.Now. Injecting a fixed
 	// clock makes rate-limit behaviour fully deterministic — this is the
 	// escape hatch the crowdlint determinism analyzer expects (see the
@@ -60,12 +51,6 @@ func (o *Options) fill() {
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
-	if o.FBAppID == "" {
-		o.FBAppID = "app"
-	}
-	if o.FBAppSecret == "" {
-		o.FBAppSecret = "secret"
-	}
 }
 
 // Server exposes the four simulated services as one http.Handler.
@@ -80,7 +65,6 @@ func (o *Options) fill() {
 //	GET /crunchbase/search?name=N
 //	GET /facebook/graph?url=U
 //	GET /twitter/users/show?screen_name=S
-//	GET /twitter/rate_limit_status
 type Server struct {
 	world   *ecosystem.World
 	opts    Options
@@ -88,7 +72,7 @@ type Server struct {
 	handler http.Handler
 	faults  *faultInjector
 
-	tokens    map[string]bool
+	tokens    map[string]bool // fixed at New: read without a lock
 	twLimiter *fixedWindow
 
 	// raisingIDs snapshots the raising listing order; refreshed on Reload.
@@ -121,9 +105,7 @@ func New(w *ecosystem.World, opts Options) *Server {
 	s.mux.HandleFunc("/crunchbase/organization", s.handleCBOrganization)
 	s.mux.HandleFunc("/crunchbase/search", s.handleCBSearch)
 	s.mux.HandleFunc("/facebook/graph", s.handleFacebook)
-	s.mux.HandleFunc("/facebook/oauth/access_token", s.handleFBExchange)
 	s.mux.HandleFunc("/twitter/users/show", s.handleTwitter)
-	s.mux.HandleFunc("/twitter/rate_limit_status", s.handleTwitterStatus)
 	s.handler = s.mux
 	if opts.Faults != nil {
 		s.faults = newFaultInjector(*opts.Faults)
@@ -194,10 +176,7 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request) (string, bool
 	} else {
 		token = r.URL.Query().Get("access_token")
 	}
-	s.mu.RLock()
-	ok := s.tokens[token]
-	s.mu.RUnlock()
-	if !ok {
+	if !s.tokens[token] {
 		writeJSON(w, http.StatusUnauthorized, apiError{Error: "invalid access token"})
 		return "", false
 	}
@@ -349,45 +328,6 @@ func (s *Server) handleFacebook(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, p)
 }
 
-// FBTokenResponse is the OAuth exchange result.
-type FBTokenResponse struct {
-	AccessToken string `json:"access_token"`
-	TokenType   string `json:"token_type"`
-}
-
-// handleFBExchange swaps a short-lived token plus app credentials for a
-// long-lived access token, which becomes valid for all services. The
-// exchange endpoint itself is unauthenticated (the credentials are its
-// parameters), like the real Graph API flow.
-func (s *Server) handleFBExchange(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if q.Get("grant_type") != "fb_exchange_token" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "unsupported grant_type"})
-		return
-	}
-	if q.Get("app_id") != s.opts.FBAppID || q.Get("app_secret") != s.opts.FBAppSecret {
-		writeJSON(w, http.StatusUnauthorized, apiError{Error: "bad app credentials"})
-		return
-	}
-	short := q.Get("fb_exchange_token")
-	valid := false
-	for _, t := range s.opts.FBShortTokens {
-		if t == short {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		writeJSON(w, http.StatusUnauthorized, apiError{Error: "invalid short-lived token"})
-		return
-	}
-	long := "long-" + short
-	s.mu.Lock()
-	s.tokens[long] = true
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, FBTokenResponse{AccessToken: long, TokenType: "bearer"})
-}
-
 // ---- Twitter ----
 
 func (s *Server) handleTwitter(w http.ResponseWriter, r *http.Request) {
@@ -409,22 +349,4 @@ func (s *Server) handleTwitter(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, p)
-}
-
-// TwitterStatusResponse reports the remaining calls for the caller's
-// token, like Twitter's rate_limit_status endpoint.
-type TwitterStatusResponse struct {
-	Remaining int `json:"remaining"`
-	Limit     int `json:"limit"`
-}
-
-func (s *Server) handleTwitterStatus(w http.ResponseWriter, r *http.Request) {
-	token, ok := s.authorize(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, TwitterStatusResponse{
-		Remaining: s.twLimiter.remaining(token),
-		Limit:     s.opts.TwitterLimit,
-	})
 }

@@ -305,18 +305,8 @@ func TestTwitterRateLimitPerToken(t *testing.T) {
 		}
 	}
 	// 6th call on t1 must be limited; t2 unaffected (token rotation!).
-	req, _ := http.NewRequest("GET", url, nil)
-	req.Header.Set("Authorization", "Bearer t1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("expected 429, got %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("missing Retry-After")
+	if code, retry := getRetryAfter(t, url, "t1"); code != http.StatusTooManyRequests || retry == "" {
+		t.Fatalf("6th call: code %d, Retry-After %q, want 429 with a Retry-After", code, retry)
 	}
 	if code := get(t, url, "t2", nil); code != http.StatusOK {
 		t.Errorf("t2 should not be limited: code %d", code)
@@ -328,6 +318,8 @@ func TestTwitterRateLimitPerToken(t *testing.T) {
 	}
 }
 
+// TestTwitterRateLimitStatus: a fresh token has the whole limit, and the
+// call past it answers 429 naming the rest of the window.
 func TestTwitterRateLimitStatus(t *testing.T) {
 	w := testWorld(t)
 	now := time.Unix(0, 0)
@@ -337,23 +329,34 @@ func TestTwitterRateLimitStatus(t *testing.T) {
 		TwitterWindow: time.Minute,
 		Clock:         func() time.Time { return now },
 	})
-	var status TwitterStatusResponse
-	if code := get(t, ts.URL+"/twitter/rate_limit_status", "t1", &status); code != http.StatusOK {
-		t.Fatalf("code %d", code)
-	}
-	if status.Remaining != 10 || status.Limit != 10 {
-		t.Fatalf("fresh status = %+v", status)
-	}
 	var username string
 	for _, p := range w.Twitter {
 		username = p.Username
 		break
 	}
-	get(t, ts.URL+"/twitter/users/show?screen_name="+urlQuery(username), "t1", nil)
-	get(t, ts.URL+"/twitter/rate_limit_status", "t1", &status)
-	if status.Remaining != 9 {
-		t.Fatalf("after one call remaining = %d", status.Remaining)
+	url := ts.URL + "/twitter/users/show?screen_name=" + urlQuery(username)
+	for i := 0; i < 10; i++ {
+		if code := get(t, url, "t1", nil); code != http.StatusOK {
+			t.Fatalf("call %d: code %d", i+1, code)
+		}
 	}
+	if code, retry := getRetryAfter(t, url, "t1"); code != http.StatusTooManyRequests || retry != "61" {
+		t.Fatalf("11th call: code %d, Retry-After %q, want 429 and 61", code, retry)
+	}
+}
+
+// getRetryAfter makes one call with the token and returns its status
+// code and Retry-After header.
+func getRetryAfter(t *testing.T, url, token string) (int, string) {
+	t.Helper()
+	req, _ := http.NewRequest("GET", url, nil)
+	req.Header.Set("Authorization", "Bearer "+token)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get("Retry-After")
 }
 
 func TestFailureInjection(t *testing.T) {

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // The snapshot chain is the store's history of frozen snapshots, each
 // read from its own artifact (CommitDelta always commits the full
 // frozen/snap-N after frozen/delta-N, and RecoverChain closes the crash
@@ -45,42 +43,32 @@ type ChainDiff struct {
 // diffSnapshots reports every entity added, removed, or changed
 // between snapshots a and b; equal endpoints yield an empty diff.
 func diffSnapshots(a, b *FrozenSnapshot) *ChainDiff {
-	cd := &ChainDiff{From: a.Snapshot, To: b.Snapshot}
-	sd := DiffFrozen(a, b)
-	byIDCo := make(map[string]*Company, len(a.Companies))
-	for i := range a.Companies {
-		byIDCo[a.Companies[i].ID] = &a.Companies[i]
+	return &ChainDiff{From: a.Snapshot, To: b.Snapshot,
+		Companies: changes(a.Companies, b.Companies, companyColumns.key, companyEqual,
+			func(id, change string, before, after *Company) CompanyChange {
+				return CompanyChange{id, change, before, after}
+			}),
+		Investors: changes(a.Investors, b.Investors, investorColumns.key, investorEqual,
+			func(id, change string, before, after *Investor) InvestorChange {
+				return InvestorChange{id, change, before, after}
+			}),
 	}
-	for i := range sd.CompanyUpserts {
-		up := &sd.CompanyUpserts[i]
-		ch := CompanyChange{ID: up.ID, Change: ChangeAdded, After: up}
-		if before, ok := byIDCo[up.ID]; ok {
-			ch.Change = ChangeChanged
-			ch.Before = before
-		}
-		cd.Companies = append(cd.Companies, ch)
-	}
-	for _, id := range sd.CompanyDrops {
-		cd.Companies = append(cd.Companies, CompanyChange{ID: id, Change: ChangeRemoved, Before: byIDCo[id]})
-	}
-	sort.Slice(cd.Companies, func(i, j int) bool { return cd.Companies[i].ID < cd.Companies[j].ID })
+}
 
-	byIDInv := make(map[string]*Investor, len(a.Investors))
-	for i := range a.Investors {
-		byIDInv[a.Investors[i].ID] = &a.Investors[i]
-	}
-	for i := range sd.InvestorUpserts {
-		up := &sd.InvestorUpserts[i]
-		ch := InvestorChange{ID: up.ID, Change: ChangeAdded, After: up}
-		if before, ok := byIDInv[up.ID]; ok {
-			ch.Change = ChangeChanged
-			ch.Before = before
+// changes lists, in ID order, the chain row made by row for each row
+// that differs between the ID-sorted lists prev and next.
+func changes[T, C any](prev, next []T, id func(*T) string, equal func(a, b T) bool,
+	row func(id, change string, before, after *T) C) []C {
+	var out []C
+	diffSorted(prev, next, id, equal, func(before, after *T) {
+		switch {
+		case before == nil:
+			out = append(out, row(id(after), ChangeAdded, nil, after))
+		case after == nil:
+			out = append(out, row(id(before), ChangeRemoved, before, nil))
+		default:
+			out = append(out, row(id(after), ChangeChanged, before, after))
 		}
-		cd.Investors = append(cd.Investors, ch)
-	}
-	for _, id := range sd.InvestorDrops {
-		cd.Investors = append(cd.Investors, InvestorChange{ID: id, Change: ChangeRemoved, Before: byIDInv[id]})
-	}
-	sort.Slice(cd.Investors, func(i, j int) bool { return cd.Investors[i].ID < cd.Investors[j].ID })
-	return cd
+	})
+	return out
 }

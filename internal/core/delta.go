@@ -59,8 +59,8 @@ func encodeDelta(sd *SnapshotDelta) ([]byte, error) {
 	}
 	e := snapshot.NewEncoder()
 	snapshot.EncodeDeltaMeta(e, int64(sd.Base), int64(sd.Target))
-	encodeCompanyColumns(e, "delta.co", sd.CompanyUpserts)
-	encodeInvestorColumns(e, "delta.inv", sd.InvestorUpserts)
+	companyColumns.encode(e, "delta.co", sd.CompanyUpserts)
+	investorColumns.encode(e, "delta.inv", sd.InvestorUpserts)
 	e.Strings("delta.drop.co", sd.CompanyDrops)
 	e.Strings("delta.drop.inv", sd.InvestorDrops)
 	return e.Bytes()
@@ -80,11 +80,11 @@ func decodeDelta(data []byte) (*SnapshotDelta, error) {
 		return nil, err
 	}
 	sd := &SnapshotDelta{Base: int(base), Target: int(target)}
-	sd.CompanyUpserts, err = decodeCompanyColumns(d, "delta.co")
+	sd.CompanyUpserts, err = companyColumns.decode(d, "delta.co")
 	if err != nil {
 		return nil, err
 	}
-	sd.InvestorUpserts, err = decodeInvestorColumns(d, "delta.inv")
+	sd.InvestorUpserts, err = investorColumns.decode(d, "delta.inv")
 	if err != nil {
 		return nil, err
 	}
@@ -101,8 +101,8 @@ func decodeDelta(data []byte) (*SnapshotDelta, error) {
 		upserts []string
 		drops   []string
 	}{
-		{name: "company", upserts: companyIDs(sd.CompanyUpserts), drops: sd.CompanyDrops},
-		{name: "investor", upserts: investorIDs(sd.InvestorUpserts), drops: sd.InvestorDrops},
+		{name: "company", upserts: companyColumns.keys(sd.CompanyUpserts), drops: sd.CompanyDrops},
+		{name: "investor", upserts: investorColumns.keys(sd.InvestorUpserts), drops: sd.InvestorDrops},
 	} {
 		if !strictlyAscending(check.drops) {
 			return nil, fmt.Errorf("%w: %s tombstones are not strictly ascending", snapshot.ErrCorrupt, check.name)
@@ -114,22 +114,6 @@ func decodeDelta(data []byte) (*SnapshotDelta, error) {
 		}
 	}
 	return sd, nil
-}
-
-func companyIDs(cs []Company) []string {
-	ids := make([]string, len(cs))
-	for i, c := range cs {
-		ids[i] = c.ID
-	}
-	return ids
-}
-
-func investorIDs(vs []Investor) []string {
-	ids := make([]string, len(vs))
-	for i, v := range vs {
-		ids[i] = v.ID
-	}
-	return ids
 }
 
 func strictlyAscending(ids []string) bool {
@@ -168,58 +152,57 @@ func investorEqual(a, b Investor) bool {
 	return a.ID == b.ID && a.Follows == b.Follows && slices.Equal(a.Investments, b.Investments)
 }
 
-// DiffFrozen computes the delta turning prev into next: a two-pointer
-// walk over the sorted entity lists emitting full-row upserts for added
-// or changed entities and tombstones for removed ones.
+// DiffFrozen computes the delta turning prev into next: full-row
+// upserts for added or changed entities and tombstones for removed ones.
 func DiffFrozen(prev, next *FrozenSnapshot) *SnapshotDelta {
 	sd := &SnapshotDelta{Base: prev.Snapshot, Target: next.Snapshot}
-	i, j := 0, 0
-	for i < len(prev.Companies) || j < len(next.Companies) {
-		switch {
-		case i >= len(prev.Companies):
-			sd.CompanyUpserts = append(sd.CompanyUpserts, next.Companies[j])
-			j++
-		case j >= len(next.Companies) || prev.Companies[i].ID < next.Companies[j].ID:
-			sd.CompanyDrops = append(sd.CompanyDrops, prev.Companies[i].ID)
-			i++
-		case prev.Companies[i].ID > next.Companies[j].ID:
-			sd.CompanyUpserts = append(sd.CompanyUpserts, next.Companies[j])
-			j++
-		default:
-			if prev.Companies[i] != next.Companies[j] {
-				sd.CompanyUpserts = append(sd.CompanyUpserts, next.Companies[j])
-			}
-			i++
-			j++
-		}
-	}
-	i, j = 0, 0
-	for i < len(prev.Investors) || j < len(next.Investors) {
-		switch {
-		case i >= len(prev.Investors):
-			sd.InvestorUpserts = append(sd.InvestorUpserts, next.Investors[j])
-			j++
-		case j >= len(next.Investors) || prev.Investors[i].ID < next.Investors[j].ID:
-			sd.InvestorDrops = append(sd.InvestorDrops, prev.Investors[i].ID)
-			i++
-		case prev.Investors[i].ID > next.Investors[j].ID:
-			sd.InvestorUpserts = append(sd.InvestorUpserts, next.Investors[j])
-			j++
-		default:
-			if !investorEqual(prev.Investors[i], next.Investors[j]) {
-				sd.InvestorUpserts = append(sd.InvestorUpserts, next.Investors[j])
-			}
-			i++
-			j++
-		}
-	}
+	sd.CompanyUpserts, sd.CompanyDrops = diffRows(prev.Companies, next.Companies, companyColumns.key, companyEqual)
+	sd.InvestorUpserts, sd.InvestorDrops = diffRows(prev.Investors, next.Investors, investorColumns.key, investorEqual)
 	return sd
+}
+
+func companyEqual(a, b Company) bool { return a == b }
+
+// diffRows is the inverse of mergeSorted: the upserts and tombstones
+// that turn the ID-sorted rows prev into next.
+func diffRows[T any](prev, next []T, id func(*T) string, equal func(a, b T) bool) (upserts []T, drops []string) {
+	diffSorted(prev, next, id, equal, func(before, after *T) {
+		if after == nil {
+			drops = append(drops, id(before))
+		} else {
+			upserts = append(upserts, *after)
+		}
+	})
+	return upserts, drops
+}
+
+// diffSorted walks two ID-sorted row lists in step and calls fn, in ID
+// order, for each row that differs: (nil, after) for an added row,
+// (before, nil) for a removed one, (before, after) for a changed one.
+func diffSorted[T any](prev, next []T, id func(*T) string, equal func(a, b T) bool, fn func(before, after *T)) {
+	i, j := 0, 0
+	for i < len(prev) || j < len(next) {
+		switch {
+		case i == len(prev) || j < len(next) && id(&next[j]) < id(&prev[i]):
+			fn(nil, &next[j])
+			j++
+		case j == len(next) || id(&prev[i]) < id(&next[j]):
+			fn(&prev[i], nil)
+			i++
+		default:
+			if !equal(prev[i], next[j]) {
+				fn(&prev[i], &next[j])
+			}
+			i++
+			j++
+		}
+	}
 }
 
 // mergeSorted applies sorted upserts and drops onto a sorted base list.
 // A tombstone must name an existing entity and an upsert keeps the list
 // sorted by construction; any mismatch is an ErrDeltaConflict.
-func mergeSorted[T any](kind string, base []T, id func(T) string, upserts []T, drops []string) ([]T, error) {
+func mergeSorted[T any](kind string, base []T, id func(*T) string, upserts []T, drops []string) ([]T, error) {
 	out := make([]T, 0, len(base)+len(upserts))
 	i, u, dr := 0, 0, 0
 	for i < len(base) || u < len(upserts) {
@@ -230,22 +213,22 @@ func mergeSorted[T any](kind string, base []T, id func(T) string, upserts []T, d
 		case u >= len(upserts):
 			takeUpsert = false
 		default:
-			takeUpsert = id(upserts[u]) <= id(base[i])
+			takeUpsert = id(&upserts[u]) <= id(&base[i])
 		}
 		if takeUpsert {
-			if i < len(base) && id(base[i]) == id(upserts[u]) {
+			if i < len(base) && id(&base[i]) == id(&upserts[u]) {
 				i++ // replaced
 			}
 			out = append(out, upserts[u])
 			u++
 			continue
 		}
-		if dr < len(drops) && drops[dr] == id(base[i]) {
+		if dr < len(drops) && drops[dr] == id(&base[i]) {
 			dr++
 			i++ // dropped
 			continue
 		}
-		if dr < len(drops) && drops[dr] < id(base[i]) {
+		if dr < len(drops) && drops[dr] < id(&base[i]) {
 			return nil, fmt.Errorf("%w: tombstone for unknown %s %q", ErrDeltaConflict, kind, drops[dr])
 		}
 		out = append(out, base[i])
@@ -296,13 +279,11 @@ func ApplyDelta(prev *FrozenSnapshot, sd *SnapshotDelta) (*FrozenSnapshot, error
 			ErrDeltaConflict, sd.Base, sd.Target, prev.Snapshot)
 	}
 	neutral := graphNeutral(prev, sd)
-	companies, err := mergeSorted("company", prev.Companies, func(c Company) string { return c.ID },
-		sd.CompanyUpserts, sd.CompanyDrops)
+	companies, err := mergeSorted("company", prev.Companies, companyColumns.key, sd.CompanyUpserts, sd.CompanyDrops)
 	if err != nil {
 		return nil, err
 	}
-	investors, err := mergeSorted("investor", prev.Investors, func(v Investor) string { return v.ID },
-		sd.InvestorUpserts, sd.InvestorDrops)
+	investors, err := mergeSorted("investor", prev.Investors, investorColumns.key, sd.InvestorUpserts, sd.InvestorDrops)
 	if err != nil {
 		return nil, err
 	}

@@ -13,17 +13,8 @@ import (
 // emits after a crawl persists: the merged companies and the merged
 // investors in one checksummed blob. Loading one is a single sequential
 // read per column — no per-record JSON decoding, no joins — followed by
-// the same CSR build every freeze ends in, over the investor rows. It is
-// what every analysis, query and serving replica reads.
-
-// Company flag bits in the co.flags column.
-const (
-	flagRaising  = 1 << 0
-	flagVideo    = 1 << 1
-	flagFacebook = 1 << 2
-	flagTwitter  = 1 << 3
-	flagFunded   = 1 << 4
-)
+// the same CSR build every freeze ends in, over the investor rows. The
+// sections are laid out by the row types' column lists (columns.go).
 
 // FrozenSnapshot is one crawl snapshot decoded from its frozen artifact.
 type FrozenSnapshot struct {
@@ -158,83 +149,9 @@ func LoadFrozen(st *store.Store, snap int) (*FrozenSnapshot, error) {
 func EncodeFrozen(fs *FrozenSnapshot) ([]byte, error) {
 	e := snapshot.NewEncoder()
 	e.Int64s("meta.snapshot", []int64{int64(fs.Snapshot)})
-	encodeCompanyColumns(e, "co", fs.Companies)
-	encodeInvestorColumns(e, "inv", fs.Investors)
+	companyColumns.encode(e, "co", fs.Companies)
+	investorColumns.encode(e, "inv", fs.Investors)
 	return e.Bytes()
-}
-
-// encodeCompanyColumns adds the company column family under the given
-// section prefix — shared between the full snapshot artifact ("co") and
-// the delta artifact's upsert sections ("delta.co"), so both carry the
-// exact same column scheme.
-func encodeCompanyColumns(e *snapshot.Encoder, prefix string, companies []Company) {
-	nCo := len(companies)
-	coIDs := make([]string, nCo)
-	coNames := make([]string, nCo)
-	coFlags := make([]uint8, nCo)
-	coLikes := make([]int64, nCo)
-	coTweets := make([]int64, nCo)
-	coFollowers := make([]int64, nCo)
-	coRounds := make([]int64, nCo)
-	coRaised := make([]int64, nCo)
-	for i, c := range companies {
-		coIDs[i] = c.ID
-		coNames[i] = c.Name
-		var f uint8
-		if c.Raising {
-			f |= flagRaising
-		}
-		if c.HasVideo {
-			f |= flagVideo
-		}
-		if c.HasFacebook {
-			f |= flagFacebook
-		}
-		if c.HasTwitter {
-			f |= flagTwitter
-		}
-		if c.Funded {
-			f |= flagFunded
-		}
-		coFlags[i] = f
-		coLikes[i] = int64(c.Likes)
-		coTweets[i] = int64(c.Tweets)
-		coFollowers[i] = int64(c.Followers)
-		coRounds[i] = int64(c.RoundCount)
-		coRaised[i] = c.TotalRaisedUSD
-	}
-	e.Strings(prefix+".ids", coIDs)
-	e.Strings(prefix+".names", coNames)
-	e.Uint8s(prefix+".flags", coFlags)
-	e.Int64s(prefix+".likes", coLikes)
-	e.Int64s(prefix+".tweets", coTweets)
-	e.Int64s(prefix+".followers", coFollowers)
-	e.Int64s(prefix+".rounds", coRounds)
-	e.Int64s(prefix+".raised", coRaised)
-}
-
-// encodeInvestorColumns adds the investor column family under the given
-// section prefix (see encodeCompanyColumns).
-func encodeInvestorColumns(e *snapshot.Encoder, prefix string, investors []Investor) {
-	nInv := len(investors)
-	invIDs := make([]string, nInv)
-	invFollows := make([]int64, nInv)
-	invOffsets := make([]int64, nInv+1)
-	var invFlat []string
-	for i, inv := range investors {
-		invIDs[i] = inv.ID
-		invFollows[i] = int64(inv.Follows)
-		invOffsets[i] = int64(len(invFlat))
-		// Investment order is load-bearing: graph.FromRows numbers
-		// right nodes by first appearance, so the flat table preserves
-		// each investor's original list exactly.
-		invFlat = append(invFlat, inv.Investments...)
-	}
-	invOffsets[nInv] = int64(len(invFlat))
-	e.Strings(prefix+".ids", invIDs)
-	e.Int64s(prefix+".follows", invFollows)
-	e.Int64s(prefix+".investments.offsets", invOffsets)
-	e.Strings(prefix+".investments.flat", invFlat)
 }
 
 // DecodeFrozen parses an artifact produced by EncodeFrozen and builds
@@ -253,11 +170,11 @@ func DecodeFrozen(data []byte) (*FrozenSnapshot, error) {
 	if len(meta) != 1 {
 		return nil, fmt.Errorf("%w: meta.snapshot holds %d values", snapshot.ErrCorrupt, len(meta))
 	}
-	companies, err := decodeCompanyColumns(d, "co")
+	companies, err := companyColumns.decode(d, "co")
 	if err != nil {
 		return nil, err
 	}
-	investors, err := decodeInvestorColumns(d, "inv")
+	investors, err := investorColumns.decode(d, "inv")
 	if err != nil {
 		return nil, err
 	}
@@ -266,124 +183,4 @@ func DecodeFrozen(data []byte) (*FrozenSnapshot, error) {
 		return nil, fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
 	}
 	return fs, nil
-}
-
-// decodeCompanyColumns parses a company column family written by
-// encodeCompanyColumns under the given section prefix. IDs must be
-// strictly ascending: every reader of the rows — ApplyDelta's sorted
-// merge, binary-searched ID lookups, the delta decoder — relies on it.
-func decodeCompanyColumns(d *snapshot.Decoder, prefix string) ([]Company, error) {
-	coIDs, err := d.Strings(prefix + ".ids")
-	if err != nil {
-		return nil, err
-	}
-	coNames, err := d.Strings(prefix + ".names")
-	if err != nil {
-		return nil, err
-	}
-	coFlags, err := d.Uint8s(prefix + ".flags")
-	if err != nil {
-		return nil, err
-	}
-	coLikes, err := d.Int64s(prefix + ".likes")
-	if err != nil {
-		return nil, err
-	}
-	coTweets, err := d.Int64s(prefix + ".tweets")
-	if err != nil {
-		return nil, err
-	}
-	coFollowers, err := d.Int64s(prefix + ".followers")
-	if err != nil {
-		return nil, err
-	}
-	coRounds, err := d.Int64s(prefix + ".rounds")
-	if err != nil {
-		return nil, err
-	}
-	coRaised, err := d.Int64s(prefix + ".raised")
-	if err != nil {
-		return nil, err
-	}
-	if !strictlyAscending(coIDs) {
-		return nil, fmt.Errorf("%w: %s.ids are not strictly ascending", snapshot.ErrCorrupt, prefix)
-	}
-	nCo := len(coIDs)
-	for name, n := range map[string]int{
-		prefix + ".names": len(coNames), prefix + ".flags": len(coFlags),
-		prefix + ".likes": len(coLikes), prefix + ".tweets": len(coTweets),
-		prefix + ".followers": len(coFollowers), prefix + ".rounds": len(coRounds),
-		prefix + ".raised": len(coRaised),
-	} {
-		if n != nCo {
-			return nil, fmt.Errorf("%w: %s holds %d values for %d companies", snapshot.ErrCorrupt, name, n, nCo)
-		}
-	}
-	companies := make([]Company, nCo)
-	for i := range companies {
-		f := coFlags[i]
-		companies[i] = Company{
-			ID:             coIDs[i],
-			Name:           coNames[i],
-			Raising:        f&flagRaising != 0,
-			HasVideo:       f&flagVideo != 0,
-			HasFacebook:    f&flagFacebook != 0,
-			HasTwitter:     f&flagTwitter != 0,
-			Funded:         f&flagFunded != 0,
-			Likes:          int(coLikes[i]),
-			Tweets:         int(coTweets[i]),
-			Followers:      int(coFollowers[i]),
-			RoundCount:     int(coRounds[i]),
-			TotalRaisedUSD: coRaised[i],
-		}
-	}
-	return companies, nil
-}
-
-// decodeInvestorColumns parses an investor column family written by
-// encodeInvestorColumns under the given section prefix; IDs must be
-// strictly ascending, as in decodeCompanyColumns.
-func decodeInvestorColumns(d *snapshot.Decoder, prefix string) ([]Investor, error) {
-	invIDs, err := d.Strings(prefix + ".ids")
-	if err != nil {
-		return nil, err
-	}
-	invFollows, err := d.Int64s(prefix + ".follows")
-	if err != nil {
-		return nil, err
-	}
-	invOffsets, err := d.Int64s(prefix + ".investments.offsets")
-	if err != nil {
-		return nil, err
-	}
-	invFlat, err := d.Strings(prefix + ".investments.flat")
-	if err != nil {
-		return nil, err
-	}
-	if !strictlyAscending(invIDs) {
-		return nil, fmt.Errorf("%w: %s.ids are not strictly ascending", snapshot.ErrCorrupt, prefix)
-	}
-	nInv := len(invIDs)
-	if len(invFollows) != nInv || len(invOffsets) != nInv+1 {
-		return nil, fmt.Errorf("%w: investor columns disagree (%d ids, %d follows, %d offsets)",
-			snapshot.ErrCorrupt, nInv, len(invFollows), len(invOffsets))
-	}
-	if invOffsets[0] != 0 || invOffsets[nInv] != int64(len(invFlat)) {
-		return nil, fmt.Errorf("%w: investment offsets [%d,%d] disagree with %d entries",
-			snapshot.ErrCorrupt, invOffsets[0], invOffsets[nInv], len(invFlat))
-	}
-	investors := make([]Investor, nInv)
-	for i := range investors {
-		lo, hi := invOffsets[i], invOffsets[i+1]
-		if lo > hi || hi > int64(len(invFlat)) {
-			return nil, fmt.Errorf("%w: invalid investment offsets [%d,%d) for investor %d",
-				snapshot.ErrCorrupt, lo, hi, i)
-		}
-		investors[i] = Investor{
-			ID:          invIDs[i],
-			Investments: invFlat[lo:hi:hi],
-			Follows:     int(invFollows[i]),
-		}
-	}
-	return investors, nil
 }

@@ -124,7 +124,7 @@ func frozenFuzzSeedsT(f testing.TB) [][]byte {
 		encode(swapped), encode(duplicated),
 		flipped, good[:len(good)-1], append(slices.Clone(good), 0xAA), badMagic, future,
 		column(func(e *snapshot.Encoder) {
-			encodeCompanyColumns(e, "co", nil)
+			companyColumns.encode(e, "co", nil)
 			e.Strings("inv.ids", []string{"inv-a", "inv-b"})
 			e.Int64s("inv.follows", []int64{0, 0})
 			e.Int64s("inv.investments.offsets", []int64{0, 2, 1})
@@ -176,7 +176,7 @@ func checkDecodeFrozen(t *testing.T, data []byte) {
 		}
 		return
 	}
-	if !strictlyAscending(companyIDs(fs.Companies)) || !strictlyAscending(investorIDs(fs.Investors)) {
+	if !strictlyAscending(companyColumns.keys(fs.Companies)) || !strictlyAscending(investorColumns.keys(fs.Investors)) {
 		t.Fatal("decoded rows are not strictly ascending by ID")
 	}
 	want, err := newFrozen(fs.Snapshot, fs.Companies, fs.Investors)

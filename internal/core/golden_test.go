@@ -119,8 +119,8 @@ func encodeWithGraphSections(tb testing.TB, fs *FrozenSnapshot) []byte {
 	tb.Helper()
 	e := snapshot.NewEncoder()
 	e.Int64s("meta.snapshot", []int64{int64(fs.Snapshot)})
-	encodeCompanyColumns(e, "co", fs.Companies)
-	encodeInvestorColumns(e, "inv", fs.Investors)
+	companyColumns.encode(e, "co", fs.Companies)
+	investorColumns.encode(e, "inv", fs.Investors)
 	g := fs.Graph
 	csr := func(n int, label func(int32) string, row func(int32) []int32) ([]string, []int64, []int32) {
 		labels, offsets, targets := make([]string, n), make([]int64, n+1), []int32{}

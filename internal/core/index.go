@@ -53,57 +53,11 @@ func CommitFrozen(ctx context.Context, st *store.Store, fs *FrozenSnapshot) erro
 // namespaces, which is what lets the planner push `WHERE Raising AND
 // Likes > 100` or `LEN(Investments) >= 3` into probes by string match.
 func EncodeIndexes(fs *FrozenSnapshot) ([]byte, error) {
-	nCo := len(fs.Companies)
-	co := index.Table{
-		Name: "companies",
-		Rows: nCo,
-		Bools: map[string][]bool{
-			"Raising":     make([]bool, nCo),
-			"HasVideo":    make([]bool, nCo),
-			"HasFacebook": make([]bool, nCo),
-			"HasTwitter":  make([]bool, nCo),
-			"Funded":      make([]bool, nCo),
-		},
-		Ints: map[string][]int64{
-			"Likes":          make([]int64, nCo),
-			"Tweets":         make([]int64, nCo),
-			"Followers":      make([]int64, nCo),
-			"RoundCount":     make([]int64, nCo),
-			"TotalRaisedUSD": make([]int64, nCo),
-		},
-	}
-	for i, c := range fs.Companies {
-		co.Bools["Raising"][i] = c.Raising
-		co.Bools["HasVideo"][i] = c.HasVideo
-		co.Bools["HasFacebook"][i] = c.HasFacebook
-		co.Bools["HasTwitter"][i] = c.HasTwitter
-		co.Bools["Funded"][i] = c.Funded
-		co.Ints["Likes"][i] = int64(c.Likes)
-		co.Ints["Tweets"][i] = int64(c.Tweets)
-		co.Ints["Followers"][i] = int64(c.Followers)
-		co.Ints["RoundCount"][i] = int64(c.RoundCount)
-		co.Ints["TotalRaisedUSD"][i] = c.TotalRaisedUSD
-	}
-
-	nInv := len(fs.Investors)
-	inv := index.Table{
-		Name: "investors",
-		Rows: nInv,
-		Ints: map[string][]int64{
-			"Follows":          make([]int64, nInv),
-			"LEN(Investments)": make([]int64, nInv),
-		},
-	}
-	for i, v := range fs.Investors {
-		inv.Ints["Follows"][i] = int64(v.Follows)
-		inv.Ints["LEN(Investments)"][i] = int64(len(v.Investments))
-	}
-
-	coIdx, err := index.BuildTable(co)
+	coIdx, err := index.BuildTable(companyColumns.index("companies", fs.Companies))
 	if err != nil {
 		return nil, err
 	}
-	invIdx, err := index.BuildTable(inv)
+	invIdx, err := index.BuildTable(investorColumns.index("investors", fs.Investors))
 	if err != nil {
 		return nil, err
 	}

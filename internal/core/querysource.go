@@ -78,9 +78,10 @@ type frozenEntry struct {
 // table is a row type's accessor table: one typed reader per column,
 // each yielding exactly what json.Unmarshal into any gives for that
 // column of the row's JSON — float64 for every number, []any for a
-// list (nil for a nil slice), map[string]any for a row. A column added
-// to a row type needs its entry here; TestTypedRecordsMatchDecodedJSON
-// derives every path by reflection and fails on one without.
+// list (nil for a nil slice), map[string]any for a row. A frozen row
+// type's table is derived from its column list; a field missing from
+// the list fails TestTypedRecordsMatchDecodedJSON, which derives every
+// path by reflection.
 type table[R any] map[string]column[R]
 
 // column is one entry of a table. A pointer column (a chain row's
@@ -134,38 +135,7 @@ func ref[R, E any](t table[E], ptr func(*R) *E) column[R] {
 	return column[R]{get: sub(nil), sub: sub}
 }
 
-// strs is a []string column: nil stays nil, as JSON null decodes.
-func strs(s []string) any {
-	if s == nil {
-		return nil
-	}
-	out := make([]any, len(s))
-	for i, v := range s {
-		out[i] = v
-	}
-	return out
-}
-
-var companyTable = table[Company]{
-	"ID":             {get: func(c *Company) any { return c.ID }},
-	"Name":           {get: func(c *Company) any { return c.Name }},
-	"Raising":        {get: func(c *Company) any { return c.Raising }},
-	"HasVideo":       {get: func(c *Company) any { return c.HasVideo }},
-	"HasFacebook":    {get: func(c *Company) any { return c.HasFacebook }},
-	"HasTwitter":     {get: func(c *Company) any { return c.HasTwitter }},
-	"Likes":          {get: func(c *Company) any { return float64(c.Likes) }},
-	"Tweets":         {get: func(c *Company) any { return float64(c.Tweets) }},
-	"Followers":      {get: func(c *Company) any { return float64(c.Followers) }},
-	"Funded":         {get: func(c *Company) any { return c.Funded }},
-	"RoundCount":     {get: func(c *Company) any { return float64(c.RoundCount) }},
-	"TotalRaisedUSD": {get: func(c *Company) any { return float64(c.TotalRaisedUSD) }},
-}
-
-var investorTable = table[Investor]{
-	"ID":          {get: func(v *Investor) any { return v.ID }},
-	"Investments": {get: func(v *Investor) any { return strs(v.Investments) }},
-	"Follows":     {get: func(v *Investor) any { return float64(v.Follows) }},
-}
+var companyTable, investorTable = companyColumns.table(), investorColumns.table()
 
 var companyChangeTable = table[CompanyChange]{
 	"ID":     {get: func(c *CompanyChange) any { return c.ID }},

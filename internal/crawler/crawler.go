@@ -183,11 +183,7 @@ func (cr *Crawler) runBFS(ctx context.Context, pool *parallel.Pool, snap *Snapsh
 			mu.Lock()
 			snap.Startups[id] = st
 			added.Startups[id] = st
-			for _, uid := range followers {
-				if _, ok := snap.Users[uid]; !ok {
-					nextUsers = append(nextUsers, uid)
-				}
-			}
+			nextUsers = append(nextUsers, followers...)
 			mu.Unlock()
 			return nil
 		})
@@ -215,21 +211,8 @@ func (cr *Crawler) runBFS(ctx context.Context, pool *parallel.Pool, snap *Snapsh
 			mu.Lock()
 			snap.Users[id] = u
 			added.Users[id] = u
-			for _, sid := range u.FollowsStartups {
-				if _, ok := snap.Startups[sid]; !ok {
-					nextStartups = append(nextStartups, sid)
-				}
-			}
-			for _, sid := range u.Investments {
-				if _, ok := snap.Startups[sid]; !ok {
-					nextStartups = append(nextStartups, sid)
-				}
-			}
-			for _, uid := range u.FollowsUsers {
-				if _, ok := snap.Users[uid]; !ok {
-					nextUsers = append(nextUsers, uid)
-				}
-			}
+			nextStartups = append(append(nextStartups, u.FollowsStartups...), u.Investments...)
+			nextUsers = append(nextUsers, u.FollowsUsers...)
 			mu.Unlock()
 			return nil
 		})
@@ -237,24 +220,16 @@ func (cr *Crawler) runBFS(ctx context.Context, pool *parallel.Pool, snap *Snapsh
 			return err
 		}
 
-		startupFrontier = dedupe(nextStartups)
-		userFrontier = dedupe(nextUsers)
-		// The frontier *sets* are deterministic but their discovery order
-		// is not; sort so checkpoint records are stable.
-		sort.Strings(startupFrontier)
-		sort.Strings(userFrontier)
-		// A worker can queue a followed user while another is fetching it
-		// this round. The record leaves such users out, as a resumed round
-		// would skip them, so its bytes do not depend on fetch timing.
-		unfetched := slices.DeleteFunc(slices.Clone(userFrontier), func(id string) bool {
-			_, fetched := snap.Users[id]
-			return fetched
-		})
+		// The next frontiers are taken against the finished round: a
+		// candidate fetched later in the same round (a user followed by a
+		// startup and in this round's user frontier) is not work left.
+		startupFrontier = unfetched(nextStartups, snap.Startups)
+		userFrontier = unfetched(nextUsers, snap.Users)
 		if err := save(Checkpoint{
 			Phase:           PhaseBFS,
 			Round:           snap.Stats.Rounds,
 			StartupFrontier: startupFrontier,
-			UserFrontier:    unfetched,
+			UserFrontier:    userFrontier,
 			Added:           added,
 		}); err != nil {
 			return err
@@ -394,6 +369,18 @@ func (cr *Crawler) augmentOne(ctx context.Context, snap *Snapshot, mu *sync.Mute
 		snap.Stats.TwitterProfiles++
 	}
 	return nil
+}
+
+// unfetched is the sorted set of ids not in fetched. The set is
+// deterministic but its discovery order is not; sorting keeps
+// checkpoint records stable.
+func unfetched[T any](ids []string, fetched map[string]*T) []string {
+	ids = slices.DeleteFunc(dedupe(ids), func(id string) bool {
+		_, ok := fetched[id]
+		return ok
+	})
+	sort.Strings(ids)
+	return ids
 }
 
 func dedupe(ids []string) []string {

@@ -118,6 +118,11 @@ export GORACE="halt_on_error=1"
 
 go test -race ./...
 
+# The root package's Benchmark* functions are the experiments'
+# reproductions (EXPERIMENTS.md), and their b.Fatal/b.Error checks run
+# only when a benchmark does: one iteration of each, without -race.
+go test -run '^$' -bench . -benchtime 1x .
+
 # A suite must select at least one test in every package it names: a
 # renamed or deleted test would otherwise empty it without a failure.
 run_suite() {
